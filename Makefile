@@ -1,11 +1,14 @@
 # Make-style entry points for the test and benchmark suites.
 #
 #   make test         tier-1 suite (what CI gates on)
-#   make check        the full gate: tier-1 tests, bench smokes, golden suite
+#   make check        the full gate: lint, tier-1 tests, bench smokes,
+#                     golden suite, benchmarks/perf harness tests
 #   make golden       regenerate tests/golden/* (review the diff!)
-#   make lint         bytecode-compile src/tests/benchmarks +
-#                     parser-roundtrip/codegen lint + static analysis
-#                     (codegen verifier + invariant rules)
+#   make lint         bytecode-compile src/tests/benchmarks + static
+#                     analysis (parser round trip + codegen verifier over
+#                     the query corpus, invariant rules over src/repro)
+#   make loc          total and non-blank/non-comment line counts of
+#                     src/repro (the design metric ROADMAP aim 2 tracks)
 #   make bench-smoke  1-repetition benchmark smoke (emits BENCH_e12.json ..
 #                     BENCH_e20.json)
 #   make bench-report aggregate the BENCH_e*.json artifacts into one table
@@ -27,7 +30,7 @@ PYTEST := PYTHONPATH=src python -m pytest
 
 GOLDEN_FILES := tests/test_golden_plans.py tests/test_advisor.py
 
-.PHONY: test check lint golden bench bench-smoke bench-report \
+.PHONY: test check lint loc golden bench bench-smoke bench-report \
 	bench-e12 bench-e13 bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 \
 	bench-e19 bench-e20
 
@@ -35,18 +38,24 @@ test:
 	$(PYTEST) -x -q
 
 # The chained gate: unit/integration tests first (excluding the smoke and
-# golden markers so failures localize), then the benchmark smokes, then the
-# cross-strategy golden suite.
+# golden markers so failures localize), then the benchmark smokes, the
+# cross-strategy golden suite, and the benchmark harness's own tests.
 check: lint
 	$(PYTEST) -x -q -m "not bench_smoke and not golden"
 	$(PYTEST) -q -m bench_smoke tests/test_bench_smoke.py
 	$(PYTEST) -q -m golden $(GOLDEN_FILES)
+	$(PYTEST) -q benchmarks/perf
 
 lint:
 	python -m compileall -q src tests benchmarks
-	PYTHONPATH=src python -m repro.lint
 	PYTHONPATH=src python -m repro.analysis
 	python tests/check_golden_freshness.py
+
+loc:
+	@find src/repro -name '*.py' | xargs cat | wc -l \
+		| xargs echo "src/repro total lines:"
+	@find src/repro -name '*.py' | xargs cat | grep -cvE '^[[:space:]]*(#|$$)' \
+		| xargs echo "src/repro non-blank/non-comment lines:"
 
 golden:
 	GOLDEN_REGEN=1 $(PYTEST) -q -m golden $(GOLDEN_FILES)

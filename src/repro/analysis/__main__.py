@@ -1,10 +1,11 @@
 """``python -m repro.analysis`` — run both static-analysis engines.
 
-Sweeps the codegen verifier over the lint corpus, any ``.oql`` files
-given on the command line, and every golden workload's canonical and
-winning plan in both scan modes; then runs the invariant rules over
-``src/repro``.  Exit status 0 when no finding survives the per-line
-suppressions and the checked-in baseline, 1 otherwise.
+Sweeps the parser round-trip check and the codegen verifier over the
+lint corpus and any ``.oql`` files given on the command line, the
+verifier alone over every golden workload's canonical and winning plan
+(both scan modes); then runs the invariant rules over ``src/repro``.
+Exit status 0 when no finding survives the per-line suppressions and the
+checked-in baseline, 1 otherwise.
 
 Flags: ``--json`` for machine-readable output, ``--rules`` to print the
 rule catalog, ``--skip-codegen`` / ``--skip-invariants`` /
@@ -34,7 +35,7 @@ from repro.analysis.invariants import lint_project, load_project
 #: codegen rule ids and one-liners (the invariant side carries its own
 #: catalog on each rule module)
 CODEGEN_CATALOG = {
-    "CG-SYNTAX": "generated plan source does not parse",
+    "CG-SYNTAX": "generated plan source does not parse or compile",
     "CG-SHAPE": "generated module is not exactly one `def _plan(...)` "
     "within the generator's statement grammar",
     "CG-DOM": "a local may be read before any binding dominates the read",
@@ -55,6 +56,10 @@ def _print_catalog() -> None:
     from repro.analysis.rules import RULE_CATALOG
 
     catalog = dict(CODEGEN_CATALOG)
+    catalog["RT-DRIFT"] = (
+        "a corpus query's printed form does not re-parse to the same "
+        "canonical key, template key and parameter list"
+    )
     catalog["INV-PARSE"] = "a linted source file does not parse"
     catalog.update(RULE_CATALOG)
     for rule in sorted(catalog):

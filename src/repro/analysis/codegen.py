@@ -580,6 +580,9 @@ def verify_source(
     findings: List[Finding] = []
     try:
         tree = ast.parse(source)
+        # the compiler proper rejects what the grammar alone lets through
+        # (duplicate arguments, misplaced keywords, ...)
+        compile(tree, label, "exec")
     except SyntaxError as exc:
         return [
             Finding(
@@ -774,10 +777,11 @@ def verify_query(
 def verify_corpus(
     extra: Sequence[Tuple[str, str]] = ()
 ) -> Tuple[int, List[Finding]]:
-    """Run the verifier over every lint-corpus query (plus ``extra``
-    ``(label, text)`` pairs) in both scan modes."""
+    """Run the parser round-trip check and the verifier (both scan
+    modes) over every lint-corpus query plus ``extra`` ``(label, text)``
+    pairs."""
 
-    from repro.analysis.corpus import BUILTIN_CORPUS
+    from repro.analysis.corpus import BUILTIN_CORPUS, check_roundtrip
     from repro.query.parser import parse_query
 
     verified = 0
@@ -792,6 +796,7 @@ def verify_corpus(
                 )
             )
             continue
+        findings.extend(check_roundtrip(name, query))
         count, query_findings = verify_query(query, label=name)
         verified += count
         findings.extend(query_findings)

@@ -1,7 +1,8 @@
-"""The lint corpus and its round-trip / codegen checks.
+"""The lint corpus and its parser round-trip check.
 
-Home of the query corpus the parser-roundtrip lint and the codegen
-verifier both sweep (:mod:`repro.lint` is a thin CLI over this module).
+Home of the query corpus ``python -m repro.analysis`` sweeps: every
+entry goes through the print/parse round-trip check below and the
+codegen verifier (:func:`repro.analysis.codegen.verify_corpus`).
 The corpus covers the whole surface syntax — navigation joins,
 dictionary lookups, ``dom``, negative and float literals, ``$name``
 template parameters — plus the constructs the static verifier stresses:
@@ -12,18 +13,15 @@ navigation chain).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
+from repro.analysis.findings import Finding
 from repro.errors import ReproError
+from repro.query.ast import PCQuery
 from repro.query.parser import parse_query
 from repro.query.printer import format_query
 
-__all__ = [
-    "BUILTIN_CORPUS",
-    "check_codegen",
-    "check_roundtrip",
-    "run_lint",
-]
+__all__ = ["BUILTIN_CORPUS", "check_roundtrip"]
 
 #: queries exercising every construct the printer has to re-emit and
 #: every guard shape the codegen verifier has to prove
@@ -90,70 +88,29 @@ BUILTIN_CORPUS: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def check_roundtrip(name: str, text: str) -> List[str]:
-    """Problems (empty = clean) with one query's print/parse round trip."""
+def check_roundtrip(name: str, query: PCQuery) -> List[Finding]:
+    """``RT-DRIFT`` findings (empty = clean) for one parsed query's
+    print → re-parse round trip.  A drift between
+    :mod:`repro.query.printer` and :mod:`repro.query.parser` is exactly
+    the kind of bug that corrupts the plan cache silently (two spellings
+    of one query stop sharing an entry)."""
 
-    problems: List[str] = []
+    label = f"<corpus:{name}>"
     try:
-        query = parse_query(text)
+        reparsed = parse_query(format_query(query))
     except ReproError as exc:
-        return [f"{name}: does not parse: {exc}"]
-    printed = format_query(query)
-    try:
-        reparsed = parse_query(printed)
-    except ReproError as exc:
-        return [f"{name}: printed form does not re-parse: {exc}"]
-    if reparsed.canonical_key() != query.canonical_key():
-        problems.append(f"{name}: canonical key drifts across print/parse")
-    if reparsed.template_key() != query.template_key():
-        problems.append(f"{name}: template key drifts across print/parse")
-    if reparsed.param_names() != query.param_names():
-        problems.append(f"{name}: parameter list drifts across print/parse")
-    return problems
-
-
-def check_codegen(name: str, text: str) -> List[str]:
-    """Problems (empty = clean) compiling one query's generated plan
-    function — both scan modes, checked with the Python compiler."""
-
-    from repro.exec.compile import PlanCompilationError, generate_source
-
-    try:
-        query = parse_query(text)
-    except ReproError:
-        return []  # already reported by check_roundtrip
-    problems: List[str] = []
-    for use_hash_joins in (False, True):
-        label = "hash-join" if use_hash_joins else "index-nested-loop"
-        try:
-            source = generate_source(query, use_hash_joins=use_hash_joins)
-        except PlanCompilationError as exc:
-            problems.append(f"{name}: codegen refused {label} plan: {exc}")
-            continue
-        try:
-            compile(source, f"<lint:{name}>", "exec")
-        except SyntaxError as exc:
-            problems.append(
-                f"{name}: generated {label} plan is not valid Python: {exc}"
+        return [
+            Finding(
+                label, 0, "RT-DRIFT", f"printed form does not re-parse: {exc}"
             )
-    return problems
-
-
-def run_lint(paths: Iterable[str] = ()) -> List[str]:
-    """All round-trip and codegen problems over the built-in corpus plus
-    ``paths``."""
-
-    problems: List[str] = []
-    for name, text in BUILTIN_CORPUS:
-        problems.extend(check_roundtrip(name, text))
-        problems.extend(check_codegen(name, text))
-    for path in paths:
-        try:
-            with open(path) as handle:
-                text = handle.read()
-        except OSError as exc:
-            problems.append(f"{path}: {exc}")
-            continue
-        problems.extend(check_roundtrip(path, text))
-        problems.extend(check_codegen(path, text))
-    return problems
+        ]
+    checks = (
+        ("canonical key", PCQuery.canonical_key),
+        ("template key", PCQuery.template_key),
+        ("parameter list", PCQuery.param_names),
+    )
+    return [
+        Finding(label, 0, "RT-DRIFT", f"{what} drifts across print/parse")
+        for what, read in checks
+        if read(reparsed) != read(query)
+    ]

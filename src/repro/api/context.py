@@ -1,14 +1,11 @@
 """The one optimization context all layers consume.
 
-Before this module existed the codebase carried the same bundle of state
-— constraint set, physical-schema filter, catalog statistics, cost model,
-search limits, strategy — in three ad-hoc shapes: the
-:class:`~repro.optimizer.optimizer.Optimizer` constructor kwargs, the
-per-call overlay of ``Optimizer.optimize(extra_constraints=...,
-physical_names=..., statistics=...)``, and the re-plumbing in
-:mod:`repro.semcache.session`.  :class:`OptimizeContext` collapses them
-into a single frozen value object:
+The bundle of state Algorithm 1 needs — constraint set, physical-schema
+filter, catalog statistics, cost model, search limits, strategy — is one
+frozen value object, :class:`OptimizeContext`:
 
+* an :class:`~repro.optimizer.optimizer.Optimizer` holds exactly one
+  (its classic constructor kwargs build it);
 * the :class:`~repro.api.database.Database` façade owns one context and
   derives everything (optimizer, sessions, plan-cache keys) from it;
 * per-request overlays — the semantic cache injecting view constraint
@@ -21,9 +18,9 @@ into a single frozen value object:
   staleness is handled by dependency-driven invalidation, not by key
   churn.
 
-The module imports nothing above the optimizer layer, so every layer
-(optimizer, backchase, semcache, exec, CLI) can depend on it without
-cycles; :meth:`optimizer` imports lazily for the same reason.
+The module imports nothing above the optimizer and executor layers, so
+every layer (optimizer, backchase, semcache, CLI) can depend on it
+without cycles; :meth:`optimizer` imports lazily for the same reason.
 """
 
 from __future__ import annotations
@@ -34,6 +31,7 @@ from typing import FrozenSet, Optional, Sequence, Tuple
 
 from repro.constraints.epcd import EPCD
 from repro.errors import OptimizationError
+from repro.exec.engine import EXEC_MODES
 from repro.obs.trace import NOOP_TRACER, Tracer
 from repro.optimizer.cost import CostModel
 from repro.optimizer.statistics import Statistics
@@ -44,16 +42,13 @@ KEEP = object()
 
 STRATEGIES = ("full", "pruned")
 
-EXEC_MODES = ("interpret", "compiled")
-
 
 @dataclass(frozen=True)
 class OptimizeContext:
     """Everything Algorithm 1 needs beyond the query itself.
 
     Frozen: overlays go through :meth:`override`, which shares the
-    underlying EPCD objects (nothing is re-derived) exactly like the old
-    ephemeral-optimizer path did.
+    underlying EPCD objects (nothing is re-derived).
     """
 
     constraints: Tuple[EPCD, ...] = ()

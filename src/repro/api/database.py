@@ -24,8 +24,10 @@ over all of them:
   best plan — and re-optimizes transparently (with refreshed statistics)
   when a mutation invalidated its entry.
 
-Everything below the façade still works standalone; see ROADMAP.md for
-the migration notes.
+Every request — ``execute(q)``, ``execute(template, params=…)``,
+``prepare(q).run()`` and ``prepare(template).run(**bindings)`` — is
+argument validation plus one call of :meth:`Database._serve`.
+Everything below the façade still works standalone.
 """
 
 from __future__ import annotations
@@ -34,10 +36,10 @@ import math
 import time
 import weakref
 from dataclasses import asdict, dataclass, replace as dc_replace
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api.context import OptimizeContext
-from repro.api.plancache import PlanCache, PlanCacheInfo
+from repro.api.plancache import PlanCache, PlanCacheEntry, PlanCacheInfo
 from repro.api.workloads import build_workload
 from repro.constraints.epcd import EPCD
 from repro.errors import ParameterBindingError, ReproError
@@ -52,6 +54,10 @@ from repro.optimizer.optimizer import OptimizationResult, Plan
 from repro.optimizer.statistics import Statistics, default_sample
 from repro.query.ast import PCQuery
 from repro.query.paths import Const, Param, Path
+
+
+#: request source -> the root span :meth:`Database._serve` opens for it
+_ROOT_SPANS = {"execute": "db.execute", "prepared": "db.run_prepared"}
 
 
 @dataclass(frozen=True)
@@ -88,24 +94,31 @@ class CacheConfig:
     feedback_replan: bool = False
 
 
-def _raw_param_values(
-    canonical_params: Tuple[str, ...],
-    entry_params: Tuple[str, ...],
-    bindings: Mapping[str, Any],
-) -> Optional[Dict[str, Any]]:
-    """Bindings as plain runtime values keyed by the entry's own names,
-    or ``None`` when a binding is a non-constant :class:`Path` (those
-    must go through plan substitution — the interpreted fallback)."""
+def _check_bindings(query: PCQuery, bindings: Mapping[str, Any]) -> None:
+    """Raise :class:`ParameterBindingError` unless ``bindings`` names
+    exactly the query's ``$`` markers."""
 
-    raw: Dict[str, Any] = {}
-    for i, name in enumerate(canonical_params):
-        value = bindings[name]
-        if isinstance(value, Const):
-            value = value.value
-        elif isinstance(value, Path):
-            return None
-        raw[entry_params[i]] = value
-    return raw
+    declared = query.param_names()
+    missing = [n for n in declared if n not in bindings]
+    unknown = sorted(n for n in bindings if n not in declared)
+    if not (missing or unknown):
+        return
+    problems = []
+    if missing:
+        problems.append(
+            "unbound parameter(s) " + ", ".join(f"${n}" for n in missing)
+        )
+    if unknown:
+        problems.append(
+            "unknown parameter(s) " + ", ".join(f"${n}" for n in unknown)
+        )
+    if declared:
+        declares = "this template declares " + ", ".join(
+            f"${n}" for n in declared
+        )
+    else:
+        declares = "this query declares no $-markers"
+    raise ParameterBindingError("; ".join(problems) + f" — {declares}")
 
 
 class PreparedQuery:
@@ -143,27 +156,16 @@ class PreparedQuery:
         #: parameter names in template order (first occurrence in the
         #: source text) — the keywords :meth:`run` accepts.
         self.params: Tuple[str, ...] = query.param_names()
-        # Canonical-occurrence order: position i here lines up with
-        # position i of the cache entry's ``params`` tuple, whatever the
-        # entry's own names were (alpha-variant sharing).
-        self._canonical_params: Tuple[str, ...] = (
-            query.canonical().param_names()
-        )
-        # Optimize eagerly: prepare pays the planning cost (including the
-        # query's memoized canonicalization) so run() doesn't have to.
-        self._last_result, self._entry_params, _ = database._optimize_entry(
-            query, strategy=strategy
-        )
+        # Optimize eagerly: prepare pays the planning cost so run()
+        # doesn't have to.
+        database.optimize(query, strategy=strategy)
 
     @property
     def optimization(self) -> OptimizationResult:
         """The current optimization result (refreshed through the plan
         cache, so it tracks invalidations)."""
 
-        self._last_result, self._entry_params, _ = (
-            self.database._optimize_entry(self.query, strategy=self.strategy)
-        )
-        return self._last_result
+        return self.database.optimize(self.query, strategy=self.strategy)
 
     @property
     def plan(self) -> Plan:
@@ -192,126 +194,14 @@ class PreparedQuery:
         :meth:`~repro.model.instance.Instance.overlay` semantics).
         """
 
-        db = self.database
-        if not self.params:
-            if bindings:
-                unknown = ", ".join(f"${n}" for n in sorted(bindings))
-                raise ParameterBindingError(
-                    f"unknown parameter(s) {unknown} — this query declares "
-                    f"no $-markers"
-                )
-            start = time.perf_counter()
-            result, entry_params, entry = db._optimize_entry(
-                self.query, strategy=self.strategy
-            )
-            self._last_result, self._entry_params = result, entry_params
-            result, entry_params, entry = db._maybe_feedback_replan(
-                self.query, result, entry_params, entry,
-                strategy=self.strategy,
-            )
-            execution = None
-            if db.context.exec_mode == "compiled" and entry is not None:
-                execution = db._execute_compiled_entry(
-                    entry, {}, instance=instance, overlays=overlays
-                )
-            if execution is None:
-                execution = db.execute_plan(
-                    result.best, instance=instance, overlays=overlays
-                )
-            db.obs.slow_log.observe(
-                str(self.query),
-                time.perf_counter() - start,
-                source="prepared",
-                rows=len(execution.results),
-            )
-            if instance is None and overlays is None:
-                db._observe_feedback(
-                    entry, result.best.query, execution, source="prepared"
-                )
-            return execution
-        missing = [n for n in self.params if n not in bindings]
-        unknown = [n for n in bindings if n not in self.params]
-        if missing or unknown:
-            problems = []
-            if missing:
-                problems.append(
-                    "unbound parameter(s) "
-                    + ", ".join(f"${n}" for n in missing)
-                )
-            if unknown:
-                problems.append(
-                    "unknown parameter(s) "
-                    + ", ".join(f"${n}" for n in sorted(unknown))
-                )
-            declared = ", ".join(f"${n}" for n in self.params)
-            raise ParameterBindingError(
-                "; ".join(problems) + f" — this template declares {declared}"
-            )
-
-        start = time.perf_counter()
-        with db.obs.tracer.span("db.run_prepared") as sp:
-            adjustments = db._skew_adjustments(self.query, bindings)
-            if adjustments:
-                db.obs.tracer.event(
-                    "skew.replan",
-                    conditions=len(adjustments),
-                    buckets=",".join(str(b) for *_, b, _ in adjustments),
-                )
-                result, entry_params, entry = db._optimize_skew_variant(
-                    self.query, adjustments, strategy=self.strategy
-                )
-            else:
-                result, entry_params, entry = db._optimize_entry(
-                    self.query, strategy=self.strategy
-                )
-                self._last_result, self._entry_params = result, entry_params
-                result, entry_params, entry = db._maybe_feedback_replan(
-                    self.query, result, entry_params, entry,
-                    strategy=self.strategy,
-                )
-            execution = None
-            if db.context.exec_mode == "compiled" and entry is not None:
-                # Compiled templates take the bindings as runtime values:
-                # no substitution, no re-planning — the entry's artifact
-                # is called directly (positional name translation only).
-                raw = _raw_param_values(
-                    self._canonical_params, entry_params, bindings
-                )
-                if raw is not None:
-                    execution = db._execute_compiled_entry(
-                        entry, raw, instance=instance, overlays=overlays
-                    )
-            if execution is None:
-                # Positional mapping: the entry may have been cached under
-                # an alpha-variant template, so translate our
-                # canonical-order names onto the entry's before
-                # substituting.
-                mapping: Dict[str, Path] = {}
-                for i, name in enumerate(self._canonical_params):
-                    value = bindings[name]
-                    mapping[entry_params[i]] = (
-                        value if isinstance(value, Path) else Const(value)
-                    )
-                bound = result.best.query.substitute_params(mapping)
-                plan = dc_replace(result.best, query=bound)
-                execution = db.execute_plan(
-                    plan, instance=instance, overlays=overlays
-                )
-            sp.set(rows=len(execution.results), skew=bool(adjustments))
-        db.obs.slow_log.observe(
-            str(self.query),
-            time.perf_counter() - start,
+        return self.database._serve(
+            self.query,
+            bindings,
+            strategy=self.strategy,
+            instance=instance,
+            overlays=overlays,
             source="prepared",
-            rows=len(execution.results),
         )
-        if instance is None and overlays is None:
-            # The replay prices the template's $-markers exactly like the
-            # cost model did (1/NDV), so template Q-error aggregates over
-            # bindings the way the plan was actually chosen.
-            db._observe_feedback(
-                entry, result.best.query, execution, source="prepared"
-            )
-        return execution
 
     def explain(self) -> str:
         """The operator tree the next :meth:`run` would execute (for a
@@ -495,11 +385,8 @@ class Database:
             )
         self._context = self._context.override(statistics=statistics)
         self._stats_dirty = False
-        if self._plan_cache is not None:
-            self._plan_cache.clear()
-        self._freq_cache.clear()
-        if self.obs.feedback is not None:
-            self.obs.feedback.clear()
+        self.clear_plan_cache()
+        self._drop_observations()
         return statistics
 
     def _on_mutation(self, name: str) -> None:
@@ -507,9 +394,14 @@ class Database:
             self._stats_dirty = True
         if self._plan_cache is not None:
             self._plan_cache.invalidate_source(name)
+        self._drop_observations()
+
+    def _drop_observations(self) -> None:
+        """Forget what was measured on the previous instance state or
+        catalog: the skew guard's value counts and the feedback store's
+        observed cardinalities."""
+
         self._freq_cache.clear()
-        # Observed cardinalities are only valid for the instance state
-        # they were measured on — drop them with the value-count cache.
         if self.obs.feedback is not None:
             self.obs.feedback.clear()
 
@@ -556,17 +448,11 @@ class Database:
         ``use_plan_cache=False`` bypasses the cache entirely — no counters
         move (the re-optimization arm of ``bench_e15``)."""
 
-        query = self._coerce_query(query)
-        with self.obs.tracer.span("db.optimize") as sp:
-            result, _, _ = self._optimize_entry(
-                query, strategy=strategy, use_plan_cache=use_plan_cache
-            )
-            sp.set(
-                strategy=result.strategy,
-                plans=len(result.plans),
-                best_cost=round(result.best.cost, 3),
-            )
-        return result
+        return self._optimize_entry(
+            self._coerce_query(query),
+            strategy=strategy,
+            use_plan_cache=use_plan_cache,
+        )[0]
 
     def _optimize_entry(
         self,
@@ -575,43 +461,69 @@ class Database:
         use_plan_cache: bool = True,
         variant: str = "",
         context: Optional[OptimizeContext] = None,
-    ) -> Tuple[OptimizationResult, Tuple[str, ...], Optional[Any]]:
-        """:meth:`optimize` plus the cache entry's parameter tuple and
-        the entry itself (``None`` when the cache is bypassed — callers
-        use the entry to reach its lazily compiled artifact).
+    ) -> Tuple[OptimizationResult, Optional[PlanCacheEntry]]:
+        """:meth:`optimize` plus the cache entry itself (``None`` when
+        the cache is bypassed) — the serve path reads the entry's
+        parameter tuple, feedback stamps and lazily compiled artifact.
 
-        ``variant`` suffixes the template key — the skew guard's
-        ``#skew:...`` tags, which alone separate variant entries from the
-        base entry (the fingerprint deliberately excludes statistics, so
-        every binding in a skew bucket shares the bucket's first plan);
-        ``context`` substitutes the optimization context for this call
-        (skew-adjusted statistics).  The returned params are the entry's
-        own canonical-order names (the positional contract of
-        :class:`~repro.api.plancache.PlanCacheEntry`).
+        ``variant`` suffixes the template key — the replan policies'
+        ``#skew:...`` / ``#fb:...`` tags, which alone separate variant
+        entries from the base entry (the fingerprint deliberately
+        excludes statistics, so every binding in a skew bucket shares the
+        bucket's first plan); ``context`` substitutes the optimization
+        context for this call (the variant's adjusted statistics).
         """
 
         ctx = context if context is not None else self.context
         if strategy is not None and strategy != ctx.strategy:
             ctx = ctx.override(strategy=strategy)
-        if self._plan_cache is None or not use_plan_cache:
-            result = ctx.optimizer().optimize(query)
-            return result, query.canonical().param_names(), None
-        key = (query.template_key() + variant, ctx.fingerprint())
-        entry = self._plan_cache.get(key)
-        self.obs.tracer.event(
-            "plan_cache.lookup",
-            hit=entry is not None,
-            variant=variant or None,
-        )
-        if entry is None:
-            result = ctx.optimizer().optimize(query)
-            entry = self._plan_cache.put(
-                key,
-                result,
-                self._dependencies(query, result),
-                params=query.canonical().param_names(),
+        cache = self._plan_cache if use_plan_cache else None
+        with self.obs.tracer.span("db.optimize") as sp:
+            entry = None
+            if cache is not None:
+                key = (query.template_key() + variant, ctx.fingerprint())
+                entry = cache.get(key)
+                self.obs.tracer.event(
+                    "plan_cache.lookup",
+                    hit=entry is not None,
+                    variant=variant or None,
+                )
+            if entry is not None:
+                result = entry.result
+            else:
+                result = ctx.optimizer().optimize(query)
+                if cache is not None:
+                    entry = cache.put(
+                        key,
+                        result,
+                        self._dependencies(query, result),
+                        params=query.canonical().param_names(),
+                    )
+            sp.set(
+                strategy=result.strategy,
+                plans=len(result.plans),
+                best_cost=round(result.best.cost, 3),
             )
-        return entry.result, entry.params, entry
+        return result, entry
+
+    def _variant_entry(
+        self,
+        query: PCQuery,
+        tag: str,
+        statistics: Statistics,
+        strategy: Optional[str],
+    ) -> Tuple[OptimizationResult, Optional[PlanCacheEntry]]:
+        """The one replan mechanism: re-optimize ``query`` under adjusted
+        ``statistics`` into (or fetch it from) the ``tag``-suffixed
+        variant entry.  The skew guard and plan-quality feedback differ
+        only in their policies — when to replan and how to adjust."""
+
+        return self._optimize_entry(
+            query,
+            strategy=strategy,
+            variant=tag,
+            context=self.context.override(statistics=statistics),
+        )
 
     def execute(
         self,
@@ -621,53 +533,122 @@ class Database:
     ) -> ExecutionResult:
         """Optimize (through the plan cache) and run the winning plan.
 
-        A ``$x`` template needs ``params`` (one value per marker); the
-        call routes through :meth:`prepare`/:meth:`PreparedQuery.run`, so
-        repeated bindings hit the template's plan-cache entry."""
+        A ``$x`` template needs ``params`` (one value per marker);
+        repeated bindings hit the template's plan-cache entry exactly as
+        :meth:`PreparedQuery.run` does — one probe per call."""
 
-        query = self._coerce_query(query)
-        if params:
-            return self.prepare(query).run(overlays=overlays, **dict(params))
-        if query.has_params():
-            declared = ", ".join(f"${n}" for n in query.param_names())
-            raise ParameterBindingError(
-                f"unbound parameter(s) {declared} — pass params= or use "
-                f"prepare(query).run(...)"
-            )
+        return self._serve(
+            self._coerce_query(query),
+            dict(params) if params else {},
+            overlays=overlays,
+            source="execute",
+        )
+
+    def _serve(
+        self,
+        query: PCQuery,
+        bindings: Mapping[str, Any],
+        *,
+        strategy: Optional[str] = None,
+        instance: Optional[Instance] = None,
+        overlays: Optional[Mapping[str, Any]] = None,
+        source: str,
+    ) -> ExecutionResult:
+        """The one request path behind :meth:`execute` and
+        :meth:`PreparedQuery.run`: resolve the plan-cache entry → maybe
+        replan into a variant entry (skew guard, then plan-quality
+        feedback) → run → slow log → feedback.
+
+        ``source`` (``"execute"`` / ``"prepared"``) names the root span
+        and tags the slow-log and feedback records."""
+
+        _check_bindings(query, bindings)
         start = time.perf_counter()
-        with self.obs.tracer.span("db.execute") as sp:
-            # Inlined optimize(): the feedback layer needs the cache
-            # entry itself (to stamp Q-error / route flagged entries),
-            # which the public optimize() deliberately does not return.
-            with self.obs.tracer.span("db.optimize") as osp:
-                result, entry_params, entry = self._optimize_entry(query)
-                osp.set(
-                    strategy=result.strategy,
-                    plans=len(result.plans),
-                    best_cost=round(result.best.cost, 3),
-                )
-            result, entry_params, entry = self._maybe_feedback_replan(
-                query, result, entry_params, entry
+        with self.obs.tracer.span(_ROOT_SPANS[source]) as sp:
+            # Canonical-occurrence order: position i lines up with
+            # position i of the cache entry's ``params`` tuple, whatever
+            # the entry's own names were (alpha-variant sharing).
+            order = query.canonical().param_names() if bindings else ()
+            variant = self._skew_variant(query, order, bindings)
+            skewed = variant is not None
+            if not skewed:
+                result, entry = self._optimize_entry(query, strategy=strategy)
+                variant = self._feedback_variant(entry)
+            if variant is not None:
+                result, entry = self._variant_entry(query, *variant, strategy)
+            execution = self._run_entry(
+                result, entry, order, bindings, instance, overlays
             )
-            execution = None
-            if self.context.exec_mode == "compiled" and entry is not None:
-                execution = self._execute_compiled_entry(
-                    entry, {}, overlays=overlays
-                )
-            if execution is None:
-                execution = self.execute_plan(result.best, overlays=overlays)
-            sp.set(rows=len(execution.results))
+            sp.set(rows=len(execution.results), skew=skewed)
         self.obs.slow_log.observe(
             str(query),
             time.perf_counter() - start,
-            source="execute",
+            source=source,
             rows=len(execution.results),
         )
-        if overlays is None:
+        if instance is None and overlays is None:
+            # The replay prices a template's $-markers exactly like the
+            # cost model did (1/NDV), so template Q-error aggregates over
+            # bindings the way the plan was actually chosen.
             self._observe_feedback(
-                entry, result.best.query, execution, source="execute"
+                entry, result.best.query, execution, source=source
             )
         return execution
+
+    def _run_entry(
+        self,
+        result: OptimizationResult,
+        entry: Optional[PlanCacheEntry],
+        order: Tuple[str, ...],
+        bindings: Mapping[str, Any],
+        instance: Optional[Instance],
+        overlays: Optional[Mapping[str, Any]],
+    ) -> ExecutionResult:
+        """Run the resolved winner with ``bindings``: in compiled mode
+        the entry's artifact takes them as runtime values (no
+        substitution, no re-planning); otherwise — interpreted mode, no
+        cache entry, a plan that defeats the code generator, or a
+        binding that is a non-constant :class:`Path` — they are
+        substituted into the plan and it goes through
+        :meth:`execute_plan`."""
+
+        names = entry.params if entry is not None else order
+        values = {names[i]: bindings[name] for i, name in enumerate(order)}
+        if self.context.exec_mode == "compiled" and entry is not None:
+            raw = {
+                name: value.value if isinstance(value, Const) else value
+                for name, value in values.items()
+            }
+            compiled = None
+            if not any(isinstance(value, Path) for value in raw.values()):
+                compiled = self._compiled_for_entry(entry)
+            if compiled is not None:
+                return execute(
+                    result.best.query,
+                    self._target(instance),
+                    overlays=overlays,
+                    context=self.context,
+                    compiled=compiled,
+                    params=raw,
+                )
+        plan = result.best
+        if values:
+            bound = plan.query.substitute_params(
+                {
+                    name: value if isinstance(value, Path) else Const(value)
+                    for name, value in values.items()
+                }
+            )
+            plan = dc_replace(plan, query=bound)
+        return self.execute_plan(plan, instance=instance, overlays=overlays)
+
+    def _target(self, instance: Optional[Instance]) -> Instance:
+        target = instance if instance is not None else self.instance
+        if target is None:
+            raise ReproError(
+                "this Database has no instance to execute against"
+            )
+        return target
 
     def execute_plan(
         self,
@@ -684,20 +665,15 @@ class Database:
                 f"plan contains unbound parameter(s) {declared} — bind them "
                 f"via PreparedQuery.run(...) before execution"
             )
-        target = instance if instance is not None else self.instance
-        if target is None:
-            raise ReproError(
-                "this Database has no instance to execute against"
-            )
         return execute(
             plan.query,
-            target,
+            self._target(instance),
             overlays=overlays,
             context=self.context,
             feedback=self.obs.feedback is not None,
         )
 
-    def _compiled_for_entry(self, entry) -> Optional[Any]:
+    def _compiled_for_entry(self, entry: PlanCacheEntry) -> Optional[Any]:
         """The entry's compiled artifact, compiling the winning plan on
         first use.  ``None`` when the plan defeats the code generator
         (recorded on the entry so it is not retried) — callers fall back
@@ -716,33 +692,6 @@ class Database:
                 entry.compiled = False
                 self.obs.tracer.event("exec.compile_fallback")
         return entry.compiled or None
-
-    def _execute_compiled_entry(
-        self,
-        entry,
-        params: Mapping[str, Any],
-        instance: Optional[Instance] = None,
-        overlays: Optional[Mapping[str, Any]] = None,
-    ) -> Optional[ExecutionResult]:
-        """Run an entry's compiled artifact with runtime parameter values
-        (``None`` when the plan could not be compiled)."""
-
-        compiled = self._compiled_for_entry(entry)
-        if compiled is None:
-            return None
-        target = instance if instance is not None else self.instance
-        if target is None:
-            raise ReproError(
-                "this Database has no instance to execute against"
-            )
-        return execute(
-            entry.result.best.query,
-            target,
-            overlays=overlays,
-            context=self.context,
-            compiled=compiled,
-            params=params,
-        )
 
     def explain(
         self,
@@ -773,55 +722,49 @@ class Database:
         database executes in ``exec_mode="compiled"``."""
 
         query = self._coerce_query(query)
-        use_hash_joins = self.context.use_hash_joins
+        use_hash_joins = (
+            self.context.use_hash_joins
+            if session is None
+            else session.use_hash_joins
+        )
+        instance = overlays = None
         if session is None:
-            best = self.optimize(query).best.query
-            if analyze:
-                return self._analyze(best, use_hash_joins)
-            return explain(best, use_hash_joins=use_hash_joins)
-        use_hash_joins = session.use_hash_joins
-        if not session.enabled:
-            if analyze:
-                return self._analyze(query, use_hash_joins)
-            return explain(query, use_hash_joins=use_hash_joins)
-        if session.cache.peek_exact(query) is not None:
-            if analyze:
+            query = self.optimize(query).best.query
+        elif session.enabled:
+            instance = session.instance
+            stored = session.cache.peek_exact(query)
+            if stored is not None:
                 # exact hits return the stored result; no operators run —
-                # report the stored cardinality with an empty operator table
-                stored = session.cache.peek_exact(query)
+                # ANALYZE reports its cardinality with an empty operator
+                # table, plain EXPLAIN the empty plan
+                if not analyze:
+                    return ""
                 return AnalyzeResult(
                     query=query,
                     results=stored.result,
                     elapsed_seconds=0.0,
                     plan_text="",
                 )
-            return ""  # exact hits return the stored result; nothing runs
-        rewrite = session.cache.plan_rewrite(
-            query,
-            require_executable=True,
-            base_names=(
-                frozenset(session.instance.names()) if session.hybrid else None
-            ),
-            record=False,
-        )
-        if rewrite is not None:
-            if analyze:
-                return self._analyze(
-                    rewrite.query,
-                    use_hash_joins,
-                    overlays={v.name: v.extent for v in rewrite.views},
-                    instance=session.instance,
-                )
-            return explain(
-                rewrite.query,
-                use_hash_joins=use_hash_joins,
-                cached_names=frozenset(rewrite.view_names()),
+            rewrite = session.cache.plan_rewrite(
+                query,
+                require_executable=True,
+                base_names=(
+                    frozenset(instance.names()) if session.hybrid else None
+                ),
+                record=False,
             )
+            if rewrite is not None:
+                query = rewrite.query
+                overlays = {v.name: v.extent for v in rewrite.views}
         if analyze:
             return self._analyze(
-                query, use_hash_joins, instance=session.instance
+                query, use_hash_joins, overlays=overlays, instance=instance
             )
-        return explain(query, use_hash_joins=use_hash_joins)
+        return explain(
+            query,
+            use_hash_joins=use_hash_joins,
+            cached_names=frozenset(overlays) if overlays else None,
+        )
 
     def _analyze(
         self,
@@ -1143,29 +1086,34 @@ class Database:
         self._freq_cache[key] = (counts, total)
         return counts, total
 
-    def _skew_adjustments(
-        self, query: PCQuery, bindings: Mapping[str, Any]
-    ) -> List[Tuple[int, str, str, int, float]]:
-        """Skewed ``var.attr = $p`` conditions of this binding.
+    def _skew_variant(
+        self,
+        query: PCQuery,
+        order: Tuple[str, ...],
+        bindings: Mapping[str, Any],
+    ) -> Optional[Tuple[str, Statistics]]:
+        """The skew guard's replan policy: the ``(tag, adjusted
+        statistics)`` of the variant entry a skewed binding routes to, or
+        ``None`` when no bound constant is skewed.
 
         For each equality between a parameter and a binding-variable
         attribute, compare the NDV-uniform selectivity the cached plan was
         costed with (``1 / distinct(rel, attr)``) against the bound
         constant's observed frequency; when the ratio crosses
-        :attr:`CacheConfig.skew_replan_ratio` in either direction, emit
-        ``(canonical position, rel, attr, log2 bucket, adjusted NDV)``.
+        :attr:`CacheConfig.skew_replan_ratio` in either direction, the
+        condition contributes ``p<canonical position>.<rel>.<attr>@<log2
+        bucket>`` to the tag and its adjusted NDV to the statistics.
         Positions and buckets are alpha- and value-bucket-invariant, so a
         variant entry is shared by every binding in the same skew class.
         """
 
         threshold = self.cache_config.skew_replan_ratio
-        if threshold is None or self.instance is None:
-            return []
-        order = query.canonical().param_names()
+        if not bindings or threshold is None or self.instance is None:
+            return None
         sources = {b.var: b.source for b in query.bindings}
         stats = self.context.statistics
-        out: List[Tuple[int, str, str, int, float]] = []
-        seen = set()
+        # (canonical position, rel, attr) -> (log2 bucket, adjusted NDV)
+        skewed: Dict[Tuple[int, str, str], Tuple[int, float]] = {}
         for cond in query.conditions:
             for param_side, attr_side in (
                 (cond.left, cond.right),
@@ -1190,37 +1138,29 @@ class Database:
                 ratio = actual / planned
                 if 1.0 / threshold < ratio < threshold:
                     continue
-                pos = order.index(param_side.name)
-                dedup = (pos, rel, attr)
-                if dedup in seen:
-                    continue
-                seen.add(dedup)
-                bucket = int(round(math.log2(ratio)))
-                adjusted_ndv = min(max(1.0 / actual, 1.0), float(total))
-                out.append((pos, rel, attr, bucket, adjusted_ndv))
-        out.sort()
-        return out
-
-    def _optimize_skew_variant(
-        self,
-        query: PCQuery,
-        adjustments: List[Tuple[int, str, str, int, float]],
-        strategy: Optional[str] = None,
-    ) -> Tuple[OptimizationResult, Tuple[str, ...], Optional[Any]]:
-        """Re-optimize a skewed binding under adjusted statistics, cached
-        in a ``#skew:...``-tagged variant entry of the plan cache."""
-
+                skewed.setdefault(
+                    (order.index(param_side.name), rel, attr),
+                    (
+                        int(round(math.log2(ratio))),
+                        min(max(1.0 / actual, 1.0), float(total)),
+                    ),
+                )
+        if not skewed:
+            return None
+        ranked = sorted(skewed.items())
+        adjusted = stats.copy()
+        for (_, rel, attr), (_, ndv) in ranked:
+            adjusted.set_ndv(rel, attr, ndv)
+        self.obs.tracer.event(
+            "skew.replan",
+            conditions=len(ranked),
+            buckets=",".join(str(bucket) for _, (bucket, _) in ranked),
+        )
         tag = "#skew:" + ",".join(
             f"p{pos}.{rel}.{attr}@{bucket}"
-            for pos, rel, attr, bucket, _ in adjustments
+            for (pos, rel, attr), (bucket, _) in ranked
         )
-        adjusted = self.context.statistics.copy()
-        for _, rel, attr, _, ndv in adjustments:
-            adjusted.set_ndv(rel, attr, ndv)
-        ctx = self.context.override(statistics=adjusted)
-        return self._optimize_entry(
-            query, strategy=strategy, variant=tag, context=ctx
-        )
+        return tag, adjusted
 
     # -- plan-quality feedback -------------------------------------------------
 
@@ -1287,49 +1227,31 @@ class Database:
             if entry is not None:
                 entry.flagged = True
 
-    def _maybe_feedback_replan(
-        self,
-        query: PCQuery,
-        result: OptimizationResult,
-        entry_params: Tuple[str, ...],
-        entry: Optional[Any],
-        strategy: Optional[str] = None,
-    ) -> Tuple[OptimizationResult, Tuple[str, ...], Optional[Any]]:
-        """Route a regression-flagged entry through a feedback-corrected
-        re-optimization (``CacheConfig.feedback_replan``); otherwise pass
-        the base entry through unchanged."""
+    def _feedback_variant(
+        self, entry: Optional[PlanCacheEntry]
+    ) -> Optional[Tuple[str, Statistics]]:
+        """Plan-quality feedback's replan policy
+        (``CacheConfig.feedback_replan``): a regression-flagged entry
+        routes to the ``#fb:``-tagged variant optimized under the
+        feedback-corrected statistics (the store's drift-stable
+        fingerprint is the bucket); ``None`` leaves the base entry."""
 
+        store = self.obs.feedback
         if (
             entry is None
             or not entry.flagged
             or not self.cache_config.feedback_replan
+            or store is None
+            or not store.has_corrections()
         ):
-            return result, entry_params, entry
-        store = self.obs.feedback
-        if store is None or not store.has_corrections():
-            return result, entry_params, entry
+            return None
         if not entry.replanned:
             entry.replanned = True
             self.obs.registry.counter("feedback.replans").inc()
         self.obs.tracer.event("feedback.replan")
-        return self._optimize_feedback_variant(query, strategy=strategy)
-
-    def _optimize_feedback_variant(
-        self,
-        query: PCQuery,
-        strategy: Optional[str] = None,
-    ) -> Tuple[OptimizationResult, Tuple[str, ...], Optional[Any]]:
-        """Re-optimize under the feedback-corrected statistics, cached in
-        a ``#fb:``-tagged variant entry (the skew guard's mechanism, with
-        the store's drift-stable fingerprint as the bucket)."""
-
-        store = self.obs.feedback
-        tag = "#fb:" + store.fingerprint()
-        ctx = self.context.override(
-            statistics=store.corrected_statistics(self.context.statistics)
-        )
-        return self._optimize_entry(
-            query, strategy=strategy, variant=tag, context=ctx
+        return (
+            "#fb:" + store.fingerprint(),
+            store.corrected_statistics(self.context.statistics),
         )
 
     def __repr__(self) -> str:

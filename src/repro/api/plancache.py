@@ -10,9 +10,10 @@ form plus the owning context's physical-design fingerprint
 query — or a :class:`~repro.api.database.PreparedQuery` re-run — skips
 the chase/backchase entirely.
 
-The store mirrors :mod:`repro.chase.cache`: LRU-bounded (every probe
-refreshes recency), counters surfaced through a frozen
-:class:`PlanCacheInfo` snapshot, eviction only ever costs re-optimization.
+The store composes :class:`repro.lru.LRU` like :mod:`repro.chase.cache`
+does: bounded (every probe refreshes recency), counters surfaced through
+a frozen :class:`PlanCacheInfo` snapshot, eviction only ever costs
+re-optimization.
 On top of that it is **invalidation-aware**: each entry records the
 schema names its plan space read (every candidate plan's sources, the
 original query's sources, and the class dictionaries oid dereference
@@ -23,10 +24,10 @@ as :mod:`repro.semcache.invalidation`.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Optional, Set, Tuple
 
+from repro.lru import LRU, CacheInfo
 from repro.optimizer.optimizer import OptimizationResult
 
 #: cache key: (template key [+ "#skew:..." variant tag], context fingerprint).
@@ -38,18 +39,9 @@ Key = Tuple[str, str]
 
 DEFAULT_MAX_SIZE = 128
 
-
-@dataclass(frozen=True)
-class PlanCacheInfo:
-    """A point-in-time snapshot of the counters (mirrors
-    :class:`repro.chase.cache.CacheInfo`, plus invalidations)."""
-
-    hits: int
-    misses: int
-    size: int
-    max_size: Optional[int]
-    evictions: int
-    invalidations: int
+#: the counters snapshot: the shared :class:`~repro.lru.CacheInfo` shape,
+#: with ``invalidations`` live
+PlanCacheInfo = CacheInfo
 
 
 @dataclass
@@ -92,28 +84,16 @@ class PlanCache:
     """LRU store of optimization results with dependency invalidation."""
 
     def __init__(self, max_size: Optional[int] = DEFAULT_MAX_SIZE) -> None:
-        if max_size is not None and max_size < 1:
-            raise ValueError(f"max_size must be >= 1 or None, got {max_size}")
-        self.max_size = max_size
-        self._entries: "OrderedDict[Key, PlanCacheEntry]" = OrderedDict()
+        self._entries = LRU(max_size)
         # schema name -> keys of entries that depend on it
         self._dependents: Dict[str, Set[Key]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         self.invalidations = 0
 
     def get(self, key: Key) -> Optional[PlanCacheEntry]:
         """Cached entry for ``key``, counting the probe and refreshing its
         recency."""
 
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-            self._entries.move_to_end(key)
-        return entry
+        return self._entries.get(key)
 
     def put(
         self,
@@ -125,18 +105,11 @@ class PlanCache:
         entry = PlanCacheEntry(
             result=result, dependencies=dependencies, params=params
         )
-        if key in self._entries:
-            self._unlink(key)
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
+        self._unlink(key, self._entries.pop(key))
         for name in dependencies:
             self._dependents.setdefault(name, set()).add(key)
-        if self.max_size is not None:
-            while len(self._entries) > self.max_size:
-                victim = next(iter(self._entries))
-                self._unlink(victim)
-                del self._entries[victim]
-                self.evictions += 1
+        for victim, evicted in self._entries.put(key, entry):
+            self._unlink(victim, evicted)
         return entry
 
     def invalidate_source(self, name: str) -> int:
@@ -145,11 +118,11 @@ class PlanCache:
 
         dropped = 0
         for key in tuple(self._dependents.get(name, ())):
-            if key in self._entries:
-                self._unlink(key)
-                del self._entries[key]
+            entry = self._entries.pop(key)
+            if entry is not None:
+                self._unlink(key, entry)
                 dropped += 1
-                self.invalidations += 1
+        self.invalidations += dropped
         return dropped
 
     def clear(self) -> int:
@@ -162,8 +135,9 @@ class PlanCache:
         self.invalidations += dropped
         return dropped
 
-    def _unlink(self, key: Key) -> None:
-        entry = self._entries.get(key)
+    def _unlink(self, key: Key, entry: Optional[PlanCacheEntry]) -> None:
+        """Remove a departed entry's rows from the dependency index."""
+
         if entry is None:
             return
         for name in entry.dependencies:
@@ -174,13 +148,8 @@ class PlanCache:
                     del self._dependents[name]
 
     def cache_info(self) -> PlanCacheInfo:
-        return PlanCacheInfo(
-            hits=self.hits,
-            misses=self.misses,
-            size=len(self._entries),
-            max_size=self.max_size,
-            evictions=self.evictions,
-            invalidations=self.invalidations,
+        return replace(
+            self._entries.cache_info(), invalidations=self.invalidations
         )
 
     def __len__(self) -> int:

@@ -25,37 +25,36 @@ the bound.  :meth:`cache_info` reports the counters.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Optional, Tuple
+
+from repro.lru import LRU, CacheInfo
 
 Key = Tuple[str, str]
 
 DEFAULT_MAX_SIZE = 8192
 
 
-@dataclass(frozen=True)
-class CacheInfo:
-    """A point-in-time snapshot of the cache counters (lru_cache-style)."""
-
-    hits: int
-    misses: int
-    size: int
-    max_size: Optional[int]
-    evictions: int
-
-
 class ContainmentCache:
     """LRU verdict store for ``q1 ⊑ q2`` checks under one constraint set."""
 
     def __init__(self, max_size: Optional[int] = DEFAULT_MAX_SIZE) -> None:
-        if max_size is not None and max_size < 1:
-            raise ValueError(f"max_size must be >= 1 or None, got {max_size}")
-        self.verdicts: "OrderedDict[Key, bool]" = OrderedDict()
-        self.max_size = max_size
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self.verdicts = LRU(max_size)
+
+    @property
+    def max_size(self) -> Optional[int]:
+        return self.verdicts.max_size
+
+    @property
+    def hits(self) -> int:
+        return self.verdicts.hits
+
+    @property
+    def misses(self) -> int:
+        return self.verdicts.misses
+
+    @property
+    def evictions(self) -> int:
+        return self.verdicts.evictions
 
     @staticmethod
     def key_for(q1, q2) -> Key:
@@ -65,37 +64,19 @@ class ContainmentCache:
         """Cached verdict for ``key``, counting the probe and refreshing
         its recency."""
 
-        verdict = self.verdicts.get(key)
-        if verdict is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-            self.verdicts.move_to_end(key)
-        return verdict
+        return self.verdicts.get(key)
 
     def put(self, key: Key, verdict: bool) -> bool:
-        self.verdicts[key] = verdict
-        self.verdicts.move_to_end(key)
-        if self.max_size is not None:
-            while len(self.verdicts) > self.max_size:
-                self.verdicts.popitem(last=False)
-                self.evictions += 1
+        self.verdicts.put(key, verdict)
         return verdict
 
     def cache_info(self) -> CacheInfo:
-        return CacheInfo(
-            hits=self.hits,
-            misses=self.misses,
-            size=len(self.verdicts),
-            max_size=self.max_size,
-            evictions=self.evictions,
-        )
+        return self.verdicts.cache_info()
 
     def __len__(self) -> int:
         return len(self.verdicts)
 
     def clear(self) -> None:
-        self.verdicts.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        """Drop every verdict and reset the counters."""
+
+        self.verdicts = LRU(self.max_size)

@@ -59,14 +59,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from typing import List, Optional
 
-from repro.api import Database, build_workload
+from repro.api import Database
+from repro.api.context import EXEC_MODES, STRATEGIES
 from repro.backchase.minimize import minimize
 from repro.chase.chase import chase
 from repro.constraints.epcd import EPCD
-from repro.errors import ReproDeprecationWarning, ReproError
+from repro.errors import ReproError
 from repro.model.ddl import parse_ddl
 from repro.query.parser import parse_constraint, parse_query
 from repro.query.printer import format_query
@@ -363,19 +363,6 @@ Commands:
   .quit    exit (EOF works too)"""
 
 
-def _build_repl_workload(name: str):
-    """Deprecated shim: use :func:`repro.api.build_workload` (or
-    ``Database.from_workload``); this copy now just delegates."""
-
-    warnings.warn(
-        "cli._build_repl_workload() is deprecated; use "
-        "repro.api.build_workload() or Database.from_workload()",
-        ReproDeprecationWarning,
-        stacklevel=2,
-    )
-    return build_workload(name)
-
-
 def cmd_serve_repl(args) -> int:
     from repro.obs import ObsConfig
 
@@ -564,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--max-backchase-nodes", type=int, default=20_000)
     p_opt.add_argument(
         "--strategy",
-        choices=("full", "pruned"),
+        choices=STRATEGIES,
         default="pruned",
         help="backchase strategy: 'pruned' (cost-bounded, default) or "
         "'full' (complete enumeration, Theorem 2)",
@@ -612,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_opt.add_argument(
         "--exec-mode",
-        choices=("interpret", "compiled"),
+        choices=EXEC_MODES,
         default="interpret",
         dest="exec_mode",
         help="how winning plans run: 'interpret' streams the operator "

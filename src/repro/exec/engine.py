@@ -12,13 +12,13 @@ checks all three agree on every plan the optimizer emits.
 from __future__ import annotations
 
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, FrozenSet, Mapping, Optional, Tuple
 
 from repro.errors import ReproError
 from repro.exec.operators import Counters
 from repro.exec.planner import compile_query
+from repro.lru import LRU
 from repro.model.instance import Instance
 from repro.obs.trace import NOOP_TRACER
 from repro.query.ast import PCQuery
@@ -30,8 +30,7 @@ EXEC_MODES = ("interpret", "compiled")
 #: executing the same plan object repeatedly without a Database plan
 #: cache.  Artifacts hold no extent data beyond the identity-revalidated
 #: columnar caches, so entries stay sound across instance mutations.
-_COMPILED_CACHE: "OrderedDict[Tuple[Any, ...], Any]" = OrderedDict()
-_COMPILED_CACHE_SIZE = 256
+_COMPILED_CACHE = LRU(max_size=256)
 
 
 def compiled_for(
@@ -59,11 +58,7 @@ def compiled_for(
             cached_names=cached_names,
             feedback=feedback,
         )
-        _COMPILED_CACHE[key] = plan
-        while len(_COMPILED_CACHE) > _COMPILED_CACHE_SIZE:
-            _COMPILED_CACHE.popitem(last=False)
-    else:
-        _COMPILED_CACHE.move_to_end(key)
+        _COMPILED_CACHE.put(key, plan)
     return plan
 
 

@@ -38,7 +38,6 @@ Two backchase **strategies** drive step 2:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -46,8 +45,7 @@ from repro.backchase.backchase import BackchaseStats, minimal_subqueries
 from repro.chase.cache import CacheInfo
 from repro.chase.chase import ChaseEngine, ChaseResult, chase
 from repro.constraints.epcd import EPCD
-from repro.errors import OptimizationError, ReproDeprecationWarning
-from repro.obs.trace import NOOP_TRACER
+from repro.errors import OptimizationError
 from repro.optimizer.cost import CostModel, estimate_cost
 from repro.optimizer.refine import (
     nonfailing_refinement,
@@ -123,8 +121,6 @@ class OptimizationResult:
 class Optimizer:
     """The chase & backchase optimizer (Algorithm 1)."""
 
-    STRATEGIES = ("full", "pruned")
-
     def __init__(
         self,
         constraints: Sequence[EPCD] = (),
@@ -139,60 +135,67 @@ class Optimizer:
     ) -> None:
         """Build from classic keyword arguments or from one
         :class:`~repro.api.context.OptimizeContext` (``context=...``),
-        which wins over the individual kwargs when given."""
+        which wins over the individual kwargs when given.  Either way
+        the optimizer's whole configuration is that one frozen context;
+        the classic names below are read-only views of it."""
 
         if context is None:
-            if strategy not in self.STRATEGIES:
-                raise OptimizationError(
-                    f"unknown strategy {strategy!r} "
-                    f"(expected one of {self.STRATEGIES})"
-                )
-            self.constraints = list(constraints)
-            self.physical_names = (
-                frozenset(physical_names) if physical_names else None
+            # Lazy: repro.api imports this module.
+            from repro.api.context import OptimizeContext
+
+            context = OptimizeContext(
+                constraints=tuple(constraints),
+                physical_names=(
+                    frozenset(physical_names) if physical_names else None
+                ),
+                statistics=statistics or Statistics(),
+                cost_model=cost_model or CostModel(),
+                strategy=strategy,
+                max_chase_steps=max_chase_steps,
+                max_backchase_nodes=max_backchase_nodes,
+                reorder=reorder,
             )
-            self.statistics = statistics or Statistics()
-            self.cost_model = cost_model or CostModel()
-            self.max_chase_steps = max_chase_steps
-            self.max_backchase_nodes = max_backchase_nodes
-            self.reorder = reorder
-            self.strategy = strategy
-        else:
-            self.constraints = list(context.constraints)
-            self.physical_names = context.physical_names
-            self.statistics = context.statistics
-            self.cost_model = context.cost_model
-            self.max_chase_steps = context.max_chase_steps
-            self.max_backchase_nodes = context.max_backchase_nodes
-            self.reorder = context.reorder
-            self.strategy = context.strategy
-        self.tracer = context.tracer if context is not None else NOOP_TRACER
-        self._context = context
+        self.context = context
         # Per-optimize() memos shared between the pruned search's bounding
         # coster and the final plan assembly.
         self._pipeline_cache: Dict[str, List[Tuple[PCQuery, bool]]] = {}
         self._plan_cache: Dict[Tuple[str, bool], Plan] = {}
 
     @property
-    def context(self):
-        """This optimizer's state as one frozen
-        :class:`~repro.api.context.OptimizeContext` (built lazily when
-        the optimizer was constructed from classic kwargs)."""
+    def constraints(self) -> Tuple[EPCD, ...]:
+        return self.context.constraints
 
-        if self._context is None:
-            from repro.api.context import OptimizeContext
+    @property
+    def physical_names(self):
+        return self.context.physical_names
 
-            self._context = OptimizeContext(
-                constraints=tuple(self.constraints),
-                physical_names=self.physical_names,
-                statistics=self.statistics,
-                cost_model=self.cost_model,
-                strategy=self.strategy,
-                max_chase_steps=self.max_chase_steps,
-                max_backchase_nodes=self.max_backchase_nodes,
-                reorder=self.reorder,
-            )
-        return self._context
+    @property
+    def statistics(self) -> Statistics:
+        return self.context.statistics
+
+    @property
+    def cost_model(self) -> CostModel:
+        return self.context.cost_model
+
+    @property
+    def max_chase_steps(self) -> int:
+        return self.context.max_chase_steps
+
+    @property
+    def max_backchase_nodes(self) -> int:
+        return self.context.max_backchase_nodes
+
+    @property
+    def reorder(self) -> bool:
+        return self.context.reorder
+
+    @property
+    def strategy(self) -> str:
+        return self.context.strategy
+
+    @property
+    def tracer(self):
+        return self.context.tracer
 
     # -- phases --------------------------------------------------------------
 
@@ -305,52 +308,9 @@ class Optimizer:
 
     # -- Algorithm 1 -----------------------------------------------------------
 
-    #: sentinel distinguishing "keep the optimizer's physical filter" from an
-    #: explicit override (including ``None`` = no filter).
-    _KEEP = object()
+    def optimize(self, query: PCQuery) -> OptimizationResult:
+        """Run Algorithm 1 on ``query``."""
 
-    def optimize(
-        self,
-        query: PCQuery,
-        *,
-        extra_constraints: Optional[Sequence[EPCD]] = None,
-        physical_names=_KEEP,
-        statistics: Optional[Statistics] = None,
-    ) -> OptimizationResult:
-        """Run Algorithm 1 on ``query``.
-
-        .. deprecated::
-            The keyword arguments set up an **ephemeral** optimization
-            context for this one call.  They are superseded by
-            :class:`~repro.api.context.OptimizeContext`: build
-            ``Optimizer(context=opt.context.override(...))`` instead —
-            the semantic result cache now injects its per-request view
-            pairs, observed statistics and physical filter that way.
-            This shim warns :class:`ReproDeprecationWarning` (escalated
-            to an error by the test suite's ``filterwarnings`` gate) and
-            delegates to the context path unchanged: ``extra_constraints``
-            are appended to the constraint set (EPCD objects shared),
-            ``physical_names`` replaces the plan filter (``None``
-            disables it), ``statistics`` replaces the catalog, and the
-            optimizer itself is left untouched.
-        """
-
-        if (
-            extra_constraints
-            or physical_names is not self._KEEP
-            or statistics is not None
-        ):
-            warnings.warn(
-                "Optimizer.optimize(extra_constraints=/physical_names=/"
-                "statistics=) is deprecated; build an ephemeral optimizer "
-                "with Optimizer(context=optimizer.context.override(...)) "
-                "or go through repro.Database",
-                ReproDeprecationWarning,
-                stacklevel=2,
-            )
-            return self._ephemeral(
-                extra_constraints, physical_names, statistics
-            ).optimize(query)
         tracer = self.tracer
         with tracer.span("phase.chase") as sp:
             chase_result = self.universal_plan(query)
@@ -418,32 +378,6 @@ class Optimizer:
             backchase_stats=bc_stats,
             strategy=self.strategy,
             containment=containment,
-        )
-
-    def _ephemeral(
-        self,
-        extra_constraints: Optional[Sequence[EPCD]],
-        physical_names,
-        statistics: Optional[Statistics],
-    ) -> "Optimizer":
-        """A per-request clone with constraints/filter/statistics overlaid.
-
-        Cheap by construction: one :meth:`OptimizeContext.override` call —
-        the constraint tuple is concatenated (the EPCDs themselves are
-        shared, nothing is re-derived) and the cost model and limits are
-        carried over.
-        """
-
-        from repro.api.context import KEEP
-
-        return Optimizer(
-            context=self.context.override(
-                extra_constraints=tuple(extra_constraints or ()),
-                physical_names=(
-                    KEEP if physical_names is self._KEEP else physical_names
-                ),
-                statistics=statistics,
-            )
         )
 
     def _is_physical(self, query: PCQuery) -> bool:

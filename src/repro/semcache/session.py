@@ -159,21 +159,7 @@ class CachedSession:
     def _run(self, query: PCQuery, tracer) -> SessionResult:
         start = time.perf_counter()
         if not self.enabled:
-            execution = execute(
-                query,
-                self.instance,
-                use_hash_joins=self.use_hash_joins,
-                tracer=tracer,
-                feedback=self.feedback_hook is not None,
-            )
-            if self.feedback_hook is not None:
-                self.feedback_hook(query, execution, "session.cold")
-            return SessionResult(
-                results=execution.results,
-                source=COLD,
-                elapsed_seconds=time.perf_counter() - start,
-                plan_text=execution.plan_text,
-            )
+            return self._cold(query, tracer, start, register=False)
 
         exact = self.cache.lookup_exact(query)
         if exact is not None:
@@ -226,6 +212,17 @@ class CachedSession:
             )
 
         self.cache.record_miss()
+        return self._cold(
+            query, tracer, start, register=self.register_results
+        )
+
+    def _cold(
+        self, query: PCQuery, tracer, start: float, register: bool
+    ) -> SessionResult:
+        """Execute ``query`` verbatim against the live instance, feeding
+        the per-level actuals to the feedback hook when one is wired and
+        (``register``) the result back into the view pool."""
+
         execution = execute(
             query,
             self.instance,
@@ -235,7 +232,7 @@ class CachedSession:
         )
         if self.feedback_hook is not None:
             self.feedback_hook(query, execution, "session.cold")
-        if self.register_results:
+        if register:
             self.cache.register(
                 query, execution.results, self._implicit_dependencies()
             )

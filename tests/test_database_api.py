@@ -5,7 +5,7 @@ fingerprint, the cross-request plan cache (hit/miss/eviction/invalidation
 counters, strategy keying), prepared queries skipping chase/backchase on
 repeat runs, the ``Database.explain`` ≡ ``session.run().plan_text`` parity
 regression (the hybrid ``[cached]`` overlay fix), session wiring, and the
-deprecation shims.
+single serve path's probe / root-span accounting.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro import (
     Instance,
     OptimizeContext,
     Optimizer,
-    ReproDeprecationWarning,
     ReproError,
     Row,
     Statistics,
@@ -225,6 +224,74 @@ class TestPlanCache:
             PlanCache(max_size=0)
 
 
+class TestLRUPrimitive:
+    """`repro.lru.LRU`, and the counters of the caches composed on it."""
+
+    def test_eviction_order_recency_and_counters(self):
+        from repro.lru import LRU, CacheInfo
+
+        lru = LRU(max_size=2)
+        assert lru.put("a", 1) == []
+        assert lru.put("b", 2) == []
+        assert lru.get("a") == 1  # refreshes 'a': 'b' is now the oldest
+        assert lru.put("c", 3) == [("b", 2)]
+        assert lru.get("b") is None
+        assert list(lru) == ["a", "c"]
+        assert lru.put("a", 4) == []  # overwrite: no eviction, most recent
+        assert list(lru) == ["c", "a"] and list(lru.values()) == [3, 4]
+        assert lru.cache_info() == CacheInfo(
+            hits=1, misses=1, size=2, max_size=2, evictions=1
+        )
+        assert lru.pop("c") == 3 and lru.pop("c") is None
+        lru.clear()
+        info = lru.cache_info()  # neither pop nor clear touches a counter
+        assert (info.hits, info.misses, info.size, info.evictions) == (1, 1, 0, 1)
+
+    def test_unbounded_and_bad_bound(self):
+        from repro.lru import LRU
+
+        lru = LRU(max_size=None)
+        for i in range(300):
+            assert lru.put(i, str(i)) == []
+        assert len(lru) == 300 and lru.cache_info().evictions == 0
+        with pytest.raises(ValueError):
+            LRU(max_size=0)
+
+    def test_composed_caches_report_the_pre_refactor_numbers(self):
+        """One fixed script; the expected counters were recorded from the
+        hand-rolled `OrderedDict` stores this primitive replaced."""
+
+        from repro.chase.cache import ContainmentCache
+
+        verdicts = ContainmentCache(max_size=2)
+        for name, verdict in (("a", True), ("b", False), ("c", True)):
+            verdicts.get((name, name))
+            verdicts.put((name, name), verdict)
+        verdicts.get(("b", "b"))
+        verdicts.get(("a", "a"))
+        verdicts.put(("b", "b"), True)
+        verdicts.get(("c", "c"))
+        assert dataclasses.asdict(verdicts.cache_info()) == dict(
+            hits=2, misses=4, size=2, max_size=2, evictions=1, invalidations=0
+        )
+
+        plans = PlanCache(max_size=2)
+        plans.put(("q1", "f"), "r1", frozenset({"R"}))
+        plans.put(("q2", "f"), "r2", frozenset({"R", "S"}))
+        plans.get(("q1", "f"))
+        plans.get(("q9", "f"))
+        plans.put(("q3", "f"), "r3", frozenset({"S"}))  # evicts q2
+        plans.put(("q1", "f"), "r1b", frozenset({"T"}))  # re-put: R -> T
+        assert plans.invalidate_source("R") == 0  # q2 evicted, q1 re-linked
+        assert plans.invalidate_source("T") == 1
+        assert len(plans) == 1
+        plans.put(("q4", "f"), "r4", frozenset())
+        assert plans.clear() == 2
+        assert dataclasses.asdict(plans.cache_info()) == dict(
+            hits=1, misses=1, size=0, max_size=2, evictions=1, invalidations=3
+        )
+
+
 class TestExecuteAndPrepare:
     def test_execute_equals_cold_pipeline(self):
         db = rs_database()
@@ -286,6 +353,33 @@ class TestExecuteAndPrepare:
         assert db.plan_cache_info().misses == 2
         # auto-observed statistics refreshed from the mutated instance
         assert db.statistics.card("S") == 2.0
+
+    def test_execute_with_params_is_one_probe_and_one_request(self):
+        """`execute(template, params=…)` used to route through
+        `prepare(...).run(...)`: two plan-cache probes and two tracer
+        requests (`db.prepare`, `db.run_prepared`) per client request."""
+
+        from repro.obs import ObsConfig
+
+        db = rs_database(obs=ObsConfig(tracing=True))
+        template = "select r.A from R r where r.B = $b"
+        db.execute(template, params={"b": 1})  # the one miss
+        before = db.plan_cache_info()
+        requests = set(db.tracer.requests())
+        got = db.execute(template, params={"b": 2})
+        after = db.plan_cache_info()
+        assert (after.hits - before.hits, after.misses) == (1, before.misses)
+        (request_id,) = set(db.tracer.requests()) - requests
+        spans = db.tracer.request_spans(request_id)
+        assert [s.name for s in spans if s.depth == 0] == ["db.execute"]
+        assert got.results == evaluate(
+            parse_query(template).bind_params({"b": 2}), db.instance
+        )
+        # prepare(t).run(**b) stays at one probe per run
+        prepared = db.prepare(template)
+        before = db.plan_cache_info().hits
+        prepared.run(b=2)
+        assert db.plan_cache_info().hits == before + 1
 
     def test_execute_without_instance_raises(self):
         db = Database(constraints=())
@@ -399,12 +493,3 @@ class TestSessionWiring:
         got = session.run(parse_query("select struct(A = r.A) from R r"))
         assert got.source == "cold"
         assert len(session.cache) == 0
-
-
-class TestDeprecationShims:
-    def test_build_repl_workload_shim_warns_and_delegates(self):
-        from repro.cli import _build_repl_workload
-
-        with pytest.warns(ReproDeprecationWarning):
-            wl = _build_repl_workload("rabc")
-        assert "R" in wl.instance

@@ -1,27 +1,36 @@
-"""The ``repro.lint`` CLI: corpus health, seeded failures, exit codes,
-``--json`` mode and CI annotations.
+"""The corpus half of ``python -m repro.analysis``: corpus health, seeded
+failures, exit codes, ``--json`` mode and CI annotations.
 
-The corpus and checks themselves live in :mod:`repro.analysis.corpus`
-(re-exported by :mod:`repro.lint` for backward compatibility); these
-tests drive them through the CLI surface the Makefile and CI use, and
-prove the lint actually *fails* when the printer drifts or codegen
-emits broken Python — by seeding exactly those bugs via monkeypatch.
+The corpus and its round-trip check live in
+:mod:`repro.analysis.corpus`; the codegen sweep over it in
+:func:`repro.analysis.codegen.verify_corpus`.  These tests drive both
+through the CLI surface the Makefile and CI use, and prove the sweep
+actually *fails* when the printer drifts or codegen emits broken Python
+— by seeding exactly those bugs via monkeypatch.
 """
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
+import repro.analysis.codegen as codegen_mod
 import repro.analysis.corpus as corpus_mod
-import repro.exec.compile as compile_mod
-import repro.lint as lint_mod
-from repro.analysis.corpus import BUILTIN_CORPUS, check_codegen, check_roundtrip, run_lint
+from repro import parse_query
+from repro.analysis.__main__ import main
+from repro.analysis.codegen import verify_corpus
+from repro.analysis.corpus import BUILTIN_CORPUS, check_roundtrip
+from repro.exec.compile import GeneratedPlan
+
+#: the corpus-only sweep (no workload optimization, no source linting)
+CORPUS_ONLY = ["--skip-workloads", "--skip-invariants"]
+
+JOIN = BUILTIN_CORPUS[0][1]
 
 
 def test_builtin_corpus_is_clean():
-    assert run_lint() == []
+    verified, findings = verify_corpus()
+    assert findings == []
+    assert verified == 2 * len(BUILTIN_CORPUS)  # both scan modes
 
 
 def test_corpus_covers_verifier_constructs():
@@ -35,88 +44,88 @@ def test_corpus_covers_verifier_constructs():
     } <= names
 
 
-def test_lint_reexports_are_the_corpus_module():
-    assert lint_mod.BUILTIN_CORPUS is BUILTIN_CORPUS
-    assert lint_mod.run_lint is run_lint
-    assert lint_mod.check_roundtrip is check_roundtrip
-    assert lint_mod.check_codegen is check_codegen
-
-
-def test_seeded_printer_drift_is_reported(monkeypatch):
+def test_seeded_printer_drift_is_reported(monkeypatch, capsys):
     # a printer that forgets the where-clause: re-parse succeeds but the
     # canonical key (and the parameter list, for templates) drifts
     monkeypatch.setattr(
         corpus_mod, "format_query", lambda query: "select r.A from R r"
     )
-    problems = check_roundtrip(
-        "join",
-        "select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B",
+    findings = check_roundtrip("join", parse_query(JOIN))
+    assert findings and {f.rule for f in findings} == {"RT-DRIFT"}
+    assert any("canonical key drifts" in f.message for f in findings)
+    template = dict(BUILTIN_CORPUS)["template"]
+    assert any(
+        "parameter list drifts" in f.message
+        for f in check_roundtrip("template", parse_query(template))
     )
-    assert problems
-    assert any("canonical key drifts" in p for p in problems)
+    assert main(CORPUS_ONLY) == 1
+    assert "RT-DRIFT canonical key drifts" in capsys.readouterr().err
 
 
 def test_seeded_printer_crash_is_reported(monkeypatch):
     monkeypatch.setattr(
         corpus_mod, "format_query", lambda query: "select from nowhere ("
     )
-    problems = check_roundtrip("join", BUILTIN_CORPUS[0][1])
-    assert any("printed form does not re-parse" in p for p in problems)
+    (finding,) = check_roundtrip("join", parse_query(JOIN))
+    assert finding.rule == "RT-DRIFT"
+    assert "printed form does not re-parse" in finding.message
 
 
-def test_seeded_codegen_syntax_failure_is_reported(monkeypatch):
-    monkeypatch.setattr(
-        compile_mod,
-        "generate_source",
-        lambda query, use_hash_joins=False, cached_names=None: (
-            "def _plan(instance, counters, _params:\n    return []\n"
-        ),
-    )
-    problems = check_codegen("join", BUILTIN_CORPUS[0][1])
-    # both scan modes hit the same sabotaged generator
-    assert len(problems) == 2
-    assert all("not valid Python" in p for p in problems)
+def test_seeded_codegen_syntax_failure_is_reported(monkeypatch, capsys):
+    original = codegen_mod.generate_plan
+
+    def sabotaged(query, use_hash_joins=False, **kwargs):
+        plan = original(query, use_hash_joins=use_hash_joins, **kwargs)
+        return GeneratedPlan(
+            source="def _plan(instance, counters, _params:\n    return []\n",
+            metadata=plan.metadata,
+        )
+
+    monkeypatch.setattr(codegen_mod, "generate_plan", sabotaged)
+    _, findings = verify_corpus()
+    # both scan modes of every corpus query hit the sabotaged generator
+    assert len(findings) == 2 * len(BUILTIN_CORPUS)
+    assert {f.rule for f in findings} == {"CG-SYNTAX"}
+    assert main(CORPUS_ONLY) == 1
+    assert "CG-SYNTAX" in capsys.readouterr().err
 
 
-def test_unparsable_query_file_fails_lint(tmp_path):
-    bad = tmp_path / "bad.oql"
-    bad.write_text("select struct( from where")
-    problems = run_lint([str(bad)])
-    assert any("does not parse" in p for p in problems)
-
-
-def test_missing_query_file_fails_lint(tmp_path):
-    missing = tmp_path / "nope.oql"
-    assert any(str(missing) in p for p in run_lint([str(missing)]))
+def test_source_the_compiler_rejects_is_a_syntax_finding():
+    # parses as an AST, but the compiler proper refuses it
+    source = "def _plan(instance, instance, _params):\n    return []\n"
+    (finding,) = codegen_mod.verify_source(parse_query(JOIN), source)
+    assert finding.rule == "CG-SYNTAX"
 
 
 def test_cli_exit_codes(tmp_path, capsys):
-    assert lint_mod.main([]) == 0
-    out = capsys.readouterr().out
-    assert "round-trip and codegen clean" in out
+    assert main(CORPUS_ONLY) == 0
+    assert "0 finding(s)" in capsys.readouterr().out
 
     bad = tmp_path / "bad.oql"
     bad.write_text("select struct( from where")
-    assert lint_mod.main([str(bad)]) == 1
+    assert main([*CORPUS_ONLY, str(bad)]) == 1
     captured = capsys.readouterr()
-    assert "problem(s)" in captured.out
+    assert "1 finding(s)" in captured.out
     assert "does not parse" in captured.err
+
+    missing = tmp_path / "nope.oql"
+    assert main([*CORPUS_ONLY, str(missing)]) == 1
+    assert str(missing) in capsys.readouterr().err
 
 
 def test_cli_json_mode(tmp_path, capsys):
-    assert lint_mod.main(["--json"]) == 0
+    assert main([*CORPUS_ONLY, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
-    assert payload["problems"] == []
-    assert payload["checked"] == len(BUILTIN_CORPUS)
+    assert payload["findings"] == []
+    assert payload["artifacts_verified"] == 2 * len(BUILTIN_CORPUS)
 
     bad = tmp_path / "bad.oql"
     bad.write_text("select struct( from where")
-    assert lint_mod.main(["--json", str(bad)]) == 1
+    assert main([*CORPUS_ONLY, "--json", str(bad)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is False
-    assert payload["checked"] == len(BUILTIN_CORPUS) + 1
-    assert any("does not parse" in p for p in payload["problems"])
+    assert any("does not parse" in f["message"] for f in payload["findings"])
 
 
 def test_cli_ci_annotations(tmp_path, capsys, monkeypatch):
@@ -124,9 +133,9 @@ def test_cli_ci_annotations(tmp_path, capsys, monkeypatch):
     bad.write_text("select struct( from where")
 
     monkeypatch.delenv("CI", raising=False)
-    assert lint_mod.main([str(bad)]) == 1
+    assert main([*CORPUS_ONLY, str(bad)]) == 1
     assert "::error" not in capsys.readouterr().out
 
     monkeypatch.setenv("CI", "1")
-    assert lint_mod.main([str(bad)]) == 1
-    assert "::error ::lint:" in capsys.readouterr().out
+    assert main([*CORPUS_ONLY, str(bad)]) == 1
+    assert "::error ::" in capsys.readouterr().out

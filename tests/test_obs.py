@@ -461,15 +461,25 @@ class TestDatabaseObservability:
         session.close()
         db.close()
 
-    def test_prepared_run_traced_and_skew_free(self):
+    @pytest.mark.parametrize(
+        "text, bindings",
+        [
+            ("select r.A from R r where r.B = $b", {"b": 3}),
+            # param-free runs used to open no façade span at all
+            ("select r.A from R r where r.B = 3", {}),
+        ],
+    )
+    def test_prepared_run_traced_and_skew_free(self, text, bindings):
         db = Database.from_workload(
             "rs", obs=ObsConfig(tracing=True),
             n_r=20, n_s=20, b_values=10, seed=1,
         )
-        prepared = db.prepare("select r.A from R r where r.B = $b")
-        prepared.run(b=3)
-        names = [s.name for s in db.tracer.request_spans()]
-        assert "db.run_prepared" in names
+        prepared = db.prepare(text)
+        prepared.run(**bindings)
+        spans = db.tracer.request_spans()
+        assert [s.name for s in spans if s.depth == 0] == ["db.run_prepared"]
+        assert "phase.exec" in [s.name for s in spans]
+        assert "latency.db.run_prepared" in db.metrics()["histograms"]
         db.close()
 
     def test_observability_object_passthrough(self):

@@ -13,6 +13,11 @@ indexes on R and S, whose constraints give the backchase real access
 paths to discover.  Mutations target T only — the one relation with no
 derived structure — so the physical design never goes stale and logical
 equivalence must hold across every arm.
+
+The template arm holds the single serve path to the same contract for
+``$``-templates: ``execute(t, params=b)`` ≡ ``prepare(t).run(**b)`` ≡
+``execute(bound text)`` ≡ the reference evaluator, under both execution
+modes.
 """
 
 from __future__ import annotations
@@ -24,17 +29,20 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import pc_queries
+from conftest import GEN_SCHEMA, pc_queries
 from repro import (
     Database,
     Instance,
     Optimizer,
+    Param,
     Row,
     Statistics,
     evaluate,
     execute,
 )
 from repro.physical.indexes import SecondaryIndex
+from repro.query.ast import Eq
+from repro.query.paths import Attr, Var
 
 RELAXED = dict(
     deadline=None,
@@ -42,7 +50,7 @@ RELAXED = dict(
 )
 
 
-def build_database(seed: int = 0) -> Database:
+def build_database(seed: int = 0, **options) -> Database:
     """A Database over the generator schema with consistent indexes.
 
     Attribute values stay in the 0..3 range the query generator draws its
@@ -67,6 +75,7 @@ def build_database(seed: int = 0) -> Database:
         constraints=constraints,
         physical_names=frozenset(instance.names()),
         instance=instance,
+        **options,
     )
 
 
@@ -143,4 +152,55 @@ def test_mutation_invalidates_and_reoptimizes(query):
     assert prepared.run().results == reference
     assert db.execute(query).results == reference
     assert cold_pipeline(db, query).results == reference
+    db.close()
+
+
+@st.composite
+def bound_templates(draw):
+    """A generated query with one or two ``path = $p<i>`` selections
+    added, plus a binding for them (values from the instance's 0..3 range
+    and one value outside it)."""
+
+    query = draw(pc_queries(max_conditions=2))
+    paths = [
+        Attr(Var(b.var), attr)
+        for b in query.bindings
+        for attr in GEN_SCHEMA[b.source.name]
+    ]
+    count = draw(st.integers(min_value=1, max_value=2))
+    template = query.with_fresh_conditions(
+        Eq(draw(st.sampled_from(paths)), Param(f"p{i}")) for i in range(count)
+    )
+    binding = {
+        name: draw(st.integers(min_value=0, max_value=4))
+        for name in template.param_names()
+    }
+    return template, binding
+
+
+@pytest.mark.parametrize("exec_mode", ["interpret", "compiled"])
+@settings(max_examples=15, **RELAXED)
+@given(
+    requests=st.lists(bound_templates(), min_size=1, max_size=3),
+    mutate_after=st.integers(min_value=0, max_value=2),
+)
+def test_template_entry_points_agree(exec_mode, requests, mutate_after):
+    """Every way of serving a (template, binding) pair answers alike —
+    across plan-cache hits and a mid-sequence mutation — and each
+    ``execute(t, params=b)`` is exactly one plan-cache probe."""
+
+    db = build_database(exec_mode=exec_mode)
+    for i, (template, binding) in enumerate(requests):
+        if i == mutate_after:
+            mutate_t(db.instance, i + 1)
+        bound = template.bind_params(binding)
+        reference = evaluate(bound, db.instance)
+        prepared = db.prepare(template)
+        assert prepared.run(**binding).results == reference, template
+        assert db.execute(str(bound)).results == reference, template
+        before = db.plan_cache_info()
+        one_shot = db.execute(template, params=binding)
+        after = db.plan_cache_info()
+        assert one_shot.results == reference, template
+        assert after.hits + after.misses == before.hits + before.misses + 1
     db.close()

@@ -6,7 +6,6 @@ import pytest
 
 from repro import (
     Instance,
-    ReproDeprecationWarning,
     Row,
     Statistics,
     evaluate,
@@ -516,49 +515,37 @@ class TestSemanticCacheUnit:
         assert view.name not in cache.statistics.cardinality
 
 
-class TestOptimizerEphemeral:
-    """The ephemeral-kwargs path is a deprecation shim over
-    ``OptimizeContext.override``: it must warn (the pytest gate escalates
-    a silent use to an error) and keep its exact old semantics."""
+class TestOptimizerContextOverlay:
+    """Per-request overlays are ``OptimizeContext.override`` calls: a new
+    optimizer over a new context, the original left untouched."""
 
-    def test_extra_constraints_shim_warns_and_does_not_mutate(self):
+    def test_extra_constraints_overlay_does_not_mutate(self):
         opt = Optimizer([], strategy="pruned")
         dep = parse_constraint(
             "forall (r in R) -> exists (s in S) r.B = s.B", "ric"
         )
         q = parse_query("select struct(A = r.A) from R r")
-        with pytest.warns(ReproDeprecationWarning):
-            result = opt.optimize(q, extra_constraints=[dep])
-        assert result.best is not None
-        assert opt.constraints == []
+        overlaid = Optimizer(
+            context=opt.context.override(extra_constraints=(dep,))
+        )
+        assert overlaid.optimize(q).best is not None
+        assert overlaid.constraints == (dep,)
+        assert opt.constraints == ()
         assert opt.physical_names is None
 
-    def test_physical_override_shim_is_per_call(self):
+    def test_physical_override_is_per_optimizer(self):
         opt = Optimizer([], physical_names=("R",))
         q = parse_query("select struct(A = r.A) from R r")
-        with pytest.warns(ReproDeprecationWarning):
-            filtered = opt.optimize(q, physical_names=frozenset({"Z"}))
+        filtered = Optimizer(
+            context=opt.context.override(physical_names=frozenset({"Z"}))
+        ).optimize(q)
         assert not filtered.best.physical_only
         assert opt.optimize(q).best.physical_only
 
-    def test_context_override_matches_shim(self):
-        """The replacement path produces the same answer, warning-free."""
-
-        dep = parse_constraint(
-            "forall (r in R) -> exists (s in S) r.B = s.B", "ric"
-        )
-        q = parse_query("select struct(A = r.A) from R r")
-        opt = Optimizer([], strategy="pruned")
-        via_context = Optimizer(
-            context=opt.context.override(extra_constraints=(dep,))
-        ).optimize(q)
-        with pytest.warns(ReproDeprecationWarning):
-            via_shim = opt.optimize(q, extra_constraints=[dep])
-        assert via_context.best.cost == via_shim.best.cost
-        assert (
-            via_context.best.query.canonical_key()
-            == via_shim.best.query.canonical_key()
-        )
+    def test_configuration_is_read_only(self):
+        opt = Optimizer([], strategy="full")
+        with pytest.raises(AttributeError):
+            opt.strategy = "pruned"
 
 
 class TestContainmentCacheLRU:
