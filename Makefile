@@ -41,8 +41,8 @@ test:
 # golden markers so failures localize), then the benchmark smokes, the
 # cross-strategy golden suite, and the benchmark harness's own tests.
 check: lint
-	$(PYTEST) -x -q -m "not bench_smoke and not golden"
-	$(PYTEST) -q -m bench_smoke tests/test_bench_smoke.py
+	$(PYTEST) -x -q --durations=15 -m "not bench_smoke and not golden"
+	$(PYTEST) -q --durations=15 -m bench_smoke tests/test_bench_smoke.py
 	$(PYTEST) -q -m golden $(GOLDEN_FILES)
 	$(PYTEST) -q benchmarks/perf
 

@@ -30,7 +30,6 @@ from repro.backchase.backchase import (
     minimal_subqueries,
     try_remove_binding,
 )
-from repro.backchase.pruned import pruned_minimal_subqueries
 from repro.backchase.bottomup import (
     bottom_up_minimal_plans,
     restrict_to_bindings,
@@ -226,7 +225,6 @@ __all__ = [
     "is_minimal",
     "is_trivial",
     "minimal_subqueries",
-    "pruned_minimal_subqueries",
     "BackchaseStats",
     "CacheStats",
     "CachedSession",

@@ -20,20 +20,51 @@ Bindings whose sources mention ``y`` are re-sourced to congruent ``y``-free
 paths when possible (the footnote's general rule); otherwise this removal
 fails and the enumeration tries removing the dependent binding first.
 
-``minimal_subqueries`` explores all backchase sequences from the universal
-plan with memoization; its normal forms are exactly the minimal equivalent
-subqueries (Theorem 2).
+The definition is implemented once: :func:`build_candidate` constructs the
+candidate of a removal (conditions (1)-(2)), :func:`accept_candidate`
+decides condition (3) together with failing-lookup safety, and
+:func:`minimal_subqueries` is the one search over backchase sequences —
+memoized, depth-first, with an optional cost bound.  Unbounded
+(``strategy="full"``) its normal forms are exactly the minimal equivalent
+subqueries (Theorem 2).  Algorithm 1 only needs the *cheapest* plan, so
+``strategy="pruned"`` threads the cost model through the same search and
+cuts every branch that provably cannot beat the best complete plan found
+so far:
+
+* each node carries a **lower bound** (:func:`plan_cost_floor`) on the
+  cost of every subquery reachable from it, its own normalized and refined
+  variants included; a branch whose bound exceeds the best complete plan is
+  never expanded;
+* the **bound** is tightened only by complete plans (normal forms) that the
+  caller deems eligible (``plan_cost`` returns ``None`` for ineligible
+  ones, e.g. plans outside the physical schema), so the plan the
+  :class:`Optimizer` would pick from the full enumeration is never pruned.
+
+The bounded search is exact with respect to cost: the returned subset of
+normal forms always contains one of minimal eligible ``plan_cost`` (the
+property-test harness exercises this against the unbounded run on randomly
+generated queries and constraint sets).  It is *not* complete in the
+Theorem 2 sense — dominated normal forms may be absent — which is why the
+unbounded run is what the completeness tests use.
+
+Either way acceptance is decided **once per distinct candidate shape**:
+every node of a search is equivalent to its root (each accepted step
+preserves equivalence), so ``candidate ≡ current`` holds iff
+``candidate ⊑ root`` — a verdict that depends on the candidate alone and
+memoizes perfectly, however many removal orders re-derive the shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.chase.chase import ChaseEngine
 from repro.chase.congruence import CongruenceClosure, build_congruence
 from repro.constraints.epcd import EPCD
 from repro.errors import BackchaseError
+from repro.optimizer.cost import CostModel, estimate_cost, plan_cost_floor
+from repro.optimizer.statistics import Statistics
 from repro.query import paths as P
 from repro.query.ast import Binding, Eq, PathOutput, PCQuery, StructOutput
 from repro.query.paths import Dom, Lookup, Path, Var
@@ -120,12 +151,6 @@ def plan_lookups_safe(query: PCQuery, engine: ChaseEngine) -> bool:
     ):
         return True
 
-    var_level = {b.var: i for i, b in enumerate(query.bindings)}
-
-    def cond_level(c: Eq) -> int:
-        fv = P.free_vars(c.left) | P.free_vars(c.right)
-        return max((var_level.get(v, 0) for v in fv), default=-1)
-
     def path_safe(path: Path, prefix_len: int, conds: Sequence[Eq]) -> bool:
         return all(
             _failing_lookup_safe(
@@ -135,24 +160,25 @@ def plan_lookups_safe(query: PCQuery, engine: ChaseEngine) -> bool:
             if isinstance(term, Lookup)
         )
 
+    levels = query.condition_levels()
+    fired: List[Eq] = []
     for i, b in enumerate(query.bindings):
-        fired = tuple(c for c in query.conditions if cond_level(c) < i)
+        fired.extend(levels[i])
         if not path_safe(b.source, i, fired):
             return False
-    for c in query.conditions:
-        level = cond_level(c)
-        fired = tuple(
-            c2 for c2 in query.conditions if c2 is not c and cond_level(c2) < level
-        )
-        if not path_safe(c.left, level + 1, fired) or not path_safe(
-            c.right, level + 1, fired
-        ):
-            return False
-    all_conds = tuple(query.conditions)
-    for out in query.output.paths():
-        if not path_safe(out, len(query.bindings), all_conds):
-            return False
-    return True
+    # A condition sees only strictly lower levels, not its own level's peers.
+    fired = []
+    for level, conds in enumerate(levels):
+        for c in conds:
+            if not path_safe(c.left, level, fired) or not path_safe(
+                c.right, level, fired
+            ):
+                return False
+        fired.extend(conds)
+    return all(
+        path_safe(out, len(query.bindings), query.conditions)
+        for out in query.output.paths()
+    )
 
 
 def toposort_bindings(query: PCQuery) -> PCQuery:
@@ -305,33 +331,35 @@ def _surviving_conditions(
     return conditions
 
 
-def build_candidate(query: PCQuery, var: str) -> Optional[PCQuery]:
-    """Construct the candidate of removing ``var`` (conditions (1)-(2) only).
+def build_candidate(query: PCQuery, banned: FrozenSet[str]) -> Optional[PCQuery]:
+    """Construct the candidate of removing the ``banned`` bindings
+    (conditions (1)-(2) only).
 
-    Returns the reduced (simplified, reordered) query, or ``None`` when the
-    removal fails syntactically — the output or a dependent binding cannot
-    be rewritten away from ``var``.  Condition (3), the chase-decided
-    equivalence test, is *not* run; callers that need it use
-    :func:`try_remove_binding` or check against their search root.
+    A backchase step bans one variable; the bottom-up reference enumerator
+    bans a whole subset at once.  Returns the reduced (simplified,
+    reordered) query, or ``None`` when the removal fails syntactically —
+    a banned variable is not bound, or the output or a dependent binding
+    cannot be rewritten away from the banned ones.  Condition (3), the
+    chase-decided equivalence test, is *not* run here: that is
+    :func:`accept_candidate`.
     """
 
-    if not query.has_var(var):
+    if not banned.issubset(query.binding_vars()):
         return None
-    banned = frozenset((var,))
     cc = build_congruence(query)
 
-    # Rewrite the output to avoid the removed variable (condition (2)).
+    # Rewrite the output to avoid the removed variables (condition (2)).
     new_output = _rewrite_output(query.output, cc, banned)
     if new_output is None:
         return None
 
-    # Re-source dependent bindings; drop the removed one.
+    # Re-source dependent bindings; drop the removed ones.
     new_bindings: List[Binding] = []
     for binding in query.bindings:
-        if binding.var == var:
+        if binding.var in banned:
             continue
         source = binding.source
-        if var in P.free_vars(source):
+        if P.free_vars(source) & banned:
             source = cc.equivalent_avoiding(source, banned)
             if source is None:
                 return None
@@ -350,6 +378,33 @@ def build_candidate(query: PCQuery, var: str) -> Optional[PCQuery]:
     return candidate
 
 
+def accept_candidate(
+    candidate: PCQuery,
+    parent: PCQuery,
+    engine: ChaseEngine,
+    key: Optional[Tuple[str, str]] = None,
+) -> bool:
+    """Is ``candidate`` (built from ``parent``) an acceptable backchase step?
+
+    Condition (3): equivalence under the dependencies, decided by chase +
+    containment mappings.  The direction parent ⊑ candidate holds by
+    construction — the candidate's bindings, conditions and output are all
+    congruent images of the parent's own, so the identity is a containment
+    mapping (``PARANOID_CHECKS`` verifies this in the test suite).  Only
+    candidate ⊑ parent needs the chase; ``key`` names the cache entry that
+    verdict is stored under (default: the (candidate, parent) pair).  An
+    equivalent candidate must also keep every failing lookup safe.
+    """
+
+    if not engine.contained_in(candidate, parent, key=key):
+        return False
+    if PARANOID_CHECKS and not engine.contained_in(parent, candidate):
+        raise BackchaseError(
+            f"construction invariant violated: {parent} ⋢ {candidate}"
+        )
+    return plan_lookups_safe(candidate, engine)
+
+
 def try_remove_binding(
     query: PCQuery,
     var: str,
@@ -366,28 +421,13 @@ def try_remove_binding(
     """
 
     engine = engine or ChaseEngine(list(deps))
-    candidate = build_candidate(query, var)
+    candidate = build_candidate(query, frozenset((var,)))
     if candidate is None:
         return None
     if stats is not None:
         stats.candidates_explored += 1
-
-    if check:
-        # Condition (3): equivalence under the dependencies, decided by
-        # chase + containment mappings.  The direction query ⊑ candidate
-        # holds by construction — the candidate's bindings, conditions and
-        # output are all congruent images of the query's own, so the
-        # identity is a containment mapping.  (PARANOID_CHECKS verifies
-        # this in the test suite.)  Only candidate ⊑ query needs the chase.
-        if not engine.contained_in(candidate, query):
-            return None
-        if PARANOID_CHECKS and not engine.contained_in(query, candidate):
-            raise BackchaseError(
-                f"construction invariant violated: query ⋢ candidate after "
-                f"removing {var!r} from {query}"
-            )
-        if not plan_lookups_safe(candidate, engine):
-            return None
+    if check and not accept_candidate(candidate, query, engine):
+        return None
     return candidate
 
 
@@ -429,6 +469,10 @@ class BackchaseStats:
         }
 
 
+PlanCost = Callable[[PCQuery], Optional[float]]
+CostFloor = Callable[[PCQuery], float]
+
+
 def minimal_subqueries(
     query: PCQuery,
     deps: Optional[Sequence[EPCD]] = None,
@@ -437,21 +481,27 @@ def minimal_subqueries(
     stats: Optional[BackchaseStats] = None,
     strategy: str = "full",
     context=None,
-    **pruned_options,
+    statistics: Optional[Statistics] = None,
+    cost_model: Optional[CostModel] = None,
+    plan_cost: Optional[PlanCost] = None,
+    cost_floor: Optional[CostFloor] = None,
 ) -> List[PCQuery]:
     """Normal forms of backchasing ``query``.
 
-    With ``strategy="full"`` (the default here) this explores every
-    backchase sequence with memoization on canonical query forms and
-    returns *all* normal forms — exactly the minimal equivalent subqueries
-    (Theorem 2); deterministic output order (by size, then canonical
-    text).  With ``strategy="pruned"`` the cost-bounded branch-and-bound
-    search of :mod:`repro.backchase.pruned` runs instead: it may return
-    only a subset of the normal forms, but the subset always contains one
-    of minimal estimated cost (the :class:`Optimizer` defaults to it).
-    Extra keyword options (``statistics``, ``cost_model``, ``plan_cost``,
-    ``cost_floor``) configure the pruned search and are rejected for the
-    full one.
+    One memoized depth-first search over backchase sequences.  With
+    ``strategy="full"`` (the default here) it runs unbounded and returns
+    *all* normal forms — exactly the minimal equivalent subqueries
+    (Theorem 2).  With ``strategy="pruned"`` (what the :class:`Optimizer`
+    defaults to) the same search is cost-bounded: ``plan_cost`` maps a
+    complete plan (normal form) to the cost the caller will rank it by, or
+    ``None`` when the plan cannot win (ineligible); ``cost_floor`` maps any
+    node to a lower bound on ``plan_cost`` over the node's whole subtree;
+    the defaults use :func:`estimate_cost` / :func:`plan_cost_floor` with
+    the ``statistics`` / ``cost_model`` catalog.  The bounded run returns a
+    subset of the unbounded run's normal forms that always contains one of
+    minimal eligible cost.  Those four options are rejected for the full
+    strategy.  Deterministic output order either way (by size, then
+    canonical text).
 
     ``context`` (an :class:`~repro.api.context.OptimizeContext`) supplies
     defaults in one value: the constraint set when ``deps`` is omitted,
@@ -461,74 +511,132 @@ def minimal_subqueries(
     deliberately differs from the optimizer's.)
     """
 
-    if context is not None:
-        if deps is None:
-            deps = list(context.constraints)
-        if strategy == "pruned":
-            pruned_options.setdefault("statistics", context.statistics)
-            pruned_options.setdefault("cost_model", context.cost_model)
+    if deps is None and context is not None:
+        deps = list(context.constraints)
     if deps is None:
         raise BackchaseError(
             "minimal_subqueries needs a constraint set: pass deps or context"
         )
     if strategy == "pruned":
-        from repro.backchase.pruned import pruned_minimal_subqueries
-
-        return pruned_minimal_subqueries(
-            query,
-            deps,
-            engine=engine,
-            max_nodes=max_nodes,
-            stats=stats,
-            **pruned_options,
+        if context is not None:
+            statistics = context.statistics if statistics is None else statistics
+            cost_model = context.cost_model if cost_model is None else cost_model
+        catalog = statistics or Statistics()
+        model = cost_model or CostModel()
+        if plan_cost is None:
+            plan_cost = lambda q: estimate_cost(q, catalog, model)  # noqa: E731
+        if cost_floor is None:
+            cost_floor = lambda q: plan_cost_floor(q, catalog, model)  # noqa: E731
+    elif strategy == "full":
+        bound_options = dict(
+            statistics=statistics,
+            cost_model=cost_model,
+            plan_cost=plan_cost,
+            cost_floor=cost_floor,
         )
-    if strategy != "full":
+        given = sorted(k for k, v in bound_options.items() if v is not None)
+        if given:
+            raise BackchaseError(
+                f"options {given} apply only to strategy='pruned'"
+            )
+        # The bound switched off: no complete plan ever sets it, and no
+        # floor is computed for nodes nobody will compare.
+        plan_cost = lambda q: None  # noqa: E731
+        cost_floor = lambda q: 0.0  # noqa: E731
+    else:
         raise BackchaseError(
             f"unknown backchase strategy {strategy!r} (expected 'full' or 'pruned')"
-        )
-    if pruned_options:
-        raise BackchaseError(
-            f"options {sorted(pruned_options)} apply only to strategy='pruned'"
         )
 
     engine = engine or ChaseEngine(list(deps))
     stats = stats if stats is not None else BackchaseStats()
     cache_hits0 = engine.containment.hits
     cache_misses0 = engine.containment.misses
-    visited: Set[str] = set()
-    normal_forms: Dict[str, PCQuery] = {}
-    stack: List[PCQuery] = [quick_simplify_conditions(query)]
+
+    root = quick_simplify_conditions(query)
+    root_key = root.canonical_key()
+
+    # Per-search acceptance memo, in front of the engine's (bounded, LRU)
+    # containment cache.  Every node of the search is equivalent to the
+    # root, so a candidate's verdict depends on the candidate alone: it is
+    # decided against the *parent* (whose binding list is as small as the
+    # candidate's — matching the full root every time would cost an order
+    # of magnitude more per miss), cached in the engine under the
+    # (candidate, root) pair, and remembered here whole — containment and
+    # lookup safety — per shape.  The same shape is re-derived along many
+    # removal orders and the engine cache may evict mid-search; without
+    # this layer an evicted shape would be *recomputed* and its probe
+    # counted as a second miss.  Bounded by the node budget.
+    verdicts: Dict[str, bool] = {}
+    memo_hits = 0
+
+    best: Optional[float] = None
+    # Every shape ever queued, with its bound: a shape is queued (hence
+    # visited) at most once.
+    floors: Dict[str, float] = {root_key: cost_floor(root)}
+    normal_forms: List[PCQuery] = []
+    stack: List[PCQuery] = [root]
 
     while stack:
         current = stack.pop()
-        key = current.canonical_key()
-        if key in visited:
+        if best is not None and floors[current.canonical_key()] > best:
+            # The bound tightened since this node was queued.
+            stats.candidates_pruned += 1
             continue
-        visited.add(key)
         stats.nodes_visited += 1
         if stats.nodes_visited > max_nodes:
-            raise BackchaseError(
-                f"backchase search exceeded {max_nodes} nodes"
-            )
+            raise BackchaseError(f"backchase search exceeded {max_nodes} nodes")
+
         reduced_any = False
+        children: List[Tuple[float, str, PCQuery]] = []
         for var in current.binding_vars():
             stats.steps_attempted += 1
-            candidate = try_remove_binding(current, var, deps, engine, stats=stats)
-            if candidate is not None:
-                stats.steps_applied += 1
-                reduced_any = True
-                if candidate.canonical_key() not in visited:
-                    stack.append(candidate)
-        if not reduced_any:
-            if key not in normal_forms:
-                normal_forms[key] = current
-                stats.normal_forms += 1
+            candidate = build_candidate(current, frozenset((var,)))
+            if candidate is None:
+                continue
+            stats.candidates_explored += 1
+            ckey = candidate.canonical_key()
+            accepted = verdicts.get(ckey)
+            if accepted is None:
+                accepted = verdicts[ckey] = accept_candidate(
+                    candidate, current, engine, key=(ckey, root_key)
+                )
+            else:
+                memo_hits += 1
+            if not accepted:
+                continue
+            stats.steps_applied += 1
+            reduced_any = True
+            if ckey in floors:
+                continue
+            floor = cost_floor(candidate)
+            floors[ckey] = floor
+            if best is not None and floor > best:
+                stats.candidates_pruned += 1
+                continue
+            children.append((floor, ckey, candidate))
 
-    stats.cache_hits += engine.containment.hits - cache_hits0
+        if not reduced_any:
+            normal_forms.append(current)
+            stats.normal_forms += 1
+            cost = plan_cost(current)
+            if cost is not None and (best is None or cost < best):
+                best = cost
+        else:
+            # Most promising child on top of the stack: depth-first toward
+            # cheap complete plans tightens the bound early.
+            children.sort(key=lambda entry: (-entry[0], entry[1]))
+            for _, _, child in children:
+                stack.append(child)
+
+    # Verdicts reused = engine-cache hits + memo hits; verdicts computed =
+    # engine-cache misses.  With the memo in front, each distinct candidate
+    # shape probes the engine cache exactly once per search, so the miss
+    # count cannot double-count an evicted-and-re-derived shape.
+    stats.cache_hits += engine.containment.hits - cache_hits0 + memo_hits
     stats.cache_misses += engine.containment.misses - cache_misses0
-    results = list(normal_forms.values())
-    results.sort(key=lambda q: (len(q.bindings), q.canonical_key()))
-    return results
+    normal_forms.sort(key=lambda q: (len(q.bindings), q.canonical_key()))
+    return normal_forms
 
 
 def is_minimal(

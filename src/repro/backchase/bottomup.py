@@ -21,22 +21,17 @@ scenarios, not as the production search (that is the backchase).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.backchase.backchase import (
-    _rewrite_output,
-    _surviving_conditions,
+    build_candidate,
     plan_lookups_safe,
     quick_simplify_conditions,
-    toposort_bindings,
 )
 from repro.chase.chase import ChaseEngine
-from repro.chase.congruence import build_congruence
 from repro.chase.containment import is_contained_in
 from repro.constraints.epcd import EPCD
-from repro.errors import BackchaseError
-from repro.query import paths as P
-from repro.query.ast import Binding, PCQuery
+from repro.query.ast import PCQuery
 
 
 def restrict_to_bindings(
@@ -48,11 +43,13 @@ def restrict_to_bindings(
 ) -> Optional[PCQuery]:
     """The subquery of ``query`` over exactly the bindings in ``keep``.
 
-    Rewrites the output, the kept binding sources and the conditions with
-    congruent terms avoiding the dropped variables (maximal implied
-    equalities, as in the backchase); returns ``None`` when no such
-    subquery exists or (with ``check``) when it is not equivalent under
-    ``deps``.
+    Built by the backchase's own constructor (:func:`build_candidate`,
+    banning every dropped variable at once): the output, the kept binding
+    sources and the conditions are rewritten with congruent terms avoiding
+    the dropped variables (maximal implied equalities).  Returns ``None``
+    when no such subquery exists or (with ``check``) when it is not
+    equivalent under ``deps`` — decided here, independently of the
+    backchase's acceptance test, with both containment directions.
     """
 
     engine = engine or ChaseEngine(list(deps))
@@ -63,31 +60,9 @@ def restrict_to_bindings(
     if not banned:
         return quick_simplify_conditions(query)
 
-    cc = build_congruence(query)
-    new_output = _rewrite_output(query.output, cc, banned)
-    if new_output is None:
+    candidate = build_candidate(query, banned)
+    if candidate is None:
         return None
-
-    new_bindings: List[Binding] = []
-    for binding in query.bindings:
-        if binding.var not in keep:
-            continue
-        source = binding.source
-        if P.free_vars(source) & banned:
-            source = cc.equivalent_avoiding(source, banned)
-            if source is None:
-                return None
-        new_bindings.append(Binding(binding.var, source))
-
-    conditions = _surviving_conditions(cc, banned, set(keep))
-    candidate = PCQuery(new_output, tuple(new_bindings), tuple(conditions))
-    try:
-        candidate = toposort_bindings(candidate)
-    except BackchaseError:
-        return None
-    candidate = quick_simplify_conditions(candidate)
-    candidate.validate()
-
     if check:
         if not is_contained_in(candidate, query, deps, engine):
             return None

@@ -6,9 +6,10 @@ plus a containment-mapping search per check.  The same candidate *shape*
 (canonical form) is re-derived along many removal orders, and the same
 (query, constraint-set) pair recurs across the search, the condition
 pruner and the completeness tests.  This cache keys verdicts on
-canonicalized (sub-query, super-query) pairs; the constraint set is fixed
-per owning :class:`~repro.chase.chase.ChaseEngine`, so it does not appear
-in the key.
+canonicalized (sub-query, super-query) pairs — the backchase search names
+its entries (candidate, search root) itself, since every node is
+equivalent to the root; the constraint set is fixed per owning
+:class:`~repro.chase.chase.ChaseEngine`, so it does not appear in the key.
 
 Verdicts are pure functions of the canonical pair and the engine's
 dependency set, so caching is exact: a hit returns precisely what the
@@ -16,11 +17,13 @@ uncached decision procedure would (asserted by the regression tests on
 the paper's E1/E5 examples).
 
 The store is **bounded**: at most ``max_size`` verdicts are retained,
-evicted least-recently-used (every probe refreshes recency).  Long-running
-sessions — the semantic-cache REPL keeps one engine alive across requests
-— therefore hold the cache at a fixed footprint; an eviction only ever
-costs a re-computation, never a wrong answer.  ``max_size=None`` disables
-the bound.  :meth:`cache_info` reports the counters.
+evicted least-recently-used (every probe refreshes recency).  An engine
+that outlives one optimization — a ``RuleBasedOptimizer`` holds one
+for its lifetime; every ``Optimizer.optimize`` call, semantic-cache
+rewrites included, builds a fresh one — therefore holds the cache at a
+fixed footprint; an eviction only ever costs a re-computation, never a
+wrong answer.  ``max_size=None`` disables the bound.  :meth:`cache_info`
+reports the counters.
 """
 
 from __future__ import annotations

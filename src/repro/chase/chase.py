@@ -202,17 +202,24 @@ class ChaseEngine:
 
         return self.containment.cache_info()
 
-    def contained_in(self, q1: PCQuery, q2: PCQuery) -> bool:
+    def contained_in(
+        self, q1: PCQuery, q2: PCQuery, key: Optional[Tuple[str, str]] = None
+    ) -> bool:
         """Decide ``q1 ⊑ q2`` under this engine's dependencies (cached).
 
         Returns exactly what
         :func:`repro.chase.containment.is_contained_in` would; the verdict
-        is a pure function of the canonical pair and ``self.deps``.
+        is a pure function of the canonical pair and ``self.deps``.  A
+        caller that knows the verdict depends on less than the pair (the
+        backchase search: every node is equivalent to its root) passes the
+        cache ``key`` to store it under; the decision still runs on
+        ``q1`` and ``q2`` as given.
         """
 
         from repro.chase.containment import is_contained_in
 
-        key = self.containment.key_for(q1, q2)
+        if key is None:
+            key = self.containment.key_for(q1, q2)
         cached = self.containment.get(key)
         if cached is not None:
             return cached

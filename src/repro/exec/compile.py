@@ -56,7 +56,6 @@ from repro.exec.operators import (
     Project,
     ScanBind,
     Singleton,
-    _count_probes,
 )
 from repro.exec.planner import compile_query
 from repro.model.values import DictValue, Oid, Row
@@ -320,7 +319,7 @@ class _CodeGen:
     # -- condition emission ------------------------------------------------
 
     def emit_condition(self, cond: Eq) -> None:
-        probes = _count_probes(cond.left) + _count_probes(cond.right)
+        probes = P.count_probes(cond.left) + P.count_probes(cond.right)
         if probes:
             self.line(f"_probes += {probes}")
         self.line(f"if ({self.expr(cond.left)}) != ({self.expr(cond.right)}):")
@@ -370,7 +369,7 @@ class _CodeGen:
                 if j > 0:
                     self.line("if _g:")
                     self.indent += 1
-                probes = _count_probes(cond.left) + _count_probes(cond.right)
+                probes = P.count_probes(cond.left) + P.count_probes(cond.right)
                 if probes:
                     self.line(f"_probes += {probes}")
                 self.line(
@@ -477,7 +476,7 @@ class _CodeGen:
             index = f"_x{level}"
             self.declared.add(index)
             self.pro(f"{index} = {ext}.index({index_attr!r}, instance)")
-            self.line(f"_probes += {1 + _count_probes(key_path)}")
+            self.line(f"_probes += {1 + P.count_probes(key_path)}")
             self.line(
                 f"for _i{level} in _probe({index}, {self.expr(key_path)}, "
                 f"{column_local}):"
@@ -523,7 +522,7 @@ class _CodeGen:
 
     def _emit_generic_scan(self, level: int, bind: ScanBind) -> None:
         self.helpers.add("setof")
-        probes = _count_probes(bind.source)
+        probes = P.count_probes(bind.source)
         if probes:
             self.line(f"_probes += {probes}")
         message = f"binding source {bind.source} is not a set"
@@ -547,14 +546,14 @@ class _CodeGen:
         self.pro(f"for {local} in _setof({build_src}, {message!r}):")
         self.pro("    _hash_builds += 1")
         self.pro(f"    {table}.setdefault({build_key}, []).append({local})")
-        self.line(f"_probes += {1 + _count_probes(bind.probe_key)}")
+        self.line(f"_probes += {1 + P.count_probes(bind.probe_key)}")
         self.line(f"for {local} in {table}.get({self.expr(bind.probe_key)}, ()):")
         self.indent += 1
         self.line("_tuples += 1")
 
     def _emit_project(self, project: Project) -> None:
         output = self.query.output
-        probes = sum(_count_probes(p) for p in output.paths())
+        probes = sum(P.count_probes(p) for p in output.paths())
         if probes:
             self.line(f"_probes += {probes}")
         if isinstance(output, StructOutput):

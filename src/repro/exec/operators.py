@@ -21,7 +21,7 @@ from repro.model.values import Row
 from repro.query import paths as P
 from repro.query.ast import Eq
 from repro.query.evaluator import eval_path
-from repro.query.paths import Lookup, NFLookup, Path
+from repro.query.paths import Path
 
 Env = Dict[str, Any]
 
@@ -50,10 +50,6 @@ class Counters:
         self.probes += other.probes
         self.filtered += other.filtered
         self.hash_builds += other.hash_builds
-
-
-def _count_probes(path: Path) -> int:
-    return sum(1 for t in P.subterms(path) if isinstance(t, (Lookup, NFLookup)))
 
 
 class Operator:
@@ -94,7 +90,7 @@ class ScanBind(Operator):
         self.var = var
         self.source = source
         self.cached = False  # set by the planner for cache-overlay scans
-        self._source_probes = _count_probes(source)
+        self._source_probes = P.count_probes(source)
 
     def rows(self, instance: Instance) -> Iterator[Env]:
         for env in self.child.rows(instance):
@@ -133,7 +129,7 @@ class Filter(Operator):
         # on a failing Eq, only the conditions actually evaluated may count
         # (EXPLAIN ANALYZE renders these as actuals).
         self._cond_probes = [
-            _count_probes(c.left) + _count_probes(c.right) for c in self.conditions
+            P.count_probes(c.left) + P.count_probes(c.right) for c in self.conditions
         ]
 
     def rows(self, instance: Instance) -> Iterator[Env]:
@@ -229,7 +225,7 @@ class Project(Operator):
         super().__init__(counters)
         self.child = child
         self.output = output
-        self._out_probes = sum(_count_probes(p) for p in output.paths())
+        self._out_probes = sum(P.count_probes(p) for p in output.paths())
 
     def results(self, instance: Instance) -> Iterator[Any]:
         from repro.query.ast import StructOutput

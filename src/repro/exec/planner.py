@@ -27,16 +27,6 @@ from repro.query.ast import Eq, PCQuery
 from repro.query.paths import Path, SName
 
 
-def _condition_levels(query: PCQuery) -> List[List[Eq]]:
-    var_level = {b.var: i + 1 for i, b in enumerate(query.bindings)}
-    levels: List[List[Eq]] = [[] for _ in range(len(query.bindings) + 1)]
-    for cond in query.conditions:
-        needed = P.free_vars(cond.left) | P.free_vars(cond.right)
-        level = max((var_level.get(v, 0) for v in needed), default=0)
-        levels[level].append(cond)
-    return levels
-
-
 def _hash_join_opportunity(
     binding_var: str,
     source: Path,
@@ -78,13 +68,13 @@ def compile_query(
     """
 
     counters = counters or Counters()
-    levels = _condition_levels(query)
+    levels = query.condition_levels()
     op: Operator = Singleton(counters)
     if levels[0]:
         op = Filter(op, levels[0], counters)
     bound: Set[str] = set()
     for level, binding in enumerate(query.bindings, start=1):
-        level_conds = list(levels[level])
+        level_conds = levels[level]
         opportunity = (
             _hash_join_opportunity(binding.var, binding.source, level_conds, bound)
             if use_hash_joins

@@ -12,7 +12,7 @@ cost function C.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.optimizer.statistics import DEFAULT_SELECTIVITY, Statistics
 from repro.query import paths as P
@@ -69,12 +69,6 @@ def _source_cardinality(source: Path, stats: Statistics) -> float:
             return stats.attr_fanout(name, source.attr)
         return stats.default_fanout
     return stats.default_cardinality
-
-
-def _count_probes(path: Path) -> int:
-    return sum(
-        1 for t in P.subterms(path) if isinstance(t, (Lookup, NFLookup))
-    )
 
 
 def _attr_of(
@@ -144,16 +138,7 @@ def estimate_cost(
     """Estimated cost of evaluating the plan as written (no reordering)."""
 
     model = model or CostModel()
-    var_level = {b.var: i + 1 for i, b in enumerate(query.bindings)}
-
-    def level_of(cond: Eq) -> int:
-        needed = P.free_vars(cond.left) | P.free_vars(cond.right)
-        return max((var_level.get(v, 0) for v in needed), default=0)
-
-    conds_at: List[List[Eq]] = [[] for _ in range(len(query.bindings) + 1)]
-    for cond in query.conditions:
-        conds_at[level_of(cond)].append(cond)
-
+    conds_at = query.condition_levels()
     sources = {b.var: b.source for b in query.bindings}
     multiplicity = 1.0
     cost = model.scan_startup
@@ -161,17 +146,17 @@ def estimate_cost(
         multiplicity *= _selectivity(cond, sources, stats)
     for level, binding in enumerate(query.bindings, start=1):
         n = _source_cardinality(binding.source, stats)
-        probes = _count_probes(binding.source)
+        probes = P.count_probes(binding.source)
         cost += multiplicity * probes * model.probe_cost
         produced = multiplicity * n
         cost += produced * model.tuple_cost
         for cond in conds_at[level]:
-            cost += produced * _count_probes(cond.left) * model.probe_cost
-            cost += produced * _count_probes(cond.right) * model.probe_cost
+            cost += produced * P.count_probes(cond.left) * model.probe_cost
+            cost += produced * P.count_probes(cond.right) * model.probe_cost
             produced *= _selectivity(cond, sources, stats)
         multiplicity = produced
     # Output construction: charge probes in the select clause.
-    out_probes = sum(_count_probes(p) for p in query.output.paths())
+    out_probes = sum(P.count_probes(p) for p in query.output.paths())
     cost += multiplicity * (1.0 + out_probes * model.probe_cost)
     return cost
 

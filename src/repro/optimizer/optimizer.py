@@ -17,16 +17,17 @@ step 2 enumerates backchase normal forms; each normal form is normalized,
 condition-pruned, refined with non-failing lookups, join-reordered
 (step 3) and costed (step 4).
 
-Two backchase **strategies** drive step 2:
+Step 2 is one search (:func:`repro.backchase.backchase.minimal_subqueries`)
+run under one of two **strategies**:
 
-* ``"full"`` — the complete enumeration (Theorem 2): every normal form,
-  i.e. every minimal equivalent subquery, appears in ``result.plans``.
-  Exponential in the number of redundant bindings; retained for the
-  completeness tests and for callers that need the whole plan space.
-* ``"pruned"`` (the default) — the cost-bounded branch-and-bound search of
-  :mod:`repro.backchase.pruned`.  Steps 3-4 are pushed *into* the
-  backchase: every complete plan is costed through the same
-  normalize/prune/refine/reorder pipeline as it is discovered, and any
+* ``"full"`` — unbounded, the complete enumeration (Theorem 2): every
+  normal form, i.e. every minimal equivalent subquery, appears in
+  ``result.plans``.  Exponential in the number of redundant bindings;
+  retained for the completeness tests and for callers that need the whole
+  plan space.
+* ``"pruned"`` (the default) — the same search, cost-bounded.  Steps 3-4
+  are pushed *into* the backchase: every complete plan is costed through
+  the same normalize/prune/refine/reorder pipeline as it is discovered, and any
   branch whose cost lower bound (:func:`plan_cost_floor`) exceeds the best
   eligible complete plan so far is cut.  ``result.plans`` may omit
   dominated normal forms, but ``result.best`` always has the same cost as
@@ -215,29 +216,23 @@ class Optimizer:
 
         With the ``"pruned"`` strategy the search is bounded by the cost of
         the best complete plan (run through the same costing pipeline the
-        optimizer ranks plans with); with ``"full"`` every normal form is
-        returned.
+        optimizer ranks plans with); with ``"full"`` it runs unbounded and
+        every normal form is returned.
         """
 
         strategy = strategy or self.strategy
         engine = engine or ChaseEngine(
             self.constraints, self.max_chase_steps, tracer=self.tracer
         )
-        options = {}
-        if strategy == "pruned":
-            options = dict(
-                statistics=self.statistics,
-                cost_model=self.cost_model,
-                plan_cost=self._bounding_cost(engine),
-            )
+        # The context carries the constraint set and the bound's catalog.
         return minimal_subqueries(
             universal,
-            self.constraints,
             engine=engine,
             max_nodes=self.max_backchase_nodes,
             stats=stats,
             strategy=strategy,
-            **options,
+            context=self.context,
+            plan_cost=self._bounding_cost(engine) if strategy == "pruned" else None,
         )
 
     # -- the costing pipeline (Algorithm 1 steps 3-4) --------------------------

@@ -187,6 +187,23 @@ class PCQuery:
     def size(self) -> int:
         return len(self.bindings) + len(self.conditions)
 
+    def condition_levels(self) -> List[List[Eq]]:
+        """Conditions grouped by the binding level they fire at.
+
+        Level ``i`` (1-based) holds the conditions whose last-bound
+        variable is the ``i``-th binding's — the earliest point of the
+        nested loops at which they can be checked; level 0 holds the
+        variable-free ones (checked before any loop).
+        """
+
+        var_level = {b.var: i for i, b in enumerate(self.bindings, start=1)}
+        levels: List[List[Eq]] = [[] for _ in range(len(self.bindings) + 1)]
+        for cond in self.conditions:
+            needed = P.free_vars(cond.left) | P.free_vars(cond.right)
+            level = max((var_level.get(v, 0) for v in needed), default=0)
+            levels[level].append(cond)
+        return levels
+
     # -- parameters (binding markers) ---------------------------------------
 
     def param_names(self) -> Tuple[str, ...]:

@@ -304,6 +304,12 @@ def subterms(path: Path) -> Iterator[Path]:
     yield path
 
 
+def count_probes(path: Path) -> int:
+    """Dictionary lookups (failing or not) evaluating ``path`` performs."""
+
+    return sum(1 for t in subterms(path) if isinstance(t, (Lookup, NFLookup)))
+
+
 def free_vars(path: Path) -> FrozenSet[str]:
     """Variable names occurring in the path (precomputed)."""
 

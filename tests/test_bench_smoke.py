@@ -57,7 +57,7 @@ def test_e12_smoke_and_emit_json():
             result["pruned"]["candidates_explored"]
             <= result["full"]["candidates_explored"]
         ), result
-        assert result["pruned"]["cache_misses"] < result["full"]["cache_misses"]
+        bench.assert_verdicts_decided_once(result)
 
     BENCH_OUT.write_text(
         json.dumps(
@@ -156,7 +156,11 @@ def test_e15_smoke_and_emit_json():
     bench = _load_bench_module("bench_e15_prepared")
 
     def measure(which):
-        result = bench.run_prepared_comparison(which, repetitions=3, scale="smoke")
+        # Two repetitions — one warm-up, one steady pass — are the minimum
+        # the steady-vs-steady gate needs; the re-optimisation arm pays a
+        # ProjDept cold optimisation per request, so each further
+        # repetition costs tier-1 tens of seconds and proves nothing more.
+        result = bench.run_prepared_comparison(which, repetitions=2, scale="smoke")
         if (
             result["prepared_steady_seconds"]
             >= result["reoptimized_steady_seconds"]
@@ -166,7 +170,7 @@ def test_e15_smoke_and_emit_json():
             # making tier-1 flaky (steady-state margins are >50x in
             # practice: plan execution vs full chase & backchase).
             result = bench.run_prepared_comparison(
-                which, repetitions=3, scale="smoke"
+                which, repetitions=2, scale="smoke"
             )
         return result
 
@@ -231,8 +235,10 @@ def test_e17_smoke_and_emit_json():
     bench = _load_bench_module("bench_e17_templates")
 
     def measure(which):
+        # One warm-up and one steady pass (see E15); three bindings per
+        # template is the floor `assert_templates_effective` itself gates.
         result = bench.run_template_comparison(
-            which, bindings_per_template=3, repetitions=3, scale="smoke"
+            which, bindings_per_template=3, repetitions=2, scale="smoke"
         )
         if result["steady_speedup"] < bench.STEADY_SPEEDUP_FLOOR:
             # Wall-clock comparisons can lose a scheduler race on loaded
@@ -240,7 +246,7 @@ def test_e17_smoke_and_emit_json():
             # making tier-1 flaky (margins are >50x in practice: plan
             # execution vs a fresh chase & backchase per binding).
             result = bench.run_template_comparison(
-                which, bindings_per_template=3, repetitions=3, scale="smoke"
+                which, bindings_per_template=3, repetitions=2, scale="smoke"
             )
         return result
 

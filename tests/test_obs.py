@@ -345,6 +345,23 @@ class TestCounterParity:
         assert counters["containment.evictions"] == info.evictions
         db.close()
 
+    @pytest.mark.parametrize("strategy", ["pruned", "full"])
+    @pytest.mark.parametrize("name", ["rs", "rabc", "oo_asr", "projdept"])
+    def test_every_computed_verdict_has_a_containment_span(self, name, strategy):
+        """Regression: the default strategy used to fill the engine's
+        containment cache inline, so its condition-(3) verdicts recorded no
+        ``chase.containment`` span (and no ``latency.chase.containment``
+        sample).  Every cache miss is a computed verdict is a span."""
+
+        db = Database.from_workload(
+            name, strategy=strategy, obs=ObsConfig(tracing=True)
+        )
+        result = db.optimize(db.workload.query)
+        spans = [s for s in db.obs.tracer.spans if s.name == "chase.containment"]
+        assert result.containment.misses > 0
+        assert len(spans) == result.containment.misses
+        db.close()
+
     def test_counters_accumulate_across_optimizes(self):
         db = Database.from_workload("rs", n_r=20, n_s=20, b_values=10, seed=1)
         r1 = db.optimize(parse_query(JOIN_Q))

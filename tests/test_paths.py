@@ -58,6 +58,11 @@ class TestStructure:
         assert P.size(path) == 3
         assert P.depth(path) == 3
 
+    def test_count_probes(self):
+        nested = Lookup(SName("M"), Attr(NFLookup(SName("N"), Var("k")), "A"))
+        assert P.count_probes(nested) == 2
+        assert P.count_probes(Attr(Var("x"), "A")) == 0
+
 
 class TestSubstitute:
     def test_substitute_var(self):

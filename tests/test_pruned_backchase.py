@@ -8,17 +8,19 @@ workload scenarios, and the strategy plumbing.
 
 import pytest
 
+from repro import Database
 from repro.backchase.backchase import (
     BackchaseStats,
+    build_candidate,
     minimal_subqueries,
 )
-from repro.backchase.pruned import pruned_minimal_subqueries
+from repro.backchase.bottomup import restrict_to_bindings
 from repro.chase.chase import ChaseEngine, chase
 from repro.chase.containment import is_contained_in
 from repro.errors import BackchaseError, OptimizationError
 from repro.optimizer.cost import estimate_cost
 from repro.optimizer.optimizer import Optimizer
-from repro.query.parser import parse_query
+from repro.query.parser import parse_constraint, parse_query
 
 
 def q(text):
@@ -57,7 +59,7 @@ class TestStatsCounters:
 
     def test_counter_invariants_pruned(self):
         stats = BackchaseStats()
-        pruned_minimal_subqueries(q(REDUNDANT), [], stats=stats)
+        minimal_subqueries(q(REDUNDANT), [], stats=stats, strategy="pruned")
         assert stats.nodes_visited >= 1
         assert stats.normal_forms >= 1
         assert stats.steps_attempted >= stats.candidates_explored
@@ -67,7 +69,9 @@ class TestStatsCounters:
     def test_pruned_never_explores_more(self):
         full_stats, pruned_stats = BackchaseStats(), BackchaseStats()
         minimal_subqueries(q(REDUNDANT), [], stats=full_stats)
-        pruned_minimal_subqueries(q(REDUNDANT), [], stats=pruned_stats)
+        minimal_subqueries(
+            q(REDUNDANT), [], stats=pruned_stats, strategy="pruned"
+        )
         assert (
             pruned_stats.candidates_explored <= full_stats.candidates_explored
         )
@@ -121,8 +125,8 @@ class TestBoundedCacheCounterParity:
     def _search(self, cache_size):
         engine = ChaseEngine([], containment_cache_size=cache_size)
         stats = BackchaseStats()
-        forms = pruned_minimal_subqueries(
-            q(self.INTERLEAVED), [], engine=engine, stats=stats
+        forms = minimal_subqueries(
+            q(self.INTERLEAVED), [], engine=engine, stats=stats, strategy="pruned"
         )
         return engine, stats, forms
 
@@ -201,8 +205,11 @@ class TestPrunedAgainstFull:
         wl = rs_workload
         universal = chase(wl.query, wl.constraints).query
         full = minimal_subqueries(universal, wl.constraints)
-        unbounded = pruned_minimal_subqueries(
-            universal, wl.constraints, plan_cost=lambda form: None
+        unbounded = minimal_subqueries(
+            universal,
+            wl.constraints,
+            strategy="pruned",
+            plan_cost=lambda form: None,
         )
         assert [f.canonical_key() for f in unbounded] == [
             f.canonical_key() for f in full
@@ -212,12 +219,115 @@ class TestPrunedAgainstFull:
         wl = rs_workload
         universal = chase(wl.query, wl.constraints).query
         full = minimal_subqueries(universal, wl.constraints)
-        pruned = pruned_minimal_subqueries(
-            universal, wl.constraints, statistics=wl.statistics
+        pruned = minimal_subqueries(
+            universal, wl.constraints, strategy="pruned", statistics=wl.statistics
         )
         best_full = min(estimate_cost(f, wl.statistics) for f in full)
         best_pruned = min(estimate_cost(f, wl.statistics) for f in pruned)
         assert best_pruned == pytest.approx(best_full)
+
+
+# Recorded from the commit before the two search loops became one (the
+# default `Database.from_workload(name)` build, optimising its canonical
+# query).  Pinned, not re-baselined: the bounded run's counters are
+# byte-identical, the unbounded run visits the same node set, and only the
+# number of containment verdicts `full` computes was allowed to fall.
+PRUNED_BASELINE = {
+    # as_dict() order: nodes_visited, steps_attempted, steps_applied,
+    # normal_forms, candidates_explored, candidates_pruned, cache_hits,
+    # cache_misses; then plan count and best cost
+    "projdept": ((397, 1904, 1597, 4, 1745, 25, 1256, 512), 4, 15.5),
+    "rs": ((58, 258, 145, 6, 195, 0, 112, 99), 9, 5901.0),
+    "rabc": ((18, 57, 40, 2, 53, 4, 26, 34), 4, 25.0),
+    "oo_asr": ((22, 65, 49, 4, 49, 0, 30, 27), 3, 161.0),
+}
+FULL_BASELINE = {
+    # nodes_visited, steps_attempted, steps_applied, candidates_explored,
+    # normal_forms; then plan count and the parent's containment misses
+    "projdept": ((422, 1970, 1643, 1791, 9), 7, 1804),
+    "rs": ((58, 258, 145, 195, 6), 9, 211),
+    "rabc": ((22, 65, 44, 57, 3), 5, 66),
+    "oo_asr": ((22, 65, 49, 49, 4), 3, 52),
+}
+
+
+class TestCountersPinnedAcrossTheMerge:
+    @staticmethod
+    def _optimize(name, strategy):
+        db = Database.from_workload(name, strategy=strategy)
+        try:
+            return db.optimize(db.workload.query)
+        finally:
+            db.close()
+
+    @pytest.mark.parametrize("name", sorted(PRUNED_BASELINE))
+    def test_pruned_counters_plans_and_cost(self, name):
+        counters, plan_count, best_cost = PRUNED_BASELINE[name]
+        result = self._optimize(name, "pruned")
+        assert tuple(result.backchase_stats.as_dict().values()) == counters
+        assert len(result.plans) == plan_count
+        assert result.best.cost == best_cost
+
+    @pytest.mark.parametrize("name", sorted(FULL_BASELINE))
+    def test_full_visits_the_same_nodes_with_no_more_verdicts(self, name):
+        counters, plan_count, parent_misses = FULL_BASELINE[name]
+        result = self._optimize(name, "full")
+        stats = result.backchase_stats
+        assert (
+            stats.nodes_visited,
+            stats.steps_attempted,
+            stats.steps_applied,
+            stats.candidates_explored,
+            stats.normal_forms,
+        ) == counters
+        assert stats.candidates_pruned == 0
+        assert len(result.plans) == plan_count
+        assert result.containment.misses <= parent_misses
+
+
+class TestSharedConstructor:
+    """`build_candidate` is what `restrict_to_bindings` builds through: on
+    the bottom-up reference's own fixtures the two agree subset by subset,
+    so the constructor cannot drift from the reference's expectations."""
+
+    VIEW_DEPS = (
+        "forall (r in R, s in S) where r.B = s.B -> exists (v in V) "
+        "v.A = r.A and v.C = s.C",
+        "forall (v in V) -> exists (r in R, s in S) r.B = s.B and "
+        "v.A = r.A and v.C = s.C",
+    )
+
+    def _assert_agree(self, universal, deps):
+        all_vars = universal.binding_vars()
+        for mask in range(1, 2 ** len(all_vars) - 1):  # proper, non-empty
+            kept = frozenset(
+                v for i, v in enumerate(all_vars) if mask >> i & 1
+            )
+            dropped = frozenset(all_vars) - kept
+            built = build_candidate(universal, dropped)
+            restricted = restrict_to_bindings(universal, kept, deps, check=False)
+            assert (built is None) == (restricted is None), kept
+            if built is not None:
+                assert built == restricted, kept
+                assert set(built.binding_vars()) == kept
+
+    def test_view_scenario(self):
+        deps = [
+            parse_constraint(text, name)
+            for text, name in zip(self.VIEW_DEPS, ("cV", "cV'"))
+        ]
+        query = q("select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B")
+        self._assert_agree(chase(query, deps).query, deps)
+
+    def test_rs_workload(self, rs_workload):
+        wl = rs_workload
+        self._assert_agree(chase(wl.query, wl.constraints).query, wl.constraints)
+
+    def test_tableau_minimization(self):
+        self._assert_agree(q(REDUNDANT), [])
+
+    def test_unbound_variable_rejected(self):
+        assert build_candidate(q(REDUNDANT), frozenset(("ghost",))) is None
 
 
 class TestStrategyPlumbing:
@@ -247,7 +357,7 @@ class TestStrategyPlumbing:
             "where a.A = b.A and b.A = c.A and c.A = d.A"
         )
         with pytest.raises(BackchaseError, match="exceeded"):
-            pruned_minimal_subqueries(query, [], max_nodes=1)
+            minimal_subqueries(query, [], max_nodes=1, strategy="pruned")
 
     def test_optimizer_reports_strategy(self, rabc):
         opt = Optimizer(

@@ -64,6 +64,19 @@ class TestStructure:
         query = q("select struct(A = r.A) from R r, S s where r.B = s.B")
         assert query.size() == 3
 
+    def test_condition_levels(self):
+        query = q(
+            "select struct(A = r.A) from R r, S s, T t "
+            "where 1 = 1 and r.A = 5 and r.B = s.B and s.C = 7"
+        )
+        levels = query.condition_levels()
+        assert [[str(c) for c in level] for level in levels] == [
+            ["1 = 1"],
+            ["r.A = 5"],
+            ["r.B = s.B", "s.C = 7"],
+            [],
+        ]
+
 
 class TestTransformations:
     def test_substitute(self):
