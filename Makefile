@@ -2,7 +2,10 @@
 #
 #   make test         tier-1 suite (what CI gates on)
 #   make check        the full gate: lint, tier-1 tests, bench smokes,
-#                     golden suite, benchmarks/perf harness tests
+#                     golden suite, benchmarks/perf harness tests,
+#                     determinism
+#   make determinism  goldens, pinned search counters and the chase
+#                     differential suite under PYTHONHASHSEED=0, 1, 2
 #   make golden       regenerate tests/golden/* (review the diff!)
 #   make lint         bytecode-compile src/tests/benchmarks + static
 #                     analysis (parser round trip + codegen verifier over
@@ -30,7 +33,13 @@ PYTEST := PYTHONPATH=src python -m pytest
 
 GOLDEN_FILES := tests/test_golden_plans.py tests/test_advisor.py
 
-.PHONY: test check lint loc golden bench bench-smoke bench-report \
+# What must not depend on the hash seed: the chase keeps a set of
+# satisfied triggers and a dict-of-lists class index.
+DETERMINISM_TESTS := tests/test_golden_plans.py \
+	tests/test_pruned_backchase.py::TestCountersPinnedAcrossTheMerge \
+	tests/test_chase_differential.py
+
+.PHONY: test check lint loc golden determinism bench bench-smoke bench-report \
 	bench-e12 bench-e13 bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 \
 	bench-e19 bench-e20
 
@@ -39,12 +48,19 @@ test:
 
 # The chained gate: unit/integration tests first (excluding the smoke and
 # golden markers so failures localize), then the benchmark smokes, the
-# cross-strategy golden suite, and the benchmark harness's own tests.
+# cross-strategy golden suite, the benchmark harness's own tests, and the
+# hash-seed sweep.
 check: lint
 	$(PYTEST) -x -q --durations=15 -m "not bench_smoke and not golden"
 	$(PYTEST) -q --durations=15 -m bench_smoke tests/test_bench_smoke.py
 	$(PYTEST) -q -m golden $(GOLDEN_FILES)
 	$(PYTEST) -q benchmarks/perf
+	$(MAKE) --no-print-directory determinism
+
+determinism:
+	for seed in 0 1 2; do \
+		PYTHONHASHSEED=$$seed $(PYTEST) -q $(DETERMINISM_TESTS) || exit 1; \
+	done
 
 lint:
 	python -m compileall -q src tests benchmarks

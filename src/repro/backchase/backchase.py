@@ -95,13 +95,33 @@ PARANOID_CHECKS = False
 
 def _failing_lookup_safe(
     lookup: Lookup,
-    prefix: Sequence[Binding],
-    conditions: Sequence[Eq],
+    prefix: Tuple[Binding, ...],
+    conditions: Tuple[Eq, ...],
     engine: ChaseEngine,
 ) -> bool:
     """Is ``lookup``'s key provably in ``dom`` of its dictionary, given the
-    bindings/conditions in scope when the lookup evaluates?"""
+    bindings/conditions in scope when the lookup evaluates?
 
+    A pure function of its arguments and the engine's dependencies, so the
+    verdict is remembered on the engine: the candidates of a search share
+    most of their prefixes.
+    """
+
+    memo_key = (lookup, prefix, conditions)
+    verdict = engine.lookup_safety.get(memo_key)
+    if verdict is None:
+        verdict = engine.lookup_safety[memo_key] = _decide_lookup_safe(
+            lookup, prefix, conditions, engine
+        )
+    return verdict
+
+
+def _decide_lookup_safe(
+    lookup: Lookup,
+    prefix: Tuple[Binding, ...],
+    conditions: Tuple[Eq, ...],
+    engine: ChaseEngine,
+) -> bool:
     # Syntactic guard (PC restriction 2 shape): the key is a variable
     # bound to the domain of the same dictionary.
     if isinstance(lookup.key, Var):
@@ -114,27 +134,27 @@ def _failing_lookup_safe(
                 return True
     if not prefix:
         return False
-    premise = PCQuery(
-        PathOutput(Var(prefix[-1].var)), tuple(prefix), tuple(conditions)
-    )
+    premise = PCQuery(PathOutput(Var(prefix[-1].var)), prefix, conditions)
     chased, cc = engine.chase_with_cc(premise)
     rename = {b.var: Var(f"_v{i}") for i, b in enumerate(premise.bindings)}
     base_c = P.substitute(lookup.base, rename)
     key_c = P.substitute(lookup.key, rename)
-
-    def same(a: Path, b: Path) -> bool:
-        if a == b:
-            return True
-        return a in cc and b in cc and cc.find(a) == cc.find(b)
-
-    for b in chased.bindings:
-        if (
-            isinstance(b.source, Dom)
-            and same(b.source.base, base_c)
-            and same(Var(b.var), key_c)
-        ):
-            return True
-    return False
+    # Deliberately syntactic: dictionary and key must *occur* in the chased
+    # prefix (as a variable or a subterm).  A key that is merely derivable
+    # as congruent to a dom-bound variable would be safe too, but accepting
+    # it changes which candidates survive (the counters pinned in
+    # tests/test_pruned_backchase.py), and the closure's auxiliary terms
+    # must not decide a verdict.
+    occurring = {Var(b.var) for b in chased.bindings}
+    occurring.update(chased.all_terms())
+    if base_c not in occurring or key_c not in occurring:
+        return False
+    return any(
+        isinstance(b.source, Dom)
+        and cc.equal(b.source.base, base_c)
+        and cc.equal(Var(b.var), key_c)
+        for b in chased.bindings
+    )
 
 
 def plan_lookups_safe(query: PCQuery, engine: ChaseEngine) -> bool:
@@ -154,7 +174,7 @@ def plan_lookups_safe(query: PCQuery, engine: ChaseEngine) -> bool:
     def path_safe(path: Path, prefix_len: int, conds: Sequence[Eq]) -> bool:
         return all(
             _failing_lookup_safe(
-                term, query.bindings[:prefix_len], conds, engine
+                term, query.bindings[:prefix_len], tuple(conds), engine
             )
             for term in P.subterms(path)
             if isinstance(term, Lookup)

@@ -14,12 +14,22 @@ where clause.
 Chasing to a fixpoint with the constraints that characterize physical
 structures yields the paper's **universal plan**.  The chase terminates
 for full dependencies; a step bound guards arbitrary constraint sets.
+
+One chase is one live state (:class:`ChaseState`): the query so far, its
+congruence closure, and the triggers already found satisfied.  A step only
+ever *adds* bindings and equalities, so the closure is extended in place
+(the step's bindings added, its conditions merged) rather than rebuilt, a
+trigger once satisfied is never proved again, and :class:`ChaseEngine`
+hands the finished closure on to containment and lookup-safety checks.
+Dependency order and the first-applicable-homomorphism rule are those of
+the restart-and-rebuild loop this replaced; that loop survives as the
+oracle of ``tests/test_chase_differential.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.chase.congruence import CongruenceClosure, build_congruence
 from repro.chase.homomorphism import Hom, find_hom, match_bindings
@@ -27,7 +37,7 @@ from repro.constraints.epcd import EPCD
 from repro.errors import ChaseNonTermination
 from repro.query import paths as P
 from repro.query.ast import Binding, Eq, PCQuery, fresh_var_namer
-from repro.query.paths import Var
+from repro.query.paths import Path, Var
 
 DEFAULT_MAX_STEPS = 200
 
@@ -52,6 +62,9 @@ class ChaseResult:
 
     query: PCQuery
     steps: List[ChaseStep] = field(default_factory=list)
+    #: the chase's own closure of ``query`` (plus the auxiliary terms
+    #: matching looked at); ``None`` only for hand-built results
+    congruence: Optional[CongruenceClosure] = None
 
     @property
     def universal_plan(self) -> PCQuery:
@@ -79,13 +92,28 @@ def conclusion_satisfied(
 
 
 def find_applicable_hom(
-    dep: EPCD, query: PCQuery, cc: CongruenceClosure
+    dep: EPCD,
+    query: PCQuery,
+    cc: CongruenceClosure,
+    satisfied: Optional[Set[Tuple[Path, ...]]] = None,
 ) -> Optional[Hom]:
-    """First premise homomorphism whose conclusion is not yet satisfied."""
+    """First premise homomorphism whose conclusion is not yet satisfied.
 
+    ``satisfied`` holds the images (premise-binding order) of the
+    homomorphisms of ``dep`` already found satisfied in this chase; they
+    are skipped and newly satisfied ones recorded.  Sound because a chase
+    only adds bindings and equalities: a witness never disappears.
+    """
+
+    if satisfied is None:
+        satisfied = set()
     for hom in match_bindings(dep.premise_bindings, dep.premise_conditions, query, cc):
+        image = tuple(hom[b.var] for b in dep.premise_bindings)
+        if image in satisfied:
+            continue
         if not conclusion_satisfied(dep, hom, query, cc):
             return hom
+        satisfied.add(image)
     return None
 
 
@@ -116,17 +144,45 @@ def apply_chase_step(
     return chased, step
 
 
+class ChaseState:
+    """One chase in progress: the query so far, its congruence closure and,
+    per dependency, the triggers already found satisfied.  Each step
+    extends all three; nothing is rebuilt."""
+
+    def __init__(self, query: PCQuery, deps: Sequence[EPCD]) -> None:
+        self.query = query
+        self.deps = deps
+        self.cc = build_congruence(query)
+        self.satisfied: List[Set[Tuple[Path, ...]]] = [set() for _ in deps]
+
+    def step(self) -> Optional[ChaseStep]:
+        """Apply the first applicable chase step, or ``None`` at fixpoint.
+
+        Deterministic: dependencies are tried in the given order and the
+        first applicable homomorphism (target binding order) is applied.
+        """
+
+        for dep, satisfied in zip(self.deps, self.satisfied):
+            hom = find_applicable_hom(dep, self.query, self.cc, satisfied)
+            if hom is not None:
+                self.query, step = apply_chase_step(self.query, dep, hom)
+                for binding in step.added_bindings:
+                    self.cc.add(Var(binding.var))
+                    self.cc.add(binding.source)
+                for cond in step.added_conditions:
+                    self.cc.merge(cond.left, cond.right)
+                return step
+        return None
+
+
 def chase_once(
     query: PCQuery, deps: Sequence[EPCD]
 ) -> Optional[Tuple[PCQuery, ChaseStep]]:
     """Apply the first applicable chase step, or ``None`` at fixpoint."""
 
-    cc = build_congruence(query)
-    for dep in deps:
-        hom = find_applicable_hom(dep, query, cc)
-        if hom is not None:
-            return apply_chase_step(query, dep, hom)
-    return None
+    state = ChaseState(query, deps)
+    step = state.step()
+    return None if step is None else (state.query, step)
 
 
 def chase(
@@ -136,9 +192,8 @@ def chase(
 ) -> ChaseResult:
     """Chase ``query`` with ``deps`` to a fixpoint.
 
-    Deterministic: constraints are tried in the given order and the first
-    applicable homomorphism (target binding order) is applied, so repeated
-    runs produce the same universal plan.
+    Deterministic (see :meth:`ChaseState.step`), so repeated runs produce
+    the same universal plan.
 
     Raises :class:`ChaseNonTermination` after ``max_steps`` steps, which
     per the paper can only happen for non-full dependency sets; the bound
@@ -146,14 +201,12 @@ def chase(
     is not guaranteed".
     """
 
-    dep_list = list(deps)
-    current = query
+    state = ChaseState(query, list(deps))
     steps: List[ChaseStep] = []
     for _ in range(max_steps):
-        outcome = chase_once(current, dep_list)
-        if outcome is None:
-            return ChaseResult(current, steps)
-        current, step = outcome
+        step = state.step()
+        if step is None:
+            return ChaseResult(state.query, steps, state.cc)
         steps.append(step)
     raise ChaseNonTermination(
         f"chase did not terminate within {max_steps} steps", max_steps
@@ -189,7 +242,12 @@ class ChaseEngine:
         self.max_steps = max_steps
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self._cache: Dict[str, PCQuery] = {}
-        self._cc_cache: Dict[str, "CongruenceClosure"] = {}
+        # by chased query, so chase_with_cc need not canonicalize again
+        self._closures: Dict[PCQuery, CongruenceClosure] = {}
+        #: the backchase's failing-lookup safety verdicts, keyed by
+        #: (lookup, bindings in scope, conditions fired) — like the chase
+        #: results they are a function of the key and ``deps`` alone
+        self.lookup_safety: Dict[Tuple, bool] = {}
         self.cache_hits = 0
         self.cache_misses = 0
         if containment_cache_size == self.DEFAULT_CACHE_SIZE:
@@ -242,21 +300,20 @@ class ChaseEngine:
             self.cache_hits += 1
             return cached
         self.cache_misses += 1
-        result = chase(canonical, self.deps, self.max_steps).query
-        self._cache[key] = result
-        return result
+        result = chase(canonical, self.deps, self.max_steps)
+        self._cache[key] = result.query
+        self._closures[result.query] = result.congruence
+        return result.query
 
     def chase_with_cc(self, query: PCQuery) -> Tuple[PCQuery, CongruenceClosure]:
         """Chased canonical form plus its congruence closure (both cached).
 
-        The congruence closure is shared between containment checks;
-        callers may add terms (monotone and sound) but must not merge.
+        The closure is the chase's own — the one its steps extended — so
+        besides the chased query's terms it holds the auxiliary terms
+        premise matching looked at.  It is shared between containment
+        checks; callers may add terms (monotone and sound) but must not
+        merge.
         """
 
         chased = self.chase(query)
-        key = str(query.canonical())
-        cc = self._cc_cache.get(key)
-        if cc is None:
-            cc = build_congruence(chased)
-            self._cc_cache[key] = cc
-        return chased, cc
+        return chased, self._closures[chased]

@@ -18,10 +18,10 @@ and (2)).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.query import paths as P
-from repro.query.ast import PCQuery
+from repro.query.ast import Binding, PCQuery
 from repro.query.paths import Attr, Const, Dom, Lookup, NFLookup, Path, Var
 
 
@@ -51,6 +51,10 @@ class CongruenceClosure:
         self._use: Dict[Path, Set[Path]] = {}  # root -> composite parents
         self._sig: Dict[Tuple, Path] = {}
         self._const: Dict[Path, Const] = {}  # root -> constant in class
+        # root -> the bindings of ``_indexed`` whose source is in the class
+        # (see :meth:`bindings_in_class`)
+        self._indexed: Optional[Tuple[Binding, ...]] = None
+        self._by_class: Dict[Path, List[Binding]] = {}
         self.inconsistent = False
 
     # -- union-find ----------------------------------------------------------
@@ -75,7 +79,12 @@ class CongruenceClosure:
         return root
 
     def add(self, term: Path) -> Path:
-        """Insert a term (and its subterms); return its representative."""
+        """Insert a term (and its subterms); return its representative.
+
+        A new term congruent to an old one joins the old one's class under
+        the old root, so adding never changes the representative of a term
+        already present — only :meth:`merge` does.
+        """
 
         if term in self._parent:
             return self.find(term)
@@ -128,6 +137,8 @@ class CongruenceClosure:
             if cy is not None and cx is None:
                 self._const[rx] = cy
             self._parent[ry] = rx
+            if ry in self._by_class:
+                self._indexed = None  # its bindings now belong under rx
             self._members[rx] |= self._members.pop(ry)
             moved_parents = self._use.pop(ry)
             # re-signature composite parents of the absorbed class
@@ -146,6 +157,26 @@ class CongruenceClosure:
         """Are ``a`` and ``b`` in the same class?  (Terms are auto-added.)"""
 
         return self.add(a) is self.add(b)
+
+    def bindings_in_class(
+        self, source: Path, bindings: Tuple[Binding, ...]
+    ) -> Sequence[Binding]:
+        """Those of ``bindings`` whose source is congruent to ``source``,
+        in binding order.
+
+        Answers what ``equal(b.source, source)`` over every ``b`` would,
+        from a class → bindings index built once per ``bindings`` tuple and
+        rebuilt only after a union moved an indexed class under another
+        root (adding terms never does).
+        """
+
+        root = self.add(source)
+        if self._indexed is not bindings:
+            by_class: Dict[Path, List[Binding]] = {}
+            for binding in bindings:
+                by_class.setdefault(self.add(binding.source), []).append(binding)
+            self._indexed, self._by_class = bindings, by_class
+        return self._by_class.get(root, ())
 
     def constant_of(self, term: Path) -> Optional[Const]:
         """The constant merged into the term's class, if any."""

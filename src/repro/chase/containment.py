@@ -37,12 +37,13 @@ def is_contained_in(
 
     engine = engine or ChaseEngine(list(deps))
     chased, cc = engine.chase_with_cc(q1)
-    canonical_q1 = q1.canonical()
     if cc.inconsistent:
         # q1 is unsatisfiable (two distinct constants equated): empty ⊑ anything.
         return True
+    # A chase step adds bindings and conditions only, so the chased
+    # query's output is still canonical q1's.
     for hom in match_bindings(q2.bindings, q2.conditions, chased, cc):
-        if output_matches(q2.output, canonical_q1.output, hom, cc):
+        if output_matches(q2.output, chased.output, hom, cc):
             return True
     return False
 
@@ -94,11 +95,7 @@ def implies(
         cc,
         initial=identity,
     )
-    if witness is not None:
-        return True
-    if renamed_dep.is_egd():
-        return False
-    return False
+    return witness is not None
 
 
 def _rename_universals(dep: EPCD, renaming: dict) -> EPCD:

@@ -16,7 +16,7 @@ collections, so mapping variables to variables is complete for PC queries
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.chase.congruence import CongruenceClosure
 from repro.query import paths as P
@@ -44,26 +44,20 @@ def match_bindings(
 
     base: Hom = dict(initial or {})
     bindings = list(bindings)
-    conditions = list(conditions)
 
     # Pre-compute, per candidate step, which conditions become fully
     # instantiated once a prefix of the constraint variables is mapped —
     # checking early prunes the search.
     all_new_vars = [b.var for b in bindings]
     known = set(base)
-    cond_level = []
+    conditions_at: List[List[Eq]] = [[] for _ in range(len(bindings) + 1)]
     for cond in conditions:
         needed = (P.free_vars(cond.left) | P.free_vars(cond.right)) - known
         level = 0
         for i, var in enumerate(all_new_vars):
             if var in needed:
                 level = i + 1
-        cond_level.append(level)
-
-    def conditions_at(level: int) -> Iterator[Eq]:
-        for cond, lvl in zip(conditions, cond_level):
-            if lvl == level:
-                yield cond
+        conditions_at[level].append(cond)
 
     def check(cond: Eq, hom: Hom) -> bool:
         left = P.substitute(cond.left, hom)
@@ -76,17 +70,14 @@ def match_bindings(
             return
         binding = bindings[index]
         wanted_source = P.substitute(binding.source, hom)
-        cc.add(wanted_source)
-        for target_binding in target.bindings:
-            if not cc.equal(target_binding.source, wanted_source):
-                continue
+        for target_binding in cc.bindings_in_class(wanted_source, target.bindings):
             hom[binding.var] = Var(target_binding.var)
-            if all(check(cond, hom) for cond in conditions_at(index + 1)):
+            if all(check(cond, hom) for cond in conditions_at[index + 1]):
                 yield from extend(index + 1, hom)
             del hom[binding.var]
 
     # variable-free conditions must hold outright
-    if not all(check(cond, base) for cond in conditions_at(0)):
+    if not all(check(cond, base) for cond in conditions_at[0]):
         return
     yield from extend(0, base)
 

@@ -84,14 +84,14 @@ if HAVE_HYPOTHESIS:
         return PCQuery.make(fields, bindings, conditions)
 
     @st.composite
-    def constraint_sets(draw, max_groups: int = 2):
-        """A random set of EPCDs: up to ``max_groups`` pool groups."""
+    def constraint_sets(draw, max_groups: int = 2, min_groups: int = 0):
+        """A random set of EPCDs: ``min_groups`` to ``max_groups`` pool groups."""
 
         pool = constraint_pool()
         picked = draw(
             st.lists(
                 st.sampled_from([name for name, _ in pool]),
-                min_size=0,
+                min_size=min_groups,
                 max_size=max_groups,
                 unique=True,
             )

@@ -1,0 +1,263 @@
+"""Differential harness for the chase: ``src/`` against the naive oracle.
+
+``repro.chase.chase`` runs one chase as one live state — the closure is
+extended, satisfied triggers are remembered, premises are matched through
+a class index, lookup-safety verdicts are memoized.  None of that may
+change *what* is computed: on every query this suite can reach, the chased
+query text, the step sequence and the ``ChaseNonTermination`` bound must
+equal those of :func:`chase_oracle.naive_chase`, which does none of it.
+The suite is also what the ``make determinism`` target runs under three
+hash seeds, and the harness the next chase refactoring is held to.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from chase_oracle import (
+    linear_match_bindings,
+    naive_chase,
+    naive_satisfied,
+)
+from repro.api.workloads import WORKLOAD_NAMES, build_workload
+from repro.backchase import backchase
+from repro.chase import chase as chase_module
+from repro.chase.chase import DEFAULT_MAX_STEPS, ChaseEngine, ChaseState, chase
+from repro.chase.congruence import build_congruence
+from repro.chase.homomorphism import match_bindings
+from repro.errors import ChaseNonTermination
+from repro.optimizer.optimizer import Optimizer
+from repro.physical.indexes import SecondaryIndex
+from repro.query.parser import parse_constraint, parse_query
+from repro.query.paths import Attr, Lookup, SName, Var
+
+
+def chase_mismatch(query, deps, max_steps=DEFAULT_MAX_STEPS):
+    """``None`` when ``chase`` and the oracle agree, else what differed."""
+
+    try:
+        want_query, want_steps = naive_chase(query, deps, max_steps)
+    except ChaseNonTermination as want:
+        try:
+            chase(query, deps, max_steps)
+        except ChaseNonTermination as got:
+            return None if got.steps == want.steps else (want.steps, got.steps)
+        return "oracle did not terminate, chase() did"
+    try:
+        got = chase(query, deps, max_steps)
+    except ChaseNonTermination:
+        return "chase() did not terminate, the oracle did"
+    if str(got.query) != str(want_query):
+        return (str(want_query), str(got.query))
+    if got.steps != want_steps:
+        return (want_steps, got.steps)
+    return None
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return {name: build_workload(name) for name in WORKLOAD_NAMES}
+
+
+@pytest.fixture(scope="module")
+def searches(workloads):
+    """One pruned optimize per workload with two observers installed: every
+    query the engine really chases is chased by the oracle too, and every
+    lookup-safety verdict served is decided again without the memo."""
+
+    observed = {}
+    for name, wl in workloads.items():
+        chased, chase_diffs, verdicts, verdict_diffs = [], [], [], []
+        real_chase = chase_module.chase
+        real_safe = backchase._failing_lookup_safe
+
+        def checked_chase(query, deps, max_steps=DEFAULT_MAX_STEPS):
+            chased.append(query)
+            diff = chase_mismatch(query, deps, max_steps)
+            if diff is not None:
+                chase_diffs.append((str(query), diff))
+            return real_chase(query, deps, max_steps)
+
+        def checked_safe(lookup, prefix, conditions, engine):
+            served = real_safe(lookup, prefix, conditions, engine)
+            decided = backchase._decide_lookup_safe(
+                lookup, prefix, conditions, engine
+            )
+            verdicts.append(served)
+            if served != decided:
+                verdict_diffs.append((str(lookup), prefix, conditions))
+            return served
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(chase_module, "chase", checked_chase)
+            patch.setattr(backchase, "_failing_lookup_safe", checked_safe)
+            Optimizer(
+                wl.constraints,
+                physical_names=wl.physical_names,
+                statistics=wl.statistics,
+            ).optimize(wl.query)
+        observed[name] = (chased, chase_diffs, verdicts, verdict_diffs)
+    return observed
+
+
+class TestAgainstTheNaiveChase:
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_workload_queries(self, workloads, name):
+        wl = workloads[name]
+        assert chase_mismatch(wl.query, wl.constraints) is None
+
+    @pytest.mark.parametrize("name", ("projdept", "rs"))
+    def test_every_chase_of_a_search(self, searches, name):
+        """Prefix premises of the lookup-safety check and the candidates of
+        condition (3): the chases a backchase search actually pays for."""
+
+        chased, diffs, _, _ = searches[name]
+        assert len(chased) > 50, "the search chased almost nothing"
+        assert diffs == []
+
+    def test_nontermination_at_the_same_bound(self):
+        query = parse_query("select struct(A = r.A) from R r")
+        loop = parse_constraint(
+            "forall (x in R) -> exists (y in R) y.Parent = x", "loop"
+        )
+        for bound in (0, 1, 7):
+            assert chase_mismatch(query, [loop], bound) is None
+            with pytest.raises(ChaseNonTermination) as raised:
+                chase(query, [loop], max_steps=bound)
+            assert raised.value.steps == bound
+
+
+def satisfied_triggers_stay_satisfied(query, deps, max_steps=40):
+    """Drive one chase; after every step re-prove, on a closure built from
+    scratch, every trigger the state has recorded as satisfied."""
+
+    state = ChaseState(query, list(deps))
+    for _ in range(max_steps):
+        if state.step() is None:
+            break
+        fresh = build_congruence(state.query)
+        for dep, images in zip(state.deps, state.satisfied):
+            for image in images:
+                hom = dict(zip((b.var for b in dep.premise_bindings), image))
+                assert naive_satisfied(dep, hom, state.query, fresh), (dep.name, hom)
+    return state
+
+
+def assert_index_is_the_linear_scan(bindings, conditions, target, cc):
+    assert list(match_bindings(bindings, conditions, target, cc)) == list(
+        linear_match_bindings(bindings, conditions, target, cc)
+    )
+
+
+class TestThePieces:
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_satisfied_triggers_stay_satisfied(self, workloads, name):
+        wl = workloads[name]
+        state = satisfied_triggers_stay_satisfied(wl.query, wl.constraints)
+        assert any(state.satisfied), "no trigger was ever remembered"
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_class_index_is_the_linear_scan(self, workloads, name):
+        """Same homomorphisms, same order — premises into the universal
+        plan, and the query's own body into it (the containment shape)."""
+
+        wl = workloads[name]
+        result = chase(wl.query, wl.constraints)
+        universal = result.query
+        for dep in wl.constraints:
+            assert_index_is_the_linear_scan(
+                dep.premise_bindings, dep.premise_conditions, universal,
+                result.congruence,
+            )
+        assert_index_is_the_linear_scan(
+            wl.query.bindings, wl.query.conditions, universal,
+            build_congruence(universal),
+        )
+
+    def test_class_index_survives_a_union(self):
+        """A merge that moves an indexed class under another root must
+        refresh the index before the next match."""
+
+        target = parse_query(
+            "select struct(A = r.A) from R r, M[r.A] s, M[r.B] t"
+        )
+        premise = parse_query("select struct(A = x.A) from R x, M[x.B] y")
+        cc = build_congruence(target)
+        before = list(match_bindings(premise.bindings, (), target, cc))
+        assert [str(h["y"]) for h in before] == ["t"]
+        cc.merge(Attr(Var("r"), "A"), Attr(Var("r"), "B"))  # so M[r.A] = M[r.B]
+        after = list(match_bindings(premise.bindings, (), target, cc))
+        assert [str(h["y"]) for h in after] == ["s", "t"]
+        assert_index_is_the_linear_scan(premise.bindings, (), target, cc)
+
+    def test_lookup_safety_is_decided_on_occurring_terms(self):
+        """Pinned semantics: the key must occur in the chased prefix.  The
+        chase's closure knows ``r2.B`` (premise matching asked about it)
+        and knows it equal to the dom-bound key — an auxiliary term must
+        not turn the verdict."""
+
+        engine = ChaseEngine(SecondaryIndex("IXB", "R", "B").constraints())
+        prefix = parse_query("select struct(A = r.A) from R r, R r2 where r = r2")
+        verdicts = {
+            var: backchase._failing_lookup_safe(
+                Lookup(SName("IXB"), Attr(Var(var), "B")),
+                prefix.bindings, prefix.conditions, engine,
+            )
+            for var in ("r", "r2")
+        }
+        assert verdicts == {"r": True, "r2": False}
+        chased, cc = engine.chase_with_cc(
+            parse_query("select r2 from R r, R r2 where r = r2")
+        )
+        assert engine.cache_hits and Attr(Var("_v1"), "B") in cc
+        assert Attr(Var("_v1"), "B") not in set(chased.all_terms())
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_lookup_safety_memo_serves_the_unmemoized_verdict(self, searches, name):
+        _, _, verdicts, diffs = searches[name]
+        assert diffs == []
+        if name == "projdept":
+            assert True in verdicts and False in verdicts
+
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+
+from conftest import constraint_sets, pc_queries  # noqa: E402
+
+RELAXED = dict(
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+
+
+# Two to five constraint groups: with fewer, most generated chases take no
+# step at all.
+BUSY = dict(min_groups=2, max_groups=5)
+
+
+@settings(max_examples=150, **RELAXED)
+@given(
+    query=pc_queries(),
+    deps=constraint_sets(**BUSY),
+    max_steps=st.sampled_from((0, 1, 2, 3, 5, 8, 40)),
+)
+def test_generated_chases_equal_the_oracle(query, deps, max_steps):
+    assert chase_mismatch(query, deps, max_steps) is None
+
+
+@settings(max_examples=60, **RELAXED)
+@given(query=pc_queries(), deps=constraint_sets(**BUSY))
+def test_generated_satisfied_triggers_stay_satisfied(query, deps):
+    satisfied_triggers_stay_satisfied(query, deps)
+
+
+@settings(max_examples=100, **RELAXED)
+@given(target=pc_queries(max_bindings=4), source=pc_queries())
+def test_generated_matches_equal_the_linear_scan(target, source):
+    cc = build_congruence(target)
+    assert_index_is_the_linear_scan(source.bindings, source.conditions, target, cc)
+    # once more on the closure as the first match left it (auxiliary terms
+    # added, index built)
+    assert_index_is_the_linear_scan(source.bindings, source.conditions, target, cc)

@@ -2,7 +2,9 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.chase.congruence import CongruenceClosure
+from conftest import constraint_sets, pc_queries
+from repro.chase.chase import ChaseState
+from repro.chase.congruence import CongruenceClosure, build_congruence
 from repro.query import paths as P
 from repro.query.paths import Attr, Const, Dom, Lookup, SName, Var
 
@@ -119,3 +121,22 @@ def test_constant_clash_detection(pairs, c1, c2):
         assert cc.inconsistent
     else:
         assert cc.inconsistent == before
+
+
+@settings(max_examples=80, deadline=None)
+@given(query=pc_queries(), deps=constraint_sets(min_groups=2, max_groups=5))
+def test_closure_extended_by_chase_steps_equals_the_rebuilt_one(query, deps):
+    """The chase never rebuilds its closure: after every step the extended
+    one must answer like ``build_congruence`` of the query so far, over all
+    pairs of the query's terms."""
+
+    state = ChaseState(query, deps)
+    for _ in range(10):
+        if state.step() is None:
+            break
+        rebuilt = build_congruence(state.query)
+        terms = list(dict.fromkeys(state.query.all_terms()))
+        for i, s in enumerate(terms):
+            for t in terms[i + 1 :]:
+                assert state.cc.equal(s, t) == rebuilt.equal(s, t), (s, t)
+        assert state.cc.inconsistent == rebuilt.inconsistent
