@@ -4,8 +4,8 @@
 #   make check        the full gate: lint, tier-1 tests, bench smokes,
 #                     golden suite, benchmarks/perf harness tests,
 #                     determinism
-#   make determinism  goldens, pinned search counters and the chase
-#                     differential suite under PYTHONHASHSEED=0, 1, 2
+#   make determinism  goldens, pinned search counters and the chase and
+#                     backchase differential suites under PYTHONHASHSEED=0, 1, 2
 #   make golden       regenerate tests/golden/* (review the diff!)
 #   make lint         bytecode-compile src/tests/benchmarks + static
 #                     analysis (parser round trip + codegen verifier over
@@ -34,10 +34,12 @@ PYTEST := PYTHONPATH=src python -m pytest
 GOLDEN_FILES := tests/test_golden_plans.py tests/test_advisor.py
 
 # What must not depend on the hash seed: the chase keeps a set of
-# satisfied triggers and a dict-of-lists class index.
+# satisfied triggers, sets of affected heads and a dict-of-lists class
+# index; the backchase keeps an antichain of accepted variable sets.
 DETERMINISM_TESTS := tests/test_golden_plans.py \
 	tests/test_pruned_backchase.py::TestCountersPinnedAcrossTheMerge \
-	tests/test_chase_differential.py
+	tests/test_chase_differential.py \
+	tests/test_backchase_differential.py
 
 .PHONY: test check lint loc golden determinism bench bench-smoke bench-report \
 	bench-e12 bench-e13 bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 \

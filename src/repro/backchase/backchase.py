@@ -52,12 +52,25 @@ every node of a search is equivalent to its root (each accepted step
 preserves equivalence), so ``candidate ≡ current`` holds iff
 ``candidate ⊑ root`` — a verdict that depends on the candidate alone and
 memoizes perfectly, however many removal orders re-derive the shape.
+
+And the chase runs only when nothing cheaper decides.  Candidates keep the
+root's variable names; the search keeps the **antichain of minimal accepted
+binding-variable sets**, each with its subquery ``A``.  A candidate ``C``
+covering ``A`` is first tested for the identity containment mapping
+``A → C`` in ``C``'s own closure.  If it holds, ``C ⊑ A`` on every instance
+(the homomorphism theorem condition (3) generalizes; no dependency
+involved) and ``A ⊑ root`` was decided when ``A`` was accepted: sound by
+construction, and the chase's own verdict since the chase is complete.
+Otherwise ``C`` is chased as before — subsumption only ever turns a cache
+miss into *True*, and ``plan_lookups_safe`` still runs on everything
+accepted.  Likewise a node's closure is built once; removals work on copies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List
+from typing import Optional, Sequence, Set, Tuple
 
 from repro.chase.chase import ChaseEngine
 from repro.chase.congruence import CongruenceClosure, build_congruence
@@ -351,7 +364,11 @@ def _surviving_conditions(
     return conditions
 
 
-def build_candidate(query: PCQuery, banned: FrozenSet[str]) -> Optional[PCQuery]:
+def build_candidate(
+    query: PCQuery,
+    banned: FrozenSet[str],
+    cc: Optional[CongruenceClosure] = None,
+) -> Optional[PCQuery]:
     """Construct the candidate of removing the ``banned`` bindings
     (conditions (1)-(2) only).
 
@@ -361,12 +378,14 @@ def build_candidate(query: PCQuery, banned: FrozenSet[str]) -> Optional[PCQuery]
     a banned variable is not bound, or the output or a dependent binding
     cannot be rewritten away from the banned ones.  Condition (3), the
     chase-decided equivalence test, is *not* run here: that is
-    :func:`accept_candidate`.
+    :func:`accept_candidate`.  ``cc``: ``query``'s closure, if the caller
+    has one to give away (auxiliary terms are added to it).
     """
 
     if not banned.issubset(query.binding_vars()):
         return None
-    cc = build_congruence(query)
+    if cc is None:
+        cc = build_congruence(query)
 
     # Rewrite the output to avoid the removed variables (condition (2)).
     new_output = _rewrite_output(query.output, cc, banned)
@@ -403,6 +422,7 @@ def accept_candidate(
     parent: PCQuery,
     engine: ChaseEngine,
     key: Optional[Tuple[str, str]] = None,
+    accepted: Iterable[PCQuery] = (),
 ) -> bool:
     """Is ``candidate`` (built from ``parent``) an acceptable backchase step?
 
@@ -414,9 +434,17 @@ def accept_candidate(
     candidate ⊑ parent needs the chase; ``key`` names the cache entry that
     verdict is stored under (default: the (candidate, parent) pair).  An
     equivalent candidate must also keep every failing lookup safe.
+
+    ``accepted``: subqueries already accepted as equivalent to ``parent``,
+    under the candidate's variable names.  A candidate that still contains
+    one binding for binding is contained in it, hence in ``parent``, and is
+    not chased (module docstring).  Observable only where the chase does
+    not terminate: without ``accepted`` the verdict raises
+    :class:`~repro.errors.ChaseNonTermination` at the step bound, with it a
+    subsumed candidate is accepted without reaching the bound.
     """
 
-    if not engine.contained_in(candidate, parent, key=key):
+    if not engine.contained_in(candidate, parent, key=key, accepted=accepted):
         return False
     if PARANOID_CHECKS and not engine.contained_in(parent, candidate):
         raise BackchaseError(
@@ -590,6 +618,9 @@ def minimal_subqueries(
     verdicts: Dict[str, bool] = {}
     memo_hits = 0
 
+    # antichain of minimal accepted binding-variable sets -> subquery
+    accepted: Dict[FrozenSet[str], PCQuery] = {}
+
     best: Optional[float] = None
     # Every shape ever queued, with its bound: a shape is queued (hence
     # visited) at most once.
@@ -609,22 +640,27 @@ def minimal_subqueries(
 
         reduced_any = False
         children: List[Tuple[float, str, PCQuery]] = []
+        cc = build_congruence(current)  # each removal works on a copy
         for var in current.binding_vars():
             stats.steps_attempted += 1
-            candidate = build_candidate(current, frozenset((var,)))
+            candidate = build_candidate(current, frozenset((var,)), cc.copy())
             if candidate is None:
                 continue
             stats.candidates_explored += 1
             ckey = candidate.canonical_key()
-            accepted = verdicts.get(ckey)
-            if accepted is None:
-                accepted = verdicts[ckey] = accept_candidate(
-                    candidate, current, engine, key=(ckey, root_key)
+            verdict = verdicts.get(ckey)
+            if verdict is None:
+                verdict = verdicts[ckey] = accept_candidate(
+                    candidate, current, engine, (ckey, root_key), accepted.values()
                 )
             else:
                 memo_hits += 1
-            if not accepted:
+            if not verdict:
                 continue
+            names = frozenset(candidate.binding_vars())
+            if not any(kept <= names for kept in accepted):
+                accepted = {k: a for k, a in accepted.items() if not names < k}
+                accepted[names] = candidate
             stats.steps_applied += 1
             reduced_any = True
             if ckey in floors:

@@ -24,15 +24,24 @@ hands the finished closure on to containment and lookup-safety checks.
 Dependency order and the first-applicable-homomorphism rule are those of
 the restart-and-rebuild loop this replaced; that loop survives as the
 oracle of ``tests/test_chase_differential.py``.
+
+A dependency scanned to "no applicable homomorphism" is *clean* and is
+scanned again only if a step can have affected it ("check only what the
+update can affect"): a new binding arrived in a class holding the head
+symbol of one of its premise sources, or a union equated terms over the old
+variables in a class holding the head of one of its premise subterms.  Both
+tests compare head sets, so they only err toward rescanning, and the order
+of dependencies and homomorphisms is untouched (:class:`ChaseState`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple
+from typing import Optional, Sequence, Set, Tuple
 
-from repro.chase.congruence import CongruenceClosure, build_congruence
-from repro.chase.homomorphism import Hom, find_hom, match_bindings
+from repro.chase.congruence import CongruenceClosure, build_congruence, head
+from repro.chase.homomorphism import Hom, Pattern
 from repro.constraints.epcd import EPCD
 from repro.errors import ChaseNonTermination
 from repro.query import paths as P
@@ -71,24 +80,41 @@ class ChaseResult:
         return self.query
 
 
+class _Matcher(NamedTuple):
+    """One dependency as the chase reads it: both sides as patterns, the
+    heads of the premise sources and of every premise subterm."""
+
+    premise: Pattern
+    conclusion: Pattern
+    source_heads: FrozenSet
+    vocabulary: FrozenSet
+
+
+def _matcher(dep: EPCD) -> _Matcher:
+    matcher = dep.__dict__.get("_matcher")
+    if matcher is None:
+        sources = [b.source for b in dep.premise_bindings]
+        sides = [s for c in dep.premise_conditions for s in (c.left, c.right)]
+        matcher = _Matcher(
+            Pattern(dep.premise_bindings, dep.premise_conditions),
+            Pattern(
+                dep.conclusion_bindings, dep.conclusion_conditions, dep.universal_vars()
+            ),
+            frozenset(map(head, sources)),
+            frozenset(head(t) for p in sources + sides for t in P.subterms(p)),
+        )
+        object.__setattr__(dep, "_matcher", matcher)
+    return matcher
+
+
 def conclusion_satisfied(
     dep: EPCD, hom: Hom, query: PCQuery, cc: CongruenceClosure
 ) -> bool:
     """Is the conclusion of ``dep`` already witnessed in ``query`` under ``hom``?"""
 
-    if dep.is_egd():
-        return all(
-            cc.equal(P.substitute(c.left, hom), P.substitute(c.right, hom))
-            for c in dep.conclusion_conditions
-        )
-    extension = find_hom(
-        dep.conclusion_bindings,
-        dep.conclusion_conditions,
-        query,
-        cc,
-        initial=hom,
-    )
-    return extension is not None
+    # (an EGD has no conclusion bindings: the extension is ``hom`` itself)
+    witnesses = _matcher(dep).conclusion.match(query, cc, hom)
+    return next(witnesses, None) is not None
 
 
 def find_applicable_hom(
@@ -107,7 +133,7 @@ def find_applicable_hom(
 
     if satisfied is None:
         satisfied = set()
-    for hom in match_bindings(dep.premise_bindings, dep.premise_conditions, query, cc):
+    for hom in _matcher(dep).premise.match(query, cc):
         image = tuple(hom[b.var] for b in dep.premise_bindings)
         if image in satisfied:
             continue
@@ -146,33 +172,85 @@ def apply_chase_step(
 
 class ChaseState:
     """One chase in progress: the query so far, its congruence closure and,
-    per dependency, the triggers already found satisfied.  Each step
-    extends all three; nothing is rebuilt."""
+    per dependency, the triggers already found satisfied and whether it is
+    clean (scanned to "no applicable homomorphism", unaffected since).
+    Each step extends all of them; nothing is rebuilt."""
 
     def __init__(self, query: PCQuery, deps: Sequence[EPCD]) -> None:
         self.query = query
         self.deps = deps
         self.cc = build_congruence(query)
         self.satisfied: List[Set[Tuple[Path, ...]]] = [set() for _ in deps]
+        self.clean = [False] * len(deps)
 
     def step(self) -> Optional[ChaseStep]:
         """Apply the first applicable chase step, or ``None`` at fixpoint.
 
-        Deterministic: dependencies are tried in the given order and the
-        first applicable homomorphism (target binding order) is applied.
+        Deterministic: dependencies are tried in the given order (a clean
+        one has nothing to apply and is passed over) and the first
+        applicable homomorphism (target binding order) is applied.
         """
 
-        for dep, satisfied in zip(self.deps, self.satisfied):
-            hom = find_applicable_hom(dep, self.query, self.cc, satisfied)
-            if hom is not None:
-                self.query, step = apply_chase_step(self.query, dep, hom)
-                for binding in step.added_bindings:
-                    self.cc.add(Var(binding.var))
-                    self.cc.add(binding.source)
-                for cond in step.added_conditions:
-                    self.cc.merge(cond.left, cond.right)
-                return step
+        for i, dep in enumerate(self.deps):
+            if self.clean[i]:
+                continue
+            hom = find_applicable_hom(dep, self.query, self.cc, self.satisfied[i])
+            if hom is None:
+                self.clean[i] = True
+                continue
+            self.query, step = apply_chase_step(self.query, dep, hom)
+            arrived, equated = self._extend_closure(step)
+            self.clean = [
+                clean
+                and matcher.source_heads.isdisjoint(arrived)
+                and matcher.vocabulary.isdisjoint(equated)
+                for matcher, clean in zip(map(_matcher, self.deps), self.clean)
+            ]
+            return step
         return None
+
+    # Why a clean dependency can be passed over.  Its old homomorphisms stay
+    # satisfied, so it needs a new one, and a step offers two ways to one.
+    # (a) A premise binding maps to a *new binding*: then the class of the
+    # new binding's source holds a member with the head of that premise
+    # source, since a term joins a class only by being in it or by
+    # congruence with a member of the same head.  (b) Every premise binding
+    # maps to an old one and a premise source or condition newly holds:
+    # then a union equated two terms over the old variables, and the image
+    # of some premise subterm lies in the united class — a head of the
+    # class is a head of the premise.  Only a side made of the step's fresh
+    # variables alone brings no old term to a union: a term *over* a fresh
+    # variable may stand for an old one (``t.A`` for ``r.A`` once ``t = r``).
+
+    def _extend_closure(self, step: ChaseStep) -> Tuple[Set, Set]:
+        """Add the step's bindings and equalities to the closure; return
+        the heads that ``arrived`` in the classes of the new bindings'
+        sources and those of the classes where old terms were ``equated``."""
+
+        cc = self.cc
+        fresh = {Var(b.var) for b in step.added_bindings}
+        # Every term first: one that lands in a class by congruence equates
+        # nothing, and must not look like a union below.
+        for binding in step.added_bindings:
+            cc.add(Var(binding.var))
+            cc.add(binding.source)
+        for cond in step.added_conditions:
+            cc.add(cond.left)
+            cc.add(cond.right)
+        equated: Set = set()
+
+        def on_union(xs: Set[Path], ys: Set[Path]) -> None:
+            if not (xs <= fresh or ys <= fresh):
+                equated.update(map(head, xs), map(head, ys))
+
+        cc.on_union = on_union
+        for cond in step.added_conditions:
+            cc.merge(cond.left, cond.right)
+        cc.on_union = None
+        arrived = {
+            head(m) for b in step.added_bindings for m in cc.members(b.source)
+        }
+        return arrived, equated
 
 
 def chase_once(
@@ -261,7 +339,11 @@ class ChaseEngine:
         return self.containment.cache_info()
 
     def contained_in(
-        self, q1: PCQuery, q2: PCQuery, key: Optional[Tuple[str, str]] = None
+        self,
+        q1: PCQuery,
+        q2: PCQuery,
+        key: Optional[Tuple[str, str]] = None,
+        accepted: Iterable[PCQuery] = (),
     ) -> bool:
         """Decide ``q1 ⊑ q2`` under this engine's dependencies (cached).
 
@@ -271,7 +353,7 @@ class ChaseEngine:
         caller that knows the verdict depends on less than the pair (the
         backchase search: every node is equivalent to its root) passes the
         cache ``key`` to store it under; the decision still runs on
-        ``q1`` and ``q2`` as given.
+        ``q1`` and ``q2`` as given, with ``accepted`` handed on.
         """
 
         from repro.chase.containment import is_contained_in
@@ -285,7 +367,7 @@ class ChaseEngine:
         # are the hot path and already counted by cache_info().
         with self.tracer.span("chase.containment") as sp:
             verdict = self.containment.put(
-                key, is_contained_in(q1, q2, self.deps, self)
+                key, is_contained_in(q1, q2, self.deps, self, accepted)
             )
             sp.set(contained=verdict)
         return verdict

@@ -18,7 +18,7 @@ and (2)).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.query import paths as P
 from repro.query.ast import Binding, PCQuery
@@ -41,6 +41,13 @@ def _signature_op(term: Path) -> Tuple:
     return ()
 
 
+def head(term: Path):
+    """What a term is matched by: its operator, the atom itself (schema
+    name, constant), or one shared symbol for every variable."""
+
+    return Var if isinstance(term, Var) else _signature_op(term) or term
+
+
 class CongruenceClosure:
     """Union-find + signature table congruence closure over paths."""
 
@@ -55,7 +62,22 @@ class CongruenceClosure:
         # (see :meth:`bindings_in_class`)
         self._indexed: Optional[Tuple[Binding, ...]] = None
         self._by_class: Dict[Path, List[Binding]] = {}
+        #: called with the two member sets a union is about to join
+        self.on_union: Optional[Callable[[Set[Path], Set[Path]], None]] = None
         self.inconsistent = False
+
+    def copy(self) -> "CongruenceClosure":
+        """An independent closure in the same state."""
+
+        twin = CongruenceClosure()
+        twin._parent = dict(self._parent)
+        twin._rank = dict(self._rank)
+        twin._members = {root: set(ms) for root, ms in self._members.items()}
+        twin._use = {root: set(ps) for root, ps in self._use.items()}
+        twin._sig = dict(self._sig)
+        twin._const = dict(self._const)
+        twin.inconsistent = self.inconsistent
+        return twin
 
     # -- union-find ----------------------------------------------------------
 
@@ -136,6 +158,8 @@ class CongruenceClosure:
                 self.inconsistent = True
             if cy is not None and cx is None:
                 self._const[rx] = cy
+            if self.on_union is not None:
+                self.on_union(self._members[rx], self._members[ry])
             self._parent[ry] = rx
             if ry in self._by_class:
                 self._indexed = None  # its bindings now belong under rx

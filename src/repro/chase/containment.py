@@ -17,11 +17,11 @@ are viewed as boolean-valued queries".
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.chase.chase import ChaseEngine
 from repro.chase.congruence import build_congruence
-from repro.chase.homomorphism import find_hom, match_bindings, output_matches
+from repro.chase.homomorphism import match_bindings, output_matches
 from repro.constraints.epcd import EPCD
 from repro.query.ast import PCQuery
 from repro.query.paths import Var
@@ -32,9 +32,16 @@ def is_contained_in(
     q2: PCQuery,
     deps: Sequence[EPCD] = (),
     engine: Optional[ChaseEngine] = None,
+    accepted: Iterable[PCQuery] = (),
 ) -> bool:
-    """Decide ``q1 ⊑ q2`` under ``deps`` (set semantics)."""
+    """Decide ``q1 ⊑ q2`` under ``deps`` (set semantics).
 
+    ``accepted``: queries known to be contained in ``q2`` under ``deps``.
+    If ``q1`` is :func:`subsumed` by one, ``q1 ⊑ it ⊑ q2`` needs no chase.
+    """
+
+    if subsumed(q1, accepted):
+        return True
     engine = engine or ChaseEngine(list(deps))
     chased, cc = engine.chase_with_cc(q1)
     if cc.inconsistent:
@@ -46,6 +53,25 @@ def is_contained_in(
         if output_matches(q2.output, chased.output, hom, cc):
             return True
     return False
+
+
+def subsumed(query: PCQuery, accepted: Iterable[PCQuery]) -> bool:
+    """Does one of ``accepted`` map into ``query`` by the identity — each
+    binding a same-named binding of ``query`` with a congruent source, its
+    conditions and output holding in ``query``'s own closure?  Then
+    ``query`` is contained in it on every instance (homomorphism theorem)."""
+
+    sources = {b.var: b.source for b in query.bindings}
+    covered = [a for a in accepted if all(b.var in sources for b in a.bindings)]
+    if not covered:
+        return False
+    cc = build_congruence(query)
+    return any(
+        all(cc.equal(b.source, sources[b.var]) for b in a.bindings)
+        and all(cc.equal(c.left, c.right) for c in a.conditions)
+        and output_matches(a.output, query.output, {}, cc)
+        for a in covered
+    )
 
 
 def is_equivalent(
@@ -77,52 +103,16 @@ def implies(
 
     engine = engine or ChaseEngine(list(deps))
     premise = dep.premise_query()
-    # Note: the premise query is chased in canonical form; track renaming.
-    canonical = premise.canonical()
-    renaming = {
-        b_old.var: b_new.var
-        for b_old, b_new in zip(premise.bindings, canonical.bindings)
-    }
     chased, cc = engine.chase_with_cc(premise)
     if cc.inconsistent:
         return True  # unsatisfiable premise: implication holds vacuously
-    renamed_dep = _rename_universals(dep, renaming)
-    identity = {b.var: Var(b.var) for b in renamed_dep.premise_bindings}
-    witness = find_hom(
-        renamed_dep.conclusion_bindings,
-        renamed_dep.conclusion_conditions,
-        chased,
-        cc,
-        initial=identity,
+    # The premise was chased in canonical form: fix each universal variable
+    # to its canonical name.
+    fixed = {b.var: Var(f"_v{i}") for i, b in enumerate(premise.bindings)}
+    witnesses = match_bindings(
+        dep.conclusion_bindings, dep.conclusion_conditions, chased, cc, fixed
     )
-    return witness is not None
-
-
-def _rename_universals(dep: EPCD, renaming: dict) -> EPCD:
-    from repro.query import paths as P
-    from repro.query.ast import Binding, Eq
-
-    mapping = {old: Var(new) for old, new in renaming.items()}
-
-    def sub(path):
-        return P.substitute(path, mapping)
-
-    return EPCD(
-        name=dep.name,
-        premise_bindings=tuple(
-            Binding(renaming.get(b.var, b.var), sub(b.source))
-            for b in dep.premise_bindings
-        ),
-        premise_conditions=tuple(
-            Eq(sub(c.left), sub(c.right)) for c in dep.premise_conditions
-        ),
-        conclusion_bindings=tuple(
-            Binding(b.var, sub(b.source)) for b in dep.conclusion_bindings
-        ),
-        conclusion_conditions=tuple(
-            Eq(sub(c.left), sub(c.right)) for c in dep.conclusion_conditions
-        ),
-    )
+    return next(witnesses, None) is not None
 
 
 def is_trivial(dep: EPCD) -> bool:

@@ -16,7 +16,7 @@ collections, so mapping variables to variables is complete for PC queries
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.chase.congruence import CongruenceClosure
 from repro.query import paths as P
@@ -26,6 +26,60 @@ from repro.query.paths import Path, Var
 Hom = Dict[str, Path]
 
 
+class Pattern:
+    """Bindings to match, with their conditions grouped by the level at
+    which they become checkable (``levels[i]``: once the first ``i``
+    bindings are mapped, given the ``known`` names) — checking early prunes
+    the search.  Grouped once per dependency side, matched many times."""
+
+    def __init__(
+        self,
+        bindings: Sequence[Binding],
+        conditions: Sequence[Eq],
+        known: Iterable[str] = (),
+    ) -> None:
+        self.bindings = tuple(bindings)
+        level_of = {b.var: i + 1 for i, b in enumerate(self.bindings)}
+        needed = set(level_of).difference(known)
+        self.levels: List[List[Eq]] = [[] for _ in range(len(self.bindings) + 1)]
+        for cond in conditions:
+            free = (P.free_vars(cond.left) | P.free_vars(cond.right)) & needed
+            self.levels[max(map(level_of.get, free), default=0)].append(cond)
+
+    def match(
+        self, target: PCQuery, cc: CongruenceClosure, initial: Optional[Hom] = None
+    ) -> Iterator[Hom]:
+        """Enumerate homomorphisms extending ``initial`` (keyed by the
+        ``known`` names): every binding variable goes to a binding variable
+        of ``target`` (as a :class:`Var`) and all conditions hold in ``cc``.
+        Deterministic order (target binding order), which makes the chase
+        result reproducible."""
+
+        bindings, levels = self.bindings, self.levels
+
+        def holds(level: int, hom: Hom) -> bool:
+            return all(
+                cc.equal(P.substitute(c.left, hom), P.substitute(c.right, hom))
+                for c in levels[level]
+            )
+
+        def extend(index: int, hom: Hom) -> Iterator[Hom]:
+            if index == len(bindings):
+                yield dict(hom)
+                return
+            binding = bindings[index]
+            wanted_source = P.substitute(binding.source, hom)
+            for target_binding in cc.bindings_in_class(wanted_source, target.bindings):
+                hom[binding.var] = Var(target_binding.var)
+                if holds(index + 1, hom):
+                    yield from extend(index + 1, hom)
+                del hom[binding.var]
+
+        base: Hom = dict(initial or {})
+        if holds(0, base):  # variable-free conditions must hold outright
+            yield from extend(0, base)
+
+
 def match_bindings(
     bindings: Sequence[Binding],
     conditions: Sequence[Eq],
@@ -33,67 +87,9 @@ def match_bindings(
     cc: CongruenceClosure,
     initial: Optional[Hom] = None,
 ) -> Iterator[Hom]:
-    """Enumerate homomorphisms extending ``initial``.
+    """Homomorphisms of a one-off :class:`Pattern` extending ``initial``."""
 
-    Each yielded mapping sends every binding variable in ``bindings`` to a
-    binding variable of ``target`` (as a :class:`Var` path); all
-    ``conditions`` hold under the mapping in ``cc``.  Enumeration order is
-    deterministic (target binding order), which makes the chase result
-    reproducible.
-    """
-
-    base: Hom = dict(initial or {})
-    bindings = list(bindings)
-
-    # Pre-compute, per candidate step, which conditions become fully
-    # instantiated once a prefix of the constraint variables is mapped —
-    # checking early prunes the search.
-    all_new_vars = [b.var for b in bindings]
-    known = set(base)
-    conditions_at: List[List[Eq]] = [[] for _ in range(len(bindings) + 1)]
-    for cond in conditions:
-        needed = (P.free_vars(cond.left) | P.free_vars(cond.right)) - known
-        level = 0
-        for i, var in enumerate(all_new_vars):
-            if var in needed:
-                level = i + 1
-        conditions_at[level].append(cond)
-
-    def check(cond: Eq, hom: Hom) -> bool:
-        left = P.substitute(cond.left, hom)
-        right = P.substitute(cond.right, hom)
-        return cc.equal(left, right)
-
-    def extend(index: int, hom: Hom) -> Iterator[Hom]:
-        if index == len(bindings):
-            yield dict(hom)
-            return
-        binding = bindings[index]
-        wanted_source = P.substitute(binding.source, hom)
-        for target_binding in cc.bindings_in_class(wanted_source, target.bindings):
-            hom[binding.var] = Var(target_binding.var)
-            if all(check(cond, hom) for cond in conditions_at[index + 1]):
-                yield from extend(index + 1, hom)
-            del hom[binding.var]
-
-    # variable-free conditions must hold outright
-    if not all(check(cond, base) for cond in conditions_at[0]):
-        return
-    yield from extend(0, base)
-
-
-def find_hom(
-    bindings: Sequence[Binding],
-    conditions: Sequence[Eq],
-    target: PCQuery,
-    cc: CongruenceClosure,
-    initial: Optional[Hom] = None,
-) -> Optional[Hom]:
-    """First homomorphism or ``None``."""
-
-    for hom in match_bindings(bindings, conditions, target, cc, initial):
-        return hom
-    return None
+    return Pattern(bindings, conditions, initial or ()).match(target, cc, initial)
 
 
 def output_matches(

@@ -1,0 +1,294 @@
+"""Differential harness for the backchase's shortcuts: the search with
+them against the search without.
+
+``minimal_subqueries`` decides condition (3) by *subsumption* where it can
+— a candidate that still contains, binding for binding, a subquery the
+search already accepted is contained in it by the identity mapping, no
+chase needed — and builds one closure per search node, handing every
+removal a copy.  Neither may change *what* the search computes:
+
+* whenever subsumption answers, the chase-only ``is_contained_in`` (the
+  oracle here: same function, no accepted subqueries) answers *True* too;
+* the accepted subqueries it is given are exactly the antichain of
+  minimal accepted binding-variable sets, in order of first acceptance;
+* a candidate built on a copy of the node's closure is the candidate
+  built on a closure of its own;
+* with subsumption switched off the search returns the same normal forms
+  and the same ``BackchaseStats`` — on the workloads and on generated
+  queries × constraint sets — and on the workloads both agree with the
+  bottom-up subset enumeration (which never sees an antichain).
+
+Runs under three hash seeds in ``make determinism``.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, FrozenSet, List
+
+import pytest
+
+from repro.api.workloads import WORKLOAD_NAMES, build_workload
+from repro.backchase import backchase
+from repro.backchase.backchase import (
+    BackchaseStats,
+    minimal_subqueries,
+    try_remove_binding,
+)
+from repro.backchase.bottomup import bottom_up_minimal_plans, restrict_to_bindings
+from repro.chase import containment
+from repro.chase.chase import ChaseEngine, chase
+from repro.errors import BackchaseError, ChaseNonTermination
+from repro.optimizer.optimizer import Optimizer
+from repro.query.parser import parse_constraint, parse_query
+
+STRATEGIES = ("pruned", "full")
+
+
+def names_of(query) -> FrozenSet[str]:
+    return frozenset(query.binding_vars())
+
+
+def minimal_in_order(sets: List[FrozenSet[str]]) -> List[FrozenSet[str]]:
+    """The minimal elements of ``sets`` (by inclusion), first occurrences,
+    in order — by definition, not by maintenance."""
+
+    distinct = list(dict.fromkeys(sets))
+    return [s for s in distinct if not any(other < s for other in distinct)]
+
+
+class Observed:
+    def __init__(self) -> None:
+        self.subsumed = 0
+        self.chased = 0
+        self.unsound: List[str] = []  # subsumption said True, the chase did not
+        self.antichain_diffs: List[tuple] = []
+        self.closure_leaks: List[str] = []
+        self.built = 0
+
+
+def observe(wl, strategy) -> Observed:
+    """One optimize of the workload query with three observers installed."""
+
+    seen = Observed()
+    oracle = ChaseEngine(wl.constraints)  # chases what subsumption skipped
+    shape_verdicts: Dict[str, bool] = {}
+    candidates: List = []  # every candidate of the search loop, in order
+    real_build = backchase.build_candidate
+    real_accept = backchase.accept_candidate
+    real_decide = containment.is_contained_in
+
+    def build(query, banned, cc=None):
+        candidate = real_build(query, banned, cc)
+        if cc is not None:  # the search loop, on a copy of the node's closure
+            seen.built += 1
+            alone = real_build(query, banned)
+            if candidate != alone:
+                seen.closure_leaks.append(f"{query} minus {sorted(banned)}")
+            if candidate is not None:
+                candidates.append(candidate)
+        return candidate
+
+    def accept(candidate, parent, engine, key=None, accepted=()):
+        given = [names_of(sub) for sub in accepted]
+        earlier = [
+            names_of(c) for c in candidates[:-1] if shape_verdicts[c.canonical_key()]
+        ]
+        if given != minimal_in_order(earlier):
+            seen.antichain_diffs.append((given, minimal_in_order(earlier)))
+        verdict = real_accept(candidate, parent, engine, key, accepted)
+        shape_verdicts[candidate.canonical_key()] = verdict
+        return verdict
+
+    def decide(q1, q2, deps=(), engine=None, accepted=()):
+        accepted = list(accepted)
+        if containment.subsumed(q1, accepted):
+            seen.subsumed += 1
+            if not real_decide(q1, q2, deps, oracle):
+                seen.unsound.append(str(q1))
+        else:
+            seen.chased += 1
+        return real_decide(q1, q2, deps, engine, accepted)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backchase, "build_candidate", build)
+        patch.setattr(backchase, "accept_candidate", accept)
+        patch.setattr(containment, "is_contained_in", decide)
+        Optimizer(
+            wl.constraints,
+            physical_names=wl.physical_names,
+            statistics=wl.statistics,
+            strategy=strategy,
+        ).optimize(wl.query)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def searches():
+    return {
+        (name, strategy): observe(build_workload(name), strategy)
+        for name in WORKLOAD_NAMES
+        for strategy in STRATEGIES
+    }
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+class TestTheWorkloadSearches:
+    def test_subsumption_says_true_only_where_the_chase_does(
+        self, searches, name, strategy
+    ):
+        seen = searches[name, strategy]
+        assert seen.unsound == []
+        assert seen.subsumed, "subsumption never answered"
+        if name == "projdept":
+            assert seen.subsumed > seen.chased
+
+    def test_the_antichain_is_the_minimal_accepted_variable_sets(
+        self, searches, name, strategy
+    ):
+        assert searches[name, strategy].antichain_diffs == []
+
+    def test_a_removal_on_a_copy_builds_what_a_closure_of_its_own_builds(
+        self, searches, name, strategy
+    ):
+        seen = searches[name, strategy]
+        assert seen.built > 20
+        assert seen.closure_leaks == []
+
+
+class TestSubsumed:
+    """Inside one search every covered candidate passes (candidates carry
+    the maximal implied equalities), so the refusals are pinned here."""
+
+    SUB = "select struct(A = r.A) from R r, S s where r.B = s.B"
+
+    @pytest.mark.parametrize(
+        "query, verdict",
+        [
+            (SUB, True),
+            ("select struct(A = r.A) from R r, S s, T t "
+             "where s.B = r.B and t.C = s.C", True),
+            ("select struct(A = r.A) from R r, S s2 where r.B = s2.B", False),  # name
+            ("select struct(A = r.A) from R r, T s where r.B = s.B", False),  # source
+            ("select struct(A = r.A) from R r, S s where r.C = s.C", False),  # condition
+            ("select struct(A = r.C) from R r, S s where r.B = s.B", False),  # output
+            ("select struct(A = r.C) from R r, S s "
+             "where r.B = s.B and r.C = r.A", True),  # ... up to congruence
+        ],
+    )
+    def test_identity_mapping(self, query, verdict):
+        assert containment.subsumed(parse_query(query), [parse_query(self.SUB)]) is verdict
+
+    def test_a_refusal_falls_through_to_the_chase(self):
+        narrow = parse_query("select struct(A = r.A) from R r where r.B = 1")
+        wide = parse_query("select struct(A = r.A) from R r")
+        assert not containment.is_contained_in(wide, narrow, accepted=[narrow])
+        assert containment.is_contained_in(narrow, wide, accepted=[narrow])
+        assert not containment.subsumed(wide, [])
+
+
+class TestOutsideTheSearch:
+    """``try_remove_binding`` and the bottom-up reference keep no
+    antichain: their verdicts are the chase's, as before."""
+
+    def test_no_accepted_subquery_is_ever_passed(self):
+        wl = build_workload("rs")
+        universal = chase(wl.query, wl.constraints).query
+        passed = []
+        real = containment.subsumed
+
+        def watching(query, accepted):
+            passed.append(list(accepted))
+            return real(query, accepted)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(containment, "subsumed", watching)
+            engine = ChaseEngine(wl.constraints)
+            for var in universal.binding_vars():
+                try_remove_binding(universal, var, wl.constraints, engine)
+            for var in universal.binding_vars():
+                restrict_to_bindings(
+                    universal, names_of(universal) - {var}, wl.constraints, engine
+                )
+        assert passed and not any(passed)
+
+    def test_a_subsumed_candidate_is_accepted_without_reaching_the_bound(self):
+        """The one behavioural edge (see ``accept_candidate``), on the
+        cyclic set of ``tests/test_chase.py``: the chase of any query
+        over ``R`` hits the step bound, so the chase-only verdict raises;
+        a candidate that contains an accepted subquery never chases."""
+
+        loop = parse_constraint(
+            "forall (x in R) -> exists (y in R) y.Parent = x", "loop"
+        )
+        parent = parse_query(
+            "select struct(A = r.A) from R r, R s, R t where r = s and s = t"
+        )
+        candidate = backchase.build_candidate(parent, frozenset("t"))
+        accepted = backchase.build_candidate(parent, frozenset("st"))
+        assert names_of(accepted) < names_of(candidate)
+        engine = ChaseEngine([loop], max_steps=7)
+        with pytest.raises(ChaseNonTermination) as raised:
+            backchase.accept_candidate(candidate, parent, engine)
+        assert raised.value.steps == 7
+        with pytest.raises(ChaseNonTermination):
+            containment.is_contained_in(candidate, parent, [loop], engine)
+        assert backchase.accept_candidate(
+            candidate, parent, engine, accepted=[accepted]
+        )
+        assert engine.containment.misses == 2  # both were computed verdicts
+
+
+def search_outcome(universal, deps, strategy):
+    stats = BackchaseStats()
+    forms = minimal_subqueries(universal, deps, strategy=strategy, stats=stats)
+    return [str(f) for f in forms], stats.as_dict()
+
+
+def assert_search_unchanged_by_subsumption(universal, deps):
+    """Normal forms and counters with subsumption == without it, under
+    both strategies."""
+
+    for strategy in STRATEGIES:
+        with_it = search_outcome(universal, deps, strategy)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(containment, "subsumed", lambda query, accepted: False)
+            without_it = search_outcome(universal, deps, strategy)
+        assert with_it == without_it, strategy
+
+
+@pytest.mark.parametrize("name", ("rs", "rabc", "oo_asr"))
+def test_workload_searches_are_unchanged_by_subsumption(name):
+    """... and the unbounded run still finds what the bottom-up subset
+    enumeration (no antichain anywhere) finds."""
+
+    wl = build_workload(name)
+    universal = chase(wl.query, wl.constraints).query
+    assert_search_unchanged_by_subsumption(universal, wl.constraints)
+    forms = minimal_subqueries(universal, wl.constraints, strategy="full")
+    reference = bottom_up_minimal_plans(universal, wl.constraints)
+    assert {f.canonical_key() for f in reference} == {
+        f.canonical_key() for f in forms
+    }
+
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
+
+from conftest import constraint_sets, pc_queries  # noqa: E402
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(query=pc_queries(), deps=constraint_sets(min_groups=1, max_groups=4))
+def test_generated_searches_are_unchanged_by_subsumption(query, deps):
+    try:
+        universal = chase(query, deps, max_steps=80).query
+        assume(len(universal.bindings) <= 8)  # the unbounded run is exponential
+        assert_search_unchanged_by_subsumption(universal, deps)
+    except (ChaseNonTermination, BackchaseError):
+        assume(False)

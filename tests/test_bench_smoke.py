@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import statistics
 from pathlib import Path
 
 import pytest
@@ -112,20 +113,26 @@ def test_e13_smoke_and_emit_json():
 def test_e14_smoke_and_emit_json():
     bench = _load_bench_module("bench_e14_hybrid")
 
-    def measure(which):
-        result = bench.run_hybrid_comparison(which, repetitions=3, scale="smoke")
-        if (
-            result["hybrid_steady_seconds"] >= result["cold_steady_seconds"]
-            or result["hybrid_steady_seconds"]
-            > result["view_only_steady_seconds"] * bench.NOISE_FACTOR
-        ):
-            # Wall-clock comparisons can lose a scheduler race on loaded
-            # CI machines; one re-measure keeps the latency gates without
-            # making tier-1 flaky (steady-state margins are >100x in
-            # practice).
-            result = bench.run_hybrid_comparison(
-                which, repetitions=3, scale="smoke"
+    def measure(which, runs=5):
+        # One steady window is ~90 us of cache hits: a single scheduler
+        # quantum decides any one hybrid/view-only ratio (0.5x to 40x seen
+        # on an idle box).  The latency gates therefore read the *median*
+        # window of each arm over ``runs`` independent comparisons; the
+        # structural gates are checked on every run.
+        measured = [
+            bench.run_hybrid_comparison(which, repetitions=3, scale="smoke")
+            for _ in range(runs)
+        ]
+        for result in measured:
+            bench.assert_hybrid_effective(result)
+        result = dict(measured[0], runs=runs)
+        for arm in ("cold", "view_only", "hybrid"):
+            result[f"{arm}_steady_seconds"] = statistics.median(
+                m[f"{arm}_steady_seconds"] for m in measured
             )
+        result["steady_speedup_vs_cold"] = (
+            result["cold_steady_seconds"] / result["hybrid_steady_seconds"]
+        )
         return result
 
     results = [measure("e5_rs"), measure("e1_projdept")]
@@ -198,15 +205,20 @@ def test_e15_smoke_and_emit_json():
 def test_e16_smoke_and_emit_json():
     bench = _load_bench_module("bench_e16_advisor")
 
-    def measure(which):
-        result = bench.run_advisor_comparison(which, repetitions=3, scale="smoke")
+    def measure(which, repetitions=9):
+        # Eight steady passes, not two: at two the ProjDept arm compares
+        # ~7 ms windows whose advised/empty ratio is 0.9x-1.9x run to run
+        # (steady passes are plan-cache hits; the extra six cost < 0.1 s).
+        result = bench.run_advisor_comparison(
+            which, repetitions=repetitions, scale="smoke"
+        )
         # The structural gates (identical answers, in-budget design,
         # estimated win) are deterministic; only the measured-latency gate
         # can lose a scheduler race on loaded CI machines, so re-measure
-        # once before failing (margins are >2x in practice).
+        # once before failing.
         if result["advised_steady_seconds"] >= result["empty_steady_seconds"]:
             result = bench.run_advisor_comparison(
-                which, repetitions=3, scale="smoke"
+                which, repetitions=repetitions, scale="smoke"
             )
         return result
 

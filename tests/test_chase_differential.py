@@ -1,8 +1,9 @@
 """Differential harness for the chase: ``src/`` against the naive oracle.
 
 ``repro.chase.chase`` runs one chase as one live state — the closure is
-extended, satisfied triggers are remembered, premises are matched through
-a class index, lookup-safety verdicts are memoized.  None of that may
+extended, satisfied triggers are remembered, dependencies a step cannot
+have affected are not rescanned, premises are matched through a class
+index, lookup-safety verdicts are memoized.  None of that may
 change *what* is computed: on every query this suite can reach, the chased
 query text, the step sequence and the ``ChaseNonTermination`` bound must
 equal those of :func:`chase_oracle.naive_chase`, which does none of it.
@@ -220,6 +221,118 @@ class TestThePieces:
             assert True in verdicts and False in verdicts
 
 
+def unaffected_means_inapplicable(query, deps, max_steps=40):
+    """Drive one chase; after every step rescan, naively and on a closure
+    built from scratch, every dependency the state passes over as clean:
+    each of its premise homomorphisms must have its conclusion satisfied.
+    Returns how many scans the state was spared."""
+
+    state = ChaseState(query, list(deps))
+    spared = 0
+    for _ in range(max_steps):
+        spared += sum(state.clean)
+        step = state.step()
+        fresh = build_congruence(state.query)
+        for dep, clean in zip(state.deps, state.clean):
+            if clean:
+                for hom in linear_match_bindings(
+                    dep.premise_bindings, dep.premise_conditions, state.query, fresh
+                ):
+                    assert naive_satisfied(dep, hom, state.query, fresh), (
+                        dep.name, hom, str(state.query),
+                    )
+        if step is None:
+            break
+    return spared
+
+
+#: dependencies written to defeat a careless affected-set rule: premises
+#: that only an equality between *old* terms can enable, conclusions that
+#: produce such equalities directly, through a fresh term, or by equating
+#: a fresh variable to an old one
+TRAPS = {
+    name: parse_constraint(text, name)
+    for name, text in (
+        ("needs_ab", "forall (u in R) where u.A = u.B -> exists (t in T) t.A = u.C"),
+        ("needs_bc", "forall (u in R) where u.B = u.C -> exists (s in S) s.B = u.A"),
+        ("needs_t5_bc",
+         "forall (v in T, u in R) where v.A = 5 and u.B = u.C "
+         "-> exists (s in S) s.B = u.A"),
+        ("needs_t5_ab",
+         "forall (v in T, u in R) where v.A = 5 and u.A = u.B "
+         "-> exists (s in S) s.B = u.C"),
+        ("egd_ab", "forall (x in R) where x.C = 1 -> x.A = x.B"),
+        ("egd_key", "forall (x in R, y in R) where x.A = y.A -> x = y"),
+        ("through_fresh", "forall (x in R) -> exists (y in S) y.B = x.B and y.B = x.C"),
+        ("fresh_is_old", "forall (r in R) -> exists (t in S) t.A = r.B and t = r"),
+        ("copy_r", "forall (s in S) -> exists (r in R) r.B = s.B and r.C = s.C"),
+    )
+}
+
+
+class TestAffectedOnlyFiring:
+    def test_egd_equating_old_terms_refires_an_earlier_clean_dependency(self):
+        query = parse_query("select struct(A = r.A) from R r where r.C = 1")
+        deps = [TRAPS["needs_ab"], TRAPS["egd_ab"]]
+        state = ChaseState(query, deps)
+        assert state.step().constraint == "egd_ab"  # needs_ab scanned clean,
+        assert state.clean == [False, False]  # then dirtied by r.A = r.B
+        assert state.step().constraint == "needs_ab"
+        assert chase_mismatch(query, deps) is None
+
+    def test_old_equality_reached_through_a_fresh_term(self):
+        """``y.B = x.B and y.B = x.C``: neither ``r.B`` nor ``r.C`` is in
+        the closure when the step arrives (``needs_t5_bc`` fails on
+        ``v.A = 5`` before it ever asks), and no condition equates them
+        directly — yet ``r.B = r.C`` now holds."""
+
+        query = parse_query("select struct(A = r.A) from T t, R r")
+        deps = [TRAPS["needs_t5_bc"], TRAPS["through_fresh"]]
+        state = ChaseState(query, deps)
+        assert state.step().constraint == "through_fresh"
+        assert state.clean == [False, False]
+        unaffected_means_inapplicable(query, deps)
+        enabled = parse_query("select struct(A = r.A) from T t, R r where t.A = 5")
+        assert [s.constraint for s in chase(enabled, deps).steps] == [
+            "through_fresh", "needs_t5_bc",
+        ]
+        assert chase_mismatch(enabled, deps) is None
+
+    def test_fresh_variable_equated_to_an_old_one(self):
+        """``t.A = r.B and t = r``: every union has a side without a term
+        over the old variables (``r.A`` is not even in the closure), and
+        still ``r.A = r.B`` follows."""
+
+        query = parse_query("select struct(C = r.C) from T t, R r")
+        deps = [TRAPS["needs_t5_ab"], TRAPS["fresh_is_old"]]
+        state = ChaseState(query, deps)
+        assert state.step().constraint == "fresh_is_old"
+        assert state.clean == [False, False]
+        enabled = parse_query("select struct(C = r.C) from T t, R r where t.A = 5")
+        assert [s.constraint for s in chase(enabled, deps).steps][:2] == [
+            "fresh_is_old", "needs_t5_ab",
+        ]
+        for q in (query, enabled):
+            unaffected_means_inapplicable(q, deps)
+            assert chase_mismatch(q, deps) is None
+
+    def test_an_unrelated_step_leaves_a_clean_dependency_clean(self):
+        query = parse_query("select struct(A = r.A) from T t, R r")
+        deps = [TRAPS["needs_t5_bc"], parse_constraint(
+            "forall (r in R) -> exists (k in dom(IX), e in IX[k]) k = r.A and e = r",
+            "index",
+        )]
+        state = ChaseState(query, deps)
+        assert state.step().constraint == "index"
+        assert state.clean == [True, False]
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_workload_chases_skip_only_inapplicable_dependencies(self, workloads, name):
+        wl = workloads[name]
+        spared = unaffected_means_inapplicable(wl.query, wl.constraints)
+        assert spared, "no scan was ever spared"
+
+
 hypothesis = pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
@@ -261,3 +374,31 @@ def test_generated_matches_equal_the_linear_scan(target, source):
     # once more on the closure as the first match left it (auxiliary terms
     # added, index built)
     assert_index_is_the_linear_scan(source.bindings, source.conditions, target, cc)
+
+
+@st.composite
+def trapped_constraint_sets(draw):
+    """Pool groups and traps, shuffled: what a step enables may come
+    earlier in the order than the step's own dependency."""
+
+    deps = draw(constraint_sets(min_groups=0, max_groups=3))
+    deps += draw(st.lists(st.sampled_from(sorted(TRAPS)), max_size=4, unique=True).map(
+        lambda names: [TRAPS[n] for n in names]
+    ))
+    return draw(st.permutations(deps))
+
+
+@settings(max_examples=150, **RELAXED)
+@given(
+    query=pc_queries(),
+    deps=trapped_constraint_sets(),
+    max_steps=st.sampled_from((3, 8, 40)),
+)
+def test_generated_trapped_chases_equal_the_oracle(query, deps, max_steps):
+    assert chase_mismatch(query, deps, max_steps) is None
+
+
+@settings(max_examples=150, **RELAXED)
+@given(query=pc_queries(), deps=st.one_of(constraint_sets(**BUSY), trapped_constraint_sets()))
+def test_generated_unaffected_dependencies_are_inapplicable(query, deps):
+    unaffected_means_inapplicable(query, deps, max_steps=12)

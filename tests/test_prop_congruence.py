@@ -140,3 +140,59 @@ def test_closure_extended_by_chase_steps_equals_the_rebuilt_one(query, deps):
             for t in terms[i + 1 :]:
                 assert state.cc.equal(s, t) == rebuilt.equal(s, t), (s, t)
         assert state.cc.inconsistent == rebuilt.inconsistent
+
+
+def closure_view(cc, terms, bindings):
+    """What a closure answers about ``terms``: representative, members
+    and indexed bindings of each one's class."""
+
+    return [
+        (cc.find(t), cc.members(t), tuple(cc.bindings_in_class(t, bindings)))
+        for t in terms
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(merge_sets(), merge_sets(), merge_sets(), st.lists(terms(), max_size=4))
+def test_copy_is_independent(shared, only_copy, only_original, added):
+    """``copy()`` hands out the same state and nothing else: adding to or
+    merging in the copy never changes ``find`` / ``members`` /
+    ``bindings_in_class`` of the original, and vice versa."""
+
+    from repro.query.ast import Binding
+
+    original = CongruenceClosure()
+    for a, b in shared:
+        original.merge(a, b)
+    known = list(original.all_terms())
+    bindings = tuple(Binding(f"x{i}", t) for i, t in enumerate(known[:4]))
+    before = closure_view(original, known, bindings)
+
+    twin = original.copy()
+    assert closure_view(twin, known, bindings) == before
+    assert twin.inconsistent == original.inconsistent
+
+    for term in added:
+        twin.add(term)
+    for a, b in only_copy:
+        twin.merge(a, b)
+    assert closure_view(original, known, bindings) == before
+    assert list(original.all_terms()) == known
+
+    reference = CongruenceClosure()  # the copy, had it never been one
+    for a, b in shared:
+        reference.merge(a, b)
+    for term in added:
+        reference.add(term)
+    for a, b in only_copy:
+        reference.merge(a, b)
+    twin_terms = list(twin.all_terms())
+    assert twin_terms == list(reference.all_terms())
+    twin_before = closure_view(twin, twin_terms, bindings)
+    assert [m for _, m, _ in twin_before] == [
+        m for _, m, _ in closure_view(reference, twin_terms, bindings)
+    ]
+
+    for a, b in only_original:
+        original.merge(a, b)
+    assert closure_view(twin, twin_terms, bindings) == twin_before
