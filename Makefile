@@ -6,6 +6,9 @@
 #                     determinism
 #   make determinism  goldens, pinned search counters and the chase and
 #                     backchase differential suites under PYTHONHASHSEED=0, 1, 2
+#   make fuzz         the property suites (tests/test_prop_*.py) under fresh
+#                     random draws; tier-1 itself runs them derandomized
+#                     (tests/conftest.py), so it repeats run for run
 #   make golden       regenerate tests/golden/* (review the diff!)
 #   make lint         bytecode-compile src/tests/benchmarks + static
 #                     analysis (parser round trip + codegen verifier over
@@ -41,7 +44,7 @@ DETERMINISM_TESTS := tests/test_golden_plans.py \
 	tests/test_chase_differential.py \
 	tests/test_backchase_differential.py
 
-.PHONY: test check lint loc golden determinism bench bench-smoke bench-report \
+.PHONY: test check lint loc golden determinism fuzz bench bench-smoke bench-report \
 	bench-e12 bench-e13 bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 \
 	bench-e19 bench-e20
 
@@ -63,6 +66,9 @@ determinism:
 	for seed in 0 1 2; do \
 		PYTHONHASHSEED=$$seed $(PYTEST) -q $(DETERMINISM_TESTS) || exit 1; \
 	done
+
+fuzz:
+	$(PYTEST) -q --hypothesis-profile=explore tests/test_prop_*.py
 
 lint:
 	python -m compileall -q src tests benchmarks

@@ -581,7 +581,7 @@ class Database:
             )
             sp.set(rows=len(execution.results), skew=skewed)
         self.obs.slow_log.observe(
-            str(query),
+            query,
             time.perf_counter() - start,
             source=source,
             rows=len(execution.results),
@@ -716,10 +716,10 @@ class Database:
         :class:`~repro.obs.analyze.AnalyzeResult` whose ``render()``
         prints actual rows / loops / probes / wall time per operator next
         to the cost model's row estimates; ``result.rows`` always equals
-        ``len(execute(query))``.  ANALYZE always runs the *interpreted*
-        pipeline — per-operator proxies need the operator tree — so it
-        works unchanged (and reports interpreted actuals) even when the
-        database executes in ``exec_mode="compiled"``."""
+        ``len(execute(query))``.  ANALYZE is the engine's *interpreted*
+        run read off the operators' own counters, so it works unchanged
+        (and reports interpreted actuals) even when the database
+        executes in ``exec_mode="compiled"``."""
 
         query = self._coerce_query(query)
         use_hash_joins = (
@@ -732,7 +732,7 @@ class Database:
             query = self.optimize(query).best.query
         elif session.enabled:
             instance = session.instance
-            stored = session.cache.peek_exact(query)
+            stored, rewrite = session.lookup(query, record=False)
             if stored is not None:
                 # exact hits return the stored result; no operators run —
                 # ANALYZE reports its cardinality with an empty operator
@@ -745,14 +745,6 @@ class Database:
                     elapsed_seconds=0.0,
                     plan_text="",
                 )
-            rewrite = session.cache.plan_rewrite(
-                query,
-                require_executable=True,
-                base_names=(
-                    frozenset(instance.names()) if session.hybrid else None
-                ),
-                record=False,
-            )
             if rewrite is not None:
                 query = rewrite.query
                 overlays = {v.name: v.extent for v in rewrite.views}

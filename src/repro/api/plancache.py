@@ -18,16 +18,17 @@ On top of that it is **invalidation-aware**: each entry records the
 schema names its plan space read (every candidate plan's sources, the
 original query's sources, and the class dictionaries oid dereference
 reads implicitly), and :meth:`PlanCache.invalidate_source` drops the
-dependents of a mutated name — the same conservative dependency discipline
-as :mod:`repro.semcache.invalidation`.
+dependents of a mutated name — through the same
+:class:`repro.lru.DependencyIndex`, and the same conservative dependency
+discipline, as the semantic cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import FrozenSet, Optional, Tuple
 
-from repro.lru import LRU, CacheInfo
+from repro.lru import LRU, CacheInfo, DependencyIndex
 from repro.optimizer.optimizer import OptimizationResult
 
 #: cache key: (template key [+ "#skew:..." variant tag], context fingerprint).
@@ -85,8 +86,7 @@ class PlanCache:
 
     def __init__(self, max_size: Optional[int] = DEFAULT_MAX_SIZE) -> None:
         self._entries = LRU(max_size)
-        # schema name -> keys of entries that depend on it
-        self._dependents: Dict[str, Set[Key]] = {}
+        self._index = DependencyIndex()  # schema name -> dependent keys
         self.invalidations = 0
 
     def get(self, key: Key) -> Optional[PlanCacheEntry]:
@@ -105,11 +105,12 @@ class PlanCache:
         entry = PlanCacheEntry(
             result=result, dependencies=dependencies, params=params
         )
-        self._unlink(key, self._entries.pop(key))
-        for name in dependencies:
-            self._dependents.setdefault(name, set()).add(key)
+        replaced = self._entries.pop(key)
+        if replaced is not None:
+            self._index.remove(key, replaced.dependencies)
+        self._index.add(key, dependencies)
         for victim, evicted in self._entries.put(key, entry):
-            self._unlink(victim, evicted)
+            self._index.remove(victim, evicted.dependencies)
         return entry
 
     def invalidate_source(self, name: str) -> int:
@@ -117,10 +118,10 @@ class PlanCache:
         count.  Called by the owning database on each instance mutation."""
 
         dropped = 0
-        for key in tuple(self._dependents.get(name, ())):
+        for key in self._index.dependents(name):
             entry = self._entries.pop(key)
             if entry is not None:
-                self._unlink(key, entry)
+                self._index.remove(key, entry.dependencies)
                 dropped += 1
         self.invalidations += dropped
         return dropped
@@ -131,21 +132,9 @@ class PlanCache:
 
         dropped = len(self._entries)
         self._entries.clear()
-        self._dependents.clear()
+        self._index.clear()
         self.invalidations += dropped
         return dropped
-
-    def _unlink(self, key: Key, entry: Optional[PlanCacheEntry]) -> None:
-        """Remove a departed entry's rows from the dependency index."""
-
-        if entry is None:
-            return
-        for name in entry.dependencies:
-            keys = self._dependents.get(name)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._dependents[name]
 
     def cache_info(self) -> PlanCacheInfo:
         return replace(

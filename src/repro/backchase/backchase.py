@@ -82,10 +82,6 @@ from repro.query import paths as P
 from repro.query.ast import Binding, Eq, PathOutput, PCQuery, StructOutput
 from repro.query.paths import Dom, Lookup, Path, Var
 
-# When enabled, backchase steps additionally verify the query ⊑ candidate
-# direction that is guaranteed by construction (used by the test suite).
-PARANOID_CHECKS = False
-
 
 # -- failing-lookup safety ---------------------------------------------------
 #
@@ -430,7 +426,8 @@ def accept_candidate(
     containment mappings.  The direction parent ⊑ candidate holds by
     construction — the candidate's bindings, conditions and output are all
     congruent images of the parent's own, so the identity is a containment
-    mapping (``PARANOID_CHECKS`` verifies this in the test suite).  Only
+    mapping (``tests/test_backchase_differential.py`` re-decides it with the
+    chase for every accepted pair of the workload searches).  Only
     candidate ⊑ parent needs the chase; ``key`` names the cache entry that
     verdict is stored under (default: the (candidate, parent) pair).  An
     equivalent candidate must also keep every failing lookup safe.
@@ -446,10 +443,6 @@ def accept_candidate(
 
     if not engine.contained_in(candidate, parent, key=key, accepted=accepted):
         return False
-    if PARANOID_CHECKS and not engine.contained_in(parent, candidate):
-        raise BackchaseError(
-            f"construction invariant violated: {parent} ⋢ {candidate}"
-        )
     return plan_lookups_safe(candidate, engine)
 
 

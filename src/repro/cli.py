@@ -224,12 +224,12 @@ def cmd_optimize(args) -> int:
                 markers = ", ".join(f"${n}" for n in query.param_names())
                 print(f"template with parameters {markers} (bind with --param)")
         if cache is not None:
-            cache.record_lookup()
-            # Plan-level hybrid: no instance exists here, so the base side
-            # of the filter is the query's own schema names.
-            rewrite = cache.plan_rewrite(
+            # Plan-level: entries hold no results (the exact tier never
+            # answers) and no instance exists, so the base side of the
+            # hybrid filter is the query's own schema names.
+            _, rewrite = cache.lookup(
                 query,
-                base_names=query.schema_names() if args.hybrid else None,
+                base_names=query.schema_names if args.hybrid else None,
             )
             if rewrite is not None:
                 tier = "hybrid rewrite" if rewrite.hybrid else "rewritten"
@@ -241,7 +241,6 @@ def cmd_optimize(args) -> int:
                 if args.verbose:
                     _print_verbose_stats(rewrite.result)
                 continue
-            cache.record_miss()
             cache.register(query)
         result = db.optimize(query)
         print(result.report())

@@ -4,7 +4,10 @@
 execution mode — ``"interpret"`` streams the operator pipeline,
 ``"compiled"`` runs the plan's generated fused function
 (:mod:`repro.exec.compile`) — and both fill the same
-:class:`~repro.exec.operators.Counters`.
+:class:`~repro.exec.operators.Counters`, one ``phase.exec`` span and one
+result tail.  No other module builds *and runs* an interpreted plan:
+plan-quality feedback (``feedback=True``) and EXPLAIN ANALYZE
+(``instrument=``) are this run with per-operator counters, not copies.
 ``repro.query.evaluator.evaluate`` is the reference path.  The test suite
 checks all three agree on every plan the optimizer emits.
 """
@@ -13,10 +16,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Mapping, Optional, Tuple
+from typing import Any, Callable, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.errors import ReproError
-from repro.exec.operators import Counters
+from repro.exec.operators import Counters, Operator, level_rows, own_counters
 from repro.exec.planner import compile_query
 from repro.lru import LRU
 from repro.model.instance import Instance
@@ -68,7 +71,8 @@ class ExecutionResult:
 
     ``counters`` are **per-run**: even when the caller passes a reused
     :class:`Counters` object into :func:`execute` (which accumulates
-    across runs), the result reports only this run's counts.
+    across runs), the result reports only this run's counts
+    (``empty_probes`` on interpreted runs only).
     """
 
     results: FrozenSet[Any]
@@ -96,6 +100,7 @@ def execute(
     params: Optional[Mapping[str, Any]] = None,
     compiled=None,
     feedback: bool = False,
+    instrument: Optional[Callable[[List[Operator]], None]] = None,
 ) -> ExecutionResult:
     """Run a plan, collecting results into a frozenset.
 
@@ -120,15 +125,23 @@ def execute(
     compiled artifact, e.g. off a plan-cache entry — when given);
     ``params`` feeds ``$`` markers of a compiled template at call time.
     In ``"interpret"`` mode ``params`` are substituted into the query
-    before planning.  Counters are filled in both modes; a caller-reused
-    ``counters`` object accumulates across runs while the returned
-    :class:`ExecutionResult` always reports this run alone.
+    before planning.  Counters are filled in both modes — but for
+    ``empty_probes``, which only the interpreted operators count (0 on a
+    compiled run); a caller-reused ``counters`` object accumulates across
+    runs while the returned :class:`ExecutionResult` always reports this
+    run alone.
 
     ``feedback=True`` additionally reports per-level actual cardinalities
     (``ExecutionResult.level_rows``) for the plan-quality feedback layer:
     compiled artifacts are compiled as feedback variants, interpreted
     chains get per-operator counters.  The default pays nothing — no
     instrumentation, and compiled artifacts identical to today's.
+
+    ``instrument`` is EXPLAIN ANALYZE's seam into an *interpreted* run:
+    called before the run with the operator chain (bottom-up, every
+    operator on its own :class:`Counters`), it may wrap the operators'
+    ``rows``.  Compiled artifacts have no operators to hand over, so
+    passing it with a compiled ``mode`` raises.
     """
 
     if context is not None:
@@ -145,85 +158,73 @@ def execute(
         raise ReproError(
             f"unknown exec mode {mode!r} (expected one of {EXEC_MODES})"
         )
+    if instrument is not None and mode == "compiled":
+        raise ReproError("instrument= needs mode='interpret'")
     run_counters = Counters()
     cached_names = frozenset(overlays) if overlays else None
     target = instance.overlay(dict(overlays)) if overlays else instance
 
-    if mode == "compiled":
+    plan = compiled
+    if mode == "compiled" and plan is None:
         from repro.exec.compile import PlanCompilationError
 
-        plan = compiled
-        if plan is None:
-            try:
-                plan = compiled_for(
-                    query,
-                    use_hash_joins=use_hash_joins,
-                    cached_names=cached_names,
-                    feedback=feedback,
-                )
-            except PlanCompilationError:
-                tracer.event("exec.compile_fallback")
-                plan = None
-                mode = "interpret"
+        try:
+            plan = compiled_for(
+                query,
+                use_hash_joins=use_hash_joins,
+                cached_names=cached_names,
+                feedback=feedback,
+            )
+        except PlanCompilationError:
+            tracer.event("exec.compile_fallback")
+            mode = "interpret"
+    ops = fb_out = None
     if mode == "compiled":
         # A caller-supplied artifact decides for itself (plan-cache
         # entries are compiled with the database's feedback setting).
-        collect = getattr(plan, "feedback", False)
-        fb_out = [] if collect else None
-        with tracer.span("phase.exec") as span:
-            start = time.perf_counter()
+        if getattr(plan, "feedback", False):
+            fb_out = []
+        plan_text = plan.plan_text
+    else:
+        if params:
+            from repro.query.paths import Const, Path
+
+            query = query.substitute_params(
+                {
+                    name: value if isinstance(value, Path) else Const(value)
+                    for name, value in params.items()
+                }
+            )
+        plan = compile_query(
+            query, run_counters, use_hash_joins=use_hash_joins, cached_names=cached_names
+        )
+        plan_text = plan.explain()
+        if feedback or instrument is not None:
+            ops = own_counters(plan)
+            if instrument is not None:
+                instrument(ops)
+
+    with tracer.span("phase.exec") as span:
+        start = time.perf_counter()
+        if mode == "compiled":
             results = plan.run(
                 target, run_counters, params=params, feedback_out=fb_out
             )
-            elapsed = time.perf_counter() - start
-            span.set(
-                rows=len(results),
-                tuples=run_counters.tuples,
-                probes=run_counters.probes,
-                cached_scans=bool(cached_names),
-                mode=mode,
-            )
-        if counters is not None:
-            counters.merge(run_counters)
-        return ExecutionResult(
-            results=results,
-            counters=run_counters,
-            elapsed_seconds=elapsed,
-            plan_text=plan.plan_text,
-            mode=mode,
-            level_rows=tuple(fb_out[0]) if fb_out else None,
-        )
-
-    if params:
-        from repro.query.paths import Const, Path
-
-        query = query.substitute_params(
-            {
-                name: value if isinstance(value, Path) else Const(value)
-                for name, value in params.items()
-            }
-        )
-    plan = compile_query(
-        query, run_counters, use_hash_joins=use_hash_joins, cached_names=cached_names
-    )
-    chain = None
-    if feedback:
-        # Lazy import: the silent path never touches the feedback module.
-        from repro.obs.feedback import finish_chain, instrument_chain
-
-        chain = instrument_chain(plan)
-    with tracer.span("phase.exec") as span:
-        start = time.perf_counter()
-        results = frozenset(plan.results(target))
+        else:
+            results = frozenset(plan.results(target))
         elapsed = time.perf_counter() - start
-        level_rows = None
-        if chain is not None:
-            level_rows = finish_chain(chain, run_counters)
+        if ops is not None:
+            for op in ops:
+                run_counters.merge(op.counters)
+            per_level = level_rows(ops)
+        else:
+            per_level = tuple(fb_out[0]) if fb_out else None
         span.set(
             rows=len(results),
             tuples=run_counters.tuples,
             probes=run_counters.probes,
             cached_scans=bool(cached_names),
+            mode=mode,
         )
     if counters is not None:
         counters.merge(run_counters)
@@ -231,9 +232,9 @@ def execute(
         results=results,
         counters=run_counters,
         elapsed_seconds=elapsed,
-        plan_text=plan.explain(),
+        plan_text=plan_text,
         mode=mode,
-        level_rows=level_rows,
+        level_rows=per_level,
     )
 
 

@@ -7,13 +7,16 @@ make the same pipeline behave as index-nested-loop joins; an explicit
 value-based equijoins (enabled by the hash-table structure of section 2).
 
 All operators share a :class:`Counters` object so benchmarks can report
-tuples scanned and dictionary probes alongside wall-clock times.
+tuples scanned and dictionary probes alongside wall-clock times; a run
+read operator by operator (EXPLAIN ANALYZE, plan-quality feedback) gives
+each its own (:func:`own_counters`) — *where* they count changes, never
+how they run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Sequence
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from repro.errors import QueryExecutionError
 from repro.model.instance import Instance
@@ -34,12 +37,16 @@ class Counters:
     probes: int = 0
     filtered: int = 0
     hash_builds: int = 0
+    #: input rows whose binding source or hash probe came up empty — the
+    #: runtime signature of a mis-estimated join (interpreted runs only)
+    empty_probes: int = 0
 
     def reset(self) -> None:
         self.tuples = 0
         self.probes = 0
         self.filtered = 0
         self.hash_builds = 0
+        self.empty_probes = 0
 
     def merge(self, other: "Counters") -> None:
         """Accumulate another run's counts into this object (the engine
@@ -50,6 +57,7 @@ class Counters:
         self.probes += other.probes
         self.filtered += other.filtered
         self.hash_builds += other.hash_builds
+        self.empty_probes += other.empty_probes
 
 
 class Operator:
@@ -100,6 +108,8 @@ class ScanBind(Operator):
                 raise QueryExecutionError(
                     f"binding source {self.source} is not a set"
                 )
+            if not collection:
+                self.counters.empty_probes += 1
             for element in collection:
                 self.counters.tuples += 1
                 child_env = dict(env)
@@ -201,7 +211,10 @@ class HashJoinBind(Operator):
         for env in self.child.rows(instance):
             self.counters.probes += 1
             key = eval_path(self.probe_key, env, instance)
-            for element in table.get(key, ()):
+            matches = table.get(key, ())
+            if not matches:
+                self.counters.empty_probes += 1
+            for element in matches:
                 self.counters.tuples += 1
                 child_env = dict(env)
                 child_env[self.var] = element
@@ -252,3 +265,65 @@ class Project(Operator):
             + " " * (depth + 2)
             + f"project {self.output}"
         )
+
+
+# -- chain helpers -------------------------------------------------------------
+
+
+def chain(plan: Operator) -> List[Operator]:
+    """The operators of a (linear) plan bottom-up: unit first, project last."""
+
+    ops: List[Operator] = []
+    op = plan
+    while op is not None:
+        ops.append(op)
+        op = getattr(op, "child", None)
+    return ops[::-1]
+
+
+def own_counters(plan: Operator) -> List[Operator]:
+    """Give every operator of a freshly compiled plan a :class:`Counters`
+    of its own — the run can then be read operator by operator, and the
+    caller merges them back into the run total — and return the chain."""
+
+    ops = chain(plan)
+    for op in ops:
+        op.counters = Counters()
+    return ops
+
+
+def binding_levels(ops: Sequence[Operator]) -> List[Tuple[int, int]]:
+    """``(bind, tail)`` chain indexes per binding level.  The tail — the
+    :class:`Filter` following the bind if there is one, else the bind —
+    is where the level's surviving rows are counted: compiled plans fold
+    a level's conditions into its scan loop, so both modes count there."""
+
+    return [
+        (idx, idx + 1 if isinstance(ops[idx + 1], Filter) else idx)
+        for idx, op in enumerate(ops)
+        if isinstance(op, (ScanBind, HashJoinBind))
+    ]
+
+
+def rows_out(ops: Sequence[Operator]) -> List[int]:
+    """Rows each operator of a drained chain produced, read off the
+    counters :func:`own_counters` installed."""
+
+    produced: List[int] = []
+    rows = 0
+    for op in ops:
+        if isinstance(op, Singleton):
+            rows = 1
+        elif isinstance(op, (ScanBind, HashJoinBind)):
+            rows = op.counters.tuples
+        elif isinstance(op, Filter):
+            rows -= op.counters.filtered
+        produced.append(rows)  # Project: one value per input row
+    return produced
+
+
+def level_rows(ops: Sequence[Operator]) -> Tuple[int, ...]:
+    """Rows surviving each binding level (its bind and its conditions)."""
+
+    produced = rows_out(ops)
+    return tuple(produced[tail] for _, tail in binding_levels(ops))

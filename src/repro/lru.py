@@ -1,13 +1,15 @@
 """The one bounded least-recently-used store every cache composes: the
 containment-verdict cache, the plan cache and the executor's artifact
 cache hold an :class:`LRU` and add only what is theirs (key derivation,
-the dependency index, compilation)."""
+compilation); the plan cache and the semantic cache find what a mutation
+invalidates through one :class:`DependencyIndex`."""
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator
+from typing import List, Optional, Set, Tuple
 
 
 @dataclass(frozen=True)
@@ -84,3 +86,30 @@ class LRU:
 
     def __len__(self) -> int:
         return len(self._data)
+
+
+class DependencyIndex:
+    """Reverse dependency map: schema name → keys of the entries that
+    read it (syntactic sources plus implicitly read class dictionaries —
+    the owner's to compute), so a mutation touches only its dependents."""
+
+    def __init__(self) -> None:
+        self._by_name: Dict[str, Set[Hashable]] = {}
+
+    def add(self, key: Hashable, names: Iterable[str]) -> None:
+        for name in names:
+            self._by_name.setdefault(name, set()).add(key)
+
+    def remove(self, key: Hashable, names: Iterable[str]) -> None:
+        for name in names:
+            keys = self._by_name.get(name)
+            if keys is not None:
+                keys.discard(key)
+                if not keys:
+                    del self._by_name[name]
+
+    def dependents(self, name: str) -> FrozenSet[Hashable]:
+        return frozenset(self._by_name.get(name, ()))
+
+    def clear(self) -> None:
+        self._by_name.clear()

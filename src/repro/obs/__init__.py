@@ -1,6 +1,7 @@
 """repro.obs — tracing, metrics and EXPLAIN ANALYZE for the whole stack.
 
-One observability layer across optimize → cache → execute:
+One observability layer across optimize → cache → execute, *reading*
+the path that executes (no operator or engine is re-implemented here):
 
 - :mod:`repro.obs.trace` — span/event :class:`Tracer` (zero-cost no-op
   when disabled), threaded through
@@ -11,11 +12,11 @@ One observability layer across optimize → cache → execute:
   behind their existing APIs, plus per-phase latency histograms;
 - :mod:`repro.obs.slowlog` — ring-buffer :class:`SlowQueryLog`;
 - :mod:`repro.obs.report` — per-request :class:`QueryReport` timelines;
-- :mod:`repro.obs.analyze` — :func:`analyze_query`, the EXPLAIN ANALYZE
-  engine behind ``Database.explain(q, analyze=True)``;
-- :mod:`repro.obs.feedback` — always-on cardinality feedback: per-level
-  actuals vs the cost model's replay, Q-error accounting, corrected
-  statistics (``ObsConfig(feedback=True)``);
+- :mod:`repro.obs.analyze` — :func:`analyze_query`, EXPLAIN ANALYZE
+  (``explain(q, analyze=True)``): the engine's run, a clock per operator;
+- :mod:`repro.obs.feedback` — always-on cardinality feedback: the
+  engine's per-level actuals vs the cost model's replay, Q-error
+  accounting, corrected statistics (``ObsConfig(feedback=True)``);
 - :mod:`repro.obs.regress` — ring-buffer :class:`PlanRegressionLog`
   flagging plans whose Q-error or latency drifted past thresholds.
 

@@ -1,22 +1,22 @@
-"""EXPLAIN ANALYZE: run a plan with per-operator instrumentation.
+"""EXPLAIN ANALYZE: the engine's own run, read operator by operator.
 
-:func:`analyze_query` compiles a plan exactly like
-:func:`repro.exec.engine.execute` (same planner, same operators, same
-overlay semantics) and then runs it with every operator individually
-instrumented: rows produced, loop iterations (input rows consumed),
-dictionary probes, *empty* probes (lookups that found nothing — the
-runtime signature of a mis-estimated join), filtered rows, and inclusive /
-self wall time per operator.  The result renders next to the cost model's
-per-operator row estimates, making estimation error visible operator by
-operator — the classic EXPLAIN ANALYZE contract.
+:func:`analyze_query` evaluates nothing itself: it calls
+:func:`repro.exec.engine.execute` (interpreted) with an ``instrument``
+hook, and the engine — same planner, operators and overlay semantics,
+because it *is* the production run — hands the hook the operator chain
+with every operator on its own :class:`~repro.exec.operators.Counters`.
+The hook puts a clock between each parent and child (it shadows the
+child's ``rows``); afterwards the actuals are read off the operators:
+rows produced and loop iterations (input rows consumed), dictionary
+probes, *empty* probes (lookups that found nothing — the runtime
+signature of a mis-estimated join), filtered rows, hash builds, and
+inclusive / self wall time from the clocks.  The result renders next to
+the cost model's per-operator row estimates, making estimation error
+visible operator by operator — the classic EXPLAIN ANALYZE contract.
 
-The production hot path pays nothing for this: instrumentation happens by
-giving each operator of a **freshly compiled** plan its own
-:class:`~repro.exec.operators.Counters`, interposing timing proxies
-between parent and child, and shadowing ``rows`` with an instance-level
-instrumented variant on the two binding operators.  Plans compiled by
-:func:`~repro.exec.planner.compile_query` outside this module are
-untouched (the overhead-guard test in ``tests/test_obs.py`` pins that).
+The production hot path pays nothing: the clocks sit on the one freshly
+compiled plan the engine built for this call (the overhead-guard test in
+``tests/test_obs.py`` pins that plans compiled elsewhere carry nothing).
 
 The per-operator row *estimates* replay the cost model's own level-by-
 level simulation (:mod:`repro.optimizer.cost`) against the compiled
@@ -30,7 +30,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Mapping, Optional
 
-from repro.errors import QueryExecutionError
+# The module, not ``execute`` itself: the engine imports the tracer from
+# this package, so either of the two may be mid-import when the other
+# loads; the attribute is only read at call time.
+from repro.exec import engine
 from repro.exec.operators import (
     Counters,
     Filter,
@@ -39,8 +42,8 @@ from repro.exec.operators import (
     Project,
     ScanBind,
     Singleton,
+    rows_out,
 )
-from repro.exec.planner import compile_query
 from repro.model.instance import Instance
 from repro.optimizer.cost import (
     CostModel,
@@ -49,7 +52,6 @@ from repro.optimizer.cost import (
     estimate_cost,
 )
 from repro.query.ast import Eq, PCQuery
-from repro.query.evaluator import eval_path
 
 __all__ = ["OpStats", "AnalyzeResult", "analyze_query"]
 
@@ -146,85 +148,24 @@ class AnalyzeResult:
         return "\n".join(lines)
 
 
-class _TimedChild:
-    """Timing proxy between a parent operator and its child: counts the
-    child's produced rows and accumulates its inclusive wall time."""
+def _timed(rows, stat: OpStats):
+    """``rows`` — an operator's bound ``rows`` — with a clock on every
+    pull: the operator's inclusive wall time accumulates on ``stat``
+    (what it *did* is on its own counters)."""
 
-    __slots__ = ("op", "stat")
-
-    def __init__(self, op: Operator, stat: OpStats) -> None:
-        self.op = op
-        self.stat = stat
-
-    def rows(self, instance: Instance):
+    def timed_rows(instance: Instance):
         clock = time.perf_counter
-        stat = self.stat
-        iterator = self.op.rows(instance)
+        iterator = rows(instance)
+        done = object()
         while True:
             t0 = clock()
-            try:
-                env = next(iterator)
-            except StopIteration:
-                stat.seconds += clock() - t0
-                return
+            env = next(iterator, done)
             stat.seconds += clock() - t0
-            stat.rows += 1
+            if env is done:
+                return
             yield env
 
-
-def _instrumented_scan_rows(op: ScanBind, stat: OpStats, instance: Instance):
-    # Mirrors ScanBind.rows with one addition: count input environments
-    # whose source collection came up empty (failed lookups).
-    for env in op.child.rows(instance):
-        op.counters.probes += op._source_probes
-        collection = eval_path(op.source, env, instance)
-        if not isinstance(collection, frozenset):
-            raise QueryExecutionError(
-                f"binding source {op.source} is not a set"
-            )
-        if not collection:
-            stat.empty_probes += 1
-            continue
-        for element in collection:
-            op.counters.tuples += 1
-            child_env = dict(env)
-            child_env[op.var] = element
-            yield child_env
-
-
-def _instrumented_hash_rows(
-    op: HashJoinBind, stat: OpStats, instance: Instance
-):
-    # Mirrors HashJoinBind.rows with one addition: count probe keys that
-    # missed the build table entirely.
-    table = op._build(instance)
-    for env in op.child.rows(instance):
-        op.counters.probes += 1
-        key = eval_path(op.probe_key, env, instance)
-        matches = table.get(key, ())
-        if not matches:
-            stat.empty_probes += 1
-            continue
-        for element in matches:
-            op.counters.tuples += 1
-            child_env = dict(env)
-            child_env[op.var] = element
-            yield child_env
-
-
-def _chain(plan: Project) -> List[Operator]:
-    """The compiled operator chain bottom-up: unit first, project last."""
-
-    ops: List[Operator] = []
-    op: Operator = plan
-    while True:
-        ops.append(op)
-        child = getattr(op, "child", None)
-        if child is None:
-            break
-        op = child
-    ops.reverse()
-    return ops
+    return timed_rows
 
 
 def _op_label(op: Operator) -> str:
@@ -272,80 +213,53 @@ def analyze_query(
     cost_model: Optional[CostModel] = None,
     context=None,
 ) -> AnalyzeResult:
-    """Run ``query`` with per-operator instrumentation.
-
-    Mirrors :func:`repro.exec.engine.execute` (planner flags, overlay
-    semantics, frozenset result) but reports an :class:`OpStats` per
-    operator, bottom-up in plan-text order.  ``statistics`` (or
-    ``context.statistics``) enables the estimated-rows column and the
-    total estimated cost; without them only actuals are reported.
+    """Run ``query`` — :func:`repro.exec.engine.execute`'s run, always
+    interpreted — and report an :class:`OpStats` per operator, bottom-up
+    in plan-text order.  ``statistics`` (or ``context.statistics``)
+    enables the estimated-rows column and the total estimated cost;
+    without them only actuals are reported.
     """
 
     if context is not None:
-        use_hash_joins = use_hash_joins or context.use_hash_joins
         if statistics is None:
             statistics = context.statistics
         if cost_model is None:
             cost_model = context.cost_model
-    cached_names = frozenset(overlays) if overlays else None
-    plan = compile_query(
-        query, use_hash_joins=use_hash_joins, cached_names=cached_names
-    )
-    # Render before instrumenting: the timing proxies interposed below
-    # replace .child links and cannot explain() themselves.
-    plan_text = plan.explain()
-    ops = _chain(plan)
-
-    estimates = (
-        _estimated_rows(ops, query, statistics) if statistics is not None else {}
-    )
-    stats_by_op: Dict[int, OpStats] = {}
-    for op in ops:
-        stat = OpStats(label=_op_label(op), est_rows=estimates.get(id(op)))
-        stats_by_op[id(op)] = stat
-        op.counters = Counters()
-        if isinstance(op, ScanBind):
-            op.rows = (
-                lambda inst, _op=op, _stat=stat:
-                _instrumented_scan_rows(_op, _stat, inst)
-            )
-        elif isinstance(op, HashJoinBind):
-            op.rows = (
-                lambda inst, _op=op, _stat=stat:
-                _instrumented_hash_rows(_op, _stat, inst)
-            )
-    # Interpose the timing proxies parent → child (every op except the
-    # root Project has a parent; the root is timed by the outer loop).
-    for op in ops[1:]:
-        op.child = _TimedChild(op.child, stats_by_op[id(op.child)])
-
-    target = instance.overlay(dict(overlays)) if overlays else instance
-    project_stat = stats_by_op[id(plan)]
-    clock = time.perf_counter
-    out: List[Any] = []
-    start = clock()
-    for value in plan.results(target):
-        out.append(value)
-    elapsed = clock() - start
-    results = frozenset(out)
-    project_stat.rows = len(out)
-    project_stat.seconds = elapsed
-
-    merged = Counters()
+    ops: List[Operator] = []
     op_stats: List[OpStats] = []
-    for i, op in enumerate(ops):
-        stat = stats_by_op[id(op)]
+
+    def interpose(chain: List[Operator]) -> None:
+        estimates = (
+            _estimated_rows(chain, query, statistics)
+            if statistics is not None
+            else {}
+        )
+        for op in chain:
+            stat = OpStats(label=_op_label(op), est_rows=estimates.get(id(op)))
+            op_stats.append(stat)
+            if op is not chain[-1]:  # the root Project is timed by the engine
+                op.rows = _timed(op.rows, stat)
+        ops.extend(chain)
+
+    execution = engine.execute(
+        query,
+        instance,
+        use_hash_joins=use_hash_joins,
+        overlays=overlays,
+        context=context,
+        mode="interpret",
+        instrument=interpose,
+    )
+    op_stats[-1].seconds = execution.elapsed_seconds
+    loops, child_seconds = 1, 0.0
+    for op, stat, rows in zip(ops, op_stats, rows_out(ops)):
+        stat.rows, stat.loops = rows, loops
         stat.probes = op.counters.probes
+        stat.empty_probes = op.counters.empty_probes
         stat.filtered = op.counters.filtered
         stat.hash_builds = op.counters.hash_builds
-        stat.loops = 1 if i == 0 else stats_by_op[id(ops[i - 1])].rows
-        child_seconds = stats_by_op[id(ops[i - 1])].seconds if i else 0.0
         stat.self_seconds = max(stat.seconds - child_seconds, 0.0)
-        merged.tuples += op.counters.tuples
-        merged.probes += op.counters.probes
-        merged.filtered += op.counters.filtered
-        merged.hash_builds += op.counters.hash_builds
-        op_stats.append(stat)
+        loops, child_seconds = rows, stat.seconds
 
     estimated_cost = (
         estimate_cost(query, statistics, cost_model)
@@ -354,10 +268,10 @@ def analyze_query(
     )
     return AnalyzeResult(
         query=query,
-        results=results,
-        elapsed_seconds=elapsed,
-        plan_text=plan_text,
+        results=execution.results,
+        elapsed_seconds=execution.elapsed_seconds,
+        plan_text=execution.plan_text,
         op_stats=op_stats,
-        counters=merged,
+        counters=execution.counters,
         estimated_cost=estimated_cost,
     )

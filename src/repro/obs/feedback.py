@@ -23,6 +23,8 @@ Everything here is gated by ``ObsConfig(feedback=True)``: with the flag
 off no store exists, compiled artifacts are byte-identical to today's,
 and the interpreted path takes no per-operator instrumentation.
 
+The actuals are the engine's (``ExecutionResult.level_rows``; interpreted
+runs read them off the operators, :func:`repro.exec.operators.level_rows`).
 Level semantics (shared with the compiled codegen): a level's actual is
 the number of environments surviving that binding *and* the level's
 residual conditions — compiled columnar scans absorb probe conditions
@@ -38,20 +40,13 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.exec.operators import (
-    Counters,
-    Filter,
-    HashJoinBind,
-    Operator,
-    Project,
-    ScanBind,
-)
+from repro.exec.operators import HashJoinBind, binding_levels, chain
 from repro.exec.planner import compile_query
 
 # The replay and attribution helpers are deliberately shared with
 # EXPLAIN ANALYZE and the cost model: "est rows" here, there, and in
 # estimate_cost must never disagree (the parity test pins this).
-from repro.obs.analyze import _chain, _estimated_rows, _op_label
+from repro.obs.analyze import _estimated_rows, _op_label
 from repro.optimizer.cost import _attr_of
 from repro.optimizer.statistics import Statistics
 from repro.query.ast import Eq, PCQuery
@@ -187,20 +182,15 @@ def level_specs(
     otherwise) — matching where both execution modes count actuals.
     """
 
-    plan = compile_query(query, use_hash_joins=use_hash_joins)
-    ops = _chain(plan)
+    # compiled for its shape only — the one planner call outside
+    # repro/exec; nothing here runs a plan
+    ops = chain(compile_query(query, use_hash_joins=use_hash_joins))
     estimates = _estimated_rows(ops, query, statistics)
     sources = {b.var: b.source for b in query.bindings}
     specs: List[LevelSpec] = []
-    for idx, op in enumerate(ops):
-        if not isinstance(op, (ScanBind, HashJoinBind)):
-            continue
-        tail: Operator = op
-        conds: List[Eq] = []
-        nxt = ops[idx + 1] if idx + 1 < len(ops) else None
-        if isinstance(nxt, Filter):
-            tail = nxt
-            conds = list(nxt.conditions)
+    for idx, tail in binding_levels(ops):
+        op = ops[idx]
+        conds: List[Eq] = list(ops[tail].conditions) if tail != idx else []
         if isinstance(op, HashJoinBind):
             source = op.build_source
             # The folded equijoin filters like a condition; its attrs
@@ -214,45 +204,13 @@ def level_specs(
         specs.append(
             LevelSpec(
                 label=_op_label(op),
-                est_rows=estimates[id(tail)],
+                est_rows=estimates[id(ops[tail])],
                 rel=rel,
                 attrs=_cond_attrs(conds, sources),
                 has_conds=has_conds,
             )
         )
     return tuple(specs)
-
-
-def instrument_chain(plan: Project) -> List[Operator]:
-    """Give every operator of a freshly compiled plan its own counters.
-
-    Interpreted-mode feedback collection: per-operator counters make the
-    per-level actuals recoverable (bind tuples minus the following
-    filter's rejections) at zero per-tuple cost beyond what the shared
-    counters already pay.  Only called when feedback is enabled — plans
-    on the silent path keep their single shared :class:`Counters`.
-    """
-
-    ops = _chain(plan)
-    for op in ops:
-        op.counters = Counters()
-    return ops
-
-
-def finish_chain(ops: List[Operator], run_counters: Counters) -> Tuple[int, ...]:
-    """Merge per-operator counters back into the run total and derive
-    the per-level actuals (rows surviving each bind + its conditions)."""
-
-    level_rows: List[int] = []
-    for idx, op in enumerate(ops):
-        run_counters.merge(op.counters)
-        if isinstance(op, (ScanBind, HashJoinBind)):
-            produced = op.counters.tuples
-            nxt = ops[idx + 1] if idx + 1 < len(ops) else None
-            if isinstance(nxt, Filter):
-                produced -= nxt.counters.filtered
-            level_rows.append(produced)
-    return tuple(level_rows)
 
 
 class FeedbackStore:

@@ -63,20 +63,22 @@ class SlowQueryLog:
 
     def observe(
         self,
-        query: str,
+        query: Any,
         elapsed_seconds: float,
         source: str = "",
         rows: Optional[int] = None,
         **attrs: Any,
     ) -> bool:
-        """Record the request if over threshold; returns whether it was."""
+        """Record the request if over threshold; returns whether it was.
+        ``query`` (the query object or its text) is rendered only then —
+        the under-threshold majority never pays for formatting."""
 
         self.observed += 1
         if elapsed_seconds < self.threshold_seconds:
             return False
         self.recorded += 1
         self.entries.append(
-            SlowQuery(query, elapsed_seconds, source, rows, dict(attrs))
+            SlowQuery(str(query), elapsed_seconds, source, rows, dict(attrs))
         )
         return True
 

@@ -10,8 +10,8 @@ engine into a caching query service:
   :class:`CachedView` (definition, constraint pair, extent, accrued
   benefit);
 * :mod:`repro.semcache.cache` — the :class:`SemanticCache` pool with
-  two-tier lookup (exact / backchase rewrite, view-only or **hybrid**
-  view ⋈ base);
+  its one tier walk (exact / backchase rewrite, view-only or **hybrid**
+  view ⋈ base / miss);
 * :mod:`repro.semcache.policy` — cost-benefit eviction bounds (observed
   rewrite benefit keeps paying views resident);
 * :mod:`repro.semcache.invalidation` — instance-mutation subscriptions
@@ -23,7 +23,7 @@ engine into a caching query service:
 """
 
 from repro.semcache.cache import Rewrite, SemanticCache
-from repro.semcache.invalidation import InstanceWatcher, InvalidationIndex
+from repro.semcache.invalidation import InstanceWatcher
 from repro.semcache.policy import CostBenefitPolicy
 from repro.semcache.session import (
     COLD,
@@ -46,7 +46,6 @@ __all__ = [
     "CachedView",
     "CostBenefitPolicy",
     "InstanceWatcher",
-    "InvalidationIndex",
     "Rewrite",
     "SemanticCache",
     "SessionResult",

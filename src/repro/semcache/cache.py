@@ -11,7 +11,9 @@ needs.  The cache itself only decides *bookkeeping*: which views are
 relevant, when to evict (cost-benefit, :mod:`repro.semcache.policy`) and
 when to invalidate (source mutations, :mod:`repro.semcache.invalidation`).
 
-Lookup is two-tier:
+Lookup is one tier walk, :meth:`SemanticCache.lookup`, shared by the
+session's request path, the façade's session-aware EXPLAIN (as a peek,
+``record=False``) and the CLI's plan-level ``--cache`` mode:
 
 1. **exact** — same canonical form as a cached query: the stored result
    set is returned as-is, no optimization, no execution;
@@ -36,15 +38,16 @@ to misses — the cache can be slow, never wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.constraints.epcd import EPCD
 from repro.errors import ReproError
+from repro.lru import DependencyIndex
+from repro.obs.trace import NOOP_TRACER
 from repro.optimizer.cost import CostModel, estimate_cost, extent_statistics
 from repro.optimizer.optimizer import OptimizationResult, Optimizer
 from repro.optimizer.statistics import Statistics
 from repro.query.ast import PCQuery
-from repro.semcache.invalidation import InvalidationIndex
 from repro.semcache.policy import CostBenefitPolicy
 from repro.semcache.stats import CacheStats
 from repro.semcache.view import CachedView, make_cached_view
@@ -142,7 +145,7 @@ class SemanticCache:
         self.stats = CacheStats()
         self._views: Dict[str, CachedView] = {}
         self._exact: Dict[str, str] = {}  # canonical key -> view name
-        self._index = InvalidationIndex()
+        self._index = DependencyIndex()  # schema name -> dependent views
         self._seq = 0
         self._optimizer = Optimizer(
             list(constraints),
@@ -179,28 +182,58 @@ class SemanticCache:
 
     # -- lookup ----------------------------------------------------------------
 
-    def lookup_exact(self, query: PCQuery) -> Optional[CachedView]:
-        """The cached view holding this exact query's result, if any.
+    def lookup(
+        self,
+        query: PCQuery,
+        require_executable: bool = False,
+        base_names: Optional[Callable[[], Iterable[str]]] = None,
+        record: bool = True,
+        tracer=NOOP_TRACER,
+    ) -> Tuple[Optional[CachedView], Optional["Rewrite"]]:
+        """The tier walk, exact → rewrite → miss: ``(view, None)``,
+        ``(None, rewrite)`` or ``(None, None)``.  Arguments as in
+        :meth:`plan_rewrite`, except that ``base_names`` is a callable
+        *giving* the names, asked only once the exact tier has missed.
+        ``record=False`` decides identically but is a pure peek — no
+        counter, benefit, recency or trace record moves: how EXPLAIN
+        predicts what a session would serve without perturbing it."""
 
-        Counts a lookup; callers that fall through to :meth:`plan_rewrite`
-        and cold execution must not count again.
-        """
+        tracer = tracer if record else NOOP_TRACER
+        exact = self.lookup_exact(query) if record else self.peek_exact(query)
+        if exact is not None:
+            tracer.event("semcache.exact", hit=True, view=exact.name)
+            return exact, None
+        with tracer.span("semcache.rewrite") as sp:
+            rewrite = self.plan_rewrite(
+                query,
+                require_executable=require_executable,
+                base_names=base_names() if base_names else None,
+                record=record,
+            )
+            sp.set(hit=rewrite is not None)
+            if rewrite is not None:
+                sp.set(
+                    hybrid=rewrite.hybrid,
+                    views=",".join(rewrite.view_names()),
+                )
+        if rewrite is None and record:
+            self.stats.misses += 1
+        return None, rewrite
+
+    def lookup_exact(self, query: PCQuery) -> Optional[CachedView]:
+        """:meth:`peek_exact` plus the bookkeeping: counts the lookup
+        (once per request, whatever tier answers) and, on a hit,
+        refreshes the view's recency."""
 
         self.stats.lookups += 1
-        name = self._exact.get(query.canonical_key())
-        if name is None:
-            return None
-        view = self._views.get(name)
-        if view is None or view.stale or view.result is None:
-            return None
-        self.stats.exact_hits += 1
-        self._touch(view)
+        view = self.peek_exact(query)
+        if view is not None:
+            self.stats.exact_hits += 1
+            self._touch(view)
         return view
 
     def peek_exact(self, query: PCQuery) -> Optional[CachedView]:
-        """:meth:`lookup_exact` without the bookkeeping: no lookup is
-        counted and no recency is refreshed.  The explain path uses this
-        to predict what a session would serve without perturbing it."""
+        """The cached view holding this exact query's result, if any."""
 
         name = self._exact.get(query.canonical_key())
         if name is None:
@@ -223,7 +256,7 @@ class SemanticCache:
         self,
         query: PCQuery,
         require_executable: bool = False,
-        base_names: Optional[FrozenSet[str]] = None,
+        base_names: Optional[Iterable[str]] = None,
         record: bool = True,
     ) -> Optional[Rewrite]:
         """Rewrite ``query`` onto cached extents, or ``None`` on a miss.
@@ -311,15 +344,6 @@ class SemanticCache:
             self._touch(view)
         return rewrite
 
-    def record_lookup(self) -> None:
-        """Count a cache consultation that bypassed :meth:`lookup_exact`
-        (the CLI's plan-only path)."""
-
-        self.stats.lookups += 1
-
-    def record_miss(self) -> None:
-        self.stats.misses += 1
-
     def _rewrite_statistics(self, candidates: List[CachedView]) -> Statistics:
         """Catalog statistics with observed statistics for cached extents
         (exact cardinalities and per-attribute NDVs; see
@@ -380,7 +404,7 @@ class SemanticCache:
         )
         self._views[name] = view
         self._exact[key] = name
-        self._index.add(view)
+        self._index.add(name, view.dependencies)
         self.stats.registrations += 1
         self._evict_to_budget()
         return self._views.get(name)
@@ -396,7 +420,7 @@ class SemanticCache:
 
     def _drop(self, view: CachedView) -> None:
         self._views.pop(view.name, None)
-        self._index.remove(view)
+        self._index.remove(view.name, view.dependencies)
         key = view.query.canonical_key()
         if self._exact.get(key) == view.name:
             del self._exact[key]

@@ -5,9 +5,10 @@ instance *at registration time*; any later assignment to a source relation
 can silently falsify the ``cV``/``c'V`` pair and turn rewrites into stale
 answers.  Two pieces prevent that:
 
-* :class:`InvalidationIndex` — a reverse map from source schema name to
-  the views reading it, so a mutation touches only its dependents instead
-  of scanning the pool;
+* :class:`repro.lru.DependencyIndex` (held by the cache, shared with the
+  plan cache) — a reverse map from source schema name to the views
+  reading it, indexed on :attr:`CachedView.dependencies`, so a mutation
+  touches only its dependents instead of scanning the pool;
 * :class:`InstanceWatcher` — the subscription glue: registers a listener
   on :meth:`repro.model.instance.Instance.subscribe` and forwards each
   mutated name to the cache's ``invalidate_source``.  :meth:`close`
@@ -30,43 +31,7 @@ giving tests a monotone probe that the channel is actually wired.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Set
-
 from repro.model.instance import Instance
-from repro.semcache.view import CachedView
-
-
-class InvalidationIndex:
-    """Reverse dependency map: schema name → dependent view names.
-
-    Indexed on :attr:`CachedView.dependencies` — the syntactic sources
-    plus implicitly read names (class dictionaries) — so a mutation of
-    anything the evaluation touched finds its dependents.
-    """
-
-    def __init__(self) -> None:
-        self._by_source: Dict[str, Set[str]] = {}
-
-    def add(self, view: CachedView) -> None:
-        for source in view.dependencies:
-            self._by_source.setdefault(source, set()).add(view.name)
-
-    def remove(self, view: CachedView) -> None:
-        for source in view.dependencies:
-            dependents = self._by_source.get(source)
-            if dependents is not None:
-                dependents.discard(view.name)
-                if not dependents:
-                    del self._by_source[source]
-
-    def dependents(self, source: str) -> FrozenSet[str]:
-        return frozenset(self._by_source.get(source, ()))
-
-    def sources(self) -> FrozenSet[str]:
-        return frozenset(self._by_source)
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._by_source.values())
 
 
 class InstanceWatcher:

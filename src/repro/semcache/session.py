@@ -1,10 +1,11 @@
 """The caching query service: execute → maybe-rewrite → maybe-register.
 
 :class:`CachedSession` is the front end the serving layers (REPL, bench
-harness) talk to.  Each :meth:`run` call walks the two-tier lookup of
-:class:`~repro.semcache.cache.SemanticCache`, falls back to a cold
-execution through :func:`repro.exec.engine.execute`, and feeds the cold
-result back into the pool so later queries can be answered from it.
+harness) talk to.  Each :meth:`run` call walks the cache's tiers
+(:meth:`~repro.semcache.cache.SemanticCache.lookup`), falls back to a cold
+execution through :func:`repro.exec.engine.execute` — in the context's
+``exec_mode``, like rewrites; interpreted without a context — and feeds the
+cold result back into the pool so later queries can be answered from it.
 
 Rewritten plans execute against a read-through **overlay**
 (:meth:`repro.model.instance.Instance.overlay`): the used extents are
@@ -101,6 +102,8 @@ class CachedSession:
         self.hybrid = hybrid
         self.context = context
         self.tracer = context.tracer if context is not None else NOOP_TRACER
+        # a standalone session leaves the engine's default (interpreted)
+        self.exec_mode = context.exec_mode if context is not None else None
         self.slow_log = slow_log
         self.feedback_hook = feedback_hook
         self.cache = cache or SemanticCache(
@@ -149,42 +152,39 @@ class CachedSession:
             root.set(source=result.source, rows=len(result.results))
         if self.slow_log is not None:
             self.slow_log.observe(
-                str(query),
+                query,
                 result.elapsed_seconds,
                 source=f"session.{result.source}",
                 rows=len(result.results),
             )
         return result
 
+    def lookup(self, query: PCQuery, record: bool = True):
+        """:meth:`SemanticCache.lookup` as this session configures it:
+        ``(exact view, rewrite)``.  ``record=False`` peeks at what
+        :meth:`run` would serve right now (``Database.explain``)."""
+
+        return self.cache.lookup(
+            query,
+            require_executable=True,
+            base_names=self.instance.names if self.hybrid else None,
+            record=record,
+            tracer=self.tracer,
+        )
+
     def _run(self, query: PCQuery, tracer) -> SessionResult:
         start = time.perf_counter()
         if not self.enabled:
             return self._cold(query, tracer, start, register=False)
 
-        exact = self.cache.lookup_exact(query)
+        exact, rewrite = self.lookup(query)
         if exact is not None:
-            tracer.event("semcache.exact", hit=True, view=exact.name)
             return SessionResult(
                 results=exact.result,
                 source=EXACT,
                 elapsed_seconds=time.perf_counter() - start,
                 view_names=(exact.name,),
             )
-
-        with tracer.span("semcache.rewrite") as sp:
-            rewrite = self.cache.plan_rewrite(
-                query,
-                require_executable=True,
-                base_names=(
-                    frozenset(self.instance.names()) if self.hybrid else None
-                ),
-            )
-            sp.set(hit=rewrite is not None)
-            if rewrite is not None:
-                sp.set(
-                    hybrid=rewrite.hybrid,
-                    views=",".join(rewrite.view_names()),
-                )
         if rewrite is not None:
             # Cached extents shadow nothing (the view namespace is
             # reserved); base reads fall through to the live instance at
@@ -195,6 +195,7 @@ class CachedSession:
                 use_hash_joins=self.use_hash_joins,
                 overlays={view.name: view.extent for view in rewrite.views},
                 tracer=tracer,
+                mode=self.exec_mode,
             )
             if self.register_results:
                 # Promote the rewrite into an exact entry: repeats of this
@@ -211,7 +212,6 @@ class CachedSession:
                 base_names=tuple(sorted(rewrite.base_names())),
             )
 
-        self.cache.record_miss()
         return self._cold(
             query, tracer, start, register=self.register_results
         )
@@ -228,6 +228,7 @@ class CachedSession:
             self.instance,
             use_hash_joins=self.use_hash_joins,
             tracer=tracer,
+            mode=self.exec_mode,
             feedback=self.feedback_hook is not None,
         )
         if self.feedback_hook is not None:

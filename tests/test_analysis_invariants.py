@@ -8,6 +8,7 @@ itself must lint to zero findings (the property CI gates on).
 
 from __future__ import annotations
 
+import ast
 import json
 
 import pytest
@@ -42,6 +43,55 @@ def test_shipped_tree_has_zero_findings():
     assert project.tests, "expected tests/ sources to load"
     assert project.parse_failures == []
     assert lint_project(project) == []
+
+
+def test_the_interpreted_pipeline_is_built_run_and_counted_under_exec():
+    """EXPLAIN ANALYZE and plan-quality feedback *read* the executing
+    path; they do not rebuild it.  Nothing under ``repro/exec`` imports
+    them (the tracer import stays), ``compile_query`` is called only
+    under ``repro/exec`` — but for ``feedback.level_specs``, which
+    compiles a chain to read its shape (``chain(compile_query(...))``)
+    and never runs it — and only ``exec/operators.py`` assigns the
+    ``counters`` of an object other than ``self`` (an operator's)."""
+
+    def called(node):
+        return getattr(node.func, "attr", getattr(node.func, "id", None))
+
+    upward, planner_calls, counter_assignments = [], [], []
+    shape_only = set()  # ast.walk is breadth-first: parents come first
+    for file in load_project().src:
+        under_exec = file.path.startswith("src/repro/exec/")
+        for node in ast.walk(file.tree):
+            where = f"{file.path}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                imported = [module] + [f"{module}.{a.name}" for a in node.names]
+            else:
+                imported = []
+            if under_exec and any(
+                name.startswith(("repro.obs.analyze", "repro.obs.feedback"))
+                for name in imported
+            ):
+                upward.append(where)
+            if isinstance(node, ast.Call) and not under_exec:
+                if called(node) == "chain":
+                    shape_only.update(id(arg) for arg in node.args)
+                if called(node) == "compile_query":
+                    planner_calls.append((file.path, id(node) in shape_only))
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if file.path != "src/repro/exec/operators.py" and any(
+                    isinstance(t, ast.Attribute)
+                    and t.attr == "counters"
+                    and getattr(t.value, "id", None) != "self"
+                    for t in targets
+                ):
+                    counter_assignments.append(where)
+    assert upward == []
+    assert planner_calls == [("src/repro/obs/feedback.py", True)]
+    assert counter_assignments == []
 
 
 # -- INV-FPR ---------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import pytest
 
-import repro.backchase.backchase as bc
 from repro.backchase.backchase import (
     BackchaseStats,
     is_minimal,
@@ -13,7 +12,7 @@ from repro.backchase.backchase import (
     try_remove_binding,
 )
 from repro.chase.chase import ChaseEngine, chase
-from repro.chase.containment import is_equivalent
+from repro.chase.containment import is_contained_in, is_equivalent
 from repro.errors import BackchaseError
 from repro.query.parser import parse_constraint, parse_query
 
@@ -173,17 +172,16 @@ class TestTryRemove:
         candidate = try_remove_binding(query, "s", [nonempty_via])
         assert candidate is not None
 
-    def test_paranoid_mode(self):
+    def test_parent_is_contained_in_the_candidate_by_construction(self):
+        # the direction accept_candidate does not chase for (the workload
+        # searches: tests/test_backchase_differential.py)
         query = q(
             "select struct(A = p.A, B = r.B) from R p, R q, R r "
             "where p.B = q.A and q.B = r.B"
         )
-        bc.PARANOID_CHECKS = True
-        try:
-            candidate = try_remove_binding(query, "r", [])
-            assert candidate is not None
-        finally:
-            bc.PARANOID_CHECKS = False
+        candidate = try_remove_binding(query, "r", [])
+        assert candidate is not None
+        assert is_contained_in(query, candidate, [])
 
 
 class TestMinimalSubqueries:

@@ -13,6 +13,9 @@ removal a copy.  Neither may change *what* the search computes:
   minimal accepted binding-variable sets, in order of first acceptance;
 * a candidate built on a copy of the node's closure is the candidate
   built on a closure of its own;
+* every accepted candidate contains its parent — the direction
+  ``accept_candidate`` takes from the construction instead of chasing
+  (the oracle here: a chase-only engine deciding parent ⊑ candidate);
 * with subsumption switched off the search returns the same normal forms
   and the same ``BackchaseStats`` — on the workloads and on generated
   queries × constraint sets — and on the workloads both agree with the
@@ -64,6 +67,8 @@ class Observed:
         self.antichain_diffs: List[tuple] = []
         self.closure_leaks: List[str] = []
         self.built = 0
+        self.accepted = 0
+        self.parent_not_contained: List[str] = []  # parent ⋢ accepted candidate
 
 
 def observe(wl, strategy) -> Observed:
@@ -97,6 +102,10 @@ def observe(wl, strategy) -> Observed:
             seen.antichain_diffs.append((given, minimal_in_order(earlier)))
         verdict = real_accept(candidate, parent, engine, key, accepted)
         shape_verdicts[candidate.canonical_key()] = verdict
+        if verdict:
+            seen.accepted += 1
+            if not real_decide(parent, candidate, wl.constraints, oracle):
+                seen.parent_not_contained.append(f"{parent} vs {candidate}")
         return verdict
 
     def decide(q1, q2, deps=(), engine=None, accepted=()):
@@ -154,6 +163,13 @@ class TestTheWorkloadSearches:
         seen = searches[name, strategy]
         assert seen.built > 20
         assert seen.closure_leaks == []
+
+    def test_every_accepted_candidate_contains_its_parent(
+        self, searches, name, strategy
+    ):
+        seen = searches[name, strategy]
+        assert seen.accepted
+        assert seen.parent_not_contained == []
 
 
 class TestSubsumed:

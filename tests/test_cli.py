@@ -234,6 +234,31 @@ class TestCommands:
         assert "lookups: 2" in out
         assert "misses: 1" in out
 
+    def test_optimize_cache_counters_over_a_fixed_script(
+        self, files, tmp_path, capsys
+    ):
+        """``--cache`` walks the semantic cache's one tier walk; the
+        counters are those of the parent commit (42e568b), where the CLI
+        counted the lookup and the miss by hand."""
+
+        _, query, _, _ = files
+        contained = tmp_path / "q2.oql"
+        contained.write_text("select r.A from R r where r.B = 5 and r.A = 1\n")
+        other = tmp_path / "q3.oql"
+        other.write_text("select s.C from S s where s.B = 1\n")
+        argv = ["optimize", "--cache", "--verbose", "--hybrid"]
+        for path in (query, contained, query, other):
+            argv += ["--query", str(path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        counters = out[out.index("cache counters:"):].split()[2:]
+        assert dict(zip(counters[::2], counters[1::2])) == {
+            "lookups:": "4", "exact_hits:": "0", "rewrite_hits:": "2",
+            "hybrid_hits:": "0", "misses:": "2", "rewrite_attempts:": "2",
+            "rewrite_failures:": "0", "registrations:": "2", "rejected:": "0",
+            "evictions:": "0", "invalidations:": "0", "benefit_accrued:": "0.0",
+        }
+
     def test_optimize_without_cache_never_mentions_cache(self, files, capsys):
         _, query, constraints, _ = files
         main(["optimize", "--query", str(query), "--constraints", str(constraints)])

@@ -46,9 +46,9 @@ from repro.exec.compile import (
     compile_plan,
     generate_source,
 )
-from repro.exec.operators import Filter, HashJoinBind, ScanBind
+from repro.exec.operators import Filter, HashJoinBind, ScanBind, chain as _chain
 from repro.exec.planner import compile_query
-from repro.obs.analyze import _chain, analyze_query
+from repro.obs.analyze import analyze_query
 from repro.obs.feedback import (
     FeedbackStore,
     LevelSpec,

@@ -243,6 +243,36 @@ class TestSlowQueryLog:
         assert entry["source"] == "cold"
         assert entry["rows"] == 3
 
+    def test_only_a_recorded_request_is_formatted(self):
+        class Query:
+            rendered = 0
+
+            def __str__(self):
+                Query.rendered += 1
+                return "select it"
+
+        log = SlowQueryLog(threshold_seconds=0.1)
+        assert not log.observe(Query(), 0.05)
+        assert Query.rendered == 0
+        assert log.observe(Query(), 0.2)
+        assert Query.rendered == 1
+        assert log.as_dicts()[0]["query"] == "select it"
+
+    def test_request_paths_hand_over_the_query_unformatted(self, rs):
+        from repro.query.ast import PCQuery
+
+        db = Database(instance=rs.instance)  # default threshold: 250 ms
+        seen = []
+        real = db.obs.slow_log.observe
+        db.obs.slow_log.observe = lambda query, *a, **kw: (
+            seen.append(query), real(query, *a, **kw)
+        )[1]
+        db.execute(JOIN_Q)
+        with db.session() as session:
+            session.run(parse_query(JOIN_Q))
+        assert len(seen) == 2 and all(isinstance(q, PCQuery) for q in seen)
+        db.close()
+
     def test_capacity_bounds_entries(self):
         log = SlowQueryLog(threshold_seconds=0.0, capacity=2)
         for i in range(4):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import (
+    Database,
     Instance,
     Row,
     Statistics,
@@ -13,6 +14,8 @@ from repro import (
 )
 from repro.chase.cache import ContainmentCache
 from repro.chase.chase import ChaseEngine
+from repro.lru import DependencyIndex
+from repro.obs import ObsConfig
 from repro.optimizer.cost import CostModel
 from repro.optimizer.optimizer import Optimizer
 from repro.query.parser import parse_constraint
@@ -23,7 +26,6 @@ from repro.semcache import (
     REWRITE,
     CachedSession,
     CostBenefitPolicy,
-    InvalidationIndex,
     SemanticCache,
     make_cached_view,
     view_definition,
@@ -287,14 +289,13 @@ class TestInvalidation:
             assert all(row["DN"] == "RENAMED" for row in fresh.results)
 
     def test_invalidation_index_bookkeeping(self):
-        index = InvalidationIndex()
+        index = DependencyIndex()
         view = make_cached_view("_SC1", parse_query(JOIN), frozenset(), 1)
-        index.add(view)
+        index.add(view.name, view.dependencies)
         assert index.dependents("R") == {"_SC1"}
         assert index.dependents("S") == {"_SC1"}
-        index.remove(view)
-        assert index.dependents("R") == frozenset()
-        assert len(index) == 0
+        index.remove(view.name, view.dependencies)
+        assert index.dependents("R") == index.dependents("S") == frozenset()
 
 
 class TestEviction:
@@ -445,6 +446,156 @@ class TestPolicyEdgeCases:
             assert sess.run(q).results == evaluate(q, rs_instance_large)
         assert len(sess.cache) <= 1
         assert sess.stats.evictions >= 2
+        sess.close()
+
+
+class TestTierWalk:
+    """exact → rewrite → miss is written once (``SemanticCache.lookup``);
+    ``record=False`` makes it a peek.  The expected counters were recorded
+    from the parent commit (42e568b), where the session, ``Database.explain``
+    and the CLI each walked the tiers themselves."""
+
+    WARM = "select struct(A = r.A, B = r.B) from R r where r.A = 1"
+    PARTIAL = (
+        "select struct(A = r.A, C = s.C) from R r, S s "
+        "where r.B = s.B and r.A = 1"
+    )
+    NARROW = "select struct(B = r.B) from R r where r.A = 1 and r.B = 1"
+    OTHER = "select struct(C = s.C) from S s where s.B = 2"
+
+    #: (request, source served, the non-zero CacheStats fields after it)
+    SCRIPT = [
+        (WARM, COLD, dict(lookups=1, misses=1, registrations=1)),
+        (WARM, EXACT, dict(lookups=2, exact_hits=1, misses=1, registrations=1)),
+        (PARTIAL, HYBRID, dict(
+            lookups=3, exact_hits=1, hybrid_hits=1, misses=1,
+            rewrite_attempts=1, registrations=2, benefit_accrued=343.0)),
+        (NARROW, REWRITE, dict(
+            lookups=4, exact_hits=1, rewrite_hits=1, hybrid_hits=1, misses=1,
+            rewrite_attempts=2, registrations=3, benefit_accrued=686.0)),
+        (OTHER, COLD, dict(
+            lookups=5, exact_hits=1, rewrite_hits=1, hybrid_hits=1, misses=2,
+            rewrite_attempts=2, registrations=4, benefit_accrued=686.0)),
+        (PARTIAL, EXACT, dict(
+            lookups=6, exact_hits=2, rewrite_hits=1, hybrid_hits=1, misses=2,
+            rewrite_attempts=2, registrations=4, benefit_accrued=686.0)),
+        ("mutate S", None, dict(
+            lookups=6, exact_hits=2, rewrite_hits=1, hybrid_hits=1, misses=2,
+            rewrite_attempts=2, registrations=4, invalidations=2,
+            benefit_accrued=686.0)),
+        (PARTIAL, HYBRID, dict(
+            lookups=7, exact_hits=2, rewrite_hits=1, hybrid_hits=2, misses=2,
+            rewrite_attempts=3, registrations=5, invalidations=2,
+            benefit_accrued=1029.0)),
+        (NARROW, EXACT, dict(
+            lookups=8, exact_hits=3, rewrite_hits=1, hybrid_hits=2, misses=2,
+            rewrite_attempts=3, registrations=5, invalidations=2,
+            benefit_accrued=1029.0)),
+    ]
+
+    @staticmethod
+    def _instance() -> Instance:
+        r = frozenset(Row(A=i % 50, B=i % 7) for i in range(400))
+        s = frozenset(Row(B=i % 7, C=i) for i in range(90))
+        return Instance({"R": r, "S": s})
+
+    @staticmethod
+    def _state(cache):
+        return cache.stats.as_dict(), [
+            (v.name, v.hits, v.benefit, v.last_used_at) for v in cache.views()
+        ]
+
+    def test_run_moves_what_it_moved_and_explain_moves_nothing(self):
+        db = Database(instance=self._instance())
+        sess = db.session()
+        for request, source, moved in self.SCRIPT:
+            if source is None:
+                db.instance["S"] = frozenset(
+                    Row(B=i % 7, C=i + 1000) for i in range(90)
+                )
+            else:
+                query = parse_query(request)
+                before = self._state(sess.cache)
+                predicted = db.explain(query, session=sess)
+                assert self._state(sess.cache) == before
+                served = sess.run(query)
+                assert served.source == source
+                assert served.plan_text == predicted
+            stats = sess.stats.as_dict()
+            assert {k: v for k, v in stats.items() if v} == moved
+        assert [
+            (v.name, v.hits, v.benefit, v.last_used_at)
+            for v in sess.cache.views()
+        ] == [("_SC1", 3, 1029.0, 9), ("_SC6", 0, 0.0, 11), ("_SC10", 0, 0.0, 10)]
+        sess.close()
+        db.close()
+
+    def test_plan_level_peek_moves_nothing(self):
+        """The CLI's ``optimize --cache`` configuration: entries without
+        results, the query's own names as the base side."""
+
+        cache = SemanticCache()
+        warm, narrow = parse_query(self.WARM), parse_query(self.NARROW)
+        assert cache.lookup(warm, record=False) == (None, None)
+        assert cache.stats == type(cache.stats)()
+        cache.register(warm)
+        before = self._state(cache)
+        for base in (None, narrow.schema_names):
+            exact, rewrite = cache.lookup(narrow, base_names=base, record=False)
+            assert exact is None  # a plan-only entry holds nothing to serve
+            assert rewrite is not None and not rewrite.executable
+            assert self._state(cache) == before
+        # ... and the same walk, recording
+        assert cache.lookup(narrow)[1] is not None
+        assert cache.lookup(parse_query(self.OTHER)) == (None, None)
+        stats = cache.stats
+        assert (stats.lookups, stats.rewrite_hits, stats.misses) == (2, 1, 1)
+        assert cache.get("_SC1").hits == 1
+
+    def test_lookup_exact_is_peek_exact_plus_bookkeeping(self):
+        instance = self._instance()
+        cache = SemanticCache(statistics=Statistics.from_instance(instance))
+        warm = parse_query(self.WARM)
+        view = cache.register(warm, evaluate(warm, instance))
+        used = view.last_used_at
+        assert cache.peek_exact(warm) is view
+        assert (cache.stats.lookups, view.last_used_at) == (0, used)
+        assert cache.lookup_exact(warm) is view
+        assert (cache.stats.lookups, cache.stats.exact_hits) == (1, 1)
+        assert view.last_used_at > used
+
+
+class TestSessionExecMode:
+    """Sessions run in the database's ``exec_mode`` (they used to call
+    the engine with neither the context nor a mode, so a compiled
+    database's sessions ran interpreted)."""
+
+    @pytest.mark.parametrize("mode", ("interpret", "compiled"))
+    def test_cold_miss_and_hybrid_rewrite(self, mode):
+        instance = TestTierWalk._instance()
+        db = Database(
+            instance=instance, exec_mode=mode, obs=ObsConfig(tracing=True)
+        )
+        assert db.execute(TestTierWalk.WARM).mode == mode
+        with db.session() as sess:
+            for text, source in (
+                (TestTierWalk.WARM, COLD),
+                (TestTierWalk.PARTIAL, HYBRID),
+            ):
+                db.obs.tracer.clear()
+                query = parse_query(text)
+                served = sess.run(query)
+                assert served.source == source
+                assert served.results == evaluate(query, instance)
+                (span,) = [
+                    s for s in db.obs.tracer.spans if s.name == "phase.exec"
+                ]
+                assert span.attrs["mode"] == mode
+        db.close()
+
+    def test_a_standalone_session_stays_interpreted(self, rs_instance_large):
+        sess = CachedSession(rs_instance_large)
+        assert sess.exec_mode is None  # the engine's default
         sess.close()
 
 
