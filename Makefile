@@ -1,6 +1,7 @@
 # Make-style entry points for the test and benchmark suites.
 #
-#   make test         tier-1 suite (what CI gates on)
+#   make test         tier-1 suite (what CI gates on), with the 25 slowest
+#                     tests printed
 #   make check        the full gate: lint, tier-1 tests, bench smokes,
 #                     golden suite, benchmarks/perf harness tests,
 #                     determinism
@@ -15,20 +16,14 @@
 #                     the query corpus, invariant rules over src/repro)
 #   make loc          total and non-blank/non-comment line counts of
 #                     src/repro (the design metric ROADMAP aim 2 tracks)
-#   make bench-smoke  1-repetition benchmark smoke (emits BENCH_e12.json ..
-#                     BENCH_e20.json)
-#   make bench-report aggregate the BENCH_e*.json artifacts into one table
-#   make bench-e12    the full E12 pruning benchmark
-#   make bench-e13    the full E13 semantic-cache benchmark
-#   make bench-e14    the full E14 hybrid view-join-base benchmark
-#   make bench-e15    the full E15 prepared-query / plan-cache benchmark
-#   make bench-e16    the full E16 physical-design-advisor benchmark
-#   make bench-e17    the full E17 parameterized-template benchmark
+#   make bench-smoke  the E18-E20 smokes (one small run each; part of tier-1)
 #   make bench-e18    the full E18 observability-overhead benchmark
 #   make bench-e19    the full E19 compiled-execution benchmark
 #   make bench-e20    the full E20 plan-quality feedback benchmark
-#   make bench        every benchmark file
+#   make bench        every benchmarks/bench_e*.py (E1-E11, E18-E20;
+#                     benchmarks/README.md is the index)
 #
+# The repo benchmark is `python3 benchmarks/perf/run.py` (BENCHMARK.json).
 # The python toolchain is assumed baked into the environment; everything
 # runs against the in-tree sources via PYTHONPATH=src.
 
@@ -44,12 +39,11 @@ DETERMINISM_TESTS := tests/test_golden_plans.py \
 	tests/test_chase_differential.py \
 	tests/test_backchase_differential.py
 
-.PHONY: test check lint loc golden determinism fuzz bench bench-smoke bench-report \
-	bench-e12 bench-e13 bench-e14 bench-e15 bench-e16 bench-e17 bench-e18 \
-	bench-e19 bench-e20
+.PHONY: test check lint loc golden determinism fuzz bench bench-smoke \
+	bench-e18 bench-e19 bench-e20
 
 test:
-	$(PYTEST) -x -q
+	$(PYTEST) -x -q --durations=25
 
 # The chained gate: unit/integration tests first (excluding the smoke and
 # golden markers so failures localize), then the benchmark smokes, the
@@ -87,27 +81,6 @@ golden:
 
 bench-smoke:
 	$(PYTEST) -q -m bench_smoke tests/test_bench_smoke.py
-
-bench-report:
-	PYTHONPATH=src python benchmarks/report.py
-
-bench-e12:
-	$(PYTEST) -q benchmarks/bench_e12_pruning.py
-
-bench-e13:
-	$(PYTEST) -q benchmarks/bench_e13_semcache.py
-
-bench-e14:
-	$(PYTEST) -q benchmarks/bench_e14_hybrid.py
-
-bench-e15:
-	$(PYTEST) -q benchmarks/bench_e15_prepared.py
-
-bench-e16:
-	$(PYTEST) -q benchmarks/bench_e16_advisor.py
-
-bench-e17:
-	$(PYTEST) -q benchmarks/bench_e17_templates.py
 
 bench-e18:
 	$(PYTEST) -q benchmarks/bench_e18_obs.py

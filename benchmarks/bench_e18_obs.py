@@ -22,14 +22,11 @@ covers every optimizer phase (chase / backchase / cost / exec) in its
 latency histograms, and the traced wall clock stays within
 :data:`OVERHEAD_CEILING` of the silent one.
 
-The emitted result embeds the traced arm's full ``Database.metrics()``
-snapshot, which is what gives ``benchmarks/report.py`` its per-phase
-latency columns (artifacts emitted before this benchmark existed simply
-lack the field and degrade to the plain headline).
+The result embeds the traced arm's full ``Database.metrics()`` snapshot
+(per-phase latency histograms included).
 
 ``run_observability_comparison`` is importable — the tier-1 smoke test
-(``tests/test_bench_smoke.py``) runs the smoke scale once and emits
-``BENCH_e18.json``.
+(``tests/test_bench_smoke.py``) runs the smoke scale once.
 """
 
 from __future__ import annotations

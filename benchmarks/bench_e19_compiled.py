@@ -32,7 +32,7 @@ navigation-heavy plans gain orders of magnitude).
 
 ``run_compiled_comparison`` is importable — the tier-1 smoke test
 (``tests/test_bench_smoke.py``) runs the smoke scale once with the
-relaxed :data:`SMOKE_SPEEDUP_FLOOR` and emits ``BENCH_e19.json``.
+relaxed :data:`SMOKE_SPEEDUP_FLOOR`.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """E1 — the running example (sections 1–3, figures 1–3).
 
 Reproduces: chase of Q into the universal plan, backchase into the
-minimal plans, discovery of the paper's P1–P4 (see EXPERIMENTS.md for the
-exact forms) and the cost-based choice of Algorithm 1.
+minimal plans, discovery of the paper's P1–P4 (see ``README.md`` in this
+directory for the exact forms) and the cost-based choice of Algorithm 1.
 """
 
 from __future__ import annotations

@@ -49,9 +49,7 @@ insensitive, so its arm gates detection soundness only (same actuals,
 same Q-errors, same flag — the level-rows contract is mode-independent).
 
 ``run_feedback_comparison`` is importable — the tier-1 smoke test
-(``tests/test_bench_smoke.py``) runs the smoke scale once and emits
-``BENCH_e20.json`` (``benchmarks/report.py`` reads the Q-error and
-regression columns out of it).
+(``tests/test_bench_smoke.py``) runs the smoke scale once.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Reproduces: the optimizer discovers index-only plans (no scan of R); they
 beat the full scan both in the cost model and in measured execution.  The
 paper's literal two-index intersection plan is verified equivalent (it is
 subsumed by the minimal single-index plans under the full constraint set;
-see EXPERIMENTS.md E4).
+see the E4 note in this directory's ``README.md``).
 """
 
 from __future__ import annotations

@@ -7,7 +7,11 @@
   ``SystemExit`` too, and in this codebase specifically would swallow
   :class:`repro.errors.QueryExecutionError` where a failing lookup is
   *supposed* to propagate (the paper's dictionaries are partial
-  functions — failure is semantics, not noise).
+  functions — failure is semantics, not noise).  ``except Exception`` /
+  ``BaseException`` without a re-raise is the same defect: a programming
+  error inside the ``try`` becomes a silently different plan.  Catch
+  :class:`repro.errors.ReproError` or narrower; a boundary that must keep
+  running carries ``# repro: ignore[INV-EXCEPT]`` and its reason.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from repro.analysis.findings import Finding
 RULE_IDS = ("INV-MUTDEF", "INV-EXCEPT")
 CATALOG = {
     "INV-MUTDEF": "mutable default argument (shared across calls)",
-    "INV-EXCEPT": "bare `except:` (swallows KeyboardInterrupt and "
-    "engine errors alike)",
+    "INV-EXCEPT": "bare `except:`, or `except Exception` / `BaseException` "
+    "without re-raise (swallows programming and engine errors alike)",
 }
 
 _MUTABLE_CONSTRUCTORS = frozenset({"list", "dict", "set", "bytearray"})
@@ -37,6 +41,22 @@ def _is_mutable_default(node: ast.expr) -> bool:
         isinstance(node, ast.Call)
         and isinstance(node.func, ast.Name)
         and node.func.id in _MUTABLE_CONSTRUCTORS
+    )
+
+
+def _swallows_everything(handler: ast.ExceptHandler) -> bool:
+    """A bare ``except:``, or ``Exception`` / ``BaseException`` (alone or
+    in a tuple) caught by a body that never re-raises."""
+
+    caught = handler.type
+    if caught is None:
+        return True
+    names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+    return any(
+        isinstance(n, ast.Name) and n.id in ("Exception", "BaseException")
+        for n in names
+    ) and not any(
+        isinstance(n, ast.Raise) for stmt in handler.body for n in ast.walk(stmt)
     )
 
 
@@ -62,14 +82,16 @@ def run(project) -> List[Finding]:
                                 "it is shared across calls",
                             )
                         )
-            elif isinstance(node, ast.ExceptHandler) and node.type is None:
+            elif isinstance(node, ast.ExceptHandler) and _swallows_everything(
+                node
+            ):
                 findings.append(
                     Finding(
                         source_file.path,
                         node.lineno,
                         "INV-EXCEPT",
-                        "bare `except:` — catch a concrete exception type "
-                        "(a failing lookup must propagate)",
+                        "handler swallows every exception — catch ReproError "
+                        "or narrower (a failing lookup must propagate)",
                     )
                 )
     return findings

@@ -435,7 +435,6 @@ class Database:
         self,
         query: Union[PCQuery, str],
         strategy: Optional[str] = None,
-        use_plan_cache: bool = True,
     ) -> OptimizationResult:
         """Algorithm 1 through the plan cache.
 
@@ -445,25 +444,21 @@ class Database:
         keyed on template key (canonical form with parameters renamed
         positionally) + context fingerprint, so every binding and every
         alpha-variant of a ``$x`` template probes one entry.
-        ``use_plan_cache=False`` bypasses the cache entirely — no counters
-        move (the re-optimization arm of ``bench_e15``)."""
+        ``CacheConfig(plan_cache_size=0)`` is the way to run uncached."""
 
         return self._optimize_entry(
-            self._coerce_query(query),
-            strategy=strategy,
-            use_plan_cache=use_plan_cache,
+            self._coerce_query(query), strategy=strategy
         )[0]
 
     def _optimize_entry(
         self,
         query: PCQuery,
         strategy: Optional[str] = None,
-        use_plan_cache: bool = True,
         variant: str = "",
         context: Optional[OptimizeContext] = None,
     ) -> Tuple[OptimizationResult, Optional[PlanCacheEntry]]:
         """:meth:`optimize` plus the cache entry itself (``None`` when
-        the cache is bypassed) — the serve path reads the entry's
+        the plan cache is disabled) — the serve path reads the entry's
         parameter tuple, feedback stamps and lazily compiled artifact.
 
         ``variant`` suffixes the template key — the replan policies'
@@ -477,7 +472,7 @@ class Database:
         ctx = context if context is not None else self.context
         if strategy is not None and strategy != ctx.strategy:
             ctx = ctx.override(strategy=strategy)
-        cache = self._plan_cache if use_plan_cache else None
+        cache = self._plan_cache
         with self.obs.tracer.span("db.optimize") as sp:
             entry = None
             if cache is not None:
@@ -1203,7 +1198,7 @@ class Database:
             ):
                 entry.baseline_seconds = execution.elapsed_seconds
         regression = self.obs.regressions.observe(
-            str(plan_query),
+            plan_query,
             observation.max_qerror,
             execution.elapsed_seconds,
             baseline_seconds=baseline,

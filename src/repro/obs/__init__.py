@@ -32,7 +32,6 @@ from typing import Optional
 
 from repro.obs.analyze import AnalyzeResult, OpStats, analyze_query
 from repro.obs.feedback import (
-    DEFAULT_FEEDBACK_CAPACITY,
     FeedbackObservation,
     FeedbackStore,
     LevelFeedback,
@@ -40,15 +39,12 @@ from repro.obs.feedback import (
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.regress import (
-    DEFAULT_LATENCY_DRIFT_RATIO,
     DEFAULT_QERROR_THRESHOLD,
-    DEFAULT_REGRESSION_CAPACITY,
     PlanRegression,
     PlanRegressionLog,
 )
 from repro.obs.report import QueryReport
 from repro.obs.slowlog import (
-    DEFAULT_CAPACITY,
     DEFAULT_THRESHOLD_SECONDS,
     SlowQuery,
     SlowQueryLog,
@@ -97,12 +93,8 @@ class ObsConfig:
     tracing: bool = False
     max_spans: int = DEFAULT_MAX_SPANS
     slow_query_threshold: float = DEFAULT_THRESHOLD_SECONDS
-    slow_log_capacity: int = DEFAULT_CAPACITY
     feedback: bool = False
     qerror_threshold: float = DEFAULT_QERROR_THRESHOLD
-    latency_drift_ratio: float = DEFAULT_LATENCY_DRIFT_RATIO
-    feedback_capacity: int = DEFAULT_FEEDBACK_CAPACITY
-    regression_capacity: int = DEFAULT_REGRESSION_CAPACITY
 
 
 class Observability:
@@ -122,17 +114,14 @@ class Observability:
             max_spans=config.max_spans,
         )
         self.slow_log = SlowQueryLog(
-            threshold_seconds=config.slow_query_threshold,
-            capacity=config.slow_log_capacity,
+            threshold_seconds=config.slow_query_threshold
         )
         self.feedback: Optional[FeedbackStore] = None
         self.regressions: Optional[PlanRegressionLog] = None
         if config.feedback:
-            self.feedback = FeedbackStore(capacity=config.feedback_capacity)
+            self.feedback = FeedbackStore()
             self.regressions = PlanRegressionLog(
-                qerror_threshold=config.qerror_threshold,
-                latency_ratio=config.latency_drift_ratio,
-                capacity=config.regression_capacity,
+                qerror_threshold=config.qerror_threshold
             )
 
     def report(self, request_id=None) -> QueryReport:

@@ -235,7 +235,8 @@ class MetricsRegistry:
         for name, fn in self._sources.items():
             try:
                 values = fn()
-            except Exception as exc:  # a broken source must not kill metrics
+            except Exception as exc:  # repro: ignore[INV-EXCEPT]
+                # a broken pull source must not kill the snapshot
                 values = {"error": f"{type(exc).__name__}: {exc}"}
             if values is None:
                 continue

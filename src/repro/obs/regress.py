@@ -86,7 +86,7 @@ class PlanRegressionLog:
 
     def observe(
         self,
-        query: str,
+        query: Any,
         max_qerror: float,
         elapsed_seconds: float,
         baseline_seconds: Optional[float] = None,
@@ -94,6 +94,8 @@ class PlanRegressionLog:
         **attrs: Any,
     ) -> Optional[PlanRegression]:
         """Screen one observation; returns the regression if it flagged.
+        ``query`` (the query object or its text) is rendered only then —
+        the unflagged majority never pays for formatting.
 
         Q-error is the primary signal (it is latency-noise free); the
         latency ratio against the plan's own best observed time is the
@@ -116,7 +118,7 @@ class PlanRegressionLog:
             return None
         self.flagged += 1
         regression = PlanRegression(
-            query=query,
+            query=str(query),
             kind=kind,
             value=value,
             threshold=threshold,

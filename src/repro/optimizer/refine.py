@@ -28,7 +28,7 @@ from repro.backchase.backchase import simplify_conditions, toposort_bindings
 from repro.chase.chase import ChaseEngine
 from repro.chase.congruence import build_congruence
 from repro.constraints.epcd import EPCD
-from repro.errors import BackchaseError
+from repro.errors import BackchaseError, ReproError
 from repro.query import paths as P
 from repro.query.ast import Binding, Eq, PathOutput, PCQuery, StructOutput
 from repro.query.paths import Dom, Lookup, NFLookup, Path, Var
@@ -74,7 +74,7 @@ def normalize_plan(query: PCQuery) -> PCQuery:
     try:
         candidate = toposort_bindings(candidate)
         candidate.validate()
-    except Exception:
+    except ReproError:
         return simplify_conditions(query)
     return simplify_conditions(candidate)
 
@@ -208,6 +208,6 @@ def _apply_nonfailing(
     try:
         candidate = toposort_bindings(candidate)
         candidate.validate()
-    except Exception:
+    except ReproError:
         return None
     return candidate

@@ -207,7 +207,7 @@ def _collect_attr_stats(
         if isinstance(element, Oid):
             try:
                 row = instance.deref(element)
-            except Exception:
+            except ReproError:
                 continue
         if not isinstance(row, Row):
             continue

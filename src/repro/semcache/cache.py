@@ -113,7 +113,6 @@ class SemanticCache:
         strategy: Optional[str] = None,
         max_chase_steps: Optional[int] = None,
         max_backchase_nodes: Optional[int] = None,
-        name_prefix: str = NAME_PREFIX,
         context=None,
     ) -> None:
         """``context`` (an :class:`~repro.api.context.OptimizeContext`,
@@ -141,7 +140,6 @@ class SemanticCache:
         self.cost_model = cost_model or CostModel()
         self.policy = policy or CostBenefitPolicy()
         self.max_rewrite_views = max_rewrite_views
-        self.name_prefix = name_prefix
         self.stats = CacheStats()
         self._views: Dict[str, CachedView] = {}
         self._exact: Dict[str, str] = {}  # canonical key -> view name
@@ -390,11 +388,11 @@ class SemanticCache:
             else:
                 self.stats.rejected += 1
                 return None
-        if any(name.startswith(self.name_prefix) for name in query.schema_names()):
+        if any(name.startswith(NAME_PREFIX) for name in query.schema_names()):
             self.stats.rejected += 1
             return None
         self._seq += 1
-        name = f"{self.name_prefix}{self._seq}"
+        name = f"{NAME_PREFIX}{self._seq}"
         view = make_cached_view(
             name,
             query,
@@ -435,7 +433,7 @@ class SemanticCache:
         session materializing an extent into an overlay) are ignored.
         """
 
-        if name.startswith(self.name_prefix):
+        if name.startswith(NAME_PREFIX):
             return 0
         dropped = 0
         for view_name in self._index.dependents(name):

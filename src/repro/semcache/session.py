@@ -75,7 +75,6 @@ class CachedSession:
         statistics: Optional[Statistics] = None,
         cache: Optional[SemanticCache] = None,
         enabled: bool = True,
-        register_results: bool = True,
         use_hash_joins: bool = False,
         hybrid: bool = True,
         context=None,
@@ -97,7 +96,6 @@ class CachedSession:
 
         self.instance = instance
         self.enabled = enabled
-        self.register_results = register_results
         self.use_hash_joins = use_hash_joins
         self.hybrid = hybrid
         self.context = context
@@ -175,7 +173,7 @@ class CachedSession:
     def _run(self, query: PCQuery, tracer) -> SessionResult:
         start = time.perf_counter()
         if not self.enabled:
-            return self._cold(query, tracer, start, register=False)
+            return self._cold(query, tracer, start)
 
         exact, rewrite = self.lookup(query)
         if exact is not None:
@@ -197,12 +195,11 @@ class CachedSession:
                 tracer=tracer,
                 mode=self.exec_mode,
             )
-            if self.register_results:
-                # Promote the rewrite into an exact entry: repeats of this
-                # query skip the per-request optimization entirely.
-                self.cache.register(
-                    query, execution.results, self._implicit_dependencies()
-                )
+            # Promote the rewrite into an exact entry: repeats of this
+            # query skip the per-request optimization entirely.
+            self.cache.register(
+                query, execution.results, self._implicit_dependencies()
+            )
             return SessionResult(
                 results=execution.results,
                 source=HYBRID if rewrite.hybrid else REWRITE,
@@ -212,16 +209,12 @@ class CachedSession:
                 base_names=tuple(sorted(rewrite.base_names())),
             )
 
-        return self._cold(
-            query, tracer, start, register=self.register_results
-        )
+        return self._cold(query, tracer, start)
 
-    def _cold(
-        self, query: PCQuery, tracer, start: float, register: bool
-    ) -> SessionResult:
+    def _cold(self, query: PCQuery, tracer, start: float) -> SessionResult:
         """Execute ``query`` verbatim against the live instance, feeding
         the per-level actuals to the feedback hook when one is wired and
-        (``register``) the result back into the view pool."""
+        (an enabled session) the result back into the view pool."""
 
         execution = execute(
             query,
@@ -233,7 +226,7 @@ class CachedSession:
         )
         if self.feedback_hook is not None:
             self.feedback_hook(query, execution, "session.cold")
-        if register:
+        if self.enabled:
             self.cache.register(
                 query, execution.results, self._implicit_dependencies()
             )

@@ -6,14 +6,14 @@ lint gate never does.  That leaves a gap: someone adds a workload case
 or a snapshot field to the test, forgets ``make golden``, and the stale
 ``tests/golden/plans.json`` sits green until the next full ``make
 check``.  This checker closes the gap **statically**: it reads the
-expected shape out of the test module's AST (the ``build_cases()`` dict
-keys, the ``STRATEGIES`` tuple, the ``snapshot_entry()`` field names)
-and compares it against the committed JSON — no optimizer run, so it is
+expected shape out of the suite's AST (the ``GOLDEN_WORKLOADS`` keys in
+``conftest.py``, the test module's ``STRATEGIES`` tuple and
+``snapshot_entry()`` field names) and compares it against the committed JSON — no optimizer run, so it is
 cheap enough for every lint invocation.
 
 Checks:
 
-* every ``build_cases()`` case appears in ``plans.json`` with every
+* every ``GOLDEN_WORKLOADS`` case appears in ``plans.json`` with every
   strategy of ``STRATEGIES``, and nothing extra is committed;
 * each per-strategy entry carries exactly the ``snapshot_entry()``
   fields — a field added to the test without regenerating (or left
@@ -39,6 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 TESTS_DIR = Path(__file__).resolve().parent
 GOLDEN_DIR = TESTS_DIR / "golden"
 PLANS_TEST = TESTS_DIR / "test_golden_plans.py"
+CONFTEST = TESTS_DIR / "conftest.py"
 PLANS_JSON = GOLDEN_DIR / "plans.json"
 ADVISOR_TXT = GOLDEN_DIR / "advisor_rs.txt"
 
@@ -50,6 +51,15 @@ def _function(tree: ast.Module, name: str) -> Optional[ast.FunctionDef]:
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name == name:
             return node
+    return None
+
+
+def _assigned(tree: ast.Module, name: str) -> Optional[ast.expr]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == name for t in node.targets
+        ):
+            return node.value
     return None
 
 
@@ -69,30 +79,25 @@ def _str_keys(node: ast.Dict) -> List[str]:
 
 
 def expected_shape(
-    source: str,
+    source: str, conftest_source: str
 ) -> Tuple[Sequence[str], Sequence[str], Sequence[str]]:
-    """(case names, strategies, snapshot fields) read from the test AST."""
+    """(case names, strategies, snapshot fields) read from the ASTs of the
+    test module and of the conftest that fixes the golden workloads."""
 
     tree = ast.parse(source)
     cases: List[str] = []
     strategies: List[str] = []
     fields: List[str] = []
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "STRATEGIES"
-            for t in node.targets
-        ):
-            if isinstance(node.value, (ast.Tuple, ast.List)):
-                strategies = [
-                    el.value
-                    for el in node.value.elts
-                    if isinstance(el, ast.Constant) and isinstance(el.value, str)
-                ]
-    build = _function(tree, "build_cases")
-    if build is not None:
-        returned = _returned_dict(build)
-        if returned is not None:
-            cases = _str_keys(returned)
+    value = _assigned(tree, "STRATEGIES")
+    if isinstance(value, (ast.Tuple, ast.List)):
+        strategies = [
+            el.value
+            for el in value.elts
+            if isinstance(el, ast.Constant) and isinstance(el.value, str)
+        ]
+    workloads = _assigned(ast.parse(conftest_source), "GOLDEN_WORKLOADS")
+    if isinstance(workloads, ast.Dict):
+        cases = _str_keys(workloads)
     snapshot = _function(tree, "snapshot_entry")
     if snapshot is not None:
         returned = _returned_dict(snapshot)
@@ -105,10 +110,12 @@ def check_plans(problems: List[str]) -> None:
     if not PLANS_TEST.exists():
         problems.append(f"{PLANS_TEST}: golden test module missing")
         return
-    cases, strategies, fields = expected_shape(PLANS_TEST.read_text())
+    cases, strategies, fields = expected_shape(
+        PLANS_TEST.read_text(), CONFTEST.read_text()
+    )
     if not cases or not strategies or not fields:
         problems.append(
-            f"{PLANS_TEST}: could not read build_cases()/STRATEGIES/"
+            f"{PLANS_TEST}: could not read GOLDEN_WORKLOADS/STRATEGIES/"
             "snapshot_entry() shape from the AST (checker needs updating?)"
         )
         return
@@ -172,7 +179,7 @@ def check_plans(problems: List[str]) -> None:
     if stale_cases:
         problems.append(
             f"{PLANS_JSON}: stale case(s) {sorted(stale_cases)} not in "
-            "build_cases() — run `make golden`"
+            "GOLDEN_WORKLOADS — run `make golden`"
         )
 
 

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import E5_MIX, SERVING_MIXES, executed_cost
+from repro import evaluate
 from repro.advisor import (
     DesignBudget,
     KIND_PRIMARY,
@@ -31,14 +33,6 @@ from repro.query.parser import parse_query
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "advisor_rs.txt"
 REGEN = os.environ.get("GOLDEN_REGEN") == "1"
-
-E5_MIX = [
-    "select struct(A = r.A, B = s.B, C = s.C) from R r, S s where r.B = s.B",
-    "select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B and s.C = 3",
-    "select struct(A = r.A) from R r, S s where r.B = s.B and s.C = 7",
-    "select struct(B = s.B, C = s.C) from R r, S s where r.B = s.B and r.A = 11",
-]
-
 
 def rs_db(**kwargs):
     params = dict(n_r=80, n_s=80, b_values=40, seed=5)
@@ -274,15 +268,8 @@ class TestGreedySelection:
 
 
 class TestDatabaseIntegration:
-    def test_apply_design_answers_match_cold(self):
-        queries = [parse_query(t) for t in E5_MIX]
-        cold = rs_db()
-        cold_answers = [cold.execute(q).results for q in queries]
-        db = rs_db()
-        report = db.advise(queries, budget=DesignBudget(max_structures=3))
-        installed = db.apply_design(report)
-        assert installed == report.chosen_names()
-        assert [db.execute(q).results for q in queries] == cold_answers
+    # (that an applied design answers like the cold database — and like the
+    # evaluator — is TestAdvisedMixes below, on both mixes)
 
     def test_apply_design_adopts_the_design(self):
         db = rs_db()
@@ -452,6 +439,67 @@ class TestDatabaseIntegration:
         assert calls == [7]
 
 
+# -- empty vs advised vs hand-written on the repeated mixes (formerly E16) -----
+
+
+@pytest.fixture(scope="module", params=sorted(SERVING_MIXES))
+def advised_mix(request, serving_mixes):
+    """``(mix, report, installed names, budget, executions per arm)`` of one
+    serving mix: the mix once through the logical core as-is (*empty*),
+    through a second one after ``advise`` + ``apply_design`` (*advised*),
+    and through the paper's own design (*hand*); three structures and
+    200 000 tuples of budget."""
+
+    workload, params, _ = SERVING_MIXES[request.param]
+    mix = serving_mixes[request.param]
+    budget = DesignBudget(max_structures=3, max_total_tuples=200_000.0)
+    empty = logical_database(workload, **params)
+    advised = logical_database(workload, **params)
+    report = advised.advise(mix.queries, budget=budget)
+    installed = advised.apply_design(report)
+    _, statements, _ = mix.prepared
+    arms = {
+        "empty": [empty.execute(q) for q in mix.queries],
+        "advised": [advised.execute(q) for q in mix.queries],
+        "hand": [statement.run() for statement in statements],
+    }
+    empty.close()
+    advised.close()
+    return mix, report, installed, budget, arms
+
+
+class TestAdvisedMixes:
+    def test_every_design_gives_the_evaluators_answers(self, advised_mix):
+        mix, *_, arms = advised_mix
+        expected = [evaluate(q, mix.instance) for q in mix.queries]
+        for arm, executions in arms.items():
+            assert [run.results for run in executions] == expected, arm
+
+    def test_the_design_is_in_budget_and_estimated_to_pay(self, advised_mix):
+        _, report, installed, budget, _ = advised_mix
+        assert report.chosen and report.chosen_names() == installed
+        assert len(report.chosen) <= budget.max_structures
+        assert report.chosen_tuples <= budget.max_total_tuples
+        assert report.tuned_total < report.baseline_total
+        # shared subproblems are costed once: the final report pass re-reads
+        # every greedy winner from the what-if plan cache
+        assert report.plan_cache.hits > 0
+
+    def test_the_advised_design_executes_less_than_the_empty_one(self, advised_mix):
+        """Why the advised arm is faster (every arm serves plan-cache hits
+        after its first pass, so the difference is execution): its plans do
+        less work, as the estimates said — and not an order of magnitude
+        more than the paper's hand-written design's."""
+
+        *_, arms = advised_mix
+        work = {
+            arm: sum(executed_cost(run.counters) for run in executions)
+            for arm, executions in arms.items()
+        }
+        assert work["advised"] < work["empty"]
+        assert work["advised"] <= 5 * work["hand"]
+
+
 class TestLogicalDatabase:
     @pytest.mark.parametrize(
         "name, kept, stripped",
@@ -498,17 +546,14 @@ class TestLogicalDatabase:
 
 
 @pytest.mark.golden
-def test_golden_advisor_report():
+def test_golden_advisor_report(rs_advised):
     """The rs advisor report, byte-for-byte (regenerate: ``make golden``).
 
     Locks the acceptance criterion that the advisor is deterministic for
     a fixed workload + budget: chosen design, per-query plans and
     estimated costs all live in the rendered report."""
 
-    db = rs_db()
-    report = db.advise(
-        E5_MIX, budget=DesignBudget(max_structures=3, max_total_tuples=10_000)
-    )
+    _, report = rs_advised
     text = report.report() + "\n"
     if REGEN:
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)

@@ -244,6 +244,33 @@ def safe(fn):
     assert _rules(findings) == ["INV-EXCEPT"]
 
 
+@pytest.mark.parametrize(
+    "caught", ["Exception", "BaseException", "(KeyError, Exception)"]
+)
+def test_inv_except_fires_on_swallowing_catch_all(caught):
+    source = f"""
+def safe(fn):
+    try:
+        return fn()
+    except {caught}:
+        return None
+"""
+    findings = lint_project(project_from_sources({"e.py": source}))
+    assert _rules(findings) == ["INV-EXCEPT"]
+
+
+def test_inv_except_quiet_on_catch_all_that_reraises():
+    source = """
+def logged(fn, log):
+    try:
+        return fn()
+    except Exception as exc:
+        log(exc)
+        raise
+"""
+    assert lint_project(project_from_sources({"e.py": source})) == []
+
+
 def test_inv_except_quiet_on_typed_handler():
     source = """
 def safe(fn):

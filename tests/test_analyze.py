@@ -16,27 +16,15 @@ import pytest
 from repro import Database, evaluate, execute, parse_query
 from repro.errors import ParameterBindingError, ReproError
 from repro.obs.analyze import analyze_query
-from repro.workloads.oo_asr import build_oo_asr
-from repro.workloads.projdept import build_projdept
-from repro.workloads.relational import build_rabc, build_rs
+
+from conftest import GOLDEN_WORKLOADS
 
 JOIN_Q = "select struct(A = r.A) from R r, S s where r.B = s.B"
 
 
 @pytest.fixture(scope="module")
-def rs():
-    return build_rs(n_r=60, n_s=60, b_values=30, seed=5)
-
-
-def build_cases():
-    """The golden-suite workloads (same fixed seeds as the golden tests)."""
-
-    return {
-        "projdept": build_projdept(n_depts=4, projs_per_dept=3, seed=3),
-        "rabc": build_rabc(n=300, a_values=20, b_values=20, seed=5),
-        "rs": build_rs(n_r=60, n_s=60, b_values=30, seed=5),
-        "oo_asr": build_oo_asr(),
-    }
+def rs(rs_workload):
+    return rs_workload
 
 
 class TestAnalyzeQuery:
@@ -135,12 +123,14 @@ class TestAnalyzeQuery:
 
 
 class TestGoldenDifferential:
-    @pytest.mark.parametrize("name", sorted(build_cases()))
-    def test_actual_rows_match_execute_on_golden_plans(self, name):
+    @pytest.mark.parametrize("name", sorted(GOLDEN_WORKLOADS))
+    def test_actual_rows_match_execute_on_golden_plans(
+        self, name, optimized_workloads
+    ):
         """``explain(q, analyze=True)`` runs the *optimized* winner; its
         actual top-level row count must equal ``len(execute(q))``."""
 
-        db = Database.from_workload(name)
+        db = optimized_workloads.database(name)
         query = db.workload.query
         ar = db.explain(query, analyze=True)
         executed = db.execute(query)
@@ -152,7 +142,6 @@ class TestGoldenDifferential:
         assert ar.estimated_cost is not None
         for prev, this in zip(ar.op_stats, ar.op_stats[1:]):
             assert this.loops == prev.rows
-        db.close()
 
 
 class TestDatabaseExplainAnalyze:

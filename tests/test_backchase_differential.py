@@ -133,6 +133,8 @@ def observe(wl, strategy) -> Observed:
 
 @pytest.fixture(scope="module")
 def searches():
+    # Private runs, not conftest's shared optimizations: the search itself
+    # is what is observed, with the module's recorders patched into it.
     return {
         (name, strategy): observe(build_workload(name), strategy)
         for name in WORKLOAD_NAMES

@@ -64,7 +64,9 @@ def workloads():
 def searches(workloads):
     """One pruned optimize per workload with two observers installed: every
     query the engine really chases is chased by the oracle too, and every
-    lookup-safety verdict served is decided again without the memo."""
+    lookup-safety verdict served is decided again without the memo.
+    Private runs, not conftest's shared optimizations: the observers have
+    to be inside the search while it runs."""
 
     observed = {}
     for name, wl in workloads.items():

@@ -14,6 +14,7 @@ import dataclasses
 
 import pytest
 
+from conftest import SERVING_MIXES, recording
 from repro import (
     CacheConfig,
     Database,
@@ -42,11 +43,13 @@ def rs_database(**kwargs) -> Database:
 
 class TestFromWorkload:
     @pytest.mark.parametrize("name", ["rs", "rabc", "projdept", "oo_asr"])
-    def test_builds_and_answers_the_canonical_query(self, name):
-        db = Database.from_workload(name)
+    def test_builds_and_answers_the_canonical_query(
+        self, name, optimized_workloads
+    ):
+        # the run's shared databases are `from_workload` builds
+        db = optimized_workloads.database(name)
         result = db.execute(db.workload.query)
         assert result.results == evaluate(db.workload.query, db.instance)
-        db.close()
 
     def test_unknown_workload_rejected(self):
         with pytest.raises(ReproError, match="unknown workload"):
@@ -155,6 +158,9 @@ class TestOptimizeContext:
 
 
 class TestPlanCache:
+    # every test counts its own database's plan-cache traffic, so none of
+    # them can use conftest's shared (already warm) databases
+
     def test_miss_then_hits_return_the_same_result(self):
         db = rs_database()
         q = db.workload.query
@@ -173,12 +179,6 @@ class TestPlanCache:
         assert full.strategy == "full" and pruned.strategy == "pruned"
         assert full.best.cost == pruned.best.cost
         assert db.optimize(q, strategy="full") is full
-
-    def test_bypass_moves_no_counters(self):
-        db = rs_database()
-        db.optimize(db.workload.query, use_plan_cache=False)
-        info = db.plan_cache_info()
-        assert (info.hits, info.misses, info.size) == (0, 0, 0)
 
     def test_lru_eviction(self):
         db = rs_database(cache_config=CacheConfig(plan_cache_size=1))
@@ -387,6 +387,43 @@ class TestExecuteAndPrepare:
             db.execute(parse_query("select r.A from R r"))
         with pytest.raises(ReproError, match="no instance"):
             db.session()
+
+
+@pytest.mark.parametrize("mix", sorted(SERVING_MIXES))
+class TestPreparedMixes:
+    """Prepared queries on the two repeated mixes (formerly benchmark E15):
+    why a prepared request is fast is that it never re-optimizes — pinned
+    here without a clock; how fast is ``steady_templates`` beside
+    ``cold_projdept`` / ``cold_mix`` in ``benchmarks/perf``."""
+
+    def test_one_optimization_per_distinct_query(self, mix, serving_mixes):
+        _, statements, info = serving_mixes[mix].prepared
+        # the eager prepares, and nothing else
+        n = len(statements)
+        assert (info.misses, info.hits, info.size) == (n, 0, n)
+        assert info.evictions == info.invalidations == 0
+
+    def test_a_steady_pass_never_enters_the_optimizer(self, mix, serving_mixes):
+        db, statements, _ = serving_mixes[mix].prepared
+        search_counters = lambda: {
+            name: value
+            for name, value in db.metrics()["counters"].items()
+            if name.startswith(("backchase.", "containment."))
+        }
+        before, counters = db.plan_cache_info(), search_counters()
+        assert counters["backchase.candidates_explored"] > 0
+        with recording(Optimizer, "optimize") as optimized:
+            answers = [s.run().results for _ in range(2) for s in statements]
+        after = db.plan_cache_info()
+        assert optimized == []
+        assert search_counters() == counters
+        # every run() re-fetched its cached plan
+        assert after.hits - before.hits == 2 * len(statements)
+        assert (after.misses, after.evictions, after.invalidations) == (
+            before.misses, 0, 0,
+        )
+        expected = [evaluate(s.query, db.instance) for s in statements]
+        assert answers == expected * 2
 
 
 class TestExplainParity:

@@ -242,26 +242,22 @@ WORKLOADS = ["rs", "rabc", "projdept", "oo_asr"]
 
 class TestGoldenWorkloadPlans:
     @pytest.mark.parametrize("name", WORKLOADS)
-    def test_canonical_and_winner_agree(self, name):
-        db = Database.from_workload(name)
-        wl = db.workload
+    def test_canonical_and_winner_agree(self, name, optimized_workloads):
+        wl = optimized_workloads.workload(name)
         reference = evaluate(wl.query, wl.instance)
-        for plan_query in (wl.query, db.optimize(wl.query).best.query):
+        for plan_query in (wl.query, optimized_workloads.winner(name)):
             interpreted = execute(plan_query, wl.instance, mode="interpret")
             compiled = execute(plan_query, wl.instance, mode="compiled")
             assert compiled.mode == "compiled"
             assert compiled.results == interpreted.results == reference
-        db.close()
 
-    def test_projdept_reference_plans(self):
-        db = Database.from_workload("projdept")
-        wl = db.workload
+    def test_projdept_reference_plans(self, projdept):
+        wl = projdept
         reference = evaluate(wl.query, wl.instance)
         for name, plan in wl.reference_plans.items():
             interpreted = execute(plan, wl.instance, mode="interpret")
             compiled = execute(plan, wl.instance, mode="compiled")
             assert compiled.results == interpreted.results == reference, name
-        db.close()
 
 
 class TestCompiledTemplates:

@@ -363,15 +363,17 @@ def _level_tail_indexes(query, use_hash_joins):
 
 class TestParityWithExplainAnalyze:
     @pytest.mark.parametrize("name", WORKLOADS)
-    def test_replay_matches_analyze_and_modes_agree(self, name):
-        db = Database.from_workload(name, obs=ObsConfig(feedback=True))
-        query = db.optimize(db.workload.query).best.query
-        stats = db.context.statistics
-        hash_joins = db.context.use_hash_joins
+    def test_replay_matches_analyze_and_modes_agree(
+        self, name, optimized_workloads
+    ):
+        wl = optimized_workloads.workload(name)
+        query = optimized_workloads.winner(name)
+        stats = wl.statistics
+        hash_joins = False  # the workload databases' default
 
-        specs = db.obs.feedback.specs_for(query, stats, hash_joins)
+        specs = FeedbackStore().specs_for(query, stats, hash_joins)
         analysis = analyze_query(
-            query, db.instance, use_hash_joins=hash_joins, statistics=stats
+            query, wl.instance, use_hash_joins=hash_joins, statistics=stats
         )
         tails = _level_tail_indexes(query, hash_joins)
         assert len(tails) == len(specs) > 0
@@ -383,7 +385,7 @@ class TestParityWithExplainAnalyze:
         # (2) actuals: the interpreted engine agrees with the analyzer's
         # instrumented row counts at every level tail
         interp = execute(
-            query, db.instance, use_hash_joins=hash_joins, feedback=True
+            query, wl.instance, use_hash_joins=hash_joins, feedback=True
         )
         assert interp.level_rows is not None
         for actual, tail in zip(interp.level_rows, tails):
@@ -400,7 +402,7 @@ class TestParityWithExplainAnalyze:
         if compiled is not None:
             comp = execute(
                 query,
-                db.instance,
+                wl.instance,
                 use_hash_joins=hash_joins,
                 mode="compiled",
                 compiled=compiled,
@@ -408,7 +410,6 @@ class TestParityWithExplainAnalyze:
             )
             assert comp.level_rows == interp.level_rows
             assert comp.results == interp.results
-        db.close()
 
 
 # -- regression log -----------------------------------------------------------
@@ -442,6 +443,37 @@ class TestPlanRegressionLog:
             )
             is None
         )
+
+    def test_only_a_flagged_request_is_formatted(self):
+        # the slow log's rule (tests/test_obs.py): the log keeps only the
+        # flagged requests, so only those may pay for rendering
+        class Query:
+            rendered = 0
+
+            def __str__(self):
+                Query.rendered += 1
+                return "select it"
+
+        log = PlanRegressionLog(qerror_threshold=16.0)
+        assert log.observe(Query(), max_qerror=2.0, elapsed_seconds=0.01) is None
+        assert Query.rendered == 0
+        flagged = log.observe(Query(), max_qerror=32.0, elapsed_seconds=0.01)
+        assert Query.rendered == 1
+        assert flagged.query == log.as_dicts()[0]["query"] == "select it"
+
+    def test_request_path_hands_over_the_query_unformatted(self):
+        from repro.query.ast import PCQuery
+
+        db = drifted_database(obs=ObsConfig(feedback=True))
+        seen = []
+        real = db.obs.regressions.observe
+        db.obs.regressions.observe = lambda query, *a, **kw: (
+            seen.append(query), real(query, *a, **kw)
+        )[1]
+        db.execute(DRIFT_Q)
+        assert len(seen) == 1 and isinstance(seen[0], PCQuery)
+        assert all(isinstance(e["query"], str) for e in db.obs.regressions.as_dicts())
+        db.close()
 
     def test_capacity_bounds_entries(self):
         log = PlanRegressionLog(qerror_threshold=2.0, capacity=3)

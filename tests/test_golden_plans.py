@@ -20,35 +20,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.optimizer.optimizer import Optimizer
-from repro.workloads.oo_asr import build_oo_asr
-from repro.workloads.projdept import build_projdept
-from repro.workloads.relational import build_rabc, build_rs
+from conftest import GOLDEN_WORKLOADS
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "plans.json"
 STRATEGIES = ("full", "pruned")
 REGEN = os.environ.get("GOLDEN_REGEN") == "1"
-
-
-def build_cases():
-    """The deterministic workloads the suite snapshots (fixed seeds)."""
-
-    return {
-        "projdept": build_projdept(n_depts=4, projs_per_dept=3, seed=3),
-        "rabc": build_rabc(n=300, a_values=20, b_values=20, seed=5),
-        "rs": build_rs(n_r=60, n_s=60, b_values=30, seed=5),
-        "oo_asr": build_oo_asr(),
-    }
-
-
-def optimize(workload, strategy: str):
-    opt = Optimizer(
-        workload.constraints,
-        physical_names=workload.physical_names,
-        statistics=workload.statistics,
-        strategy=strategy,
-    )
-    return opt.optimize(workload.query)
 
 
 def snapshot_entry(result) -> dict:
@@ -65,33 +41,36 @@ def snapshot_entry(result) -> dict:
     }
 
 
-def compute_snapshot() -> dict:
-    cases = build_cases()
+def compute_snapshot(optimized_workloads) -> dict:
+    """The run's one optimization per (golden workload, strategy) —
+    ``conftest.GOLDEN_WORKLOADS`` fixes the builds — in snapshot form."""
+
     data = {
         name: {
-            strategy: snapshot_entry(optimize(workload, strategy))
+            strategy: snapshot_entry(optimized_workloads.result(name, strategy))
             for strategy in STRATEGIES
         }
-        for name, workload in cases.items()
+        for name in GOLDEN_WORKLOADS
     }
     # The paper plans P1-P4: the full enumeration must keep finding them
     # (canonical keys locked), and which one wins is part of the snapshot.
-    projdept = cases["projdept"]
-    full = optimize(projdept, "full")
+    full = optimized_workloads.result("projdept", "full")
     keys = {p.query.canonical_key() for p in full.plans}
     data["paper_examples"] = {
         name: {
             "key": plan.canonical_key(),
             "in_full_plan_space": plan.canonical_key() in keys,
         }
-        for name, plan in sorted(projdept.reference_plans.items())
+        for name, plan in sorted(
+            optimized_workloads.workload("projdept").reference_plans.items()
+        )
     }
     return data
 
 
 @pytest.fixture(scope="module")
-def computed():
-    return compute_snapshot()
+def computed(optimized_workloads):
+    return compute_snapshot(optimized_workloads)
 
 
 @pytest.mark.golden

@@ -381,7 +381,9 @@ class TestCounterParity:
         """Regression: the default strategy used to fill the engine's
         containment cache inline, so its condition-(3) verdicts recorded no
         ``chase.containment`` span (and no ``latency.chase.containment``
-        sample).  Every cache miss is a computed verdict is a span."""
+        sample).  Every cache miss is a computed verdict is a span.
+        A private traced run per case: the spans of the search are the
+        subject, and conftest's shared databases run silent."""
 
         db = Database.from_workload(
             name, strategy=strategy, obs=ObsConfig(tracing=True)

@@ -47,7 +47,7 @@ class TestRabcOptimization:
         Under the full SA/SB constraint set the paper's two-index
         intersection plan is reducible (the B-link survives as an explicit
         condition), so the minimal index-only plans probe one index and
-        filter — one per index.  See EXPERIMENTS.md E4.
+        filter — one per index.  See the E4 note in benchmarks/README.md.
         """
 
         _, result = rabc_result

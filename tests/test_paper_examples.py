@@ -1,9 +1,9 @@
 """End-to-end reproduction of the paper's worked examples (E1, E2).
 
 These are the flagship integration tests: the ProjDept scenario of
-sections 1–3 must yield the paper's plans P1–P4 (in the forms discussed in
-EXPERIMENTS.md), the displayed universal plan, and agreeing results on
-generated instances.
+sections 1–3 must yield the paper's plans P1–P4 (in the forms listed in
+benchmarks/README.md), the displayed universal plan, and agreeing results
+on generated instances.
 """
 
 import pytest
@@ -18,18 +18,14 @@ from repro.query.paths import NFLookup
 
 
 @pytest.fixture(scope="module")
-def optimized(request):
-    wl = request.getfixturevalue("projdept")
+def optimized(optimized_workloads):
     # P1-P4 must *all* be found: that is a completeness property, so these
-    # flagship tests run the full enumeration (the pruned default may drop
-    # dominated plans).
-    opt = Optimizer(
-        wl.constraints,
-        physical_names=wl.physical_names,
-        statistics=wl.statistics,
-        strategy="full",
+    # flagship tests read the run's full enumeration (the pruned default
+    # may drop dominated plans).
+    return (
+        optimized_workloads.workload("projdept"),
+        optimized_workloads.result("projdept", "full"),
     )
-    return wl, opt.optimize(wl.query)
 
 
 class TestUniversalPlan:
@@ -60,7 +56,8 @@ class TestUniversalPlan:
 
 
 class TestPaperPlans:
-    """P1–P4 of section 1 (see EXPERIMENTS.md E1 for the exact forms)."""
+    """P1–P4 of section 1 (see benchmarks/README.md, E1, for the exact
+    forms)."""
 
     def test_p2_direct_scan_found(self, optimized):
         wl, result = optimized
@@ -144,7 +141,7 @@ class TestPaperPlans:
 class TestP1WithoutExtraStructures:
     """Chasing with the class encoding only (no I/SI/JI) produces exactly
     the paper's P1 — with the full structure set P1 is non-minimal because
-    the primary index subsumes the Proj scan (EXPERIMENTS.md E1)."""
+    the primary index subsumes the Proj scan (benchmarks/README.md, E1)."""
 
     @staticmethod
     def _shape(query):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import SERVING_MIXES, recording
 from repro import (
     CacheConfig,
     Database,
@@ -30,6 +31,7 @@ from repro import (
     parse_query,
 )
 from repro.errors import QueryExecutionError
+from repro.optimizer.optimizer import Optimizer
 from repro.physical.indexes import SecondaryIndex
 from repro.query import paths as P
 
@@ -297,6 +299,75 @@ class TestPreparedTemplates:
         prepared = db.prepare(parse_query(TEMPLATE_C))
         assert "$c" in prepared.explain()
         db.close()
+
+
+# -- template mixes: one plan per shape (formerly benchmark E17) ---------------
+
+#: the repeated mixes with their constants turned into ``$`` markers; each
+#: template comes with the i-th binding of its marker
+MIX_TEMPLATES = {
+    "e5_rs": [
+        (
+            "select struct(A = r.A, C = s.C) "
+            "from R r, S s where r.B = s.B and s.C = $c",
+            lambda i: {"c": 3 + i},
+        ),
+        (
+            "select struct(B = s.B, C = s.C) "
+            "from R r, S s where r.B = s.B and r.A = $a",
+            lambda i: {"a": 11 + i},
+        ),
+    ],
+    "e1_projdept": [
+        (
+            "select struct(PN = p.PName, PB = p.Budg) "
+            "from Proj p where p.CustName = $cust",
+            lambda i: {"cust": f"Customer{1 + i}"},
+        ),
+        (
+            "select struct(PN = p.PName, CN = p.CustName) "
+            "from Proj p where p.PName = $pn",
+            lambda i: {"pn": f"P{i}_0"},
+        ),
+    ],
+}
+
+
+@pytest.mark.parametrize("mix", sorted(MIX_TEMPLATES))
+def test_template_mix_plans_each_shape_once_and_never_again(mix):
+    """Why a template request is fast: every binding of a shape — distinct
+    constants back to back, the worst case for exact-match caching — is a
+    plan-cache hit on the one entry its ``prepare`` planned; the optimizer
+    is never entered again.  (How fast: ``steady_templates`` in
+    ``benchmarks/perf``, whose harness rejects a run with a plan-cache miss
+    or an ``optimize`` call in the timed region.)  The skew guard is off so
+    the count is exact: a skewed binding would legitimately add a variant
+    entry; ``TestSkewGuard`` covers it."""
+
+    workload, params, _ = SERVING_MIXES[mix]
+    db = Database.from_workload(
+        workload, cache_config=CacheConfig(skew_replan_ratio=None), **params
+    )
+    templates = [parse_query(text) for text, _ in MIX_TEMPLATES[mix]]
+    prepared = [db.prepare(template) for template in templates]
+    requests = [
+        (t, make(i))
+        for i in range(3)
+        for t, (_, make) in enumerate(MIX_TEMPLATES[mix])
+    ] * 2
+    with recording(Optimizer, "optimize") as optimized:
+        answers = [prepared[t].run(**binding).results for t, binding in requests]
+    assert optimized == []
+    info = db.plan_cache_info()
+    assert (info.misses, info.hits) == (len(templates), len(requests))
+    assert info.evictions == info.invalidations == 0
+    assert answers == [
+        evaluate(templates[t].bind_params(binding), db.instance)
+        for t, binding in requests
+    ]
+    # the binding domains select rows, or equal answers prove nothing
+    assert any(answers)
+    db.close()
 
 
 # -- the selectivity-skew guard -----------------------------------------------

@@ -26,9 +26,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import pc_queries
-from repro import Instance, Row, Statistics, evaluate
-from repro.semcache import CachedSession, CostBenefitPolicy
+from conftest import SERVING_MIXES, pc_queries, serve_mix
+from repro import Database, Instance, Row, Statistics, evaluate, parse_query
+from repro.semcache import COLD, EXACT, HYBRID, CachedSession, CostBenefitPolicy
 
 RELAXED = dict(
     deadline=None,
@@ -182,3 +182,131 @@ def test_repeat_promotes_identically_across_modes(query):
     finally:
         hybrid.close()
         view_only.close()
+
+
+# -- partial-overlap mixes: cold vs view-only vs hybrid (formerly E14) --------
+#
+# The cache is warmed with *selections* — small results covering only part
+# of each later query — and the partial queries join those covered parts
+# with base relations the cache has never seen.  The all-or-nothing
+# view-only tier can do nothing with them; the hybrid tier answers them with
+# view ⋈ base plans.  The warm views cover the attributes the partial
+# queries use, so dropping the base loop is provable from the view pair.
+
+
+def partial_overlap_queries(mix: str, instance: Instance):
+    """(warm selections, partial-overlap joins) for one serving mix."""
+
+    if mix == "e5_rs":
+        warm = [
+            f"select struct(A = r.A, B = r.B) from R r where r.A = {k}"
+            for k in (1, 2, 3)
+        ]
+        partial = [
+            f"select struct({out}, C = s.C) from S s, R r "
+            f"where r.B = s.B and r.A = {k}"
+            for k, out in ((1, "A = r.A"), (2, "A = r.A"), (3, "B = r.B"))
+        ]
+    else:
+        # ProjDept indexes CustName (SI) but not Budg: budget predicates
+        # are the selections base structures do not cover.  The values come
+        # from the seeded instance, so the results are nonempty.
+        budgets = sorted({row["Budg"] for row in instance["Proj"]})[:3]
+        warm = [
+            "select struct(PN = p.PName, PD = p.PDept) from Proj p "
+            f"where p.Budg = {b}"
+            for b in budgets
+        ]
+        partial = [
+            "select struct(PN = p.PName, DN = d.DName) from depts d, Proj p "
+            f"where p.PDept = d.DName and p.Budg = {b}"
+            for b in budgets
+        ]
+    return [parse_query(t) for t in warm], [parse_query(t) for t in partial]
+
+
+@pytest.fixture(scope="module", params=sorted(SERVING_MIXES))
+def partial_overlap(request, serving_mixes):
+    """``(instance, warm queries, partial queries, rounds, stats)`` of one
+    serving mix, ``rounds`` and ``stats`` keyed by arm: warm + partial once
+    through a disabled session (every further round would be the same
+    executions again) and three times through a view-only and a hybrid
+    session of one façade (no base constraints: the rewrites are purely
+    view-driven)."""
+
+    instance = serving_mixes[request.param].instance
+    warm, partial = partial_overlap_queries(request.param, instance)
+    db = Database(instance=instance, statistics=Statistics.from_instance(instance))
+    rounds, stats = {}, {}
+    for arm, repetitions, options in (
+        ("cold", 1, dict(enabled=False)),
+        ("view_only", 3, dict(hybrid=False)),
+        ("hybrid", 3, dict(hybrid=True)),
+    ):
+        with db.session(**options) as session:
+            rounds[arm] = serve_mix(session, warm + partial, repetitions)
+            stats[arm] = session.stats
+    db.close()
+    return instance, warm, partial, rounds, stats
+
+
+class TestPartialOverlapMixes:
+    def test_three_arms_agree_with_the_evaluator(self, partial_overlap):
+        instance, warm, partial, rounds, _ = partial_overlap
+        covered = [evaluate(q, instance) for q in warm]
+        joined = [evaluate(q, instance) for q in partial]
+        # rows on both sides of the overlap, or equality proves nothing
+        assert all(covered) and any(joined)
+        for arm in rounds.values():
+            for round_ in arm:
+                assert [r.answer.results for r in round_] == covered + joined
+
+    def test_hybrid_rescues_what_view_only_serves_cold(self, partial_overlap):
+        _, warm, partial, rounds, stats = partial_overlap
+        sources = {
+            arm: [r.answer.source for round_ in rounds[arm] for r in round_]
+            for arm in ("view_only", "hybrid")
+        }
+        # view-only never serves a partial hit ...
+        assert HYBRID not in sources["view_only"]
+        assert stats["view_only"].hybrid_hits == 0
+        # ... and of the requests it serves cold, hybrid answers >= 30 %
+        # from the cache: every partial-overlap join, here
+        served_cold = [
+            i for i, source in enumerate(sources["view_only"]) if source == COLD
+        ]
+        rescued = [i for i in served_cold if sources["hybrid"][i] != COLD]
+        assert len(rescued) / len(served_cold) >= 0.30
+        first_pass = sources["hybrid"][len(warm) : len(warm) + len(partial)]
+        assert first_pass == [HYBRID] * len(partial)
+        assert stats["hybrid"].hybrid_hits == len(rescued) > 0
+        assert stats["hybrid"].benefit_accrued > 0.0
+        assert stats["view_only"].benefit_accrued == 0.0
+
+    def test_a_partial_hit_executes_less_than_the_cold_join(self, partial_overlap):
+        """Why hybrid beats cold on the first pass: each view ⋈ base plan
+        scans a small cached selection where the cold plan scans the base
+        relation."""
+
+        _, warm, _, rounds, _ = partial_overlap
+        cold, hybrid = rounds["cold"][0], rounds["hybrid"][0]
+        for cold_served, hybrid_served in zip(cold[len(warm):], hybrid[len(warm):]):
+            assert hybrid_served.answer.base_names  # it did read base data
+            assert hybrid_served.executed_cost < cold_served.executed_cost / 10
+
+    def test_steady_rounds_are_exact_in_both_cached_arms(self, partial_overlap):
+        """Why hybrid's steady state ties view-only's and beats cold's, and
+        why the gain grows with repetitions: promoted answers make every
+        later round pure exact hits in both arms — no plan, no optimizer —
+        while a disabled session executes every request it is sent."""
+
+        _, warm, partial, rounds, _ = partial_overlap
+        for arm in ("view_only", "hybrid"):
+            for round_ in rounds[arm][1:]:
+                assert [r.answer.source for r in round_] == [EXACT] * len(
+                    warm + partial
+                )
+                assert all(
+                    r.executions == [] and r.optimizations == 0 for r in round_
+                )
+        assert all(len(r.executions) == 1 for r in rounds["cold"][0])

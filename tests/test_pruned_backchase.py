@@ -20,6 +20,8 @@ from repro.chase.containment import is_contained_in
 from repro.errors import BackchaseError, OptimizationError
 from repro.optimizer.cost import estimate_cost
 from repro.optimizer.optimizer import Optimizer
+from repro.optimizer.statistics import Statistics
+from repro.physical.indexes import SecondaryIndex
 from repro.query.parser import parse_constraint, parse_query
 
 
@@ -175,19 +177,10 @@ class TestBoundedCacheCounterParity:
 
 
 class TestPrunedAgainstFull:
-    @pytest.mark.parametrize("workload", ["projdept", "rabc", "rs_workload"])
-    def test_equal_best_cost_on_workloads(self, workload, request):
-        wl = request.getfixturevalue(workload)
-        results = {}
-        for strategy in ("full", "pruned"):
-            opt = Optimizer(
-                wl.constraints,
-                physical_names=wl.physical_names,
-                statistics=wl.statistics,
-                strategy=strategy,
-            )
-            results[strategy] = opt.optimize(wl.query)
-        full, pruned = results["full"], results["pruned"]
+    @pytest.mark.parametrize("workload", ["projdept", "rabc", "rs"])
+    def test_equal_best_cost_on_workloads(self, workload, optimized_workloads):
+        full = optimized_workloads.result(workload, "full")
+        pruned = optimized_workloads.result(workload, "pruned")
         assert pruned.best.cost == pytest.approx(full.best.cost)
         assert pruned.best.physical_only == full.best.physical_only
         full_keys = {p.query.canonical_key() for p in full.plans}
@@ -227,6 +220,93 @@ class TestPrunedAgainstFull:
         assert best_pruned == pytest.approx(best_full)
 
 
+def scaling_workload(n_bindings: int, n_indexes: int):
+    """The E8 scaling shape: a chain R x0 ⋈ ... ⋈ R x(n-1) on B with a
+    selective constant, and ``k`` secondary indexes on R.B chased in."""
+
+    r_card, b_ndv = 2000.0, 50.0
+    bindings = ", ".join(f"R x{i}" for i in range(n_bindings))
+    chain = " and ".join(f"x{i}.B = x{i+1}.B" for i in range(n_bindings - 1))
+    conditions = (chain + " and " if chain else "") + "x0.B = 9"
+    query = q(f"select struct(A = x0.A) from {bindings} where {conditions}")
+    deps = []
+    stats = Statistics()
+    stats.set_card("R", r_card).set_ndv("R", "B", b_ndv)
+    for i in range(n_indexes):
+        name = f"IX{i}"
+        deps.extend(SecondaryIndex(name, "R", "B").constraints())
+        stats.cardinality[name] = b_ndv
+        stats.entry_cardinality[name] = r_card / b_ndv
+    return query, deps, stats
+
+
+class TestScalingShapes:
+    """One search, with and without the bound, on the scaling shapes: the
+    bound never costs plan quality nor work, and the shape-keyed verdict
+    memo decides condition (3) at most once per candidate shape under
+    either strategy (``cache_misses`` also counts the in-search coster's
+    ``prune_conditions`` checks under ``pruned``, so the two strategies'
+    miss counts are not comparable with each other)."""
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        def both(n_bindings, n_indexes):
+            query, deps, stats = scaling_workload(n_bindings, n_indexes)
+            return {
+                strategy: Optimizer(
+                    deps,
+                    statistics=stats,
+                    strategy=strategy,
+                    max_backchase_nodes=100_000,
+                ).optimize(query)
+                for strategy in ("full", "pruned")
+            }
+
+        return {shape: both(*shape) for shape in ((2, 1), (1, 2))}
+
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2)])
+    def test_equal_cost_no_more_work_each_shape_decided_once(self, runs, shape):
+        full, pruned = runs[shape]["full"], runs[shape]["pruned"]
+        assert pruned.best.cost == full.best.cost
+        assert len(pruned.plans) <= len(full.plans)  # a subset, never larger
+        assert (
+            pruned.backchase_stats.candidates_explored
+            <= full.backchase_stats.candidates_explored
+        )
+        for result in (full, pruned):
+            stats = result.backchase_stats
+            # a shape re-derived along another removal order is a hit
+            assert stats.cache_misses <= stats.candidates_explored
+            assert stats.cache_hits > 0
+
+    def test_the_bound_bites_on_the_two_binding_chain(self, runs):
+        full, pruned = runs[(2, 1)]["full"], runs[(2, 1)]["pruned"]
+        assert (
+            pruned.backchase_stats.candidates_explored
+            < full.backchase_stats.candidates_explored
+        )
+        assert pruned.backchase_stats.candidates_pruned > 0
+        assert full.backchase_stats.candidates_pruned == 0
+
+    def test_memo_and_bound_pay_more_on_the_deep_search(
+        self, runs, optimized_workloads
+    ):
+        """What the larger scaling shapes showed, read off the run's shared
+        ProjDept optimizations (the deepest search tier-1 has): the memo
+        spares most candidates a fresh verdict, and the bound saves at
+        least what it saves on the small chain."""
+
+        full = optimized_workloads.result("projdept", "full").backchase_stats
+        pruned = optimized_workloads.result("projdept", "pruned").backchase_stats
+        for stats in (full, pruned):
+            assert stats.cache_misses * 2 < stats.candidates_explored
+        small = runs[(2, 1)]
+        assert full.candidates_explored - pruned.candidates_explored >= (
+            small["full"].backchase_stats.candidates_explored
+            - small["pruned"].backchase_stats.candidates_explored
+        )
+
+
 # Recorded from the commit before the two search loops became one (the
 # default `Database.from_workload(name)` build, optimising its canonical
 # query).  Pinned, not re-baselined: the bounded run's counters are
@@ -252,6 +332,9 @@ FULL_BASELINE = {
 
 
 class TestCountersPinnedAcrossTheMerge:
+    # Private runs, not conftest's shared optimizations: the baselines were
+    # recorded on the default builds, and what is pinned is the search's
+    # own counters (`make determinism` re-runs them under three hash seeds).
     @staticmethod
     def _optimize(name, strategy):
         db = Database.from_workload(name, strategy=strategy)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import SERVING_MIXES, serve_mix
 from repro import (
     Database,
     Instance,
@@ -763,3 +764,76 @@ class TestContainmentCacheLRU:
                 assert bounded.contained_in(q1, q2) == unbounded.contained_in(q1, q2)
         # with bound 1 and 9 distinct pairs, evictions must have happened
         assert bounded.containment.evictions > 0
+
+
+# -- the repeated mixes: cold vs view-only warm (formerly benchmark E13) ------
+
+
+@pytest.fixture(scope="module", params=sorted(SERVING_MIXES))
+def repeated(request, serving_mixes):
+    """``(mix, cold round, warm rounds, warm stats)`` of one serving mix: the
+    mix once through a disabled session — every further round would be the
+    same executions again — and three times through a view-only one (the
+    hybrid tier has its own mixes in ``test_prop_hybrid.py``), on a façade
+    without base constraints: rewrites are purely view-driven."""
+
+    mix = serving_mixes[request.param]
+    db = Database(
+        instance=mix.instance, statistics=Statistics.from_instance(mix.instance)
+    )
+    with db.session(enabled=False) as cold_session:
+        (cold,) = serve_mix(cold_session, mix.queries, 1)
+    with db.session(hybrid=False) as warm_session:
+        warm = serve_mix(warm_session, mix.queries, 3)
+    db.close()
+    return mix, cold, warm, warm_session.stats
+
+
+class TestRepeatedMixes:
+    def test_warm_answers_equal_cold_and_the_evaluator(self, repeated):
+        mix, cold, warm, _ = repeated
+        expected = [evaluate(q, mix.instance) for q in mix.queries]
+        assert [r.answer.results for r in cold] == expected
+        for warm_round in warm:
+            assert [r.answer.results for r in warm_round] == expected
+
+    def test_first_round_rewrites_and_repeats_are_exact(self, repeated):
+        mix, _, warm, stats = repeated
+        first = [r.answer.source for r in warm[0]]
+        # the first query finds an empty pool; contained variants rewrite
+        assert first[0] == COLD and REWRITE in first
+        assert HYBRID not in first  # view-only: all-or-nothing
+        for later in warm[1:]:
+            assert [r.answer.source for r in later] == [EXACT] * len(mix.queries)
+        assert stats.exact_hits == 2 * len(mix.queries)
+        assert stats.rewrite_hits == first.count(REWRITE)
+        assert stats.misses == first.count(COLD) < 3 * len(mix.queries)
+        # nothing the policy admitted went stale or was squeezed out
+        assert stats.invalidations == stats.evictions == 0
+
+    def test_an_exact_hit_runs_no_plan_and_plans_nothing(self, repeated):
+        """Why repeats are fast, and why the gain grows with every further
+        repetition: an exact hit is a lookup — a repeated round executes
+        nothing and enters the optimizer not once, while a disabled session
+        executes every request it is sent."""
+
+        _, cold, warm, _ = repeated
+        for served in (r for round_ in warm for r in round_):
+            if served.answer.source == EXACT:
+                assert served.executions == [] and served.optimizations == 0
+            else:
+                assert len(served.executions) == 1
+        assert all(
+            len(r.executions) == 1 and r.optimizations == 0 for r in cold
+        )
+
+    def test_the_warm_arm_executes_less_than_the_cold_arm(self, repeated):
+        """Why the warm arm wins end to end: its three rounds together run
+        plans costing no more than *one* cold round's (a single rewrite may
+        cost more than its cold plan — view-only serves any plan over the
+        views — but the arm does not)."""
+
+        _, cold, warm, _ = repeated
+        assert sum(r.executed_cost for round_ in warm for r in round_) <= sum(
+            r.executed_cost for r in cold
+        )
