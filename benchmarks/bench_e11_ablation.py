@@ -4,11 +4,15 @@
   space may not be explored exhaustively but rather pruned using
   heuristics"): plan quality vs. nodes expanded;
 * join reordering on/off (Algorithm 1 step 3);
-* chase-result caching on the backchase's containment checks.
+* one chase engine shared by a backchase search vs. a fresh one per
+  decision (chase results, lookup-safety verdicts and proofs).
 """
 
 from __future__ import annotations
 
+import pytest
+
+from repro.backchase import backchase
 from repro.backchase.backchase import minimal_subqueries
 from repro.chase.chase import ChaseEngine, chase
 from repro.optimizer.optimizer import Optimizer
@@ -63,15 +67,30 @@ def test_e11_reordering_never_hurts(benchmark, projdept_small):
 
 
 def test_e11_chase_cache_ablation(benchmark, rs_small):
-    """Backchase with a shared (cached) engine vs. fresh engines."""
+    """What sharing one engine across a search buys: the same normal forms
+    from strictly fewer chases than when every decision gets a fresh engine
+    (no chase result, lookup-safety verdict or proof carried over)."""
 
     wl = rs_small
     universal = chase(wl.query, wl.constraints).query
+    real_accept = backchase.accept_candidate
 
-    def cached_run():
-        engine = ChaseEngine(wl.constraints)
-        minimal_subqueries(universal, wl.constraints, engine)
-        return engine.cache_hits, engine.cache_misses
+    def search(fresh_engine_per_decision):
+        engines = [ChaseEngine(wl.constraints)]
 
-    hits, misses = benchmark.pedantic(cached_run, rounds=1, iterations=1)
-    assert hits > misses  # the cache carries most of the containment checks
+        def accept_afresh(candidate, parent, _shared, *rest):
+            engines.append(ChaseEngine(wl.constraints))
+            return real_accept(candidate, parent, engines[-1], *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            if fresh_engine_per_decision:
+                patch.setattr(backchase, "accept_candidate", accept_afresh)
+            forms = minimal_subqueries(universal, wl.constraints, engines[0])
+        return [str(f) for f in forms], sum(e.cache_misses for e in engines)
+
+    shared_forms, shared_chases = benchmark.pedantic(
+        search, args=(False,), rounds=1, iterations=1
+    )
+    fresh_forms, fresh_chases = search(True)
+    assert shared_forms == fresh_forms
+    assert 0 < shared_chases < fresh_chases

@@ -64,11 +64,23 @@ construction, and the chase's own verdict since the chase is complete.
 Otherwise ``C`` is chased as before — subsumption only ever turns a cache
 miss into *True*, and ``plan_lookups_safe`` still runs on everything
 accepted.  Likewise a node's closure is built once; removals work on copies.
+
+The same holds for failing-lookup safety: a scope (the bindings and fired
+conditions a lookup evaluates under) is chased only when neither the memo,
+nor the syntactic ``dom`` guard, nor the scopes already chased for that
+lookup decide it.  *Witnessed* — some ``dom``-bound variable of the chased
+scope is congruent to the key — is monotone in the scope, so it carries
+from a proved scope to every larger one and its absence to every smaller
+one; *occurs* — the key is written in the chased scope — is not, so a
+larger scope inherits *safe* only when the key occurs in it as given.  The
+inferred verdict is the chased one, never an approximation (the comment
+block below and ``tests/test_chase_differential.py`` have the traps).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, List
 from typing import Optional, Sequence, Set, Tuple
 
@@ -80,7 +92,7 @@ from repro.optimizer.cost import CostModel, estimate_cost, plan_cost_floor
 from repro.optimizer.statistics import Statistics
 from repro.query import paths as P
 from repro.query.ast import Binding, Eq, PathOutput, PCQuery, StructOutput
-from repro.query.paths import Dom, Lookup, Path, Var
+from repro.query.paths import Dom, Lookup, Path, SName, Var
 
 
 # -- failing-lookup safety ---------------------------------------------------
@@ -100,6 +112,63 @@ from repro.query.paths import Dom, Lookup, Path, Var
 # to a dom-bound variable of the same dictionary.  Unsafe candidates are
 # rejected — the guarded form survives as the normal form, and the
 # optimizer's non-failing refinement still turns it into ``M{k}``.
+#
+# The verdict of one chase is two facts.  *Witnessed*: a ``dom``-bound
+# variable of the chased scope is congruent to the key, over a dictionary
+# congruent to the lookup's.  *Occurs*: dictionary and key occur in the
+# chased scope (the pinned syntactic clause).  Safe iff both.  A search asks
+# about few lookups under many scopes, and most chases would re-prove a
+# known fact, so the engine keeps per lookup the ⊆-minimal scopes found
+# witnessed (*supports*) and the ⊆-maximal ones found not (*refutations*),
+# a scope being its bindings and conditions as one set, and a new scope is
+#
+# * unsafe, if a refutation contains it;
+# * safe, if it contains a support, the key occurs in it *as given*, and
+#   the dictionary does too or is a bare schema name;
+# * chased, and its verdict recorded, otherwise.
+#
+# This is the chased verdict exactly.  Derivability by the chase is monotone
+# in what it starts from: the chase of a scope maps into the chase of any
+# larger one by a homomorphism that fixes the smaller scope's variables, and
+# it carries the witnessing binding to a binding over a congruent source —
+# again spelled ``dom(...)`` as long as no ``dom`` term is a whole side of an
+# equality in scope or in a dependency's conclusion (where one is, nothing
+# is inferred or recorded).  So *witnessed* passes up, its absence down.
+# *Occurs* is not monotone: the chase may have written the key itself
+# (``R r`` gains ``k = r.B`` from the index constraint), and a larger scope
+# can satisfy that trigger through an alias (``R r, R r2 where r = r2`` with
+# ``k = r2.B``) and never write ``r.B``.  A key the scope itself mentions is
+# in every chase of it; a bare dictionary name that is witnessed occurs
+# (in the witnessing ``dom(M)``, or in the equality that aliases it); and a
+# verdict that failed on occurrence alone refutes nothing.
+
+
+class _Scope:
+    """The bindings in scope and the conditions fired where lookups evaluate."""
+
+    def __init__(self, prefix: Tuple[Binding, ...], conditions: Tuple[Eq, ...]):
+        self.prefix, self.conditions = prefix, conditions
+
+    @cached_property
+    def items(self) -> FrozenSet:
+        """Both as one set (scope ⊆ scope is ``<=``), built when inference
+        first asks: the memo and the guard serve most evaluation points."""
+
+        return frozenset(self.prefix + self.conditions)
+
+
+def _premise(prefix: Tuple[Binding, ...], conditions: Tuple[Eq, ...]) -> PCQuery:
+    """A (non-empty) scope as the query the chase is given."""
+
+    return PCQuery(PathOutput(Var(prefix[-1].var)), prefix, conditions)
+
+
+def _occurring(query: PCQuery) -> Set[Path]:
+    """Every term of ``query``: its variables, its paths, their subterms."""
+
+    terms = {Var(b.var) for b in query.bindings}
+    terms.update(query.all_terms())
+    return terms
 
 
 def _failing_lookup_safe(
@@ -107,22 +176,87 @@ def _failing_lookup_safe(
     prefix: Tuple[Binding, ...],
     conditions: Tuple[Eq, ...],
     engine: ChaseEngine,
+    scope: Optional[_Scope] = None,
 ) -> bool:
     """Is ``lookup``'s key provably in ``dom`` of its dictionary, given the
     bindings/conditions in scope when the lookup evaluates?
 
     A pure function of its arguments and the engine's dependencies, so the
     verdict is remembered on the engine: the candidates of a search share
-    most of their prefixes.
+    most of their prefixes.  A scope the memo has not seen is decided by the
+    cheapest of: the syntactic guard, inference from the scopes already
+    chased for this lookup, its own chase (``engine.lookup_decisions``
+    counts which).  ``scope``: ``prefix`` and ``conditions`` again, from a
+    caller that asks about several lookups at one evaluation point.
     """
 
     memo_key = (lookup, prefix, conditions)
-    verdict = engine.lookup_safety.get(memo_key)
+    verdict, how = engine.lookup_safety.get(memo_key), "memo"
     if verdict is None:
-        verdict = engine.lookup_safety[memo_key] = _decide_lookup_safe(
-            lookup, prefix, conditions, engine
-        )
+        verdict, how = _guard_verdict(lookup, prefix), "guard"
+    if verdict is None:
+        scope = scope or _Scope(prefix, conditions)
+        # Proofs carry over only where a witness is spelled ``dom(...)``:
+        # nowhere is a dom term equated as a whole.
+        proofs = None
+        if not engine.equates_dom and not any(
+            isinstance(side, Dom) for c in conditions for side in (c.left, c.right)
+        ):
+            proofs = engine.lookup_proofs.setdefault(lookup, ([], []))
+            verdict, how = _infer_lookup_safe(lookup, scope, proofs), "inferred"
+        if verdict is None:
+            witnessed, occurs = _decide_lookup_safe(
+                lookup, prefix, conditions, engine
+            )
+            verdict, how = witnessed and occurs, "chased"
+            if proofs is not None:
+                _remember(proofs, scope.items, witnessed)
+    if how != "memo":
+        engine.lookup_safety[memo_key] = verdict
+    engine.lookup_decisions[how] += 1
     return verdict
+
+
+def _guard_verdict(lookup: Lookup, prefix: Tuple[Binding, ...]) -> Optional[bool]:
+    """What the syntax alone decides: safe in the PC restriction 2 shape
+    (the key is a variable bound to the domain of the same dictionary),
+    unsafe with nothing in scope."""
+
+    if isinstance(lookup.key, Var):
+        for b in prefix:
+            if (
+                isinstance(b.source, Dom)
+                and b.var == lookup.key.name
+                and b.source.base is lookup.base
+            ):
+                return True
+    return None if prefix else False
+
+
+def _infer_lookup_safe(lookup: Lookup, scope: _Scope, proofs) -> Optional[bool]:
+    """The verdict a chase of ``scope`` would reach, when the scopes chased
+    before decide it (the rule above); ``None`` when they do not."""
+
+    supports, refutations = proofs
+    if any(scope.items <= refuted for refuted in refutations):
+        return False
+    if any(proved <= scope.items for proved in supports):
+        given = _occurring(_premise(scope.prefix, scope.conditions))
+        if lookup.key in given and (
+            lookup.base in given or isinstance(lookup.base, SName)
+        ):
+            return True
+    return None
+
+
+def _remember(proofs, items: FrozenSet, witnessed: bool) -> None:
+    """Keep the ⊆-minimal witnessed scopes and the ⊆-maximal others."""
+
+    supports, refutations = proofs
+    if not witnessed:
+        refutations[:] = [r for r in refutations if not r <= items] + [items]
+    elif not any(proved <= items for proved in supports):
+        supports[:] = [p for p in supports if not items <= p] + [items]
 
 
 def _decide_lookup_safe(
@@ -130,20 +264,16 @@ def _decide_lookup_safe(
     prefix: Tuple[Binding, ...],
     conditions: Tuple[Eq, ...],
     engine: ChaseEngine,
-) -> bool:
-    # Syntactic guard (PC restriction 2 shape): the key is a variable
-    # bound to the domain of the same dictionary.
-    if isinstance(lookup.key, Var):
-        for b in prefix:
-            if (
-                isinstance(b.source, Dom)
-                and b.var == lookup.key.name
-                and str(b.source.base) == str(lookup.base)
-            ):
-                return True
-    if not prefix:
-        return False
-    premise = PCQuery(PathOutput(Var(prefix[-1].var)), prefix, conditions)
+) -> Tuple[bool, bool]:
+    """The verdict from scratch, as its two facts ``(witnessed, occurs)`` —
+    safe iff both: some ``dom``-bound variable of the chased scope is
+    congruent to the key, over a dictionary congruent to the lookup's; and
+    dictionary and key occur in the chased scope."""
+
+    guarded = _guard_verdict(lookup, prefix)
+    if guarded is not None:
+        return guarded, guarded
+    premise = _premise(prefix, conditions)
     chased, cc = engine.chase_with_cc(premise)
     rename = {b.var: Var(f"_v{i}") for i, b in enumerate(premise.bindings)}
     base_c = P.substitute(lookup.base, rename)
@@ -154,16 +284,14 @@ def _decide_lookup_safe(
     # it changes which candidates survive (the counters pinned in
     # tests/test_pruned_backchase.py), and the closure's auxiliary terms
     # must not decide a verdict.
-    occurring = {Var(b.var) for b in chased.bindings}
-    occurring.update(chased.all_terms())
-    if base_c not in occurring or key_c not in occurring:
-        return False
-    return any(
+    occurring = _occurring(chased)
+    witnessed = any(
         isinstance(b.source, Dom)
         and cc.equal(b.source.base, base_c)
         and cc.equal(Var(b.var), key_c)
         for b in chased.bindings
     )
+    return witnessed, base_c in occurring and key_c in occurring
 
 
 def plan_lookups_safe(query: PCQuery, engine: ChaseEngine) -> bool:
@@ -180,34 +308,38 @@ def plan_lookups_safe(query: PCQuery, engine: ChaseEngine) -> bool:
     ):
         return True
 
-    def path_safe(path: Path, prefix_len: int, conds: Sequence[Eq]) -> bool:
-        return all(
-            _failing_lookup_safe(
-                term, query.bindings[:prefix_len], tuple(conds), engine
-            )
+    def paths_safe(
+        paths: Iterable[Path], prefix_len: int, conds: Sequence[Eq]
+    ) -> bool:
+        lookups = [
+            term
+            for path in paths
             for term in P.subterms(path)
             if isinstance(term, Lookup)
+        ]
+        if not lookups:
+            return True
+        scope = _Scope(query.bindings[:prefix_len], tuple(conds))
+        prefix, conditions = scope.prefix, scope.conditions
+        return all(
+            _failing_lookup_safe(term, prefix, conditions, engine, scope)
+            for term in lookups
         )
 
     levels = query.condition_levels()
     fired: List[Eq] = []
     for i, b in enumerate(query.bindings):
         fired.extend(levels[i])
-        if not path_safe(b.source, i, fired):
+        if not paths_safe((b.source,), i, fired):
             return False
     # A condition sees only strictly lower levels, not its own level's peers.
     fired = []
     for level, conds in enumerate(levels):
-        for c in conds:
-            if not path_safe(c.left, level, fired) or not path_safe(
-                c.right, level, fired
-            ):
-                return False
+        sides = [side for c in conds for side in (c.left, c.right)]
+        if not paths_safe(sides, level, fired):
+            return False
         fired.extend(conds)
-    return all(
-        path_safe(out, len(query.bindings), query.conditions)
-        for out in query.output.paths()
-    )
+    return paths_safe(query.output.paths(), len(query.bindings), query.conditions)
 
 
 def toposort_bindings(query: PCQuery) -> PCQuery:

@@ -46,7 +46,7 @@ from repro.constraints.epcd import EPCD
 from repro.errors import ChaseNonTermination
 from repro.query import paths as P
 from repro.query.ast import Binding, Eq, PCQuery, fresh_var_namer
-from repro.query.paths import Path, Var
+from repro.query.paths import Dom, Path, Var
 
 DEFAULT_MAX_STEPS = 200
 
@@ -326,6 +326,20 @@ class ChaseEngine:
         #: (lookup, bindings in scope, conditions fired) — like the chase
         #: results they are a function of the key and ``deps`` alone
         self.lookup_safety: Dict[Tuple, bool] = {}
+        #: what the chased verdicts proved, per lookup: the ⊆-minimal scopes
+        #: (bindings ∪ conditions) found with a ``dom`` witness for the key and
+        #: the ⊆-maximal ones found without (``backchase.backchase`` infers
+        #: from them)
+        self.lookup_proofs: Dict[Path, Tuple[List[FrozenSet], List[FrozenSet]]] = {}
+        #: how each lookup-safety decision was reached
+        self.lookup_decisions = {"memo": 0, "guard": 0, "inferred": 0, "chased": 0}
+        #: can a chase step equate a ``dom`` term as a whole?
+        self.equates_dom = any(
+            isinstance(side, Dom)
+            for dep in self.deps
+            for cond in dep.conclusion_conditions
+            for side in (cond.left, cond.right)
+        )
         self.cache_hits = 0
         self.cache_misses = 0
         if containment_cache_size == self.DEFAULT_CACHE_SIZE:

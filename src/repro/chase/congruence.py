@@ -146,7 +146,7 @@ class CongruenceClosure:
         while worklist:
             x, y = worklist.pop()
             rx, ry = self.find(x), self.find(y)
-            if rx == ry:
+            if rx is ry:
                 continue
             if self._rank[rx] < self._rank[ry]:
                 rx, ry = ry, rx
@@ -169,7 +169,9 @@ class CongruenceClosure:
             for parent in moved_parents:
                 sig = self._signature(parent)
                 existing = self._sig.get(sig)
-                if existing is not None and self.find(existing) != self.find(parent):
+                if existing is not None and (
+                    self.find(existing) is not self.find(parent)
+                ):
                     worklist.append((existing, parent))
                 else:
                     self._sig[sig] = parent
@@ -219,7 +221,7 @@ class CongruenceClosure:
         return [
             tuple(sorted(members, key=P.path_sort_key))
             for root, members in self._members.items()
-            if self._parent[root] == root
+            if self._parent[root] is root
         ]
 
     def all_terms(self) -> Tuple[Path, ...]:

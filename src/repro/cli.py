@@ -153,6 +153,9 @@ def _print_verbose_stats(result) -> None:
     print("backchase counters:")
     for counter, value in result.backchase_stats.as_dict().items():
         print(f"  {counter}: {value}")
+    print("lookup-safety decisions:")
+    for how, count in result.lookup_decisions.items():
+        print(f"  {how}: {count}")
 
 
 def cmd_optimize(args) -> int:

@@ -97,6 +97,9 @@ class OptimizationResult:
     #: the run's containment-cache counters (the engine is per-run, so
     #: these are this optimization's own hits/misses/evictions)
     containment: Optional[CacheInfo] = None
+    #: how the run's lookup-safety decisions were reached
+    #: (memo / guard / inferred / chased — ``backchase._failing_lookup_safe``)
+    lookup_decisions: Optional[Dict[str, int]] = None
 
     def physical_plans(self) -> List[Plan]:
         return [p for p in self.plans if p.physical_only]
@@ -364,6 +367,7 @@ class Optimizer:
                 "evictions": containment.evictions,
             },
         )
+        tracer.add_counters("lookup_safety", engine.lookup_decisions)
         return OptimizationResult(
             query=query,
             universal_plan=universal,
@@ -373,6 +377,7 @@ class Optimizer:
             backchase_stats=bc_stats,
             strategy=self.strategy,
             containment=containment,
+            lookup_decisions=engine.lookup_decisions,
         )
 
     def _is_physical(self, query: PCQuery) -> bool:

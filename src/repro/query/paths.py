@@ -7,10 +7,14 @@ Grammar (section 5 of the paper)::
 plus the non-failing lookup ``P{k}`` which the paper introduces for plans
 (never produced by path-conjunctive parsing; see restriction 2 in §5).
 
-Paths are immutable, hashable nodes.  The chase and backchase perform
-millions of hash/equality/free-variable operations on them, so every node
-precomputes its structural key, hash, rendered text and free-variable set
-at construction time.
+Paths are immutable, interned nodes: every constructor returns the one
+object of its structure, so nodes hash and compare by *identity* (the
+C-level slots of ``object``; no ``__hash__`` or ``__eq__`` here).  The
+chase and backchase perform millions of hash/equality/free-variable
+operations on them; each node also precomputes its structural key (the
+interning and ordering key), rendered text and free-variable set.  Identity
+hashes follow the address layout, so the iteration order of a path-keyed
+set differs from run to run: nothing may depend on it (``make determinism``).
 """
 
 from __future__ import annotations
@@ -23,30 +27,19 @@ _EMPTY: FrozenSet[str] = frozenset()
 class Path:
     """Abstract base class of path expressions.
 
-    Subclasses set ``_key`` (a nested tuple unique to the term), ``_hash``,
-    ``_str`` (rendered form), ``_fvs`` (free variables) and ``_size``.
-    All nodes are *interned*: structurally equal paths are the same object,
-    so equality is (almost always) identity and dictionary operations in
-    the congruence engine are cheap.
+    Subclasses set ``_key`` (a nested tuple unique to the term), ``_str``
+    (rendered form), ``_fvs`` (free variables) and ``_size``.  All nodes
+    are *interned*: structurally equal paths are the same object, so
+    equality is identity, and pickling or copying a node goes back through
+    its constructor and yields the interned node itself.
     """
 
-    __slots__ = ("_key", "_hash", "_str", "_fvs", "_size")
+    __slots__ = ("_key", "_str", "_fvs", "_size")
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        # Interning makes identity the common case; the structural
-        # fallback keeps correctness for unpickled/copied nodes.
-        if self is other:
-            return True
-        if not isinstance(other, Path):
-            return NotImplemented
-        return self._hash == other._hash and self._key == other._key
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
+    def __reduce__(self):
+        # each subclass's own slots are its constructor arguments, in order
+        cls = type(self)
+        return cls, tuple(getattr(self, slot) for slot in cls.__slots__)
 
     def __str__(self) -> str:
         return self._str
@@ -71,7 +64,6 @@ class Var(Path):
         obj = object.__new__(cls)
         obj.name = name
         obj._key = ("v", name)
-        obj._hash = hash(obj._key)
         obj._str = name
         obj._fvs = frozenset((name,))
         obj._size = 1
@@ -104,7 +96,6 @@ class Const(Path):
         obj = object.__new__(cls)
         obj.value = value
         obj._key = key
-        obj._hash = hash(key)
         obj._str = f'"{value}"' if isinstance(value, str) else str(value)
         obj._fvs = _EMPTY
         obj._size = 1
@@ -136,7 +127,6 @@ class Param(Path):
         obj = object.__new__(cls)
         obj.name = name
         obj._key = ("$", name)
-        obj._hash = hash(obj._key)
         obj._str = f"${name}"
         obj._fvs = _EMPTY
         obj._size = 1
@@ -157,7 +147,6 @@ class SName(Path):
         obj = object.__new__(cls)
         obj.name = name
         obj._key = ("n", name)
-        obj._hash = hash(obj._key)
         obj._str = name
         obj._fvs = _EMPTY
         obj._size = 1
@@ -180,7 +169,6 @@ class Attr(Path):
         obj.base = base
         obj.attr = attr
         obj._key = key
-        obj._hash = hash(key)
         obj._str = f"{base._str}.{attr}"
         obj._fvs = base._fvs
         obj._size = base._size + 1
@@ -202,7 +190,6 @@ class Dom(Path):
         obj = object.__new__(cls)
         obj.base = base
         obj._key = key
-        obj._hash = hash(key)
         obj._str = f"dom({base._str})"
         obj._fvs = base._fvs
         obj._size = base._size + 1
@@ -230,7 +217,6 @@ class Lookup(Path):
         obj.base = base
         obj.key = key
         obj._key = k
-        obj._hash = hash(k)
         obj._str = f"{base._str}[{key._str}]"
         obj._fvs = base._fvs | key._fvs
         obj._size = base._size + key._size + 1
@@ -257,7 +243,6 @@ class NFLookup(Path):
         obj.base = base
         obj.key = key
         obj._key = k
-        obj._hash = hash(k)
         obj._str = f"{base._str}{{{key._str}}}"
         obj._fvs = base._fvs | key._fvs
         obj._size = base._size + key._size + 1

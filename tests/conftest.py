@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import os
 from dataclasses import dataclass
 
 import pytest
@@ -20,6 +21,14 @@ from repro.query.parser import parse_constraint, parse_query
 from repro.query.paths import Attr, Const, SName, Var
 from repro.semcache import session as session_module
 from repro.semcache.session import SessionResult
+
+# Interned paths hash by identity, so ``PYTHONHASHSEED`` alone no longer
+# reorders a path-keyed set — the address layout does.  Each arm of
+# ``make determinism`` therefore gets its own: ``997 × seed`` throwaway
+# variables interned before any workload is built.
+if os.environ.get("PYTHONHASHSEED", "").isdigit():
+    for _i in range(997 * int(os.environ["PYTHONHASHSEED"])):
+        Var(f"_layout{_i}")
 
 try:  # hypothesis is optional: the property harnesses skip without it
     from hypothesis import settings, strategies as st

@@ -3,10 +3,12 @@
 ``repro.chase.chase`` runs one chase as one live state — the closure is
 extended, satisfied triggers are remembered, dependencies a step cannot
 have affected are not rescanned, premises are matched through a class
-index, lookup-safety verdicts are memoized.  None of that may
-change *what* is computed: on every query this suite can reach, the chased
-query text, the step sequence and the ``ChaseNonTermination`` bound must
-equal those of :func:`chase_oracle.naive_chase`, which does none of it.
+index, lookup-safety verdicts are memoized and inferred from the scopes
+already chased.  None of that may change *what* is computed: on every
+query this suite can reach, the chased query text, the step sequence and
+the ``ChaseNonTermination`` bound must equal those of
+:func:`chase_oracle.naive_chase`, which does none of it, and every
+lookup-safety verdict served must be the one decided from scratch.
 The suite is also what the ``make determinism`` target runs under three
 hash seeds, and the harness the next chase refactoring is held to.
 """
@@ -55,6 +57,16 @@ def chase_mismatch(query, deps, max_steps=DEFAULT_MAX_STEPS):
     return None
 
 
+def served_and_how(ask, lookup, prefix, conditions, engine, *scope):
+    """``ask``'s verdict, and which of memo / guard / inferred / chased the
+    engine counted it under."""
+
+    before = dict(engine.lookup_decisions)
+    served = ask(lookup, prefix, conditions, engine, *scope)
+    (how,) = (k for k, n in engine.lookup_decisions.items() if n != before[k])
+    return served, how
+
+
 @pytest.fixture(scope="module")
 def workloads():
     return {name: build_workload(name) for name in WORKLOAD_NAMES}
@@ -64,7 +76,8 @@ def workloads():
 def searches(workloads):
     """One pruned optimize per workload with two observers installed: every
     query the engine really chases is chased by the oracle too, and every
-    lookup-safety verdict served is decided again without the memo.
+    lookup-safety verdict served — by the memo, the guard, inference or a
+    chase — is decided again from scratch.
     Private runs, not conftest's shared optimizations: the observers have
     to be inside the search while it runs."""
 
@@ -81,14 +94,16 @@ def searches(workloads):
                 chase_diffs.append((str(query), diff))
             return real_chase(query, deps, max_steps)
 
-        def checked_safe(lookup, prefix, conditions, engine):
-            served = real_safe(lookup, prefix, conditions, engine)
-            decided = backchase._decide_lookup_safe(
-                lookup, prefix, conditions, engine
+        def checked_safe(lookup, prefix, conditions, engine, *scope):
+            served, how = served_and_how(
+                real_safe, lookup, prefix, conditions, engine, *scope
             )
-            verdicts.append(served)
+            decided = all(
+                backchase._decide_lookup_safe(lookup, prefix, conditions, engine)
+            )
+            verdicts.append((how, served))
             if served != decided:
-                verdict_diffs.append((str(lookup), prefix, conditions))
+                verdict_diffs.append((how, str(lookup), prefix, conditions))
             return served
 
         with pytest.MonkeyPatch.context() as patch:
@@ -216,11 +231,94 @@ class TestThePieces:
         assert Attr(Var("_v1"), "B") not in set(chased.all_terms())
 
     @pytest.mark.parametrize("name", WORKLOAD_NAMES)
-    def test_lookup_safety_memo_serves_the_unmemoized_verdict(self, searches, name):
+    def test_lookup_safety_serves_the_from_scratch_verdict(self, searches, name):
+        """Memo, guard, inference and chase alike: whatever served a
+        verdict, ``_decide_lookup_safe`` reaches the same one."""
+
         _, _, verdicts, diffs = searches[name]
         assert diffs == []
         if name == "projdept":
-            assert True in verdicts and False in verdicts
+            assert {("memo", True), ("memo", False), ("guard", True),
+                    ("inferred", True), ("inferred", False),
+                    ("chased", True), ("chased", False)} <= set(verdicts)
+
+
+def served_and_decided(engine, lookup, scope_text):
+    """One lookup-safety question asked of ``engine`` and, memo-free, of a
+    fresh one: ``(served, from scratch, how it was served)``."""
+
+    scope = parse_query(scope_text)
+    served, how = served_and_how(
+        backchase._failing_lookup_safe, lookup, scope.bindings, scope.conditions,
+        engine,
+    )
+    decided = all(backchase._decide_lookup_safe(
+        lookup, scope.bindings, scope.conditions, ChaseEngine(engine.deps)
+    ))
+    return served, decided, how
+
+
+class TestLookupSafetyInference:
+    """What inference must *not* conclude.  Over the index ``IXB`` on
+    ``R.B``, ``IXB[r.B]`` is safe under ``R r``: the ``IXB_si1`` step
+    writes ``k = r.B``.  In ``BIG`` the trigger is satisfied through the
+    alias ``r2`` instead, the step never fires and ``r.B`` never occurs."""
+
+    LOOKUP = Lookup(SName("IXB"), Attr(Var("r"), "B"))
+    SMALL = "select r from R r"
+    BIG = (
+        "select r from R r, R r2, dom(IXB) k, IXB[k] t "
+        "where r = r2 and k = r2.B and t = r2"
+    )
+
+    @pytest.fixture
+    def engine(self):
+        return ChaseEngine(SecondaryIndex("IXB", "R", "B").constraints())
+
+    def test_a_key_only_the_chase_wrote_is_not_inherited(self, engine):
+        """``BIG`` contains the support ``R r``; the unrestricted subset
+        rule would answer *True*."""
+
+        assert served_and_decided(engine, self.LOOKUP, self.SMALL) == (
+            True, True, "chased")
+        assert served_and_decided(engine, self.LOOKUP, self.BIG) == (
+            False, False, "chased")
+
+    def test_an_occurrence_only_false_is_not_a_refutation(self, engine):
+        """``BIG`` is witnessed (``k = r2.B = r.B``) and unsafe only because
+        ``r.B`` does not occur: its subsets are not thereby unsafe."""
+
+        assert served_and_decided(engine, self.LOOKUP, self.BIG) == (
+            False, False, "chased")
+        assert served_and_decided(engine, self.LOOKUP, self.SMALL) == (
+            True, True, "chased")
+
+    def test_what_is_proved_is_inferred_in_both_directions(self, engine):
+        wider = "select s from R r, S s where r.B = s.B"
+        unrelated = "select s from S s, S s2"
+        assert served_and_decided(engine, self.LOOKUP, self.SMALL)[2] == "chased"
+        assert served_and_decided(engine, self.LOOKUP, wider) == (
+            True, True, "inferred")
+        assert served_and_decided(engine, self.LOOKUP, unrelated) == (
+            False, False, "chased")
+        assert served_and_decided(engine, self.LOOKUP, "select s from S s") == (
+            False, False, "inferred")
+
+    def test_a_dom_term_equated_as_a_whole_switches_inference_off(self, engine):
+        """With ``r.S = dom(IXB)`` in force the trigger is satisfied by the
+        binding ``r.S k``, which is no ``dom(...)`` binding: the pinned
+        verdict is *False* although the scope contains the support."""
+
+        aliased = (
+            "select r from R r, r.S k, IXB[k] t "
+            "where r.S = dom(IXB) and k = r.B and t = r"
+        )
+        assert served_and_decided(engine, self.LOOKUP, self.SMALL)[0] is True
+        assert served_and_decided(engine, self.LOOKUP, aliased) == (
+            False, False, "chased")
+        wider = "select s from R r, S s where r.B = s.B"
+        assert served_and_decided(engine, self.LOOKUP, wider) == (
+            True, True, "inferred")
 
 
 def unaffected_means_inapplicable(query, deps, max_steps=40):

@@ -210,6 +210,8 @@ class TestCommands:
             "cache_misses",
         ):
             assert counter in out
+        decisions = out.split("lookup-safety decisions:")[1].split()
+        assert decisions[::2] == ["memo:", "guard:", "inferred:", "chased:"]
 
     def test_optimize_cache_reuses_earlier_query(self, files, tmp_path, capsys):
         _, query, _, _ = files

@@ -373,6 +373,9 @@ class TestCounterParity:
         assert counters["containment.hits"] == info.hits
         assert counters["containment.misses"] == info.misses
         assert counters["containment.evictions"] == info.evictions
+        assert result.lookup_decisions["chased"] > 0
+        for how, count in result.lookup_decisions.items():
+            assert counters[f"lookup_safety.{how}"] == count, how
         db.close()
 
     @pytest.mark.parametrize("strategy", ["pruned", "full"])

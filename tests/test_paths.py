@@ -1,12 +1,19 @@
 """Unit tests for path expressions."""
 
+import copy
+import pickle
+
+import pytest
+
 from repro.query import paths as P
+from repro.query.parser import parse_query
 from repro.query.paths import (
     Attr,
     Const,
     Dom,
     Lookup,
     NFLookup,
+    Param,
     Path,
     SName,
     Var,
@@ -30,6 +37,55 @@ class TestConstructionAndInterning:
         assert str(NFLookup(SName("SI"), Const("CitiBank"))) == 'SI{"CitiBank"}'
         assert str(Const("x")) == '"x"'
         assert str(Const(5)) == "5"
+
+
+#: one node of each of the eight classes
+ONE_OF_EACH = (
+    Var("x"),
+    Const("CitiBank"),
+    Param("p"),
+    SName("R"),
+    Attr(Var("x"), "A"),
+    Dom(SName("I")),
+    Lookup(SName("I"), Attr(Var("x"), "A")),
+    NFLookup(SName("SI"), Const(1)),
+)
+
+
+class TestIdentity:
+    """Interned nodes hash and compare by identity, and stay themselves
+    through a pickle or a copy."""
+
+    def test_the_eight_classes_are_covered(self):
+        assert {type(p) for p in ONE_OF_EACH} == set(Path.__subclasses__())
+
+    @pytest.mark.parametrize("path", ONE_OF_EACH, ids=str)
+    def test_round_trips_yield_the_interned_node(self, path):
+        assert pickle.loads(pickle.dumps(path)) is path
+        assert copy.deepcopy(path) is path
+        assert copy.copy(path) is path
+
+    @pytest.mark.parametrize("path", ONE_OF_EACH, ids=str)
+    def test_hash_and_equality_are_object_s(self, path):
+        assert hash(path) == object.__hash__(path)
+        assert type(path).__hash__ is object.__hash__
+        assert type(path).__eq__ is object.__eq__
+
+    def test_normalized_constants_round_trip_to_one_node(self):
+        assert Const(1.0) is Const(1)
+        assert pickle.loads(pickle.dumps(Const(1.0))) is Const(1)
+        assert pickle.loads(pickle.dumps(Const(True))) is not Const(1)
+
+    def test_a_deep_copied_query_shares_its_paths(self):
+        query = parse_query(
+            "select struct(A = r.A) from R r, dom(I) k, I[k] t "
+            "where t = r and r.B = 1"
+        )
+        key = query.canonical_key()
+        twin = copy.deepcopy(query)
+        assert twin is not query and twin == query
+        assert twin.canonical_key() == key
+        assert all(a is b for a, b in zip(twin.all_terms(), query.all_terms()))
 
 
 class TestStructure:

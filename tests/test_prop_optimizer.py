@@ -7,8 +7,13 @@ query's answer — on the instance the structures were built from (where
 the implementation-mapping constraints hold by construction).
 """
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from conftest import constraint_pool, constraint_sets, pc_queries
+from repro.backchase import backchase
+from repro.chase.chase import ChaseEngine, chase
+from repro.errors import BackchaseError, ChaseNonTermination
 from repro.model.instance import Instance
 from repro.model.values import Row
 from repro.optimizer.optimizer import Optimizer
@@ -108,3 +113,48 @@ def test_rule_based_plans_correct(scenario):
     reference = evaluate(query, instance)
     for plan, _cost in optimizer.search(query):
         assert evaluate(plan, instance) == reference, str(plan)
+
+
+@st.composite
+def indexed_constraint_sets(draw):
+    """Two of the three index groups plus up to two more pool groups: no
+    index, no lookup, and one index alone leaves little to infer."""
+
+    indexes = draw(st.permutations(("ix_rb", "ix_ra", "ix_sb")))[:2]
+    pool = dict(constraint_pool())
+    deps = draw(constraint_sets(max_groups=2)) + pool[indexes[0]] + pool[indexes[1]]
+    return list({dep.name: dep for dep in deps}.values())
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(query=pc_queries(), deps=indexed_constraint_sets())
+def test_served_lookup_safety_is_the_from_scratch_verdict(query, deps):
+    """However one engine serves a lookup-safety verdict during a search —
+    memo, guard, inference from the scopes it chased, or a chase — a
+    second engine that never remembers one decides the same from scratch.
+    Checked verdict by verdict, so a search cut at the node budget still
+    counts for what it asked."""
+
+    serving, deciding = ChaseEngine(deps, 80), ChaseEngine(deps, 80)
+    real_safe = backchase._failing_lookup_safe
+
+    def checked_safe(lookup, prefix, conditions, engine, *scope):
+        served = real_safe(lookup, prefix, conditions, engine, *scope)
+        decided = backchase._decide_lookup_safe(lookup, prefix, conditions, deciding)
+        assert served == all(decided), (str(lookup), prefix, conditions, decided)
+        return served
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backchase, "_failing_lookup_safe", checked_safe)
+        try:
+            universal = chase(query, deps, 80).query
+            backchase.minimal_subqueries(
+                universal, deps, engine=serving, max_nodes=250
+            )
+        except (ChaseNonTermination, BackchaseError):
+            assume(False)
+    assert deciding.lookup_safety == {} and not deciding.lookup_proofs

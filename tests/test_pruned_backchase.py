@@ -307,6 +307,20 @@ class TestScalingShapes:
         )
 
 
+class TestLookupSafetyDecisions:
+    def test_most_scopes_are_decided_without_a_chase(self, optimized_workloads):
+        """Where the decisions went, read off the shared ProjDept search:
+        430 scopes reach a decision (the memo serves the repeats), and a
+        chase decides at most 130 of them — 210 before verdicts were
+        inferred from the scopes already chased."""
+
+        decisions = optimized_workloads.result("projdept").lookup_decisions
+        decided = sum(decisions.values()) - decisions["memo"]
+        assert decided == 430
+        assert 0 < decisions["chased"] <= 130
+        assert decisions["inferred"] >= 80 and decisions["guard"] >= 200
+
+
 # Recorded from the commit before the two search loops became one (the
 # default `Database.from_workload(name)` build, optimising its canonical
 # query).  Pinned, not re-baselined: the bounded run's counters are
