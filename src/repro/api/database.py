@@ -53,6 +53,7 @@ from repro.optimizer.cost import CostModel, _attr_of
 from repro.optimizer.optimizer import OptimizationResult, Plan
 from repro.optimizer.statistics import Statistics, default_sample
 from repro.query.ast import PCQuery
+from repro.query.parser import parse_cache_info, parse_query
 from repro.query.paths import Const, Param, Path
 
 
@@ -289,6 +290,9 @@ class Database:
         self.obs.registry.register_source(
             "plan_cache", lambda: asdict(self.plan_cache_info())
         )
+        self.obs.registry.register_source(
+            "query.parse_cache", lambda: asdict(parse_cache_info())
+        )
         size = self.cache_config.plan_cache_size
         self._plan_cache = PlanCache(max_size=size) if size != 0 else None
         # (rel, attr) -> (value -> count, total rows counted): the skew
@@ -426,8 +430,6 @@ class Database:
         examples read much better for it)."""
 
         if isinstance(query, str):
-            from repro.query.parser import parse_query
-
             return parse_query(query)
         return query
 
@@ -628,12 +630,15 @@ class Database:
                 )
         plan = result.best
         if values:
-            bound = plan.query.substitute_params(
-                {
-                    name: value if isinstance(value, Path) else Const(value)
-                    for name, value in values.items()
-                }
-            )
+            mapping = {
+                name: value if isinstance(value, Path) else Const(value)
+                for name, value in values.items()
+            }
+            bound = plan.query.substitute_params(mapping)
+            if all(isinstance(value, Const) for value in mapping.values()):
+                # Every declared marker was just bound to a constant:
+                # execute_plan's walk of the new object would find none.
+                return self._execute_bound(bound, instance, overlays)
             plan = dc_replace(plan, query=bound)
         return self.execute_plan(plan, instance=instance, overlays=overlays)
 
@@ -660,8 +665,18 @@ class Database:
                 f"plan contains unbound parameter(s) {declared} — bind them "
                 f"via PreparedQuery.run(...) before execution"
             )
+        return self._execute_bound(plan.query, instance, overlays)
+
+    def _execute_bound(
+        self,
+        plan_query: PCQuery,
+        instance: Optional[Instance],
+        overlays: Optional[Mapping[str, Any]],
+    ) -> ExecutionResult:
+        """Run a plan query its caller knows to be marker-free."""
+
         return execute(
-            plan.query,
+            plan_query,
             self._target(instance),
             overlays=overlays,
             context=self.context,

@@ -362,15 +362,23 @@ class PCQuery:
         """Rename variables to _v0.._vn by binding order; sort conditions.
 
         Two queries that differ only in variable names and condition order
-        share the same canonical form; used for memoization.
+        share the same canonical form; used for memoization.  Remembered
+        on the object like the keys below: a query renames at most once,
+        and :meth:`canonical_key`, :meth:`canonical_template` and the
+        canonical parameter order (``canonical().param_names()``) all
+        read that one form.
         """
 
-        mapping = {b.var: f"_v{i}" for i, b in enumerate(self.bindings)}
-        renamed = self.rename_vars(mapping)
-        conds = tuple(
-            sorted((c.normalized() for c in renamed.conditions), key=Eq.key)
-        )
-        return PCQuery(renamed.output, renamed.bindings, conds)
+        cached = self.__dict__.get("_canonical")
+        if cached is None:
+            mapping = {b.var: f"_v{i}" for i, b in enumerate(self.bindings)}
+            renamed = self.rename_vars(mapping)
+            conds = tuple(
+                sorted((c.normalized() for c in renamed.conditions), key=Eq.key)
+            )
+            cached = PCQuery(renamed.output, renamed.bindings, conds)
+            object.__setattr__(self, "_canonical", cached)
+        return cached
 
     def canonical_key(self) -> str:
         cached = self.__dict__.get("_canonical_key")

@@ -24,6 +24,7 @@ import re
 from typing import List, Optional, Set, Tuple
 
 from repro.errors import QuerySyntaxError
+from repro.lru import LRU, CacheInfo
 from repro.query.ast import Binding, Eq, PathOutput, PCQuery, StructOutput
 from repro.query.paths import (
     Attr,
@@ -362,8 +363,21 @@ class _Parser:
         )
 
 
+#: source text -> the query it parsed to.  A :class:`PCQuery` is frozen
+#: over interned paths and holds no data, so every caller shares the one
+#: object — which already carries the canonical form and keys it computed
+#: last time — and entries stay sound across instance mutations.  Keys
+#: are the text as given; a text that does not parse is never stored.
+_PARSED = LRU(max_size=512)
+
+#: a longer source is parsed and not retained, so what the memo can pin
+#: of caller-supplied text is bounded by entries × this many characters
+_MAX_REMEMBERED_SOURCE = 8192
+
+
 def parse_query(source: str) -> PCQuery:
-    """Parse a PC query from concrete syntax.
+    """Parse a PC query from concrete syntax (remembered per text: a
+    repeated text costs one probe and returns the same object).
 
     ``$name`` markers parse to :class:`~repro.query.paths.Param` binding
     markers (query templates); bind them with
@@ -371,10 +385,22 @@ def parse_query(source: str) -> PCQuery:
     ``Database.prepare(...).run(name=...)``.
     """
 
-    try:
-        return _Parser(source).parse_query()
-    except QuerySyntaxError as err:
-        raise err.with_source(source)
+    query = _PARSED.get(source)
+    if query is None:
+        try:
+            query = _Parser(source).parse_query()
+        except QuerySyntaxError as err:
+            raise err.with_source(source)
+        if len(source) <= _MAX_REMEMBERED_SOURCE:
+            _PARSED.put(source, query)
+    return query
+
+
+def parse_cache_info() -> CacheInfo:
+    """Counters of :func:`parse_query`'s text memo (the
+    ``query.parse_cache`` family of ``Database.metrics()``)."""
+
+    return _PARSED.cache_info()
 
 
 def parse_path(source: str, scope: Optional[Set[str]] = None) -> Path:

@@ -531,6 +531,7 @@ class TestMetricsCommand:
         assert "semcache: lookups=2" in out  # --repeat defaults to 2
         assert "exact_hits=1" in out  # the second pass hit the cache
         assert "plan_cache:" in out
+        assert "query.parse_cache: hits=" in out
         assert "slow queries" in out
 
     def test_json_snapshot_parses(self, capsys):

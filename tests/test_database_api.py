@@ -33,6 +33,8 @@ from repro.api import build_workload
 from repro.api.plancache import PlanCache
 from repro.errors import OptimizationError
 from repro.exec.engine import explain
+from repro.query import parser as parser_module
+from repro.query.ast import PCQuery
 
 
 def rs_database(**kwargs) -> Database:
@@ -387,6 +389,95 @@ class TestExecuteAndPrepare:
             db.execute(parse_query("select r.A from R r"))
         with pytest.raises(ReproError, match="no instance"):
             db.session()
+
+
+def derives_nothing_when_repeated(
+    request, db: Database, repeats: int = 100
+) -> int:
+    """Assert that, after one warm-up ``request(0)``, ``repeats`` further
+    requests construct no parser and rename no variable; returns the
+    parse-memo hits they scored, read off ``db.metrics()``."""
+
+    def hits() -> int:
+        return db.metrics()["sources"]["query.parse_cache"]["hits"]
+
+    request(0)
+    before = hits()
+    with recording(parser_module, "_Parser") as parsers, recording(
+        PCQuery, "rename_vars"
+    ) as renames:
+        for i in range(1, repeats + 1):
+            request(i)
+    assert len(parsers) == 0, f"{len(parsers)} _Parser constructions"
+    assert len(renames) == 0, f"{len(renames)} rename_vars calls"
+    return hits() - before
+
+
+class TestRepeatedTextDerivesNothing:
+    """Why a plan-cache hit is cheap (the effect is ``steady_templates``
+    ``latency_p50_ms`` of ``benchmarks/perf``): a text served before is
+    one memo probe, and its query object canonicalized when it was first
+    keyed — on each of the three front doors."""
+
+    TEMPLATE = "select struct(A = r.A) from R r where r.B = $b"
+
+    def test_execute_text_over_two_bindings(self):
+        db = rs_database()
+        template = parse_query(self.TEMPLATE)
+        expected = [
+            evaluate(template.bind_params({"b": b}), db.instance) for b in (0, 1)
+        ]
+
+        def request(i):
+            got = db.execute(self.TEMPLATE, params={"b": i % 2})
+            assert got.results == expected[i % 2]
+
+        assert derives_nothing_when_repeated(request, db) >= 99
+        info = db.plan_cache_info()
+        assert (info.misses, info.hits) == (1, 100)
+        db.close()
+
+    def test_prepared_run(self):
+        db = rs_database()
+        prepared = db.prepare(self.TEMPLATE)
+        derives_nothing_when_repeated(lambda i: prepared.run(b=i % 2), db)
+        db.close()
+
+    def test_session_exact_hit(self):
+        db = rs_database()
+        session = db.session()
+        text = "select struct(A = r.A) from R r where r.B = 1"
+        sources = []
+        hits = derives_nothing_when_repeated(
+            lambda i: sources.append(session.run(parse_query(text)).source), db
+        )
+        assert hits >= 99
+        assert sources == ["cold"] + ["exact"] * 100
+        session.close()
+        db.close()
+
+    def test_a_memo_that_always_misses_is_caught(self, monkeypatch):
+        monkeypatch.setattr(parser_module._PARSED, "get", lambda text: None)
+        db = rs_database()
+        with pytest.raises(AssertionError, match="100 _Parser constructions"):
+            derives_nothing_when_repeated(
+                lambda i: db.execute(self.TEMPLATE, params={"b": i % 2}), db
+            )
+        db.close()
+
+    def test_a_canonical_form_that_is_not_remembered_is_caught(self, monkeypatch):
+        real = PCQuery.canonical
+
+        def forgetful(self):
+            self.__dict__.pop("_canonical", None)
+            return real(self)
+
+        monkeypatch.setattr(PCQuery, "canonical", forgetful)
+        db = rs_database()
+        prepared = db.prepare(self.TEMPLATE)
+        with pytest.raises(AssertionError, match="100 rename_vars calls"):
+            derives_nothing_when_repeated(lambda i: prepared.run(b=i % 2), db)
+        db.close()
 
 
 @pytest.mark.parametrize("mix", sorted(SERVING_MIXES))

@@ -34,6 +34,7 @@ from repro.errors import QueryExecutionError
 from repro.optimizer.optimizer import Optimizer
 from repro.physical.indexes import SecondaryIndex
 from repro.query import paths as P
+from repro.query.ast import PCQuery
 
 
 def rs_database(**kwargs) -> Database:
@@ -294,10 +295,63 @@ class TestPreparedTemplates:
         assert db.plan_cache_info().misses == 2  # prepare + post-mutation
         db.close()
 
+    def test_only_constant_bindings_skip_the_unbound_marker_walk(self):
+        """Binding every declared marker to a constant leaves none to
+        look for; a path-valued binding can smuggle one in, so it is
+        still walked (as is the public ``execute_plan``)."""
+
+        db = rs_database()
+        prepared = db.prepare(parse_query(TEMPLATE_C))
+        with recording(PCQuery, "has_params") as walks:
+            plain = prepared.run(c=3).results
+            assert prepared.run(c=P.Const(3)).results == plain
+        assert walks == []
+        with pytest.raises(ParameterBindingError, match=r"unbound.*\$d"):
+            prepared.run(c=Param("d"))
+        db.close()
+
     def test_explain_keeps_the_markers(self):
         db = rs_database()
         prepared = db.prepare(parse_query(TEMPLATE_C))
         assert "$c" in prepared.explain()
+        db.close()
+
+
+# -- the parsed-text memo shares queries, never answers --------------------------
+
+
+class TestParsedTextMemoHoldsNoData:
+    def test_same_text_after_a_mutation_reads_the_new_extent(self):
+        """Invalidation stays the plan cache's and the semantic cache's:
+        the memo hands every front door the same query object before and
+        after a write, and each answers from the new extent."""
+
+        instance = Instance(
+            {"S": frozenset(Row(B=i % 4, C=i) for i in range(8))}
+        )
+        db = Database(instance=instance)
+        template = "select struct(C = s.C) from S s where s.B = $b"
+        text = "select struct(C = s.C) from S s where s.B = 3"
+        prepared = db.prepare(template)
+        session = db.session(hybrid=True)
+        query = parse_query(text)
+
+        def answers():
+            assert parse_query(text) is query
+            return (
+                db.execute(template, params={"b": 3}).results,
+                prepared.run(b=3).results,
+                session.run(parse_query(text)).results,
+            )
+
+        before = evaluate(query, instance)
+        assert answers() == (before,) * 3
+        assert session.run(parse_query(text)).source == "exact"
+        instance["S"] = frozenset({Row(B=3, C=41), Row(B=4, C=2)})
+        after = evaluate(query, instance)
+        assert after != before
+        assert answers() == (after,) * 3
+        session.close()
         db.close()
 
 

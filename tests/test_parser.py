@@ -3,8 +3,15 @@
 import pytest
 
 from repro.errors import QuerySyntaxError
+from repro.lru import LRU
+from repro.query import parser as parser_module
 from repro.query.ast import StructOutput
-from repro.query.parser import parse_constraint, parse_path, parse_query
+from repro.query.parser import (
+    parse_cache_info,
+    parse_constraint,
+    parse_path,
+    parse_query,
+)
 from repro.query.paths import (
     Attr,
     Const,
@@ -86,6 +93,61 @@ class TestQueryErrors:
     def test_unclosed_bracket(self):
         with pytest.raises(QuerySyntaxError):
             parse_query("select struct(A = t.A) from dom(SI k, SI[k] t")
+
+
+class TestParsedTextMemo:
+    """``parse_query`` remembers text -> query in one bounded LRU."""
+
+    def test_a_repeated_text_is_one_object(self):
+        text = "select struct(A = r.A) from R r where r.B = $b"
+        assert parse_query(text) is parse_query(text)
+        # keys are the text as given: whitespace is the template key's job
+        spaced = parse_query(text.replace(" from ", "  from "))
+        assert spaced is not parse_query(text)
+        assert spaced.template_key() == parse_query(text).template_key()
+
+    def test_the_oldest_text_is_evicted_and_reparses_equal(self, monkeypatch):
+        bound = parser_module._PARSED.max_size
+        monkeypatch.setattr(parser_module, "_PARSED", LRU(max_size=bound))
+        texts = [
+            f"select r.A from R r where r.B = $b and r.A = {i}"
+            for i in range(bound + 1)
+        ]
+        first = parse_query(texts[0])
+        keys = first.canonical_key(), first.template_key()
+        for text in texts[1:]:
+            parse_query(text)
+        info = parse_cache_info()
+        assert (info.size, info.evictions) == (bound, 1)
+        assert texts[0] not in parser_module._PARSED
+        again = parse_query(texts[0])
+        assert again is not first and again == first
+        assert (again.canonical_key(), again.template_key()) == keys
+
+    def test_a_malformed_text_raises_every_time_and_is_not_stored(self):
+        text = "select struct(A = r.A)\nfrom R r where r.A = @"
+        size = parse_cache_info().size
+        for _ in range(2):
+            with pytest.raises(QuerySyntaxError) as caught:
+                parse_query(text)
+            assert caught.value.source == text
+            assert caught.value.position == text.index("@")
+            assert (caught.value.line, caught.value.column) == (2, 22)
+        assert parse_cache_info().size == size
+
+    def test_an_oversized_text_is_parsed_and_not_retained(self):
+        # the envelope: 512 hostile megabyte texts must not pin half a
+        # gigabyte, so a source past the fixed length is never a key
+        limit = parser_module._MAX_REMEMBERED_SOURCE
+        short = "select r.A from R r where r.B = 1"
+        text = short + " " * (limit + 1 - len(short))
+        size = parse_cache_info().size
+        query = parse_query(text)
+        assert query == parse_query(short)
+        assert parse_cache_info().size <= size + 1  # `short` alone, at most
+        assert text not in parser_module._PARSED
+        assert parse_query(text) is not query
+        assert parse_query(text[:limit]) is parse_query(text[:limit])
 
 
 class TestPathParsing:
