@@ -5,10 +5,11 @@
 #   make check        the full gate: lint, tier-1 tests, bench smokes,
 #                     golden suite, benchmarks/perf harness tests,
 #                     determinism
-#   make determinism  goldens, pinned search counters, the chase and backchase
-#                     differential suites (lookup-safety traps included) and
-#                     the served-verdict property under PYTHONHASHSEED=0, 1, 2,
-#                     each arm with its own address layout
+#   make determinism  goldens, pinned search counters, the chase, backchase
+#                     and early-stop differential suites (lookup-safety traps
+#                     included) and the served-verdict property under
+#                     PYTHONHASHSEED=0, 1, 2, each arm with its own address
+#                     layout
 #   make fuzz         the property suites (tests/test_prop_*.py) under fresh
 #                     random draws; tier-1 itself runs them derandomized
 #                     (tests/conftest.py), so it repeats run for run
@@ -35,16 +36,19 @@ GOLDEN_FILES := tests/test_golden_plans.py tests/test_advisor.py
 
 # What must not depend on the order a set iterates in: the chase keeps a
 # set of satisfied triggers, sets of affected heads and a dict-of-lists
-# class index; the backchase keeps an antichain of accepted variable sets
-# and, per lookup, antichains of proved scopes.  Interned paths hash by
+# class index, and stops where a goal first holds; the backchase keeps an
+# antichain of accepted variable sets, the candidates it refuted and, per
+# lookup, antichains of proved scopes.  Interned paths hash by
 # identity, so PYTHONHASHSEED reorders only the string-keyed sets; the
 # path-keyed ones follow the address layout, and tests/conftest.py gives
 # each arm its own (997 x seed throwaway variables interned up front).
 DETERMINISM_TESTS := tests/test_golden_plans.py \
 	tests/test_pruned_backchase.py::TestCountersPinnedAcrossTheMerge \
 	tests/test_pruned_backchase.py::TestLookupSafetyDecisions \
+	tests/test_pruned_backchase.py::TestContainmentDecisions \
 	tests/test_chase_differential.py \
 	tests/test_backchase_differential.py \
+	tests/test_early_stop_differential.py \
 	tests/test_prop_optimizer.py::test_served_lookup_safety_is_the_from_scratch_verdict
 
 .PHONY: test check lint loc golden determinism fuzz bench bench-smoke \

@@ -65,6 +65,14 @@ Otherwise ``C`` is chased as before — subsumption only ever turns a cache
 miss into *True*, and ``plan_lookups_safe`` still runs on everything
 accepted.  Likewise a node's closure is built once; removals work on copies.
 
+The dual keeps what condition (3) rejected (never a lookup-unsafe
+candidate, which is equivalent to the root): a candidate ``C`` into which
+the identity maps from a rejected ``R``'s closure is rejected unchased —
+``R ⊑ C``, so ``C ⊑ root`` would give ``R ⊑ root``.  What is still chased
+is chased only until its question is answered (:mod:`repro.chase.chase`),
+and a candidate repeating an earlier one letter for letter (most do) is
+not canonicalized again.
+
 The same holds for failing-lookup safety: a scope (the bindings and fired
 conditions a lookup evaluates under) is chased only when neither the memo,
 nor the syntactic ``dom`` guard, nor the scopes already chased for that
@@ -274,24 +282,33 @@ def _decide_lookup_safe(
     if guarded is not None:
         return guarded, guarded
     premise = _premise(prefix, conditions)
-    chased, cc = engine.chase_with_cc(premise)
     rename = {b.var: Var(f"_v{i}") for i, b in enumerate(premise.bindings)}
     base_c = P.substitute(lookup.base, rename)
     key_c = P.substitute(lookup.key, rename)
+
+    def witnessed(chased: PCQuery, cc: CongruenceClosure) -> bool:
+        return any(
+            isinstance(b.source, Dom)
+            and cc.equal(b.source.base, base_c)
+            and cc.equal(Var(b.var), key_c)
+            for b in chased.bindings
+        )
+
     # Deliberately syntactic: dictionary and key must *occur* in the chased
     # prefix (as a variable or a subterm).  A key that is merely derivable
     # as congruent to a dom-bound variable would be safe too, but accepting
     # it changes which candidates survive (the counters pinned in
     # tests/test_pruned_backchase.py), and the closure's auxiliary terms
     # must not decide a verdict.
-    occurring = _occurring(chased)
-    witnessed = any(
-        isinstance(b.source, Dom)
-        and cc.equal(b.source.base, base_c)
-        and cc.equal(Var(b.var), key_c)
-        for b in chased.bindings
+    def occurs(chased: PCQuery) -> bool:
+        occurring = _occurring(chased)
+        return base_c in occurring and key_c in occurring
+
+    # Both facts only grow with the chase: it stops once both hold.
+    chased, cc = engine.chase_with_cc(
+        premise, lambda chased, cc: witnessed(chased, cc) and occurs(chased)
     )
-    return witnessed, base_c in occurring and key_c in occurring
+    return (witnessed(chased, cc), occurs(chased)) if engine.last.done else (True, True)
 
 
 def plan_lookups_safe(query: PCQuery, engine: ChaseEngine) -> bool:
@@ -551,6 +568,7 @@ def accept_candidate(
     engine: ChaseEngine,
     key: Optional[Tuple[str, str]] = None,
     accepted: Iterable[PCQuery] = (),
+    refuted: Optional[List[PCQuery]] = None,
 ) -> bool:
     """Is ``candidate`` (built from ``parent``) an acceptable backchase step?
 
@@ -567,13 +585,22 @@ def accept_candidate(
     ``accepted``: subqueries already accepted as equivalent to ``parent``,
     under the candidate's variable names.  A candidate that still contains
     one binding for binding is contained in it, hence in ``parent``, and is
-    not chased (module docstring).  Observable only where the chase does
-    not terminate: without ``accepted`` the verdict raises
-    :class:`~repro.errors.ChaseNonTermination` at the step bound, with it a
-    subsumed candidate is accepted without reaching the bound.
+    not chased (module docstring).  ``refuted``: the candidates condition
+    (3) rejected so far; one this candidate maps into by the identity
+    rejects it unchased (the dual), and a rejected candidate is appended.
+
+    Where the chase does not terminate, a *True* is decided short of the
+    step bound when something supplies it first — a subsuming ``accepted``
+    subquery, or a containment mapping the chase reaches before the bound
+    — while a verdict that needs the fixpoint, every *False*, still raises
+    :class:`~repro.errors.ChaseNonTermination` at the bound.
     """
 
-    if not engine.contained_in(candidate, parent, key=key, accepted=accepted):
+    if not engine.contained_in(
+        candidate, parent, key=key, accepted=accepted, refuted=refuted or ()
+    ):
+        if refuted is not None:
+            refuted.append(candidate)
         return False
     return plan_lookups_safe(candidate, engine)
 
@@ -745,17 +772,23 @@ def minimal_subqueries(
 
     # antichain of minimal accepted binding-variable sets -> subquery
     accepted: Dict[FrozenSet[str], PCQuery] = {}
+    # the candidates condition (3) rejected (see accept_candidate)
+    refuted: List[PCQuery] = []
+    # Most candidates repeat one built before letter for letter (they keep
+    # the root's names): one canonical key per syntactic shape, keyed by
+    # interned parts, not by the candidate (which keeps its canonical form).
+    keys: Dict[Tuple, str] = {}
 
     best: Optional[float] = None
     # Every shape ever queued, with its bound: a shape is queued (hence
     # visited) at most once.
     floors: Dict[str, float] = {root_key: cost_floor(root)}
     normal_forms: List[PCQuery] = []
-    stack: List[PCQuery] = [root]
+    stack: List[Tuple[str, PCQuery]] = [(root_key, root)]
 
     while stack:
-        current = stack.pop()
-        if best is not None and floors[current.canonical_key()] > best:
+        current_key, current = stack.pop()
+        if best is not None and floors[current_key] > best:
             # The bound tightened since this node was queued.
             stats.candidates_pruned += 1
             continue
@@ -772,11 +805,19 @@ def minimal_subqueries(
             if candidate is None:
                 continue
             stats.candidates_explored += 1
-            ckey = candidate.canonical_key()
+            shape = (
+                candidate.output,
+                tuple([(b.var, b.source) for b in candidate.bindings]),
+                tuple([(c.left, c.right) for c in candidate.conditions]),
+            )
+            ckey = keys.get(shape)
+            if ckey is None:
+                ckey = keys[shape] = candidate.canonical_key()
             verdict = verdicts.get(ckey)
             if verdict is None:
                 verdict = verdicts[ckey] = accept_candidate(
-                    candidate, current, engine, (ckey, root_key), accepted.values()
+                    candidate, current, engine, (ckey, root_key),
+                    accepted.values(), refuted,
                 )
             else:
                 memo_hits += 1
@@ -807,8 +848,8 @@ def minimal_subqueries(
             # Most promising child on top of the stack: depth-first toward
             # cheap complete plans tightens the bound early.
             children.sort(key=lambda entry: (-entry[0], entry[1]))
-            for _, _, child in children:
-                stack.append(child)
+            for _, ckey, child in children:
+                stack.append((ckey, child))
 
     # Verdicts reused = engine-cache hits + memo hits; verdicts computed =
     # engine-cache misses.  With the memo in front, each distinct candidate

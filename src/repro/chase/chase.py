@@ -20,10 +20,19 @@ congruence closure, and the triggers already found satisfied.  A step only
 ever *adds* bindings and equalities, so the closure is extended in place
 (the step's bindings added, its conditions merged) rather than rebuilt, a
 trigger once satisfied is never proved again, and :class:`ChaseEngine`
-hands the finished closure on to containment and lookup-safety checks.
+hands the closure on to containment and lookup-safety checks.
 Dependency order and the first-applicable-homomorphism rule are those of
 the restart-and-rebuild loop this replaced; that loop survives as the
 oracle of ``tests/test_chase_differential.py``.
+
+Every question the optimizer asks of the chase is *monotone*: a
+containment mapping, a ``dom`` witness or an inconsistent closure found
+after step *i* is still there at the fixpoint.  So a decision hands
+:meth:`ChaseEngine.chase` its question as a ``goal``, and the engine's live
+state for that canonical query is advanced only until the goal holds.  A
+*False* needs the fixpoint; a later question, or a goal-free ``chase``,
+resumes where the last one stopped, in the same step order
+(``tests/test_early_stop_differential.py`` holds it to the oracle).
 
 A dependency scanned to "no applicable homomorphism" is *clean* and is
 scanned again only if a step can have affected it ("check only what the
@@ -37,7 +46,7 @@ of dependencies and homomorphisms is untouched (:class:`ChaseState`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, NamedTuple
 from typing import Optional, Sequence, Set, Tuple
 
 from repro.chase.congruence import CongruenceClosure, build_congruence, head
@@ -49,6 +58,10 @@ from repro.query.ast import Binding, Eq, PCQuery, fresh_var_namer
 from repro.query.paths import Dom, Path, Var
 
 DEFAULT_MAX_STEPS = 200
+
+#: a monotone question about a chase in progress, asked of its query and
+#: closure before every step (see :meth:`ChaseState.run`)
+Goal = Callable[[PCQuery, CongruenceClosure], bool]
 
 
 @dataclass
@@ -174,7 +187,8 @@ class ChaseState:
     """One chase in progress: the query so far, its congruence closure and,
     per dependency, the triggers already found satisfied and whether it is
     clean (scanned to "no applicable homomorphism", unaffected since).
-    Each step extends all of them; nothing is rebuilt."""
+    Each step extends all of them; nothing is rebuilt.  ``steps`` counts
+    the steps applied, ``done`` says the fixpoint is reached."""
 
     def __init__(self, query: PCQuery, deps: Sequence[EPCD]) -> None:
         self.query = query
@@ -182,6 +196,31 @@ class ChaseState:
         self.cc = build_congruence(query)
         self.satisfied: List[Set[Tuple[Path, ...]]] = [set() for _ in deps]
         self.clean = [False] * len(deps)
+        self.steps = 0
+        self.done = False
+
+    def run(self, max_steps: int, goal: Optional[Goal] = None) -> List[ChaseStep]:
+        """Step until ``goal`` holds (asked before every step) or the
+        fixpoint; return the steps this call applied.  Raises
+        :class:`ChaseNonTermination` once ``max_steps`` steps are applied in
+        all with neither reached; a stopped state resumes on the next call."""
+
+        taken: List[ChaseStep] = []
+        while not self.done:
+            if goal is not None and goal(self.query, self.cc):
+                break
+            if self.steps >= max_steps:
+                raise ChaseNonTermination(
+                    f"chase did not terminate within {max_steps} steps", max_steps
+                )
+            step = self.step()
+            if step is None:
+                self.done = True
+                self.satisfied = self.clean = None  # nothing left to resume
+            else:
+                self.steps += 1
+                taken.append(step)
+        return taken
 
     def step(self) -> Optional[ChaseStep]:
         """Apply the first applicable chase step, or ``None`` at fixpoint.
@@ -280,26 +319,19 @@ def chase(
     """
 
     state = ChaseState(query, list(deps))
-    steps: List[ChaseStep] = []
-    for _ in range(max_steps):
-        step = state.step()
-        if step is None:
-            return ChaseResult(state.query, steps, state.cc)
-        steps.append(step)
-    raise ChaseNonTermination(
-        f"chase did not terminate within {max_steps} steps", max_steps
-    )
+    steps = state.run(max_steps)
+    return ChaseResult(state.query, steps, state.cc)
 
 
 class ChaseEngine:
     """A chase service with memoization over canonicalized queries.
 
     The backchase performs many containment checks, each of which chases a
-    candidate subquery with the same constraint set; caching by canonical
-    form removes the repeated work.  On top of the chase-result cache the
-    engine memoizes whole containment *verdicts* keyed on canonicalized
-    (sub-query, super-query) pairs (:meth:`contained_in`), so backchase
-    condition (3) is decided once per distinct candidate shape.
+    candidate subquery with the same constraint set; one live
+    :class:`ChaseState` per canonical form removes the repeated work.  On
+    top of the states the engine memoizes whole containment *verdicts*
+    keyed on canonicalized (sub-query, super-query) pairs
+    (:meth:`contained_in`), so condition (3) is decided once per shape.
     """
 
     #: default-bound marker for ``containment_cache_size`` (``None`` means
@@ -319,9 +351,9 @@ class ChaseEngine:
         self.deps = list(deps)
         self.max_steps = max_steps
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self._cache: Dict[str, PCQuery] = {}
-        # by chased query, so chase_with_cc need not canonicalize again
-        self._closures: Dict[PCQuery, CongruenceClosure] = {}
+        #: one chase per canonical text, and the one :meth:`chase` last ran
+        self.states: Dict[str, ChaseState] = {}
+        self.last: Optional[ChaseState] = None
         #: the backchase's failing-lookup safety verdicts, keyed by
         #: (lookup, bindings in scope, conditions fired) — like the chase
         #: results they are a function of the key and ``deps`` alone
@@ -333,6 +365,10 @@ class ChaseEngine:
         self.lookup_proofs: Dict[Path, Tuple[List[FrozenSet], List[FrozenSet]]] = {}
         #: how each lookup-safety decision was reached
         self.lookup_decisions = {"memo": 0, "guard": 0, "inferred": 0, "chased": 0}
+        #: how each computed containment verdict was reached (``is_contained_in``)
+        self.containment_decisions = dict.fromkeys(
+            ("subsumed", "refuted", "early", "fixpoint"), 0
+        )
         #: can a chase step equate a ``dom`` term as a whole?
         self.equates_dom = any(
             isinstance(side, Dom)
@@ -352,12 +388,21 @@ class ChaseEngine:
 
         return self.containment.cache_info()
 
+    def chase_counts(self) -> Dict[str, int]:
+        """Steps applied in all, and the chases a goal left short of their
+        fixpoint (what remained of those was never paid)."""
+
+        states = self.states.values()
+        steps, stopped = sum(s.steps for s in states), sum(not s.done for s in states)
+        return {"steps": steps, "stopped": stopped}
+
     def contained_in(
         self,
         q1: PCQuery,
         q2: PCQuery,
         key: Optional[Tuple[str, str]] = None,
         accepted: Iterable[PCQuery] = (),
+        refuted: Iterable[PCQuery] = (),
     ) -> bool:
         """Decide ``q1 ⊑ q2`` under this engine's dependencies (cached).
 
@@ -367,7 +412,7 @@ class ChaseEngine:
         caller that knows the verdict depends on less than the pair (the
         backchase search: every node is equivalent to its root) passes the
         cache ``key`` to store it under; the decision still runs on
-        ``q1`` and ``q2`` as given, with ``accepted`` handed on.
+        ``q1`` and ``q2`` as given, with ``accepted`` / ``refuted`` handed on.
         """
 
         from repro.chase.containment import is_contained_in
@@ -381,35 +426,34 @@ class ChaseEngine:
         # are the hot path and already counted by cache_info().
         with self.tracer.span("chase.containment") as sp:
             verdict = self.containment.put(
-                key, is_contained_in(q1, q2, self.deps, self, accepted)
+                key, is_contained_in(q1, q2, self.deps, self, accepted, refuted)
             )
             sp.set(contained=verdict)
         return verdict
 
-    def chase(self, query: PCQuery) -> PCQuery:
-        """Chase the canonical form of ``query`` (cached)."""
+    def chase(self, query: PCQuery, goal: Optional[Goal] = None) -> PCQuery:
+        """Chase the canonical form of ``query`` — to the fixpoint, or with
+        a ``goal`` only until it holds (``self.last.done`` then is false).
+        The state is kept for the next question about the same query."""
 
-        canonical = query.canonical()
-        key = str(canonical)
-        cached = self._cache.get(key)
-        if cached is not None:
+        key = query.canonical_key()
+        state = self.states.get(key)
+        if state is None:
+            self.cache_misses += 1
+            state = self.states[key] = ChaseState(query.canonical(), self.deps)
+        else:
             self.cache_hits += 1
-            return cached
-        self.cache_misses += 1
-        result = chase(canonical, self.deps, self.max_steps)
-        self._cache[key] = result.query
-        self._closures[result.query] = result.congruence
-        return result.query
+        self.last = state
+        state.run(self.max_steps, goal)
+        return state.query
 
-    def chase_with_cc(self, query: PCQuery) -> Tuple[PCQuery, CongruenceClosure]:
-        """Chased canonical form plus its congruence closure (both cached).
+    def chase_with_cc(
+        self, query: PCQuery, goal: Optional[Goal] = None
+    ) -> Tuple[PCQuery, CongruenceClosure]:
+        """:meth:`chase`, plus the closure its steps extended — which also
+        holds the auxiliary terms matching and goals looked at, and which
+        later decisions share and later steps extend: callers may add terms
+        (no equality between terms already there changes) but not merge."""
 
-        The closure is the chase's own — the one its steps extended — so
-        besides the chased query's terms it holds the auxiliary terms
-        premise matching looked at.  It is shared between containment
-        checks; callers may add terms (monotone and sound) but must not
-        merge.
-        """
-
-        chased = self.chase(query)
-        return chased, self._closures[chased]
+        chased = self.chase(query, goal)
+        return chased, self.last.cc

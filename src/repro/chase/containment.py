@@ -19,10 +19,11 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from repro.chase.chase import ChaseEngine
-from repro.chase.congruence import build_congruence
-from repro.chase.homomorphism import match_bindings, output_matches
+from repro.chase.chase import ChaseEngine, Goal
+from repro.chase.congruence import CongruenceClosure, build_congruence
+from repro.chase.homomorphism import Pattern, match_bindings, output_matches
 from repro.constraints.epcd import EPCD
+from repro.query import paths as P
 from repro.query.ast import PCQuery
 from repro.query.paths import Var
 
@@ -33,26 +34,68 @@ def is_contained_in(
     deps: Sequence[EPCD] = (),
     engine: Optional[ChaseEngine] = None,
     accepted: Iterable[PCQuery] = (),
+    refuted: Iterable[PCQuery] = (),
 ) -> bool:
     """Decide ``q1 ⊑ q2`` under ``deps`` (set semantics).
 
     ``accepted``: queries known to be contained in ``q2`` under ``deps``.
     If ``q1`` is :func:`subsumed` by one, ``q1 ⊑ it ⊑ q2`` needs no chase.
+    ``refuted``: queries known *not* to be; if ``q1`` maps into one by the
+    identity (:func:`refuted_by_identity`) the answer is *False*, no chase.
+    Otherwise ``q1`` is chased only until a containment mapping of ``q2``
+    that fixes the variables the two share appears (:func:`_shared_fixed`);
+    a *False* needs the fixpoint, where any mapping is searched for.
+    ``engine.containment_decisions`` counts which of the four decided.
     """
 
-    if subsumed(q1, accepted):
-        return True
     engine = engine or ChaseEngine(list(deps))
-    chased, cc = engine.chase_with_cc(q1)
-    if cc.inconsistent:
-        # q1 is unsatisfiable (two distinct constants equated): empty ⊑ anything.
+    decided = engine.containment_decisions
+    if subsumed(q1, accepted):
+        decided["subsumed"] += 1
         return True
+    if refuted_by_identity(q1, refuted):
+        decided["refuted"] += 1
+        return False
+    chased, cc = engine.chase_with_cc(q1, _shared_fixed(q1, q2))
+    if not engine.last.done:
+        decided["early"] += 1
+        return True
+    decided["fixpoint"] += 1
+    # An unsatisfiable q1 (two distinct constants equated) is in anything.
     # A chase step adds bindings and conditions only, so the chased
     # query's output is still canonical q1's.
-    for hom in match_bindings(q2.bindings, q2.conditions, chased, cc):
-        if output_matches(q2.output, chased.output, hom, cc):
-            return True
-    return False
+    return cc.inconsistent or any(
+        output_matches(q2.output, chased.output, hom, cc)
+        for hom in match_bindings(q2.bindings, q2.conditions, chased, cc)
+    )
+
+
+def _shared_fixed(q1: PCQuery, q2: PCQuery) -> Optional[Goal]:
+    """The goal of deciding ``q1 ⊑ q2`` short of the fixpoint, if they share
+    variables: an inconsistent closure, or a containment mapping of ``q2``
+    that sends each shared variable to its canonical name in the chase of
+    ``q1`` (the unshared bindings matched, the shared ones' sources checked)."""
+
+    position = {b.var: i for i, b in enumerate(q1.bindings)}
+    shared = [b for b in q2.bindings if b.var in position]
+    if not shared:
+        return None
+    fixed = {b.var: Var(f"_v{position[b.var]}") for b in shared}
+    pinned = [(b.source, position[b.var]) for b in shared]
+    free = [b for b in q2.bindings if b.var not in position]
+    pattern = Pattern(free, q2.conditions, fixed)
+
+    def goal(chased: PCQuery, cc: CongruenceClosure) -> bool:
+        return cc.inconsistent or any(
+            all(
+                cc.equal(P.substitute(source, hom), chased.bindings[i].source)
+                for source, i in pinned
+            )
+            and output_matches(q2.output, chased.output, hom, cc)
+            for hom in pattern.match(chased, cc, fixed)
+        )
+
+    return goal
 
 
 def subsumed(query: PCQuery, accepted: Iterable[PCQuery]) -> bool:
@@ -72,6 +115,14 @@ def subsumed(query: PCQuery, accepted: Iterable[PCQuery]) -> bool:
         and output_matches(a.output, query.output, {}, cc)
         for a in covered
     )
+
+
+def refuted_by_identity(query: PCQuery, refuted: Iterable[PCQuery]) -> bool:
+    """Does ``query`` map by the identity into one of ``refuted`` (queries
+    not contained in some ``q2``)?  Then that one is contained in ``query``
+    (:func:`subsumed`), and ``query ⊑ q2`` would put it in ``q2`` too."""
+
+    return any(subsumed(r, (query,)) for r in refuted)
 
 
 def is_equivalent(

@@ -150,12 +150,15 @@ def _parse_param_args(pairs) -> dict:
 
 
 def _print_verbose_stats(result) -> None:
-    print("backchase counters:")
-    for counter, value in result.backchase_stats.as_dict().items():
-        print(f"  {counter}: {value}")
-    print("lookup-safety decisions:")
-    for how, count in result.lookup_decisions.items():
-        print(f"  {how}: {count}")
+    for title, counts in (
+        ("backchase counters", result.backchase_stats.as_dict()),
+        ("lookup-safety decisions", result.lookup_decisions),
+        ("containment decisions", result.containment_decisions),
+        ("chase states", result.chase_counts),
+    ):
+        print(f"{title}:")
+        for name, value in counts.items():
+            print(f"  {name}: {value}")
 
 
 def cmd_optimize(args) -> int:

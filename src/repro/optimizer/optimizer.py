@@ -100,6 +100,10 @@ class OptimizationResult:
     #: how the run's lookup-safety decisions were reached
     #: (memo / guard / inferred / chased — ``backchase._failing_lookup_safe``)
     lookup_decisions: Optional[Dict[str, int]] = None
+    #: how its computed containment verdicts were reached (subsumed /
+    #: refuted / early / fixpoint), and ``ChaseEngine.chase_counts``
+    containment_decisions: Optional[Dict[str, int]] = None
+    chase_counts: Optional[Dict[str, int]] = None
 
     def physical_plans(self) -> List[Plan]:
         return [p for p in self.plans if p.physical_only]
@@ -368,6 +372,9 @@ class Optimizer:
             },
         )
         tracer.add_counters("lookup_safety", engine.lookup_decisions)
+        tracer.add_counters("containment.decided", engine.containment_decisions)
+        chase_counts = engine.chase_counts()
+        tracer.add_counters("chase", chase_counts)
         return OptimizationResult(
             query=query,
             universal_plan=universal,
@@ -378,6 +385,8 @@ class Optimizer:
             strategy=self.strategy,
             containment=containment,
             lookup_decisions=engine.lookup_decisions,
+            containment_decisions=engine.containment_decisions,
+            chase_counts=chase_counts,
         )
 
     def _is_physical(self, query: PCQuery) -> bool:

@@ -53,12 +53,12 @@ def naive_satisfied(dep, hom, query, cc):
     return next(witnesses, None) is not None
 
 
-def naive_chase(query, deps, max_steps=DEFAULT_MAX_STEPS):
-    """``(chased query, [ChaseStep, ...])`` or :class:`ChaseNonTermination`."""
+def naive_steps(query, deps):
+    """Yield ``(query after the step, ChaseStep)`` for every step of the
+    naive chase, until the fixpoint."""
 
     deps = list(deps)
-    steps = []
-    for _ in range(max_steps):
+    while True:
         cc = build_congruence(query)
         for dep in deps:
             hom = next(
@@ -73,10 +73,35 @@ def naive_chase(query, deps, max_steps=DEFAULT_MAX_STEPS):
             )
             if hom is not None:
                 query, step = apply_chase_step(query, dep, hom)
-                steps.append(step)
+                yield query, step
                 break
         else:
+            return
+
+
+def naive_chase(query, deps, max_steps=DEFAULT_MAX_STEPS):
+    """``(chased query, [ChaseStep, ...])`` or :class:`ChaseNonTermination`."""
+
+    steps = []
+    remaining = naive_steps(query, deps)
+    while len(steps) < max_steps:
+        taken = next(remaining, None)
+        if taken is None:
             return query, steps
+        query, step = taken
+        steps.append(step)
     raise ChaseNonTermination(
         f"chase did not terminate within {max_steps} steps", max_steps
     )
+
+
+def naive_prefix(query, deps, n):
+    """The naive chase's query after its first ``n`` steps, or ``None``
+    when it reaches the fixpoint in fewer."""
+
+    if n == 0:
+        return query
+    for taken, (query, _) in enumerate(naive_steps(query, deps), start=1):
+        if taken == n:
+            return query
+    return None

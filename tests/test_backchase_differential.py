@@ -4,11 +4,14 @@ them against the search without.
 ``minimal_subqueries`` decides condition (3) by *subsumption* where it can
 — a candidate that still contains, binding for binding, a subquery the
 search already accepted is contained in it by the identity mapping, no
-chase needed — and builds one closure per search node, handing every
-removal a copy.  Neither may change *what* the search computes:
+chase needed — and by its dual, *refutation*: a candidate that maps by the
+identity into one the search already rejected is rejected too.  It builds
+one closure per search node, handing every removal a copy.  None of it may
+change *what* the search computes:
 
 * whenever subsumption answers, the chase-only ``is_contained_in`` (the
   oracle here: same function, no accepted subqueries) answers *True* too;
+  whenever a refutation is inherited, it answers *False*;
 * the accepted subqueries it is given are exactly the antichain of
   minimal accepted binding-variable sets, in order of first acceptance;
 * a candidate built on a copy of the node's closure is the candidate
@@ -16,16 +19,18 @@ removal a copy.  Neither may change *what* the search computes:
 * every accepted candidate contains its parent — the direction
   ``accept_candidate`` takes from the construction instead of chasing
   (the oracle here: a chase-only engine deciding parent ⊑ candidate);
-* with subsumption switched off the search returns the same normal forms
-  and the same ``BackchaseStats`` — on the workloads and on generated
-  queries × constraint sets — and on the workloads both agree with the
-  bottom-up subset enumeration (which never sees an antichain).
+* with subsumption switched off, and with refutation switched off, the
+  search returns the same normal forms and the same ``BackchaseStats`` —
+  on the workloads and on generated queries × constraint sets — and on the
+  workloads both agree with the bottom-up subset enumeration (which never
+  sees an antichain).
 
 Runs under three hash seeds in ``make determinism``.
 """
 
 from __future__ import annotations
 
+import inspect
 from typing import Dict, FrozenSet, List
 
 import pytest
@@ -62,8 +67,10 @@ def minimal_in_order(sets: List[FrozenSet[str]]) -> List[FrozenSet[str]]:
 class Observed:
     def __init__(self) -> None:
         self.subsumed = 0
+        self.refuted = 0
         self.chased = 0
         self.unsound: List[str] = []  # subsumption said True, the chase did not
+        self.unsound_refutations: List[str] = []  # said False, the chase did not
         self.antichain_diffs: List[tuple] = []
         self.closure_leaks: List[str] = []
         self.built = 0
@@ -93,14 +100,20 @@ def observe(wl, strategy) -> Observed:
                 candidates.append(candidate)
         return candidate
 
-    def accept(candidate, parent, engine, key=None, accepted=()):
+    def accept(*args, **kwargs):
+        # bound by name, whatever the search passes positionally
+        bound = inspect.signature(real_accept).bind(*args, **kwargs)
+        bound.apply_defaults()
+        candidate, parent = bound.arguments["candidate"], bound.arguments["parent"]
+        accepted = list(bound.arguments["accepted"])
+        bound.arguments["accepted"] = accepted
         given = [names_of(sub) for sub in accepted]
         earlier = [
             names_of(c) for c in candidates[:-1] if shape_verdicts[c.canonical_key()]
         ]
         if given != minimal_in_order(earlier):
             seen.antichain_diffs.append((given, minimal_in_order(earlier)))
-        verdict = real_accept(candidate, parent, engine, key, accepted)
+        verdict = real_accept(*bound.args, **bound.kwargs)
         shape_verdicts[candidate.canonical_key()] = verdict
         if verdict:
             seen.accepted += 1
@@ -108,15 +121,19 @@ def observe(wl, strategy) -> Observed:
                 seen.parent_not_contained.append(f"{parent} vs {candidate}")
         return verdict
 
-    def decide(q1, q2, deps=(), engine=None, accepted=()):
-        accepted = list(accepted)
+    def decide(q1, q2, deps=(), engine=None, accepted=(), refuted=()):
+        accepted, refuted = list(accepted), list(refuted)
         if containment.subsumed(q1, accepted):
             seen.subsumed += 1
             if not real_decide(q1, q2, deps, oracle):
                 seen.unsound.append(str(q1))
+        elif containment.refuted_by_identity(q1, refuted):
+            seen.refuted += 1
+            if real_decide(q1, q2, deps, oracle):
+                seen.unsound_refutations.append(str(q1))
         else:
             seen.chased += 1
-        return real_decide(q1, q2, deps, engine, accepted)
+        return real_decide(q1, q2, deps, engine, accepted, refuted)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(backchase, "build_candidate", build)
@@ -153,6 +170,14 @@ class TestTheWorkloadSearches:
         assert seen.subsumed, "subsumption never answered"
         if name == "projdept":
             assert seen.subsumed > seen.chased
+
+    def test_a_refutation_says_false_only_where_the_chase_does(
+        self, searches, name, strategy
+    ):
+        seen = searches[name, strategy]
+        assert seen.unsound_refutations == []
+        if name in ("rs", "projdept"):
+            assert seen.refuted, "no refutation was ever inherited"
 
     def test_the_antichain_is_the_minimal_accepted_variable_sets(
         self, searches, name, strategy
@@ -205,22 +230,80 @@ class TestSubsumed:
         assert not containment.subsumed(wide, [])
 
 
+class TestRefutedByIdentity:
+    """The dual: a query inherits a refutation from one it maps into by the
+    identity.  Pinned both ways, since inside one search a refused mapping
+    just falls through to the chase."""
+
+    REFUTED = "select struct(A = r.A) from R r, S s where r.B = s.B and s.C = 1"
+
+    @pytest.mark.parametrize(
+        "query, verdict",
+        [
+            ("select struct(A = r.A) from R r, S s where r.B = s.B", True),
+            ("select struct(A = r.A) from R r", True),
+            (REFUTED, True),
+            ("select struct(A = r.A) from R r, S s2 where r.B = s2.B", False),  # name
+            ("select struct(A = r.A) from R r, T s where r.B = s.B", False),  # source
+            ("select struct(A = r.A) from R r, S s where r.C = s.C", False),  # condition
+            ("select struct(A = r.C) from R r", False),  # output
+            ("select struct(A = r.A) from R r, S s, T t where r.B = s.B", False),
+        ],
+    )
+    def test_identity_mapping(self, query, verdict):
+        refuted = [parse_query(self.REFUTED)]
+        assert containment.refuted_by_identity(parse_query(query), refuted) is verdict
+
+    def test_a_refused_mapping_is_decided_by_the_chase(self):
+        """``C.A = 2`` holds in ``C`` but not in the refuted query, so ``C``
+        is chased — and found contained, as the refuted one was not."""
+
+        root = parse_query("select struct(A = r.A) from R r where r.A = 2")
+        refuted = parse_query("select struct(A = r.A) from R r")
+        candidate = parse_query("select struct(A = r.A) from R r where r.A = 2")
+        engine = ChaseEngine([])
+        assert not containment.is_contained_in(refuted, root, engine=engine)
+        assert not containment.refuted_by_identity(candidate, [refuted])
+        assert containment.is_contained_in(
+            candidate, root, engine=engine, refuted=[refuted]
+        )
+        assert engine.containment_decisions["refuted"] == 0
+
+    def test_an_inherited_refutation_is_not_chased(self):
+        root = parse_query("select struct(A = r.A) from R r where r.A = 2")
+        refuted = parse_query("select struct(A = r.A) from R r, S s where r.B = s.B")
+        candidate = parse_query("select struct(A = r.A) from R r")
+        engine = ChaseEngine([])
+        assert containment.is_contained_in(candidate, root, engine=engine) is False
+        fresh = ChaseEngine([])
+        assert not containment.is_contained_in(
+            candidate, root, engine=fresh, refuted=[refuted]
+        )
+        assert fresh.containment_decisions["refuted"] == 1 and not fresh.states
+
+
 class TestOutsideTheSearch:
     """``try_remove_binding`` and the bottom-up reference keep no
-    antichain: their verdicts are the chase's, as before."""
+    antichain and no refutations: their verdicts are the chase's, as
+    before."""
 
     def test_no_accepted_subquery_is_ever_passed(self):
         wl = build_workload("rs")
         universal = chase(wl.query, wl.constraints).query
         passed = []
-        real = containment.subsumed
 
-        def watching(query, accepted):
-            passed.append(list(accepted))
-            return real(query, accepted)
+        def watching(real):
+            def watched(query, others):
+                passed.append(list(others))
+                return real(query, others)
+
+            return watched
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(containment, "subsumed", watching)
+            for shortcut in ("subsumed", "refuted_by_identity"):
+                patch.setattr(
+                    containment, shortcut, watching(getattr(containment, shortcut))
+                )
             engine = ChaseEngine(wl.constraints)
             for var in universal.binding_vars():
                 try_remove_binding(universal, var, wl.constraints, engine)
@@ -231,10 +314,13 @@ class TestOutsideTheSearch:
         assert passed and not any(passed)
 
     def test_a_subsumed_candidate_is_accepted_without_reaching_the_bound(self):
-        """The one behavioural edge (see ``accept_candidate``), on the
-        cyclic set of ``tests/test_chase.py``: the chase of any query
-        over ``R`` hits the step bound, so the chase-only verdict raises;
-        a candidate that contains an accepted subquery never chases."""
+        """The behavioural edge (see ``accept_candidate``), on the cyclic
+        set of ``tests/test_chase.py``: the chase of any query over ``R``
+        hits the step bound.  A *True* something supplies before the bound
+        is decided — the containment mapping ``t ↦ s`` is there before the
+        first step, and a candidate that contains an accepted subquery
+        never chases — while a verdict that needs the fixpoint still
+        raises at the bound."""
 
         loop = parse_constraint(
             "forall (x in R) -> exists (y in R) y.Parent = x", "loop"
@@ -242,19 +328,29 @@ class TestOutsideTheSearch:
         parent = parse_query(
             "select struct(A = r.A) from R r, R s, R t where r = s and s = t"
         )
+        elsewhere = parse_query(
+            "select struct(A = r.A) from R r, R s where s.B = 1"
+        )
         candidate = backchase.build_candidate(parent, frozenset("t"))
         accepted = backchase.build_candidate(parent, frozenset("st"))
         assert names_of(accepted) < names_of(candidate)
         engine = ChaseEngine([loop], max_steps=7)
+        assert backchase.accept_candidate(candidate, parent, engine)
+        assert engine.containment_decisions["early"] == 1
+        assert engine.last.steps == 0 and not engine.last.done
         with pytest.raises(ChaseNonTermination) as raised:
-            backchase.accept_candidate(candidate, parent, engine)
+            backchase.accept_candidate(candidate, elsewhere, engine)
         assert raised.value.steps == 7
         with pytest.raises(ChaseNonTermination):
-            containment.is_contained_in(candidate, parent, [loop], engine)
-        assert backchase.accept_candidate(
-            candidate, parent, engine, accepted=[accepted]
-        )
+            containment.is_contained_in(candidate, elsewhere, [loop], engine)
+        # the state sits at the bound now; a question it answers still stops
+        assert containment.is_contained_in(candidate, parent, [loop], engine)
         assert engine.containment.misses == 2  # both were computed verdicts
+        fresh = ChaseEngine([loop], max_steps=7)
+        assert backchase.accept_candidate(
+            candidate, parent, fresh, accepted=[accepted]
+        )
+        assert fresh.containment_decisions["subsumed"] == 1 and not fresh.states
 
 
 def search_outcome(universal, deps, strategy):
@@ -263,16 +359,17 @@ def search_outcome(universal, deps, strategy):
     return [str(f) for f in forms], stats.as_dict()
 
 
-def assert_search_unchanged_by_subsumption(universal, deps):
-    """Normal forms and counters with subsumption == without it, under
-    both strategies."""
+def assert_search_unchanged_without(shortcut, universal, deps):
+    """Normal forms and counters with ``shortcut`` (an identity-mapping
+    test of ``repro.chase.containment``) == without it, under both
+    strategies."""
 
     for strategy in STRATEGIES:
         with_it = search_outcome(universal, deps, strategy)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(containment, "subsumed", lambda query, accepted: False)
+            patch.setattr(containment, shortcut, lambda query, others: False)
             without_it = search_outcome(universal, deps, strategy)
-        assert with_it == without_it, strategy
+        assert with_it == without_it, (shortcut, strategy)
 
 
 @pytest.mark.parametrize("name", ("rs", "rabc", "oo_asr"))
@@ -282,12 +379,19 @@ def test_workload_searches_are_unchanged_by_subsumption(name):
 
     wl = build_workload(name)
     universal = chase(wl.query, wl.constraints).query
-    assert_search_unchanged_by_subsumption(universal, wl.constraints)
+    assert_search_unchanged_without("subsumed", universal, wl.constraints)
     forms = minimal_subqueries(universal, wl.constraints, strategy="full")
     reference = bottom_up_minimal_plans(universal, wl.constraints)
     assert {f.canonical_key() for f in reference} == {
         f.canonical_key() for f in forms
     }
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_workload_searches_are_unchanged_by_refutation(name):
+    wl = build_workload(name)
+    universal = chase(wl.query, wl.constraints).query
+    assert_search_unchanged_without("refuted_by_identity", universal, wl.constraints)
 
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -297,16 +401,29 @@ from hypothesis import HealthCheck, assume, given, settings  # noqa: E402
 from conftest import constraint_sets, pc_queries  # noqa: E402
 
 
-@settings(
+GENERATED = dict(
     max_examples=60,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
-@given(query=pc_queries(), deps=constraint_sets(min_groups=1, max_groups=4))
-def test_generated_searches_are_unchanged_by_subsumption(query, deps):
+
+
+def assert_generated_search_unchanged_without(shortcut, query, deps):
     try:
         universal = chase(query, deps, max_steps=80).query
         assume(len(universal.bindings) <= 8)  # the unbounded run is exponential
-        assert_search_unchanged_by_subsumption(universal, deps)
+        assert_search_unchanged_without(shortcut, universal, deps)
     except (ChaseNonTermination, BackchaseError):
         assume(False)
+
+
+@settings(**GENERATED)
+@given(query=pc_queries(), deps=constraint_sets(min_groups=1, max_groups=4))
+def test_generated_searches_are_unchanged_by_subsumption(query, deps):
+    assert_generated_search_unchanged_without("subsumed", query, deps)
+
+
+@settings(**GENERATED)
+@given(query=pc_queries(), deps=constraint_sets(min_groups=1, max_groups=4))
+def test_generated_searches_are_unchanged_by_refutation(query, deps):
+    assert_generated_search_unchanged_without("refuted_by_identity", query, deps)

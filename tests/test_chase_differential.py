@@ -7,8 +7,9 @@ index, lookup-safety verdicts are memoized and inferred from the scopes
 already chased.  None of that may change *what* is computed: on every
 query this suite can reach, the chased query text, the step sequence and
 the ``ChaseNonTermination`` bound must equal those of
-:func:`chase_oracle.naive_chase`, which does none of it, and every
-lookup-safety verdict served must be the one decided from scratch.
+:func:`chase_oracle.naive_chase`, which does none of it (a state a goal
+stopped short of its fixpoint, its step prefix), and every lookup-safety
+verdict served must be the one decided from scratch.
 The suite is also what the ``make determinism`` target runs under three
 hash seeds, and the harness the next chase refactoring is held to.
 """
@@ -20,11 +21,11 @@ import pytest
 from chase_oracle import (
     linear_match_bindings,
     naive_chase,
+    naive_prefix,
     naive_satisfied,
 )
 from repro.api.workloads import WORKLOAD_NAMES, build_workload
 from repro.backchase import backchase
-from repro.chase import chase as chase_module
 from repro.chase.chase import DEFAULT_MAX_STEPS, ChaseEngine, ChaseState, chase
 from repro.chase.congruence import build_congruence
 from repro.chase.homomorphism import match_bindings
@@ -72,10 +73,26 @@ def workloads():
     return {name: build_workload(name) for name in WORKLOAD_NAMES}
 
 
+def state_mismatch(query, deps, state, max_steps):
+    """``None`` when the engine's ``state`` for ``query`` is where the
+    oracle's chase is after as many steps — at its fixpoint if ``state``
+    is — else what differed."""
+
+    if not state.done:
+        prefix = naive_prefix(query, deps, state.steps)
+        same = str(prefix) == str(state.query)
+        return None if same else (str(prefix), str(state.query))
+    want_query, want_steps = naive_chase(query, deps, max_steps)
+    if str(want_query) != str(state.query) or len(want_steps) != state.steps:
+        return (str(want_query), str(state.query))
+    return None
+
+
 @pytest.fixture(scope="module")
 def searches(workloads):
     """One pruned optimize per workload with two observers installed: every
-    query the engine really chases is chased by the oracle too, and every
+    state the engine advances — to its fixpoint, or stopped where a goal
+    held — is held to the oracle's chase of the same query, and every
     lookup-safety verdict served — by the memo, the guard, inference or a
     chase — is decided again from scratch.
     Private runs, not conftest's shared optimizations: the observers have
@@ -84,15 +101,26 @@ def searches(workloads):
     observed = {}
     for name, wl in workloads.items():
         chased, chase_diffs, verdicts, verdict_diffs = [], [], [], []
-        real_chase = chase_module.chase
+        real_chase = ChaseEngine.chase
         real_safe = backchase._failing_lookup_safe
 
-        def checked_chase(query, deps, max_steps=DEFAULT_MAX_STEPS):
-            chased.append(query)
-            diff = chase_mismatch(query, deps, max_steps)
-            if diff is not None:
-                chase_diffs.append((str(query), diff))
-            return real_chase(query, deps, max_steps)
+        def checked_chase(engine, query, goal=None):
+            canonical = query.canonical()
+            try:
+                result = real_chase(engine, query, goal)
+            except ChaseNonTermination:
+                if chase_mismatch(canonical, engine.deps, engine.max_steps):
+                    chase_diffs.append((str(canonical), "non-termination"))
+                raise
+            point = (canonical.canonical_key(), engine.last.steps, engine.last.done)
+            if point not in chased:
+                chased.append(point)
+                diff = state_mismatch(
+                    canonical, engine.deps, engine.last, engine.max_steps
+                )
+                if diff is not None:
+                    chase_diffs.append((str(canonical), diff))
+            return result
 
         def checked_safe(lookup, prefix, conditions, engine, *scope):
             served, how = served_and_how(
@@ -107,7 +135,7 @@ def searches(workloads):
             return served
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(chase_module, "chase", checked_chase)
+            patch.setattr(ChaseEngine, "chase", checked_chase)
             patch.setattr(backchase, "_failing_lookup_safe", checked_safe)
             Optimizer(
                 wl.constraints,
@@ -127,10 +155,12 @@ class TestAgainstTheNaiveChase:
     @pytest.mark.parametrize("name", ("projdept", "rs"))
     def test_every_chase_of_a_search(self, searches, name):
         """Prefix premises of the lookup-safety check and the candidates of
-        condition (3): the chases a backchase search actually pays for."""
+        condition (3): the chases a backchase search actually pays for,
+        stopped at their goal or finished, each point a state reached."""
 
         chased, diffs, _, _ = searches[name]
         assert len(chased) > 50, "the search chased almost nothing"
+        assert any(not done for _, _, done in chased), "no chase stopped early"
         assert diffs == []
 
     def test_nontermination_at_the_same_bound(self):

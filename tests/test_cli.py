@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import load_constraints, main
@@ -210,8 +212,17 @@ class TestCommands:
             "cache_misses",
         ):
             assert counter in out
-        decisions = out.split("lookup-safety decisions:")[1].split()
-        assert decisions[::2] == ["memo:", "guard:", "inferred:", "chased:"]
+        sections = {
+            head: body.split()
+            for head, body in re.findall(r"^(\S[^\n]*):\n((?:  .*\n?)+)", out, re.M)
+        }
+        assert sections["lookup-safety decisions"][::2] == [
+            "memo:", "guard:", "inferred:", "chased:"
+        ]
+        assert sections["containment decisions"][::2] == [
+            "subsumed:", "refuted:", "early:", "fixpoint:"
+        ]
+        assert sections["chase states"][::2] == ["steps:", "stopped:"]
 
     def test_optimize_cache_reuses_earlier_query(self, files, tmp_path, capsys):
         _, query, _, _ = files

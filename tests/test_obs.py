@@ -376,6 +376,11 @@ class TestCounterParity:
         assert result.lookup_decisions["chased"] > 0
         for how, count in result.lookup_decisions.items():
             assert counters[f"lookup_safety.{how}"] == count, how
+        assert result.containment_decisions["early"] > 0
+        for how, count in result.containment_decisions.items():
+            assert counters[f"containment.decided.{how}"] == count, how
+        for what, count in result.chase_counts.items():
+            assert counters[f"chase.{what}"] == count, what
         db.close()
 
     @pytest.mark.parametrize("strategy", ["pruned", "full"])

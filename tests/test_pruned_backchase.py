@@ -321,6 +321,25 @@ class TestLookupSafetyDecisions:
         assert decisions["inferred"] >= 80 and decisions["guard"] >= 200
 
 
+class TestContainmentDecisions:
+    @pytest.mark.parametrize("strategy", ["pruned", "full"])
+    def test_few_verdicts_need_the_fixpoint(self, optimized_workloads, strategy):
+        """Where ProjDept's computed containment verdicts went, read off the
+        program's own counters: every one is counted once, subsumption
+        settles most, and of those a chase settles, most stop at their
+        mapping.  The chases took 1 201 / 1 221 steps and left some 150
+        states short of their fixpoint, ~450 steps short on the default
+        build (``tests/test_early_stop_differential.py`` finishes them)."""
+
+        result = optimized_workloads.result("projdept", strategy)
+        decided = result.containment_decisions
+        assert sum(decided.values()) == result.containment.misses
+        assert decided["subsumed"] > 400 and decided["refuted"] > 0
+        assert decided["early"] > 5 * decided["fixpoint"] > 0
+        chased = result.chase_counts
+        assert chased["stopped"] > 100 and chased["steps"] < 1300
+
+
 # Recorded from the commit before the two search loops became one (the
 # default `Database.from_workload(name)` build, optimising its canonical
 # query).  Pinned, not re-baselined: the bounded run's counters are
