@@ -64,14 +64,9 @@ construction, and the chase's own verdict since the chase is complete.
 Otherwise ``C`` is chased as before — subsumption only ever turns a cache
 miss into *True*, and ``plan_lookups_safe`` still runs on everything
 accepted.  Likewise a node's closure is built once; removals work on copies.
-
-The dual keeps what condition (3) rejected (never a lookup-unsafe
-candidate, which is equivalent to the root): a candidate ``C`` into which
-the identity maps from a rejected ``R``'s closure is rejected unchased —
-``R ⊑ C``, so ``C ⊑ root`` would give ``R ⊑ root``.  What is still chased
-is chased only until its question is answered (:mod:`repro.chase.chase`),
-and a candidate repeating an earlier one letter for letter (most do) is
-not canonicalized again.
+The dual keeps what condition (3) rejected: a ``C`` into which a rejected
+``R`` maps by the identity is rejected unchased (``R ⊑ C``, so ``C ⊑ root``
+would give ``R ⊑ root``).  What is still chased stops once answered.
 
 The same holds for failing-lookup safety: a scope (the bindings and fired
 conditions a lookup evaluates under) is chased only when neither the memo,
@@ -301,14 +296,13 @@ def _decide_lookup_safe(
     # tests/test_pruned_backchase.py), and the closure's auxiliary terms
     # must not decide a verdict.
     def occurs(chased: PCQuery) -> bool:
-        occurring = _occurring(chased)
-        return base_c in occurring and key_c in occurring
+        return {base_c, key_c} <= _occurring(chased)
 
     # Both facts only grow with the chase: it stops once both hold.
-    chased, cc = engine.chase_with_cc(
-        premise, lambda chased, cc: witnessed(chased, cc) and occurs(chased)
-    )
-    return (witnessed(chased, cc), occurs(chased)) if engine.last.done else (True, True)
+    state = engine.chase(premise, lambda q, cc: witnessed(q, cc) and occurs(q))
+    if not state.done:
+        return True, True
+    return witnessed(state.query, state.cc), occurs(state.query)
 
 
 def plan_lookups_safe(query: PCQuery, engine: ChaseEngine) -> bool:
@@ -586,14 +580,10 @@ def accept_candidate(
     under the candidate's variable names.  A candidate that still contains
     one binding for binding is contained in it, hence in ``parent``, and is
     not chased (module docstring).  ``refuted``: the candidates condition
-    (3) rejected so far; one this candidate maps into by the identity
-    rejects it unchased (the dual), and a rejected candidate is appended.
-
-    Where the chase does not terminate, a *True* is decided short of the
-    step bound when something supplies it first — a subsuming ``accepted``
-    subquery, or a containment mapping the chase reaches before the bound
-    — while a verdict that needs the fixpoint, every *False*, still raises
-    :class:`~repro.errors.ChaseNonTermination` at the bound.
+    (3) rejected so far (the dual); a rejected candidate is appended.
+    Where the chase does not terminate, a *True* supplied before the step
+    bound — by ``accepted`` or a mapping the chase reaches — is decided;
+    every *False* still raises :class:`~repro.errors.ChaseNonTermination`.
     """
 
     if not engine.contained_in(
@@ -772,11 +762,8 @@ def minimal_subqueries(
 
     # antichain of minimal accepted binding-variable sets -> subquery
     accepted: Dict[FrozenSet[str], PCQuery] = {}
-    # the candidates condition (3) rejected (see accept_candidate)
-    refuted: List[PCQuery] = []
-    # Most candidates repeat one built before letter for letter (they keep
-    # the root's names): one canonical key per syntactic shape, keyed by
-    # interned parts, not by the candidate (which keeps its canonical form).
+    refuted: List[PCQuery] = []  # what condition (3) rejected
+    # one canonical key per syntactic shape (most candidates repeat one)
     keys: Dict[Tuple, str] = {}
 
     best: Optional[float] = None

@@ -25,14 +25,11 @@ Dependency order and the first-applicable-homomorphism rule are those of
 the restart-and-rebuild loop this replaced; that loop survives as the
 oracle of ``tests/test_chase_differential.py``.
 
-Every question the optimizer asks of the chase is *monotone*: a
-containment mapping, a ``dom`` witness or an inconsistent closure found
-after step *i* is still there at the fixpoint.  So a decision hands
-:meth:`ChaseEngine.chase` its question as a ``goal``, and the engine's live
-state for that canonical query is advanced only until the goal holds.  A
-*False* needs the fixpoint; a later question, or a goal-free ``chase``,
-resumes where the last one stopped, in the same step order
-(``tests/test_early_stop_differential.py`` holds it to the oracle).
+Every question the optimizer asks of a chase is *monotone* — a mapping, a
+``dom`` witness or an inconsistent closure found after step *i* is still
+there at the fixpoint — so :meth:`ChaseEngine.chase` takes it as a ``goal``
+and stops the query's live state where it holds.  A *False* needs the
+fixpoint; a later question resumes the state, in the same step order.
 
 A dependency scanned to "no applicable homomorphism" is *clean* and is
 scanned again only if a step can have affected it ("check only what the
@@ -59,8 +56,7 @@ from repro.query.paths import Dom, Path, Var
 
 DEFAULT_MAX_STEPS = 200
 
-#: a monotone question about a chase in progress, asked of its query and
-#: closure before every step (see :meth:`ChaseState.run`)
+#: a monotone question asked of a chase's query and closure before each step
 Goal = Callable[[PCQuery, CongruenceClosure], bool]
 
 
@@ -201,14 +197,11 @@ class ChaseState:
 
     def run(self, max_steps: int, goal: Optional[Goal] = None) -> List[ChaseStep]:
         """Step until ``goal`` holds (asked before every step) or the
-        fixpoint; return the steps this call applied.  Raises
-        :class:`ChaseNonTermination` once ``max_steps`` steps are applied in
-        all with neither reached; a stopped state resumes on the next call."""
+        fixpoint, raising :class:`ChaseNonTermination` past ``max_steps``
+        steps in all; return the steps this call applied."""
 
         taken: List[ChaseStep] = []
-        while not self.done:
-            if goal is not None and goal(self.query, self.cc):
-                break
+        while not self.done and not (goal and goal(self.query, self.cc)):
             if self.steps >= max_steps:
                 raise ChaseNonTermination(
                     f"chase did not terminate within {max_steps} steps", max_steps
@@ -351,9 +344,8 @@ class ChaseEngine:
         self.deps = list(deps)
         self.max_steps = max_steps
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        #: one chase per canonical text, and the one :meth:`chase` last ran
+        #: one live chase per canonical text
         self.states: Dict[str, ChaseState] = {}
-        self.last: Optional[ChaseState] = None
         #: the backchase's failing-lookup safety verdicts, keyed by
         #: (lookup, bindings in scope, conditions fired) — like the chase
         #: results they are a function of the key and ``deps`` alone
@@ -365,7 +357,7 @@ class ChaseEngine:
         self.lookup_proofs: Dict[Path, Tuple[List[FrozenSet], List[FrozenSet]]] = {}
         #: how each lookup-safety decision was reached
         self.lookup_decisions = {"memo": 0, "guard": 0, "inferred": 0, "chased": 0}
-        #: how each computed containment verdict was reached (``is_contained_in``)
+        #: how each computed containment verdict was reached
         self.containment_decisions = dict.fromkeys(
             ("subsumed", "refuted", "early", "fixpoint"), 0
         )
@@ -389,12 +381,11 @@ class ChaseEngine:
         return self.containment.cache_info()
 
     def chase_counts(self) -> Dict[str, int]:
-        """Steps applied in all, and the chases a goal left short of their
-        fixpoint (what remained of those was never paid)."""
+        """Steps applied in all; chases a goal left short of the fixpoint."""
 
         states = self.states.values()
-        steps, stopped = sum(s.steps for s in states), sum(not s.done for s in states)
-        return {"steps": steps, "stopped": stopped}
+        stopped = sum(not s.done for s in states)
+        return {"steps": sum(s.steps for s in states), "stopped": stopped}
 
     def contained_in(
         self,
@@ -431,10 +422,10 @@ class ChaseEngine:
             sp.set(contained=verdict)
         return verdict
 
-    def chase(self, query: PCQuery, goal: Optional[Goal] = None) -> PCQuery:
-        """Chase the canonical form of ``query`` — to the fixpoint, or with
-        a ``goal`` only until it holds (``self.last.done`` then is false).
-        The state is kept for the next question about the same query."""
+    def chase(self, query: PCQuery, goal: Optional[Goal] = None) -> ChaseState:
+        """Advance the live chase of ``query``'s canonical form — to the
+        fixpoint, or with a ``goal`` only until it holds (``done`` then is
+        false) — and return it; the next question resumes it."""
 
         key = query.canonical_key()
         state = self.states.get(key)
@@ -443,17 +434,14 @@ class ChaseEngine:
             state = self.states[key] = ChaseState(query.canonical(), self.deps)
         else:
             self.cache_hits += 1
-        self.last = state
         state.run(self.max_steps, goal)
-        return state.query
+        return state
 
-    def chase_with_cc(
-        self, query: PCQuery, goal: Optional[Goal] = None
-    ) -> Tuple[PCQuery, CongruenceClosure]:
-        """:meth:`chase`, plus the closure its steps extended — which also
-        holds the auxiliary terms matching and goals looked at, and which
-        later decisions share and later steps extend: callers may add terms
-        (no equality between terms already there changes) but not merge."""
+    def chase_with_cc(self, query: PCQuery) -> Tuple[PCQuery, CongruenceClosure]:
+        """The chased canonical form and the closure its steps extended, at
+        the fixpoint.  The closure also holds the auxiliary terms matching
+        and goals looked at, and later decisions share it: callers may add
+        terms (monotone and sound) but must not merge."""
 
-        chased = self.chase(query, goal)
-        return chased, self.last.cc
+        state = self.chase(query)
+        return state.query, state.cc

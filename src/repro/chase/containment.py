@@ -40,12 +40,10 @@ def is_contained_in(
 
     ``accepted``: queries known to be contained in ``q2`` under ``deps``.
     If ``q1`` is :func:`subsumed` by one, ``q1 ⊑ it ⊑ q2`` needs no chase.
-    ``refuted``: queries known *not* to be; if ``q1`` maps into one by the
-    identity (:func:`refuted_by_identity`) the answer is *False*, no chase.
-    Otherwise ``q1`` is chased only until a containment mapping of ``q2``
-    that fixes the variables the two share appears (:func:`_shared_fixed`);
-    a *False* needs the fixpoint, where any mapping is searched for.
-    ``engine.containment_decisions`` counts which of the four decided.
+    ``refuted``: queries known *not* to be; :func:`refuted_by_identity`
+    answers *False* unchased.  Otherwise ``q1`` is chased until
+    :func:`_shared_fixed` holds or the fixpoint, where any mapping is
+    searched for.  ``engine.containment_decisions`` counts what decided.
     """
 
     engine = engine or ChaseEngine(list(deps))
@@ -56,11 +54,12 @@ def is_contained_in(
     if refuted_by_identity(q1, refuted):
         decided["refuted"] += 1
         return False
-    chased, cc = engine.chase_with_cc(q1, _shared_fixed(q1, q2))
-    if not engine.last.done:
+    state = engine.chase(q1, _shared_fixed(q1, q2))
+    if not state.done:
         decided["early"] += 1
         return True
     decided["fixpoint"] += 1
+    chased, cc = state.query, state.cc
     # An unsatisfiable q1 (two distinct constants equated) is in anything.
     # A chase step adds bindings and conditions only, so the chased
     # query's output is still canonical q1's.
@@ -71,25 +70,24 @@ def is_contained_in(
 
 
 def _shared_fixed(q1: PCQuery, q2: PCQuery) -> Optional[Goal]:
-    """The goal of deciding ``q1 ⊑ q2`` short of the fixpoint, if they share
-    variables: an inconsistent closure, or a containment mapping of ``q2``
-    that sends each shared variable to its canonical name in the chase of
-    ``q1`` (the unshared bindings matched, the shared ones' sources checked)."""
+    """The early goal of ``q1 ⊑ q2`` when they share variables: an
+    inconsistent closure, or a containment mapping of ``q2`` sending each
+    shared variable to its canonical name in ``q1``'s chase (the unshared
+    bindings matched, the shared ones' sources checked)."""
 
     position = {b.var: i for i, b in enumerate(q1.bindings)}
-    shared = [b for b in q2.bindings if b.var in position]
-    if not shared:
+    pinned = [(b, position[b.var]) for b in q2.bindings if b.var in position]
+    if not pinned:
         return None
-    fixed = {b.var: Var(f"_v{position[b.var]}") for b in shared}
-    pinned = [(b.source, position[b.var]) for b in shared]
+    fixed = {b.var: Var(f"_v{i}") for b, i in pinned}
     free = [b for b in q2.bindings if b.var not in position]
     pattern = Pattern(free, q2.conditions, fixed)
 
     def goal(chased: PCQuery, cc: CongruenceClosure) -> bool:
         return cc.inconsistent or any(
             all(
-                cc.equal(P.substitute(source, hom), chased.bindings[i].source)
-                for source, i in pinned
+                cc.equal(P.substitute(b.source, hom), chased.bindings[i].source)
+                for b, i in pinned
             )
             and output_matches(q2.output, chased.output, hom, cc)
             for hom in pattern.match(chased, cc, fixed)

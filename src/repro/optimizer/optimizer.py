@@ -100,8 +100,7 @@ class OptimizationResult:
     #: how the run's lookup-safety decisions were reached
     #: (memo / guard / inferred / chased — ``backchase._failing_lookup_safe``)
     lookup_decisions: Optional[Dict[str, int]] = None
-    #: how its computed containment verdicts were reached (subsumed /
-    #: refuted / early / fixpoint), and ``ChaseEngine.chase_counts``
+    #: ``ChaseEngine.containment_decisions`` and ``ChaseEngine.chase_counts``
     containment_decisions: Optional[Dict[str, int]] = None
     chase_counts: Optional[Dict[str, int]] = None
 

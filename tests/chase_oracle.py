@@ -96,12 +96,15 @@ def naive_chase(query, deps, max_steps=DEFAULT_MAX_STEPS):
 
 
 def naive_prefix(query, deps, n):
-    """The naive chase's query after its first ``n`` steps, or ``None``
-    when it reaches the fixpoint in fewer."""
+    """``(query, [ChaseStep, ...])`` after the naive chase's first ``n``
+    steps, or ``None`` when it reaches the fixpoint in fewer."""
 
-    if n == 0:
-        return query
-    for taken, (query, _) in enumerate(naive_steps(query, deps), start=1):
-        if taken == n:
-            return query
-    return None
+    steps = []
+    remaining = naive_steps(query, deps)
+    while len(steps) < n:
+        taken = next(remaining, None)
+        if taken is None:
+            return None
+        query, step = taken
+        steps.append(step)
+    return query, steps

@@ -337,7 +337,8 @@ class TestOutsideTheSearch:
         engine = ChaseEngine([loop], max_steps=7)
         assert backchase.accept_candidate(candidate, parent, engine)
         assert engine.containment_decisions["early"] == 1
-        assert engine.last.steps == 0 and not engine.last.done
+        (state,) = engine.states.values()
+        assert state.steps == 0 and not state.done
         with pytest.raises(ChaseNonTermination) as raised:
             backchase.accept_candidate(candidate, elsewhere, engine)
         assert raised.value.steps == 7

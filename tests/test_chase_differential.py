@@ -7,9 +7,9 @@ index, lookup-safety verdicts are memoized and inferred from the scopes
 already chased.  None of that may change *what* is computed: on every
 query this suite can reach, the chased query text, the step sequence and
 the ``ChaseNonTermination`` bound must equal those of
-:func:`chase_oracle.naive_chase`, which does none of it (a state a goal
-stopped short of its fixpoint, its step prefix), and every lookup-safety
-verdict served must be the one decided from scratch.
+:func:`chase_oracle.naive_chase`, which does none of it (for a state a goal
+stopped short of its fixpoint, those of its prefix), and every
+lookup-safety verdict served must be the one decided from scratch.
 The suite is also what the ``make determinism`` target runs under three
 hash seeds, and the harness the next chase refactoring is held to.
 """
@@ -73,54 +73,61 @@ def workloads():
     return {name: build_workload(name) for name in WORKLOAD_NAMES}
 
 
-def state_mismatch(query, deps, state, max_steps):
-    """``None`` when the engine's ``state`` for ``query`` is where the
-    oracle's chase is after as many steps — at its fixpoint if ``state``
-    is — else what differed."""
+def run_mismatch(start, deps, state, steps, max_steps):
+    """``None`` when ``state``, begun at ``start``, applied exactly the
+    oracle's first ``len(steps)`` steps (``steps``) and stands where the
+    oracle's chase stands after them — at its fixpoint if ``state`` is —
+    else what differed."""
 
-    if not state.done:
-        prefix = naive_prefix(query, deps, state.steps)
-        same = str(prefix) == str(state.query)
-        return None if same else (str(prefix), str(state.query))
-    want_query, want_steps = naive_chase(query, deps, max_steps)
-    if str(want_query) != str(state.query) or len(want_steps) != state.steps:
+    if state.done:
+        want = naive_chase(start, deps, max_steps)
+    else:
+        want = naive_prefix(start, deps, len(steps))
+        if want is None:
+            return "stopped past the oracle's fixpoint"
+    want_query, want_steps = want
+    if str(want_query) != str(state.query):
         return (str(want_query), str(state.query))
+    if want_steps != steps or state.steps != len(steps):
+        return (want_steps, steps)
     return None
 
 
 @pytest.fixture(scope="module")
 def searches(workloads):
     """One pruned optimize per workload with two observers installed: every
-    state the engine advances — to its fixpoint, or stopped where a goal
-    held — is held to the oracle's chase of the same query, and every
-    lookup-safety verdict served — by the memo, the guard, inference or a
-    chase — is decided again from scratch.
+    chase state run — to its fixpoint, or stopped where a goal held — is
+    held, query text and every step it applied, to the oracle's chase of
+    the query it began at, and every lookup-safety verdict served — by the
+    memo, the guard, inference or a chase — is decided again from scratch.
     Private runs, not conftest's shared optimizations: the observers have
     to be inside the search while it runs."""
 
     observed = {}
     for name, wl in workloads.items():
-        chased, chase_diffs, verdicts, verdict_diffs = [], [], [], []
-        real_chase = ChaseEngine.chase
+        chased, chase_diffs, verdicts, verdict_diffs = set(), [], [], []
+        real_run = ChaseState.run
         real_safe = backchase._failing_lookup_safe
+        runs = {}  # state -> (the query it began at, every step it applied)
 
-        def checked_chase(engine, query, goal=None):
-            canonical = query.canonical()
+        def checked_run(state, max_steps, goal=None):
+            if state not in runs and state.steps:
+                chase_diffs.append((str(state.query), "stepped outside run"))
+            start, steps = runs.setdefault(state, (state.query, []))
             try:
-                result = real_chase(engine, query, goal)
+                taken = real_run(state, max_steps, goal)
             except ChaseNonTermination:
-                if chase_mismatch(canonical, engine.deps, engine.max_steps):
-                    chase_diffs.append((str(canonical), "non-termination"))
+                if chase_mismatch(start, state.deps, max_steps):
+                    chase_diffs.append((str(start), "non-termination"))
                 raise
-            point = (canonical.canonical_key(), engine.last.steps, engine.last.done)
+            steps += taken
+            point = (str(start), len(steps), state.done)
             if point not in chased:
-                chased.append(point)
-                diff = state_mismatch(
-                    canonical, engine.deps, engine.last, engine.max_steps
-                )
+                chased.add(point)
+                diff = run_mismatch(start, state.deps, state, steps, max_steps)
                 if diff is not None:
-                    chase_diffs.append((str(canonical), diff))
-            return result
+                    chase_diffs.append((str(start), diff))
+            return taken
 
         def checked_safe(lookup, prefix, conditions, engine, *scope):
             served, how = served_and_how(
@@ -135,7 +142,7 @@ def searches(workloads):
             return served
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ChaseEngine, "chase", checked_chase)
+            patch.setattr(ChaseState, "run", checked_run)
             patch.setattr(backchase, "_failing_lookup_safe", checked_safe)
             Optimizer(
                 wl.constraints,
@@ -154,9 +161,10 @@ class TestAgainstTheNaiveChase:
 
     @pytest.mark.parametrize("name", ("projdept", "rs"))
     def test_every_chase_of_a_search(self, searches, name):
-        """Prefix premises of the lookup-safety check and the candidates of
-        condition (3): the chases a backchase search actually pays for,
-        stopped at their goal or finished, each point a state reached."""
+        """The universal plan, prefix premises of the lookup-safety check
+        and the candidates of condition (3): the chases a search actually
+        pays for, stopped at their goal or finished, each point a state
+        reached — its text and its whole step sequence the oracle's."""
 
         chased, diffs, _, _ = searches[name]
         assert len(chased) > 50, "the search chased almost nothing"

@@ -72,13 +72,13 @@ def observed_decisions(deps, seen: Observed):
     stopped: List[bool] = []  # per observed chase call: did a goal stop it?
 
     def observed_chase(self, query, goal=None):
-        chased = real_chase(self, query, goal)
+        state = real_chase(self, query, goal)
         if type(self) is ChaseEngine:
             if self not in seen.engines:
                 seen.engines.append(self)
             seen.queries.setdefault(query.canonical_key(), query.canonical())
-            stopped.append(not self.last.done)
-        return chased
+            stopped.append(not state.done)
+        return state
 
     def decide_containment(q1, q2, deps=(), engine=None, *rest):
         calls = len(stopped)
@@ -206,7 +206,7 @@ class TestTheWorkloadSearches:
         assert states
         for query, deps, state in states:
             prefix = naive_prefix(query, deps, state.steps)
-            assert prefix is not None and str(prefix) == str(state.query), str(query)
+            assert prefix is not None and str(prefix[0]) == str(state.query), str(query)
 
     def test_a_stopped_state_resumes_into_the_straight_chase(
         self, searches, name, strategy
@@ -277,12 +277,13 @@ class TestResumption:
     def test_a_goal_free_chase_of_a_stopped_state_is_the_fixpoint(self):
         wl = build_workload("rs")
         engine = ChaseEngine(wl.constraints)
-        stopped = engine.chase(wl.query, stop_after(1))
-        assert not engine.last.done and engine.last.steps == 1
+        state = engine.chase(wl.query, stop_after(1))
+        stopped = state.query
+        assert not state.done and state.steps == 1
         straight = chase(wl.query.canonical(), wl.constraints)
-        assert str(engine.chase(wl.query)) == str(straight.query)
-        assert engine.last.done and engine.cache_misses == 1
-        assert len(stopped.bindings) < len(engine.last.query.bindings)
+        assert engine.chase(wl.query) is state and engine.cache_misses == 1
+        assert state.done and str(state.query) == str(straight.query)
+        assert len(stopped.bindings) < len(state.query.bindings)
 
 
 class TestTheContainmentGoal:
@@ -314,7 +315,8 @@ class TestTheContainmentGoal:
         engine = ChaseEngine([ric])
         assert containment.is_contained_in(narrow, wide, engine=engine)
         assert engine.containment_decisions["early"] == 1
-        assert engine.last.steps == 0 and not engine.last.done
+        state = engine.states[narrow.canonical_key()]
+        assert state.steps == 0 and not state.done
 
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -342,7 +344,7 @@ def test_generated_searches_stop_only_at_the_fixpoint_answer(query, deps):
             assert seen.unsound == []
             for chased, chased_deps, state in stopped_states(seen):
                 prefix = naive_prefix(chased, chased_deps, state.steps)
-                assert prefix is not None and str(prefix) == str(state.query)
+                assert prefix is not None and str(prefix[0]) == str(state.query)
                 assert resumed_is_straight(chased, chased_deps, state) == []
     except (ChaseNonTermination, BackchaseError):
         assume(False)
