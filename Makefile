@@ -37,12 +37,16 @@ GOLDEN_FILES := tests/test_golden_plans.py tests/test_advisor.py
 # What must not depend on the order a set iterates in: the chase keeps a
 # set of satisfied triggers, sets of affected heads and a dict-of-lists
 # class index, and stops where a goal first holds; the backchase keeps an
-# antichain of accepted variable sets, the candidates it refuted and, per
-# lookup, antichains of proved scopes.  Interned paths hash by
+# antichain of accepted variable sets, the candidates it refuted, one
+# closure per candidate (read through unordered class member sets) and,
+# per lookup, antichains of proved scopes.  Interned paths hash by
 # identity, so PYTHONHASHSEED reorders only the string-keyed sets; the
 # path-keyed ones follow the address layout, and tests/conftest.py gives
-# each arm its own (997 x seed throwaway variables interned up front).
+# each arm its own (997 x seed throwaway variables interned up front).  The
+# name-supply trap and the kept-closure checks are in the two differential
+# files below; the interned fields' parity is TestTheFieldsAreTheLadders.
 DETERMINISM_TESTS := tests/test_golden_plans.py \
+	tests/test_paths.py::TestTheFieldsAreTheLadders \
 	tests/test_pruned_backchase.py::TestCountersPinnedAcrossTheMerge \
 	tests/test_pruned_backchase.py::TestLookupSafetyDecisions \
 	tests/test_pruned_backchase.py::TestContainmentDecisions \

@@ -31,6 +31,7 @@ The result embeds the traced arm's full ``Database.metrics()`` snapshot
 
 from __future__ import annotations
 
+import gc
 import time
 from typing import Dict, List, Tuple
 
@@ -75,6 +76,10 @@ def _run_mix(db: Database, repetitions: int) -> Tuple[List, float]:
     (first request cold — chase & backchase — the rest plan-cache hits)."""
 
     query = db.workload.query
+    # Both arms start from the same collector state: inside a large test
+    # process a full collection that falls due in one arm's few hundred
+    # milliseconds costs more than everything the tracer does.
+    gc.collect()
     start = time.perf_counter()
     answers = [db.execute(query) for _ in range(repetitions)]
     return answers, time.perf_counter() - start

@@ -63,7 +63,9 @@ involved) and ``A ⊑ root`` was decided when ``A`` was accepted: sound by
 construction, and the chase's own verdict since the chase is complete.
 Otherwise ``C`` is chased as before — subsumption only ever turns a cache
 miss into *True*, and ``plan_lookups_safe`` still runs on everything
-accepted.  Likewise a node's closure is built once; removals work on copies.
+accepted.  Likewise each candidate's closure is built once per search and
+shared by its subsumption test, its floor and its node's removals (on
+copies).
 The dual keeps what condition (3) rejected: a ``C`` into which a rejected
 ``R`` maps by the identity is rejected unchased (``R ⊑ C``, so ``C ⊑ root``
 would give ``R ⊑ root``).  What is still chased stops once answered.
@@ -88,7 +90,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List
 from typing import Optional, Sequence, Set, Tuple
 
 from repro.chase.chase import ChaseEngine
-from repro.chase.congruence import CongruenceClosure, build_congruence
+from repro.chase.congruence import CongruenceClosure, build_congruence, query_congruence
 from repro.constraints.epcd import EPCD
 from repro.errors import BackchaseError
 from repro.optimizer.cost import CostModel, estimate_cost, plan_cost_floor
@@ -427,7 +429,7 @@ def quick_simplify_conditions(query: PCQuery) -> PCQuery:
 
     ordered = sorted(
         (c.normalized() for c in query.conditions if c.left != c.right),
-        key=lambda c: (P.size(c.left) + P.size(c.right), c.key()),
+        key=lambda c: (c.left._size + c.right._size, c.key()),
     )
     cc = CongruenceClosure()
     kept: List[Eq] = []
@@ -473,34 +475,30 @@ def _surviving_conditions(
         var_term = Var(var)
         if var_term not in cc:
             continue
-        replacements = [
-            m
-            for m in cc.members(var_term)
-            if not (P.free_vars(m) & banned)
-        ]
+        replacements = [m for m in cc.members(var_term) if not (m._fvs & banned)]
         if not replacements:
             continue
         for term in list(cc.all_terms()):
-            if var in P.free_vars(term):
+            if var in term._fvs:
                 for replacement in replacements:
                     cc.add(P.substitute(term, {var: replacement}))
     for term in list(cc.all_terms()):
-        if P.free_vars(term) & banned:
+        if term._fvs & banned:
             cc.equivalent_avoiding(term, banned)
 
-    conditions: List[Eq] = []
-    for members in sorted(cc.classes(), key=lambda ms: str(ms[0])):
-        survivors = [
-            m
-            for m in members
-            if not (P.free_vars(m) & banned) and P.free_vars(m) <= allowed_vars
-        ]
-        if len(survivors) < 2:
+    # Classes by the text of their smallest member (stably), each's
+    # survivors in path order; only a class with two survivors yields any.
+    # (``allowed_vars`` holds no banned variable.)
+    spanning = []
+    for members in cc.member_sets():
+        if len(members) < 2:
             continue
-        representative = survivors[0]
-        for other in survivors[1:]:
-            conditions.append(Eq(representative, other))
-    return conditions
+        survivors = [m for m in members if m._fvs <= allowed_vars]
+        if len(survivors) >= 2:
+            survivors.sort(key=P.path_sort_key)
+            spanning.append((min(members, key=P.path_sort_key)._str, survivors))
+    spanning.sort(key=lambda entry: entry[0])
+    return [Eq(first, other) for _, (first, *rest) in spanning for other in rest]
 
 
 def build_candidate(
@@ -537,7 +535,7 @@ def build_candidate(
         if binding.var in banned:
             continue
         source = binding.source
-        if P.free_vars(source) & banned:
+        if source._fvs & banned:
             source = cc.equivalent_avoiding(source, banned)
             if source is None:
                 return None
@@ -766,77 +764,101 @@ def minimal_subqueries(
     # one canonical key per syntactic shape (most candidates repeat one)
     keys: Dict[Tuple, str] = {}
 
-    best: Optional[float] = None
-    # Every shape ever queued, with its bound: a shape is queued (hence
-    # visited) at most once.
-    floors: Dict[str, float] = {root_key: cost_floor(root)}
-    normal_forms: List[PCQuery] = []
-    stack: List[Tuple[str, PCQuery]] = [(root_key, root)]
+    # Each shape's closure is built once, kept on its first candidate while
+    # a reader may come — its subsumption test, its floor, its node's
+    # removals, the refutation of later candidates (``query_congruence``) —
+    # and dropped after: only the queued nodes and the refuted keep one.
+    holders: Dict[int, PCQuery] = {}
 
-    while stack:
-        current_key, current = stack.pop()
-        if best is not None and floors[current_key] > best:
-            # The bound tightened since this node was queued.
-            stats.candidates_pruned += 1
-            continue
-        stats.nodes_visited += 1
-        if stats.nodes_visited > max_nodes:
-            raise BackchaseError(f"backchase search exceeded {max_nodes} nodes")
+    def keep_congruence(q: PCQuery) -> None:
+        object.__setattr__(q, "_congruence", build_congruence(q))
+        holders[id(q)] = q
 
-        reduced_any = False
-        children: List[Tuple[float, str, PCQuery]] = []
-        cc = build_congruence(current)  # each removal works on a copy
-        for var in current.binding_vars():
-            stats.steps_attempted += 1
-            candidate = build_candidate(current, frozenset((var,)), cc.copy())
-            if candidate is None:
-                continue
-            stats.candidates_explored += 1
-            shape = (
-                candidate.output,
-                tuple([(b.var, b.source) for b in candidate.bindings]),
-                tuple([(c.left, c.right) for c in candidate.conditions]),
-            )
-            ckey = keys.get(shape)
-            if ckey is None:
-                ckey = keys[shape] = candidate.canonical_key()
-            verdict = verdicts.get(ckey)
-            if verdict is None:
-                verdict = verdicts[ckey] = accept_candidate(
-                    candidate, current, engine, (ckey, root_key),
-                    accepted.values(), refuted,
-                )
-            else:
-                memo_hits += 1
-            if not verdict:
-                continue
-            names = frozenset(candidate.binding_vars())
-            if not any(kept <= names for kept in accepted):
-                accepted = {k: a for k, a in accepted.items() if not names < k}
-                accepted[names] = candidate
-            stats.steps_applied += 1
-            reduced_any = True
-            if ckey in floors:
-                continue
-            floor = cost_floor(candidate)
-            floors[ckey] = floor
-            if best is not None and floor > best:
+    def drop_congruence(q: PCQuery) -> None:
+        del q.__dict__["_congruence"], holders[id(q)]
+
+    try:
+        keep_congruence(root)
+        best: Optional[float] = None
+        # Every shape ever queued, with its bound: a shape is queued (hence
+        # visited) at most once.
+        floors: Dict[str, float] = {root_key: cost_floor(root)}
+        normal_forms: List[PCQuery] = []
+        stack: List[Tuple[str, PCQuery]] = [(root_key, root)]
+
+        while stack:
+            current_key, current = stack.pop()
+            if best is not None and floors[current_key] > best:
+                # The bound tightened since this node was queued.
                 stats.candidates_pruned += 1
+                drop_congruence(current)
                 continue
-            children.append((floor, ckey, candidate))
+            stats.nodes_visited += 1
+            if stats.nodes_visited > max_nodes:
+                raise BackchaseError(f"backchase search exceeded {max_nodes} nodes")
 
-        if not reduced_any:
-            normal_forms.append(current)
-            stats.normal_forms += 1
-            cost = plan_cost(current)
-            if cost is not None and (best is None or cost < best):
-                best = cost
-        else:
-            # Most promising child on top of the stack: depth-first toward
-            # cheap complete plans tightens the bound early.
-            children.sort(key=lambda entry: (-entry[0], entry[1]))
-            for _, ckey, child in children:
-                stack.append((ckey, child))
+            reduced_any = False
+            children: List[Tuple[float, str, PCQuery]] = []
+            cc = query_congruence(current)  # each removal works on a copy
+            for var in current.binding_vars():
+                stats.steps_attempted += 1
+                candidate = build_candidate(current, frozenset((var,)), cc.copy())
+                if candidate is None:
+                    continue
+                stats.candidates_explored += 1
+                shape = (
+                    candidate.output,
+                    tuple([(b.var, b.source) for b in candidate.bindings]),
+                    tuple([(c.left, c.right) for c in candidate.conditions]),
+                )
+                ckey = keys.get(shape)
+                if ckey is None:
+                    ckey = keys[shape] = candidate.canonical_key()
+                verdict = verdicts.get(ckey)
+                if verdict is None:
+                    keep_congruence(candidate)
+                    verdict = verdicts[ckey] = accept_candidate(
+                        candidate, current, engine, (ckey, root_key),
+                        accepted.values(), refuted,
+                    )
+                    if not verdict and not (refuted and refuted[-1] is candidate):
+                        drop_congruence(candidate)  # rejected as lookup-unsafe
+                else:
+                    memo_hits += 1
+                if not verdict:
+                    continue
+                names = frozenset(candidate.binding_vars())
+                if not any(kept <= names for kept in accepted):
+                    accepted = {k: a for k, a in accepted.items() if not names < k}
+                    accepted[names] = candidate
+                stats.steps_applied += 1
+                reduced_any = True
+                if ckey in floors:
+                    continue
+                floor = cost_floor(candidate)
+                floors[ckey] = floor
+                if best is not None and floor > best:
+                    stats.candidates_pruned += 1
+                    drop_congruence(candidate)
+                    continue
+                children.append((floor, ckey, candidate))
+            drop_congruence(current)
+
+            if not reduced_any:
+                normal_forms.append(current)
+                stats.normal_forms += 1
+                cost = plan_cost(current)
+                if cost is not None and (best is None or cost < best):
+                    best = cost
+            else:
+                # Most promising child on top of the stack: depth-first toward
+                # cheap complete plans tightens the bound early.
+                children.sort(key=lambda entry: (-entry[0], entry[1]))
+                for _, ckey, child in children:
+                    stack.append((ckey, child))
+    finally:
+        for q in list(holders.values()):
+            drop_congruence(q)
 
     # Verdicts reused = engine-cache hits + memo hits; verdicts computed =
     # engine-cache misses.  With the memo in front, each distinct candidate

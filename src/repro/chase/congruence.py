@@ -13,39 +13,29 @@ appear in C" of section 3.  Implemented as a classic union-find plus
 signature-table congruence closure (Nelson–Oppen style) with dynamic term
 insertion, member tracking per class, and a search for equivalent terms
 avoiding a set of variables (the engine behind backchase conditions (1)
-and (2)).
+and (2)).  A term's children and operator are fields of the interned node
+(:mod:`repro.query.paths`), read here, never recomputed.
+
+A backchase search builds each candidate's closure once and keeps it on the
+candidate while the search runs (:func:`query_congruence`); the readers
+that only look share it, a reader that adds terms works on a copy.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Set, Tuple
 
 from repro.query import paths as P
 from repro.query.ast import Binding, PCQuery
-from repro.query.paths import Attr, Const, Dom, Lookup, NFLookup, Path, Var
-
-
-def _signature_op(term: Path) -> Tuple:
-    """The uninterpreted operator of a composite term."""
-
-    if isinstance(term, Attr):
-        return ("attr", term.attr)
-    if isinstance(term, Dom):
-        return ("dom",)
-    if isinstance(term, Lookup):
-        return ("lookup",)
-    if isinstance(term, NFLookup):
-        # Non-failing and failing lookups are congruent when defined; for
-        # term reasoning we treat them as the same operator.
-        return ("lookup",)
-    return ()
+from repro.query.paths import Const, Path, Var
 
 
 def head(term: Path):
     """What a term is matched by: its operator, the atom itself (schema
     name, constant), or one shared symbol for every variable."""
 
-    return Var if isinstance(term, Var) else _signature_op(term) or term
+    return term._op
 
 
 class CongruenceClosure:
@@ -110,28 +100,27 @@ class CongruenceClosure:
 
         if term in self._parent:
             return self.find(term)
-        for child in P.children(term):
-            self.add(child)
+        # a child's root stays put while its siblings are added (see above)
+        roots = tuple([self.add(child) for child in term._kids])
         self._parent[term] = term
         self._rank[term] = 0
         self._members[term] = {term}
         self._use[term] = set()
         if isinstance(term, Const):
             self._const[term] = term
-        kids = P.children(term)
-        if kids:
-            for child in kids:
-                self._use[self.find(child)].add(term)
-            sig = self._signature(term)
+        if roots:
+            for root in roots:
+                self._use[root].add(term)
+            sig = term._op + roots
             existing = self._sig.get(sig)
             if existing is not None:
                 self._merge_roots(self.find(existing), term)
-            else:
-                self._sig[sig] = term
-        return self.find(term)
+                return self.find(term)
+            self._sig[sig] = term
+        return term
 
     def _signature(self, term: Path) -> Tuple:
-        return _signature_op(term) + tuple(self.find(c) for c in P.children(term))
+        return term._op + tuple([self.find(c) for c in term._kids])
 
     # -- merging ----------------------------------------------------------------
 
@@ -218,11 +207,12 @@ class CongruenceClosure:
     def classes(self) -> List[Tuple[Path, ...]]:
         """All congruence classes (each as a sorted member tuple)."""
 
-        return [
-            tuple(sorted(members, key=P.path_sort_key))
-            for root, members in self._members.items()
-            if self._parent[root] is root
-        ]
+        return [tuple(sorted(ms, key=P.path_sort_key)) for ms in self.member_sets()]
+
+    def member_sets(self) -> Iterable[Set[Path]]:
+        """Every class's member set, unordered; read, never modify."""
+
+        return self._members.values()  # keyed by the roots alone
 
     def all_terms(self) -> Tuple[Path, ...]:
         return tuple(self._parent)
@@ -254,7 +244,7 @@ class CongruenceClosure:
         memo: Dict,
         depth: int,
     ) -> Optional[Path]:
-        if not (P.free_vars(term) & banned):
+        if not (term._fvs & banned):
             return term
         if depth <= 0:
             return None
@@ -266,12 +256,12 @@ class CongruenceClosure:
         # 1. direct members free of banned variables
         candidates = sorted(self._members[root], key=P.path_sort_key)
         for member in candidates:
-            if not (P.free_vars(member) & banned):
+            if not (member._fvs & banned):
                 memo[key] = member
                 return member
         # 2. rebuild a composite member from rewritten children
         for member in candidates:
-            kids = P.children(member)
+            kids = member._kids
             if not kids:
                 continue
             new_kids = []
@@ -290,7 +280,7 @@ class CongruenceClosure:
 
 
 def build_congruence(query: PCQuery) -> CongruenceClosure:
-    """The congruence closure of a query's terms and where-clause."""
+    """A new congruence closure of a query's terms and where-clause."""
 
     cc = CongruenceClosure()
     for binding in query.bindings:
@@ -301,6 +291,16 @@ def build_congruence(query: PCQuery) -> CongruenceClosure:
     for cond in query.conditions:
         cc.merge(cond.left, cond.right)
     return cc
+
+
+def query_congruence(query: PCQuery) -> CongruenceClosure:
+    """``query``'s closure: the one kept on it while a backchase search
+    runs, built once, or else a new one.  A kept closure is shared and must
+    stay as built: a reader that adds terms (``equal``, ``members`` of a new
+    term) works on a :meth:`~CongruenceClosure.copy`."""
+
+    kept = query.__dict__.get("_congruence")
+    return build_congruence(query) if kept is None else kept
 
 
 def conditions_imply(query: PCQuery, goal_left: Path, goal_right: Path) -> bool:

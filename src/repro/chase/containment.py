@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from repro.chase.chase import ChaseEngine, Goal
-from repro.chase.congruence import CongruenceClosure, build_congruence
+from repro.chase.congruence import CongruenceClosure, query_congruence
 from repro.chase.homomorphism import Pattern, match_bindings, output_matches
 from repro.constraints.epcd import EPCD
 from repro.query import paths as P
@@ -106,7 +106,7 @@ def subsumed(query: PCQuery, accepted: Iterable[PCQuery]) -> bool:
     covered = [a for a in accepted if all(b.var in sources for b in a.bindings)]
     if not covered:
         return False
-    cc = build_congruence(query)
+    cc = query_congruence(query).copy()  # the checks below add terms
     return any(
         all(cc.equal(b.source, sources[b.var]) for b in a.bindings)
         and all(cc.equal(c.left, c.right) for c in a.conditions)

@@ -271,7 +271,7 @@ def _ground_term_counts(cc) -> Dict[Path, int]:
     Overcounting is safe — it only weakens the resulting bound.
     """
 
-    classes = [(cc.find(members[0]), members) for members in cc.classes()]
+    classes = [(cc.find(next(iter(ms))), ms) for ms in cc.member_sets()]
     counts: Dict[Path, int] = {root: 0 for root, _ in classes}
 
     def class_count(var: str) -> int:
@@ -286,10 +286,10 @@ def _ground_term_counts(cc) -> Dict[Path, int]:
         for root, members in classes:
             total = 0
             for m in members:
-                fv = P.free_vars(m)
+                fv = m._fvs
                 if not fv:
                     total += 1
-                elif P.children(m):  # composite: images are new ground terms
+                elif m._kids:  # composite: images are new ground terms
                     images = 1
                     for v in fv:
                         images *= min(class_count(v), _GROUND_COUNT_CAP)
@@ -320,12 +320,12 @@ def plan_cost_floor(
     the best complete plan found so far; see the derivation above.
     """
 
-    from repro.chase.congruence import build_congruence
+    from repro.chase.congruence import query_congruence
 
     model = model or CostModel()
     if not query.bindings:
         return model.scan_startup
-    cc = build_congruence(query)
+    cc = query_congruence(query)  # read, never extended: binding sources are in it
     if cc.inconsistent:
         # Unsatisfiable subqueries cost as little as the startup charge.
         return model.scan_startup
@@ -333,7 +333,7 @@ def plan_cost_floor(
     ground_counts = _ground_term_counts(cc)
 
     def groundable(term: Path) -> bool:
-        fv = P.free_vars(term)
+        fv = term._fvs
         if not fv:
             return True
         return all(

@@ -43,7 +43,7 @@ class Eq:
     right: Path
 
     def __post_init__(self) -> None:
-        a, b = str(self.left), str(self.right)
+        a, b = self.left._str, self.right._str
         object.__setattr__(self, "_k", (a, b) if a <= b else (b, a))
 
     def key(self) -> Tuple[str, str]:
@@ -51,7 +51,7 @@ class Eq:
 
     def normalized(self) -> "Eq":
         a, b = self.left, self.right
-        if str(a) <= str(b):
+        if a._str <= b._str:
             return self
         return Eq(b, a)
 
@@ -199,7 +199,7 @@ class PCQuery:
         var_level = {b.var: i for i, b in enumerate(self.bindings, start=1)}
         levels: List[List[Eq]] = [[] for _ in range(len(self.bindings) + 1)]
         for cond in self.conditions:
-            needed = P.free_vars(cond.left) | P.free_vars(cond.right)
+            needed = cond.left._fvs | cond.right._fvs
             level = max((var_level.get(v, 0) for v in needed), default=0)
             levels[level].append(cond)
         return levels

@@ -10,15 +10,18 @@ plus the non-failing lookup ``P{k}`` which the paper introduces for plans
 Paths are immutable, interned nodes: every constructor returns the one
 object of its structure, so nodes hash and compare by *identity* (the
 C-level slots of ``object``; no ``__hash__`` or ``__eq__`` here).  The
-chase and backchase perform millions of hash/equality/free-variable
-operations on them; each node also precomputes its structural key (the
-interning and ordering key), rendered text and free-variable set.  Identity
-hashes follow the address layout, so the iteration order of a path-keyed
-set differs from run to run: nothing may depend on it (``make determinism``).
+chase and backchase perform millions of operations on them, so a node is
+described once, when it is created: its structural key (the interning key),
+rendered text, free-variable set, size, children tuple, congruence
+operator and ``path_sort_key`` order are fields, and nothing walks a class
+ladder to recover them.  Identity hashes follow the address layout, so the
+iteration order of a path-keyed set differs from run to run: nothing may
+depend on it (``make determinism``).
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, Dict, FrozenSet, Iterator, Tuple
 
 _EMPTY: FrozenSet[str] = frozenset()
@@ -27,14 +30,24 @@ _EMPTY: FrozenSet[str] = frozenset()
 class Path:
     """Abstract base class of path expressions.
 
-    Subclasses set ``_key`` (a nested tuple unique to the term), ``_str``
-    (rendered form), ``_fvs`` (free variables) and ``_size``.  All nodes
-    are *interned*: structurally equal paths are the same object, so
+    A subclass constructor fills, through :meth:`_describe`, ``_key`` (a
+    nested tuple unique to the term), ``_str`` (rendered form), ``_fvs``
+    (free variables), ``_kids`` (immediate subterms), ``_op`` (what
+    congruence matches the term by: the operator of a composite, the atom
+    itself for a schema name, constant or parameter, the class ``Var`` for
+    every variable), ``_size`` and ``_order`` (:func:`path_sort_key`).  All
+    nodes are *interned*: structurally equal paths are the same object, so
     equality is identity, and pickling or copying a node goes back through
     its constructor and yields the interned node itself.
     """
 
-    __slots__ = ("_key", "_str", "_fvs", "_size")
+    __slots__ = ("_key", "_str", "_fvs", "_size", "_kids", "_op", "_order")
+
+    def _describe(self, key, text, fvs, kids=(), op=None) -> None:
+        self._key, self._str, self._fvs, self._kids = key, text, fvs, kids
+        self._op = self if op is None else op
+        self._size = 1 + sum(kid._size for kid in kids)
+        self._order = (self._size, text)
 
     def __reduce__(self):
         # each subclass's own slots are its constructor arguments, in order
@@ -63,10 +76,7 @@ class Var(Path):
             return obj
         obj = object.__new__(cls)
         obj.name = name
-        obj._key = ("v", name)
-        obj._str = name
-        obj._fvs = frozenset((name,))
-        obj._size = 1
+        obj._describe(("v", name), name, frozenset((name,)), op=Var)
         cls._intern[name] = obj
         return obj
 
@@ -95,10 +105,8 @@ class Const(Path):
             return obj
         obj = object.__new__(cls)
         obj.value = value
-        obj._key = key
-        obj._str = f'"{value}"' if isinstance(value, str) else str(value)
-        obj._fvs = _EMPTY
-        obj._size = 1
+        text = f'"{value}"' if isinstance(value, str) else str(value)
+        obj._describe(key, text, _EMPTY)
         cls._intern[key] = obj
         return obj
 
@@ -126,10 +134,7 @@ class Param(Path):
             return obj
         obj = object.__new__(cls)
         obj.name = name
-        obj._key = ("$", name)
-        obj._str = f"${name}"
-        obj._fvs = _EMPTY
-        obj._size = 1
+        obj._describe(("$", name), f"${name}", _EMPTY)
         cls._intern[name] = obj
         return obj
 
@@ -146,10 +151,7 @@ class SName(Path):
             return obj
         obj = object.__new__(cls)
         obj.name = name
-        obj._key = ("n", name)
-        obj._str = name
-        obj._fvs = _EMPTY
-        obj._size = 1
+        obj._describe(("n", name), name, _EMPTY)
         cls._intern[name] = obj
         return obj
 
@@ -168,10 +170,7 @@ class Attr(Path):
         obj = object.__new__(cls)
         obj.base = base
         obj.attr = attr
-        obj._key = key
-        obj._str = f"{base._str}.{attr}"
-        obj._fvs = base._fvs
-        obj._size = base._size + 1
+        obj._describe(key, f"{base._str}.{attr}", base._fvs, (base,), ("attr", attr))
         cls._intern[key] = obj
         return obj
 
@@ -189,10 +188,7 @@ class Dom(Path):
             return obj
         obj = object.__new__(cls)
         obj.base = base
-        obj._key = key
-        obj._str = f"dom({base._str})"
-        obj._fvs = base._fvs
-        obj._size = base._size + 1
+        obj._describe(key, f"dom({base._str})", base._fvs, (base,), ("dom",))
         cls._intern[key] = obj
         return obj
 
@@ -216,10 +212,8 @@ class Lookup(Path):
         obj = object.__new__(cls)
         obj.base = base
         obj.key = key
-        obj._key = k
-        obj._str = f"{base._str}[{key._str}]"
-        obj._fvs = base._fvs | key._fvs
-        obj._size = base._size + key._size + 1
+        text = f"{base._str}[{key._str}]"
+        obj._describe(k, text, base._fvs | key._fvs, (base, key), ("lookup",))
         cls._intern[k] = obj
         return obj
 
@@ -242,10 +236,9 @@ class NFLookup(Path):
         obj = object.__new__(cls)
         obj.base = base
         obj.key = key
-        obj._key = k
-        obj._str = f"{base._str}{{{key._str}}}"
-        obj._fvs = base._fvs | key._fvs
-        obj._size = base._size + key._size + 1
+        # ``Lookup``'s operator: the two are congruent wherever both are defined
+        text = f"{base._str}{{{key._str}}}"
+        obj._describe(k, text, base._fvs | key._fvs, (base, key), ("lookup",))
         cls._intern[k] = obj
         return obj
 
@@ -258,33 +251,23 @@ class NFLookup(Path):
 def children(path: Path) -> Tuple[Path, ...]:
     """Immediate subterms of a path (empty for leaves)."""
 
-    if isinstance(path, Attr):
-        return (path.base,)
-    if isinstance(path, Dom):
-        return (path.base,)
-    if isinstance(path, (Lookup, NFLookup)):
-        return (path.base, path.key)
-    return ()
+    return path._kids
 
 
 def rebuild(path: Path, new_children: Tuple[Path, ...]) -> Path:
     """Reassemble a composite path with replaced children."""
 
-    if isinstance(path, Attr):
+    if not path._kids:
+        return path
+    if type(path) is Attr:
         return Attr(new_children[0], path.attr)
-    if isinstance(path, Dom):
-        return Dom(new_children[0])
-    if isinstance(path, Lookup):
-        return Lookup(new_children[0], new_children[1])
-    if isinstance(path, NFLookup):
-        return NFLookup(new_children[0], new_children[1])
-    return path
+    return type(path)(*new_children)  # the children are the constructor's
 
 
 def subterms(path: Path) -> Iterator[Path]:
     """All subterms including the path itself (post-order)."""
 
-    for child in children(path):
+    for child in path._kids:
         yield from subterms(child)
     yield path
 
@@ -315,19 +298,15 @@ def schema_names(path: Path) -> FrozenSet[str]:
 def substitute(path: Path, mapping: Dict[str, Path]) -> Path:
     """Replace variables by paths according to ``mapping``."""
 
-    if not path._fvs:
-        return path
-    if isinstance(path, Var):
-        return mapping.get(path.name, path)
-    hit = False
     for var in path._fvs:
         if var in mapping:
-            hit = True
             break
-    if not hit:
+    else:
         return path
-    kids = children(path)
-    new_kids = tuple(substitute(k, mapping) for k in kids)
+    if type(path) is Var:
+        return mapping[path.name]
+    kids = path._kids
+    new_kids = tuple([substitute(k, mapping) for k in kids])
     if new_kids == kids:
         return path
     return rebuild(path, new_kids)
@@ -384,10 +363,9 @@ def size(path: Path) -> int:
     return path._size
 
 
-def path_sort_key(path: Path) -> Tuple:
-    """Deterministic ordering key (for canonical printing/enumeration)."""
-
-    return (path._size, path._str)
+#: deterministic ordering key (for canonical printing/enumeration): size,
+#: then rendered text — the node's ``_order``
+path_sort_key: Callable[[Path], Tuple[int, str]] = attrgetter("_order")
 
 
 # Convenience constructors used pervasively in tests and examples.

@@ -16,6 +16,10 @@ change *what* the search computes:
   minimal accepted binding-variable sets, in order of first acceptance;
 * a candidate built on a copy of the node's closure is the candidate
   built on a closure of its own;
+* the closure the search keeps on each candidate (built once, read by
+  subsumption, refutation, the cost floor and the node's removals) stays
+  as built, and no query the search returns or a plan cache holds keeps
+  one;
 * every accepted candidate contains its parent — the direction
   ``accept_candidate`` takes from the construction instead of chasing
   (the oracle here: a chase-only engine deciding parent ⊑ candidate);
@@ -30,6 +34,7 @@ Runs under three hash seeds in ``make determinism``.
 
 from __future__ import annotations
 
+import gc
 import inspect
 from typing import Dict, FrozenSet, List
 
@@ -45,8 +50,10 @@ from repro.backchase.backchase import (
 from repro.backchase.bottomup import bottom_up_minimal_plans, restrict_to_bindings
 from repro.chase import containment
 from repro.chase.chase import ChaseEngine, chase
+from repro.chase.congruence import build_congruence
 from repro.errors import BackchaseError, ChaseNonTermination
 from repro.optimizer.optimizer import Optimizer
+from repro.query.ast import PCQuery
 from repro.query.parser import parse_constraint, parse_query
 
 STRATEGIES = ("pruned", "full")
@@ -54,6 +61,27 @@ STRATEGIES = ("pruned", "full")
 
 def names_of(query) -> FrozenSet[str]:
     return frozenset(query.binding_vars())
+
+
+def kept_closure(query):
+    return query.__dict__.get("_congruence")
+
+
+def holding_a_closure() -> List[str]:
+    """Every live query that still keeps a search's closure."""
+
+    return [
+        str(obj) for obj in gc.get_objects()
+        if type(obj) is PCQuery and kept_closure(obj) is not None
+    ]
+
+
+def closure_state(cc):
+    return (
+        set(cc.all_terms()),
+        {frozenset(members) for members in cc.classes()},
+        cc.inconsistent,
+    )
 
 
 def minimal_in_order(sets: List[FrozenSet[str]]) -> List[FrozenSet[str]]:
@@ -73,6 +101,9 @@ class Observed:
         self.unsound_refutations: List[str] = []  # said False, the chase did not
         self.antichain_diffs: List[tuple] = []
         self.closure_leaks: List[str] = []
+        self.kept_reads: Dict[str, int] = {"subsumption": 0, "floor": 0, "removal": 0}
+        self.kept_changed: List[str] = []  # a kept closure no longer as built
+        self.left_holding: List[str] = []  # queries keeping one after the search
         self.built = 0
         self.accepted = 0
         self.parent_not_contained: List[str] = []  # parent ⋢ accepted candidate
@@ -88,14 +119,35 @@ def observe(wl, strategy) -> Observed:
     real_build = backchase.build_candidate
     real_accept = backchase.accept_candidate
     real_decide = containment.is_contained_in
+    real_subsumed = containment.subsumed
+    real_floor = backchase.plan_cost_floor
+
+    def as_built(query, reader):
+        kept = kept_closure(query)
+        if kept is not None:
+            seen.kept_reads[reader] += 1
+            if closure_state(kept) != closure_state(build_congruence(query)):
+                seen.kept_changed.append(f"after {reader}: {query}")
+
+    def subsumed(query, others):
+        # refutation asks it too, of each refuted query in turn
+        verdict = real_subsumed(query, others)
+        as_built(query, "subsumption")
+        return verdict
+
+    def floor(query, *args, **kwargs):
+        bound = real_floor(query, *args, **kwargs)
+        as_built(query, "floor")
+        return bound
 
     def build(query, banned, cc=None):
         candidate = real_build(query, banned, cc)
         if cc is not None:  # the search loop, on a copy of the node's closure
             seen.built += 1
             alone = real_build(query, banned)
-            if candidate != alone:
+            if candidate != alone or cc is kept_closure(query):
                 seen.closure_leaks.append(f"{query} minus {sorted(banned)}")
+            as_built(query, "removal")
             if candidate is not None:
                 candidates.append(candidate)
         return candidate
@@ -139,12 +191,16 @@ def observe(wl, strategy) -> Observed:
         patch.setattr(backchase, "build_candidate", build)
         patch.setattr(backchase, "accept_candidate", accept)
         patch.setattr(containment, "is_contained_in", decide)
-        Optimizer(
+        patch.setattr(containment, "subsumed", subsumed)
+        patch.setattr(backchase, "plan_cost_floor", floor)
+        result = Optimizer(
             wl.constraints,
             physical_names=wl.physical_names,
             statistics=wl.statistics,
             strategy=strategy,
         ).optimize(wl.query)
+    seen.left_holding = holding_a_closure()
+    assert result.plans  # alive through the scan above
     return seen
 
 
@@ -191,12 +247,34 @@ class TestTheWorkloadSearches:
         assert seen.built > 20
         assert seen.closure_leaks == []
 
+    def test_the_kept_closure_stays_as_built(self, searches, name, strategy):
+        seen = searches[name, strategy]
+        assert seen.kept_changed == []
+        assert seen.kept_reads["subsumption"] and seen.kept_reads["removal"]
+        if strategy == "pruned":
+            assert seen.kept_reads["floor"]
+
+    def test_no_query_keeps_a_closure_after_the_search(
+        self, searches, name, strategy
+    ):
+        assert searches[name, strategy].left_holding == []
+
     def test_every_accepted_candidate_contains_its_parent(
         self, searches, name, strategy
     ):
         seen = searches[name, strategy]
         assert seen.accepted
         assert seen.parent_not_contained == []
+
+
+def test_no_plan_cached_query_keeps_a_closure(optimized_workloads):
+    """The session's shared optimizations, one per workload and strategy,
+    each held in its database's plan cache."""
+
+    for name in WORKLOAD_NAMES:
+        for strategy in STRATEGIES:
+            assert optimized_workloads.result(name, strategy).plans
+    assert holding_a_closure() == []
 
 
 class TestSubsumed:

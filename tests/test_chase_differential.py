@@ -359,6 +359,47 @@ class TestLookupSafetyInference:
             True, True, "inferred")
 
 
+class TestTheNameSupply:
+    """Fresh names and dropped duplicate conditions, in a live state run
+    straight through or stopped and resumed, are the oracle's (which reads
+    both off the query every step) and the rule's: the query already uses
+    ``_x1`` and ``_x3`` (a supply must skip them, not just count), and
+    ``again`` concludes an equality the query states."""
+
+    QUERY = "select struct(A = _x1.A) from R _x1, S _x3 where _x1.B = _x3.B"
+    DEPS = [
+        parse_constraint(text, name)
+        for name, text in (
+            ("to_t", "forall (r in R) -> exists (t in T) t.A = r.A"),
+            ("again", "forall (r in R, s in S) where r.B = s.B "
+                      "-> exists (u in U) u.B = s.B and r.B = s.B"),
+            ("to_w", "forall (t in T) -> exists (w in W) w.A = t.A"),
+        )
+    ]
+
+    def assert_the_oracle_s(self, state, steps):
+        want_query, want_steps = naive_chase(parse_query(self.QUERY), self.DEPS)
+        assert steps == want_steps
+        assert state.query.conditions == want_query.conditions
+        assert str(state.query) == str(want_query)
+        fresh = [b.var for step in steps for b in step.added_bindings]
+        assert fresh == ["_x0", "_x2", "_x4"]
+        assert [str(c) for c in state.query.conditions].count("_x1.B = _x3.B") == 1
+
+    def test_straight_through(self):
+        state = ChaseState(parse_query(self.QUERY), self.DEPS)
+        self.assert_the_oracle_s(state, state.run(DEFAULT_MAX_STEPS))
+
+    @pytest.mark.parametrize("stop", (0, 1, 2))
+    def test_stopped_and_resumed(self, stop):
+        state = ChaseState(parse_query(self.QUERY), self.DEPS)
+        # each step adds one binding to the query's two
+        first = state.run(DEFAULT_MAX_STEPS, lambda q, cc: len(q.bindings) == 2 + stop)
+        assert len(first) == stop and not state.done
+        steps = first + state.run(DEFAULT_MAX_STEPS)
+        self.assert_the_oracle_s(state, steps)
+
+
 def unaffected_means_inapplicable(query, deps, max_steps=40):
     """Drive one chase; after every step rescan, naively and on a closure
     built from scratch, every dependency the state passes over as clean:

@@ -167,3 +167,79 @@ class TestOrdering:
         assert P.A(P.V("x"), "A", "B") == Attr(Attr(Var("x"), "A"), "B")
         assert P.N("R") == SName("R")
         assert P.C(1) == Const(1)
+
+
+# -- the stored fields against the isinstance ladders they replaced ---------
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import paths_oracle as ref  # noqa: E402
+from repro.api.workloads import WORKLOAD_NAMES, build_workload  # noqa: E402
+from repro.chase.chase import chase  # noqa: E402
+from repro.chase.congruence import CongruenceClosure, head  # noqa: E402
+
+
+def assert_fields_are_the_reference(path):
+    for term in P.subterms(path):
+        assert P.children(term) == ref.children(term), term
+        if ref.children(term):
+            assert term._op == ref.signature_op(term), term
+        assert head(term) == ref.head(term), term
+        assert P.path_sort_key(term) == ref.path_sort_key(term), term
+        kids = ref.children(term)
+        swapped = kids[::-1] if len(kids) == 2 else kids
+        assert P.rebuild(term, swapped) is ref.rebuild(term, swapped), term
+        for twin in (pickle.loads(pickle.dumps(term)), copy.copy(term)):
+            assert twin is term
+        assert copy.deepcopy(term) is term
+
+
+LEAVES = st.one_of(
+    st.sampled_from(["x", "y", "_x1"]).map(Var),
+    st.one_of(st.integers(0, 3), st.sampled_from(["a", "CitiBank"])).map(Const),
+    st.sampled_from(["p", "q"]).map(Param),
+    st.sampled_from(["R", "M", "x"]).map(SName),
+)
+
+PATHS = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.builds(Attr, inner, st.sampled_from(["A", "B"])),
+        st.builds(Dom, inner),
+        st.builds(Lookup, inner, inner),
+        st.builds(NFLookup, inner, inner),
+    ),
+    max_leaves=8,
+)
+
+
+class TestTheFieldsAreTheLadders:
+    """Children, operator, head, ``path_sort_key`` and ``rebuild`` read
+    what the node stored when it was interned; ``tests/paths_oracle.py``
+    recovers them the old way.  Pickle and copies stay the interned node."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(path=PATHS)
+    def test_generated_paths(self, path):
+        assert_fields_are_the_reference(path)
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_every_term_of_the_workload_universal_plans(self, name):
+        wl = build_workload(name)
+        terms = set(chase(wl.query, wl.constraints).query.all_terms())
+        assert len(terms) > 10
+        for term in terms:
+            assert_fields_are_the_reference(term)
+
+    def test_a_nonfailing_lookup_is_congruent_to_the_failing_one(self):
+        """``M[k]`` and ``M{k}`` share an operator, so a closure that knows
+        both puts them in one class."""
+
+        cc = CongruenceClosure()
+        cc.merge(Var("k"), Var("j"))
+        failing = Lookup(SName("M"), Var("k"))
+        cc.add(failing)
+        assert cc.equal(NFLookup(SName("M"), Var("k")), failing)
+        assert cc.equal(NFLookup(SName("M"), Var("j")), failing)
