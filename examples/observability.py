@@ -6,7 +6,7 @@
   for each request — façade → plan cache → chase → backchase → cost →
   executor — rendered as a per-request waterfall and exportable as JSONL;
 * a **metrics registry** unifies the legacy counter families (plan
-  cache, semantic cache, backchase, containment cache) behind one
+  cache, semantic cache, backchase, containment verdicts) behind one
   ``db.metrics()`` snapshot, with per-phase latency histograms and a
   slow-query log;
 * **EXPLAIN ANALYZE** (``db.explain(q, analyze=True)``) runs the cached

@@ -44,12 +44,7 @@ from repro.chase.containment import (
 )
 from repro.constraints.checker import check_all, holds
 from repro.constraints.epcd import EPCD
-from repro.errors import (
-    ParameterBindingError,
-    QuerySyntaxError,
-    ReproDeprecationWarning,
-    ReproError,
-)
+from repro.errors import ParameterBindingError, QuerySyntaxError, ReproError
 from repro.exec.engine import execute, explain
 from repro.model.instance import Instance
 from repro.model.schema import Schema
@@ -149,7 +144,6 @@ __all__ = [
     "PlanCacheInfo",
     "PreparedQuery",
     "QueryReport",
-    "ReproDeprecationWarning",
     "SlowQueryLog",
     "Tracer",
     "analyze_query",

@@ -28,11 +28,12 @@ same indexed attribute) are emitted once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.constraints.epcd import EPCD
-from repro.optimizer.cost import estimated_output_cardinality
+from repro.optimizer.cost import estimate_cost
 from repro.optimizer.statistics import Statistics
 from repro.physical.indexes import PrimaryIndex, SecondaryIndex
 from repro.physical.views import MaterializedView
@@ -187,12 +188,14 @@ def _join_core(query: PCQuery) -> Optional[PCQuery]:
 def _view_candidate(
     name: str, definition: PCQuery, statistics: Statistics, description: str
 ) -> Candidate:
+    # the view's size: the cost walk's last level, its conditions applied
+    record = []
+    estimate_cost(definition, statistics, record=record)
+    rows, factors = record[-1]
     return Candidate(
         kind=KIND_VIEW,
         structure=MaterializedView(name, definition),
-        estimated_tuples=max(
-            1.0, estimated_output_cardinality(definition, statistics)
-        ),
+        estimated_tuples=max(1.0, math.prod(factors, start=rows)),
         description=description,
     )
 

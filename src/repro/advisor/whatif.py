@@ -7,9 +7,9 @@ filter admits, so pricing it is one
 statistics=…) <repro.api.context.OptimizeContext.override>` call followed
 by the ordinary cost-bounded pruned backchase — no structure is ever
 materialized.  The hypothetical catalog overlays *estimated* extent
-statistics (view cardinalities from
-:func:`~repro.optimizer.cost.estimated_output_cardinality`, index domain
-sizes from recorded NDVs) onto the base statistics, mirroring how the
+statistics (view cardinalities from the last level of
+:func:`~repro.optimizer.cost.estimate_cost`'s record, index domain sizes
+from recorded NDVs) onto the base statistics, mirroring how the
 semantic cache overlays *observed* extent statistics for real cached
 results.
 

@@ -131,7 +131,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if not args.skip_invariants:
         project = load_project()
-        files = len(project.src) + len(project.tests)
+        files = len(project.src)
         findings.extend(lint_project(project))
 
     baseline = set() if args.no_baseline else load_baseline()

@@ -1,7 +1,6 @@
 """The project invariant linter: AST rules over ``src/repro`` itself.
 
-Loads every Python source under ``src/repro`` (and ``tests/``, which the
-deprecation-coverage rule matches against), runs each rule module in
+Loads every Python source under ``src/repro``, runs each rule module in
 :mod:`repro.analysis.rules`, then applies per-line suppression comments
 (``# repro: ignore[RULE-ID]``) and the checked-in baseline.  Findings
 render as ``file:line: RULE-ID message`` with paths relative to the
@@ -39,11 +38,10 @@ class SourceFile:
 
 @dataclass
 class Project:
-    """The lint subject: library sources, test sources, and any files
-    that failed to parse (reported as findings rather than crashes)."""
+    """The lint subject: library sources, and any files that failed to
+    parse (reported as findings rather than crashes)."""
 
     src: List[SourceFile] = field(default_factory=list)
-    tests: List[SourceFile] = field(default_factory=list)
     parse_failures: List[Finding] = field(default_factory=list)
 
 
@@ -54,7 +52,7 @@ def repo_root() -> Path:
     return Path(__file__).resolve().parents[3]
 
 
-def _load_dir(root: Path, directory: Path, into: List[SourceFile], project: Project) -> None:
+def _load_dir(root: Path, directory: Path, project: Project) -> None:
     for path in sorted(directory.rglob("*.py")):
         display = path.relative_to(root).as_posix()
         try:
@@ -65,38 +63,31 @@ def _load_dir(root: Path, directory: Path, into: List[SourceFile], project: Proj
                 Finding(display, 0, "INV-PARSE", f"cannot parse: {exc}")
             )
             continue
-        into.append(SourceFile(display, tree, source))
+        project.src.append(SourceFile(display, tree, source))
 
 
 def load_project(root: Optional[Path] = None) -> Project:
-    """The shipped tree: ``src/repro`` as lint subject, ``tests/`` as
-    coverage evidence."""
+    """The shipped tree: ``src/repro``."""
 
     root = Path(root) if root is not None else repo_root()
     project = Project()
     src_dir = root / "src" / "repro"
     if src_dir.is_dir():
-        _load_dir(root, src_dir, project.src, project)
-    tests_dir = root / "tests"
-    if tests_dir.is_dir():
-        _load_dir(root, tests_dir, project.tests, project)
+        _load_dir(root, src_dir, project)
     return project
 
 
-def project_from_sources(
-    src: Mapping[str, str], tests: Optional[Mapping[str, str]] = None
-) -> Project:
+def project_from_sources(src: Mapping[str, str]) -> Project:
     """A synthetic project from in-memory sources (for rule tests)."""
 
     project = Project()
-    for into, sources in ((project.src, src), (project.tests, tests or {})):
-        for path, text in sources.items():
-            try:
-                into.append(SourceFile(path, ast.parse(text), text))
-            except SyntaxError as exc:
-                project.parse_failures.append(
-                    Finding(path, 0, "INV-PARSE", f"cannot parse: {exc}")
-                )
+    for path, text in src.items():
+        try:
+            project.src.append(SourceFile(path, ast.parse(text), text))
+        except SyntaxError as exc:
+            project.parse_failures.append(
+                Finding(path, 0, "INV-PARSE", f"cannot parse: {exc}")
+            )
     return project
 
 
@@ -111,9 +102,7 @@ def lint_project(project: Optional[Project] = None) -> List[Finding]:
     for rule in ALL_RULE_MODULES:
         findings.extend(rule.run(project))
 
-    sources: Dict[str, str] = {
-        f.path: f.source for f in (*project.src, *project.tests)
-    }
+    sources: Dict[str, str] = {f.path: f.source for f in project.src}
     by_file: Dict[str, List[Finding]] = {}
     for finding in findings:
         by_file.setdefault(finding.file, []).append(finding)

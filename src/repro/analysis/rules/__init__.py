@@ -7,9 +7,9 @@ is generated from these), and ``run(project) -> List[Finding]``.
 
 from typing import Dict
 
-from repro.analysis.rules import depwarn, fingerprint, hygiene, monotonic
+from repro.analysis.rules import fingerprint, hygiene, monotonic
 
-ALL_RULE_MODULES = (fingerprint, monotonic, hygiene, depwarn)
+ALL_RULE_MODULES = (fingerprint, monotonic, hygiene)
 
 RULE_CATALOG: Dict[str, str] = {}
 for _module in ALL_RULE_MODULES:

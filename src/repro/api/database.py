@@ -49,7 +49,7 @@ from repro.model.schema import Schema
 from repro.model.values import Oid, Row
 from repro.obs import Observability, ObsConfig
 from repro.obs.analyze import AnalyzeResult, analyze_query
-from repro.optimizer.cost import CostModel, _attr_of
+from repro.optimizer.cost import CostModel, _attr_of, _selectivity
 from repro.optimizer.optimizer import OptimizationResult, Plan
 from repro.optimizer.statistics import Statistics, default_sample
 from repro.query.ast import PCQuery
@@ -584,7 +584,7 @@ class Database:
             rows=len(execution.results),
         )
         if instance is None and overlays is None:
-            # The replay prices a template's $-markers exactly like the
+            # The estimates price a template's $-markers exactly like the
             # cost model did (1/NDV), so template Q-error aggregates over
             # bindings the way the plan was actually chosen.
             self._observe_feedback(
@@ -1030,8 +1030,8 @@ class Database:
     # -- plan-cache bookkeeping ------------------------------------------------
 
     def plan_cache_info(self) -> PlanCacheInfo:
-        """Counters of the cross-request plan cache (mirrors
-        ``chase/cache.py``'s ``cache_info()``)."""
+        """Counters of the cross-request plan cache (``repro.lru``'s
+        ``cache_info()`` plus invalidations)."""
 
         if self._plan_cache is None:
             return PlanCacheInfo(0, 0, 0, 0, 0, 0)
@@ -1099,9 +1099,10 @@ class Database:
         ``None`` when no bound constant is skewed.
 
         For each equality between a parameter and a binding-variable
-        attribute, compare the NDV-uniform selectivity the cached plan was
-        costed with (``1 / distinct(rel, attr)``) against the bound
-        constant's observed frequency; when the ratio crosses
+        attribute, compare the selectivity the cached plan was costed with
+        (the cost model's own: ``1 / NDV`` when the NDV is recorded, else
+        ``DEFAULT_SELECTIVITY``) against the bound constant's observed
+        frequency; when the ratio crosses
         :attr:`CacheConfig.skew_replan_ratio` in either direction, the
         condition contributes ``p<canonical position>.<rel>.<attr>@<log2
         bucket>`` to the tag and its adjusted NDV to the statistics.
@@ -1135,7 +1136,7 @@ class Database:
                     value = value.value
                 if not isinstance(value, (str, int, float, bool)):
                     continue
-                planned = 1.0 / max(stats.distinct(rel, attr), 1.0)
+                planned = _selectivity(cond, sources, stats)
                 actual = max(counts.get(value, 0), 0.5) / total
                 ratio = actual / planned
                 if 1.0 / threshold < ratio < threshold:

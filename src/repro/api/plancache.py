@@ -10,8 +10,8 @@ form plus the owning context's physical-design fingerprint
 query — or a :class:`~repro.api.database.PreparedQuery` re-run — skips
 the chase/backchase entirely.
 
-The store composes :class:`repro.lru.LRU` like :mod:`repro.chase.cache`
-does: bounded (every probe refreshes recency), counters surfaced through
+The store composes :class:`repro.lru.LRU`, like the executor's artifact
+cache: bounded (every probe refreshes recency), counters surfaced through
 a frozen :class:`PlanCacheInfo` snapshot, eviction only ever costs
 re-optimization.
 On top of that it is **invalidation-aware**: each entry records the

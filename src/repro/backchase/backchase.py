@@ -61,8 +61,8 @@ covering ``A`` is first tested for the identity containment mapping
 (the homomorphism theorem condition (3) generalizes; no dependency
 involved) and ``A ⊑ root`` was decided when ``A`` was accepted: sound by
 construction, and the chase's own verdict since the chase is complete.
-Otherwise ``C`` is chased as before — subsumption only ever turns a cache
-miss into *True*, and ``plan_lookups_safe`` still runs on everything
+Otherwise ``C`` is chased as before — subsumption only ever turns a
+chase into *True*, and ``plan_lookups_safe`` still runs on everything
 accepted.  Likewise each candidate's closure is built once per search and
 shared by its subsumption test, its floor and its node's removals (on
 copies).
@@ -89,6 +89,7 @@ from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, List
 from typing import Optional, Sequence, Set, Tuple
 
+from repro.chase import containment
 from repro.chase.chase import ChaseEngine
 from repro.chase.congruence import CongruenceClosure, build_congruence, query_congruence
 from repro.constraints.epcd import EPCD
@@ -558,7 +559,6 @@ def accept_candidate(
     candidate: PCQuery,
     parent: PCQuery,
     engine: ChaseEngine,
-    key: Optional[Tuple[str, str]] = None,
     accepted: Iterable[PCQuery] = (),
     refuted: Optional[List[PCQuery]] = None,
 ) -> bool:
@@ -570,8 +570,8 @@ def accept_candidate(
     congruent images of the parent's own, so the identity is a containment
     mapping (``tests/test_backchase_differential.py`` re-decides it with the
     chase for every accepted pair of the workload searches).  Only
-    candidate ⊑ parent needs the chase; ``key`` names the cache entry that
-    verdict is stored under (default: the (candidate, parent) pair).  An
+    candidate ⊑ parent needs the chase, and it is decided here, once per
+    call: remembering verdicts is the caller's (the search's memo).  An
     equivalent candidate must also keep every failing lookup safe.
 
     ``accepted``: subqueries already accepted as equivalent to ``parent``,
@@ -584,9 +584,12 @@ def accept_candidate(
     every *False* still raises :class:`~repro.errors.ChaseNonTermination`.
     """
 
-    if not engine.contained_in(
-        candidate, parent, key=key, accepted=accepted, refuted=refuted or ()
-    ):
+    with engine.tracer.span("chase.containment") as sp:
+        contained = containment.is_contained_in(
+            candidate, parent, engine.deps, engine, accepted, refuted or ()
+        )
+        sp.set(contained=contained)
+    if not contained:
         if refuted is not None:
             refuted.append(candidate)
         return False
@@ -631,8 +634,10 @@ class BackchaseStats:
       considered (conditions (1)-(2) succeeded);
     * ``candidates_pruned`` — branches cut by the cost bound before
       expansion (pruned strategy only);
-    * ``cache_hits`` / ``cache_misses`` — containment-cache traffic
-      observed by this search (condition (3) verdicts reused vs computed).
+    * ``cache_hits`` / ``cache_misses`` — condition (3) verdicts reused
+      vs computed: the search's memo (one verdict per candidate shape)
+      plus the engine's :meth:`~repro.chase.chase.ChaseEngine.contained_in`
+      traffic during the search (the pruned coster's ``prune_conditions``).
     """
 
     nodes_visited: int = 0
@@ -738,23 +743,20 @@ def minimal_subqueries(
 
     engine = engine or ChaseEngine(list(deps))
     stats = stats if stats is not None else BackchaseStats()
-    cache_hits0 = engine.containment.hits
-    cache_misses0 = engine.containment.misses
+    engine_hits0 = engine.containment.hits
+    engine_misses0 = engine.containment.misses
 
     root = quick_simplify_conditions(query)
     root_key = root.canonical_key()
 
-    # Per-search acceptance memo, in front of the engine's (bounded, LRU)
-    # containment cache.  Every node of the search is equivalent to the
-    # root, so a candidate's verdict depends on the candidate alone: it is
-    # decided against the *parent* (whose binding list is as small as the
-    # candidate's — matching the full root every time would cost an order
-    # of magnitude more per miss), cached in the engine under the
-    # (candidate, root) pair, and remembered here whole — containment and
-    # lookup safety — per shape.  The same shape is re-derived along many
-    # removal orders and the engine cache may evict mid-search; without
-    # this layer an evicted shape would be *recomputed* and its probe
-    # counted as a second miss.  Bounded by the node budget.
+    # The acceptance memo, the one store of the search's verdicts.  Every
+    # node of the search is equivalent to the root, so a candidate's
+    # verdict depends on the candidate alone: it is decided against the
+    # *parent* (whose binding list is as small as the candidate's —
+    # matching the full root every time would cost an order of magnitude
+    # more per verdict) and remembered here whole — containment and
+    # lookup safety — per shape, however many removal orders re-derive
+    # it.  Bounded by the node budget.
     verdicts: Dict[str, bool] = {}
     memo_hits = 0
 
@@ -818,8 +820,7 @@ def minimal_subqueries(
                 if verdict is None:
                     keep_congruence(candidate)
                     verdict = verdicts[ckey] = accept_candidate(
-                        candidate, current, engine, (ckey, root_key),
-                        accepted.values(), refuted,
+                        candidate, current, engine, accepted.values(), refuted
                     )
                     if not verdict and not (refuted and refuted[-1] is candidate):
                         drop_congruence(candidate)  # rejected as lookup-unsafe
@@ -860,12 +861,10 @@ def minimal_subqueries(
         for q in list(holders.values()):
             drop_congruence(q)
 
-    # Verdicts reused = engine-cache hits + memo hits; verdicts computed =
-    # engine-cache misses.  With the memo in front, each distinct candidate
-    # shape probes the engine cache exactly once per search, so the miss
-    # count cannot double-count an evicted-and-re-derived shape.
-    stats.cache_hits += engine.containment.hits - cache_hits0 + memo_hits
-    stats.cache_misses += engine.containment.misses - cache_misses0
+    stats.cache_hits += memo_hits + engine.containment.hits - engine_hits0
+    stats.cache_misses += (
+        len(verdicts) + engine.containment.misses - engine_misses0
+    )
     normal_forms.sort(key=lambda q: (len(q.bindings), q.canonical_key()))
     return normal_forms
 

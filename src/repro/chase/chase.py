@@ -50,6 +50,7 @@ from repro.chase.congruence import CongruenceClosure, build_congruence, head
 from repro.chase.homomorphism import Hom, Pattern
 from repro.constraints.epcd import EPCD
 from repro.errors import ChaseNonTermination
+from repro.lru import LRU
 from repro.query import paths as P
 from repro.query.ast import Binding, Eq, PCQuery, fresh_var_namer
 from repro.query.paths import Dom, Path, Var
@@ -321,24 +322,17 @@ class ChaseEngine:
 
     The backchase performs many containment checks, each of which chases a
     candidate subquery with the same constraint set; one live
-    :class:`ChaseState` per canonical form removes the repeated work.  On
-    top of the states the engine memoizes whole containment *verdicts*
-    keyed on canonicalized (sub-query, super-query) pairs
-    (:meth:`contained_in`), so condition (3) is decided once per shape.
+    :class:`ChaseState` per canonical form removes the repeated work.  The
+    search remembers its own condition-(3) verdicts; :meth:`contained_in`
+    remembers those of a caller that asks a pair again.
     """
-
-    #: default-bound marker for ``containment_cache_size`` (``None`` means
-    #: an unbounded verdict store).
-    DEFAULT_CACHE_SIZE = "default"
 
     def __init__(
         self,
         deps: Sequence[EPCD],
         max_steps: int = DEFAULT_MAX_STEPS,
-        containment_cache_size=DEFAULT_CACHE_SIZE,
         tracer=None,
     ) -> None:
-        from repro.chase.cache import DEFAULT_MAX_SIZE, ContainmentCache
         from repro.obs.trace import NOOP_TRACER
 
         self.deps = list(deps)
@@ -370,15 +364,9 @@ class ChaseEngine:
         )
         self.cache_hits = 0
         self.cache_misses = 0
-        if containment_cache_size == self.DEFAULT_CACHE_SIZE:
-            containment_cache_size = DEFAULT_MAX_SIZE
-        self.containment = ContainmentCache(max_size=containment_cache_size)
-
-    def cache_info(self):
-        """The containment cache's counters (see
-        :meth:`repro.chase.cache.ContainmentCache.cache_info`)."""
-
-        return self.containment.cache_info()
+        #: :meth:`contained_in`'s verdicts per canonical (q1, q2) pair; an
+        #: engine lives for one optimization, so nothing bounds it
+        self.containment = LRU()
 
     def chase_counts(self) -> Dict[str, int]:
         """Steps applied in all; chases a goal left short of the fixpoint."""
@@ -387,39 +375,22 @@ class ChaseEngine:
         stopped = sum(not s.done for s in states)
         return {"steps": sum(s.steps for s in states), "stopped": stopped}
 
-    def contained_in(
-        self,
-        q1: PCQuery,
-        q2: PCQuery,
-        key: Optional[Tuple[str, str]] = None,
-        accepted: Iterable[PCQuery] = (),
-        refuted: Iterable[PCQuery] = (),
-    ) -> bool:
-        """Decide ``q1 ⊑ q2`` under this engine's dependencies (cached).
-
-        Returns exactly what
-        :func:`repro.chase.containment.is_contained_in` would; the verdict
-        is a pure function of the canonical pair and ``self.deps``.  A
-        caller that knows the verdict depends on less than the pair (the
-        backchase search: every node is equivalent to its root) passes the
-        cache ``key`` to store it under; the decision still runs on
-        ``q1`` and ``q2`` as given, with ``accepted`` / ``refuted`` handed on.
-        """
+    def contained_in(self, q1: PCQuery, q2: PCQuery) -> bool:
+        """Decide ``q1 ⊑ q2`` under this engine's dependencies, remembered
+        per canonical pair in :attr:`containment` (exactly
+        :func:`repro.chase.containment.is_contained_in`'s verdict, a pure
+        function of the pair and ``self.deps``)."""
 
         from repro.chase.containment import is_contained_in
 
-        if key is None:
-            key = self.containment.key_for(q1, q2)
-        cached = self.containment.get(key)
-        if cached is not None:
-            return cached
-        # Only computed (cache-missing) verdicts get a span: cache hits
-        # are the hot path and already counted by cache_info().
-        with self.tracer.span("chase.containment") as sp:
-            verdict = self.containment.put(
-                key, is_contained_in(q1, q2, self.deps, self, accepted, refuted)
-            )
-            sp.set(contained=verdict)
+        key = (q1.canonical_key(), q2.canonical_key())
+        verdict = self.containment.get(key)
+        if verdict is None:
+            # a computed verdict is a span; a remembered one is a hit
+            with self.tracer.span("chase.containment") as sp:
+                verdict = is_contained_in(q1, q2, self.deps, self)
+                sp.set(contained=verdict)
+            self.containment.put(key, verdict)
         return verdict
 
     def chase(self, query: PCQuery, goal: Optional[Goal] = None) -> ChaseState:

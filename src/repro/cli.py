@@ -565,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--verbose",
         action="store_true",
         help="also print the full backchase counters "
-        "(explored/pruned/containment-cache traffic)",
+        "(explored/pruned/containment verdicts reused and computed)",
     )
     p_opt.add_argument(
         "--param",

@@ -119,14 +119,3 @@ class CodegenVerificationError(ReproError):
     engine's transparent fall-back to interpretation, which would hide
     exactly the codegen bug the debug-verify mode exists to surface.
     """
-
-
-class ReproDeprecationWarning(DeprecationWarning):
-    """Warned by entry points superseded by the :class:`repro.Database`
-    façade (kept as thin shims for backward compatibility).
-
-    The test suite escalates this category to an error (``pytest.ini``
-    ``filterwarnings``), so a shimmed entry point cannot silently creep
-    back into the library's own code paths: internal callers must use the
-    replacement, and tests covering a shim must assert the warning.
-    """

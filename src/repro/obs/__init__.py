@@ -15,7 +15,7 @@ the path that executes (no operator or engine is re-implemented here):
 - :mod:`repro.obs.analyze` — :func:`analyze_query`, EXPLAIN ANALYZE
   (``explain(q, analyze=True)``): the engine's run, a clock per operator;
 - :mod:`repro.obs.feedback` — always-on cardinality feedback: the
-  engine's per-level actuals vs the cost model's replay, Q-error
+  engine's per-level actuals vs the cost model's estimates, Q-error
   accounting, corrected statistics (``ObsConfig(feedback=True)``);
 - :mod:`repro.obs.regress` — ring-buffer :class:`PlanRegressionLog`
   flagging plans whose Q-error or latency drifted past thresholds.

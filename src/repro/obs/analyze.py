@@ -18,17 +18,17 @@ The production hot path pays nothing: the clocks sit on the one freshly
 compiled plan the engine built for this call (the overhead-guard test in
 ``tests/test_obs.py`` pins that plans compiled elsewhere carry nothing).
 
-The per-operator row *estimates* replay the cost model's own level-by-
-level simulation (:mod:`repro.optimizer.cost`) against the compiled
-operator chain, so "est rows" here and ``estimate_cost`` never disagree
-about what the model believed.
+The per-operator row *estimates* are read off the cost model's own
+per-level record (``estimate_cost(..., record=)``), the walk that also
+gives the estimated cost, so "est rows" here and ``estimate_cost`` never
+disagree about what the model believed.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Mapping, Optional
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 # The module, not ``execute`` itself: the engine imports the tracer from
 # this package, so either of the two may be mid-import when the other
@@ -40,18 +40,11 @@ from repro.exec.operators import (
     HashJoinBind,
     Operator,
     Project,
-    ScanBind,
-    Singleton,
     rows_out,
 )
 from repro.model.instance import Instance
-from repro.optimizer.cost import (
-    CostModel,
-    _selectivity,
-    _source_cardinality,
-    estimate_cost,
-)
-from repro.query.ast import Eq, PCQuery
+from repro.optimizer.cost import CostModel, estimate_cost
+from repro.query.ast import PCQuery
 
 __all__ = ["OpStats", "AnalyzeResult", "analyze_query"]
 
@@ -175,33 +168,30 @@ def _op_label(op: Operator) -> str:
     return op.explain().rsplit("\n", 1)[-1].strip()
 
 
-def _estimated_rows(
-    ops: List[Operator], query: PCQuery, stats
-) -> Dict[int, float]:
-    """Per-operator output-row estimates from the cost model's own
-    level-by-level multiplicity walk (see ``estimate_cost``)."""
+def _read_estimates(
+    ops: List[Operator], query: PCQuery, stats, model=None
+) -> Tuple[float, List[float]]:
+    """``query``'s estimated cost and each operator's estimated rows, read
+    off the record of one ``estimate_cost`` walk: a bind yields its
+    level's rows (a hash join times the factor of its folded key), a
+    filter applies its conditions' factors."""
 
-    sources = {b.var: b.source for b in query.bindings}
-    estimates: Dict[int, float] = {}
-    m = 1.0
+    record: List[Tuple[float, List[float]]] = []
+    cost = estimate_cost(query, stats, model, record)
+    levels = zip(record, query.condition_levels())
+    estimates: List[float] = []
     for op in ops:
-        if isinstance(op, Singleton):
-            estimates[id(op)] = 1.0
-        elif isinstance(op, ScanBind):
-            m *= _source_cardinality(op.source, stats)
-            estimates[id(op)] = m
-        elif isinstance(op, HashJoinBind):
-            m *= _source_cardinality(op.build_source, stats)
-            # the equijoin folded into the operator still filters
-            m *= _selectivity(Eq(op.build_key, op.probe_key), sources, stats)
-            estimates[id(op)] = m
-        elif isinstance(op, Filter):
+        if isinstance(op, Filter):
             for cond in op.conditions:
-                m *= _selectivity(cond, sources, stats)
-            estimates[id(op)] = m
-        elif isinstance(op, Project):
-            estimates[id(op)] = m
-    return estimates
+                rows *= factor[cond]
+        elif not isinstance(op, Project):
+            (rows, factors), conds = next(levels)
+            factor = dict(zip(conds, factors))
+            if isinstance(op, HashJoinBind):
+                key = {op.build_key, op.probe_key}
+                rows *= next(f for c, f in factor.items() if {c.left, c.right} == key)
+        estimates.append(rows)
+    return cost, estimates
 
 
 def analyze_query(
@@ -229,13 +219,8 @@ def analyze_query(
     op_stats: List[OpStats] = []
 
     def interpose(chain: List[Operator]) -> None:
-        estimates = (
-            _estimated_rows(chain, query, statistics)
-            if statistics is not None
-            else {}
-        )
         for op in chain:
-            stat = OpStats(label=_op_label(op), est_rows=estimates.get(id(op)))
+            stat = OpStats(label=_op_label(op))
             op_stats.append(stat)
             if op is not chain[-1]:  # the root Project is timed by the engine
                 op.rows = _timed(op.rows, stat)
@@ -251,9 +236,14 @@ def analyze_query(
         instrument=interpose,
     )
     op_stats[-1].seconds = execution.elapsed_seconds
+    estimated_cost, estimates = None, [None] * len(ops)
+    if statistics is not None:
+        estimated_cost, estimates = _read_estimates(
+            ops, query, statistics, cost_model
+        )
     loops, child_seconds = 1, 0.0
-    for op, stat, rows in zip(ops, op_stats, rows_out(ops)):
-        stat.rows, stat.loops = rows, loops
+    for op, stat, rows, est in zip(ops, op_stats, rows_out(ops), estimates):
+        stat.rows, stat.loops, stat.est_rows = rows, loops, est
         stat.probes = op.counters.probes
         stat.empty_probes = op.counters.empty_probes
         stat.filtered = op.counters.filtered
@@ -261,11 +251,6 @@ def analyze_query(
         stat.self_seconds = max(stat.seconds - child_seconds, 0.0)
         loops, child_seconds = rows, stat.seconds
 
-    estimated_cost = (
-        estimate_cost(query, statistics, cost_model)
-        if statistics is not None
-        else None
-    )
     return AnalyzeResult(
         query=query,
         results=execution.results,

@@ -4,10 +4,10 @@ The optimizer picks winners *by cost* (chase & backchase), so its value
 degrades silently when the catalog cardinalities drift from the data.
 This module closes the loop the way learning optimizers do (LEO): every
 request — both execution modes — reports the **actual** number of rows
-surviving each binding level, the :class:`FeedbackStore` replays the
-cost model's own level-by-level multiplicity walk (the exact replay
-``EXPLAIN ANALYZE`` uses, :func:`repro.obs.analyze._estimated_rows`)
-against those actuals, and the per-level **Q-error**
+surviving each binding level, the :class:`FeedbackStore` compares them
+with the per-level estimates of the cost model's own walk (read off its
+record exactly as ``EXPLAIN ANALYZE`` reads them), and the per-level
+**Q-error**
 
     ``q = max(est, act) / max(min(est, act), 1)``
 
@@ -43,10 +43,9 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from repro.exec.operators import HashJoinBind, binding_levels, chain
 from repro.exec.planner import compile_query
 
-# The replay and attribution helpers are deliberately shared with
-# EXPLAIN ANALYZE and the cost model: "est rows" here, there, and in
-# estimate_cost must never disagree (the parity test pins this).
-from repro.obs.analyze import _estimated_rows, _op_label
+# Shared with EXPLAIN ANALYZE and the cost model: "est rows" here, there
+# and in estimate_cost are one reading of one walk.
+from repro.obs.analyze import _op_label, _read_estimates
 from repro.optimizer.cost import _attr_of
 from repro.optimizer.statistics import Statistics
 from repro.query.ast import Eq, PCQuery
@@ -93,7 +92,7 @@ def qerror(estimated: float, actual: float) -> float:
 
 @dataclass(frozen=True)
 class LevelSpec:
-    """The replayed shape of one binding level of a compiled plan.
+    """The estimated shape of one binding level of a compiled plan.
 
     ``est_rows`` is the cost model's post-condition output estimate for
     the level — bit-identical to the matching row of EXPLAIN ANALYZE's
@@ -173,8 +172,8 @@ def level_specs(
     statistics: Statistics,
     use_hash_joins: bool = False,
 ) -> Tuple[LevelSpec, ...]:
-    """Replay the cost model's multiplicity walk over ``query``'s
-    compiled chain, one spec per binding level.
+    """The cost model's estimates over ``query``'s compiled chain, one
+    spec per binding level.
 
     The chain is compiled exactly like the interpreted engine compiles
     it; the per-level estimate is the walk's value *after* the level's
@@ -185,7 +184,7 @@ def level_specs(
     # compiled for its shape only — the one planner call outside
     # repro/exec; nothing here runs a plan
     ops = chain(compile_query(query, use_hash_joins=use_hash_joins))
-    estimates = _estimated_rows(ops, query, statistics)
+    _, estimates = _read_estimates(ops, query, statistics)
     sources = {b.var: b.source for b in query.bindings}
     specs: List[LevelSpec] = []
     for idx, tail in binding_levels(ops):
@@ -204,7 +203,7 @@ def level_specs(
         specs.append(
             LevelSpec(
                 label=_op_label(op),
-                est_rows=estimates[id(ops[tail])],
+                est_rows=estimates[tail],
                 rel=rel,
                 attrs=_cond_attrs(conds, sources),
                 has_conds=has_conds,
@@ -245,9 +244,9 @@ class FeedbackStore:
         statistics: Statistics,
         use_hash_joins: bool = False,
     ) -> Tuple[LevelSpec, ...]:
-        """The (memoized) level replay for one plan query.  The cache is
+        """The (memoized) level specs of one plan query.  The cache is
         sound because :meth:`clear` runs whenever the statistics the
-        estimates were replayed under are swapped out."""
+        estimates were read under are swapped out."""
 
         key = (query, use_hash_joins)
         specs = self._spec_cache.get(key)
@@ -269,8 +268,8 @@ class FeedbackStore:
         """Fold one request's per-level actuals into the store.
 
         Returns the recorded observation, or ``None`` when the actuals
-        cannot be aligned with the plan's replay (defensive: a plan
-        shape this replay does not model).
+        cannot be aligned with the plan's level specs (defensive: a plan
+        shape they do not model).
         """
 
         specs = self.specs_for(query, statistics, use_hash_joins)

@@ -99,7 +99,7 @@ class PlanRegressionLog:
 
         Q-error is the primary signal (it is latency-noise free); the
         latency ratio against the plan's own best observed time is the
-        fallback for estimation errors the level replay cannot see.
+        fallback for estimation errors the level estimates cannot see.
         """
 
         self.observed += 1

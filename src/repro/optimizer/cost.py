@@ -12,7 +12,7 @@ cost function C.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.optimizer.statistics import DEFAULT_SELECTIVITY, Statistics
 from repro.query import paths as P
@@ -134,26 +134,41 @@ def estimate_cost(
     query: PCQuery,
     stats: Statistics,
     model: Optional[CostModel] = None,
+    record: Optional[List[Tuple[float, List[float]]]] = None,
 ) -> float:
-    """Estimated cost of evaluating the plan as written (no reordering)."""
+    """Estimated cost of evaluating the plan as written (no reordering).
+
+    The one multiplicity walk: EXPLAIN ANALYZE, feedback and the advisor
+    read its per-level ``record`` instead of walking again.  Given a list,
+    it receives one ``(rows, factors)`` per binding level, level 0 (the
+    ground conditions, ``rows`` 1.0) first: the rows the level's binding
+    yields and the factor each of the level's conditions applies, in
+    :meth:`~repro.query.ast.PCQuery.condition_levels` order.
+    """
 
     model = model or CostModel()
     conds_at = query.condition_levels()
     sources = {b.var: b.source for b in query.bindings}
     multiplicity = 1.0
     cost = model.scan_startup
-    for cond in conds_at[0]:
-        multiplicity *= _selectivity(cond, sources, stats)
-    for level, binding in enumerate(query.bindings, start=1):
-        n = _source_cardinality(binding.source, stats)
-        probes = P.count_probes(binding.source)
-        cost += multiplicity * probes * model.probe_cost
-        produced = multiplicity * n
-        cost += produced * model.tuple_cost
-        for cond in conds_at[level]:
-            cost += produced * P.count_probes(cond.left) * model.probe_cost
-            cost += produced * P.count_probes(cond.right) * model.probe_cost
-            produced *= _selectivity(cond, sources, stats)
+    for level, conds in enumerate(conds_at):
+        produced = multiplicity
+        if level:
+            source = query.bindings[level - 1].source
+            cost += multiplicity * P.count_probes(source) * model.probe_cost
+            produced *= _source_cardinality(source, stats)
+            cost += produced * model.tuple_cost
+        if record is not None:
+            factors: List[float] = []
+            record.append((produced, factors))
+        for cond in conds:
+            if level:
+                cost += produced * P.count_probes(cond.left) * model.probe_cost
+                cost += produced * P.count_probes(cond.right) * model.probe_cost
+            factor = _selectivity(cond, sources, stats)
+            produced *= factor
+            if record is not None:
+                factors.append(factor)
         multiplicity = produced
     # Output construction: charge probes in the select clause.
     out_probes = sum(P.count_probes(p) for p in query.output.paths())
@@ -377,16 +392,3 @@ def plan_cost_floor(
             m0 *= s_min ** (count - 1)
 
     return model.scan_startup + m0 * n_first * model.tuple_cost
-
-
-def estimated_output_cardinality(query: PCQuery, stats: Statistics) -> float:
-    """Rough output-size estimate (used by bench reports)."""
-
-    var_level = {b.var: i + 1 for i, b in enumerate(query.bindings)}
-    sources = {b.var: b.source for b in query.bindings}
-    m = 1.0
-    for binding in query.bindings:
-        m *= _source_cardinality(binding.source, stats)
-    for cond in query.conditions:
-        m *= _selectivity(cond, sources, stats)
-    return max(m, 0.0)

@@ -43,10 +43,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.backchase.backchase import BackchaseStats, minimal_subqueries
-from repro.chase.cache import CacheInfo
 from repro.chase.chase import ChaseEngine, ChaseResult, chase
 from repro.constraints.epcd import EPCD
 from repro.errors import OptimizationError
+from repro.lru import CacheInfo
 from repro.optimizer.cost import CostModel, estimate_cost
 from repro.optimizer.refine import (
     nonfailing_refinement,
@@ -94,8 +94,9 @@ class OptimizationResult:
     best: Plan
     backchase_stats: BackchaseStats
     strategy: str = "full"
-    #: the run's containment-cache counters (the engine is per-run, so
-    #: these are this optimization's own hits/misses/evictions)
+    #: the run's ``ChaseEngine.contained_in`` traffic (the engine is
+    #: per-run, so these are this optimization's own hits/misses; the
+    #: search's own verdicts are in ``backchase_stats``)
     containment: Optional[CacheInfo] = None
     #: how the run's lookup-safety decisions were reached
     #: (memo / guard / inferred / chased — ``backchase._failing_lookup_safe``)
@@ -116,7 +117,7 @@ class OptimizationResult:
             f"backchase[{self.strategy}]: "
             f"{stats.candidates_explored} candidates explored, "
             f"{stats.candidates_pruned} pruned, "
-            f"{stats.cache_hits} containment cache hits",
+            f"{stats.cache_hits} containment verdicts reused",
             f"{len(self.plans)} candidate plans:",
         ]
         for plan in self.plans:
@@ -363,12 +364,7 @@ class Optimizer:
         # run's own delta; sizes are states, not deltas, and stay out.
         tracer.add_counters("backchase", bc_stats.as_dict())
         tracer.add_counters(
-            "containment",
-            {
-                "hits": containment.hits,
-                "misses": containment.misses,
-                "evictions": containment.evictions,
-            },
+            "containment", {"hits": containment.hits, "misses": containment.misses}
         )
         tracer.add_counters("lookup_safety", engine.lookup_decisions)
         tracer.add_counters("containment.decided", engine.containment_decisions)

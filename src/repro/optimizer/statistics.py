@@ -133,7 +133,7 @@ def _capped(iterable, sample: Optional[int]) -> List:
 
     Set extents iterate in a per-process order (hash randomization) —
     ``islice`` alone would make sampled estimates, and everything
-    downstream of them (advisor rankings, feedback replays), differ run
+    downstream of them (advisor rankings, feedback estimates), differ run
     to run.  For sets the ``repr``-smallest elements are selected
     instead: order-free and O(n log sample) via a bounded heap, so the
     same instance always yields the same sampled catalog.  Ordered

@@ -133,9 +133,6 @@ class SemanticCache:
             max_backchase_nodes = (
                 max_backchase_nodes or context.max_backchase_nodes
             )
-        strategy = strategy or "pruned"
-        max_chase_steps = max_chase_steps or 200
-        max_backchase_nodes = max_backchase_nodes or 20_000
         self.statistics = statistics or Statistics()
         self.cost_model = cost_model or CostModel()
         self.policy = policy or CostBenefitPolicy()
@@ -145,13 +142,16 @@ class SemanticCache:
         self._exact: Dict[str, str] = {}  # canonical key -> view name
         self._index = DependencyIndex()  # schema name -> dependent views
         self._seq = 0
-        self._optimizer = Optimizer(
-            list(constraints),
+        from repro.api.context import OptimizeContext  # repro.api imports us
+
+        #: what every rewrite optimizes under, before its per-request overlay
+        self.context = OptimizeContext(
+            constraints=tuple(constraints),
             statistics=self.statistics,
             cost_model=self.cost_model,
-            max_chase_steps=max_chase_steps,
-            max_backchase_nodes=max_backchase_nodes,
-            strategy=strategy,
+            strategy=strategy or "pruned",
+            max_chase_steps=max_chase_steps or 200,
+            max_backchase_nodes=max_backchase_nodes or 20_000,
         )
 
     # -- introspection ---------------------------------------------------------
@@ -297,7 +297,7 @@ class SemanticCache:
         # The per-request ephemeral context: base constraints + the
         # candidate views' cV/c'V pairs, observed extent statistics, and
         # the view(/base) physical filter — one frozen overlay.
-        context = self._optimizer.context.override(
+        context = self.context.override(
             extra_constraints=tuple(extra),
             physical_names=physical,
             statistics=statistics,

@@ -5,8 +5,8 @@ plain :func:`repro.exec.engine.execute` returns, on every workload's
 golden plan (the ProjDept scenario is the paper's P1–P4 plan space).
 Per-operator actuals must be internally consistent — each operator's loop
 count equals its input operator's row count, scans of a base relation
-produce ``|R| × loops`` rows — and the estimated-rows column must replay
-the cost model's own multiplicity walk.
+produce ``|R| × loops`` rows — and the estimated-rows column must be read
+off the cost model's own multiplicity walk.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import pytest
 from repro import Database, evaluate, execute, parse_query
 from repro.errors import ParameterBindingError, ReproError
 from repro.obs.analyze import analyze_query
+from repro.obs.feedback import level_specs
+from repro.optimizer import cost
 
 from conftest import GOLDEN_WORKLOADS
 
@@ -69,6 +71,36 @@ class TestAnalyzeQuery:
             s for s in informed.op_stats if s.label.startswith("scan R")
         )
         assert scan_r.est_rows == pytest.approx(60.0)
+
+    @pytest.mark.parametrize("hash_joins", [False, True])
+    def test_estimates_are_read_off_one_cost_walk(self, rs, monkeypatch, hash_joins):
+        """"est rows" and feedback's level estimates are the record of one
+        ``estimate_cost`` walk, which prices each condition once: with
+        every factor pinned at 1/4, a filter's row is its input's times
+        1/4 per condition, and a hash join's is its level's rows times the
+        1/4 of its folded key."""
+
+        priced = []
+
+        def quarter(cond, sources, stats):
+            priced.append(cond)
+            return 0.25
+
+        monkeypatch.setattr(cost, "_selectivity", quarter)
+        query = parse_query(JOIN_Q + " and s.C = 1")
+        stats = rs.statistics
+        r, rs_rows = stats.card("R"), stats.card("R") * stats.card("S")
+        ar = analyze_query(
+            query, rs.instance, use_hash_joins=hash_joins, statistics=stats
+        )
+        assert len(priced) == len(query.conditions) == 2
+        bind = rs_rows / 4 if hash_joins else rs_rows
+        assert [s.est_rows for s in ar.op_stats] == [
+            1.0, r, bind, rs_rows / 16, rs_rows / 16
+        ]
+        specs = level_specs(query, stats, hash_joins)
+        assert len(priced) == 4
+        assert [s.est_rows for s in specs] == [r, rs_rows / 16]
 
     def test_hash_join_path_counts_probes(self, rs):
         query = parse_query(JOIN_Q)

@@ -1,14 +1,12 @@
 """Unit tests for the cost model, statistics and join reordering."""
 
+import math
+
 import pytest
 
 from repro.model.instance import Instance
 from repro.model.values import DictValue, Row
-from repro.optimizer.cost import (
-    CostModel,
-    estimate_cost,
-    estimated_output_cardinality,
-)
+from repro.optimizer.cost import CostModel, estimate_cost
 from repro.optimizer.reorder import reorder_bindings
 from repro.optimizer.statistics import Statistics
 from repro.query.parser import parse_query
@@ -16,6 +14,16 @@ from repro.query.parser import parse_query
 
 def q(text):
     return parse_query(text)
+
+
+def output_rows(query, stats):
+    """The plan's output estimate: the cost walk's last level, its
+    conditions applied."""
+
+    record = []
+    estimate_cost(query, stats, record=record)
+    rows, factors = record[-1]
+    return math.prod(factors, start=rows)
 
 
 @pytest.fixture
@@ -137,9 +145,7 @@ class TestCostModel:
     def test_selectivity_of_const_predicate(self, stats):
         all_rows = q("select struct(PN = p.PName) from Proj p")
         filtered = q('select struct(PN = p.PName) from Proj p where p.CustName = "C"')
-        assert estimated_output_cardinality(filtered, stats) < (
-            estimated_output_cardinality(all_rows, stats)
-        )
+        assert output_rows(filtered, stats) == output_rows(all_rows, stats) / 50
 
     def test_probe_cost_charged(self, stats):
         no_probe = q("select struct(PN = j.PN) from JI j")
@@ -148,7 +154,7 @@ class TestCostModel:
 
     def test_contradictory_constants_cost_zero_output(self, stats):
         query = q('select struct(PN = p.PName) from Proj p where "a" = "b"')
-        assert estimated_output_cardinality(query, stats) == 0.0
+        assert output_rows(query, stats) == 0.0
 
     def test_cost_model_tunable(self, stats):
         query = q("select struct(PB = I[j.PN].Budg) from JI j")

@@ -263,9 +263,9 @@ class TestLRUPrimitive:
         """One fixed script; the expected counters were recorded from the
         hand-rolled `OrderedDict` stores this primitive replaced."""
 
-        from repro.chase.cache import ContainmentCache
+        from repro.lru import LRU
 
-        verdicts = ContainmentCache(max_size=2)
+        verdicts = LRU(max_size=2)
         for name, verdict in (("a", True), ("b", False), ("c", True)):
             verdicts.get((name, name))
             verdicts.put((name, name), verdict)
@@ -583,7 +583,7 @@ class TestSessionWiring:
         db = rs_database()
         session = db.session()
         assert session.cache.statistics is db.statistics
-        assert len(session.cache._optimizer.constraints) == len(db.constraints)
+        assert len(session.cache.context.constraints) == len(db.constraints)
         assert session.hybrid is True
         session.close()
 
@@ -608,11 +608,11 @@ class TestSessionWiring:
         session.close()
         # explicit strategy/limits win over the context's
         full = db.session(strategy="full", max_backchase_nodes=99)
-        assert full.cache._optimizer.strategy == "full"
-        assert full.cache._optimizer.max_backchase_nodes == 99
+        assert full.cache.context.strategy == "full"
+        assert full.cache.context.max_backchase_nodes == 99
         full.close()
         inherited = db.session()
-        assert inherited.cache._optimizer.strategy == db.strategy
+        assert inherited.cache.context.strategy == db.strategy
         inherited.close()
 
     def test_disabled_session_serves_cold(self):

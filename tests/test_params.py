@@ -32,6 +32,7 @@ from repro import (
 )
 from repro.errors import QueryExecutionError
 from repro.optimizer.optimizer import Optimizer
+from repro.optimizer.statistics import Statistics
 from repro.physical.indexes import SecondaryIndex
 from repro.query import paths as P
 from repro.query.ast import PCQuery
@@ -445,6 +446,19 @@ def skewed_database(**config_kwargs) -> Database:
     )
 
 
+def unrecorded_ndv_database(heavy: int) -> Database:
+    """40 R rows, ``heavy`` of them with A=1, under a catalog that records
+    R's cardinality and no NDV: the cost model prices ``r.A = $x`` at
+    ``DEFAULT_SELECTIVITY`` (0.1), not at ``1 / default_ndv`` (0.05)."""
+
+    rows = {Row(A=1, N=i) for i in range(heavy)}
+    rows |= {Row(A=2 + i, N=100 + i) for i in range(40 - heavy)}
+    return Database(
+        instance=Instance({"R": frozenset(rows)}),
+        statistics=Statistics(cardinality={"R": 40}),
+    )
+
+
 SKEW_TEMPLATE = "select struct(N = r.N) from R r where r.A = $x"
 
 
@@ -466,6 +480,23 @@ class TestSkewGuard:
 
         prepared.run(x=1)  # same skew bucket: the variant entry hits
         assert db.plan_cache_info().misses == 2
+        db.close()
+
+    @pytest.mark.parametrize("heavy, misses", [(20, 1), (36, 2)])
+    def test_the_guard_reads_the_selectivity_the_plan_was_costed_with(
+        self, heavy, misses
+    ):
+        """A=1 selecting 20 of 40 rows is 5× the 0.1 the plan was costed
+        with: inside the band of 8, so the base entry serves it (against
+        0.05 it would read 10× and replan).  36 of 40 is 9× (18× against
+        0.05): a ``#skew:`` variant under either reading."""
+
+        db = unrecorded_ndv_database(heavy)
+        template = parse_query(SKEW_TEMPLATE)
+        prepared = db.prepare(template)
+        got = prepared.run(x=1).results
+        assert got == evaluate(template.bind_params({"x": 1}), db.instance)
+        assert db.plan_cache_info().misses == misses
         db.close()
 
     def test_guard_disabled_never_replans(self):

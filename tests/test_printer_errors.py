@@ -69,17 +69,8 @@ class TestErrorHierarchy:
         for name in dir(errors):
             obj = getattr(errors, name)
             if isinstance(obj, type) and issubclass(obj, Exception):
-                if issubclass(obj, Warning):
-                    # warnings live in Python's warning hierarchy (so the
-                    # warnings machinery and filters apply), not ours
-                    continue
                 if obj is not errors.ReproError:
                     assert issubclass(obj, errors.ReproError), name
-
-    def test_deprecation_warning_category(self):
-        assert issubclass(
-            errors.ReproDeprecationWarning, DeprecationWarning
-        )
 
     def test_syntax_error_position(self):
         err = errors.QuerySyntaxError("bad", position=7)

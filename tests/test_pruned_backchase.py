@@ -1,9 +1,10 @@
-"""Regression tests for the cost-bounded backchase and containment cache.
+"""Regression tests for the cost-bounded backchase and its verdicts.
 
-Covers: monotone `BackchaseStats` counters, containment-cache verdict
-parity with the uncached decision procedure on the paper's E1 (ProjDept)
-and E5 (R ⋈ S with views) examples, pruned-vs-full agreement on the
-workload scenarios, and the strategy plumbing.
+Covers: monotone `BackchaseStats` counters, `ChaseEngine.contained_in`
+verdict parity with the uncached decision procedure on the paper's E1
+(ProjDept) and E5 (R ⋈ S with views) examples, the search's memo as the
+only store of its verdicts, pruned-vs-full agreement on the workload
+scenarios, and the strategy plumbing.
 """
 
 import pytest
@@ -18,6 +19,7 @@ from repro.backchase.bottomup import restrict_to_bindings
 from repro.chase.chase import ChaseEngine, chase
 from repro.chase.containment import is_contained_in
 from repro.errors import BackchaseError, OptimizationError
+from repro.lru import LRU
 from repro.optimizer.cost import estimate_cost
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.statistics import Statistics
@@ -109,71 +111,47 @@ class TestContainmentCacheParity:
         self._assert_parity(rs_workload)
 
 
-class TestBoundedCacheCounterParity:
-    """Regression: with a tightly bounded containment cache, an evicted
-    verdict re-derived within one backchase must not double-count in the
-    hit/miss counters — `cache_info()` traffic (and the `BackchaseStats`
-    deltas computed from it) must be identical to an unbounded engine's."""
+class TestTheSearchKeepsItsOwnVerdicts:
+    @pytest.mark.parametrize("name", ["projdept", "rabc", "rs", "oo_asr"])
+    def test_a_full_search_stores_nothing_in_the_engine(
+        self, name, optimized_workloads
+    ):
+        """The search's memo is the only store of its condition-(3)
+        verdicts: an unbounded search (no coster asks ``contained_in``
+        inside it) leaves the engine's ``containment`` empty, so no search
+        verdict can be evicted and counted twice."""
 
-    # Three independent redundant groups: the same candidate shapes are
-    # reachable along many interleaved removal orders, so a bounded LRU
-    # evicts verdicts that are later re-probed within the same search.
-    INTERLEAVED = (
-        "select struct(A = a.A, B = c.B, C = e.C) "
-        "from R a, R b, S c, S d, T e, T f "
-        "where a.A = b.A and c.B = d.B and e.C = f.C"
-    )
+        wl = optimized_workloads.workload(name)
+        universal = optimized_workloads.result(name, "full").universal_plan
+        engine, stats = ChaseEngine(wl.constraints), BackchaseStats()
+        minimal_subqueries(universal, wl.constraints, engine, stats=stats)
+        assert len(engine.containment) == 0
+        assert 0 < stats.cache_misses <= stats.candidates_explored
 
-    def _search(self, cache_size):
-        engine = ChaseEngine([], containment_cache_size=cache_size)
-        stats = BackchaseStats()
-        forms = minimal_subqueries(
-            q(self.INTERLEAVED), [], engine=engine, stats=stats, strategy="pruned"
-        )
-        return engine, stats, forms
+    def test_a_bounded_engine_store_only_recomputes(self, rs_workload):
+        """``prune_conditions`` re-asks ``contained_in`` inside a pruned
+        search; bounding the engine's store to one verdict evicts, yet the
+        search returns the same plans and explores the same candidates."""
 
-    def test_bounded_counters_equal_unbounded(self):
-        unbounded_engine, unbounded, reference = self._search(None)
-        for size in (1, 2, 4):
-            engine, stats, forms = self._search(size)
-            assert stats.cache_misses == unbounded.cache_misses, size
-            assert stats.cache_hits == unbounded.cache_hits, size
-            assert [f.canonical_key() for f in forms] == [
-                f.canonical_key() for f in reference
-            ]
-
-    def test_eviction_happens_but_misses_count_distinct_shapes(self):
-        """The scenario of the bug: the bound is tight enough to evict
-        mid-search, yet each distinct candidate shape still counts as at
-        most one miss."""
-
-        engine, stats, _ = self._search(1)
-        assert engine.containment.evictions > 0  # the bound really bit
-        # every miss is a distinct shape decided once: misses can never
-        # exceed the candidate shapes explored
-        assert stats.cache_misses <= stats.candidates_explored
-        _, unbounded, _ = self._search(None)
-        assert stats.cache_misses == unbounded.cache_misses
-
-    def test_optimizer_counters_stable_under_tiny_cache(self, rs_workload):
-        """End-to-end: a session-sized engine bound does not distort the
-        optimizer's reported containment-cache traffic."""
-
-        results = {}
+        universal = chase(rs_workload.query, rs_workload.constraints).query
+        runs = {}
         for size in (None, 1):
+            # a fresh optimizer each time: its context remembers plan costs
             opt = Optimizer(
                 rs_workload.constraints,
                 physical_names=rs_workload.physical_names,
                 statistics=rs_workload.statistics,
             )
-            engine = ChaseEngine(
-                rs_workload.constraints, containment_cache_size=size
-            )
+            engine = ChaseEngine(rs_workload.constraints)
+            engine.containment = LRU(max_size=size)
             stats = BackchaseStats()
-            universal = chase(rs_workload.query, rs_workload.constraints).query
-            opt.minimal_plans(universal, stats, engine=engine)
-            results[size] = stats.cache_misses
-        assert results[1] == results[None]
+            plans = opt.minimal_plans(universal, stats, "pruned", engine=engine)
+            runs[size] = (engine, stats, [p.canonical_key() for p in plans])
+        bounded, unbounded = runs[1], runs[None]
+        assert bounded[0].containment.evictions > 0  # the bound really bit
+        assert unbounded[0].containment.evictions == 0
+        assert bounded[2] == unbounded[2]
+        assert bounded[1].candidates_explored == unbounded[1].candidates_explored
 
 
 class TestPrunedAgainstFull:
@@ -333,7 +311,13 @@ class TestContainmentDecisions:
 
         result = optimized_workloads.result("projdept", strategy)
         decided = result.containment_decisions
-        assert sum(decided.values()) == result.containment.misses
+        # every computed verdict is counted once: the search's own, and
+        # the engine's `contained_in` misses — inside the pruned search,
+        # whose coster prunes conditions as it goes; after the full one
+        computed = result.backchase_stats.cache_misses
+        if strategy == "full":
+            computed += result.containment.misses
+        assert sum(decided.values()) == computed
         assert decided["subsumed"] > 400 and decided["refuted"] > 0
         assert decided["early"] > 5 * decided["fixpoint"] > 0
         chased = result.chase_counts

@@ -13,9 +13,8 @@ from repro import (
     evaluate,
     parse_query,
 )
-from repro.chase.cache import ContainmentCache
 from repro.chase.chase import ChaseEngine
-from repro.lru import DependencyIndex
+from repro.lru import LRU, DependencyIndex
 from repro.obs import ObsConfig
 from repro.optimizer.cost import CostModel
 from repro.optimizer.optimizer import Optimizer
@@ -701,8 +700,10 @@ class TestOptimizerContextOverlay:
 
 
 class TestContainmentCacheLRU:
+    """The LRU ``ChaseEngine.contained_in`` keeps its verdicts in."""
+
     def test_bound_and_eviction_order(self):
-        cache = ContainmentCache(max_size=2)
+        cache = LRU(max_size=2)
         cache.put(("a", "a"), True)
         cache.put(("b", "b"), False)
         assert cache.get(("a", "a")) is True  # refreshes 'a'
@@ -716,43 +717,46 @@ class TestContainmentCacheLRU:
         assert info.max_size == 2
 
     def test_unbounded_when_none(self):
-        cache = ContainmentCache(max_size=None)
+        cache = LRU(max_size=None)
         for i in range(100):
             cache.put((str(i), str(i)), True)
         assert len(cache) == 100
         assert cache.cache_info().evictions == 0
 
-    def test_clear_resets_counters(self):
-        cache = ContainmentCache(max_size=1)
+    def test_clear_drops_entries_and_keeps_counters(self):
+        cache = LRU(max_size=1)
         cache.put(("a", "a"), True)
         cache.put(("b", "b"), True)
         cache.get(("b", "b"))
         cache.clear()
         info = cache.cache_info()
-        assert (info.hits, info.misses, info.size, info.evictions) == (0, 0, 0, 0)
+        assert (info.hits, info.misses, info.size, info.evictions) == (1, 0, 0, 1)
+        assert cache.get(("b", "b")) is None
 
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
-            ContainmentCache(max_size=0)
+            LRU(max_size=0)
 
-    def test_engine_exposes_cache_info_and_bound(self):
-        engine = ChaseEngine([], containment_cache_size=3)
-        assert engine.containment.max_size == 3
-        assert engine.cache_info().size == 0
-        default_engine = ChaseEngine([])
-        assert default_engine.containment.max_size is not None
-        unbounded = ChaseEngine([], containment_cache_size=None)
-        assert unbounded.containment.max_size is None
+    def test_engine_keeps_its_verdicts_unbounded(self):
+        engine = ChaseEngine([])
+        assert engine.containment.max_size is None
+        assert engine.containment.cache_info().size == 0
+        q1 = parse_query("select struct(A = r.A) from R r")
+        assert engine.contained_in(q1, q1) is True
+        assert engine.contained_in(q1, q1) is True
+        info = engine.containment.cache_info()
+        assert (info.hits, info.misses, info.size) == (1, 1, 1)
 
     def test_eviction_only_recomputes_never_corrupts(self):
-        """A bounded engine returns the same verdicts as an unbounded one."""
+        """A bounded store returns the same verdicts as the unbounded one."""
 
         deps = [
             parse_constraint(
                 "forall (r in R) -> exists (s in S) r.B = s.B", "ric_rs"
             )
         ]
-        bounded = ChaseEngine(deps, containment_cache_size=1)
+        bounded = ChaseEngine(deps)
+        bounded.containment = LRU(max_size=1)
         unbounded = ChaseEngine(deps)
         queries = [
             parse_query("select struct(A = r.A) from R r"),
