@@ -124,7 +124,6 @@ from repro.query.paths import (
 )
 from repro.query.printer import format_constraint, format_query
 from repro.query.typing import typecheck_query
-from repro.query.unfold import is_equivalent_by_unfolding, unfold_all, unfold_view
 
 __version__ = "1.0.0"
 
@@ -201,11 +200,8 @@ __all__ = [
     "chase",
     "check_all",
     "dict_of",
-    "is_equivalent_by_unfolding",
     "parse_ddl",
     "restrict_to_bindings",
-    "unfold_all",
-    "unfold_view",
     "estimate_cost",
     "evaluate",
     "execute",

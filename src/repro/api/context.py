@@ -8,6 +8,12 @@ frozen value object, :class:`OptimizeContext`:
   (its classic constructor kwargs build it);
 * the :class:`~repro.api.database.Database` façade owns one context and
   derives everything (optimizer, sessions, plan-cache keys) from it;
+* a :class:`~repro.semcache.cache.SemanticCache` and the
+  :class:`~repro.semcache.session.CachedSession` over it take one as
+  their only settings — the session's is its cache's;
+* the executor never sees one: ``exec.engine.execute`` and
+  ``obs.analyze.analyze_query`` take plain flags, which the façade and
+  the session unpack from their context where they call them;
 * per-request overlays — the semantic cache injecting view constraint
   pairs, observed statistics and a view/base physical filter — are
   :meth:`override` calls producing a *new* context, never mutation;

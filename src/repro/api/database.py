@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import time
 import weakref
-from dataclasses import asdict, dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.api.context import OptimizeContext
@@ -66,10 +66,9 @@ class CacheConfig:
     """Caching knobs for one :class:`Database`.
 
     ``plan_cache_size`` bounds the cross-request plan cache (``None`` =
-    unbounded, ``0`` = disabled); ``semantic_cache``/``hybrid`` are the
-    defaults :meth:`Database.session` wires into new sessions;
-    ``max_rewrite_views`` caps the per-request rewrite candidates exactly
-    as :class:`~repro.semcache.cache.SemanticCache` does.
+    unbounded, ``0`` = disabled).  A semantic-cache session is configured
+    by :meth:`Database.session`'s own arguments and the database's
+    context, not here.
 
     ``skew_replan_ratio`` is the parameter-binding skew guard: when a
     :class:`PreparedQuery` binds a constant whose observed frequency
@@ -88,38 +87,8 @@ class CacheConfig:
     """
 
     plan_cache_size: Optional[int] = 128
-    semantic_cache: bool = True
-    hybrid: bool = True
-    max_rewrite_views: int = 8
     skew_replan_ratio: Optional[float] = 8.0
     feedback_replan: bool = False
-
-
-def _check_bindings(query: PCQuery, bindings: Mapping[str, Any]) -> None:
-    """Raise :class:`ParameterBindingError` unless ``bindings`` names
-    exactly the query's ``$`` markers."""
-
-    declared = query.param_names()
-    missing = [n for n in declared if n not in bindings]
-    unknown = sorted(n for n in bindings if n not in declared)
-    if not (missing or unknown):
-        return
-    problems = []
-    if missing:
-        problems.append(
-            "unbound parameter(s) " + ", ".join(f"${n}" for n in missing)
-        )
-    if unknown:
-        problems.append(
-            "unknown parameter(s) " + ", ".join(f"${n}" for n in unknown)
-        )
-    if declared:
-        declares = "this template declares " + ", ".join(
-            f"${n}" for n in declared
-        )
-    else:
-        declares = "this query declares no $-markers"
-    raise ParameterBindingError("; ".join(problems) + f" — {declares}")
 
 
 class PreparedQuery:
@@ -559,7 +528,7 @@ class Database:
         ``source`` (``"execute"`` / ``"prepared"``) names the root span
         and tags the slow-log and feedback records."""
 
-        _check_bindings(query, bindings)
+        query.check_bindings(bindings)
         start = time.perf_counter()
         with self.obs.tracer.span(_ROOT_SPANS[source]) as sp:
             # Canonical-occurrence order: position i lines up with
@@ -573,8 +542,13 @@ class Database:
                 variant = self._feedback_variant(entry)
             if variant is not None:
                 result, entry = self._variant_entry(query, *variant, strategy)
+            names = entry.params if entry is not None else order
             execution = self._run_entry(
-                result, entry, order, bindings, instance, overlays
+                result.best.query,
+                {names[i]: bindings[name] for i, name in enumerate(order)},
+                entry,
+                instance,
+                overlays,
             )
             sp.set(rows=len(execution.results), skew=skewed)
         self.obs.slow_log.observe(
@@ -594,53 +568,38 @@ class Database:
 
     def _run_entry(
         self,
-        result: OptimizationResult,
+        plan_query: PCQuery,
+        values: Mapping[str, Any],
         entry: Optional[PlanCacheEntry],
-        order: Tuple[str, ...],
-        bindings: Mapping[str, Any],
         instance: Optional[Instance],
         overlays: Optional[Mapping[str, Any]],
     ) -> ExecutionResult:
-        """Run the resolved winner with ``bindings``: in compiled mode
-        the entry's artifact takes them as runtime values (no
-        substitution, no re-planning); otherwise — interpreted mode, no
-        cache entry, a plan that defeats the code generator, or a
-        binding that is a non-constant :class:`Path` — they are
-        substituted into the plan and it goes through
-        :meth:`execute_plan`."""
+        """Run a winning plan with ``values`` for its markers, unpacking
+        the context into :func:`execute`'s flags: in compiled mode a cache
+        entry's artifact takes the values at call time; a binding that is
+        a non-constant :class:`Path` runs interpreted, where the engine
+        substitutes it into the plan."""
 
-        names = entry.params if entry is not None else order
-        values = {names[i]: bindings[name] for i, name in enumerate(order)}
-        if self.context.exec_mode == "compiled" and entry is not None:
-            raw = {
-                name: value.value if isinstance(value, Const) else value
-                for name, value in values.items()
-            }
-            compiled = None
-            if not any(isinstance(value, Path) for value in raw.values()):
-                compiled = self._compiled_for_entry(entry)
-            if compiled is not None:
-                return execute(
-                    result.best.query,
-                    self._target(instance),
-                    overlays=overlays,
-                    context=self.context,
-                    compiled=compiled,
-                    params=raw,
-                )
-        plan = result.best
-        if values:
-            mapping = {
-                name: value if isinstance(value, Path) else Const(value)
-                for name, value in values.items()
-            }
-            bound = plan.query.substitute_params(mapping)
-            if all(isinstance(value, Const) for value in mapping.values()):
-                # Every declared marker was just bound to a constant:
-                # execute_plan's walk of the new object would find none.
-                return self._execute_bound(bound, instance, overlays)
-            plan = dc_replace(plan, query=bound)
-        return self.execute_plan(plan, instance=instance, overlays=overlays)
+        context = self.context
+        mode, compiled = context.exec_mode, None
+        if any(
+            isinstance(value, Path) and not isinstance(value, Const)
+            for value in values.values()
+        ):
+            mode = "interpret"  # a compiled template takes plain values
+        elif mode == "compiled" and entry is not None:
+            compiled = self._compiled_for_entry(entry)
+        return execute(
+            plan_query,
+            self._target(instance),
+            use_hash_joins=context.use_hash_joins,
+            overlays=overlays,
+            tracer=context.tracer,
+            mode=mode,
+            params=values,
+            compiled=compiled,
+            feedback=self.obs.feedback is not None,
+        )
 
     def _target(self, instance: Optional[Instance]) -> Instance:
         target = instance if instance is not None else self.instance
@@ -665,23 +624,7 @@ class Database:
                 f"plan contains unbound parameter(s) {declared} — bind them "
                 f"via PreparedQuery.run(...) before execution"
             )
-        return self._execute_bound(plan.query, instance, overlays)
-
-    def _execute_bound(
-        self,
-        plan_query: PCQuery,
-        instance: Optional[Instance],
-        overlays: Optional[Mapping[str, Any]],
-    ) -> ExecutionResult:
-        """Run a plan query its caller knows to be marker-free."""
-
-        return execute(
-            plan_query,
-            self._target(instance),
-            overlays=overlays,
-            context=self.context,
-            feedback=self.obs.feedback is not None,
-        )
+        return self._run_entry(plan.query, {}, None, instance, overlays)
 
     def _compiled_for_entry(self, entry: PlanCacheEntry) -> Optional[Any]:
         """The entry's compiled artifact, compiling the winning plan on
@@ -732,11 +675,7 @@ class Database:
         executes in ``exec_mode="compiled"``."""
 
         query = self._coerce_query(query)
-        use_hash_joins = (
-            self.context.use_hash_joins
-            if session is None
-            else session.use_hash_joins
-        )
+        context = self.context if session is None else session.context
         instance = overlays = None
         if session is None:
             query = self.optimize(query).best.query
@@ -760,18 +699,18 @@ class Database:
                 overlays = {v.name: v.extent for v in rewrite.views}
         if analyze:
             return self._analyze(
-                query, use_hash_joins, overlays=overlays, instance=instance
+                query, context, overlays=overlays, instance=instance
             )
         return explain(
             query,
-            use_hash_joins=use_hash_joins,
+            use_hash_joins=context.use_hash_joins,
             cached_names=frozenset(overlays) if overlays else None,
         )
 
     def _analyze(
         self,
         plan_query: PCQuery,
-        use_hash_joins: bool,
+        context: OptimizeContext,
         overlays: Optional[Mapping[str, Any]] = None,
         instance: Optional[Instance] = None,
     ) -> AnalyzeResult:
@@ -789,10 +728,10 @@ class Database:
         return analyze_query(
             plan_query,
             target,
-            use_hash_joins=use_hash_joins,
+            use_hash_joins=context.use_hash_joins,
             overlays=overlays,
-            statistics=self.context.statistics,
-            cost_model=self.context.cost_model,
+            statistics=context.statistics,
+            cost_model=context.cost_model,
         )
 
     def prepare(
@@ -808,42 +747,32 @@ class Database:
             sp.set(params=len(prepared.params))
         return prepared
 
-    def session(
-        self,
-        hybrid: Optional[bool] = None,
-        enabled: Optional[bool] = None,
-        **options,
-    ):
-        """A :class:`~repro.semcache.session.CachedSession` wired to this
-        database's instance and optimization context (constraints,
-        statistics, cost model, strategy and limits all flow from
-        :attr:`context`; defaults for ``hybrid``/``enabled`` come from the
-        :class:`CacheConfig`)."""
+    def session(self, hybrid: bool = True, enabled: bool = True):
+        """A :class:`~repro.semcache.session.CachedSession` over this
+        database's instance and current :attr:`context` — constraints,
+        statistics, cost model, strategy, limits, execution flags and
+        tracer all flow from it — with the slow-query log and, when
+        feedback is on, the feedback observer wired in."""
 
         from repro.semcache.session import CachedSession
 
         if self.instance is None:
             raise ReproError("this Database has no instance to serve")
-        config = self.cache_config
-        options.setdefault("max_rewrite_views", config.max_rewrite_views)
-        options.setdefault("use_hash_joins", self.context.use_hash_joins)
-        options.setdefault("slow_log", self.obs.slow_log)
+        feedback_hook = None
         if self.obs.feedback is not None:
             # Cold session executions run the query verbatim (no cache
             # entry to stamp), but their per-level actuals still teach
             # the shared statistics corrections.
-            options.setdefault(
-                "feedback_hook",
-                lambda query, execution, source: self._observe_feedback(
-                    None, query, execution, source=source
-                ),
-            )
+            def feedback_hook(query, execution, source):
+                self._observe_feedback(None, query, execution, source=source)
+
         sess = CachedSession(
             self.instance,
             context=self.context,
-            hybrid=config.hybrid if hybrid is None else hybrid,
-            enabled=config.semantic_cache if enabled is None else enabled,
-            **options,
+            enabled=enabled,
+            hybrid=hybrid,
+            slow_log=self.obs.slow_log,
+            feedback_hook=feedback_hook,
         )
         # Surface the session's CacheStats in metrics().  Weakly held: a
         # dead session's source reports None and the registry omits it.

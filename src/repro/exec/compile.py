@@ -126,10 +126,14 @@ class CodegenMetadata:
 
 @dataclass(frozen=True)
 class GeneratedPlan:
-    """Source text plus metadata for one plan (the verifier's input)."""
+    """Source text plus metadata for one plan (the verifier's input),
+    with the operator tree and the generator :func:`compile_plan` turns
+    into an artifact."""
 
     source: str
     metadata: CodegenMetadata
+    tree: Optional[Project] = field(default=None, repr=False, compare=False)
+    gen: Optional["_CodeGen"] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -686,24 +690,7 @@ def generate_plan(
     )
     gen = _CodeGen(query, tree, feedback=feedback)
     source = gen.generate()
-    return GeneratedPlan(source=source, metadata=gen.metadata())
-
-
-def generate_source(
-    query: PCQuery,
-    use_hash_joins: bool = False,
-    cached_names: Optional[FrozenSet[str]] = None,
-    feedback: bool = False,
-) -> str:
-    """The generated source text alone (the lint gate compile-checks a
-    sample of these without executing anything)."""
-
-    return generate_plan(
-        query,
-        use_hash_joins=use_hash_joins,
-        cached_names=cached_names,
-        feedback=feedback,
-    ).source
+    return GeneratedPlan(source, gen.metadata(), tree, gen)
 
 
 def compile_plan(
@@ -728,18 +715,14 @@ def compile_plan(
     cost is one environment lookup per compilation.
     """
 
-    tree = compile_query(
+    plan = generate_plan(
         query,
-        Counters(),
         use_hash_joins=use_hash_joins,
         cached_names=cached_names,
+        feedback=feedback,
     )
-    gen = _CodeGen(query, tree, feedback=feedback)
     try:
-        source = gen.generate()
-        code = compile(source, "<repro-compiled-plan>", "exec")
-    except PlanCompilationError:
-        raise
+        code = compile(plan.source, "<repro-compiled-plan>", "exec")
     except SyntaxError as exc:  # pragma: no cover - codegen bug guard
         raise PlanCompilationError(
             f"generated plan function does not compile: {exc}"
@@ -749,21 +732,21 @@ def compile_plan(
         # debug mode must not tax compilations when disabled.
         from repro.analysis.codegen import verify_artifact
 
-        problems = verify_artifact(query, source, gen.metadata())
+        problems = verify_artifact(query, plan.source, plan.metadata)
         if problems:
             raise CodegenVerificationError(
                 "generated plan function failed static verification:\n"
                 + "\n".join(p.render() for p in problems)
             )
-    namespace = dict(gen.globals)
+    namespace = dict(plan.gen.globals)
     exec(code, namespace)
     return CompiledPlan(
         query=query,
-        source=source,
-        plan_text=tree.explain(),
+        source=plan.source,
+        plan_text=plan.tree.explain(),
         param_names=query.param_names(),
         fn=namespace["_plan"],
-        columnar=gen.colcache,
-        metadata=gen.metadata(),
+        columnar=plan.gen.colcache,
+        metadata=plan.metadata,
         feedback=feedback,
     )

@@ -10,6 +10,11 @@ plan-quality feedback (``feedback=True``) and EXPLAIN ANALYZE
 (``instrument=``) are this run with per-operator counters, not copies.
 ``repro.query.evaluator.evaluate`` is the reference path.  The test suite
 checks all three agree on every plan the optimizer emits.
+
+The engine takes its execution flags (``use_hash_joins``, ``mode``,
+``tracer``) as arguments and nothing else: it never reads an
+:class:`~repro.api.context.OptimizeContext`, so a flag a caller passes is
+the flag the run uses.
 """
 
 from __future__ import annotations
@@ -94,9 +99,8 @@ def execute(
     use_hash_joins: bool = False,
     counters: Optional[Counters] = None,
     overlays: Optional[Mapping[str, Any]] = None,
-    context=None,
-    tracer=None,
-    mode: Optional[str] = None,
+    tracer=NOOP_TRACER,
+    mode: str = "interpret",
     params: Optional[Mapping[str, Any]] = None,
     compiled=None,
     feedback: bool = False,
@@ -112,20 +116,20 @@ def execute(
     staler than the instance itself.  Scans of overlay names are marked
     ``[cached]`` in the plan text.
 
-    ``context`` (an :class:`~repro.api.context.OptimizeContext`) supplies
-    execution flags — ``use_hash_joins`` and the default ``exec_mode`` —
-    and the request tracer, so façade callers need not unpack them by
-    hand.  ``tracer`` passed directly wins over the context's (for callers
-    like :class:`~repro.semcache.session.CachedSession` that manage their
-    execution flags themselves but still report to the request timeline);
-    ``mode`` passed directly wins over the context's ``exec_mode``.
+    The execution flags — ``use_hash_joins``, ``mode``, the ``tracer``
+    the ``phase.exec`` span goes to — are plain arguments, and each
+    means what it says; callers holding an
+    :class:`~repro.api.context.OptimizeContext` (``Database``,
+    :class:`~repro.semcache.session.CachedSession`) unpack it into them.
 
     In ``"compiled"`` mode the plan runs as a generated fused function
     (reused through an engine-level LRU, or ``compiled`` — an already
     compiled artifact, e.g. off a plan-cache entry — when given);
-    ``params`` feeds ``$`` markers of a compiled template at call time.
-    In ``"interpret"`` mode ``params`` are substituted into the query
-    before planning.  Counters are filled in both modes — but for
+    ``params`` feeds ``$`` markers of a compiled template at call time
+    (raw values or :class:`~repro.query.paths.Const` leaves).  In
+    ``"interpret"`` mode ``params`` are substituted into the query before
+    planning — the one place a binding becomes plan terms.  Counters are
+    filled in both modes — but for
     ``empty_probes``, which only the interpreted operators count (0 on a
     compiled run); a caller-reused ``counters`` object accumulates across
     runs while the returned :class:`ExecutionResult` always reports this
@@ -144,16 +148,6 @@ def execute(
     passing it with a compiled ``mode`` raises.
     """
 
-    if context is not None:
-        use_hash_joins = use_hash_joins or context.use_hash_joins
-        if tracer is None:
-            tracer = context.tracer
-        if mode is None:
-            mode = context.exec_mode
-    if tracer is None:
-        tracer = NOOP_TRACER
-    if mode is None:
-        mode = "interpret"
     if mode not in EXEC_MODES:
         raise ReproError(
             f"unknown exec mode {mode!r} (expected one of {EXEC_MODES})"

@@ -94,19 +94,12 @@ class Schema:
     def classes(self) -> Tuple[ClassInfo, ...]:
         return tuple(self._classes.values())
 
-    def class_attributes(self, class_name: str) -> StructType:
-        return self.class_info(class_name).attributes
-
     def oid_attr_type(self, oid_type: OidType, attr: str) -> Type:
         """The type of ``o.A`` where ``o`` has the given oid type."""
 
         return self.class_info(oid_type.class_name).attributes.field(attr)
 
     # -- constraints -------------------------------------------------------
-
-    def add_constraint(self, constraint) -> "Schema":
-        self.constraints.append(constraint)
-        return self
 
     def add_constraints(self, constraints: Iterable) -> "Schema":
         self.constraints.extend(constraints)

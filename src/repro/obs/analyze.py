@@ -2,7 +2,8 @@
 
 :func:`analyze_query` evaluates nothing itself: it calls
 :func:`repro.exec.engine.execute` (interpreted) with an ``instrument``
-hook, and the engine — same planner, operators and overlay semantics,
+hook and the caller's plain flags — like the engine, it takes no
+optimization context — and the engine — same planner, operators and overlay semantics,
 because it *is* the production run — hands the hook the operator chain
 with every operator on its own :class:`~repro.exec.operators.Counters`.
 The hook puts a clock between each parent and child (it shadows the
@@ -201,20 +202,15 @@ def analyze_query(
     overlays: Optional[Mapping[str, Any]] = None,
     statistics=None,
     cost_model: Optional[CostModel] = None,
-    context=None,
 ) -> AnalyzeResult:
     """Run ``query`` — :func:`repro.exec.engine.execute`'s run, always
-    interpreted — and report an :class:`OpStats` per operator, bottom-up
-    in plan-text order.  ``statistics`` (or ``context.statistics``)
-    enables the estimated-rows column and the total estimated cost;
-    without them only actuals are reported.
+    interpreted, untraced — and report an :class:`OpStats` per operator,
+    bottom-up in plan-text order.  ``statistics`` enables the
+    estimated-rows column and the total estimated cost; without it only
+    actuals are reported.  Like the engine, this takes plain arguments:
+    ``Database.explain(analyze=True)`` unpacks its context into them.
     """
 
-    if context is not None:
-        if statistics is None:
-            statistics = context.statistics
-        if cost_model is None:
-            cost_model = context.cost_model
     ops: List[Operator] = []
     op_stats: List[OpStats] = []
 
@@ -231,8 +227,6 @@ def analyze_query(
         instance,
         use_hash_joins=use_hash_joins,
         overlays=overlays,
-        context=context,
-        mode="interpret",
         instrument=interpose,
     )
     op_stats[-1].seconds = execution.elapsed_seconds

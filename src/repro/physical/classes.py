@@ -154,12 +154,3 @@ class ClassEncoding:
         instance[self.extent] = frozenset(objects)
         instance.register_class(self.class_name, self.dict_name)
         return value
-
-    def materialize_from_extent(self, instance: Instance) -> DictValue:
-        """Build the dictionary by dereferencing an existing extent."""
-
-        extent = instance[self.extent]
-        data = {oid: instance.deref(oid) for oid in extent}
-        value = DictValue(data)
-        instance[self.dict_name] = value
-        return value

@@ -17,9 +17,9 @@ order) used for memoization by the backchase enumerator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Tuple, Union
 
-from repro.errors import QueryValidationError
+from repro.errors import ParameterBindingError, QueryValidationError
 from repro.query import paths as P
 from repro.query.paths import Path, Var
 
@@ -241,34 +241,43 @@ class PCQuery:
             ),
         )
 
+    def check_bindings(self, values: Mapping[str, object]) -> None:
+        """Raise :class:`~repro.errors.ParameterBindingError` unless
+        ``values`` binds exactly this query's ``$`` markers, each to a
+        value that carries no marker of its own — the one check behind
+        :meth:`bind_params`, ``Database.execute``, ``PreparedQuery.run``
+        and ``CachedSession.run``, so a mistake reads the same at each."""
+
+        declared = self.param_names()
+        missing = [name for name in declared if name not in values]
+        for value in values.values():
+            if isinstance(value, Path):
+                missing += [n for n in P.param_names(value) if n not in missing]
+        unknown = sorted(name for name in values if name not in declared)
+        if not (missing or unknown):
+            return
+        problems = [
+            f"{kind} parameter(s) " + ", ".join(f"${n}" for n in names)
+            for kind, names in (("unbound", missing), ("unknown", unknown))
+            if names
+        ]
+        declares = (
+            "this template declares " + ", ".join(f"${n}" for n in declared)
+            if declared
+            else "this query declares no $-markers"
+        )
+        raise ParameterBindingError("; ".join(problems) + f" — {declares}")
+
     def bind_params(self, values: "Dict[str, object]") -> "PCQuery":
         """Substitute constants for every parameter.
 
         ``values`` maps parameter names to Python base values (or ready
-        :class:`Path` nodes).  Every parameter must be bound and every key
-        must name a parameter; violations raise
-        :class:`~repro.errors.ParameterBindingError` so a typo'd binding
-        fails loudly instead of executing a half-bound template.
+        :class:`Path` nodes), checked by :meth:`check_bindings` so a
+        typo'd binding fails loudly instead of executing a half-bound
+        template.
         """
 
-        from repro.errors import ParameterBindingError
-
-        params = self.param_names()
-        missing = [name for name in params if name not in values]
-        if missing:
-            raise ParameterBindingError(
-                "unbound parameter(s) "
-                + ", ".join(f"${name}" for name in missing)
-                + " — pass a value for every $-marker in the template"
-            )
-        unknown = [name for name in values if name not in params]
-        if unknown:
-            known = ", ".join(f"${name}" for name in params) or "(none)"
-            raise ParameterBindingError(
-                "unknown parameter(s) "
-                + ", ".join(f"${name}" for name in unknown)
-                + f" — this template declares {known}"
-            )
+        self.check_bindings(values)
         mapping = {
             name: value if isinstance(value, Path) else P.Const(value)
             for name, value in values.items()

@@ -11,19 +11,21 @@ engine into a caching query service:
   benefit);
 * :mod:`repro.semcache.cache` — the :class:`SemanticCache` pool with
   its one tier walk (exact / backchase rewrite, view-only or **hybrid**
-  view ⋈ base / miss);
+  view ⋈ base / miss) and its invalidation index;
 * :mod:`repro.semcache.policy` — cost-benefit eviction bounds (observed
   rewrite benefit keeps paying views resident);
-* :mod:`repro.semcache.invalidation` — instance-mutation subscriptions
-  that drop dependent views (no stale answers, hybrid included);
 * :mod:`repro.semcache.session` — the :class:`CachedSession` front end
-  (execute → maybe-rewrite → maybe-register), serving hybrid plans
-  against read-through overlays so base reads stay live;
+  (execute → maybe-rewrite → maybe-register), subscribed to its
+  instance's writes, serving hybrid plans against read-through overlays
+  so base reads stay live;
 * :mod:`repro.semcache.stats` — monotone :class:`CacheStats` counters.
+
+Both the cache and the session take their optimization settings as one
+:class:`~repro.api.context.OptimizeContext` (``Database.session()`` hands
+them the database's); nothing else configures a rewrite or a run.
 """
 
 from repro.semcache.cache import Rewrite, SemanticCache
-from repro.semcache.invalidation import InstanceWatcher
 from repro.semcache.policy import CostBenefitPolicy
 from repro.semcache.session import (
     COLD,
@@ -45,7 +47,6 @@ __all__ = [
     "CachedSession",
     "CachedView",
     "CostBenefitPolicy",
-    "InstanceWatcher",
     "Rewrite",
     "SemanticCache",
     "SessionResult",

@@ -9,7 +9,9 @@ exactly when containment holds under the base constraints plus the view
 pairs, which is precisely the correctness condition a semantic cache
 needs.  The cache itself only decides *bookkeeping*: which views are
 relevant, when to evict (cost-benefit, :mod:`repro.semcache.policy`) and
-when to invalidate (source mutations, :mod:`repro.semcache.invalidation`).
+when to invalidate (:meth:`SemanticCache.invalidate_source`, a reverse
+schema name → views index, :class:`repro.lru.DependencyIndex`, so a
+write touches only its dependents).
 
 Lookup is one tier walk, :meth:`SemanticCache.lookup`, shared by the
 session's request path, the façade's session-aware EXPLAIN (as a peek,
@@ -38,13 +40,13 @@ to misses — the cache can be slow, never wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.constraints.epcd import EPCD
 from repro.errors import ReproError
 from repro.lru import DependencyIndex
 from repro.obs.trace import NOOP_TRACER
-from repro.optimizer.cost import CostModel, estimate_cost, extent_statistics
+from repro.optimizer.cost import estimate_cost, extent_statistics
 from repro.optimizer.optimizer import OptimizationResult, Optimizer
 from repro.optimizer.statistics import Statistics
 from repro.query.ast import PCQuery
@@ -55,6 +57,9 @@ from repro.semcache.view import CachedView, make_cached_view
 #: default prefix for generated view names (reserved; queries over names
 #: with this prefix are not admitted into the cache)
 NAME_PREFIX = "_SC"
+
+#: the most relevant views one rewrite may use (bounds the per-request chase)
+MAX_REWRITE_VIEWS = 8
 
 
 @dataclass
@@ -101,58 +106,28 @@ class Rewrite:
 
 
 class SemanticCache:
-    """A bounded pool of executed-query results usable as rewrite targets."""
+    """A bounded pool of executed-query results usable as rewrite targets.
+
+    ``context`` (an :class:`~repro.api.context.OptimizeContext`, e.g.
+    ``Database.context``; a default one without) is what every rewrite
+    optimizes under before its per-request overlay, and the one source of
+    the catalog, cost model and tracer.  Its physical filter is never
+    inherited: :meth:`plan_rewrite` sets one per request."""
 
     def __init__(
-        self,
-        constraints: Sequence[EPCD] = (),
-        statistics: Optional[Statistics] = None,
-        cost_model: Optional[CostModel] = None,
-        policy: Optional[CostBenefitPolicy] = None,
-        max_rewrite_views: int = 8,
-        strategy: Optional[str] = None,
-        max_chase_steps: Optional[int] = None,
-        max_backchase_nodes: Optional[int] = None,
-        context=None,
+        self, context=None, policy: Optional[CostBenefitPolicy] = None
     ) -> None:
-        """``context`` (an :class:`~repro.api.context.OptimizeContext`,
-        e.g. ``Database.context``) supplies constraints, statistics, cost
-        model, strategy and search limits in one value — the façade's
-        wiring path.  Every explicitly-passed argument still wins over
-        the context; the physical filter is always per-request
-        (:meth:`plan_rewrite`), so a context's filter is not inherited.
-        Without either, the defaults are ``strategy="pruned"``,
-        ``max_chase_steps=200``, ``max_backchase_nodes=20_000``."""
+        if context is None:
+            from repro.api.context import OptimizeContext  # repro.api imports us
 
-        if context is not None:
-            constraints = list(constraints) or list(context.constraints)
-            statistics = statistics or context.statistics
-            cost_model = cost_model or context.cost_model
-            strategy = strategy or context.strategy
-            max_chase_steps = max_chase_steps or context.max_chase_steps
-            max_backchase_nodes = (
-                max_backchase_nodes or context.max_backchase_nodes
-            )
-        self.statistics = statistics or Statistics()
-        self.cost_model = cost_model or CostModel()
+            context = OptimizeContext()
+        self.context = context
         self.policy = policy or CostBenefitPolicy()
-        self.max_rewrite_views = max_rewrite_views
         self.stats = CacheStats()
         self._views: Dict[str, CachedView] = {}
         self._exact: Dict[str, str] = {}  # canonical key -> view name
         self._index = DependencyIndex()  # schema name -> dependent views
         self._seq = 0
-        from repro.api.context import OptimizeContext  # repro.api imports us
-
-        #: what every rewrite optimizes under, before its per-request overlay
-        self.context = OptimizeContext(
-            constraints=tuple(constraints),
-            statistics=self.statistics,
-            cost_model=self.cost_model,
-            strategy=strategy or "pruned",
-            max_chase_steps=max_chase_steps or 200,
-            max_backchase_nodes=max_backchase_nodes or 20_000,
-        )
 
     # -- introspection ---------------------------------------------------------
 
@@ -186,17 +161,17 @@ class SemanticCache:
         require_executable: bool = False,
         base_names: Optional[Callable[[], Iterable[str]]] = None,
         record: bool = True,
-        tracer=NOOP_TRACER,
     ) -> Tuple[Optional[CachedView], Optional["Rewrite"]]:
         """The tier walk, exact → rewrite → miss: ``(view, None)``,
-        ``(None, rewrite)`` or ``(None, None)``.  Arguments as in
-        :meth:`plan_rewrite`, except that ``base_names`` is a callable
-        *giving* the names, asked only once the exact tier has missed.
-        ``record=False`` decides identically but is a pure peek — no
-        counter, benefit, recency or trace record moves: how EXPLAIN
-        predicts what a session would serve without perturbing it."""
+        ``(None, rewrite)`` or ``(None, None)``, traced to the context's
+        tracer.  Arguments as in :meth:`plan_rewrite`, except that
+        ``base_names`` is a callable *giving* the names, asked only once
+        the exact tier has missed.  ``record=False`` decides identically
+        but is a pure peek — no counter, benefit, recency or trace record
+        moves: how EXPLAIN predicts what a session would serve without
+        perturbing it."""
 
-        tracer = tracer if record else NOOP_TRACER
+        tracer = self.context.tracer if record else NOOP_TRACER
         exact = self.lookup_exact(query) if record else self.peek_exact(query)
         if exact is not None:
             tracer.event("semcache.exact", hit=True, view=exact.name)
@@ -243,12 +218,12 @@ class SemanticCache:
 
     def candidate_views(self, query: PCQuery) -> List[CachedView]:
         """Relevant live views, most recently useful first, capped at
-        ``max_rewrite_views`` (bounds the per-request chase)."""
+        :data:`MAX_REWRITE_VIEWS`."""
 
         names = query.schema_names()
         relevant = [v for v in self._views.values() if v.relevant_to(names)]
         relevant.sort(key=lambda v: (-v.last_used_at, v.name))
-        return relevant[: self.max_rewrite_views]
+        return relevant[:MAX_REWRITE_VIEWS]
 
     def plan_rewrite(
         self,
@@ -318,7 +293,7 @@ class SemanticCache:
         # What the request would have cost served cold: the original query
         # exactly as the cold path executes it (no reordering), priced on
         # the same catalog so the delta is apples-to-apples.
-        cold_cost = estimate_cost(query, statistics, self.cost_model)
+        cold_cost = estimate_cost(query, statistics, self.context.cost_model)
         rewrite = Rewrite(
             result=result, views=used, hybrid=hybrid, cold_cost=cold_cost
         )
@@ -349,7 +324,7 @@ class SemanticCache:
         computed at admission time, so this is O(views), not O(tuples)."""
 
         return extent_statistics(
-            self.statistics,
+            self.context.statistics,
             {view.name: view.extent for view in candidates},
             ndvs={view.name: view.observed_ndv for view in candidates},
         )
@@ -409,7 +384,7 @@ class SemanticCache:
 
     def _evict_to_budget(self) -> None:
         for name in self.policy.victims(
-            self._views, self.statistics, self.cost_model
+            self._views, self.context.statistics, self.context.cost_model
         ):
             view = self._views.get(name)
             if view is not None:
@@ -428,8 +403,8 @@ class SemanticCache:
     def invalidate_source(self, name: str) -> int:
         """Drop every view reading schema name ``name``; returns the count.
 
-        Called by the :class:`~repro.semcache.invalidation.InstanceWatcher`
-        on each instance mutation.  Mutations of cache-generated names (a
+        A :class:`~repro.semcache.session.CachedSession` calls it on each
+        write to its instance.  Mutations of cache-generated names (a
         session materializing an extent into an overlay) are ignored.
         """
 

@@ -3,9 +3,15 @@
 :class:`CachedSession` is the front end the serving layers (REPL, bench
 harness) talk to.  Each :meth:`run` call walks the cache's tiers
 (:meth:`~repro.semcache.cache.SemanticCache.lookup`), falls back to a cold
-execution through :func:`repro.exec.engine.execute` — in the context's
-``exec_mode``, like rewrites; interpreted without a context — and feeds the
-cold result back into the pool so later queries can be answered from it.
+execution through :func:`repro.exec.engine.execute` and feeds the cold
+result back into the pool so later queries can be answered from it.
+
+A session has one :class:`~repro.api.context.OptimizeContext`, its
+cache's: rewrites optimize under it, and it alone says how plans run
+(``exec_mode``, ``use_hash_joins``) and where spans go (``tracer``) — so
+``CachedSession(db.instance, context=db.context)`` serves exactly what
+``db.session()`` serves.  Without a context a session runs interpreted,
+without hash joins, untraced.
 
 Rewritten plans execute against a read-through **overlay**
 (:meth:`repro.model.instance.Instance.overlay`): the used extents are
@@ -18,26 +24,26 @@ base loops against the current database, so a mutation of a base relation
 can never be papered over by a stale snapshot, and the invalidation
 listener never sees cache-internal writes.
 
-The session subscribes the cache to instance mutations on construction
-(:class:`~repro.semcache.invalidation.InstanceWatcher`); :meth:`close`
-detaches it.  ``enabled=False`` degrades to a plain cold executor with the
-same interface, which is what the cold arms of the benchmarks run.
+The session subscribes itself to its instance's mutations on construction
+and hands every written name to
+:meth:`~repro.semcache.cache.SemanticCache.invalidate_source`, which drops
+the dependent views; :meth:`close` unsubscribes.  A promoted hybrid answer
+registers under the *original* query, whose sources name every base
+relation it read, so a base write drops it like any view.  ``enabled=False``
+degrades to a plain cold executor with the same interface, which is what
+the cold arms of the benchmarks run.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, FrozenSet, Mapping, Optional, Sequence, Tuple
+from typing import Any, FrozenSet, Mapping, Optional, Tuple
 
-from repro.constraints.epcd import EPCD
-from repro.exec.engine import execute
+from repro.exec.engine import ExecutionResult, execute
 from repro.model.instance import Instance
-from repro.obs.trace import NOOP_TRACER
-from repro.optimizer.statistics import Statistics
 from repro.query.ast import PCQuery
 from repro.semcache.cache import SemanticCache
-from repro.semcache.invalidation import InstanceWatcher
 from repro.semcache.stats import CacheStats
 
 #: sources a result can come from
@@ -62,63 +68,51 @@ class SessionResult:
 class CachedSession:
     """A query session over one instance with a semantic result cache.
 
-    ``hybrid`` selects the rewrite tier's physical filter: with it (the
-    default) winning plans may mix cached extents and base relations —
-    partial hits — while ``hybrid=False`` restores the all-or-nothing
-    view-only mode (a hit reads cached data exclusively).
+    ``context`` builds the cache when ``cache`` is not given; either way
+    the session's :attr:`context` is its cache's.  ``hybrid`` selects the
+    rewrite tier's physical filter: with it (the default) winning plans
+    may mix cached extents and base relations — partial hits — while
+    ``hybrid=False`` restores the all-or-nothing view-only mode (a hit
+    reads cached data exclusively).  ``slow_log`` (a
+    :class:`~repro.obs.slowlog.SlowQueryLog`) records runs over its
+    threshold.  ``feedback_hook`` — a ``(query, execution, source)``
+    callable — receives every *cold* execution (rewrites run against
+    overlays, whose extents would corrupt cardinality feedback) with
+    per-level actuals collected.  ``Database.session()`` wires both.
     """
 
     def __init__(
         self,
         instance: Instance,
-        constraints: Sequence[EPCD] = (),
-        statistics: Optional[Statistics] = None,
+        context=None,
         cache: Optional[SemanticCache] = None,
         enabled: bool = True,
-        use_hash_joins: bool = False,
         hybrid: bool = True,
-        context=None,
         slow_log=None,
         feedback_hook=None,
-        **cache_options,
     ) -> None:
-        """``context`` (an :class:`~repro.api.context.OptimizeContext`)
-        supplies constraints/statistics/cost model/strategy/limits in one
-        value — how ``Database.session()`` wires sessions; the individual
-        arguments remain for standalone use.  ``slow_log`` (a
-        :class:`~repro.obs.slowlog.SlowQueryLog`) records runs over its
-        threshold — ``Database.session()`` passes the database's.
-        ``feedback_hook`` — a ``(query, execution, source)`` callable —
-        receives every *cold* execution (rewrites run against overlays,
-        whose extents would corrupt cardinality feedback) with per-level
-        actuals collected; ``Database.session()`` wires the plan-quality
-        feedback observer here when feedback is on."""
-
         self.instance = instance
         self.enabled = enabled
-        self.use_hash_joins = use_hash_joins
         self.hybrid = hybrid
-        self.context = context
-        self.tracer = context.tracer if context is not None else NOOP_TRACER
-        # a standalone session leaves the engine's default (interpreted)
-        self.exec_mode = context.exec_mode if context is not None else None
         self.slow_log = slow_log
         self.feedback_hook = feedback_hook
-        self.cache = cache or SemanticCache(
-            constraints, statistics=statistics, context=context, **cache_options
-        )
-        self._watcher = InstanceWatcher(instance, self.cache) if enabled else None
+        self.cache = cache if cache is not None else SemanticCache(context)
+        self.context = self.cache.context
+        self._listener = instance.subscribe(self._on_mutation) if enabled else None
 
     @property
     def stats(self) -> CacheStats:
         return self.cache.stats
 
-    def close(self) -> None:
-        """Detach the invalidation listener (the cache itself survives)."""
+    def _on_mutation(self, name: str) -> None:
+        self.cache.invalidate_source(name)
 
-        if self._watcher is not None:
-            self._watcher.close()
-            self._watcher = None
+    def close(self) -> None:
+        """Unsubscribe from the instance (the cache itself survives)."""
+
+        if self._listener is not None:
+            self.instance.unsubscribe(self._listener)
+            self._listener = None
 
     def __enter__(self) -> "CachedSession":
         return self
@@ -144,9 +138,8 @@ class CachedSession:
 
         query = query.bind_params(dict(params) if params else {}) \
             if (params or query.has_params()) else query
-        tracer = self.tracer
-        with tracer.span("session.run") as root:
-            result = self._run(query, tracer)
+        with self.context.tracer.span("session.run") as root:
+            result = self._run(query)
             root.set(source=result.source, rows=len(result.results))
         if self.slow_log is not None:
             self.slow_log.observe(
@@ -167,13 +160,25 @@ class CachedSession:
             require_executable=True,
             base_names=self.instance.names if self.hybrid else None,
             record=record,
-            tracer=self.tracer,
         )
 
-    def _run(self, query: PCQuery, tracer) -> SessionResult:
+    def _execute(self, query: PCQuery, **options) -> ExecutionResult:
+        """:func:`execute` on the live instance, as the context says."""
+
+        context = self.context
+        return execute(
+            query,
+            self.instance,
+            use_hash_joins=context.use_hash_joins,
+            tracer=context.tracer,
+            mode=context.exec_mode,
+            **options,
+        )
+
+    def _run(self, query: PCQuery) -> SessionResult:
         start = time.perf_counter()
         if not self.enabled:
-            return self._cold(query, tracer, start)
+            return self._cold(query, start)
 
         exact, rewrite = self.lookup(query)
         if exact is not None:
@@ -187,13 +192,9 @@ class CachedSession:
             # Cached extents shadow nothing (the view namespace is
             # reserved); base reads fall through to the live instance at
             # scan time, which is what makes hybrid answers mutation-safe.
-            execution = execute(
+            execution = self._execute(
                 rewrite.query,
-                self.instance,
-                use_hash_joins=self.use_hash_joins,
                 overlays={view.name: view.extent for view in rewrite.views},
-                tracer=tracer,
-                mode=self.exec_mode,
             )
             # Promote the rewrite into an exact entry: repeats of this
             # query skip the per-request optimization entirely.
@@ -209,20 +210,15 @@ class CachedSession:
                 base_names=tuple(sorted(rewrite.base_names())),
             )
 
-        return self._cold(query, tracer, start)
+        return self._cold(query, start)
 
-    def _cold(self, query: PCQuery, tracer, start: float) -> SessionResult:
+    def _cold(self, query: PCQuery, start: float) -> SessionResult:
         """Execute ``query`` verbatim against the live instance, feeding
         the per-level actuals to the feedback hook when one is wired and
         (an enabled session) the result back into the view pool."""
 
-        execution = execute(
-            query,
-            self.instance,
-            use_hash_joins=self.use_hash_joins,
-            tracer=tracer,
-            mode=self.exec_mode,
-            feedback=self.feedback_hook is not None,
+        execution = self._execute(
+            query, feedback=self.feedback_hook is not None
         )
         if self.feedback_hook is not None:
             self.feedback_hook(query, execution, "session.cold")

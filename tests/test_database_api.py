@@ -150,12 +150,10 @@ class TestOptimizeContext:
         with pytest.raises(ReproError, match="constraint set"):
             minimal_subqueries(q)
 
-        # execute() takes its execution flags from the context
+        # execute() takes its execution flags as arguments
         instance = Instance({"R": frozenset({Row(A=1, B=2)})})
         scan = parse_query("select r.A from R r")
-        hashed = execute(
-            scan, instance, context=OptimizeContext(use_hash_joins=True)
-        )
+        hashed = execute(scan, instance, use_hash_joins=True)
         assert hashed.results == frozenset({1})
 
 
@@ -582,42 +580,13 @@ class TestSessionWiring:
     def test_session_inherits_the_database_context(self):
         db = rs_database()
         session = db.session()
-        assert session.cache.statistics is db.statistics
-        assert len(session.cache.context.constraints) == len(db.constraints)
+        assert session.context is session.cache.context is db.context
         assert session.hybrid is True
         session.close()
 
-    def test_cache_config_drives_session_defaults(self):
-        db = rs_database(
-            cache_config=CacheConfig(hybrid=False, max_rewrite_views=2)
-        )
-        session = db.session()
-        assert session.hybrid is False
-        assert session.cache.max_rewrite_views == 2
-        override = db.session(hybrid=True)
-        assert override.hybrid is True
-        session.close()
-        override.close()
-
-    def test_session_accepts_per_session_overrides(self):
-        db = rs_database()
-        # use_hash_joins must be overridable per session (regression: it
-        # used to collide with the context-supplied default)
-        session = db.session(use_hash_joins=True)
-        assert session.use_hash_joins is True
-        session.close()
-        # explicit strategy/limits win over the context's
-        full = db.session(strategy="full", max_backchase_nodes=99)
-        assert full.cache.context.strategy == "full"
-        assert full.cache.context.max_backchase_nodes == 99
-        full.close()
-        inherited = db.session()
-        assert inherited.cache.context.strategy == db.strategy
-        inherited.close()
-
     def test_disabled_session_serves_cold(self):
-        db = rs_database(cache_config=CacheConfig(semantic_cache=False))
-        session = db.session()
+        db = rs_database()
+        session = db.session(enabled=False)
         got = session.run(parse_query("select struct(A = r.A) from R r"))
         assert got.source == "cold"
         assert len(session.cache) == 0

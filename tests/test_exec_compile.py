@@ -35,7 +35,7 @@ from repro.exec.compile import (
     CompiledPlan,
     PlanCompilationError,
     compile_plan,
-    generate_source,
+    generate_plan,
 )
 from repro.exec.engine import compiled_for, execute
 from repro.exec.operators import (
@@ -322,15 +322,6 @@ class TestModePlumbing:
         with pytest.raises(ReproError, match="unknown exec mode"):
             execute(q("select r.A from R r"), instance, mode="bogus")
 
-    def test_context_default_mode_flows_through(self, instance):
-        query = q("select r.A from R r where r.B = 10")
-        context = OptimizeContext(exec_mode="compiled")
-        result = execute(query, instance, context=context)
-        assert result.mode == "compiled"
-        # an explicit mode= wins over the context default
-        result = execute(query, instance, context=context, mode="interpret")
-        assert result.mode == "interpret"
-
     def test_exec_mode_not_in_fingerprint(self):
         interp = OptimizeContext(exec_mode="interpret")
         compiled = OptimizeContext(exec_mode="compiled")
@@ -351,7 +342,7 @@ class TestModePlumbing:
     def test_generate_source_is_valid_python(self):
         for text in DIFFERENTIAL_QUERIES:
             for use_hash_joins in (False, True):
-                source = generate_source(q(text), use_hash_joins=use_hash_joins)
+                source = generate_plan(q(text), use_hash_joins=use_hash_joins).source
                 compile(source, "<test>", "exec")  # must not raise
 
     def test_explain_analyze_under_compiled_mode(self):

@@ -44,7 +44,7 @@ from repro import (
 from repro.exec.compile import (
     PlanCompilationError,
     compile_plan,
-    generate_source,
+    generate_plan,
 )
 from repro.exec.operators import Filter, HashJoinBind, ScanBind, chain as _chain
 from repro.exec.planner import compile_query
@@ -264,7 +264,7 @@ class TestZeroCostWhenOff:
 
     def test_silent_artifact_carries_no_feedback_code(self):
         query = parse_query(JOIN_Q)
-        source = generate_source(query)
+        source = generate_plan(query).source
         assert "_fb" not in source and "_r0" not in source
         compiled = compile_plan(query)
         assert compiled.feedback is False
@@ -273,7 +273,7 @@ class TestZeroCostWhenOff:
 
     def test_feedback_artifact_is_a_distinct_variant(self):
         query = parse_query(JOIN_Q)
-        source = generate_source(query, feedback=True)
+        source = generate_plan(query, feedback=True).source
         assert "_fb" in source and "_r0" in source
         compiled = compile_plan(query, feedback=True)
         assert compiled.feedback is True

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import recording
 from repro import Database, Instance, Row, execute, parse_query
-from repro.api.context import OptimizeContext
 from repro.errors import ReproError
+from repro.exec import engine
 from repro.exec.operators import (
     Counters,
     Filter,
@@ -218,19 +219,16 @@ class TestOneEngineTail:
         db.close()
 
     def test_analyze_is_an_engine_run(self):
-        """ANALYZE under a tracing context is one ``phase.exec`` span like
-        any other interpreted run — it has no run of its own to hide."""
+        """ANALYZE is one interpreted engine run like any other — it has
+        no run of its own to hide — on a compiled database too."""
 
-        db = Database.from_workload("rs", n_r=20, n_s=20, b_values=10, seed=1)
-        tracer = Tracer()
-        context = OptimizeContext(
-            statistics=db.context.statistics,
-            tracer=tracer,
-            exec_mode="compiled",
+        db = Database.from_workload(
+            "rs", n_r=20, n_s=20, b_values=10, seed=1, exec_mode="compiled"
         )
-        analysis = analyze_query(db.workload.query, db.instance, context=context)
-        (span,) = [s for s in tracer.spans if s.name == "phase.exec"]
-        assert span.attrs["mode"] == "interpret"  # whatever the context says
-        assert span.attrs["rows"] == analysis.rows
+        with recording(engine, "execute") as runs:
+            analysis = db.explain(db.workload.query, analyze=True)
+        (run,) = runs
+        assert run.mode == "interpret"  # whatever the context says
+        assert run.results == analysis.results
         assert analysis.estimated_cost is not None
         db.close()

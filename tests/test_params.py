@@ -550,6 +550,28 @@ class TestSessionTemplates:
         session.close()
         db.close()
 
+    @pytest.mark.parametrize("params", ({}, {"a": 1, "b": 2}))
+    def test_a_binding_mistake_reads_the_same_everywhere(self, params):
+        """One validator behind every entry point (the façade and the
+        session used to word an unbound marker differently)."""
+
+        db = rs_database()
+        session = db.session()
+        template = parse_query("select struct(A = r.A) from R r where r.B = $a")
+        messages = set()
+        for call in (
+            lambda: db.execute(template, params=params),
+            lambda: db.prepare(template).run(**params),
+            lambda: session.run(template, params=params),
+            lambda: template.bind_params(params),
+        ):
+            with pytest.raises(ParameterBindingError) as caught:
+                call()
+            messages.add(str(caught.value))
+        assert len(messages) == 1, messages
+        session.close()
+        db.close()
+
     def test_cache_register_rejects_templates(self):
         db = rs_database()
         session = db.session()

@@ -27,8 +27,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import SERVING_MIXES, pc_queries, serve_mix
-from repro import Database, Instance, Row, Statistics, evaluate, parse_query
-from repro.semcache import COLD, EXACT, HYBRID, CachedSession, CostBenefitPolicy
+from repro import (
+    Database,
+    Instance,
+    OptimizeContext,
+    Row,
+    Statistics,
+    evaluate,
+    parse_query,
+)
+from repro.semcache import (
+    COLD,
+    EXACT,
+    HYBRID,
+    CachedSession,
+    CostBenefitPolicy,
+    SemanticCache,
+)
 
 RELAXED = dict(
     deadline=None,
@@ -49,17 +64,16 @@ def build_gen_instance(seed: int = 0) -> Instance:
     return Instance({"R": r, "S": s, "T": t})
 
 
-def make_sessions(instance: Instance, **options):
+def make_sessions(instance: Instance, policy=None):
     """(hybrid, view-only) sessions over the same live instance."""
 
-    statistics = Statistics.from_instance(instance)
-    hybrid = CachedSession(
-        instance, statistics=statistics, hybrid=True, **options
+    context = OptimizeContext(statistics=Statistics.from_instance(instance))
+    return tuple(
+        CachedSession(
+            instance, cache=SemanticCache(context, policy), hybrid=hybrid
+        )
+        for hybrid in (True, False)
     )
-    view_only = CachedSession(
-        instance, statistics=statistics, hybrid=False, **options
-    )
-    return hybrid, view_only
 
 
 def assert_monotone(previous, current):

@@ -20,8 +20,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import pc_queries
-from repro import Instance, Row, Statistics, evaluate
-from repro.semcache import CachedSession, CostBenefitPolicy
+from repro import Instance, OptimizeContext, Row, Statistics, evaluate
+from repro.semcache import CachedSession, CostBenefitPolicy, SemanticCache
 
 RELAXED = dict(
     deadline=None,
@@ -45,10 +45,9 @@ def build_gen_instance(seed: int = 0) -> Instance:
     return Instance({"R": r, "S": s, "T": t})
 
 
-def make_session(instance: Instance, **options) -> CachedSession:
-    return CachedSession(
-        instance, statistics=Statistics.from_instance(instance), **options
-    )
+def make_session(instance: Instance, policy=None) -> CachedSession:
+    context = OptimizeContext(statistics=Statistics.from_instance(instance))
+    return CachedSession(instance, cache=SemanticCache(context, policy))
 
 
 @settings(max_examples=60, **RELAXED)

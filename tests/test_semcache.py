@@ -8,6 +8,7 @@ from conftest import SERVING_MIXES, serve_mix
 from repro import (
     Database,
     Instance,
+    OptimizeContext,
     Row,
     Statistics,
     evaluate,
@@ -33,6 +34,12 @@ from repro.semcache import (
 )
 
 
+def observed(instance: Instance) -> OptimizeContext:
+    """A default context over the instance's observed statistics."""
+
+    return OptimizeContext(statistics=Statistics.from_instance(instance))
+
+
 @pytest.fixture
 def rs_instance_large() -> Instance:
     r = frozenset(Row(A=i, B=i % 7) for i in range(40))
@@ -48,7 +55,7 @@ def session(rs_instance_large) -> CachedSession:
     # test_prop_hybrid.py.
     sess = CachedSession(
         rs_instance_large,
-        statistics=Statistics.from_instance(rs_instance_large),
+        context=observed(rs_instance_large),
         hybrid=False,
     )
     yield sess
@@ -157,7 +164,7 @@ class TestHybridSession:
 
     def _session(self, instance, **options) -> CachedSession:
         return CachedSession(
-            instance, statistics=Statistics.from_instance(instance), **options
+            instance, context=observed(instance), **options
         )
 
     def test_partial_overlap_served_hybrid(self, big_instance):
@@ -207,7 +214,7 @@ class TestHybridSession:
             assert all(row["C"] >= 1000 for row in got.results)
 
     def test_rewrite_carries_benefit_and_base_names(self, big_instance):
-        cache = SemanticCache(statistics=Statistics.from_instance(big_instance))
+        cache = SemanticCache(observed(big_instance))
         warm = parse_query(self.WARM)
         cache.register(warm, evaluate(warm, big_instance))
         rewrite = cache.plan_rewrite(
@@ -222,7 +229,7 @@ class TestHybridSession:
         assert view.benefit == pytest.approx(rewrite.benefit)
 
     def test_view_only_filter_unchanged_without_base_names(self, big_instance):
-        cache = SemanticCache(statistics=Statistics.from_instance(big_instance))
+        cache = SemanticCache(observed(big_instance))
         warm = parse_query(self.WARM)
         cache.register(warm, evaluate(warm, big_instance))
         assert cache.plan_rewrite(parse_query(self.PARTIAL)) is None
@@ -302,8 +309,10 @@ class TestEviction:
     def test_max_views_bound_enforced(self, rs_instance_large):
         sess = CachedSession(
             rs_instance_large,
-            statistics=Statistics.from_instance(rs_instance_large),
-            policy=CostBenefitPolicy(max_views=2, max_total_tuples=10_000),
+            cache=SemanticCache(
+                observed(rs_instance_large),
+                CostBenefitPolicy(max_views=2, max_total_tuples=10_000),
+            ),
         )
         for const in (0, 1, 2, 3):
             sess.run(parse_query(f"select struct(A = r.A) from R r where r.B = {const}"))
@@ -314,8 +323,10 @@ class TestEviction:
     def test_hot_views_survive(self, rs_instance_large):
         sess = CachedSession(
             rs_instance_large,
-            statistics=Statistics.from_instance(rs_instance_large),
-            policy=CostBenefitPolicy(max_views=2, max_total_tuples=10_000),
+            cache=SemanticCache(
+                observed(rs_instance_large),
+                CostBenefitPolicy(max_views=2, max_total_tuples=10_000),
+            ),
         )
         hot = parse_query(JOIN)
         sess.run(hot)
@@ -331,8 +342,10 @@ class TestEviction:
         instance = Instance({"R": frozenset(Row(A=i, B=0) for i in range(50))})
         sess = CachedSession(
             instance,
-            statistics=Statistics.from_instance(instance),
-            policy=CostBenefitPolicy(max_views=10, max_total_tuples=60),
+            cache=SemanticCache(
+                observed(instance),
+                CostBenefitPolicy(max_views=10, max_total_tuples=60),
+            ),
         )
         sess.run(parse_query("select struct(A = r.A) from R r"))          # 50 tuples
         sess.run(parse_query("select struct(A = r.A, B = r.B) from R r"))  # 50 more
@@ -436,8 +449,10 @@ class TestPolicyEdgeCases:
 
         sess = CachedSession(
             rs_instance_large,
-            statistics=Statistics.from_instance(rs_instance_large),
-            policy=CostBenefitPolicy(max_views=0, max_total_tuples=0),
+            cache=SemanticCache(
+                observed(rs_instance_large),
+                CostBenefitPolicy(max_views=0, max_total_tuples=0),
+            ),
         )
         for const in (0, 1, 2):
             q = parse_query(
@@ -554,7 +569,7 @@ class TestTierWalk:
 
     def test_lookup_exact_is_peek_exact_plus_bookkeeping(self):
         instance = self._instance()
-        cache = SemanticCache(statistics=Statistics.from_instance(instance))
+        cache = SemanticCache(observed(instance))
         warm = parse_query(self.WARM)
         view = cache.register(warm, evaluate(warm, instance))
         used = view.last_used_at
@@ -593,9 +608,41 @@ class TestSessionExecMode:
                 assert span.attrs["mode"] == mode
         db.close()
 
+    #: a join served cold, a selection, and the join it covers (hybrid)
+    REQUESTS = (
+        (
+            "select struct(A = r.A, C = s.C) from R r, S s "
+            "where r.B = s.B and r.A = 2",
+            COLD,
+        ),
+        (TestTierWalk.WARM, COLD),
+        (TestTierWalk.PARTIAL, HYBRID),
+    )
+
+    @pytest.mark.parametrize("mode", ("interpret", "compiled"))
+    def test_a_standalone_session_runs_what_its_context_says(self, mode):
+        """``CachedSession(db.instance, context=db.context)`` serves what
+        ``db.session()`` serves, hash joins included: the context alone
+        says how plans run (a standalone session used to take
+        ``use_hash_joins`` from an argument of its own, off by default)."""
+
+        instance = TestTierWalk._instance()
+        db = Database(instance=instance, exec_mode=mode, use_hash_joins=True)
+        sessions = (db.session(), CachedSession(instance, context=db.context))
+        for text, source in self.REQUESTS:
+            query = parse_query(text)
+            wired, standalone = [sess.run(query) for sess in sessions]
+            assert wired.source == standalone.source == source
+            assert wired.plan_text == standalone.plan_text
+            assert ("hash-join" in wired.plan_text) == ("S s" in text)
+            assert wired.results == standalone.results == evaluate(query, instance)
+        for sess in sessions:
+            sess.close()
+        db.close()
+
     def test_a_standalone_session_stays_interpreted(self, rs_instance_large):
         sess = CachedSession(rs_instance_large)
-        assert sess.exec_mode is None  # the engine's default
+        assert sess.context.exec_mode == "interpret"  # the engine's default
         sess.close()
 
 
@@ -627,7 +674,7 @@ class TestSemanticCacheUnit:
         counts exactly one miss — never a rewrite hit it didn't serve
         (review regression)."""
 
-        cache = SemanticCache(statistics=Statistics.from_instance(rs_instance_large))
+        cache = SemanticCache(observed(rs_instance_large))
         cache.register(parse_query(JOIN))  # plan-only
         assert cache.plan_rewrite(
             parse_query(CONTAINED), require_executable=True
@@ -654,7 +701,9 @@ class TestSemanticCacheUnit:
         assert cache.plan_rewrite(parse_query(JOIN)) is None
 
     def test_rewrite_statistics_use_extent_cardinality(self):
-        cache = SemanticCache(statistics=Statistics().set_card("R", 500))
+        cache = SemanticCache(
+            OptimizeContext(statistics=Statistics().set_card("R", 500))
+        )
         view = cache.register(
             parse_query("select struct(A = r.A) from R r"),
             frozenset(Row(A=i) for i in range(7)),
@@ -663,7 +712,7 @@ class TestSemanticCacheUnit:
         assert stats.card(view.name) == 7.0
         assert stats.card("R") == 500.0
         # the cache's own statistics are untouched
-        assert view.name not in cache.statistics.cardinality
+        assert view.name not in cache.context.statistics.cardinality
 
 
 class TestOptimizerContextOverlay:

@@ -9,7 +9,7 @@ from repro.model.values import Row
 from repro.physical.views import MaterializedView
 from repro.query.evaluator import evaluate
 from repro.query.parser import parse_query
-from repro.query.unfold import is_equivalent_by_unfolding, unfold_all, unfold_view
+from unfold_oracle import is_equivalent_by_unfolding, unfold_all, unfold_view
 
 
 def q(text):
