@@ -5,11 +5,11 @@
 #   make check        the full gate: lint, tier-1 tests, bench smokes,
 #                     golden suite, benchmarks/perf harness tests,
 #                     determinism
-#   make determinism  goldens, pinned search counters, the chase, backchase
-#                     and early-stop differential suites (lookup-safety traps
-#                     included) and the served-verdict property under
-#                     PYTHONHASHSEED=0, 1, 2, each arm with its own address
-#                     layout
+#   make determinism  goldens, pinned search counters, the kernel, chase,
+#                     backchase and early-stop differential suites
+#                     (lookup-safety traps included) and the served-verdict
+#                     property under PYTHONHASHSEED=0, 1, 2, each arm with
+#                     its own address layout
 #   make fuzz         the property suites (tests/test_prop_*.py) under fresh
 #                     random draws; tier-1 itself runs them derandomized
 #                     (tests/conftest.py), so it repeats run for run
@@ -19,6 +19,8 @@
 #                     the query corpus, invariant rules over src/repro)
 #   make loc          total and non-blank/non-comment line counts of
 #                     src/repro (the design metric ROADMAP aim 2 tracks)
+#   make profile      one cold ProjDept optimize under cProfile, the top
+#                     self-times (the closing profile ROADMAP item 5 quotes)
 #   make bench-smoke  the E18-E20 smokes (one small run each; part of tier-1)
 #   make bench-e18    the full E18 observability-overhead benchmark
 #   make bench-e19    the full E19 compiled-execution benchmark
@@ -50,12 +52,13 @@ DETERMINISM_TESTS := tests/test_golden_plans.py \
 	tests/test_pruned_backchase.py::TestCountersPinnedAcrossTheMerge \
 	tests/test_pruned_backchase.py::TestLookupSafetyDecisions \
 	tests/test_pruned_backchase.py::TestContainmentDecisions \
+	tests/test_kernel_differential.py \
 	tests/test_chase_differential.py \
 	tests/test_backchase_differential.py \
 	tests/test_early_stop_differential.py \
 	tests/test_prop_optimizer.py::test_served_lookup_safety_is_the_from_scratch_verdict
 
-.PHONY: test check lint loc golden determinism fuzz bench bench-smoke \
+.PHONY: test check lint loc profile golden determinism fuzz bench bench-smoke \
 	bench-e18 bench-e19 bench-e20
 
 test:
@@ -90,6 +93,10 @@ loc:
 		| xargs echo "src/repro total lines:"
 	@find src/repro -name '*.py' | xargs cat | grep -cvE '^[[:space:]]*(#|$$)' \
 		| xargs echo "src/repro non-blank/non-comment lines:"
+
+profile:
+	PYTHONPATH=src python -m cProfile -s tottime -m repro optimize \
+		--workload projdept | grep -A 25 'Ordered by'
 
 golden:
 	GOLDEN_REGEN=1 $(PYTEST) -q -m golden $(GOLDEN_FILES)

@@ -191,6 +191,7 @@ class ChaseState:
         self.query = query
         self.deps = deps
         self.cc = build_congruence(query)
+        self.matchers = [_matcher(dep) for dep in deps]
         self.satisfied: List[Set[Tuple[Path, ...]]] = [set() for _ in deps]
         self.clean = [False] * len(deps)
         self.steps = 0
@@ -237,7 +238,7 @@ class ChaseState:
                 clean
                 and matcher.source_heads.isdisjoint(arrived)
                 and matcher.vocabulary.isdisjoint(equated)
-                for matcher, clean in zip(map(_matcher, self.deps), self.clean)
+                for matcher, clean in zip(self.matchers, self.clean)
             ]
             return step
         return None

@@ -12,6 +12,11 @@ binding variable of the target query such that:
 Binding variables are the only terms known to be *members* of their source
 collections, so mapping variables to variables is complete for PC queries
 (any member term is congruent to some binding variable or the match fails).
+
+:meth:`Pattern.match` runs on a stack of per-level iterators; against the
+recursive generator in ``tests/congruence_oracle.py`` it asks
+``bindings_in_class`` at the same points and yields the same homomorphisms
+in the same order, each its own ``dict``.
 """
 
 from __future__ import annotations
@@ -55,29 +60,39 @@ class Pattern:
         Deterministic order (target binding order), which makes the chase
         result reproducible."""
 
-        bindings, levels = self.bindings, self.levels
-
-        def holds(level: int, hom: Hom) -> bool:
-            return all(
-                cc.equal(P.substitute(c.left, hom), P.substitute(c.right, hom))
-                for c in levels[level]
-            )
-
-        def extend(index: int, hom: Hom) -> Iterator[Hom]:
-            if index == len(bindings):
-                yield dict(hom)
+        bindings, levels, last = self.bindings, self.levels, len(self.bindings)
+        equal, substitute, in_class = cc.equal, P.substitute, cc.bindings_in_class
+        targets = target.bindings
+        hom: Hom = dict(initial or {})
+        for c in levels[0]:  # variable-free conditions must hold outright
+            if not equal(substitute(c.left, hom), substitute(c.right, hom)):
                 return
-            binding = bindings[index]
-            wanted_source = P.substitute(binding.source, hom)
-            for target_binding in cc.bindings_in_class(wanted_source, target.bindings):
-                hom[binding.var] = Var(target_binding.var)
-                if holds(index + 1, hom):
-                    yield from extend(index + 1, hom)
-                del hom[binding.var]
-
-        base: Hom = dict(initial or {})
-        if holds(0, base):  # variable-free conditions must hold outright
-            yield from extend(0, base)
+        if not last:
+            yield dict(hom)
+            return
+        found = in_class(substitute(bindings[0].source, hom), targets)
+        # stack[i] walks the target bindings that bindings[i] may map to
+        stack = [iter(found)] if found else []
+        while stack:
+            index = len(stack)
+            var, checks = bindings[index - 1].var, levels[index]
+            for target_binding in stack[-1]:
+                hom[var] = Var(target_binding.var)
+                for c in checks:
+                    if not equal(substitute(c.left, hom), substitute(c.right, hom)):
+                        break
+                else:
+                    break
+            else:  # level exhausted: back to the one before
+                stack.pop()
+                del hom[var]
+                continue
+            if index == last:
+                yield dict(hom)
+                continue
+            found = in_class(substitute(bindings[index].source, hom), targets)
+            if found:
+                stack.append(iter(found))
 
 
 def match_bindings(

@@ -298,13 +298,13 @@ def schema_names(path: Path) -> FrozenSet[str]:
 def substitute(path: Path, mapping: Dict[str, Path]) -> Path:
     """Replace variables by paths according to ``mapping``."""
 
+    if type(path) is Var:
+        return mapping.get(path.name, path)
     for var in path._fvs:
         if var in mapping:
             break
     else:
         return path
-    if type(path) is Var:
-        return mapping[path.name]
     kids = path._kids
     new_kids = tuple([substitute(k, mapping) for k in kids])
     if new_kids == kids:

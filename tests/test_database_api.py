@@ -66,6 +66,29 @@ class TestFromWorkload:
         assert tuple(db.constraints) == tuple(db.workload.constraints)
         assert db.statistics is db.workload.statistics
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known wrong answer (ROADMAP open item 1): the write leaves the "
+        "index SI stale, and the plan still reads it",
+    )
+    def test_a_write_that_breaks_an_index_pair_keeps_the_answer(self):
+        """Raise one CitiBank project's budget: no logical constraint
+        breaks, but ``SI`` still holds the old row, and the plan — a scan
+        of ``SI{"CitiBank"}`` — answers from it."""
+
+        db = Database.from_workload("projdept")
+        query = db.workload.query
+        projects = db.instance["Proj"]
+        raised = min(
+            (p for p in projects if p["CustName"] == "CitiBank"),
+            key=lambda p: p["PName"],
+        )
+        db.instance["Proj"] = (projects - {raised}) | {
+            Row({**raised, "Budg": raised["Budg"] + 1000})
+        }
+        assert db.execute(query).results == evaluate(query, db.instance)
+
 
 class TestOptimizeContext:
     def test_frozen(self):
