@@ -16,7 +16,8 @@
 #   make golden       regenerate tests/golden/* (review the diff!)
 #   make lint         bytecode-compile src/tests/benchmarks + static
 #                     analysis (parser round trip + codegen verifier over
-#                     the query corpus, invariant rules over src/repro)
+#                     the query corpus, invariant rules over src/repro),
+#                     leaving no bytecode in the tree
 #   make loc          total and non-blank/non-comment line counts of
 #                     src/repro (the design metric ROADMAP aim 2 tracks)
 #   make profile      one cold ProjDept optimize under cProfile, the top
@@ -83,10 +84,15 @@ determinism:
 fuzz:
 	$(PYTEST) -q --hypothesis-profile=explore tests/test_prop_*.py
 
+# Bytecode goes to a throwaway PYTHONPYCACHEPREFIX, removed afterwards, so
+# linting leaves no __pycache__ in the tree (a tree with warm bytecode
+# starts faster, which skews any setup-time comparison against one without).
 lint:
-	python -m compileall -q src tests benchmarks
-	PYTHONPATH=src python -m repro.analysis
-	python tests/check_golden_freshness.py
+	cache=$$(mktemp -d); export PYTHONPYCACHEPREFIX=$$cache; \
+	python -m compileall -q src tests benchmarks && \
+	PYTHONPATH=src python -m repro.analysis && \
+	python tests/check_golden_freshness.py; \
+	status=$$?; rm -rf "$$cache"; exit $$status
 
 loc:
 	@find src/repro -name '*.py' | xargs cat | wc -l \

@@ -171,7 +171,6 @@ class PhysicalDesignAdvisor:
         self,
         context: OptimizeContext,
         available_names: FrozenSet[str],
-        plan_cache_size: Optional[int] = 256,
         max_candidates: int = MAX_CANDIDATES,
         schema=None,
     ) -> None:
@@ -179,9 +178,7 @@ class PhysicalDesignAdvisor:
         self.available_names = frozenset(available_names)
         self.max_candidates = max_candidates
         self.schema = schema  # vetoes index candidates on non-row relations
-        self.coster = WhatIfCoster(
-            context, self.available_names, plan_cache_size=plan_cache_size
-        )
+        self.coster = WhatIfCoster(context, self.available_names)
 
     # -- costing -----------------------------------------------------------
 

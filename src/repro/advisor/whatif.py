@@ -40,6 +40,9 @@ from repro.optimizer.optimizer import Plan
 from repro.optimizer.statistics import Statistics
 from repro.query.ast import PCQuery
 
+#: the (query, design) what-if plans the coster retains
+WHATIF_CACHE_SIZE = 256
+
 
 def estimated_design_statistics(
     base: Statistics, design: Sequence[Candidate]
@@ -87,20 +90,11 @@ class WhatIfCoster:
     (query, design-fingerprint)."""
 
     def __init__(
-        self,
-        context: OptimizeContext,
-        available_names: FrozenSet[str],
-        plan_cache_size: Optional[int] = 256,
+        self, context: OptimizeContext, available_names: FrozenSet[str]
     ) -> None:
         self.base_context = context
         self.available_names = frozenset(available_names)
-        # same convention as CacheConfig.plan_cache_size: 0 disables the
-        # memo entirely, None means unbounded
-        self._plans = (
-            PlanCache(max_size=plan_cache_size)
-            if plan_cache_size != 0
-            else None
-        )
+        self._plans = PlanCache(max_size=WHATIF_CACHE_SIZE)
         self._contexts: Dict[Tuple[str, ...], OptimizeContext] = {}
 
     def design_context(self, design: Sequence[Candidate]) -> OptimizeContext:
@@ -132,11 +126,6 @@ class WhatIfCoster:
         like the semantic cache degrading a failed rewrite to cold."""
 
         ctx = self.design_context(design)
-        if self._plans is None:
-            try:
-                return ctx.optimizer().optimize(query).best
-            except ReproError:
-                return None
         key = (query.canonical_key(), ctx.fingerprint())
         entry = self._plans.get(key)
         if entry is None:
@@ -148,6 +137,4 @@ class WhatIfCoster:
         return entry.result.best
 
     def cache_info(self) -> PlanCacheInfo:
-        if self._plans is None:
-            return PlanCacheInfo(0, 0, 0, 0, 0, 0)
         return self._plans.cache_info()

@@ -43,10 +43,10 @@ from repro.api.plancache import PlanCache, PlanCacheEntry, PlanCacheInfo
 from repro.api.workloads import build_workload
 from repro.constraints.epcd import EPCD
 from repro.errors import ParameterBindingError, ReproError
+from repro.exec.columnar import COLUMNS
 from repro.exec.engine import ExecutionResult, execute, explain
 from repro.model.instance import Instance
 from repro.model.schema import Schema
-from repro.model.values import Oid, Row
 from repro.obs import Observability, ObsConfig
 from repro.obs.analyze import AnalyzeResult, analyze_query
 from repro.optimizer.cost import CostModel, _attr_of, _selectivity
@@ -264,11 +264,6 @@ class Database:
         )
         size = self.cache_config.plan_cache_size
         self._plan_cache = PlanCache(max_size=size) if size != 0 else None
-        # (rel, attr) -> (value -> count, total rows counted): the skew
-        # guard's frequency cache, dropped wholesale on any mutation.
-        self._freq_cache: Dict[
-            Tuple[str, str], Tuple[Dict[Any, int], int]
-        ] = {}
         self._listener = None
         if instance is not None:
             self._listener = instance.subscribe(self._on_mutation)
@@ -371,10 +366,10 @@ class Database:
 
     def _drop_observations(self) -> None:
         """Forget what was measured on the previous instance state or
-        catalog: the skew guard's value counts and the feedback store's
-        observed cardinalities."""
+        catalog: the feedback store's observed cardinalities.  (The skew
+        guard's value counts live on the extent itself — a write is a
+        new extent.)"""
 
-        self._freq_cache.clear()
         if self.obs.feedback is not None:
             self.obs.feedback.clear()
 
@@ -430,7 +425,7 @@ class Database:
     ) -> Tuple[OptimizationResult, Optional[PlanCacheEntry]]:
         """:meth:`optimize` plus the cache entry itself (``None`` when
         the plan cache is disabled) — the serve path reads the entry's
-        parameter tuple, feedback stamps and lazily compiled artifact.
+        parameter tuple and feedback stamps.
 
         ``variant`` suffixes the template key — the replan policies'
         ``#skew:...`` / ``#fb:...`` tags, which alone separate variant
@@ -546,7 +541,6 @@ class Database:
             execution = self._run_entry(
                 result.best.query,
                 {names[i]: bindings[name] for i, name in enumerate(order)},
-                entry,
                 instance,
                 overlays,
             )
@@ -570,25 +564,22 @@ class Database:
         self,
         plan_query: PCQuery,
         values: Mapping[str, Any],
-        entry: Optional[PlanCacheEntry],
         instance: Optional[Instance],
         overlays: Optional[Mapping[str, Any]],
     ) -> ExecutionResult:
         """Run a winning plan with ``values`` for its markers, unpacking
-        the context into :func:`execute`'s flags: in compiled mode a cache
-        entry's artifact takes the values at call time; a binding that is
-        a non-constant :class:`Path` runs interpreted, where the engine
-        substitutes it into the plan."""
+        the context into :func:`execute`'s flags: in compiled mode the
+        engine's artifact for the plan takes the values at call time; a
+        binding that is a non-constant :class:`Path` runs interpreted,
+        where the engine substitutes it into the plan."""
 
         context = self.context
-        mode, compiled = context.exec_mode, None
+        mode = context.exec_mode
         if any(
             isinstance(value, Path) and not isinstance(value, Const)
             for value in values.values()
         ):
             mode = "interpret"  # a compiled template takes plain values
-        elif mode == "compiled" and entry is not None:
-            compiled = self._compiled_for_entry(entry)
         return execute(
             plan_query,
             self._target(instance),
@@ -597,7 +588,6 @@ class Database:
             tracer=context.tracer,
             mode=mode,
             params=values,
-            compiled=compiled,
             feedback=self.obs.feedback is not None,
         )
 
@@ -624,27 +614,7 @@ class Database:
                 f"plan contains unbound parameter(s) {declared} — bind them "
                 f"via PreparedQuery.run(...) before execution"
             )
-        return self._run_entry(plan.query, {}, None, instance, overlays)
-
-    def _compiled_for_entry(self, entry: PlanCacheEntry) -> Optional[Any]:
-        """The entry's compiled artifact, compiling the winning plan on
-        first use.  ``None`` when the plan defeats the code generator
-        (recorded on the entry so it is not retried) — callers fall back
-        to the interpreted path."""
-
-        if entry.compiled is None:
-            from repro.exec.compile import PlanCompilationError, compile_plan
-
-            try:
-                entry.compiled = compile_plan(
-                    entry.result.best.query,
-                    use_hash_joins=self.context.use_hash_joins,
-                    feedback=self.obs.feedback is not None,
-                )
-            except PlanCompilationError:
-                entry.compiled = False
-                self.obs.tracer.event("exec.compile_fallback")
-        return entry.compiled or None
+        return self._run_entry(plan.query, {}, instance, overlays)
 
     def explain(
         self,
@@ -797,7 +767,6 @@ class Database:
         self,
         workload,
         budget=None,
-        plan_cache_size: Optional[int] = 256,
     ):
         """Propose the best set of physical structures for ``workload``
         (queries, OQL text, or ``(query, frequency)`` pairs) under a
@@ -822,10 +791,7 @@ class Database:
                 )
             available = frozenset(self.instance.names())
         advisor = PhysicalDesignAdvisor(
-            self.context,
-            available,
-            plan_cache_size=plan_cache_size,
-            schema=self.schema,
+            self.context, available, schema=self.schema
         )
         return advisor.advise(workload, budget=budget)
 
@@ -988,35 +954,6 @@ class Database:
 
     # -- the parameter-binding skew guard --------------------------------------
 
-    def _value_counts(self, rel: str, attr: str) -> Tuple[Dict[Any, int], int]:
-        """Observed frequency of each base value of ``rel.attr`` (oids
-        dereferenced, mirroring the statistics observer), memoized until
-        the next instance mutation."""
-
-        key = (rel, attr)
-        cached = self._freq_cache.get(key)
-        if cached is not None:
-            return cached
-        counts: Dict[Any, int] = {}
-        total = 0
-        value = self.instance.get(rel) if self.instance is not None else None
-        if isinstance(value, frozenset):
-            for element in value:
-                row = element
-                if isinstance(element, Oid):
-                    try:
-                        row = self.instance.deref(element)
-                    except ReproError:
-                        continue
-                if not isinstance(row, Row):
-                    continue
-                v = row.get(attr)
-                if isinstance(v, (str, int, float, bool)):
-                    counts[v] = counts.get(v, 0) + 1
-                    total += 1
-        self._freq_cache[key] = (counts, total)
-        return counts, total
-
     def _skew_variant(
         self,
         query: PCQuery,
@@ -1037,6 +974,13 @@ class Database:
         bucket>`` to the tag and its adjusted NDV to the statistics.
         Positions and buckets are alpha- and value-bucket-invariant, so a
         variant entry is shared by every binding in the same skew class.
+
+        The frequency is the bound value's share of all the extent's rows,
+        read off the column store's value index
+        (:data:`~repro.exec.columnar.COLUMNS`), which a write replaces
+        with the extent.  An extent the store cannot index — not a set,
+        rows lacking the attribute, unhashable values — is no evidence:
+        the condition is skipped.
         """
 
         threshold = self.cache_config.skew_replan_ratio
@@ -1057,16 +1001,21 @@ class Database:
                 if info is None:
                     continue
                 rel, attr = info
-                counts, total = self._value_counts(rel, attr)
-                if not total:
-                    continue
                 value = bindings.get(param_side.name)
                 if isinstance(value, Const):
                     value = value.value
                 if not isinstance(value, (str, int, float, bool)):
                     continue
+                try:
+                    extent = COLUMNS.get(self.instance, rel)
+                    index = extent.index(attr, self.instance)
+                except ReproError:
+                    continue
+                total = len(extent.elements)
+                if index is None or not total:
+                    continue
                 planned = _selectivity(cond, sources, stats)
-                actual = max(counts.get(value, 0), 0.5) / total
+                actual = max(len(index.get(value, ())), 0.5) / total
                 ratio = actual / planned
                 if 1.0 / threshold < ratio < threshold:
                     continue
@@ -1134,8 +1083,6 @@ class Database:
         ).observe(observation.max_qerror)
         baseline = None
         if entry is not None:
-            if observation.max_qerror > entry.worst_qerror:
-                entry.worst_qerror = observation.max_qerror
             baseline = entry.baseline_seconds
             if (
                 baseline is None

@@ -10,8 +10,8 @@ form plus the owning context's physical-design fingerprint
 query — or a :class:`~repro.api.database.PreparedQuery` re-run — skips
 the chase/backchase entirely.
 
-The store composes :class:`repro.lru.LRU`, like the executor's artifact
-cache: bounded (every probe refreshes recency), counters surfaced through
+The store composes :class:`repro.lru.LRU`, like the engine's artifact
+memo: bounded (every probe refreshes recency), counters surfaced through
 a frozen :class:`PlanCacheInfo` snapshot, eviction only ever costs
 re-optimization.
 On top of that it is **invalidation-aware**: each entry records the
@@ -55,27 +55,22 @@ class PlanCacheEntry:
     binding its own template maps values onto the entry's plans by
     position, so the stored names never leak into the caller's API.
 
-    ``compiled`` lazily caches the winning plan's generated fused
-    function (:class:`~repro.exec.compile.CompiledPlan`) when the owning
-    database executes in compiled mode: parameters stay runtime arguments
-    of the artifact, so ``prepare(template).run(x=...)`` substitutes
-    bindings into an already-compiled function.  It lives and dies with
-    the entry — dependency invalidation drops both together.
+    An entry holds plans, not code: a compiled-mode database runs the
+    winner through the engine's one artifact memo
+    (:func:`repro.exec.engine.compiled_for`), whose key is the plan with
+    its ``$`` markers, so every binding shares one compiled function.
 
     The plan-quality feedback layer (:mod:`repro.obs.feedback`) stamps
-    its verdicts here: ``worst_qerror`` is the worst per-level Q-error
-    any request served by this entry observed, ``baseline_seconds`` the
-    best execution time, ``flagged`` whether the regression log tripped
-    on it (the routing signal for ``CacheConfig.feedback_replan``), and
-    ``replanned`` whether a feedback variant was already minted for it.
-    All four reset naturally with the entry on invalidation.
+    its verdicts here: ``baseline_seconds`` is the best execution time,
+    ``flagged`` whether the regression log tripped on it (the routing
+    signal for ``CacheConfig.feedback_replan``), and ``replanned``
+    whether a feedback variant was already minted for it.  All three
+    reset naturally with the entry on invalidation.
     """
 
     result: OptimizationResult
     dependencies: FrozenSet[str]
     params: Tuple[str, ...] = ()
-    compiled: Optional[object] = None
-    worst_qerror: float = 1.0
     baseline_seconds: Optional[float] = None
     flagged: bool = False
     replanned: bool = False

@@ -14,16 +14,20 @@ position-aligned structures built once and reused across runs:
 * ``index(attr)`` — a value → positions hash built lazily over a column,
   turning constant selections and value-based equijoins into bulk probes.
 
-Staleness is handled structurally, not by TTLs: :class:`ColumnarCache`
-re-validates on every fetch that the instance still serves the *same*
-frozenset object for the name (instance mutation replaces the value
-wholesale, so object identity is a sound freshness test) and that every
-class dictionary a column dereferenced through is also unchanged.  On any
-mismatch the extent is rebuilt from live data.
+A column set belongs to its extent, not to a plan: :data:`COLUMNS`, the
+one process-wide :class:`ColumnStore`, keys each set by the identity of
+the frozenset an instance serves for a name and drops it when that
+frozenset is collected.  Staleness is handled structurally, not by TTLs:
+instance mutation replaces the value wholesale, so a write is a new key,
+and every fetch re-validates that each class dictionary a column
+dereferenced through is unchanged (rebuilding from live data if not).
+Every compiled plan reads the store (its generated code's ``_cols``), and
+so does the skew guard, which counts a bound value off :meth:`index`.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import QueryExecutionError
@@ -37,18 +41,19 @@ _UNINDEXABLE = object()
 
 
 class ColumnarExtent:
-    """One schema-name extent decomposed into columns (built lazily)."""
+    """One schema-name extent decomposed into columns (built lazily).  It
+    keeps no reference to the frozenset it was built from: the store keys
+    it by that frozenset's identity, and a reference back would pin it."""
 
-    __slots__ = ("name", "source", "elements", "_columns", "_indexes", "_deps")
+    __slots__ = ("name", "elements", "_columns", "_indexes", "_deps")
 
     def __init__(self, name: str, source: frozenset) -> None:
         self.name = name
-        self.source = source
         self.elements: Tuple[Any, ...] = tuple(source)
         self._columns: Dict[Optional[str], Sequence[Any]] = {None: self.elements}
         self._indexes: Dict[Optional[str], Any] = {}
         # class-dict name -> the dict object a column build dereferenced
-        # through; the cache re-validates these on every fetch.
+        # through; the store re-validates these on every fetch.
         self._deps: Dict[str, Any] = {}
 
     def deps_valid(self, instance: Instance) -> bool:
@@ -120,30 +125,28 @@ def probe_positions(index, key: Any, column: Sequence[Any]) -> Sequence[int]:
     return [i for i, value in enumerate(column) if value == key]
 
 
-class ColumnarCache:
-    """Per-compiled-plan store of :class:`ColumnarExtent` objects, keyed
-    by schema name and revalidated against the live instance on every
-    fetch (see the module docstring for the freshness argument)."""
+class ColumnStore:
+    """Column sets keyed by extent identity (see the module docstring):
+    an entry lives exactly as long as the frozenset it was built from."""
 
     __slots__ = ("_extents",)
 
     def __init__(self) -> None:
-        self._extents: Dict[str, ColumnarExtent] = {}
+        self._extents: Dict[int, ColumnarExtent] = {}
 
     def get(self, instance: Instance, name: str) -> ColumnarExtent:
         source = instance[name]
         if not isinstance(source, frozenset):
             raise QueryExecutionError(f"binding source {name} is not a set")
-        extent = self._extents.get(name)
-        if (
-            extent is not None
-            and extent.source is source
-            and extent.deps_valid(instance)
-        ):
+        key = id(source)
+        extent = self._extents.get(key)
+        if extent is None:
+            weakref.finalize(source, self._extents.pop, key, None)
+        elif extent.deps_valid(instance):
             return extent
-        extent = ColumnarExtent(name, source)
-        self._extents[name] = extent
+        extent = self._extents[key] = ColumnarExtent(name, source)
         return extent
 
-    def clear(self) -> None:
-        self._extents.clear()
+
+#: the one column store: every compiled plan's ``_cols`` and the skew guard
+COLUMNS = ColumnStore()

@@ -47,7 +47,7 @@ from repro.errors import (
     QueryExecutionError,
     ReproError,
 )
-from repro.exec.columnar import ColumnarCache, probe_positions
+from repro.exec.columnar import COLUMNS, probe_positions
 from repro.exec.operators import (
     Counters,
     Filter,
@@ -142,8 +142,9 @@ class CompiledPlan:
 
     ``fn(instance, counters, params)`` runs the plan and returns the
     result frozenset; :meth:`run` is the checked entry point.  The
-    columnar cache rides along so steady-state re-runs reuse extents and
-    value indexes (revalidated against the live instance on every run).
+    artifact is code only: the columns and value indexes it scans belong
+    to their extents (:data:`~repro.exec.columnar.COLUMNS`), so re-runs
+    reuse them and a dead database's extents are not pinned by a plan.
     """
 
     query: PCQuery
@@ -151,7 +152,6 @@ class CompiledPlan:
     plan_text: str
     param_names: Tuple[str, ...]
     fn: Callable[..., FrozenSet[Any]] = field(repr=False)
-    columnar: ColumnarCache = field(repr=False, default_factory=ColumnarCache)
     #: structured codegen facts (locals, params, namespace, lookup sites)
     #: for the static verifier; ``None`` on artifacts built elsewhere.
     metadata: Optional[CodegenMetadata] = field(repr=False, default=None)
@@ -204,7 +204,6 @@ class _CodeGen:
         #: emit per-level row counters + the ``_fb`` out-parameter
         self.feedback = feedback
         self.n_levels = 0
-        self.colcache = ColumnarCache()
         self.globals: Dict[str, Any] = {
             "__builtins__": {},
             "Row": Row,
@@ -218,7 +217,7 @@ class _CodeGen:
             "len": len,
             "range": range,
             "_probe": probe_positions,
-            "_cols": self.colcache,
+            "_cols": COLUMNS,
         }
         self.prologue: List[str] = []
         self.body: List[str] = []
@@ -746,7 +745,6 @@ def compile_plan(
         plan_text=plan.tree.explain(),
         param_names=query.param_names(),
         fn=namespace["_plan"],
-        columnar=plan.gen.colcache,
         metadata=plan.metadata,
         feedback=feedback,
     )

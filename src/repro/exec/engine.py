@@ -14,7 +14,9 @@ checks all three agree on every plan the optimizer emits.
 The engine takes its execution flags (``use_hash_joins``, ``mode``,
 ``tracer``) as arguments and nothing else: it never reads an
 :class:`~repro.api.context.OptimizeContext`, so a flag a caller passes is
-the flag the run uses.
+the flag the run uses.  It also keeps the one memo of compiled artifacts
+(:func:`compiled_for`): every caller — ``Database``, its sessions, plain
+``execute`` — shares one artifact per plan and flags.
 """
 
 from __future__ import annotations
@@ -33,11 +35,12 @@ from repro.query.ast import PCQuery
 
 EXEC_MODES = ("interpret", "compiled")
 
-#: engine-level LRU of compiled artifacts, keyed on the (hashable) query
-#: plus the compile-relevant flags — gives steady-state reuse to callers
-#: executing the same plan object repeatedly without a Database plan
-#: cache.  Artifacts hold no extent data beyond the identity-revalidated
-#: columnar caches, so entries stay sound across instance mutations.
+#: the one LRU of compiled artifacts, keyed on the plan query (a
+#: template's ``$`` markers included, so its bindings share one artifact)
+#: plus the compile-relevant flags; a refusal is memoized as ``False``.
+#: Artifacts hold no extent data — columns live in
+#: :data:`~repro.exec.columnar.COLUMNS` — so entries stay sound across
+#: instance mutations and pin no database.
 _COMPILED_CACHE = LRU(max_size=256)
 
 
@@ -48,26 +51,31 @@ def compiled_for(
     feedback: bool = False,
 ):
     """The (LRU-cached) :class:`~repro.exec.compile.CompiledPlan` for a
-    query under the given execution flags.
+    query under the given execution flags, or ``None`` when the code
+    generator refuses the plan — a refusal is memoized under the same
+    key, so each key costs one attempt.
 
     ``feedback`` is part of the key: feedback artifacts carry per-level
     row counters and a fourth parameter, so they must never be served to
     (or shadow) the byte-identical silent artifacts.
     """
 
-    from repro.exec.compile import compile_plan
+    from repro.exec.compile import PlanCompilationError, compile_plan
 
     key = (query, use_hash_joins, cached_names, feedback)
     plan = _COMPILED_CACHE.get(key)
     if plan is None:
-        plan = compile_plan(
-            query,
-            use_hash_joins=use_hash_joins,
-            cached_names=cached_names,
-            feedback=feedback,
-        )
+        try:
+            plan = compile_plan(
+                query,
+                use_hash_joins=use_hash_joins,
+                cached_names=cached_names,
+                feedback=feedback,
+            )
+        except PlanCompilationError:
+            plan = False
         _COMPILED_CACHE.put(key, plan)
-    return plan
+    return plan or None
 
 
 @dataclass
@@ -102,7 +110,6 @@ def execute(
     tracer=NOOP_TRACER,
     mode: str = "interpret",
     params: Optional[Mapping[str, Any]] = None,
-    compiled=None,
     feedback: bool = False,
     instrument: Optional[Callable[[List[Operator]], None]] = None,
 ) -> ExecutionResult:
@@ -123,8 +130,8 @@ def execute(
     :class:`~repro.semcache.session.CachedSession`) unpack it into them.
 
     In ``"compiled"`` mode the plan runs as a generated fused function
-    (reused through an engine-level LRU, or ``compiled`` — an already
-    compiled artifact, e.g. off a plan-cache entry — when given);
+    (:func:`compiled_for`; a plan the generator refuses runs interpreted,
+    with one ``exec.compile_fallback`` event per such run);
     ``params`` feeds ``$`` markers of a compiled template at call time
     (raw values or :class:`~repro.query.paths.Const` leaves).  In
     ``"interpret"`` mode ``params`` are substituted into the query before
@@ -158,26 +165,19 @@ def execute(
     cached_names = frozenset(overlays) if overlays else None
     target = instance.overlay(dict(overlays)) if overlays else instance
 
-    plan = compiled
-    if mode == "compiled" and plan is None:
-        from repro.exec.compile import PlanCompilationError
-
-        try:
-            plan = compiled_for(
-                query,
-                use_hash_joins=use_hash_joins,
-                cached_names=cached_names,
-                feedback=feedback,
-            )
-        except PlanCompilationError:
+    if mode == "compiled":
+        plan = compiled_for(
+            query,
+            use_hash_joins=use_hash_joins,
+            cached_names=cached_names,
+            feedback=feedback,
+        )
+        if plan is None:
             tracer.event("exec.compile_fallback")
             mode = "interpret"
     ops = fb_out = None
     if mode == "compiled":
-        # A caller-supplied artifact decides for itself (plan-cache
-        # entries are compiled with the database's feedback setting).
-        if getattr(plan, "feedback", False):
-            fb_out = []
+        fb_out = [] if feedback else None
         plan_text = plan.plan_text
     else:
         if params:

@@ -215,10 +215,9 @@ def level_specs(
 class FeedbackStore:
     """Observed cardinalities, Q-errors, and the corrected catalog.
 
-    Like the skew guard's value-count cache, everything learned here is
-    only valid for the instance state it was observed on — the Database
-    drops the corrections (:meth:`clear`) on every mutation and on
-    explicit statistics refresh.  The observation ring buffer survives
+    Everything learned here is only valid for the instance state it was
+    observed on — the Database drops the corrections (:meth:`clear`) on
+    every mutation and on explicit statistics refresh.  The observation ring buffer survives
     as history, like the slow-query log.
     """
 

@@ -39,7 +39,6 @@ class PlanRegression:
     max_qerror: float
     elapsed_seconds: float
     baseline_seconds: Optional[float] = None
-    variant: str = ""
     attrs: Dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
@@ -55,7 +54,6 @@ class PlanRegression:
                 if self.baseline_seconds is not None
                 else None
             ),
-            "variant": self.variant,
         }
         if self.attrs:
             record["attrs"] = dict(self.attrs)
@@ -90,7 +88,6 @@ class PlanRegressionLog:
         max_qerror: float,
         elapsed_seconds: float,
         baseline_seconds: Optional[float] = None,
-        variant: str = "",
         **attrs: Any,
     ) -> Optional[PlanRegression]:
         """Screen one observation; returns the regression if it flagged.
@@ -125,7 +122,6 @@ class PlanRegressionLog:
             max_qerror=max_qerror,
             elapsed_seconds=elapsed_seconds,
             baseline_seconds=baseline_seconds,
-            variant=variant,
             attrs=dict(attrs),
         )
         self.entries.append(regression)
@@ -150,11 +146,10 @@ class PlanRegressionLog:
         if not self.entries:
             lines.append("  (none)")
         for entry in self.entries:
-            variant = f" [{entry.variant}]" if entry.variant else ""
             lines.append(
                 f"  {entry.kind}={entry.value:9.2f} "
                 f"(threshold {entry.threshold:g}) "
-                f"{entry.elapsed_seconds * 1000:8.1f}ms{variant}  "
+                f"{entry.elapsed_seconds * 1000:8.1f}ms  "
                 f"{entry.query}"
             )
         return "\n".join(lines)

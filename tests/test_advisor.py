@@ -413,17 +413,6 @@ class TestDatabaseIntegration:
         assert len(db.constraints) == constraints_before
         assert "ADV_V0" not in db.physical_names
 
-    def test_advise_with_disabled_whatif_cache(self):
-        db = rs_db()
-        report = db.advise(
-            [E5_MIX[0]],
-            budget=DesignBudget(max_structures=1),
-            plan_cache_size=0,
-        )
-        assert report.chosen  # same answer, just uncached what-ifs
-        info = report.plan_cache
-        assert (info.hits, info.misses, info.size) == (0, 0, 0)
-
     def test_refresh_statistics_honors_sample_cap(self, monkeypatch):
         db = logical_database("rs", sample=7)
         assert db.statistics_sample == 7

@@ -14,12 +14,16 @@ Three layers of coverage:
   reference evaluator produce identical answers, including overlay
   (hybrid semantic-cache) execution and ``$param`` substitution into an
   already-compiled artifact;
-* mode plumbing — ``exec_mode`` validation, the engine artifact LRU, the
-  plan-cache entry artifact, EXPLAIN ANALYZE's transparent interpreted
-  fallback, and the CLI flag.
+* mode plumbing — ``exec_mode`` validation, the engine artifact LRU (the
+  one memo every caller shares, refusals included), the column store
+  that frees a dead database's extents, EXPLAIN ANALYZE's transparent
+  interpreted fallback, and the CLI flag.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import pytest
 
@@ -31,12 +35,10 @@ from repro.errors import (
     QueryExecutionError,
     ReproError,
 )
-from repro.exec.compile import (
-    CompiledPlan,
-    PlanCompilationError,
-    compile_plan,
-    generate_plan,
-)
+from repro.exec import compile as compile_module
+from repro.exec import engine as engine_module
+from repro.exec.columnar import COLUMNS
+from repro.exec.compile import PlanCompilationError, compile_plan, generate_plan
 from repro.exec.engine import compiled_for, execute
 from repro.exec.operators import (
     Counters,
@@ -45,8 +47,10 @@ from repro.exec.operators import (
     ScanBind,
     Singleton,
 )
+from repro.lru import LRU
 from repro.model.instance import Instance
 from repro.model.values import DictValue, Row
+from repro.obs.trace import Tracer
 from repro.query.ast import Eq
 from repro.query.evaluator import evaluate
 from repro.query.parser import parse_path, parse_query
@@ -73,6 +77,31 @@ def instance():
             ),
         }
     )
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty engine artifact memo and column store for this test alone:
+    counts start at zero, a patched refusal does not outlive the test, and
+    no earlier test's extent stands in for this one's."""
+
+    monkeypatch.setattr(engine_module, "_COMPILED_CACHE", LRU(max_size=256))
+    monkeypatch.setattr(COLUMNS, "_extents", {})
+    return monkeypatch
+
+
+def count_compilations(monkeypatch):
+    """Record every ``compile_plan`` call the engine memo makes."""
+
+    calls = []
+    original = compile_module.compile_plan
+
+    def counting(query, **flags):
+        calls.append((query, flags))
+        return original(query, **flags)
+
+    monkeypatch.setattr(compile_module, "compile_plan", counting)
+    return calls
 
 
 class TestFilterShortCircuitProbes:
@@ -278,7 +307,8 @@ class TestCompiledTemplates:
         plan = compile_plan(q("select struct(A = r.A) from R r where r.B = $b"))
         assert plan.run(instance, params={"b": Const(10)}) == frozenset({Row(A=1)})
 
-    def test_prepared_template_uses_entry_artifact(self):
+    def test_prepared_template_uses_one_artifact(self, fresh_memo):
+        calls = count_compilations(fresh_memo)
         db = Database.from_workload("rs", exec_mode="compiled")
         db_ref = Database.from_workload("rs")
         template = q(
@@ -290,14 +320,13 @@ class TestCompiledTemplates:
         for c in (3, 4, 5, 999):
             got = prepared.run(c=c)
             want = reference.run(c=c)
+            assert got.mode == "compiled"
             assert got.results == want.results, c
             bound = template.bind_params({"c": Const(c)})
             assert got.results == evaluate(bound, db.instance), c
-        # the artifact was compiled once and cached on the entry
-        entry = db._plan_cache.get(
-            (template.template_key(), db.context.fingerprint())
-        )
-        assert isinstance(entry.compiled, CompiledPlan)
+        # four bindings, one compiled function: the memo's key is the
+        # plan with its $ markers
+        assert len(calls) == 1
         db.close()
         db_ref.close()
 
@@ -373,3 +402,64 @@ class TestModePlumbing:
             == 1
         )
         assert "needs an instance" in capsys.readouterr().err
+
+
+class TestOneMemoOneColumnStore:
+    """A compiled artifact is code only, memoized once per plan and flags
+    (a refusal too); its columns belong to the extent, so nothing a plan
+    ran over outlives the database that held it."""
+
+    def test_a_dead_databases_extents_are_freed(self, fresh_memo):
+        db = Database.from_workload("rs", exec_mode="compiled")
+        query = db.workload.query
+        session = db.session()
+        assert session.run(query).results == evaluate(query, db.instance)
+        best = db.optimize(query).best.query
+        assert execute(best, db.instance, mode="compiled").mode == "compiled"
+        extent = weakref.ref(db.instance["R"])
+        session.close()
+        db.close()
+        del db, session
+        gc.collect()
+        assert extent() is None
+
+    def test_a_refused_plan_is_tried_once_per_key(self, fresh_memo):
+        db = Database.from_workload("rs", exec_mode="compiled")
+        query = db.workload.query
+        best = db.optimize(query).best.query
+        attempts = []
+        original = compile_module.generate_plan
+
+        def refuse(plan, **flags):
+            if plan == best:
+                attempts.append((plan, tuple(sorted(flags.items()))))
+                raise PlanCompilationError("refused")
+            return original(plan, **flags)
+
+        fresh_memo.setattr(compile_module, "generate_plan", refuse)
+        want = evaluate(query, db.instance)
+        tracer = Tracer()
+        for _ in range(3):
+            for got in (
+                db.execute(query),
+                execute(best, db.instance, mode="compiled", tracer=tracer),
+            ):
+                assert got.mode == "interpret"
+                assert got.results == want
+        assert attempts and len(attempts) == len(set(attempts))
+        # each run that fell back says so, from the one site in execute
+        fallbacks = [s for s in tracer.spans if s.name == "exec.compile_fallback"]
+        assert len(fallbacks) == 3
+        db.close()
+
+    def test_the_facade_and_the_engine_share_one_artifact(self, fresh_memo):
+        calls = count_compilations(fresh_memo)
+        db = Database.from_workload("rs", exec_mode="compiled")
+        query = db.workload.query
+        best = db.optimize(query).best.query
+        want = evaluate(query, db.instance)
+        for _ in range(2):
+            assert db.execute(query).results == want
+            assert execute(best, db.instance, mode="compiled").results == want
+        assert len(calls) == 1
+        db.close()

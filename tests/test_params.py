@@ -511,13 +511,53 @@ class TestSkewGuard:
         assert info.size == 1
         db.close()
 
-    def test_mutation_clears_the_frequency_cache(self):
+    def test_a_write_is_read_by_the_next_binding(self):
+        """The guard counts off the extent's own value index, and a write
+        is a new extent: the next binding reads the new frequencies."""
+
         db = skewed_database()
-        db._value_counts("R", "A")
-        assert ("R", "A") in db._freq_cache
-        db.instance["R"] = frozenset({Row(A=1, N=0)})
-        assert not db._freq_cache
+        template = parse_query(SKEW_TEMPLATE)
+        assert skew_tag(db, template, 1).startswith("#skew:")
+        assert skew_tag(db, template, 5) is None
+        # A=1..10 four times each: x=1 is ordinary now
+        db.instance["R"] = frozenset(
+            Row(A=a, N=10 * a + i) for a in range(1, 11) for i in range(4)
+        )
+        assert skew_tag(db, template, 1) is None
+        # A=5 on 39 of 50 rows: x=5 is skewed now
+        db.instance["R"] = frozenset(
+            {Row(A=5, N=i) for i in range(39)}
+            | {Row(A=a, N=100 + a) for a in range(6, 17)}
+        )
+        assert skew_tag(db, template, 5).startswith("#skew:")
+        got = db.prepare(template).run(x=5).results
+        assert got == evaluate(template.bind_params({"x": 5}), db.instance)
         db.close()
+
+    def test_the_frequency_is_a_share_of_every_row(self):
+        """18 of 40 rows carry A=None.  NDV(R.A) = 3 prices ``r.A = $x`` at
+        1/3; A=2 selects 1 of the extent's 40 rows, 0.075 of that — a
+        ``#skew:`` variant whose adjusted NDV is the cardinality, 40.
+        (Counting only the 22 rows with a scalar A would read 0.136,
+        inside the band.)"""
+
+        rows = {Row(A=1, N=i) for i in range(20)}
+        rows |= {Row(A=2, N=50), Row(A=3, N=51)}
+        rows |= {Row(A=None, N=100 + i) for i in range(18)}
+        db = Database(instance=Instance({"R": frozenset(rows)}))
+        template = parse_query(SKEW_TEMPLATE)
+        assert skew_tag(db, template, 1) is None
+        tag, adjusted = db._skew_variant(template, ("x",), {"x": 2})
+        assert tag == "#skew:p0.R.A@-4"
+        assert adjusted.distinct("R", "A") == 40.0
+        db.close()
+
+
+def skew_tag(db: Database, template, x):
+    """The ``#skew:`` tag binding ``$x`` to ``x`` routes to, or ``None``."""
+
+    variant = db._skew_variant(template, ("x",), {"x": x})
+    return variant[0] if variant is not None else None
 
 
 # -- per-binding semantic-cache entries ---------------------------------------
