@@ -15,10 +15,10 @@ over all of them:
   :class:`~repro.semcache.session.CachedSession`) and :meth:`prepare`;
 * a cross-request **plan cache** (:mod:`repro.api.plancache`): optimize
   results are keyed on canonical query form + the context's
-  physical-design fingerprint, LRU-bounded, and invalidated by instance
-  mutations through the same subscription channel the semantic cache
-  uses — the "no cross-request plan reuse" non-guarantee of the semantic
-  cache closed at the façade layer;
+  physical-design fingerprint, LRU-bounded, and swept of what a write
+  made stale by reading the instance's write clock before each probe,
+  as the semantic cache does — the "no cross-request plan reuse"
+  non-guarantee of the semantic cache closed at the façade layer;
 * :meth:`prepare` returns a :class:`PreparedQuery`: canonicalize once,
   chase/backchase once, then ``prepared.run()`` re-executes the cached
   best plan — and re-optimizes transparently (with refreshed statistics)
@@ -222,9 +222,9 @@ class Database:
         self.obs = obs
         self._session_seq = 0
         # With no explicit catalog the statistics are observed from the
-        # instance and kept fresh: a mutation marks them dirty and the
-        # next optimization recomputes them.  ``statistics_sample`` caps
-        # every observation (initial, dirty-refresh, explicit refresh) at
+        # instance and kept fresh: the first read of the context after a
+        # write recomputes them.  ``statistics_sample`` caps every
+        # observation (initial, after a write, explicit refresh) at
         # that many rows per extent — scaled estimates, cheap on large
         # instances.  Without it, instances with any extent past the
         # auto-sampling threshold default to a deterministic sample
@@ -232,7 +232,8 @@ class Database:
         # cheap where it matters.
         self.statistics_sample = default_sample(instance, statistics_sample)
         self._auto_statistics = statistics is None and instance is not None
-        self._stats_dirty = False
+        # the write clock the statistics and the feedback store last saw
+        self._stats_clock = self._feedback_clock = getattr(instance, "clock", 0)
         if statistics is None:
             statistics = (
                 Statistics.from_instance(
@@ -264,9 +265,6 @@ class Database:
         )
         size = self.cache_config.plan_cache_size
         self._plan_cache = PlanCache(max_size=size) if size != 0 else None
-        self._listener = None
-        if instance is not None:
-            self._listener = instance.subscribe(self._on_mutation)
 
     # -- construction ----------------------------------------------------------
 
@@ -308,15 +306,15 @@ class Database:
     @property
     def context(self) -> OptimizeContext:
         """The current :class:`OptimizeContext` (auto-observed statistics
-        are refreshed here when an instance mutation marked them dirty)."""
+        are re-observed here when the instance was written since)."""
 
-        if self._stats_dirty and self._auto_statistics:
+        if self._auto_statistics and self._stats_clock != self.instance.clock:
+            self._stats_clock = self.instance.clock
             self._context = self._context.override(
                 statistics=Statistics.from_instance(
                     self.instance, sample=self.statistics_sample
                 )
             )
-            self._stats_dirty = False
         return self._context
 
     @property
@@ -352,33 +350,36 @@ class Database:
                 self.instance, sample=self.statistics_sample
             )
         self._context = self._context.override(statistics=statistics)
-        self._stats_dirty = False
+        self._stats_clock = getattr(self.instance, "clock", 0)
         self.clear_plan_cache()
-        self._drop_observations()
+        if self.obs.feedback is not None:
+            self.obs.feedback.clear()  # measured under the old catalog
         return statistics
 
-    def _on_mutation(self, name: str) -> None:
-        if self._auto_statistics:
-            self._stats_dirty = True
-        if self._plan_cache is not None:
-            self._plan_cache.invalidate_source(name)
-        self._drop_observations()
+    def _plans(self) -> Optional[PlanCache]:
+        """The plan cache (``None`` when disabled), swept first when the
+        instance was written since the last sweep."""
 
-    def _drop_observations(self) -> None:
-        """Forget what was measured on the previous instance state or
-        catalog: the feedback store's observed cardinalities.  (The skew
-        guard's value counts live on the extent itself — a write is a
-        new extent.)"""
+        cache, instance = self._plan_cache, self.instance
+        if cache is not None and instance is not None and cache.clock != instance.clock:
+            cache.invalidate_source(instance)
+        return cache
 
-        if self.obs.feedback is not None:
-            self.obs.feedback.clear()
+    def _feedback(self):
+        """The feedback store (``None`` when off), emptied first when the
+        instance was written since it last looked.  (The skew guard's
+        value counts live on the extent itself — a write is a new one.)"""
+
+        store, instance = self.obs.feedback, self.instance
+        if store is not None and instance is not None:
+            if self._feedback_clock != instance.clock:
+                self._feedback_clock = instance.clock
+                store.clear()
+        return store
 
     def close(self) -> None:
-        """Detach the mutation listener (sessions detach separately)."""
-
-        if self._listener is not None and self.instance is not None:
-            self.instance.unsubscribe(self._listener)
-            self._listener = None
+        """Nothing to release — the instance holds no reference to the
+        database; kept so a database can close a ``with`` block."""
 
     def __enter__(self) -> "Database":
         return self
@@ -438,7 +439,7 @@ class Database:
         ctx = context if context is not None else self.context
         if strategy is not None and strategy != ctx.strategy:
             ctx = ctx.override(strategy=strategy)
-        cache = self._plan_cache
+        cache = self._plans()
         with self.obs.tracer.span("db.optimize") as sp:
             entry = None
             if cache is not None:
@@ -454,11 +455,13 @@ class Database:
             else:
                 result = ctx.optimizer().optimize(query)
                 if cache is not None:
+                    # the clock swept at the probe, read before optimizing
                     entry = cache.put(
                         key,
                         result,
                         self._dependencies(query, result),
                         params=query.canonical().param_names(),
+                        clock=cache.clock,
                     )
             sp.set(
                 strategy=result.strategy,
@@ -466,25 +469,6 @@ class Database:
                 best_cost=round(result.best.cost, 3),
             )
         return result, entry
-
-    def _variant_entry(
-        self,
-        query: PCQuery,
-        tag: str,
-        statistics: Statistics,
-        strategy: Optional[str],
-    ) -> Tuple[OptimizationResult, Optional[PlanCacheEntry]]:
-        """The one replan mechanism: re-optimize ``query`` under adjusted
-        ``statistics`` into (or fetch it from) the ``tag``-suffixed
-        variant entry.  The skew guard and plan-quality feedback differ
-        only in their policies — when to replan and how to adjust."""
-
-        return self._optimize_entry(
-            query,
-            strategy=strategy,
-            variant=tag,
-            context=self.context.override(statistics=statistics),
-        )
 
     def execute(
         self,
@@ -536,7 +520,12 @@ class Database:
                 result, entry = self._optimize_entry(query, strategy=strategy)
                 variant = self._feedback_variant(entry)
             if variant is not None:
-                result, entry = self._variant_entry(query, *variant, strategy)
+                # The one replan mechanism: the skew guard and feedback
+                # differ only in when to replan and how to adjust.
+                tag, statistics = variant
+                result, entry = self._optimize_entry(
+                    query, strategy, tag, self.context.override(statistics=statistics)
+                )
             names = entry.params if entry is not None else order
             execution = self._run_entry(
                 result.best.query,
@@ -803,11 +792,12 @@ class Database:
         entry typechecked) before anything is assigned, so a failure —
         e.g. a :class:`~repro.physical.indexes.PrimaryIndex` chosen off
         sampled statistics hitting a real key violation — raises with the
-        instance, schema and context untouched.  The assignments then fire
-        the mutation listeners (dependent plan-cache entries drop), the
-        context grows the design's constraint pairs and names, and —
-        when the statistics are auto-observed — the catalog is re-observed
-        so subsequent optimizations price the *real* extents (an
+        instance, schema and context untouched.  The assignments then tick
+        the instance's write clock (dependent plan-cache entries drop at
+        the next probe), the context grows the design's constraint pairs
+        and names, and — when the statistics are auto-observed — the
+        catalog is re-observed so subsequent optimizations price the
+        *real* extents (an
         explicitly supplied catalog is preserved, exactly as the
         constructor promises; call :meth:`refresh_statistics` yourself to
         replace it).  Idempotent: structures whose name the instance
@@ -831,7 +821,7 @@ class Database:
             if self.schema is not None and cand.name not in self.schema:
                 schema_type = cand.schema_type(self.schema)
             staged.append((cand, value, schema_type))
-        # Phase 2 — commit: assignments fire the invalidation listeners.
+        # Phase 2 — commit: each assignment ticks the write clock.
         installed = []
         for cand, value, schema_type in staged:
             self.instance[cand.name] = value
@@ -881,8 +871,9 @@ class Database:
             "enabled": self.obs.tracer.enabled,
             "spans_recorded": len(self.obs.tracer),
         }
-        if self.obs.feedback is not None:
-            snapshot["feedback"] = self.obs.feedback.as_dict()
+        store = self._feedback()
+        if store is not None:
+            snapshot["feedback"] = store.as_dict()
             snapshot["regressions"] = self.obs.regressions.as_dicts()
         return snapshot
 
@@ -899,12 +890,13 @@ class Database:
         the registry histograms, and the plan-regression log (the REPL's
         ``\\feedback`` and ``python -m repro metrics --feedback``)."""
 
-        if self.obs.feedback is None:
+        store = self._feedback()
+        if store is None:
             return (
                 "plan-quality feedback is disabled — construct the "
                 "Database with obs=ObsConfig(feedback=True)"
             )
-        lines = [self.obs.feedback.render()]
+        lines = [store.render()]
         histogram = self.obs.registry.histograms.get("feedback.qerror")
         if histogram is not None and histogram.count:
             p50 = histogram.quantile(0.5)
@@ -928,14 +920,14 @@ class Database:
         """Counters of the cross-request plan cache (``repro.lru``'s
         ``cache_info()`` plus invalidations)."""
 
-        if self._plan_cache is None:
+        cache = self._plans()
+        if cache is None:
             return PlanCacheInfo(0, 0, 0, 0, 0, 0)
-        return self._plan_cache.cache_info()
+        return cache.cache_info()
 
     def clear_plan_cache(self) -> int:
-        if self._plan_cache is None:
-            return 0
-        return self._plan_cache.clear()
+        cache = self._plans()
+        return cache.clear() if cache is not None else 0
 
     def _dependencies(
         self, query: PCQuery, result: OptimizationResult
@@ -1057,8 +1049,7 @@ class Database:
         regression log.  A no-op (one ``None`` check) with feedback off
         or when the run collected no actuals."""
 
-        store = self.obs.feedback
-        if store is None or execution.level_rows is None:
+        if execution.level_rows is None or (store := self._feedback()) is None:
             return
         from repro.obs.feedback import QERROR_BUCKETS
 
@@ -1115,12 +1106,11 @@ class Database:
         feedback-corrected statistics (the store's drift-stable
         fingerprint is the bucket); ``None`` leaves the base entry."""
 
-        store = self.obs.feedback
         if (
             entry is None
             or not entry.flagged
             or not self.cache_config.feedback_replan
-            or store is None
+            or (store := self._feedback()) is None
             or not store.has_corrections()
         ):
             return None

@@ -17,10 +17,10 @@ re-optimization.
 On top of that it is **invalidation-aware**: each entry records the
 schema names its plan space read (every candidate plan's sources, the
 original query's sources, and the class dictionaries oid dereference
-reads implicitly), and :meth:`PlanCache.invalidate_source` drops the
-dependents of a mutated name — through the same
-:class:`repro.lru.DependencyIndex`, and the same conservative dependency
-discipline, as the semantic cache.
+reads implicitly) and the instance's write clock before it was
+optimized; :meth:`PlanCache.invalidate_source` drops every entry whose
+names the instance wrote since — the same conservative dependency
+discipline as the semantic cache.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import FrozenSet, Optional, Tuple
 
-from repro.lru import LRU, CacheInfo, DependencyIndex
+from repro.lru import LRU, CacheInfo
 from repro.optimizer.optimizer import OptimizationResult
 
 #: cache key: (template key [+ "#skew:..." variant tag], context fingerprint).
@@ -47,7 +47,8 @@ PlanCacheInfo = CacheInfo
 
 @dataclass
 class PlanCacheEntry:
-    """One cached optimization: the full result plus its dependency set.
+    """One cached optimization: the full result, its dependency set and
+    the instance's write clock read before the optimization.
 
     ``params`` records the parameter names of the optimized query in
     canonical (positional) order.  Alpha-variant templates (``$x`` vs
@@ -71,18 +72,20 @@ class PlanCacheEntry:
     result: OptimizationResult
     dependencies: FrozenSet[str]
     params: Tuple[str, ...] = ()
+    clock: int = 0
     baseline_seconds: Optional[float] = None
     flagged: bool = False
     replanned: bool = False
 
 
 class PlanCache:
-    """LRU store of optimization results with dependency invalidation."""
+    """LRU store of optimization results with dependency invalidation;
+    ``clock`` is the instance's write clock at the last sweep."""
 
     def __init__(self, max_size: Optional[int] = DEFAULT_MAX_SIZE) -> None:
         self._entries = LRU(max_size)
-        self._index = DependencyIndex()  # schema name -> dependent keys
         self.invalidations = 0
+        self.clock = 0
 
     def get(self, key: Key) -> Optional[PlanCacheEntry]:
         """Cached entry for ``key``, counting the probe and refreshing its
@@ -96,30 +99,28 @@ class PlanCache:
         result: OptimizationResult,
         dependencies: FrozenSet[str],
         params: Tuple[str, ...] = (),
+        clock: int = 0,
     ) -> PlanCacheEntry:
         entry = PlanCacheEntry(
-            result=result, dependencies=dependencies, params=params
+            result=result, dependencies=dependencies, params=params, clock=clock
         )
-        replaced = self._entries.pop(key)
-        if replaced is not None:
-            self._index.remove(key, replaced.dependencies)
-        self._index.add(key, dependencies)
-        for victim, evicted in self._entries.put(key, entry):
-            self._index.remove(victim, evicted.dependencies)
+        self._entries.put(key, entry)
         return entry
 
-    def invalidate_source(self, name: str) -> int:
-        """Drop every entry whose plan space read ``name``; returns the
-        count.  Called by the owning database on each instance mutation."""
+    def invalidate_source(self, instance) -> int:
+        """The sweep: drop every entry whose plan space read a name
+        ``instance`` wrote since the entry's clock; returns the count."""
 
-        dropped = 0
-        for key in self._index.dependents(name):
-            entry = self._entries.pop(key)
-            if entry is not None:
-                self._index.remove(key, entry.dependencies)
-                dropped += 1
-        self.invalidations += dropped
-        return dropped
+        stale = [
+            key
+            for key, entry in self._entries.items()
+            if instance.written_since(entry.dependencies, entry.clock)
+        ]
+        for key in stale:
+            self._entries.pop(key)
+        self.invalidations += len(stale)
+        self.clock = instance.clock
+        return len(stale)
 
     def clear(self) -> int:
         """Drop everything (counters survive; drops count as
@@ -127,7 +128,6 @@ class PlanCache:
 
         dropped = len(self._entries)
         self._entries.clear()
-        self._index.clear()
         self.invalidations += dropped
         return dropped
 

@@ -4,11 +4,16 @@ An :class:`Instance` binds each schema name to a runtime value.  For OO
 classes it also records which dictionary implements each class, so oid
 dereference (``d.DName`` in OQL) evaluates as the dictionary lookup
 ``Dept[d].DName`` — exactly the paper's semantics for class encodings.
+
+Every write ticks the instance's **write clock**.  What is derived from
+an instance (cached plans and views, statistics, feedback) records the
+clock it read and asks :meth:`Instance.written_since` before reuse, so
+the instance holds no reference to any of it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import InstanceError, TypeMismatchError
 from repro.model.schema import Schema
@@ -18,18 +23,20 @@ from repro.model.values import DictValue, Oid, Row, type_check
 class Instance:
     """A mapping from schema names to values, with oid dereferencing.
 
-    Mutations (``instance[name] = value``) can be observed: listeners
-    registered with :meth:`subscribe` are called with the mutated schema
-    name after each assignment.  The semantic result cache uses this to
-    invalidate views whose source relations changed; :meth:`copy` does not
-    carry listeners over (a copy is a fresh, unobserved database).
+    Each ``instance[name] = value`` ticks :attr:`clock` and stamps
+    ``name`` with the new tick; :meth:`written_since` tells a reader
+    whether any name it derived state from was written after the clock
+    it read.  :meth:`copy` starts a fresh clock (a copy is a new
+    database).
     """
 
     def __init__(self, data: Optional[Dict[str, Any]] = None) -> None:
         self._data: Dict[str, Any] = dict(data or {})
         # class name -> dictionary schema name implementing the class
         self._class_dicts: Dict[str, str] = {}
-        self._listeners: List[Callable[[str], None]] = []
+        #: the write clock: the number of writes so far
+        self.clock = 0
+        self._written: Dict[str, int] = {}  # name -> tick of its last write
 
     # -- mapping interface ---------------------------------------------------
 
@@ -41,27 +48,16 @@ class Instance:
 
     def __setitem__(self, name: str, value: Any) -> None:
         self._data[name] = value
-        for listener in tuple(self._listeners):
-            listener(name)
+        self.clock += 1
+        self._written[name] = self.clock
 
-    # -- mutation listeners ---------------------------------------------------
+    def written_since(self, names: Iterable[str], clock: int) -> bool:
+        """Was any of ``names`` written after the clock read ``clock``?"""
 
-    def subscribe(self, listener: Callable[[str], None]) -> Callable[[str], None]:
-        """Call ``listener(name)`` after every ``instance[name] = value``.
-
-        Returns the listener so callers can keep it for :meth:`unsubscribe`.
-        """
-
-        self._listeners.append(listener)
-        return listener
-
-    def unsubscribe(self, listener: Callable[[str], None]) -> None:
-        """Remove a listener registered with :meth:`subscribe` (idempotent)."""
-
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
+        if self.clock == clock:
+            return False
+        written = self._written
+        return any(written.get(name, 0) > clock for name in names)
 
     def __contains__(self, name: str) -> bool:
         return name in self._data
@@ -159,7 +155,7 @@ class Instance:
         oid dereference through class dictionaries — resolves against this
         instance *at access time*, so a mutation of a base relation is
         visible to plans executing over the overlay immediately.  Writes to
-        the overlay stay in the overlay and fire no listeners.
+        the overlay stay in the overlay and tick no clock.
         """
 
         return OverlayInstance(self, values)
@@ -183,16 +179,17 @@ class OverlayInstance(Instance):
     cached extents are materialized under their view names in the overlay
     while every base-relation read falls through to the *live* base
     instance, so a hybrid plan can never observe a base relation older
-    than the moment it is scanned.  The overlay is unobserved — writes to
-    it never reach the base or its listeners — and the base's class
-    registry is shared (not copied), so oid dereference stays live too.
+    than the moment it is scanned.  Writes to the overlay never reach the
+    base or tick a clock, and the base's class registry is shared (not
+    copied), so oid dereference stays live too.
     """
 
     def __init__(self, base: Instance, values: Optional[Dict[str, Any]] = None) -> None:
         self._base = base
         self._data = dict(values or {})  # overlay names only
         self._class_dicts = base._class_dicts  # shared, live
-        self._listeners: List[Callable[[str], None]] = []
+        self.clock = 0
+        self._written = {}
 
     def __getitem__(self, name: str) -> Any:
         if name in self._data:
@@ -200,7 +197,7 @@ class OverlayInstance(Instance):
         return self._base[name]
 
     def __setitem__(self, name: str, value: Any) -> None:
-        # Overlay-local: the base instance and its listeners never see it.
+        # Overlay-local: the base instance and its clock never see it.
         self._data[name] = value
 
     def __contains__(self, name: str) -> bool:

@@ -11,13 +11,13 @@ engine into a caching query service:
   benefit);
 * :mod:`repro.semcache.cache` — the :class:`SemanticCache` pool with
   its one tier walk (exact / backchase rewrite, view-only or **hybrid**
-  view ⋈ base / miss) and its invalidation index;
+  view ⋈ base / miss) and its write-clock sweep;
 * :mod:`repro.semcache.policy` — cost-benefit eviction bounds (observed
   rewrite benefit keeps paying views resident);
 * :mod:`repro.semcache.session` — the :class:`CachedSession` front end
-  (execute → maybe-rewrite → maybe-register), subscribed to its
-  instance's writes, serving hybrid plans against read-through overlays
-  so base reads stay live;
+  (execute → maybe-rewrite → maybe-register), sweeping its cache when
+  its instance's write clock moved, serving hybrid plans against
+  read-through overlays so base reads stay live;
 * :mod:`repro.semcache.stats` — monotone :class:`CacheStats` counters.
 
 Both the cache and the session take their optimization settings as one

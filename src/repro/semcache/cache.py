@@ -9,9 +9,9 @@ exactly when containment holds under the base constraints plus the view
 pairs, which is precisely the correctness condition a semantic cache
 needs.  The cache itself only decides *bookkeeping*: which views are
 relevant, when to evict (cost-benefit, :mod:`repro.semcache.policy`) and
-when to invalidate (:meth:`SemanticCache.invalidate_source`, a reverse
-schema name → views index, :class:`repro.lru.DependencyIndex`, so a
-write touches only its dependents).
+when to invalidate (:meth:`SemanticCache.invalidate_source`: each view
+records the instance's write clock it was computed at, and the sweep
+drops every view a later write touched).  One pool serves one instance.
 
 Lookup is one tier walk, :meth:`SemanticCache.lookup`, shared by the
 session's request path, the façade's session-aware EXPLAIN (as a peek,
@@ -44,7 +44,6 @@ from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.constraints.epcd import EPCD
 from repro.errors import ReproError
-from repro.lru import DependencyIndex
 from repro.obs.trace import NOOP_TRACER
 from repro.optimizer.cost import estimate_cost, extent_statistics
 from repro.optimizer.optimizer import OptimizationResult, Optimizer
@@ -112,7 +111,8 @@ class SemanticCache:
     ``Database.context``; a default one without) is what every rewrite
     optimizes under before its per-request overlay, and the one source of
     the catalog, cost model and tracer.  Its physical filter is never
-    inherited: :meth:`plan_rewrite` sets one per request."""
+    inherited: :meth:`plan_rewrite` sets one per request.  ``clock`` is
+    the instance's write clock at the last sweep."""
 
     def __init__(
         self, context=None, policy: Optional[CostBenefitPolicy] = None
@@ -126,8 +126,8 @@ class SemanticCache:
         self.stats = CacheStats()
         self._views: Dict[str, CachedView] = {}
         self._exact: Dict[str, str] = {}  # canonical key -> view name
-        self._index = DependencyIndex()  # schema name -> dependent views
         self._seq = 0
+        self.clock = 0
 
     # -- introspection ---------------------------------------------------------
 
@@ -212,7 +212,7 @@ class SemanticCache:
         if name is None:
             return None
         view = self._views.get(name)
-        if view is None or view.stale or view.result is None:
+        if view is None or view.result is None:
             return None
         return view
 
@@ -340,6 +340,7 @@ class SemanticCache:
         query: PCQuery,
         results: Optional[FrozenSet] = None,
         extra_dependencies: FrozenSet[str] = frozenset(),
+        clock: int = 0,
     ) -> Optional[CachedView]:
         """Admit an executed query (``results``) — or with ``results=None``
         a plan-only shape — into the pool; returns the view or ``None``
@@ -347,7 +348,8 @@ class SemanticCache:
 
         ``extra_dependencies`` extend the invalidation key set beyond the
         query's syntactic sources (e.g. class dictionaries read through
-        oid dereference)."""
+        oid dereference); ``clock`` is the instance's write clock read
+        before ``results`` were computed."""
 
         if query.has_params():
             # A template has no extent of its own — cacheable results
@@ -374,10 +376,10 @@ class SemanticCache:
             results,
             registered_at=self._seq,
             extra_dependencies=frozenset(extra_dependencies),
+            clock=clock,
         )
         self._views[name] = view
         self._exact[key] = name
-        self._index.add(name, view.dependencies)
         self.stats.registrations += 1
         self._evict_to_budget()
         return self._views.get(name)
@@ -393,32 +395,27 @@ class SemanticCache:
 
     def _drop(self, view: CachedView) -> None:
         self._views.pop(view.name, None)
-        self._index.remove(view.name, view.dependencies)
         key = view.query.canonical_key()
         if self._exact.get(key) == view.name:
             del self._exact[key]
 
     # -- invalidation ----------------------------------------------------------
 
-    def invalidate_source(self, name: str) -> int:
-        """Drop every view reading schema name ``name``; returns the count.
+    def invalidate_source(self, instance) -> int:
+        """The sweep: drop every view reading a name ``instance`` wrote
+        since the view's clock; returns the count.  A session calls it
+        before each tier walk and counter read once the clock moved."""
 
-        A :class:`~repro.semcache.session.CachedSession` calls it on each
-        write to its instance.  Mutations of cache-generated names (a
-        session materializing an extent into an overlay) are ignored.
-        """
-
-        if name.startswith(NAME_PREFIX):
-            return 0
-        dropped = 0
-        for view_name in self._index.dependents(name):
-            view = self._views.get(view_name)
-            if view is not None:
-                view.stale = True
-                self._drop(view)
-                dropped += 1
-                self.stats.invalidations += 1
-        return dropped
+        stale = [
+            view
+            for view in self._views.values()
+            if instance.written_since(view.dependencies, view.clock)
+        ]
+        for view in stale:
+            self._drop(view)
+        self.stats.invalidations += len(stale)
+        self.clock = instance.clock
+        return len(stale)
 
     def clear(self) -> None:
         """Drop every view (stats are monotone and survive)."""

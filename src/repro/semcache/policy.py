@@ -14,7 +14,7 @@ occupies, scaled by how often it actually served.
   sticky as one serving full rewrites);
 * the **demand** factor is ``1 + hits`` (a never-hit view still has a
   chance, but a hot one is sticky);
-* stale and plan-only views score 0, so they are always evicted first.
+* plan-only views score 0, so they are always evicted first.
 
 Scores are recomputed at eviction time (hit counts move), and ties break
 on registration order — oldest out first — so eviction is deterministic.
@@ -45,7 +45,7 @@ class CostBenefitPolicy:
     def score(
         self, view: CachedView, statistics: Statistics, cost_model: CostModel
     ) -> float:
-        if view.stale or view.plan_only:
+        if view.plan_only:
             return 0.0
         recompute = estimate_cost(view.view.definition, statistics, cost_model)
         scan = cost_model.scan_startup + float(view.tuples()) * cost_model.tuple_cost

@@ -21,17 +21,20 @@ overlay is only a namespace trick (the plan reads cached extents
 exclusively); for **hybrid** plans — enabled by default, disable with
 ``hybrid=False`` — it is load-bearing: a view ⋈ base plan re-resolves its
 base loops against the current database, so a mutation of a base relation
-can never be papered over by a stale snapshot, and the invalidation
-listener never sees cache-internal writes.
+can never be papered over by a stale snapshot, and cache-internal writes
+never tick the instance's write clock.
 
-The session subscribes itself to its instance's mutations on construction
-and hands every written name to
+Each view records the instance's write clock read before the request
+that computed it.  Before every tier walk and every read of :attr:`stats`
+the session compares the clock with the one its cache last swept at and,
+when it moved, calls
 :meth:`~repro.semcache.cache.SemanticCache.invalidate_source`, which drops
-the dependent views; :meth:`close` unsubscribes.  A promoted hybrid answer
-registers under the *original* query, whose sources name every base
-relation it read, so a base write drops it like any view.  ``enabled=False``
-degrades to a plain cold executor with the same interface, which is what
-the cold arms of the benchmarks run.
+the views a write made stale.  The instance holds no reference to the
+session, so a dropped session is freed; :meth:`close` releases nothing.
+A promoted hybrid answer registers under the *original* query, whose
+sources name every base relation it read, so a base write drops it like
+any view.  ``enabled=False`` degrades to a plain cold executor with the
+same interface, which is what the cold arms of the benchmarks run.
 """
 
 from __future__ import annotations
@@ -98,21 +101,23 @@ class CachedSession:
         self.feedback_hook = feedback_hook
         self.cache = cache if cache is not None else SemanticCache(context)
         self.context = self.cache.context
-        self._listener = instance.subscribe(self._on_mutation) if enabled else None
+
+    def _swept(self) -> SemanticCache:
+        """The cache, swept first when the instance was written since
+        its last sweep."""
+
+        cache = self.cache
+        if cache.clock != self.instance.clock:
+            cache.invalidate_source(self.instance)
+        return cache
 
     @property
     def stats(self) -> CacheStats:
-        return self.cache.stats
-
-    def _on_mutation(self, name: str) -> None:
-        self.cache.invalidate_source(name)
+        return self._swept().stats
 
     def close(self) -> None:
-        """Unsubscribe from the instance (the cache itself survives)."""
-
-        if self._listener is not None:
-            self.instance.unsubscribe(self._listener)
-            self._listener = None
+        """Nothing to release — the instance holds no reference to the
+        session; kept so a session can close a ``with`` block."""
 
     def __enter__(self) -> "CachedSession":
         return self
@@ -155,7 +160,7 @@ class CachedSession:
         ``(exact view, rewrite)``.  ``record=False`` peeks at what
         :meth:`run` would serve right now (``Database.explain``)."""
 
-        return self.cache.lookup(
+        return self._swept().lookup(
             query,
             require_executable=True,
             base_names=self.instance.names if self.hybrid else None,
@@ -177,8 +182,9 @@ class CachedSession:
 
     def _run(self, query: PCQuery) -> SessionResult:
         start = time.perf_counter()
+        clock = self.instance.clock  # what every answer below reads
         if not self.enabled:
-            return self._cold(query, start)
+            return self._cold(query, start, clock)
 
         exact, rewrite = self.lookup(query)
         if exact is not None:
@@ -198,9 +204,7 @@ class CachedSession:
             )
             # Promote the rewrite into an exact entry: repeats of this
             # query skip the per-request optimization entirely.
-            self.cache.register(
-                query, execution.results, self._implicit_dependencies()
-            )
+            self._register(query, execution, clock)
             return SessionResult(
                 results=execution.results,
                 source=HYBRID if rewrite.hybrid else REWRITE,
@@ -210,9 +214,9 @@ class CachedSession:
                 base_names=tuple(sorted(rewrite.base_names())),
             )
 
-        return self._cold(query, start)
+        return self._cold(query, start, clock)
 
-    def _cold(self, query: PCQuery, start: float) -> SessionResult:
+    def _cold(self, query: PCQuery, start: float, clock: int) -> SessionResult:
         """Execute ``query`` verbatim against the live instance, feeding
         the per-level actuals to the feedback hook when one is wired and
         (an enabled session) the result back into the view pool."""
@@ -223,9 +227,7 @@ class CachedSession:
         if self.feedback_hook is not None:
             self.feedback_hook(query, execution, "session.cold")
         if self.enabled:
-            self.cache.register(
-                query, execution.results, self._implicit_dependencies()
-            )
+            self._register(query, execution, clock)
         return SessionResult(
             results=execution.results,
             source=COLD,
@@ -233,9 +235,11 @@ class CachedSession:
             plan_text=execution.plan_text,
         )
 
-    def _implicit_dependencies(self):
-        """Names every evaluation may read without naming them: the class
-        dictionaries oid dereference goes through.  Registered as extra
-        invalidation dependencies so mutating one drops the view."""
+    def _register(self, query: PCQuery, execution, clock: int) -> None:
+        """Admit an answer computed at write clock ``clock``; the class
+        dictionaries oid dereference reads without naming them are extra
+        dependencies, so writing one drops the view."""
 
-        return self.instance.class_dict_names()
+        self.cache.register(
+            query, execution.results, self.instance.class_dict_names(), clock
+        )

@@ -62,7 +62,9 @@ class CachedView:
     hits), ``view`` the struct-output materialized-view capture whose
     ``cV``/``c'V`` pair drives rewrites, ``extent`` the view-shaped result
     rows served to rewritten plans, and ``result`` the original-shaped
-    result set served on exact hits.
+    result set served on exact hits.  ``clock`` is the instance's write
+    clock read before the request that computed it: the cache drops the
+    view once any of its ``dependencies`` is written after it.
     """
 
     name: str
@@ -79,7 +81,7 @@ class CachedView:
     constraints: List[EPCD]
     registered_at: int
     hits: int = 0
-    stale: bool = False
+    clock: int = 0
     last_used_at: int = field(default=0)
     #: accumulated *observed* benefit: for every rewrite or hybrid answer
     #: this view served, the estimated cost delta between the winning plan
@@ -108,12 +110,11 @@ class CachedView:
         query does not are filtered out before the per-request chase.
         """
 
-        return not self.stale and self.sources <= query_names
+        return self.sources <= query_names
 
     def __str__(self) -> str:
         size = "plan-only" if self.plan_only else f"{self.tuples()} tuples"
-        flags = ", stale" if self.stale else ""
-        return f"{self.name} ({size}, {self.hits} hits{flags}): {self.query}"
+        return f"{self.name} ({size}, {self.hits} hits): {self.query}"
 
 
 def make_cached_view(
@@ -122,6 +123,7 @@ def make_cached_view(
     results: Optional[FrozenSet],
     registered_at: int,
     extra_dependencies: FrozenSet[str] = frozenset(),
+    clock: int = 0,
 ) -> CachedView:
     """Capture an executed query (or, with ``results=None``, just its
     shape) as a cached view named ``name``.
@@ -129,7 +131,8 @@ def make_cached_view(
     ``extra_dependencies`` are names the evaluation read without naming
     them syntactically — sessions pass the instance's class-dictionary
     names here, since any attribute access may dereference an oid through
-    them and a mutation would otherwise go unnoticed.
+    them and a mutation would otherwise go unnoticed.  ``clock`` is the
+    write clock the results were computed at.
     """
 
     definition = view_definition(query)
@@ -146,6 +149,7 @@ def make_cached_view(
         dependencies=sources | extra_dependencies,
         constraints=view.constraints(),
         registered_at=registered_at,
+        clock=clock,
         last_used_at=registered_at,
         observed_ndv=observed_extent_ndvs(extent),
     )

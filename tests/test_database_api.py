@@ -11,6 +11,8 @@ single serve path's probe / root-span accounting.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -299,14 +301,17 @@ class TestLRUPrimitive:
         )
 
         plans = PlanCache(max_size=2)
+        instance = Instance({"R": 1, "S": 2, "T": 3})
         plans.put(("q1", "f"), "r1", frozenset({"R"}))
         plans.put(("q2", "f"), "r2", frozenset({"R", "S"}))
         plans.get(("q1", "f"))
         plans.get(("q9", "f"))
         plans.put(("q3", "f"), "r3", frozenset({"S"}))  # evicts q2
         plans.put(("q1", "f"), "r1b", frozenset({"T"}))  # re-put: R -> T
-        assert plans.invalidate_source("R") == 0  # q2 evicted, q1 re-linked
-        assert plans.invalidate_source("T") == 1
+        instance["R"] = 1
+        assert plans.invalidate_source(instance) == 0  # q2 evicted, q1 on T
+        instance["T"] = 3
+        assert plans.invalidate_source(instance) == 1
         assert len(plans) == 1
         plans.put(("q4", "f"), "r4", frozenset())
         assert plans.clear() == 2
@@ -613,3 +618,33 @@ class TestSessionWiring:
         got = session.run(parse_query("select struct(A = r.A) from R r"))
         assert got.source == "cold"
         assert len(session.cache) == 0
+
+
+class TestNothingHoldsADroppedOwner:
+    """The instance keeps no reference to what reads it: a session or a
+    database nobody holds any more is freed without ``close()``."""
+
+    QUERY = "select struct(A = r.A) from R r"
+
+    def test_dropped_sessions_are_freed_and_leave_the_metrics(self):
+        db = rs_database()
+        refs = []
+        for _ in range(5):
+            session = db.session()
+            session.run(parse_query(self.QUERY))
+            refs.append(weakref.ref(session))
+        del session
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 5
+        sources = db.metrics()["sources"]
+        assert [name for name in sources if name.startswith("semcache")] == []
+
+    def test_an_unclosed_database_is_freed_while_its_instance_lives(self):
+        db = rs_database()
+        instance = db.instance
+        db.execute(self.QUERY)
+        ref = weakref.ref(db)
+        del db
+        gc.collect()
+        assert ref() is None
+        assert instance["R"]  # the instance outlives it

@@ -320,10 +320,13 @@ class TestFeedbackCollection:
         db = Database(
             instance=small_instance(), obs=ObsConfig(feedback=True)
         )
-        store = db.obs.feedback
-        store._set_card("R", 500.0)
+        db.obs.feedback._set_card("R", 500.0)
+        assert db.metrics()["feedback"]["card_overrides"] == {"R": 500.0}
         db.instance["T"] = frozenset({Row(A=0, C=0)})
-        assert not store.has_corrections()
+        # the store is emptied when the database next reads it
+        feedback = db.metrics()["feedback"]
+        assert feedback["card_overrides"] == feedback["ndv_overrides"] == {}
+        assert not db.obs.feedback.has_corrections()
         db.close()
 
     def test_session_cold_path_feeds_the_store(self):

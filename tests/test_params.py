@@ -209,7 +209,7 @@ class TestBindParams:
 
 class TestCanonicalBindingOrderPin:
     def test_from_clause_order_changes_the_canonical_key(self):
-        """Pinned limitation (see ROADMAP "Known non-guarantees"):
+        """Pinned limitation (see ROADMAP § Parameterized templates):
         ``canonical()`` renames variables by binding order, so permuting
         the from clause changes the canonical key and such variants do
         not share plan-cache entries.  This test documents the current

@@ -69,18 +69,23 @@ class TestMaterializedView:
         view.refresh(rs_instance)
         assert Row(A=30) in rs_instance["V"]
 
-    def test_install_fires_mutation_listeners(self, rs_instance):
+    def test_install_and_refresh_stamp_the_write_clock(self, rs_instance):
         # Database.apply_design leans on this: installing a view is an
-        # instance mutation, so plan-cache/semcache invalidation sees it.
-        seen = []
-        rs_instance.subscribe(seen.append)
+        # instance write, so plan-cache/semcache invalidation sees it.
         view = MaterializedView(
             "V", parse_query("select struct(A = r.A) from R r")
         )
+        before = rs_instance.clock
         view.install(rs_instance)
-        assert seen == ["V"]
+        assert rs_instance.written_since({"V"}, before)
+        assert not rs_instance.written_since({"R", "S"}, before)
+        installed = rs_instance.clock
+        assert not rs_instance.written_since({"V"}, installed)
         view.refresh(rs_instance)
-        assert seen == ["V", "V"]
+        assert rs_instance.written_since({"V"}, installed)
+        refreshed = rs_instance.clock
+        rs_instance.overlay()["V"] = frozenset()  # an overlay's writes stay local
+        assert rs_instance.clock == refreshed
 
     def test_install_returns_value_equal_to_stored_extent(self, rs_instance):
         view = MaterializedView(
