@@ -7,9 +7,10 @@
 #                     determinism
 #   make determinism  goldens, pinned search counters, the kernel, chase,
 #                     backchase and early-stop differential suites
-#                     (lookup-safety traps included) and the served-verdict
-#                     property under PYTHONHASHSEED=0, 1, 2, each arm with
-#                     its own address layout
+#                     (lookup-safety traps included), the Theorem 2
+#                     cross-checks and the served-verdict property under
+#                     PYTHONHASHSEED=0, 1, 2, each arm with its own
+#                     address layout
 #   make fuzz         the property suites (tests/test_prop_*.py) under fresh
 #                     random draws; tier-1 itself runs them derandomized
 #                     (tests/conftest.py), so it repeats run for run
@@ -48,6 +49,9 @@ GOLDEN_FILES := tests/test_golden_plans.py tests/test_advisor.py
 # each arm its own (997 x seed throwaway variables interned up front).  The
 # name-supply trap and the kept-closure checks are in the two differential
 # files below; the interned fields' parity is TestTheFieldsAreTheLadders.
+# Theorem 2 is cross-checked too: the search's normal forms against the
+# bottom-up subset enumeration and against section 3's rule formulation
+# (both in tests/backchase_oracle.py).
 DETERMINISM_TESTS := tests/test_golden_plans.py \
 	tests/test_paths.py::TestTheFieldsAreTheLadders \
 	tests/test_pruned_backchase.py::TestCountersPinnedAcrossTheMerge \
@@ -57,7 +61,9 @@ DETERMINISM_TESTS := tests/test_golden_plans.py \
 	tests/test_chase_differential.py \
 	tests/test_backchase_differential.py \
 	tests/test_early_stop_differential.py \
-	tests/test_prop_optimizer.py::test_served_lookup_safety_is_the_from_scratch_verdict
+	tests/test_bottomup.py::TestCrossValidation \
+	tests/test_prop_optimizer.py::test_served_lookup_safety_is_the_from_scratch_verdict \
+	tests/test_prop_optimizer.py::test_rule_normal_forms_are_the_backchase_normal_forms
 
 .PHONY: test check lint loc profile golden determinism fuzz bench bench-smoke \
 	bench-e18 bench-e19 bench-e20

@@ -10,11 +10,8 @@ order in which removals are tried).
 
 from __future__ import annotations
 
-from repro.backchase.backchase import (
-    is_minimal,
-    minimal_subqueries,
-    try_remove_binding,
-)
+from backchase_oracle import bottom_up_minimal_plans, is_minimal, try_remove_binding
+from repro.backchase.backchase import minimal_subqueries
 from repro.chase.chase import ChaseEngine, chase
 from repro.chase.containment import is_equivalent
 from repro.query.ast import PCQuery
@@ -78,8 +75,6 @@ def test_e7_original_query_recoverable(benchmark, rs_small):
 def test_e7_bottom_up_cross_validation(benchmark, rs_small):
     """Theorem 2, validated two ways: the top-down backchase normal forms
     equal the bottom-up subset enumeration's minimal elements."""
-
-    from repro.backchase.bottomup import bottom_up_minimal_plans
 
     wl = rs_small
     universal = chase(wl.query, wl.constraints).query

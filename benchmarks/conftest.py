@@ -7,10 +7,16 @@ and the CLI use — instead of per-file copies of the builder imports.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.api import build_workload
 from repro.optimizer.optimizer import Optimizer
+
+# The reference enumerators the benchmarks cross-check against are test oracles.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,8 @@ A complete reproduction of:
     Universal Plans." VLDB 1999, pp. 459–470.
 
 The public API re-exports the main entry points; see README.md for a
-quickstart and DESIGN.md for the architecture.
+quickstart and ROADMAP.md's "Reference — subsystem notes" for the
+architecture.
 
 Typical usage — the :class:`Database` façade bundles schema, constraints,
 physical design, instance, statistics and the cross-request plan cache::
@@ -24,16 +25,7 @@ The lower layers (``Optimizer``, ``execute``, ``CachedSession``, ...)
 remain importable for standalone use.
 """
 
-from repro.backchase.backchase import (
-    BackchaseStats,
-    is_minimal,
-    minimal_subqueries,
-    try_remove_binding,
-)
-from repro.backchase.bottomup import (
-    bottom_up_minimal_plans,
-    restrict_to_bindings,
-)
+from repro.backchase.backchase import BackchaseStats, minimal_subqueries
 from repro.backchase.minimize import minimize, minimize_all
 from repro.chase.chase import ChaseEngine, ChaseResult, chase
 from repro.chase.containment import (
@@ -67,7 +59,6 @@ from repro.model.values import DictValue, Oid, Row, row
 from repro.model.ddl import DDLResult, parse_ddl
 from repro.optimizer.cost import CostModel, estimate_cost
 from repro.optimizer.optimizer import OptimizationResult, Optimizer, Plan
-from repro.optimizer.rules import RuleBasedOptimizer
 from repro.optimizer.statistics import Statistics
 from repro.physical.asr import AccessSupportRelation, PathStep
 from repro.physical.classes import ClassEncoding
@@ -195,13 +186,10 @@ __all__ = [
     "StructType",
     "Var",
     "DDLResult",
-    "RuleBasedOptimizer",
-    "bottom_up_minimal_plans",
     "chase",
     "check_all",
     "dict_of",
     "parse_ddl",
-    "restrict_to_bindings",
     "estimate_cost",
     "evaluate",
     "execute",
@@ -212,7 +200,6 @@ __all__ = [
     "implies",
     "is_contained_in",
     "is_equivalent",
-    "is_minimal",
     "is_trivial",
     "minimal_subqueries",
     "BackchaseStats",
@@ -231,6 +218,5 @@ __all__ = [
     "row",
     "set_of",
     "struct",
-    "try_remove_binding",
     "typecheck_query",
 ]

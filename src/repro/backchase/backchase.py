@@ -596,32 +596,6 @@ def accept_candidate(
     return plan_lookups_safe(candidate, engine)
 
 
-def try_remove_binding(
-    query: PCQuery,
-    var: str,
-    deps: Sequence[EPCD],
-    engine: Optional[ChaseEngine] = None,
-    check: bool = True,
-    stats: Optional["BackchaseStats"] = None,
-) -> Optional[PCQuery]:
-    """One backchase step: remove binding ``var`` if conditions (1)-(3) hold.
-
-    Returns the reduced (simplified, reordered) query, or ``None`` when the
-    step does not apply.  ``check=False`` skips the (expensive) condition
-    (3) equivalence test — used by tests that verify the check separately.
-    """
-
-    engine = engine or ChaseEngine(list(deps))
-    candidate = build_candidate(query, frozenset((var,)))
-    if candidate is None:
-        return None
-    if stats is not None:
-        stats.candidates_explored += 1
-    if check and not accept_candidate(candidate, query, engine):
-        return None
-    return candidate
-
-
 @dataclass
 class BackchaseStats:
     """Instrumentation for the enumeration (used by benchmarks).
@@ -867,15 +841,3 @@ def minimal_subqueries(
     )
     normal_forms.sort(key=lambda q: (len(q.bindings), q.canonical_key()))
     return normal_forms
-
-
-def is_minimal(
-    query: PCQuery, deps: Sequence[EPCD], engine: Optional[ChaseEngine] = None
-) -> bool:
-    """No strict equivalent subquery exists (section 3's minimality)."""
-
-    engine = engine or ChaseEngine(list(deps))
-    return all(
-        try_remove_binding(query, var, deps, engine) is None
-        for var in query.binding_vars()
-    )

@@ -2,14 +2,13 @@
 
 import pytest
 
+from backchase_oracle import is_minimal, try_remove_binding
 from repro.backchase.backchase import (
     BackchaseStats,
-    is_minimal,
     minimal_subqueries,
     quick_simplify_conditions,
     simplify_conditions,
     toposort_bindings,
-    try_remove_binding,
 )
 from repro.chase.chase import ChaseEngine, chase
 from repro.chase.containment import is_contained_in, is_equivalent

@@ -40,14 +40,14 @@ from typing import Dict, FrozenSet, List
 
 import pytest
 
-from repro.api.workloads import WORKLOAD_NAMES, build_workload
-from repro.backchase import backchase
-from repro.backchase.backchase import (
-    BackchaseStats,
-    minimal_subqueries,
+from backchase_oracle import (
+    bottom_up_minimal_plans,
+    restrict_to_bindings,
     try_remove_binding,
 )
-from repro.backchase.bottomup import bottom_up_minimal_plans, restrict_to_bindings
+from repro.api.workloads import WORKLOAD_NAMES, build_workload
+from repro.backchase import backchase
+from repro.backchase.backchase import BackchaseStats, minimal_subqueries
 from repro.chase import containment
 from repro.chase.chase import ChaseEngine, chase
 from repro.chase.congruence import build_congruence

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.backchase.backchase import minimal_subqueries
-from repro.backchase.bottomup import (
+from backchase_oracle import (
     bottom_up_minimal_plans,
     enumerate_equivalent_subqueries,
     restrict_to_bindings,
 )
+from repro.backchase.backchase import minimal_subqueries
 from repro.chase.chase import chase
 from repro.chase.containment import is_equivalent
 from repro.query.parser import parse_constraint, parse_query

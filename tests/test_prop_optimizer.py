@@ -10,6 +10,7 @@ the implementation-mapping constraints hold by construction).
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from backchase_oracle import rule_normal_forms
 from conftest import constraint_pool, constraint_sets, pc_queries
 from repro.backchase import backchase
 from repro.chase.chase import ChaseEngine, chase
@@ -100,19 +101,18 @@ def test_best_plan_never_costlier_than_original(scenario):
 
 @settings(max_examples=15, deadline=None)
 @given(scenarios())
-def test_rule_based_plans_correct(scenario):
-    instance, constraints, query = scenario
-    from repro.optimizer.rules import RuleBasedOptimizer
+def test_rule_normal_forms_are_the_backchase_normal_forms(scenario):
+    """Theorem 2 against section 3 on random designs: chase-precedence
+    rewriting with the two rules reaches exactly Algorithm 1's normal
+    forms."""
 
-    optimizer = RuleBasedOptimizer(
-        constraints,
-        statistics=Statistics.from_instance(instance),
-        strategy="beam",
-        beam_width=3,
-    )
-    reference = evaluate(query, instance)
-    for plan, _cost in optimizer.search(query):
-        assert evaluate(plan, instance) == reference, str(plan)
+    _instance, constraints, query = scenario
+    by_rules = rule_normal_forms(query, constraints)
+    universal = chase(query, constraints).query
+    by_search = backchase.minimal_subqueries(universal, constraints, strategy="full")
+    assert {f.canonical_key() for f in by_rules} == {
+        f.canonical_key() for f in by_search
+    }
 
 
 @st.composite

@@ -9,13 +9,13 @@ scenarios, and the strategy plumbing.
 
 import pytest
 
+from backchase_oracle import restrict_to_bindings
 from repro import Database
 from repro.backchase.backchase import (
     BackchaseStats,
     build_candidate,
     minimal_subqueries,
 )
-from repro.backchase.bottomup import restrict_to_bindings
 from repro.chase.chase import ChaseEngine, chase
 from repro.chase.containment import is_contained_in
 from repro.errors import BackchaseError, OptimizationError
