@@ -4,7 +4,9 @@
 #                     tests printed
 #   make check        the full gate: lint, tier-1 tests, bench smokes,
 #                     golden suite, benchmarks/perf harness tests,
-#                     determinism
+#                     determinism, examples
+#   make examples     run every examples/*.py script (fails on the first
+#                     non-zero exit), leaving no file in the tree
 #   make determinism  goldens, pinned search counters, the kernel, chase,
 #                     backchase and early-stop differential suites
 #                     (lookup-safety traps included), the Theorem 2
@@ -65,8 +67,8 @@ DETERMINISM_TESTS := tests/test_golden_plans.py \
 	tests/test_prop_optimizer.py::test_served_lookup_safety_is_the_from_scratch_verdict \
 	tests/test_prop_optimizer.py::test_rule_normal_forms_are_the_backchase_normal_forms
 
-.PHONY: test check lint loc profile golden determinism fuzz bench bench-smoke \
-	bench-e18 bench-e19 bench-e20
+.PHONY: test check lint loc profile golden determinism fuzz examples bench \
+	bench-smoke bench-e18 bench-e19 bench-e20
 
 test:
 	$(PYTEST) -x -q --durations=25
@@ -74,13 +76,14 @@ test:
 # The chained gate: unit/integration tests first (excluding the smoke and
 # golden markers so failures localize), then the benchmark smokes, the
 # cross-strategy golden suite, the benchmark harness's own tests, and the
-# hash-seed sweep.
+# hash-seed sweep, then the example scripts.
 check: lint
 	$(PYTEST) -x -q --durations=15 -m "not bench_smoke and not golden"
 	$(PYTEST) -q --durations=15 -m bench_smoke tests/test_bench_smoke.py
 	$(PYTEST) -q -m golden $(GOLDEN_FILES)
 	$(PYTEST) -q benchmarks/perf
 	$(MAKE) --no-print-directory determinism
+	$(MAKE) --no-print-directory examples
 
 determinism:
 	for seed in 0 1 2; do \
@@ -99,6 +102,19 @@ lint:
 	PYTHONPATH=src python -m repro.analysis && \
 	python tests/check_golden_freshness.py; \
 	status=$$?; rm -rf "$$cache"; exit $$status
+
+# Each script runs from a throwaway directory with its bytecode kept
+# there too (observability.py writes its trace sample to the working
+# directory), so the tree is left as it was.
+examples:
+	@root=$$(pwd); tmp=$$(mktemp -d); status=0; \
+	export PYTHONPATH="$$root/src" PYTHONPYCACHEPREFIX="$$tmp/pycache"; \
+	for script in examples/*.py; do \
+		echo "examples: $$script"; \
+		(cd "$$tmp" && python "$$root/$$script" > /dev/null) \
+			|| { status=1; break; }; \
+	done; \
+	rm -rf "$$tmp"; exit $$status
 
 loc:
 	@find src/repro -name '*.py' | xargs cat | wc -l \

@@ -87,8 +87,8 @@ def drift_flag_replan() -> None:
     Passing explicit ``statistics`` pins the catalog (mutations never
     refresh it), so an insert burst leaves the optimizer costing against
     a world that no longer exists.  With feedback on, the per-level
-    actuals expose the drift as a large Q-error, the regression log
-    flags the cached plan, and ``feedback_replan`` serves later requests
+    actuals expose the drift as a large Q-error, the feedback store
+    judges the run a regression and flags the cached plan, and ``feedback_replan`` serves later requests
     from a ``#fb:``-tagged re-optimization under the corrected catalog —
     answers identical throughout.
     """

@@ -7,17 +7,15 @@ Two engines, one finding model (:mod:`repro.analysis.findings`):
   source and proves definite assignment, lookup-guard dominance,
   parameter declaration and namespace closure;
 * :mod:`repro.analysis.invariants` — AST rules over ``src/repro`` itself
-  (see :mod:`repro.analysis.rules`) with per-line suppression and a
-  checked-in zero-findings baseline.
+  (see :mod:`repro.analysis.rules`) with per-line suppression as the
+  only escape hatch.
 
 ``python -m repro.analysis`` runs both; ``make lint`` and CI invoke it.
 """
 
 from repro.analysis.findings import (
     Finding,
-    apply_baseline,
     apply_suppressions,
-    load_baseline,
     render_github,
     render_json,
     render_text,
@@ -35,10 +33,8 @@ __all__ = [
     "Finding",
     "Project",
     "SourceFile",
-    "apply_baseline",
     "apply_suppressions",
     "lint_project",
-    "load_baseline",
     "load_project",
     "render_github",
     "render_json",

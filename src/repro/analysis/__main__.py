@@ -4,14 +4,13 @@ Sweeps the parser round-trip check and the codegen verifier over the
 lint corpus and any ``.oql`` files given on the command line, the
 verifier alone over every golden workload's canonical and winning plan
 (both scan modes); then runs the invariant rules over ``src/repro``.
-Exit status 0 when no finding survives the per-line suppressions and the
-checked-in baseline, 1 otherwise.
+Exit status 0 when no finding survives the per-line suppressions, 1
+otherwise.
 
 Flags: ``--json`` for machine-readable output, ``--rules`` to print the
 rule catalog, ``--skip-codegen`` / ``--skip-invariants`` /
-``--skip-workloads`` to narrow the sweep, ``--no-baseline`` to see
-baselined findings too.  With the ``CI`` environment variable set,
-findings are echoed as GitHub ``::error`` annotations.
+``--skip-workloads`` to narrow the sweep.  With the ``CI`` environment
+variable set, findings are echoed as GitHub ``::error`` annotations.
 """
 
 from __future__ import annotations
@@ -23,9 +22,7 @@ from typing import List, Optional
 from repro.analysis.codegen import verify_corpus, verify_workload_plans
 from repro.analysis.findings import (
     Finding,
-    apply_baseline,
     in_ci,
-    load_baseline,
     render_github,
     render_json,
     render_text,
@@ -98,11 +95,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         action="store_true",
         help="skip optimizing the golden workloads (corpus still verified)",
     )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="report findings the baseline would otherwise accept",
-    )
     args = parser.parse_args(argv)
 
     if args.rules:
@@ -134,32 +126,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         files = len(project.src)
         findings.extend(lint_project(project))
 
-    baseline = set() if args.no_baseline else load_baseline()
-    matched = {f.baseline_key() for f in findings}
-    reported = apply_baseline(findings, baseline)
-
     if args.json:
         print(
             render_json(
-                reported,
-                artifacts_verified=artifacts,
-                files_linted=files,
-                baselined=len(findings) - len(reported),
+                findings, artifacts_verified=artifacts, files_linted=files
             )
         )
-        return 1 if reported else 0
+        return 1 if findings else 0
 
-    if reported:
-        print(render_text(reported), file=sys.stderr)
+    if findings:
+        print(render_text(findings), file=sys.stderr)
         if in_ci():
-            print(render_github(reported))
-    for stale in sorted(baseline - matched):
-        print(f"analysis: stale baseline entry: {stale}", file=sys.stderr)
+            print(render_github(findings))
     print(
         f"analysis: {artifacts} plan artifact(s) verified, "
-        f"{files} source file(s) linted, {len(reported)} finding(s)"
+        f"{files} source file(s) linted, {len(findings)} finding(s)"
     )
-    return 1 if reported else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,15 +6,11 @@ scan mode), the line in that source, a stable rule id and a one-line
 message.  The rendered form is ``file:line: RULE-ID message`` — the same
 shape compilers use, so editors and CI annotate it for free.
 
-Two escape hatches keep the linter honest instead of bypassed:
-
-* **per-line suppression** — a trailing ``# repro: ignore[RULE-ID]``
-  comment (several ids comma-separated; bare ``# repro: ignore`` mutes
-  every rule) drops findings on that exact line, visibly at the site;
-* **baseline** — ``baseline.txt`` next to this module lists findings
-  that are accepted for now, keyed on ``file: RULE-ID message`` (line
-  numbers excluded, so unrelated edits do not churn it).  The shipped
-  baseline is empty: the tree lints clean, and any new finding fails.
+The one escape hatch is **per-line suppression**, visible at the site:
+a trailing ``# repro: ignore[RULE-ID]`` comment (several ids
+comma-separated; bare ``# repro: ignore`` mutes every rule) drops
+findings on that exact line.  The tree lints clean, and any new finding
+fails.
 """
 
 from __future__ import annotations
@@ -25,15 +21,11 @@ import os
 import re
 import tokenize
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Sequence, Set
 
 __all__ = [
     "Finding",
-    "apply_baseline",
     "apply_suppressions",
-    "default_baseline_path",
-    "load_baseline",
     "render_github",
     "render_json",
     "render_text",
@@ -58,11 +50,6 @@ class Finding:
 
     def render(self) -> str:
         return f"{self.file}:{self.line}: {self.rule} {self.message}"
-
-    def baseline_key(self) -> str:
-        """The line-number-free identity baseline entries match on."""
-
-        return f"{self.file}: {self.rule} {self.message}"
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -116,35 +103,6 @@ def apply_suppressions(
             continue
         kept.append(finding)
     return kept
-
-
-# -- baseline --------------------------------------------------------------
-
-
-def default_baseline_path() -> Path:
-    return Path(__file__).resolve().parent / "baseline.txt"
-
-
-def load_baseline(path: Optional[Path] = None) -> Set[str]:
-    """Accepted finding keys (``file: RULE-ID message`` lines; ``#``
-    comments and blank lines skipped).  A missing file is an empty
-    baseline."""
-
-    path = path or default_baseline_path()
-    if not path.exists():
-        return set()
-    keys: Set[str] = set()
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            keys.add(line)
-    return keys
-
-
-def apply_baseline(
-    findings: Sequence[Finding], baseline: Set[str]
-) -> List[Finding]:
-    return [f for f in findings if f.baseline_key() not in baseline]
 
 
 # -- rendering -------------------------------------------------------------

@@ -4,9 +4,8 @@ The observability layer and the engine statistics objects
 (:class:`repro.obs.metrics.Counter`,
 :class:`repro.backchase.backchase.BackchaseStats`,
 :class:`repro.semcache.stats.CacheStats`, the observation counters of
-:class:`repro.obs.slowlog.SlowQueryLog`,
-:class:`repro.obs.feedback.FeedbackStore` and
-:class:`repro.obs.regress.PlanRegressionLog`) are cumulative by contract —
+:class:`repro.obs.slowlog.SlowQueryLog` and
+:class:`repro.obs.feedback.FeedbackStore`) are cumulative by contract —
 dashboards and the EXPLAIN ANALYZE report difference them across
 snapshots, so a decrement or a mid-life reset silently corrupts every
 derived rate.  Two checks:
@@ -40,7 +39,6 @@ MONOTONE_CLASSES = frozenset(
         "CacheStats",
         "SlowQueryLog",
         "FeedbackStore",
-        "PlanRegressionLog",
     }
 )
 

@@ -79,11 +79,13 @@ class CacheConfig:
 
     ``feedback_replan`` generalizes the skew guard from one bound value
     to the whole catalog: when plan-quality feedback
-    (``ObsConfig(feedback=True)``) has flagged an entry in the
-    regression log, later requests for it re-optimize under the
-    feedback-corrected statistics and are served from a ``#fb:``-tagged
-    variant entry.  Off by default — and inert without the feedback
-    store, since there is nothing to correct with.
+    (``ObsConfig(feedback=True)``) has judged a run of an entry a
+    regression and flagged it, later requests for it re-optimize under
+    the feedback-corrected statistics and are served from a
+    ``#fb:``-tagged variant entry
+    (:meth:`repro.obs.feedback.FeedbackStore.variant`).  Off by default —
+    and inert without the feedback store, since there is nothing to
+    correct with.
     """
 
     plan_cache_size: Optional[int] = 128
@@ -518,7 +520,10 @@ class Database:
             skewed = variant is not None
             if not skewed:
                 result, entry = self._optimize_entry(query, strategy=strategy)
-                variant = self._feedback_variant(entry)
+                if self.cache_config.feedback_replan and (
+                    store := self._feedback()
+                ) is not None:
+                    variant = store.variant(entry, self.context.statistics)
             if variant is not None:
                 # The one replan mechanism: the skew guard and feedback
                 # differ only in when to replan and how to adjust.
@@ -874,7 +879,9 @@ class Database:
         store = self._feedback()
         if store is not None:
             snapshot["feedback"] = store.as_dict()
-            snapshot["regressions"] = self.obs.regressions.as_dicts()
+            snapshot["regressions"] = [
+                regression.regression_dict() for regression in store.regressions
+            ]
         return snapshot
 
     def metrics_report(self) -> str:
@@ -885,9 +892,8 @@ class Database:
         return "\n".join(lines)
 
     def feedback_report(self) -> str:
-        """Plan-quality feedback rendered for humans: the store's
-        observations and corrected statistics, Q-error percentiles from
-        the registry histograms, and the plan-regression log (the REPL's
+        """Plan-quality feedback rendered for humans (the store's
+        :meth:`~repro.obs.feedback.FeedbackStore.render`; the REPL's
         ``\\feedback`` and ``python -m repro metrics --feedback``)."""
 
         store = self._feedback()
@@ -896,17 +902,7 @@ class Database:
                 "plan-quality feedback is disabled — construct the "
                 "Database with obs=ObsConfig(feedback=True)"
             )
-        lines = [store.render()]
-        histogram = self.obs.registry.histograms.get("feedback.qerror")
-        if histogram is not None and histogram.count:
-            p50 = histogram.quantile(0.5)
-            p95 = histogram.quantile(0.95)
-            lines.append(
-                f"q-error over {histogram.count} levels: "
-                f"p50<={p50:g} p95<={p95:g} max={histogram.max:g}"
-            )
-        lines.append(self.obs.regressions.render())
-        return "\n".join(lines)
+        return store.render()
 
     def query_report(self, request_id: Optional[int] = None):
         """The :class:`~repro.obs.report.QueryReport` timeline of one
@@ -1039,21 +1035,18 @@ class Database:
 
     def _observe_feedback(
         self,
-        entry: Optional[Any],
+        entry: Optional[PlanCacheEntry],
         plan_query: PCQuery,
         execution: ExecutionResult,
         source: str,
     ) -> None:
-        """Fold one request's per-level actuals into the feedback store,
-        the Q-error histograms, the producing cache entry, and the
-        regression log.  A no-op (one ``None`` check) with feedback off
-        or when the run collected no actuals."""
+        """Hand one request's per-level actuals to the feedback store,
+        which judges them and stamps ``entry``.  A no-op (one ``None``
+        check) with feedback off or when the run collected no actuals."""
 
         if execution.level_rows is None or (store := self._feedback()) is None:
             return
-        from repro.obs.feedback import QERROR_BUCKETS
-
-        observation = store.observe(
+        store.observe(
             plan_query,
             self.context.statistics,
             execution.level_rows,
@@ -1061,66 +1054,7 @@ class Database:
             elapsed_seconds=execution.elapsed_seconds,
             use_hash_joins=self.context.use_hash_joins,
             source=source,
-        )
-        if observation is None:
-            return
-        registry = self.obs.registry
-        registry.counter("feedback.observations").inc()
-        histogram = registry.histogram("feedback.qerror", bounds=QERROR_BUCKETS)
-        for level in observation.levels:
-            histogram.observe(level.qerror)
-        registry.histogram(
-            "feedback.qerror.max", bounds=QERROR_BUCKETS
-        ).observe(observation.max_qerror)
-        baseline = None
-        if entry is not None:
-            baseline = entry.baseline_seconds
-            if (
-                baseline is None
-                or execution.elapsed_seconds < baseline
-            ):
-                entry.baseline_seconds = execution.elapsed_seconds
-        regression = self.obs.regressions.observe(
-            plan_query,
-            observation.max_qerror,
-            execution.elapsed_seconds,
-            baseline_seconds=baseline,
-            source=source,
-        )
-        if regression is not None:
-            registry.counter("feedback.regressions").inc()
-            self.obs.tracer.event(
-                "feedback.regression",
-                kind=regression.kind,
-                qerror=round(observation.max_qerror, 2),
-            )
-            if entry is not None:
-                entry.flagged = True
-
-    def _feedback_variant(
-        self, entry: Optional[PlanCacheEntry]
-    ) -> Optional[Tuple[str, Statistics]]:
-        """Plan-quality feedback's replan policy
-        (``CacheConfig.feedback_replan``): a regression-flagged entry
-        routes to the ``#fb:``-tagged variant optimized under the
-        feedback-corrected statistics (the store's drift-stable
-        fingerprint is the bucket); ``None`` leaves the base entry."""
-
-        if (
-            entry is None
-            or not entry.flagged
-            or not self.cache_config.feedback_replan
-            or (store := self._feedback()) is None
-            or not store.has_corrections()
-        ):
-            return None
-        if not entry.replanned:
-            entry.replanned = True
-            self.obs.registry.counter("feedback.replans").inc()
-        self.obs.tracer.event("feedback.replan")
-        return (
-            "#fb:" + store.fingerprint(),
-            store.corrected_statistics(self.context.statistics),
+            entry=entry,
         )
 
     def __repr__(self) -> str:

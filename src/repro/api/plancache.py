@@ -61,10 +61,10 @@ class PlanCacheEntry:
     (:func:`repro.exec.engine.compiled_for`), whose key is the plan with
     its ``$`` markers, so every binding shares one compiled function.
 
-    The plan-quality feedback layer (:mod:`repro.obs.feedback`) stamps
-    its verdicts here: ``baseline_seconds`` is the best execution time,
-    ``flagged`` whether the regression log tripped on it (the routing
-    signal for ``CacheConfig.feedback_replan``), and ``replanned``
+    The feedback store (:class:`repro.obs.feedback.FeedbackStore`)
+    stamps its verdicts here: ``baseline_seconds`` is the best execution
+    time, ``flagged`` whether the store judged a run of it a regression
+    (the routing signal for ``CacheConfig.feedback_replan``), and ``replanned``
     whether a feedback variant was already minted for it.  All three
     reset naturally with the entry on invalidation.
     """

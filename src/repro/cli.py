@@ -300,10 +300,10 @@ def cmd_metrics(args) -> int:
                         if n in params
                     }
                 if args.feedback:
-                    # Feedback observes the plan-cache request path
-                    # (db.execute / prepared runs), which sessions bypass
-                    # — route the mix through the optimizing front door
-                    # so the report has observations to show.
+                    # A session feeds the store only from its cold runs
+                    # and stamps no plan-cache entry; the front door
+                    # observes every repetition and judges each against
+                    # its entry's best time, so the report shows both.
                     db.execute(query, params=bound)
                 else:
                     session.run(query, params=bound)

@@ -16,12 +16,12 @@ the path that executes (no operator or engine is re-implemented here):
   (``explain(q, analyze=True)``): the engine's run, a clock per operator;
 - :mod:`repro.obs.feedback` — always-on cardinality feedback: the
   engine's per-level actuals vs the cost model's estimates, Q-error
-  accounting, corrected statistics (``ObsConfig(feedback=True)``);
-- :mod:`repro.obs.regress` — ring-buffer :class:`PlanRegressionLog`
-  flagging plans whose Q-error or latency drifted past thresholds.
+  accounting, the regression verdict that flags a cached plan whose
+  Q-error or latency drifted, corrected statistics and the replan they
+  drive (``ObsConfig(feedback=True)``).
 
 :class:`Observability` bundles one tracer + registry + slow log (plus,
-with feedback enabled, one feedback store + regression log) per
+with feedback enabled, one feedback store reporting to both) per
 :class:`~repro.api.database.Database`, built from an :class:`ObsConfig`.
 """
 
@@ -32,17 +32,13 @@ from typing import Optional
 
 from repro.obs.analyze import AnalyzeResult, OpStats, analyze_query
 from repro.obs.feedback import (
+    DEFAULT_QERROR_THRESHOLD,
     FeedbackObservation,
     FeedbackStore,
     LevelFeedback,
     qerror,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.regress import (
-    DEFAULT_QERROR_THRESHOLD,
-    PlanRegression,
-    PlanRegressionLog,
-)
 from repro.obs.report import QueryReport
 from repro.obs.slowlog import (
     DEFAULT_THRESHOLD_SECONDS,
@@ -64,8 +60,6 @@ __all__ = [
     "ObsConfig",
     "Observability",
     "OpStats",
-    "PlanRegression",
-    "PlanRegressionLog",
     "QueryReport",
     "SlowQuery",
     "SlowQueryLog",
@@ -86,8 +80,8 @@ class ObsConfig:
     live.  ``tracing=True`` turns on span recording and thereby the
     per-phase latency histograms.  ``feedback=True`` turns on plan-quality
     feedback: per-level actual cardinalities, Q-error histograms, and the
-    plan-regression log (with it off, the execution path records nothing
-    and compiled artifacts carry no feedback code).
+    regressions past ``qerror_threshold`` (with it off, the execution
+    path records nothing and compiled artifacts carry no feedback code).
     """
 
     tracing: bool = False
@@ -100,8 +94,8 @@ class ObsConfig:
 class Observability:
     """One tracer + metrics registry + slow-query log, wired together.
 
-    With ``config.feedback`` a :class:`FeedbackStore` and
-    :class:`PlanRegressionLog` ride along; otherwise both attributes are
+    With ``config.feedback`` a :class:`FeedbackStore` rides along,
+    reporting to the same registry and tracer; otherwise ``feedback`` is
     ``None`` and the execution layers skip feedback work entirely.
     """
 
@@ -117,11 +111,11 @@ class Observability:
             threshold_seconds=config.slow_query_threshold
         )
         self.feedback: Optional[FeedbackStore] = None
-        self.regressions: Optional[PlanRegressionLog] = None
         if config.feedback:
-            self.feedback = FeedbackStore()
-            self.regressions = PlanRegressionLog(
-                qerror_threshold=config.qerror_threshold
+            self.feedback = FeedbackStore(
+                qerror_threshold=config.qerror_threshold,
+                registry=self.registry,
+                tracer=self.tracer,
             )
 
     def report(self, request_id=None) -> QueryReport:

@@ -11,13 +11,17 @@ record exactly as ``EXPLAIN ANALYZE`` reads them), and the per-level
 
     ``q = max(est, act) / max(min(est, act), 1)``
 
-is recorded into metrics histograms and stamped onto the producing plan
-cache entry.  The store additionally distills the actuals into
+is recorded into metrics histograms.  The store owns the whole feedback
+policy: it screens each observation for a **regression** — the worst
+Q-error past ``ObsConfig.qerror_threshold``, or a run
+:data:`LATENCY_DRIFT_RATIO` times slower than the best time the same
+cached plan has delivered — keeps the flagged ones, and stamps and flags
+the producing plan-cache entry.  It also distills the actuals into
 *corrected statistics* — per-relation cardinality overrides and
 per-attribute NDV overrides — which ``CacheConfig.feedback_replan``
-feeds back into a tagged re-optimization of flagged plans (the skew
-guard's variant mechanism, generalized from one parameter value to the
-whole catalog).
+feeds back into a tagged re-optimization of flagged plans
+(:meth:`FeedbackStore.variant`: the skew guard's variant mechanism,
+generalized from one parameter value to the whole catalog).
 
 Everything here is gated by ``ObsConfig(feedback=True)``: with the flag
 off no store exists, compiled artifacts are byte-identical to today's,
@@ -37,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.exec.operators import HashJoinBind, binding_levels, chain
@@ -46,6 +50,8 @@ from repro.exec.planner import compile_query
 # Shared with EXPLAIN ANALYZE and the cost model: "est rows" here, there
 # and in estimate_cost are one reading of one walk.
 from repro.obs.analyze import _op_label, _read_estimates
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import NOOP_TRACER
 from repro.optimizer.cost import _attr_of
 from repro.optimizer.statistics import Statistics
 from repro.query.ast import Eq, PCQuery
@@ -62,6 +68,16 @@ __all__ = [
 ]
 
 DEFAULT_FEEDBACK_CAPACITY = 256
+DEFAULT_QERROR_THRESHOLD = 16.0
+REGRESSION_CAPACITY = 64
+
+# A run this many times slower than its plan's best time is a latency
+# regression — the fallback for drift the level estimates cannot see.
+LATENCY_DRIFT_RATIO = 8.0
+
+# Latency drift below this absolute time never flags: sub-millisecond
+# plans jitter by large *ratios* without any plan-quality signal.
+MIN_DRIFT_SECONDS = 0.001
 
 # Histogram bounds for Q-error values: 1.0 is a perfect estimate, and
 # real drift is multiplicative, so the buckets are geometric (the
@@ -128,7 +144,11 @@ class LevelFeedback:
 
 @dataclass(frozen=True)
 class FeedbackObservation:
-    """One request's estimate-vs-actual comparison."""
+    """One request's estimate-vs-actual comparison and the store's
+    verdict on it: ``kind`` is ``"qerror"`` or ``"latency"`` when the
+    request regressed (``value`` the measurement that tripped
+    ``threshold``), ``None`` otherwise; ``baseline_seconds`` is the
+    plan's best earlier time it was judged against."""
 
     query: str
     source: str
@@ -136,10 +156,13 @@ class FeedbackObservation:
     rows: int
     max_qerror: float
     levels: Tuple[LevelFeedback, ...] = ()
-    attrs: Dict[str, Any] = field(default_factory=dict)
+    kind: Optional[str] = None
+    value: float = 0.0
+    threshold: float = 0.0
+    baseline_seconds: Optional[float] = None
 
     def as_dict(self) -> Dict[str, Any]:
-        record = {
+        return {
             "query": self.query,
             "source": self.source,
             "elapsed_seconds": round(self.elapsed_seconds, 6),
@@ -147,9 +170,23 @@ class FeedbackObservation:
             "max_qerror": round(self.max_qerror, 3),
             "levels": [level.as_dict() for level in self.levels],
         }
-        if self.attrs:
-            record["attrs"] = dict(self.attrs)
-        return record
+
+    def regression_dict(self) -> Dict[str, Any]:
+        """The verdict, JSON-ready (a ``metrics()["regressions"]``
+        record)."""
+
+        return {
+            "query": self.query,
+            "source": self.source,
+            "kind": self.kind,
+            "value": round(self.value, 3),
+            "threshold": round(self.threshold, 3),
+            "max_qerror": round(self.max_qerror, 3),
+            "elapsed_seconds": round(self.elapsed_seconds, 6),
+            "baseline_seconds": (
+                self.baseline_seconds and round(self.baseline_seconds, 6)
+            ),
+        }
 
 
 def _cond_attrs(
@@ -213,20 +250,39 @@ def level_specs(
 
 
 class FeedbackStore:
-    """Observed cardinalities, Q-errors, and the corrected catalog.
+    """Observed cardinalities, Q-errors, regressions and the corrected
+    catalog — the one owner of the feedback policy.
 
     Everything learned here is only valid for the instance state it was
     observed on — the Database drops the corrections (:meth:`clear`) on
-    every mutation and on explicit statistics refresh.  The observation ring buffer survives
-    as history, like the slow-query log.
+    every mutation and on explicit statistics refresh.  The observation
+    and regression ring buffers survive as history, like the slow-query
+    log.  Counters, histograms and events go to ``registry`` and
+    ``tracer`` (the database's, via :class:`~repro.obs.Observability`;
+    a standalone store gets a private registry).
     """
 
-    def __init__(self, capacity: int = DEFAULT_FEEDBACK_CAPACITY) -> None:
+    def __init__(
+        self,
+        capacity: int = DEFAULT_FEEDBACK_CAPACITY,
+        qerror_threshold: float = DEFAULT_QERROR_THRESHOLD,
+        registry: Optional[MetricsRegistry] = None,
+        tracer: Any = NOOP_TRACER,
+    ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
+        if qerror_threshold < 1:
+            raise ValueError("qerror_threshold must be >= 1")
         self.capacity = capacity
+        self.qerror_threshold = qerror_threshold
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self.tracer = tracer
         self.entries: Deque[FeedbackObservation] = deque(maxlen=capacity)
+        self.regressions: Deque[FeedbackObservation] = deque(
+            maxlen=REGRESSION_CAPACITY
+        )
         self.observed = 0
+        self.flagged = 0
         self.levels_recorded = 0
         self.corrections = 0
         self.version = 0
@@ -263,8 +319,17 @@ class FeedbackStore:
         elapsed_seconds: float,
         use_hash_joins: bool = False,
         source: str = "execute",
+        entry: Any = None,
     ) -> Optional[FeedbackObservation]:
-        """Fold one request's per-level actuals into the store.
+        """Fold one request's per-level actuals into the store, the
+        Q-error histograms and the regression screen; ``entry`` (the
+        :class:`~repro.api.plancache.PlanCacheEntry` that produced the
+        plan, if any) keeps the plan's best time and is flagged when the
+        request regressed.
+
+        Q-error is the primary signal (it is latency-noise free); the
+        latency ratio against the entry's best earlier time is the
+        fallback for estimation errors the level estimates cannot see.
 
         Returns the recorded observation, or ``None`` when the actuals
         cannot be aligned with the plan's level specs (defensive: a plan
@@ -274,10 +339,13 @@ class FeedbackStore:
         specs = self.specs_for(query, statistics, use_hash_joins)
         if len(specs) != len(level_rows):
             return None
+        registry = self.registry
+        histogram = registry.histogram("feedback.qerror", bounds=QERROR_BUCKETS)
         levels: List[LevelFeedback] = []
         max_q = 1.0
         for spec, actual in zip(specs, level_rows):
             q = qerror(spec.est_rows, actual)
+            histogram.observe(q)
             if q > max_q:
                 max_q = q
             levels.append(
@@ -289,6 +357,21 @@ class FeedbackStore:
                 )
             )
         self._learn(specs, level_rows, statistics)
+        baseline = None
+        if entry is not None:
+            baseline = entry.baseline_seconds
+            if baseline is None or elapsed_seconds < baseline:
+                entry.baseline_seconds = elapsed_seconds
+        kind, value, threshold = None, 0.0, 0.0
+        if max_q >= self.qerror_threshold:
+            kind, value, threshold = "qerror", max_q, self.qerror_threshold
+        elif (
+            baseline
+            and elapsed_seconds >= MIN_DRIFT_SECONDS
+            and elapsed_seconds >= baseline * LATENCY_DRIFT_RATIO
+        ):
+            kind, value = "latency", elapsed_seconds / baseline
+            threshold = LATENCY_DRIFT_RATIO
         observation = FeedbackObservation(
             query=str(query),
             source=source,
@@ -296,10 +379,27 @@ class FeedbackStore:
             rows=rows,
             max_qerror=max_q,
             levels=tuple(levels),
+            kind=kind,
+            value=value,
+            threshold=threshold,
+            baseline_seconds=baseline,
         )
         self.entries.append(observation)
         self.observed += 1
         self.levels_recorded += len(levels)
+        registry.counter("feedback.observations").inc()
+        registry.histogram(
+            "feedback.qerror.max", bounds=QERROR_BUCKETS
+        ).observe(max_q)
+        if kind is not None:
+            self.flagged += 1
+            self.regressions.append(observation)
+            registry.counter("feedback.regressions").inc()
+            self.tracer.event(
+                "feedback.regression", kind=kind, qerror=round(max_q, 2)
+            )
+            if entry is not None:
+                entry.flagged = True
         return observation
 
     def _learn(
@@ -377,6 +477,23 @@ class FeedbackStore:
             adjusted.set_ndv(rel, attr, ndv)
         return adjusted
 
+    def variant(
+        self, entry: Any, statistics: Statistics
+    ) -> Optional[Tuple[str, Statistics]]:
+        """The replan policy (``CacheConfig.feedback_replan``): a flagged
+        ``entry`` routes to the ``#fb:``-tagged variant optimized under
+        the corrected ``statistics`` (the drift-stable
+        :meth:`fingerprint` is the bucket); ``None`` leaves the base
+        entry."""
+
+        if entry is None or not entry.flagged or not self.has_corrections():
+            return None
+        if not entry.replanned:
+            entry.replanned = True
+            self.registry.counter("feedback.replans").inc()
+        self.tracer.event("feedback.replan")
+        return "#fb:" + self.fingerprint(), self.corrected_statistics(statistics)
+
     def fingerprint(self) -> str:
         """A drift-stable digest of the corrections, used as the plan
         cache variant tag: overrides are log2-bucketed so a steady
@@ -430,11 +547,6 @@ class FeedbackStore:
             },
         }
 
-    def as_dicts(self) -> List[Dict[str, Any]]:
-        """Observations oldest-first, JSON-ready."""
-
-        return [entry.as_dict() for entry in self.entries]
-
     def to_jsonl(self) -> str:
         return "\n".join(
             json.dumps(entry.as_dict(), sort_keys=True)
@@ -452,6 +564,9 @@ class FeedbackStore:
         return len(self.entries)
 
     def render(self) -> str:
+        """The report: observations and corrected statistics, the worst
+        request's levels, Q-error quantiles and the regressions."""
+
         lines = [
             f"plan-quality feedback ({self.observed} observations, "
             f"{self.levels_recorded} levels, "
@@ -477,6 +592,28 @@ class FeedbackStore:
                     f"act {level.actual_rows:8d}  "
                     f"q {level.qerror:8.2f}  {level.label}"
                 )
+        histogram = self.registry.histograms.get("feedback.qerror")
+        if histogram is not None and histogram.count:
+            lines.append(
+                f"q-error over {histogram.count} levels: "
+                f"p50<={histogram.quantile(0.5):g} "
+                f"p95<={histogram.quantile(0.95):g} max={histogram.max:g}"
+            )
+        lines.append(
+            f"plan regressions (q-error >= {self.qerror_threshold:g} or "
+            f"latency >= {LATENCY_DRIFT_RATIO:g}x baseline, "
+            f"{self.flagged}/{self.observed} flagged, "
+            f"showing last {len(self.regressions)})"
+        )
+        if not self.regressions:
+            lines.append("  (none)")
+        for regression in self.regressions:
+            lines.append(
+                f"  {regression.kind}={regression.value:9.2f} "
+                f"(threshold {regression.threshold:g}) "
+                f"{regression.elapsed_seconds * 1000:8.1f}ms  "
+                f"{regression.query}"
+            )
         return "\n".join(lines)
 
     def __len__(self) -> int:

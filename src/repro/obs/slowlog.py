@@ -10,9 +10,8 @@ backchase typically lands here while plan-cache hits never do.
 
 from __future__ import annotations
 
-import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional
 
 __all__ = ["SlowQuery", "SlowQueryLog"]
@@ -29,18 +28,14 @@ class SlowQuery:
     elapsed_seconds: float
     source: str = ""
     rows: Optional[int] = None
-    attrs: Dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
-        record = {
+        return {
             "query": self.query,
             "elapsed_seconds": round(self.elapsed_seconds, 6),
             "source": self.source,
             "rows": self.rows,
         }
-        if self.attrs:
-            record["attrs"] = dict(self.attrs)
-        return record
 
 
 class SlowQueryLog:
@@ -67,7 +62,6 @@ class SlowQueryLog:
         elapsed_seconds: float,
         source: str = "",
         rows: Optional[int] = None,
-        **attrs: Any,
     ) -> bool:
         """Record the request if over threshold; returns whether it was.
         ``query`` (the query object or its text) is rendered only then —
@@ -78,14 +72,9 @@ class SlowQueryLog:
             return False
         self.recorded += 1
         self.entries.append(
-            SlowQuery(str(query), elapsed_seconds, source, rows, dict(attrs))
+            SlowQuery(str(query), elapsed_seconds, source, rows)
         )
         return True
-
-    def time(self) -> float:
-        """The log's clock, for callers timing a request themselves."""
-
-        return time.perf_counter()
 
     def clear(self) -> None:
         self.entries.clear()

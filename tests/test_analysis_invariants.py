@@ -1,5 +1,5 @@
 """The project invariant linter (:mod:`repro.analysis.invariants`) and
-the finding plumbing (suppressions, baseline, renderers, CLI driver).
+the finding plumbing (suppressions, renderers, CLI driver).
 
 Every rule gets a seeded-violation test proving it fires and a nearby
 negative proving it stays quiet on the accepted idiom; the shipped tree
@@ -15,9 +15,7 @@ import pytest
 
 from repro.analysis.findings import (
     Finding,
-    apply_baseline,
     apply_suppressions,
-    load_baseline,
     render_github,
     render_json,
     render_text,
@@ -34,7 +32,7 @@ def _rules(findings):
     return [f.rule for f in findings]
 
 
-# -- the shipped tree is the baseline --------------------------------------
+# -- the shipped tree lints clean ------------------------------------------
 
 
 def test_shipped_tree_has_zero_findings():
@@ -331,24 +329,7 @@ def test_apply_suppressions_multiple_ids():
     assert kept == [Finding("f.py", 4, "INV-MUTDEF", "c")]
 
 
-# -- baseline and renderers ------------------------------------------------
-
-
-def test_baseline_round_trip(tmp_path):
-    finding = Finding("src/x.py", 7, "INV-MUTDEF", "boom")
-    path = tmp_path / "baseline.txt"
-    path.write_text(f"# accepted\n\n{finding.baseline_key()}\n")
-    baseline = load_baseline(path)
-    assert apply_baseline([finding], baseline) == []
-    # the key is line-free: a moved finding still matches
-    moved = Finding("src/x.py", 99, "INV-MUTDEF", "boom")
-    assert apply_baseline([moved], baseline) == []
-    other = Finding("src/x.py", 7, "INV-EXCEPT", "boom")
-    assert apply_baseline([other], baseline) == [other]
-
-
-def test_missing_baseline_is_empty(tmp_path):
-    assert load_baseline(tmp_path / "absent.txt") == set()
+# -- renderers -------------------------------------------------------------
 
 
 def test_renderers():
@@ -423,16 +404,3 @@ def test_cli_flags_bad_query_file(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "CG-LOOKUP" in captured.err
     assert "::error" in captured.out
-
-
-def test_cli_reports_stale_baseline(tmp_path, capsys, monkeypatch):
-    import repro.analysis.__main__ as main_mod
-
-    monkeypatch.setattr(
-        main_mod,
-        "load_baseline",
-        lambda path=None: {"src/gone.py: INV-MUTDEF never existed"},
-    )
-    assert main_mod.main(["--skip-workloads"]) == 0
-    err = capsys.readouterr().err
-    assert "stale baseline entry" in err

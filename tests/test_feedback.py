@@ -1,5 +1,5 @@
-"""Plan-quality feedback layer tests (``repro.obs.feedback`` /
-``repro.obs.regress`` and their ``Database`` plumbing).
+"""Plan-quality feedback layer tests (``repro.obs.feedback`` and its
+``Database`` plumbing).
 
 Covers, in order:
 
@@ -14,8 +14,9 @@ Covers, in order:
   collected actuals agree between the interpreted and compiled engines
   *and* with the instrumented analyzer's row counts (the estimates are
   one reading of the cost walk, ``tests/test_analyze.py``);
-- the :class:`PlanRegressionLog` thresholds and the drift → flag →
-  ``#fb:`` replan loop on a pinned-stale catalog;
+- the store's regression verdict (Q-error threshold, latency drift
+  against the entry's best time) and the drift → flag → ``#fb:`` replan
+  loop on a pinned-stale catalog;
 - the **answer-preservation property**: under a seeded random query /
   mutation sequence, a feedback+replan Database returns exactly the cold
   per-query answers;
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -46,14 +48,17 @@ from repro.exec.operators import Filter, HashJoinBind, ScanBind, chain as _chain
 from repro.exec.planner import compile_query
 from repro.obs.analyze import analyze_query
 from repro.obs.feedback import (
+    MIN_DRIFT_SECONDS,
+    REGRESSION_CAPACITY,
     FeedbackStore,
     LevelSpec,
     QERROR_BUCKETS,
     level_specs,
     qerror,
 )
-from repro.obs.regress import MIN_DRIFT_SECONDS, PlanRegressionLog
+from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
+from repro.optimizer.cost import estimate_cost
 from repro.optimizer.statistics import (
     AUTO_SAMPLE_SIZE,
     AUTO_SAMPLE_THRESHOLD,
@@ -245,7 +250,6 @@ class TestZeroCostWhenOff:
     def test_default_database_has_no_feedback_state(self):
         db = Database(instance=small_instance())
         assert db.obs.feedback is None
-        assert db.obs.regressions is None
         execution = db.execute(JOIN_Q)
         assert execution.level_rows is None
         assert "feedback" not in db.metrics()
@@ -393,83 +397,133 @@ class TestParityWithExplainAnalyze:
         assert comp.results == interp.results
 
 
-# -- regression log -----------------------------------------------------------
+# -- the regression verdict --------------------------------------------------
+
+SCAN_Q = "select struct(A = r.A) from R r"  # one level, est 12 rows
 
 
-class TestPlanRegressionLog:
+def observe_scan(store, actual, elapsed_seconds=0.01, entry=None):
+    """One observation of ``SCAN_Q`` whose single level saw ``actual``
+    rows: its Q-error is ``actual / 12`` against the catalog."""
+
+    return store.observe(
+        parse_query(SCAN_Q),
+        Statistics.from_instance(small_instance()),
+        (actual,),
+        rows=actual,
+        elapsed_seconds=elapsed_seconds,
+        entry=entry,
+    )
+
+
+def stub_entry():
+    return SimpleNamespace(baseline_seconds=None, flagged=False)
+
+
+class TestRegressionVerdict:
     def test_qerror_threshold_flags(self):
-        log = PlanRegressionLog(qerror_threshold=16.0)
-        assert log.observe("q", max_qerror=8.0, elapsed_seconds=0.01) is None
-        flagged = log.observe("q", max_qerror=16.0, elapsed_seconds=0.01)
-        assert flagged is not None and flagged.kind == "qerror"
-        assert log.flagged == 1 and log.observed == 2
+        store = FeedbackStore(qerror_threshold=16.0)
+        assert observe_scan(store, 12 * 8).kind is None
+        flagged = observe_scan(store, 12 * 16)
+        assert flagged.kind == "qerror" and flagged.value == 16.0
+        assert store.flagged == 1 and store.observed == 2
+        assert list(store.regressions) == [flagged]
+        assert store.registry.counters["feedback.regressions"].value == 1
+        assert set(flagged.regression_dict()) == {
+            "query", "source", "kind", "value", "threshold",
+            "max_qerror", "elapsed_seconds", "baseline_seconds",
+        }
 
-    def test_latency_drift_flags_against_baseline(self):
-        log = PlanRegressionLog(latency_ratio=8.0)
-        flagged = log.observe(
-            "q", max_qerror=1.0, elapsed_seconds=0.1, baseline_seconds=0.01
-        )
-        assert flagged is not None and flagged.kind == "latency"
-        assert flagged.value == pytest.approx(10.0)
+    def test_latency_drift_flags_the_entry(self):
+        store = FeedbackStore()
+        entry = stub_entry()
+        assert observe_scan(store, 12, 0.01, entry).kind is None
+        assert entry.baseline_seconds == 0.01 and not entry.flagged
+        slow = observe_scan(store, 12, 0.1, entry)
+        assert slow.kind == "latency" and slow.baseline_seconds == 0.01
+        assert slow.value == pytest.approx(10.0)
+        assert entry.flagged and entry.baseline_seconds == 0.01
+
+    def test_latency_drift_flags_against_the_best_time(self):
+        store = FeedbackStore()
+        assert observe_scan(store, 12, 1.0).baseline_seconds is None
+        entry = stub_entry()
+        observe_scan(store, 12, 0.01, entry)
+        assert observe_scan(store, 12, 0.002, entry).kind is None
+        assert entry.baseline_seconds == 0.002  # a faster run lowers it
+        # 2x the first run, 10x the best: judged against the best
+        slow = observe_scan(store, 12, 0.02, entry)
+        assert slow.kind == "latency" and slow.baseline_seconds == 0.002
+        assert slow.value == pytest.approx(10.0)
+        assert entry.flagged and entry.baseline_seconds == 0.002
 
     def test_sub_millisecond_jitter_never_flags(self):
-        log = PlanRegressionLog(latency_ratio=2.0)
+        store = FeedbackStore()
         elapsed = MIN_DRIFT_SECONDS / 2
-        assert (
-            log.observe(
-                "q",
-                max_qerror=1.0,
-                elapsed_seconds=elapsed,
-                baseline_seconds=elapsed / 100,
-            )
-            is None
-        )
+        entry = stub_entry()
+        entry.baseline_seconds = elapsed / 100
+        assert observe_scan(store, 12, elapsed, entry).kind is None
+        assert not entry.flagged and not store.regressions
 
-    def test_only_a_flagged_request_is_formatted(self):
-        # the slow log's rule (tests/test_obs.py): the log keeps only the
-        # flagged requests, so only those may pay for rendering
-        class Query:
-            rendered = 0
+    def test_capacity_bounds_regressions(self):
+        store = FeedbackStore(qerror_threshold=2.0)
+        for i in range(REGRESSION_CAPACITY + 6):
+            observe_scan(store, 48, elapsed_seconds=float(i))
+        assert store.flagged == REGRESSION_CAPACITY + 6
+        assert [r.elapsed_seconds for r in store.regressions] == [
+            float(i) for i in range(6, REGRESSION_CAPACITY + 6)
+        ]
 
-            def __str__(self):
-                Query.rendered += 1
-                return "select it"
-
-        log = PlanRegressionLog(qerror_threshold=16.0)
-        assert log.observe(Query(), max_qerror=2.0, elapsed_seconds=0.01) is None
-        assert Query.rendered == 0
-        flagged = log.observe(Query(), max_qerror=32.0, elapsed_seconds=0.01)
-        assert Query.rendered == 1
-        assert flagged.query == log.as_dicts()[0]["query"] == "select it"
-
-    def test_request_path_hands_over_the_query_unformatted(self):
-        from repro.query.ast import PCQuery
-
-        db = drifted_database(obs=ObsConfig(feedback=True))
-        seen = []
-        real = db.obs.regressions.observe
-        db.obs.regressions.observe = lambda query, *a, **kw: (
-            seen.append(query), real(query, *a, **kw)
-        )[1]
-        db.execute(DRIFT_Q)
-        assert len(seen) == 1 and isinstance(seen[0], PCQuery)
-        assert all(isinstance(e["query"], str) for e in db.obs.regressions.as_dicts())
-        db.close()
-
-    def test_capacity_bounds_entries(self):
-        log = PlanRegressionLog(qerror_threshold=2.0, capacity=3)
-        for i in range(5):
-            log.observe(f"q{i}", max_qerror=4.0, elapsed_seconds=0.01)
-        assert len(log) == 3 and log.flagged == 5
-        assert [e["query"] for e in log.as_dicts()] == ["q2", "q3", "q4"]
-
-    def test_threshold_validation(self):
+    def test_argument_validation(self):
         with pytest.raises(ValueError):
-            PlanRegressionLog(qerror_threshold=0.5)
+            FeedbackStore(qerror_threshold=0.5)
         with pytest.raises(ValueError):
-            PlanRegressionLog(latency_ratio=0.5)
-        with pytest.raises(ValueError):
-            PlanRegressionLog(capacity=0)
+            FeedbackStore(capacity=0)
+
+    def test_reports_to_the_database_registry_and_tracer(self):
+        obs = Observability(ObsConfig(feedback=True, tracing=True))
+        store = obs.feedback
+        assert store.registry is obs.registry and store.tracer is obs.tracer
+        observe_scan(store, 12 * 32)
+        assert obs.registry.counters["feedback.regressions"].value == 1
+        (event,) = [s for s in obs.tracer.spans if s.name == "feedback.regression"]
+        assert event.attrs == {"kind": "qerror", "qerror": 32.0}
+        # a standalone store counts into a registry of its own
+        alone, other = FeedbackStore(), FeedbackStore()
+        observe_scan(alone, 12)
+        assert alone.registry is not other.registry
+        assert alone.registry.counters["feedback.observations"].value == 1
+        assert "feedback.observations" not in other.registry.counters
+
+    def test_render_appends_quantiles_and_regressions(self):
+        store = FeedbackStore(qerror_threshold=16.0)
+        empty = store.render()
+        assert "q-error over" not in empty
+        assert empty.endswith("0/0 flagged, showing last 0)\n  (none)")
+        observe_scan(store, 12)
+        observe_scan(store, 12 * 32, elapsed_seconds=0.005)
+        lines = store.render().splitlines()
+        assert lines[-3].startswith("q-error over 2 levels: ")
+        assert lines[-2].startswith("plan regressions (q-error >= 16 or ")
+        assert "1/2 flagged, showing last 1)" in lines[-2]
+        assert lines[-1].startswith("  qerror=    32.00 (threshold 16) ")
+        assert lines[-1].endswith("5.0ms  " + str(parse_query(SCAN_Q)))
+
+    def test_variant_needs_a_flagged_entry_and_corrections(self):
+        store = FeedbackStore()
+        base = Statistics.from_instance(small_instance())
+        entry = SimpleNamespace(flagged=True, replanned=False)
+        assert store.variant(entry, base) is None  # nothing learned yet
+        store._set_card("R", 480.0)
+        assert store.variant(None, base) is None
+        unflagged = SimpleNamespace(flagged=False, replanned=False)
+        assert store.variant(unflagged, base) is None
+        for _ in range(2):
+            tag, corrected = store.variant(entry, base)
+            assert tag == "#fb:" + store.fingerprint()
+            assert corrected.card("R") == 480.0 and base.card("R") == 12
+        assert entry.replanned and not unflagged.replanned
+        assert store.registry.counters["feedback.replans"].value == 1
 
 
 class TestQerrorHistogram:
@@ -531,6 +585,36 @@ class TestDriftFlagReplan:
         assert any(
             "#fb:" in str(key) for key in db._plan_cache._entries
         )
+        db.close()
+
+    def test_replan_optimizes_under_the_corrected_catalog(self):
+        db = drifted_database(
+            obs=ObsConfig(feedback=True, qerror_threshold=4.0),
+            cache_config=CacheConfig(feedback_replan=True),
+        )
+        for _ in range(4):
+            db.execute(DRIFT_Q)
+        entries = db._plan_cache._entries
+        (base,) = [e for k, e in entries.items() if "#fb:" not in k[0]]
+        (variant,) = [e for k, e in entries.items() if "#fb:" in k[0]]
+        plan = variant.result.best
+        assert plan.query != base.result.best.query
+        corrected = db.obs.feedback.corrected_statistics(db.context.statistics)
+        assert plan.cost == estimate_cost(
+            plan.query, corrected, db.context.cost_model
+        )
+        db.close()
+
+    def test_regression_record_names_its_source(self):
+        db = drifted_database(
+            obs=ObsConfig(feedback=True, qerror_threshold=4.0)
+        )
+        db.execute(DRIFT_Q)
+        (record,) = db.metrics()["regressions"]
+        assert record["source"] == "execute" and "attrs" not in record
+        assert record["kind"] == "qerror" and record["threshold"] == 4.0
+        (entry,) = db._plan_cache._entries.values()
+        assert record["query"] == str(entry.result.best.query)
         db.close()
 
     def test_replan_off_by_default_still_detects(self):
