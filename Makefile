@@ -31,6 +31,10 @@
 #   make bench-e20    the full E20 plan-quality feedback benchmark
 #   make bench        every benchmarks/bench_e*.py (E1-E11, E18-E20;
 #                     benchmarks/README.md is the index)
+#   make chain        one cold pruned optimize each of E8's (2,2) and (3,2)
+#                     chain shapes under the default node budget: wall
+#                     time, nodes, constructed candidates, normal forms,
+#                     best cost (the scaling-wall yardstick; not tier-1)
 #
 # The repo benchmark is `python3 benchmarks/perf/run.py` (BENCHMARK.json).
 # The python toolchain is assumed baked into the environment; everything
@@ -59,6 +63,7 @@ DETERMINISM_TESTS := tests/test_golden_plans.py \
 	tests/test_pruned_backchase.py::TestCountersPinnedAcrossTheMerge \
 	tests/test_pruned_backchase.py::TestLookupSafetyDecisions \
 	tests/test_pruned_backchase.py::TestContainmentDecisions \
+	tests/test_pruned_backchase.py::TestEachBindingSetOnce \
 	tests/test_kernel_differential.py \
 	tests/test_chase_differential.py \
 	tests/test_backchase_differential.py \
@@ -68,7 +73,7 @@ DETERMINISM_TESTS := tests/test_golden_plans.py \
 	tests/test_prop_optimizer.py::test_rule_normal_forms_are_the_backchase_normal_forms
 
 .PHONY: test check lint loc profile golden determinism fuzz examples bench \
-	bench-smoke bench-e18 bench-e19 bench-e20
+	bench-smoke bench-e18 bench-e19 bench-e20 chain
 
 test:
 	$(PYTEST) -x -q --durations=25
@@ -141,6 +146,9 @@ bench-e19:
 
 bench-e20:
 	$(PYTEST) -q benchmarks/bench_e20_feedback.py
+
+chain:
+	PYTHONPATH=src python benchmarks/chain.py
 
 bench:
 	$(PYTEST) -q benchmarks/bench_*.py

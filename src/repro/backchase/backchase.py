@@ -52,6 +52,12 @@ every node of a search is equivalent to its root (each accepted step
 preserves equivalence), so ``candidate ≡ current`` holds iff
 ``candidate ⊑ root`` — a verdict that depends on the candidate alone and
 memoizes perfectly, however many removal orders re-derive the shape.
+The pruned search also builds each **accepted binding set once**: a
+removal that lands on a set of binding variables some spelling was
+already accepted over reuses that node instead of building another
+spelling of it.  Only an accepted spelling settles its set — two spellings
+of one set may differ in lookup safety — and ``full`` keeps every spelling,
+so its normal forms stay all of Theorem 2's.
 
 And the chase runs only when nothing cheaper decides.  Candidates keep the
 root's variable names; the search keeps the **antichain of minimal accepted
@@ -604,14 +610,19 @@ class BackchaseStats:
     object: searches only ever add to them, so a stats instance can be
     threaded through several enumerations to accumulate totals.
 
+    * ``steps_attempted`` / ``steps_applied`` — removals tried / accepted,
+      a removal onto an accepted binding set the pruned search reuses
+      included;
     * ``candidates_explored`` — candidate subqueries constructed and
-      considered (conditions (1)-(2) succeeded);
+      considered (conditions (1)-(2) succeeded); a reused binding set is
+      not constructed again;
     * ``candidates_pruned`` — branches cut by the cost bound before
       expansion (pruned strategy only);
     * ``cache_hits`` / ``cache_misses`` — condition (3) verdicts reused
-      vs computed: the search's memo (one verdict per candidate shape)
-      plus the engine's :meth:`~repro.chase.chase.ChaseEngine.contained_in`
-      traffic during the search (the pruned coster's ``prune_conditions``).
+      vs computed: the search's memo (one verdict per candidate shape, a
+      reused binding set counting as a hit) plus the engine's
+      :meth:`~repro.chase.chase.ChaseEngine.contained_in` traffic during
+      the search (the pruned coster's ``prune_conditions``).
     """
 
     nodes_visited: int = 0
@@ -761,6 +772,14 @@ def minimal_subqueries(
         floors: Dict[str, float] = {root_key: cost_floor(root)}
         normal_forms: List[PCQuery] = []
         stack: List[Tuple[str, PCQuery]] = [(root_key, root)]
+        # Under the bound each binding set is built once: the first spelling
+        # accepted over it settles it, and a removal landing on it later is
+        # that node again — queued or cut already, its verdict *True*.  A
+        # rejected spelling settles nothing (another may be lookup-safe), and
+        # ``full`` keeps every spelling (Theorem 2).
+        settled: Optional[Set[FrozenSet[str]]] = (
+            set() if strategy == "pruned" else None
+        )
 
         while stack:
             current_key, current = stack.pop()
@@ -776,8 +795,14 @@ def minimal_subqueries(
             reduced_any = False
             children: List[Tuple[float, str, PCQuery]] = []
             cc = query_congruence(current)  # each removal works on a copy
+            bound_vars = frozenset(current.binding_vars())
             for var in current.binding_vars():
                 stats.steps_attempted += 1
+                if settled is not None and bound_vars - {var} in settled:
+                    memo_hits += 1
+                    stats.steps_applied += 1
+                    reduced_any = True
+                    continue
                 candidate = build_candidate(current, frozenset((var,)), cc.copy())
                 if candidate is None:
                     continue
@@ -803,6 +828,8 @@ def minimal_subqueries(
                 if not verdict:
                     continue
                 names = frozenset(candidate.binding_vars())
+                if settled is not None:
+                    settled.add(names)
                 if not any(kept <= names for kept in accepted):
                     accepted = {k: a for k, a in accepted.items() if not names < k}
                     accepted[names] = candidate

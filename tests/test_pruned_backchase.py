@@ -7,12 +7,16 @@ only store of its verdicts, pruned-vs-full agreement on the workload
 scenarios, and the strategy plumbing.
 """
 
+from collections import Counter
+
 import pytest
 
 from backchase_oracle import restrict_to_bindings
 from repro import Database
+from repro.backchase import backchase as backchase_module
 from repro.backchase.backchase import (
     BackchaseStats,
+    accept_candidate,
     build_candidate,
     minimal_subqueries,
 )
@@ -171,7 +175,8 @@ class TestPrunedAgainstFull:
 
     def test_unbounded_pruned_search_is_the_full_enumeration(self, rs_workload):
         """With no eligible complete plan the bound never tightens and the
-        pruned search must return every normal form."""
+        pruned search must return every normal form — one spelling per
+        binding set, which on ``rs`` is every one there is."""
 
         wl = rs_workload
         universal = chase(wl.query, wl.constraints).query
@@ -272,12 +277,15 @@ class TestScalingShapes:
         """What the larger scaling shapes showed, read off the run's shared
         ProjDept optimizations (the deepest search tier-1 has): the memo
         spares most candidates a fresh verdict, and the bound saves at
-        least what it saves on the small chain."""
+        least what it saves on the small chain.  Under ``pruned`` a removal
+        onto an accepted binding set reuses its node unbuilt, so the repeats
+        never reach the memo: there the verdicts are held to the removals
+        tried (920 < 1 740 on the default build)."""
 
         full = optimized_workloads.result("projdept", "full").backchase_stats
         pruned = optimized_workloads.result("projdept", "pruned").backchase_stats
-        for stats in (full, pruned):
-            assert stats.cache_misses * 2 < stats.candidates_explored
+        assert full.cache_misses * 2 < full.candidates_explored
+        assert pruned.cache_misses * 2 < pruned.steps_attempted
         small = runs[(2, 1)]
         assert full.candidates_explored - pruned.candidates_explored >= (
             small["full"].backchase_stats.candidates_explored
@@ -288,13 +296,14 @@ class TestScalingShapes:
 class TestLookupSafetyDecisions:
     def test_most_scopes_are_decided_without_a_chase(self, optimized_workloads):
         """Where the decisions went, read off the shared ProjDept search:
-        430 scopes reach a decision (the memo serves the repeats), and a
-        chase decides at most 130 of them — 210 before verdicts were
-        inferred from the scopes already chased."""
+        414 scopes reach a decision (the memo serves the repeats; 430 before
+        the search built each accepted binding set once), and a chase
+        decides at most 130 of them — 210 before verdicts were inferred
+        from the scopes already chased."""
 
         decisions = optimized_workloads.result("projdept").lookup_decisions
         decided = sum(decisions.values()) - decisions["memo"]
-        assert decided == 430
+        assert decided == 414
         assert 0 < decisions["chased"] <= 130
         assert decisions["inferred"] >= 80 and decisions["guard"] >= 200
 
@@ -305,9 +314,13 @@ class TestContainmentDecisions:
         """Where ProjDept's computed containment verdicts went, read off the
         program's own counters: every one is counted once, subsumption
         settles most, and of those a chase settles, most stop at their
-        mapping.  The chases took 1 201 / 1 221 steps and left some 150
+        mapping.  The chases took 1 098 / 1 221 steps and left some 150
         states short of their fixpoint, ~450 steps short on the default
-        build (``tests/test_early_stop_differential.py`` finishes them)."""
+        build (``tests/test_early_stop_differential.py`` finishes them).
+        Subsumption's part is a share of the computed verdicts: the pruned
+        search builds each accepted binding set once, so it computes fewer
+        (381 of 460 subsumed; 422 of 505 before, when ``> 400`` — a share
+        of 0.79 — was the bar)."""
 
         result = optimized_workloads.result("projdept", strategy)
         decided = result.containment_decisions
@@ -318,7 +331,7 @@ class TestContainmentDecisions:
         if strategy == "full":
             computed += result.containment.misses
         assert sum(decided.values()) == computed
-        assert decided["subsumed"] > 400 and decided["refuted"] > 0
+        assert decided["subsumed"] > 0.8 * computed and decided["refuted"] > 0
         assert decided["early"] > 5 * decided["fixpoint"] > 0
         chased = result.chase_counts
         assert chased["stopped"] > 100 and chased["steps"] < 1300
@@ -326,17 +339,20 @@ class TestContainmentDecisions:
 
 # Recorded from the commit before the two search loops became one (the
 # default `Database.from_workload(name)` build, optimising its canonical
-# query).  Pinned, not re-baselined: the bounded run's counters are
-# byte-identical, the unbounded run visits the same node set, and only the
-# number of containment verdicts `full` computes was allowed to fall.
+# query).  Pinned, not re-baselined: the unbounded run visits the same node
+# set, and only the number of containment verdicts `full` computes was
+# allowed to fall.  The bounded run's counters moved once, when it began
+# building each accepted binding set once: a removal onto a set already
+# accepted reuses that node, so fewer candidates are constructed (and
+# fewer spellings visited), while every plan count and best cost held.
 PRUNED_BASELINE = {
     # as_dict() order: nodes_visited, steps_attempted, steps_applied,
     # normal_forms, candidates_explored, candidates_pruned, cache_hits,
     # cache_misses; then plan count and best cost
-    "projdept": ((397, 1904, 1597, 4, 1745, 25, 1256, 512), 4, 15.5),
-    "rs": ((58, 258, 145, 6, 195, 0, 112, 99), 9, 5901.0),
-    "rabc": ((18, 57, 40, 2, 53, 4, 26, 34), 4, 25.0),
-    "oo_asr": ((22, 65, 49, 4, 49, 0, 30, 27), 3, 161.0),
+    "projdept": ((369, 1804, 1549, 4, 510, 18, 1224, 461), 4, 15.5),
+    "rs": ((55, 245, 140, 6, 98, 0, 104, 96), 9, 5901.0),
+    "rabc": ((18, 57, 40, 2, 34, 4, 26, 34), 4, 25.0),
+    "oo_asr": ((22, 65, 49, 4, 24, 0, 30, 27), 3, 161.0),
 }
 FULL_BASELINE = {
     # nodes_visited, steps_attempted, steps_applied, candidates_explored,
@@ -383,6 +399,63 @@ class TestCountersPinnedAcrossTheMerge:
         assert stats.candidates_pruned == 0
         assert len(result.plans) == plan_count
         assert result.containment.misses <= parent_misses
+
+
+class TestEachBindingSetOnce:
+    """Two spellings of one binding set can get different verdicts, so only
+    an accepted one settles its set, and only under the bound: ``pruned``
+    reuses the node a removal lands on once its binding set is accepted,
+    while ``full`` keeps every spelling (Theorem 2)."""
+
+    @pytest.fixture(scope="class")
+    def searches(self, optimized_workloads):
+        """ProjDept's universal plan searched under both strategies, with
+        the binding set of every candidate ``accept_candidate`` accepted."""
+
+        wl = optimized_workloads.workload("projdept")
+        universal = optimized_workloads.result("projdept", "full").universal_plan
+        runs = {}
+        with pytest.MonkeyPatch.context() as patch:
+            for strategy, options in (
+                ("full", {}),
+                ("pruned", {"statistics": wl.statistics}),
+            ):
+                accepted = []
+
+                def recording(candidate, *args, accepted=accepted, **kwargs):
+                    verdict = accept_candidate(candidate, *args, **kwargs)
+                    if verdict:
+                        accepted.append(frozenset(candidate.binding_vars()))
+                    return verdict
+
+                patch.setattr(backchase_module, "accept_candidate", recording)
+                forms = minimal_subqueries(
+                    universal, wl.constraints, strategy=strategy, **options
+                )
+                runs[strategy] = forms, Counter(accepted)
+        return runs
+
+    def test_full_keeps_every_spelling_of_projdept(self, searches):
+        forms, _ = searches["full"]
+        spellings = Counter(frozenset(f.binding_vars()) for f in forms)
+        assert len(forms) == 9
+        assert sorted((sorted(names), n) for names, n in spellings.items()) == [
+            (["_x0", "_x1"], 1),
+            (["_x0", "s"], 1),
+            (["_x1", "d"], 1),
+            (["_x2"], 1),
+            (["_x3", "_x4"], 1),
+            (["_x5"], 2),  # JI, its DN read through I or off the object
+            (["p"], 2),  # Proj, with and without I[p.PName] = p
+        ]
+
+    def test_pruned_accepts_each_binding_set_once(self, searches):
+        _, full_accepted = searches["full"]
+        pruned_forms, pruned_accepted = searches["pruned"]
+        assert max(full_accepted.values()) > 1  # the spellings are there
+        assert set(pruned_accepted.values()) == {1}
+        full_keys = {f.canonical_key() for f in searches["full"][0]}
+        assert {f.canonical_key() for f in pruned_forms} <= full_keys
 
 
 class TestSharedConstructor:
