@@ -72,11 +72,11 @@ def test_e5_navigation_plan_execution(benchmark, rs_medium):
         "from V v, IR[v.A] r1, IS{r1.B} s1"
     )
     reference = evaluate(wl.query, wl.instance)
-    nav_run = benchmark(lambda: execute(nav_plan, wl.instance))
+    nav_run = benchmark(lambda: execute(nav_plan, wl.instance, mode="compiled"))
     assert nav_run.results == reference
 
 
 def test_e5_direct_join_execution_baseline(benchmark, rs_medium):
     wl = rs_medium
-    run = benchmark(lambda: execute(wl.query, wl.instance, use_hash_joins=True))
+    run = benchmark(lambda: execute(wl.query, wl.instance, mode="compiled"))
     assert run.results == evaluate(wl.query, wl.instance)

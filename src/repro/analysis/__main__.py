@@ -2,8 +2,8 @@
 
 Sweeps the parser round-trip check and the codegen verifier over the
 lint corpus and any ``.oql`` files given on the command line, the
-verifier alone over every golden workload's canonical and winning plan
-(both scan modes); then runs the invariant rules over ``src/repro``.
+verifier alone over every golden workload's canonical and winning plan;
+then runs the invariant rules over ``src/repro``.
 Exit status 0 when no finding survives the per-line suppressions, 1
 otherwise.
 

@@ -2,8 +2,8 @@
 
 :func:`repro.exec.compile.compile_plan` emits one fused Python function
 per winning plan and ``exec``'s it in a restricted namespace.  PR 8's
-counter-initialization bug (``_hash_builds += 1`` emitted into the
-prologue *before* the counter inits — an ``UnboundLocalError``) was only
+counter-initialization bug (a counter bump emitted into the prologue
+*before* the counter inits — an ``UnboundLocalError``) was only
 caught by running the artifact; this module proves the same class of
 property at lint time, by parsing the generated source to an AST and
 running a forward dataflow pass over it.
@@ -736,50 +736,29 @@ def verify_artifact(
 
 # -- drivers over the corpus and the golden workloads ----------------------
 
-SCAN_MODES = ((False, "index-nested-loop"), (True, "hash-join"))
-
-
 def verify_query(
     query, *, label: str, engine=None
 ) -> Tuple[int, List[Finding]]:
-    """Generate and verify one query's plan function in both scan modes.
-    Returns (artifacts verified, findings)."""
+    """Generate and verify one query's plan function.  Returns (artifacts
+    verified, findings)."""
 
-    verified = 0
-    findings: List[Finding] = []
-    for use_hash_joins, mode in SCAN_MODES:
-        full_label = f"<codegen:{label}:{mode}>"
-        try:
-            plan = generate_plan(query, use_hash_joins=use_hash_joins)
-        except PlanCompilationError as exc:
-            findings.append(
-                Finding(
-                    full_label,
-                    0,
-                    "CG-REFUSED",
-                    f"codegen refused the plan: {exc}",
-                )
-            )
-            continue
-        verified += 1
-        findings.extend(
-            verify_source(
-                query,
-                plan.source,
-                plan.metadata,
-                label=full_label,
-                engine=engine,
-            )
-        )
-    return verified, findings
+    full_label = f"<codegen:{label}>"
+    try:
+        plan = generate_plan(query)
+    except PlanCompilationError as exc:
+        return 0, [
+            Finding(full_label, 0, "CG-REFUSED", f"codegen refused the plan: {exc}")
+        ]
+    return 1, verify_source(
+        query, plan.source, plan.metadata, label=full_label, engine=engine
+    )
 
 
 def verify_corpus(
     extra: Sequence[Tuple[str, str]] = ()
 ) -> Tuple[int, List[Finding]]:
-    """Run the parser round-trip check and the verifier (both scan
-    modes) over every lint-corpus query plus ``extra`` ``(label, text)``
-    pairs."""
+    """Run the parser round-trip check and the verifier over every
+    lint-corpus query plus ``extra`` ``(label, text)`` pairs."""
 
     from repro.analysis.corpus import BUILTIN_CORPUS, check_roundtrip
     from repro.query.parser import parse_query
@@ -807,7 +786,7 @@ def verify_workload_plans(
     names: Optional[Sequence[str]] = None,
 ) -> Tuple[int, List[Finding]]:
     """Run the verifier over every golden workload's canonical query and
-    optimized winning plan, in both scan modes, with the workload's
+    optimized winning plan, with the workload's
     constraint set backing the ``CG-LOOKUP`` chase fallback."""
 
     from repro.api.workloads import WORKLOAD_NAMES, build_workload

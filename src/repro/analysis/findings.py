@@ -1,10 +1,10 @@
 """The finding model both analysis engines report through.
 
 A :class:`Finding` is one verified-false invariant: the file (or, for the
-codegen verifier, a ``<codegen:...>`` pseudo-file naming the plan and
-scan mode), the line in that source, a stable rule id and a one-line
-message.  The rendered form is ``file:line: RULE-ID message`` — the same
-shape compilers use, so editors and CI annotate it for free.
+codegen verifier, a ``<codegen:...>`` pseudo-file naming the plan), the
+line in that source, a stable rule id and a one-line message.  The
+rendered form is ``file:line: RULE-ID message`` — the same shape
+compilers use, so editors and CI annotate it for free.
 
 The one escape hatch is **per-line suppression**, visible at the site:
 a trailing ``# repro: ignore[RULE-ID]`` comment (several ids

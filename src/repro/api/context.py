@@ -65,12 +65,11 @@ class OptimizeContext:
     max_chase_steps: int = 200
     max_backchase_nodes: int = 20_000
     reorder: bool = True
-    use_hash_joins: bool = False
     #: How winning plans execute: ``"interpret"`` streams the operator
     #: pipeline; ``"compiled"`` runs each plan's generated fused function
     #: over columnar extents (:mod:`repro.exec.compile`).  EXPLAIN
-    #: ANALYZE always falls back to the interpreted pipeline (it needs
-    #: per-operator proxies).
+    #: ANALYZE always runs the interpreted pipeline: it reads the
+    #: operators' own counters, and a compiled artifact has no operators.
     exec_mode: str = "interpret"
     #: The request tracer every consuming layer reports spans to.  Like
     #: statistics, it is an observation channel, not part of the physical
@@ -151,9 +150,9 @@ class OptimizeContext:
         model — everything that can change which plan wins *except* the
         statistics (see the module docstring).  ``exec_mode`` is also
         excluded: it changes how the winner runs, never which plan wins,
-        so both modes share one plan-cache entry (the compiled artifact
-        rides along on the entry and is simply unused in interpret mode).
-        Cached on first use.
+        so both modes share one plan-cache entry (compiled artifacts live
+        apart, in :func:`repro.exec.engine.compiled_for`).  Cached on
+        first use.
         """
 
         cached = self.__dict__.get("_fingerprint")
@@ -175,7 +174,7 @@ class OptimizeContext:
                 (
                     f"|{self.strategy}|{self.max_chase_steps}"
                     f"|{self.max_backchase_nodes}|{self.reorder}"
-                    f"|{self.use_hash_joins}|{model.tuple_cost}"
+                    f"|{model.tuple_cost}"
                     f"|{model.probe_cost}|{model.scan_startup}"
                 ).encode()
             )

@@ -179,9 +179,7 @@ class PreparedQuery:
         """The operator tree the next :meth:`run` would execute (for a
         template, with the ``$x`` markers in place of the constants)."""
 
-        return explain(
-            self.plan.query, use_hash_joins=self.database.context.use_hash_joins
-        )
+        return explain(self.plan.query)
 
     def __repr__(self) -> str:
         return f"PreparedQuery({self.query})"
@@ -203,7 +201,6 @@ class Database:
         max_chase_steps: int = 200,
         max_backchase_nodes: int = 20_000,
         reorder: bool = True,
-        use_hash_joins: bool = False,
         exec_mode: str = "interpret",
         cache_config: Optional[CacheConfig] = None,
         workload: Any = None,
@@ -255,7 +252,6 @@ class Database:
             max_chase_steps=max_chase_steps,
             max_backchase_nodes=max_backchase_nodes,
             reorder=reorder,
-            use_hash_joins=use_hash_joins,
             exec_mode=exec_mode,
             tracer=obs.tracer,
         )
@@ -277,7 +273,6 @@ class Database:
         *,
         strategy: str = "pruned",
         cache_config: Optional[CacheConfig] = None,
-        use_hash_joins: bool = False,
         exec_mode: str = "interpret",
         obs: Optional[Union[Observability, ObsConfig]] = None,
         **builder_kwargs,
@@ -297,7 +292,6 @@ class Database:
             statistics=wl.statistics,
             strategy=strategy,
             cache_config=cache_config,
-            use_hash_joins=use_hash_joins,
             exec_mode=exec_mode,
             workload=wl,
             obs=obs,
@@ -577,7 +571,6 @@ class Database:
         return execute(
             plan_query,
             self._target(instance),
-            use_hash_joins=context.use_hash_joins,
             overlays=overlays,
             tracer=context.tracer,
             mode=mode,
@@ -666,9 +659,7 @@ class Database:
                 query, context, overlays=overlays, instance=instance
             )
         return explain(
-            query,
-            use_hash_joins=context.use_hash_joins,
-            cached_names=frozenset(overlays) if overlays else None,
+            query, cached_names=frozenset(overlays) if overlays else None
         )
 
     def _analyze(
@@ -692,7 +683,6 @@ class Database:
         return analyze_query(
             plan_query,
             target,
-            use_hash_joins=context.use_hash_joins,
             overlays=overlays,
             statistics=context.statistics,
             cost_model=context.cost_model,
@@ -1052,7 +1042,6 @@ class Database:
             execution.level_rows,
             rows=len(execution.results),
             elapsed_seconds=execution.elapsed_seconds,
-            use_hash_joins=self.context.use_hash_joins,
             source=source,
             entry=entry,
         )

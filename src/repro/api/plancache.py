@@ -31,11 +31,12 @@ from typing import FrozenSet, Optional, Tuple
 from repro.lru import LRU, CacheInfo
 from repro.optimizer.optimizer import OptimizationResult
 
-#: cache key: (template key [+ "#skew:..." variant tag], context fingerprint).
-#: The template key is the canonical form with parameters renamed
-#: positionally (PCQuery.template_key), so every binding of a template —
-#: and every alpha-variant of it — probes one entry; skew-replanned
-#: variants get their own suffix-tagged entries.
+#: cache key: (template key [+ "#skew:..." or "#fb:..." variant tag],
+#: context fingerprint).  The template key is the canonical form with
+#: parameters renamed positionally (PCQuery.template_key), so every
+#: binding of a template — and every alpha-variant of it — probes one
+#: entry; skew-replanned and feedback-replanned variants get their own
+#: suffix-tagged entries.
 Key = Tuple[str, str]
 
 DEFAULT_MAX_SIZE = 128

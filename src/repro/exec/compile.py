@@ -6,16 +6,17 @@ every path evaluation re-enters :func:`~repro.query.evaluator.eval_path`
 dispatch.  After the chase & backchase have picked the plan, none of that
 flexibility is needed — the shape of the loops is fixed.  This module
 walks the same compiled operator tree (``ScanBind`` / ``Filter`` /
-``HashJoinBind`` / ``Project``) and emits **one fused Python function per
-plan**: nested tight loops over loop-local variables, with no per-tuple
-``dict`` copies and no ``eval_path`` dispatch on the hot path.
+``Project``) and emits **one fused Python function per plan**: nested
+tight loops over loop-local variables, with no per-tuple ``dict`` copies
+and no ``eval_path`` dispatch on the hot path.
 
 Scans of schema-name extents run over :class:`~repro.exec.columnar`
 extents: referenced attributes become position-aligned columns (oids
 dereferenced once per element, not once per enclosing loop iteration),
 and equality conditions against the scan — constant selections and
 value-based equijoins alike — become bulk probes of a lazily built
-value → positions index instead of per-tuple comparisons.
+value → positions index instead of per-tuple comparisons — the one
+join algorithm compiled plans have.
 
 Differences from the interpreted path, by design:
 
@@ -26,9 +27,9 @@ Differences from the interpreted path, by design:
   compiled plan *actually* does (bulk probes skip tuples the interpreter
   would have scanned and filtered), so instrumented counts are smaller
   but still honest;
-* schema-name extents and hash-join build sides referenced by the plan
-  are resolved up front, so a missing name or ill-typed extent can
-  surface even when an outer loop turns out to be empty.
+* schema-name extents referenced by the plan are resolved up front, so
+  a missing name or ill-typed extent can surface even when an outer
+  loop turns out to be empty.
 
 Answers are differentially identical to the interpreted executor and the
 reference evaluator on every plan — the test suite checks exactly that,
@@ -51,7 +52,6 @@ from repro.exec.columnar import COLUMNS, probe_positions
 from repro.exec.operators import (
     Counters,
     Filter,
-    HashJoinBind,
     Operator,
     Project,
     ScanBind,
@@ -348,9 +348,10 @@ class _CodeGen:
         if i < len(ops) and isinstance(ops[i], Filter):
             ground_conds = list(ops[i].conditions)  # type: ignore[attr-defined]
             i += 1
-        levels: List[Tuple[Operator, List[Eq]]] = []
+        levels: List[Tuple[ScanBind, List[Eq]]] = []
         while i < len(ops) and not isinstance(ops[i], Project):
             bind = ops[i]
+            assert isinstance(bind, ScanBind)
             i += 1
             conds: List[Eq] = []
             if i < len(ops) and isinstance(ops[i], Filter):
@@ -390,14 +391,10 @@ class _CodeGen:
 
         self.n_levels = len(levels)
         for level, (bind, conds) in enumerate(levels):
-            if isinstance(bind, HashJoinBind):
-                self._emit_hash_join(level, bind)
+            if bind.var in self.col_level:
+                conds = self._emit_columnar_scan(level, bind, conds)
             else:
-                assert isinstance(bind, ScanBind)
-                if bind.var in self.col_level:
-                    conds = self._emit_columnar_scan(level, bind, conds)
-                else:
-                    self._emit_generic_scan(level, bind)
+                self._emit_generic_scan(level, bind)
             for cond in conds:
                 self.emit_condition(cond)
             if self.feedback:
@@ -416,23 +413,20 @@ class _CodeGen:
     def _analyze_columnar(
         self,
         ground_conds: List[Eq],
-        levels: List[Tuple[Operator, List[Eq]]],
+        levels: List[Tuple[ScanBind, List[Eq]]],
     ) -> None:
         """Decide which scans run over columnar extents and which of
         their depth-1 attributes become columns."""
 
         for level, (bind, _) in enumerate(levels):
-            if isinstance(bind, ScanBind) and isinstance(bind.source, SName):
+            if isinstance(bind.source, SName):
                 self.col_level[bind.var] = level
                 self.col_attrs[bind.var] = {}
         paths: List[Path] = []
         for cond in ground_conds:
             paths += [cond.left, cond.right]
         for bind, conds in levels:
-            if isinstance(bind, HashJoinBind):
-                paths += [bind.build_source, bind.build_key, bind.probe_key]
-            else:
-                paths.append(bind.source)  # type: ignore[attr-defined]
+            paths.append(bind.source)
             for cond in conds:
                 paths += [cond.left, cond.right]
         paths += list(self.query.output.paths())
@@ -537,23 +531,6 @@ class _CodeGen:
         self.indent += 1
         self.line("_tuples += 1")
 
-    def _emit_hash_join(self, level: int, bind: HashJoinBind) -> None:
-        self.helpers.add("setof")
-        table = f"_h{level}"
-        local = self.vars[bind.var] = f"_v{level}"
-        self.declared.update((table, local))
-        message = f"hash join build source {bind.build_source} is not a set"
-        build_src = self.expr(bind.build_source)
-        build_key = self.expr(bind.build_key)
-        self.pro(f"{table} = {{}}")
-        self.pro(f"for {local} in _setof({build_src}, {message!r}):")
-        self.pro("    _hash_builds += 1")
-        self.pro(f"    {table}.setdefault({build_key}, []).append({local})")
-        self.line(f"_probes += {1 + P.count_probes(bind.probe_key)}")
-        self.line(f"for {local} in {table}.get({self.expr(bind.probe_key)}, ()):")
-        self.indent += 1
-        self.line("_tuples += 1")
-
     def _emit_project(self, project: Project) -> None:
         output = self.query.output
         probes = sum(P.count_probes(p) for p in output.paths())
@@ -627,16 +604,11 @@ class _CodeGen:
                 lines += ["    " + text for text in self._HELPER_SOURCE[helper]]
         if "attr" in self.helpers:
             self.declared.add("_deref")
-        self.declared.update(
-            ("_tuples", "_probes", "_filtered", "_hash_builds", "_out", "_append")
-        )
+        self.declared.update(("_tuples", "_probes", "_filtered", "_out", "_append"))
         lines += [
-            # counters precede the prologue: hash-table builds hoisted
-            # there already bump _hash_builds
             "    _tuples = 0",
             "    _probes = 0",
             "    _filtered = 0",
-            "    _hash_builds = 0",
             "    _out = []",
             "    _append = _out.append",
         ]
@@ -654,7 +626,6 @@ class _CodeGen:
             "    counters.tuples += _tuples",
             "    counters.probes += _probes",
             "    counters.filtered += _filtered",
-            "    counters.hash_builds += _hash_builds",
             "    return frozenset(_out)",
         ]
         return "\n".join(lines) + "\n"
@@ -674,19 +645,13 @@ class _CodeGen:
 
 def generate_plan(
     query: PCQuery,
-    use_hash_joins: bool = False,
     cached_names: Optional[FrozenSet[str]] = None,
     feedback: bool = False,
 ) -> GeneratedPlan:
     """Source **and** metadata for one plan, without executing anything —
     what the static verifier (:mod:`repro.analysis.codegen`) consumes."""
 
-    tree = compile_query(
-        query,
-        Counters(),
-        use_hash_joins=use_hash_joins,
-        cached_names=cached_names,
-    )
+    tree = compile_query(query, Counters(), cached_names=cached_names)
     gen = _CodeGen(query, tree, feedback=feedback)
     source = gen.generate()
     return GeneratedPlan(source, gen.metadata(), tree, gen)
@@ -694,7 +659,6 @@ def generate_plan(
 
 def compile_plan(
     query: PCQuery,
-    use_hash_joins: bool = False,
     cached_names: Optional[FrozenSet[str]] = None,
     verify: Optional[bool] = None,
     feedback: bool = False,
@@ -703,8 +667,8 @@ def compile_plan(
 
     The operator tree is built by the same planner the interpreter uses
     (:func:`repro.exec.planner.compile_query`), so join order, selection
-    pushing, hash-join choices and the ``explain()`` text all match the
-    interpreted execution of the same query exactly.
+    pushing and the ``explain()`` text all match the interpreted
+    execution of the same query exactly.
 
     ``verify=True`` (or ``verify=None`` with the ``REPRO_VERIFY_CODEGEN``
     environment switch set) runs the static codegen verifier over the
@@ -714,12 +678,7 @@ def compile_plan(
     cost is one environment lookup per compilation.
     """
 
-    plan = generate_plan(
-        query,
-        use_hash_joins=use_hash_joins,
-        cached_names=cached_names,
-        feedback=feedback,
-    )
+    plan = generate_plan(query, cached_names=cached_names, feedback=feedback)
     try:
         code = compile(plan.source, "<repro-compiled-plan>", "exec")
     except SyntaxError as exc:  # pragma: no cover - codegen bug guard

@@ -9,14 +9,17 @@ result tail.  No other module builds *and runs* an interpreted plan:
 plan-quality feedback (``feedback=True``) and EXPLAIN ANALYZE
 (``instrument=``) are this run with per-operator counters, not copies.
 ``repro.query.evaluator.evaluate`` is the reference path.  The test suite
-checks all three agree on every plan the optimizer emits.
+checks all three agree on every plan the optimizer emits.  Each mode has
+one join algorithm, and the plan picks where it probes: the interpreter
+runs index-nested-loop over ``ScanBind``, a compiled plan probes the
+column store's value index (:mod:`repro.exec.columnar`).
 
-The engine takes its execution flags (``use_hash_joins``, ``mode``,
-``tracer``) as arguments and nothing else: it never reads an
-:class:`~repro.api.context.OptimizeContext`, so a flag a caller passes is
-the flag the run uses.  It also keeps the one memo of compiled artifacts
+The engine takes its execution flags (``mode``, ``tracer``) as arguments
+and nothing else: it never reads an
+:class:`~repro.api.context.OptimizeContext`, so a flag a caller passes
+is the flag the run uses.  It also keeps the one memo of compiled artifacts
 (:func:`compiled_for`): every caller — ``Database``, its sessions, plain
-``execute`` — shares one artifact per plan and flags.
+``execute`` — shares one artifact per plan.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ EXEC_MODES = ("interpret", "compiled")
 
 #: the one LRU of compiled artifacts, keyed on the plan query (a
 #: template's ``$`` markers included, so its bindings share one artifact)
-#: plus the compile-relevant flags; a refusal is memoized as ``False``.
+#: plus the overlay names and the feedback flag; a refusal is memoized
+#: as ``False``.
 #: Artifacts hold no extent data — columns live in
 #: :data:`~repro.exec.columnar.COLUMNS` — so entries stay sound across
 #: instance mutations and pin no database.
@@ -46,12 +50,11 @@ _COMPILED_CACHE = LRU(max_size=256)
 
 def compiled_for(
     query: PCQuery,
-    use_hash_joins: bool = False,
     cached_names: Optional[FrozenSet[str]] = None,
     feedback: bool = False,
 ):
     """The (LRU-cached) :class:`~repro.exec.compile.CompiledPlan` for a
-    query under the given execution flags, or ``None`` when the code
+    query, its overlay names and feedback flag, or ``None`` when the code
     generator refuses the plan — a refusal is memoized under the same
     key, so each key costs one attempt.
 
@@ -62,16 +65,11 @@ def compiled_for(
 
     from repro.exec.compile import PlanCompilationError, compile_plan
 
-    key = (query, use_hash_joins, cached_names, feedback)
+    key = (query, cached_names, feedback)
     plan = _COMPILED_CACHE.get(key)
     if plan is None:
         try:
-            plan = compile_plan(
-                query,
-                use_hash_joins=use_hash_joins,
-                cached_names=cached_names,
-                feedback=feedback,
-            )
+            plan = compile_plan(query, cached_names=cached_names, feedback=feedback)
         except PlanCompilationError:
             plan = False
         _COMPILED_CACHE.put(key, plan)
@@ -104,7 +102,6 @@ class ExecutionResult:
 def execute(
     query: PCQuery,
     instance: Instance,
-    use_hash_joins: bool = False,
     counters: Optional[Counters] = None,
     overlays: Optional[Mapping[str, Any]] = None,
     tracer=NOOP_TRACER,
@@ -123,11 +120,11 @@ def execute(
     staler than the instance itself.  Scans of overlay names are marked
     ``[cached]`` in the plan text.
 
-    The execution flags — ``use_hash_joins``, ``mode``, the ``tracer``
-    the ``phase.exec`` span goes to — are plain arguments, and each
-    means what it says; callers holding an
-    :class:`~repro.api.context.OptimizeContext` (``Database``,
-    :class:`~repro.semcache.session.CachedSession`) unpack it into them.
+    The execution flags — ``mode`` and the ``tracer`` the ``phase.exec``
+    span goes to — are plain arguments, and each means what it says;
+    callers holding an :class:`~repro.api.context.OptimizeContext`
+    (``Database``, :class:`~repro.semcache.session.CachedSession`) unpack
+    it into them.
 
     In ``"compiled"`` mode the plan runs as a generated fused function
     (:func:`compiled_for`; a plan the generator refuses runs interpreted,
@@ -166,12 +163,7 @@ def execute(
     target = instance.overlay(dict(overlays)) if overlays else instance
 
     if mode == "compiled":
-        plan = compiled_for(
-            query,
-            use_hash_joins=use_hash_joins,
-            cached_names=cached_names,
-            feedback=feedback,
-        )
+        plan = compiled_for(query, cached_names=cached_names, feedback=feedback)
         if plan is None:
             tracer.event("exec.compile_fallback")
             mode = "interpret"
@@ -189,9 +181,7 @@ def execute(
                     for name, value in params.items()
                 }
             )
-        plan = compile_query(
-            query, run_counters, use_hash_joins=use_hash_joins, cached_names=cached_names
-        )
+        plan = compile_query(query, run_counters, cached_names=cached_names)
         plan_text = plan.explain()
         if feedback or instrument is not None:
             ops = own_counters(plan)
@@ -234,7 +224,6 @@ def execute(
 
 def explain(
     query: PCQuery,
-    use_hash_joins: bool = False,
     cached_names: Optional[FrozenSet[str]] = None,
 ) -> str:
     """The operator tree a query compiles to (without running it).
@@ -248,6 +237,4 @@ def explain(
     by walking it.
     """
 
-    return compile_query(
-        query, use_hash_joins=use_hash_joins, cached_names=cached_names
-    ).explain()
+    return compile_query(query, cached_names=cached_names).explain()

@@ -2,9 +2,11 @@
 
 Plans compile to a pipeline of operators, each producing a stream of
 environments (variable → value).  Dictionary lookups in binding sources
-make the same pipeline behave as index-nested-loop joins; an explicit
-:class:`HashJoinBind` implements the classic build/probe hash join for
-value-based equijoins (enabled by the hash-table structure of section 2).
+make the same pipeline behave as index-nested-loop joins — the one join
+algorithm the interpreter has.  A hash join is a *plan* (section 2): a
+lookup in a hash-table dictionary the chase and backchase reach like any
+other index (``physical/hashtable.py``), never an operator the planner
+picks behind the plan's back.
 
 All operators share a :class:`Counters` object so benchmarks can report
 tuples scanned and dictionary probes alongside wall-clock times; a run
@@ -36,16 +38,14 @@ class Counters:
     tuples: int = 0
     probes: int = 0
     filtered: int = 0
-    hash_builds: int = 0
-    #: input rows whose binding source or hash probe came up empty — the
-    #: runtime signature of a mis-estimated join (interpreted runs only)
+    #: input rows whose binding source came up empty — the runtime
+    #: signature of a mis-estimated join (interpreted runs only)
     empty_probes: int = 0
 
     def reset(self) -> None:
         self.tuples = 0
         self.probes = 0
         self.filtered = 0
-        self.hash_builds = 0
         self.empty_probes = 0
 
     def merge(self, other: "Counters") -> None:
@@ -56,7 +56,6 @@ class Counters:
         self.tuples += other.tuples
         self.probes += other.probes
         self.filtered += other.filtered
-        self.hash_builds += other.hash_builds
         self.empty_probes += other.empty_probes
 
 
@@ -162,75 +161,6 @@ class Filter(Operator):
         return self.child.explain(depth) + "\n" + " " * (depth + 2) + f"filter {conds}"
 
 
-class HashJoinBind(Operator):
-    """Build/probe hash join binding ``var``.
-
-    Builds a hash table over ``build_source`` keyed by ``build_key``
-    (a path over the bound variable), then probes it with ``probe_key``
-    (a path over the outer environment) — the on-the-fly hash table of
-    section 2.
-
-    The table is deliberately rebuilt on every :meth:`rows` call:
-    memoizing it across runs would serve stale data after an instance
-    mutation, and ``hash_builds`` counts exactly one bump per build-side
-    element per run.
-    """
-
-    def __init__(
-        self,
-        child: Operator,
-        var: str,
-        build_source: Path,
-        build_key: Path,
-        probe_key: Path,
-        counters: Counters,
-    ) -> None:
-        super().__init__(counters)
-        self.child = child
-        self.var = var
-        self.build_source = build_source
-        self.build_key = build_key
-        self.probe_key = probe_key
-        self.cached = False  # set by the planner for cache-overlay builds
-
-    def _build(self, instance: Instance) -> Dict[Any, List[Any]]:
-        table: Dict[Any, List[Any]] = {}
-        collection = eval_path(self.build_source, {}, instance)
-        if not isinstance(collection, frozenset):
-            raise QueryExecutionError(
-                f"hash join build source {self.build_source} is not a set"
-            )
-        for element in collection:
-            self.counters.hash_builds += 1
-            key = eval_path(self.build_key, {self.var: element}, instance)
-            table.setdefault(key, []).append(element)
-        return table
-
-    def rows(self, instance: Instance) -> Iterator[Env]:
-        table = self._build(instance)
-        for env in self.child.rows(instance):
-            self.counters.probes += 1
-            key = eval_path(self.probe_key, env, instance)
-            matches = table.get(key, ())
-            if not matches:
-                self.counters.empty_probes += 1
-            for element in matches:
-                self.counters.tuples += 1
-                child_env = dict(env)
-                child_env[self.var] = element
-                yield child_env
-
-    def explain(self, depth: int = 0) -> str:
-        tag = " [cached]" if self.cached else ""
-        return (
-            self.child.explain(depth)
-            + "\n"
-            + " " * (depth + 2)
-            + f"hash-join {self.build_source} as {self.var}{tag} "
-            + f"on {self.build_key} = {self.probe_key}"
-        )
-
-
 class Project(Operator):
     """Terminal operator: evaluate the select clause."""
 
@@ -301,7 +231,7 @@ def binding_levels(ops: Sequence[Operator]) -> List[Tuple[int, int]]:
     return [
         (idx, idx + 1 if isinstance(ops[idx + 1], Filter) else idx)
         for idx, op in enumerate(ops)
-        if isinstance(op, (ScanBind, HashJoinBind))
+        if isinstance(op, ScanBind)
     ]
 
 
@@ -314,7 +244,7 @@ def rows_out(ops: Sequence[Operator]) -> List[int]:
     for op in ops:
         if isinstance(op, Singleton):
             rows = 1
-        elif isinstance(op, (ScanBind, HashJoinBind)):
+        elif isinstance(op, ScanBind):
             rows = op.counters.tuples
         elif isinstance(op, Filter):
             rows -= op.counters.filtered

@@ -10,10 +10,10 @@ The hook puts a clock between each parent and child (it shadows the
 child's ``rows``); afterwards the actuals are read off the operators:
 rows produced and loop iterations (input rows consumed), dictionary
 probes, *empty* probes (lookups that found nothing — the runtime
-signature of a mis-estimated join), filtered rows, hash builds, and
-inclusive / self wall time from the clocks.  The result renders next to
-the cost model's per-operator row estimates, making estimation error
-visible operator by operator — the classic EXPLAIN ANALYZE contract.
+signature of a mis-estimated join), filtered rows, and inclusive / self
+wall time from the clocks.  The result renders next to the cost model's
+per-operator row estimates, making estimation error visible operator by
+operator — the classic EXPLAIN ANALYZE contract.
 
 The production hot path pays nothing: the clocks sit on the one freshly
 compiled plan the engine built for this call (the overhead-guard test in
@@ -38,7 +38,6 @@ from repro.exec import engine
 from repro.exec.operators import (
     Counters,
     Filter,
-    HashJoinBind,
     Operator,
     Project,
     rows_out,
@@ -61,7 +60,6 @@ class OpStats:
     probes: int = 0
     empty_probes: int = 0
     filtered: int = 0
-    hash_builds: int = 0
     seconds: float = 0.0
     self_seconds: float = 0.0
 
@@ -76,7 +74,6 @@ class OpStats:
             "probes": self.probes,
             "empty_probes": self.empty_probes,
             "filtered": self.filtered,
-            "hash_builds": self.hash_builds,
             "seconds": round(self.seconds, 6),
             "self_seconds": round(self.self_seconds, 6),
         }
@@ -174,8 +171,7 @@ def _read_estimates(
 ) -> Tuple[float, List[float]]:
     """``query``'s estimated cost and each operator's estimated rows, read
     off the record of one ``estimate_cost`` walk: a bind yields its
-    level's rows (a hash join times the factor of its folded key), a
-    filter applies its conditions' factors."""
+    level's rows, a filter applies its conditions' factors."""
 
     record: List[Tuple[float, List[float]]] = []
     cost = estimate_cost(query, stats, model, record)
@@ -188,9 +184,6 @@ def _read_estimates(
         elif not isinstance(op, Project):
             (rows, factors), conds = next(levels)
             factor = dict(zip(conds, factors))
-            if isinstance(op, HashJoinBind):
-                key = {op.build_key, op.probe_key}
-                rows *= next(f for c, f in factor.items() if {c.left, c.right} == key)
         estimates.append(rows)
     return cost, estimates
 
@@ -198,7 +191,6 @@ def _read_estimates(
 def analyze_query(
     query: PCQuery,
     instance: Instance,
-    use_hash_joins: bool = False,
     overlays: Optional[Mapping[str, Any]] = None,
     statistics=None,
     cost_model: Optional[CostModel] = None,
@@ -223,11 +215,7 @@ def analyze_query(
         ops.extend(chain)
 
     execution = engine.execute(
-        query,
-        instance,
-        use_hash_joins=use_hash_joins,
-        overlays=overlays,
-        instrument=interpose,
+        query, instance, overlays=overlays, instrument=interpose
     )
     op_stats[-1].seconds = execution.elapsed_seconds
     estimated_cost, estimates = None, [None] * len(ops)
@@ -241,7 +229,6 @@ def analyze_query(
         stat.probes = op.counters.probes
         stat.empty_probes = op.counters.empty_probes
         stat.filtered = op.counters.filtered
-        stat.hash_builds = op.counters.hash_builds
         stat.self_seconds = max(stat.seconds - child_seconds, 0.0)
         loops, child_seconds = rows, stat.seconds
 

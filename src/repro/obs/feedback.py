@@ -44,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.exec.operators import HashJoinBind, binding_levels, chain
+from repro.exec.operators import binding_levels, chain
 from repro.exec.planner import compile_query
 
 # Shared with EXPLAIN ANALYZE and the cost model: "est rows" here, there
@@ -204,11 +204,7 @@ def _cond_attrs(
     return tuple(seen)
 
 
-def level_specs(
-    query: PCQuery,
-    statistics: Statistics,
-    use_hash_joins: bool = False,
-) -> Tuple[LevelSpec, ...]:
+def level_specs(query: PCQuery, statistics: Statistics) -> Tuple[LevelSpec, ...]:
     """The cost model's estimates over ``query``'s compiled chain, one
     spec per binding level.
 
@@ -220,30 +216,21 @@ def level_specs(
 
     # compiled for its shape only — the one planner call outside
     # repro/exec; nothing here runs a plan
-    ops = chain(compile_query(query, use_hash_joins=use_hash_joins))
+    ops = chain(compile_query(query))
     _, estimates = _read_estimates(ops, query, statistics)
     sources = {b.var: b.source for b in query.bindings}
     specs: List[LevelSpec] = []
     for idx, tail in binding_levels(ops):
         op = ops[idx]
         conds: List[Eq] = list(ops[tail].conditions) if tail != idx else []
-        if isinstance(op, HashJoinBind):
-            source = op.build_source
-            # The folded equijoin filters like a condition; its attrs
-            # are ambiguous between build and probe side, so it teaches
-            # cardinality only (has_conds blocks the card=fanout read).
-            has_conds = True
-        else:
-            source = op.source
-            has_conds = bool(conds)
-        rel = source.name if isinstance(source, SName) else None
+        rel = op.source.name if isinstance(op.source, SName) else None
         specs.append(
             LevelSpec(
                 label=_op_label(op),
                 est_rows=estimates[tail],
                 rel=rel,
                 attrs=_cond_attrs(conds, sources),
-                has_conds=has_conds,
+                has_conds=bool(conds),
             )
         )
     return tuple(specs)
@@ -288,26 +275,21 @@ class FeedbackStore:
         self.version = 0
         self.card_overrides: Dict[str, float] = {}
         self.ndv_overrides: Dict[Tuple[str, str], float] = {}
-        self._spec_cache: Dict[Tuple[PCQuery, bool], Tuple[LevelSpec, ...]] = {}
+        self._spec_cache: Dict[PCQuery, Tuple[LevelSpec, ...]] = {}
 
     # ------------------------------------------------------------------
     # observation
 
     def specs_for(
-        self,
-        query: PCQuery,
-        statistics: Statistics,
-        use_hash_joins: bool = False,
+        self, query: PCQuery, statistics: Statistics
     ) -> Tuple[LevelSpec, ...]:
         """The (memoized) level specs of one plan query.  The cache is
         sound because :meth:`clear` runs whenever the statistics the
         estimates were read under are swapped out."""
 
-        key = (query, use_hash_joins)
-        specs = self._spec_cache.get(key)
+        specs = self._spec_cache.get(query)
         if specs is None:
-            specs = level_specs(query, statistics, use_hash_joins)
-            self._spec_cache[key] = specs
+            specs = self._spec_cache[query] = level_specs(query, statistics)
         return specs
 
     def observe(
@@ -317,7 +299,6 @@ class FeedbackStore:
         level_rows: Tuple[int, ...],
         rows: int,
         elapsed_seconds: float,
-        use_hash_joins: bool = False,
         source: str = "execute",
         entry: Any = None,
     ) -> Optional[FeedbackObservation]:
@@ -336,7 +317,7 @@ class FeedbackStore:
         shape they do not model).
         """
 
-        specs = self.specs_for(query, statistics, use_hash_joins)
+        specs = self.specs_for(query, statistics)
         if len(specs) != len(level_rows):
             return None
         registry = self.registry

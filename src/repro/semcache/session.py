@@ -8,10 +8,10 @@ result back into the pool so later queries can be answered from it.
 
 A session has one :class:`~repro.api.context.OptimizeContext`, its
 cache's: rewrites optimize under it, and it alone says how plans run
-(``exec_mode``, ``use_hash_joins``) and where spans go (``tracer``) — so
+(``exec_mode``) and where spans go (``tracer``) — so
 ``CachedSession(db.instance, context=db.context)`` serves exactly what
 ``db.session()`` serves.  Without a context a session runs interpreted,
-without hash joins, untraced.
+untraced.
 
 Rewritten plans execute against a read-through **overlay**
 (:meth:`repro.model.instance.Instance.overlay`): the used extents are
@@ -174,7 +174,6 @@ class CachedSession:
         return execute(
             query,
             self.instance,
-            use_hash_joins=context.use_hash_joins,
             tracer=context.tracer,
             mode=context.exec_mode,
             **options,

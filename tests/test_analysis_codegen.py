@@ -3,17 +3,16 @@
 Four layers:
 
 * sweep health — every lint-corpus query and every golden workload's
-  canonical + winning plan verifies clean in both scan modes (the same
-  sweep ``python -m repro.analysis`` gates CI on);
+  canonical + winning plan verifies clean (the same sweep ``python -m repro.analysis`` gates CI on);
 * seeded violations — each rule (CG-SYNTAX, CG-SHAPE, CG-DOM, CG-NAME,
   CG-PARAM, CG-LOOKUP, CG-LOCAL, CG-SITES) fires on a source crafted to
   break exactly it, and the guard-dominance machinery (dom loops,
   membership checks, equality aliasing, the chase fallback) accepts
   exactly the safe shapes;
-* the PR 8 regression — re-seeding the historical counter-init bug
-  (``_hash_builds += 1`` hoisted into the prologue *before* the counter
-  initializations) trips CG-DOM, proving the verifier would have caught
-  it at lint time;
+* the counter-init regression — re-seeding the historical bug (a
+  counter bumped before its initialization: here ``_tuples += 1`` in the
+  scan loop, the inits moved past the loops) trips CG-DOM, proving the
+  verifier would have caught it at lint time;
 * the runtime debug mode — ``REPRO_VERIFY_CODEGEN``/``verify=True``
   rejects a sabotaged artifact with
   :class:`~repro.errors.CodegenVerificationError` before exec, and adds
@@ -59,10 +58,10 @@ def _winner(workload):
 def test_corpus_sweep_is_clean():
     verified, findings = verify_corpus()
     assert findings == []
-    # every corpus entry, both scan modes
+    # every corpus entry
     from repro.analysis.corpus import BUILTIN_CORPUS
 
-    assert verified == 2 * len(BUILTIN_CORPUS)
+    assert verified == len(BUILTIN_CORPUS)
 
 
 def test_workload_sweep_is_clean(optimized_workloads):
@@ -83,8 +82,8 @@ def test_workload_sweep_is_clean(optimized_workloads):
         verified += count
         findings.extend(query_findings)
     assert findings == []
-    # 4 workloads x (canonical + winner) x 2 scan modes
-    assert verified == 16
+    # 4 workloads x (canonical + winner)
+    assert verified == 8
 
 
 def test_guarded_lookup_corpus_entries_emit_failing_lookups():
@@ -404,7 +403,7 @@ def test_verify_query_reports_refusals():
         def param_names(self):
             return ()
 
-    def refuse(query, use_hash_joins=False, cached_names=None):
+    def refuse(query, cached_names=None):
         raise PlanCompilationError("nope")
 
     original = compile_mod.generate_plan
@@ -421,34 +420,25 @@ def test_verify_query_reports_refusals():
     finally:
         compile_mod.generate_plan = original
     assert verified == 0
-    assert [f.rule for f in findings] == ["CG-REFUSED", "CG-REFUSED"]
+    assert [f.rule for f in findings] == ["CG-REFUSED"]
 
 
 # -- the PR 8 counter-init regression --------------------------------------
 
 
-def _reorder_counters_after_prologue(monkeypatch):
+def _move_counter_inits_past_the_loops(monkeypatch):
     """Re-seed the historical bug: counter initializations emitted
-    *after* the prologue, so the hash-join build loop's
-    ``_hash_builds += 1`` runs on an unbound local."""
+    *after* the code that bumps them, so the scan loop's
+    ``_tuples += 1`` runs on an unbound local."""
 
     original = compile_mod._CodeGen._assemble
-    counter_block = [
-        "    _tuples = 0",
-        "    _probes = 0",
-        "    _filtered = 0",
-        "    _hash_builds = 0",
-        "    _out = []",
-        "    _append = _out.append",
-    ]
+    counter_block = ["    _tuples = 0", "    _probes = 0", "    _filtered = 0"]
 
     def bad_assemble(self):
         lines = original(self).split("\n")
-        if not self.prologue:
-            return "\n".join(lines)
         for line in counter_block:
             lines.remove(line)
-        anchor = lines.index(self.prologue[-1]) + 1
+        anchor = lines.index("    counters.tuples += _tuples")
         lines[anchor:anchor] = counter_block
         return "\n".join(lines)
 
@@ -456,14 +446,14 @@ def _reorder_counters_after_prologue(monkeypatch):
 
 
 def test_reintroduced_counter_init_bug_is_flagged(monkeypatch):
-    _reorder_counters_after_prologue(monkeypatch)
+    _move_counter_inits_past_the_loops(monkeypatch)
     query = parse_query(JOIN)
-    plan = generate_plan(query, use_hash_joins=True)
-    assert "_hash_builds += 1" in plan.source.split("_hash_builds = 0")[0]
+    plan = generate_plan(query)
+    assert "_tuples += 1" in plan.source.split("_tuples = 0")[0]
 
     findings = verify_source(query, plan.source, plan.metadata)
     assert any(
-        f.rule == "CG-DOM" and "_hash_builds" in f.message for f in findings
+        f.rule == "CG-DOM" and "_tuples" in f.message for f in findings
     ), [f.render() for f in findings]
     # the structural subset the runtime debug mode runs catches it too
     assert any(
@@ -472,21 +462,29 @@ def test_reintroduced_counter_init_bug_is_flagged(monkeypatch):
     )
 
 
-def test_correct_emission_passes_both_scan_modes():
+def test_correct_emission_passes():
     query = parse_query(JOIN)
-    for use_hash_joins in (False, True):
-        plan = generate_plan(query, use_hash_joins=use_hash_joins)
-        assert verify_source(query, plan.source, plan.metadata) == []
+    plan = generate_plan(query)
+    assert verify_source(query, plan.source, plan.metadata) == []
+
+
+def test_correct_emission_passes_for_feedback_artifacts():
+    # the feedback variant adds per-level row counters and the ``_fb``
+    # out-parameter; the sweeps above verify the silent variant only
+    query = parse_query(JOIN)
+    plan = generate_plan(query, feedback=True)
+    assert "_fb" in plan.source
+    assert verify_source(query, plan.source, plan.metadata) == []
 
 
 # -- the runtime debug-verify mode -----------------------------------------
 
 
 def test_runtime_verify_rejects_sabotaged_artifact(monkeypatch):
-    _reorder_counters_after_prologue(monkeypatch)
+    _move_counter_inits_past_the_loops(monkeypatch)
     query = parse_query(JOIN)
     with pytest.raises(CodegenVerificationError) as excinfo:
-        compile_plan(query, use_hash_joins=True, verify=True)
+        compile_plan(query, verify=True)
     assert "CG-DOM" in str(excinfo.value)
     # deliberately NOT a PlanCompilationError: that class triggers the
     # engine's silent fall-back to interpretation, hiding the bug
@@ -494,15 +492,15 @@ def test_runtime_verify_rejects_sabotaged_artifact(monkeypatch):
 
 
 def test_runtime_verify_env_switch(monkeypatch):
-    _reorder_counters_after_prologue(monkeypatch)
+    _move_counter_inits_past_the_loops(monkeypatch)
     query = parse_query(JOIN)
     monkeypatch.setenv(compile_mod.VERIFY_ENV, "1")
     with pytest.raises(CodegenVerificationError):
-        compile_plan(query, use_hash_joins=True)
+        compile_plan(query)
     monkeypatch.setenv(compile_mod.VERIFY_ENV, "0")
     # off: the broken artifact compiles (the bug would only surface at
     # execution time — exactly what the debug mode exists to pre-empt)
-    assert compile_plan(query, use_hash_joins=True).fn is not None
+    assert compile_plan(query).fn is not None
 
 
 def test_runtime_verify_off_invokes_no_verifier(monkeypatch):
@@ -519,6 +517,6 @@ def test_runtime_verify_off_invokes_no_verifier(monkeypatch):
 
 def test_runtime_verify_accepts_healthy_artifact(monkeypatch):
     monkeypatch.setenv(compile_mod.VERIFY_ENV, "1")
-    plan = compile_plan(parse_query(JOIN), use_hash_joins=True)
+    plan = compile_plan(parse_query(JOIN))
     assert plan.metadata is not None
     assert plan.metadata.locals

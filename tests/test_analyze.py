@@ -15,6 +15,7 @@ import pytest
 
 from repro import Database, evaluate, execute, parse_query
 from repro.errors import ParameterBindingError, ReproError
+from repro.model.values import DictValue
 from repro.obs.analyze import analyze_query
 from repro.obs.feedback import level_specs
 from repro.optimizer import cost
@@ -72,13 +73,11 @@ class TestAnalyzeQuery:
         )
         assert scan_r.est_rows == pytest.approx(60.0)
 
-    @pytest.mark.parametrize("hash_joins", [False, True])
-    def test_estimates_are_read_off_one_cost_walk(self, rs, monkeypatch, hash_joins):
+    def test_estimates_are_read_off_one_cost_walk(self, rs, monkeypatch):
         """"est rows" and feedback's level estimates are the record of one
         ``estimate_cost`` walk, which prices each condition once: with
         every factor pinned at 1/4, a filter's row is its input's times
-        1/4 per condition, and a hash join's is its level's rows times the
-        1/4 of its folded key."""
+        1/4 per condition."""
 
         priced = []
 
@@ -90,45 +89,29 @@ class TestAnalyzeQuery:
         query = parse_query(JOIN_Q + " and s.C = 1")
         stats = rs.statistics
         r, rs_rows = stats.card("R"), stats.card("R") * stats.card("S")
-        ar = analyze_query(
-            query, rs.instance, use_hash_joins=hash_joins, statistics=stats
-        )
+        ar = analyze_query(query, rs.instance, statistics=stats)
         assert len(priced) == len(query.conditions) == 2
-        bind = rs_rows / 4 if hash_joins else rs_rows
         assert [s.est_rows for s in ar.op_stats] == [
-            1.0, r, bind, rs_rows / 16, rs_rows / 16
+            1.0, r, rs_rows, rs_rows / 16, rs_rows / 16
         ]
-        specs = level_specs(query, stats, hash_joins)
+        specs = level_specs(query, stats)
         assert len(priced) == 4
         assert [s.est_rows for s in specs] == [r, rs_rows / 16]
 
-    def test_hash_join_path_counts_probes(self, rs):
-        query = parse_query(JOIN_Q)
-        plain = analyze_query(query, rs.instance)
-        hashed = analyze_query(query, rs.instance, use_hash_joins=True)
-        assert hashed.results == plain.results
-        hj = next(
-            s for s in hashed.op_stats if s.label.startswith("hash-join")
-        )
-        assert hj.probes > 0
-        assert hj.hash_builds == 60  # one per tuple inserted into the table
-
     def test_empty_probes_count_missed_lookups(self, rs):
-        # Probe S's build table with keys S never saw: every probe misses.
+        # Look R's keys up in an IS that holds none: every lookup misses.
         query = parse_query(
-            "select struct(A = r.A) from R r, S s where r.B = s.B"
+            "select struct(A = r.A, C = t.C) from R r, IS{r.B} t"
         )
         ar = analyze_query(
-            query,
-            rs.instance,
-            use_hash_joins=True,
-            overlays={"S": frozenset()},
+            query, rs.instance, overlays={"IS": DictValue({})}
         )
         assert ar.rows == 0
-        hj = next(
-            s for s in ar.op_stats if s.label.startswith("hash-join")
+        scan = next(
+            s for s in ar.op_stats if s.label.startswith("scan IS")
         )
-        assert hj.empty_probes == hj.loops > 0
+        assert scan.empty_probes == scan.probes == scan.loops > 0
+        assert scan.rows == 0
 
     def test_overlays_run_against_cached_extents(self, rs):
         # A view-only plan over an overlay extent: the classic semantic

@@ -147,6 +147,20 @@ class TestOptimizeContext:
         refreshed = a.override(statistics=Statistics().set_card("R", 7))
         assert a.fingerprint() == refreshed.fingerprint()
 
+    def test_no_hash_join_flag(self):
+        # a hash join is a plan over a hash-table dictionary, which the
+        # backchase reaches and the cost model prices; no execution flag
+        # swaps one in behind the plan
+        fields = {f.name for f in dataclasses.fields(OptimizeContext)}
+        assert "use_hash_joins" not in fields
+        with pytest.raises(TypeError):
+            OptimizeContext(use_hash_joins=True)
+        with pytest.raises(TypeError):
+            Database(use_hash_joins=True)
+        instance = Instance({"R": frozenset({Row(A=1, B=2)})})
+        with pytest.raises(TypeError):
+            execute(parse_query("select r.A from R r"), instance, use_hash_joins=True)
+
     def test_optimizer_roundtrip(self):
         ctx = OptimizeContext(strategy="full", max_chase_steps=77)
         opt = ctx.optimizer()
@@ -178,8 +192,8 @@ class TestOptimizeContext:
         # execute() takes its execution flags as arguments
         instance = Instance({"R": frozenset({Row(A=1, B=2)})})
         scan = parse_query("select r.A from R r")
-        hashed = execute(scan, instance, use_hash_joins=True)
-        assert hashed.results == frozenset({1})
+        compiled = execute(scan, instance, mode="compiled")
+        assert compiled.mode == "compiled" and compiled.results == frozenset({1})
 
 
 class TestPlanCache:

@@ -4,17 +4,27 @@ import pytest
 
 from repro.errors import QueryExecutionError
 from repro.exec.engine import execute, explain
-from repro.exec.operators import Counters, HashJoinBind, ScanBind, Singleton
+from repro.exec.operators import (
+    Counters,
+    Filter,
+    Project,
+    ScanBind,
+    Singleton,
+    chain,
+)
 from repro.exec.planner import compile_query
 from repro.model.instance import Instance
 from repro.model.values import DictValue, Row
 from repro.query.evaluator import evaluate
-from repro.query.parser import parse_path, parse_query
+from repro.query.parser import parse_query
 from repro.query.paths import Attr, SName, Var
 
 
 def q(text):
     return parse_query(text)
+
+
+JOIN = "select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B"
 
 
 @pytest.fixture
@@ -42,28 +52,22 @@ class TestOperators:
         assert len(rows) == 3
         assert counters.tuples == 3
 
-    def test_hash_join(self, instance):
-        counters = Counters()
-        left = ScanBind(Singleton(counters), "r", SName("R"), counters)
-        join = HashJoinBind(
-            left,
-            "s",
-            SName("S"),
-            parse_path("s.B", scope={"s"}),
-            parse_path("r.B", scope={"r"}),
-            counters,
-        )
-        rows = list(join.rows(instance))
-        assert len(rows) == 3  # each R row finds exactly one partner
-        assert counters.hash_builds == 3
-        assert counters.probes == 3
-
     def test_filter_counts(self, instance):
         counters = Counters()
         plan = compile_query(q("select r.A from R r where r.B = 10"), counters)
         results = frozenset(plan.results(instance))
         assert results == frozenset({1, 3})
         assert counters.filtered == 1
+
+    def test_nested_scan_join(self, instance):
+        # index-nested-loop: S is scanned once per R row, the join
+        # condition filters the pairs
+        counters = Counters()
+        plan = compile_query(q(JOIN), counters)
+        results = frozenset(plan.results(instance))
+        assert len(results) == 3  # each R row finds exactly one partner
+        assert counters.tuples == 3 + 3 * 3
+        assert counters.filtered == 3 * 3 - 3
 
 
 class TestPlanner:
@@ -72,19 +76,18 @@ class TestPlanner:
         assert "scan R as r" in text
         assert "filter" in text
 
-    def test_hash_join_detected(self):
-        text = explain(
-            q("select struct(A = r.A) from R r, S s where r.B = s.B"),
-            use_hash_joins=True,
-        )
-        assert "hash-join S as s" in text
+    def test_equi_join_is_a_nested_scan(self):
+        plan = compile_query(q(JOIN))
+        assert [type(op) for op in chain(plan)] == [
+            Singleton, ScanBind, ScanBind, Filter, Project
+        ]
+        text = plan.explain()
+        assert "scan S as s" in text
+        assert "filter r.B = s.B" in text
 
-    def test_hash_join_not_used_for_dependent_scan(self):
-        text = explain(
-            q("select struct(X = m) from depts d, d.DProjs m"),
-            use_hash_joins=True,
-        )
-        assert "hash-join" not in text
+    def test_dependent_scan_is_a_scan(self):
+        text = explain(q("select struct(X = m) from depts d, d.DProjs m"))
+        assert "scan d.DProjs as m" in text
 
     def test_index_scan_compiles(self):
         text = explain(q('select struct(C = t.C) from IS{10} t'))
@@ -104,17 +107,21 @@ class TestEngine:
             query = q(text)
             assert execute(query, instance).results == evaluate(query, instance)
 
-    def test_hash_join_agrees(self, instance):
-        query = q("select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B")
-        nested = execute(query, instance, use_hash_joins=False)
-        hashed = execute(query, instance, use_hash_joins=True)
-        assert nested.results == hashed.results
+    def test_equi_join_agrees_across_executors(self, instance):
+        query = q(JOIN)
+        interpreted = execute(query, instance, mode="interpret")
+        compiled = execute(query, instance, mode="compiled")
+        assert compiled.mode == "compiled"
+        assert interpreted.results == compiled.results == evaluate(query, instance)
 
-    def test_hash_join_fewer_tuples_scanned(self, instance):
-        query = q("select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B")
-        nested = execute(query, instance, use_hash_joins=False)
-        hashed = execute(query, instance, use_hash_joins=True)
-        assert hashed.counters.tuples < nested.counters.tuples
+    def test_compiled_probe_scans_fewer_tuples(self, instance):
+        # the compiled join probes S's value index instead of scanning S
+        # once per R row
+        query = q(JOIN)
+        interpreted = execute(query, instance, mode="interpret")
+        compiled = execute(query, instance, mode="compiled")
+        assert compiled.counters.tuples < interpreted.counters.tuples
+        assert compiled.counters.probes == 3
 
     def test_index_probe_counted(self, instance):
         query = q("select struct(C = t.C) from R r, IS{r.B} t")

@@ -4,16 +4,17 @@ instrumentation fixes that shipped with it.
 Three layers of coverage:
 
 * pinned counter regressions — short-circuiting :class:`Filter` counts
-  only the condition probes it actually evaluated, :class:`HashJoinBind`
-  rebuilds its table on every run (no memo field), and ``execute`` with a
+  only the condition probes it actually evaluated, and ``execute`` with a
   caller-reused :class:`Counters` reports *per-run* counts in the
-  :class:`ExecutionResult` while the caller's object accumulates;
+  :class:`ExecutionResult` while the caller's object accumulates, and
+  a compiled equi-join probes a value index that belongs to its extent,
+  not to the artifact;
 * differential checks — for every golden workload plan (the canonical
   queries, E9's reference plans P1–P4, and each workload's optimized
   winner) the compiled function, the interpreted pipeline and the
   reference evaluator produce identical answers, including overlay
   (hybrid semantic-cache) execution and ``$param`` substitution into an
-  already-compiled artifact;
+  already-compiled artifact, for silent and feedback artifacts alike;
 * mode plumbing — ``exec_mode`` validation, the engine artifact LRU (the
   one memo every caller shares, refusals included), the column store
   that frees a dead database's extents, EXPLAIN ANALYZE's transparent
@@ -43,7 +44,6 @@ from repro.exec.engine import compiled_for, execute
 from repro.exec.operators import (
     Counters,
     Filter,
-    HashJoinBind,
     ScanBind,
     Singleton,
 )
@@ -143,39 +143,42 @@ class TestFilterShortCircuitProbes:
         assert counters.filtered == 0
 
 
-class TestHashJoinRebuild:
-    """Satellite 2: the dead ``_table`` memo field is gone and the build
-    side is provably rebuilt on every run."""
+class TestCompiledJoinProbe:
+    """A compiled equi-join probes the inner extent's value index, which
+    belongs to the extent in :data:`COLUMNS`: built once per extent, kept
+    out of the artifact, and never served for a replaced extent."""
 
-    def _join(self, counters):
-        left = ScanBind(Singleton(counters), "r", SName("R"), counters)
-        return HashJoinBind(
-            left,
-            "s",
-            SName("S"),
-            parse_path("s.B", scope={"s"}),
-            parse_path("r.B", scope={"r"}),
-            counters,
-        )
+    JOIN = "select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B"
 
-    def test_no_memo_field(self, counters=None):
-        join = self._join(Counters())
-        assert not hasattr(join, "_table")
+    def test_artifact_holds_no_index(self, instance, fresh_memo):
+        plan = compile_plan(q(self.JOIN))
+        assert len(plan.run(instance)) == 3
+        assert "_x1 = _e1.index('B', instance)" in plan.source
+        data = [
+            value
+            for name, value in plan.fn.__globals__.items()
+            if name not in ("__builtins__", "_cols") and not callable(value)
+        ]
+        assert data == []
+        assert "B" in COLUMNS.get(instance, "S")._indexes
 
-    def test_rebuilds_per_run(self, instance):
+    def test_index_is_built_once_per_extent(self, instance, fresh_memo):
+        plan = compile_plan(q(self.JOIN))
+        plan.run(instance)
+        extent = COLUMNS.get(instance, "S")
+        index = extent.index("B", instance)
         counters = Counters()
-        join = self._join(counters)
-        assert len(list(join.rows(instance))) == 3
-        assert counters.hash_builds == 3  # one bump per S element
-        assert len(list(join.rows(instance))) == 3
-        assert counters.hash_builds == 6  # rebuilt, not memoized
+        assert len(plan.run(instance, counters)) == 3
+        assert COLUMNS.get(instance, "S") is extent
+        assert extent.index("B", instance) is index
+        # one probe per R row, one tuple per R row and per match
+        assert (counters.probes, counters.tuples) == (3, 6)
 
-    def test_rebuild_sees_mutation(self, instance):
-        counters = Counters()
-        join = self._join(counters)
-        assert len(list(join.rows(instance))) == 3
+    def test_probe_sees_mutation(self, instance, fresh_memo):
+        plan = compile_plan(q(self.JOIN))
+        assert len(plan.run(instance)) == 3
         instance["S"] = frozenset({Row(B=10, C="only")})
-        assert len(list(join.rows(instance))) == 1
+        assert plan.run(instance) == frozenset({Row(A=1, C="only")})
 
 
 class TestPerRunCounters:
@@ -219,20 +222,19 @@ DIFFERENTIAL_QUERIES = [
 
 class TestCompiledDifferential:
     @pytest.mark.parametrize("text", DIFFERENTIAL_QUERIES)
-    @pytest.mark.parametrize("use_hash_joins", [False, True])
-    def test_matches_interpreted_and_reference(
-        self, instance, text, use_hash_joins
-    ):
+    @pytest.mark.parametrize("feedback", [False, True])
+    def test_matches_interpreted_and_reference(self, instance, text, feedback):
+        # feedback=True compiles the other artifact variant (per-level row
+        # counters, a fourth parameter): it must answer the same, and
+        # count the same level rows as the interpreted chain
         query = q(text)
         reference = evaluate(query, instance)
-        interpreted = execute(
-            query, instance, use_hash_joins=use_hash_joins, mode="interpret"
-        )
-        compiled = execute(
-            query, instance, use_hash_joins=use_hash_joins, mode="compiled"
-        )
+        interpreted = execute(query, instance, mode="interpret", feedback=feedback)
+        compiled = execute(query, instance, mode="compiled", feedback=feedback)
         assert compiled.mode == "compiled"
         assert compiled.results == interpreted.results == reference
+        assert compiled.level_rows == interpreted.level_rows
+        assert (compiled.level_rows is None) == (not feedback)
 
     def test_failing_lookup_error_parity(self, instance):
         query = q("select struct(C = t.C) from IS[99] t")
@@ -370,8 +372,8 @@ class TestModePlumbing:
 
     def test_generate_source_is_valid_python(self):
         for text in DIFFERENTIAL_QUERIES:
-            for use_hash_joins in (False, True):
-                source = generate_plan(q(text), use_hash_joins=use_hash_joins).source
+            for feedback in (False, True):
+                source = generate_plan(q(text), feedback=feedback).source
                 compile(source, "<test>", "exec")  # must not raise
 
     def test_explain_analyze_under_compiled_mode(self):

@@ -44,7 +44,7 @@ from repro import (
     parse_query,
 )
 from repro.exec.compile import compile_plan, generate_plan
-from repro.exec.operators import Filter, HashJoinBind, ScanBind, chain as _chain
+from repro.exec.operators import Filter, ScanBind, chain as _chain
 from repro.exec.planner import compile_query
 from repro.obs.analyze import analyze_query
 from repro.obs.feedback import (
@@ -348,15 +348,15 @@ class TestFeedbackCollection:
 # -- actuals parity (the acceptance pin) --------------------------------------
 
 
-def _level_tail_indexes(query, use_hash_joins):
+def _level_tail_indexes(query):
     """Chain index of each binding level's tail op (the Filter following
     the bind when present, the bind itself otherwise) — where both the
     level specs and the analyzer place the level's row count."""
 
-    ops = _chain(compile_query(query, use_hash_joins=use_hash_joins))
+    ops = _chain(compile_query(query))
     tails = []
     for idx, op in enumerate(ops):
-        if not isinstance(op, (ScanBind, HashJoinBind)):
+        if not isinstance(op, ScanBind):
             continue
         nxt = ops[idx + 1] if idx + 1 < len(ops) else None
         tails.append(idx + 1 if isinstance(nxt, Filter) else idx)
@@ -370,29 +370,20 @@ class TestParityWithExplainAnalyze:
     ):
         wl = optimized_workloads.workload(name)
         query = optimized_workloads.winner(name)
-        hash_joins = False  # the workload databases' default
 
-        analysis = analyze_query(query, wl.instance, use_hash_joins=hash_joins)
-        tails = _level_tail_indexes(query, hash_joins)
+        analysis = analyze_query(query, wl.instance)
+        tails = _level_tail_indexes(query)
 
         # (1) actuals: the interpreted engine agrees with the analyzer's
         # instrumented row counts at every level tail
-        interp = execute(
-            query, wl.instance, use_hash_joins=hash_joins, feedback=True
-        )
+        interp = execute(query, wl.instance, feedback=True)
         assert len(tails) == len(interp.level_rows) > 0
         for actual, tail in zip(interp.level_rows, tails):
             assert actual == analysis.op_stats[tail].rows
 
         # (2) the compiled engine (when the plan compiles) reports the
         # same actuals and the same answers
-        comp = execute(
-            query,
-            wl.instance,
-            use_hash_joins=hash_joins,
-            mode="compiled",
-            feedback=True,
-        )
+        comp = execute(query, wl.instance, mode="compiled", feedback=True)
         assert comp.level_rows == interp.level_rows
         assert comp.results == interp.results
 

@@ -6,10 +6,12 @@ EXPLAIN ANALYZE and plan-quality feedback read it from.
 Pinned here:
 
 * the actuals columns of ANALYZE (rows / loops / probes / empty /
-  filtered / hash builds) on the four golden-workload winners and on
-  ``rs`` with hash joins, recorded from the commit where ANALYZE still
-  ran its own copies of ``ScanBind.rows`` / ``HashJoinBind.rows`` behind
-  row-counting proxies — the columns must not know the difference;
+  filtered) on the four golden-workload winners and on the default
+  ``rs`` build, recorded from the commit where ANALYZE still ran its own
+  copies of the operators' ``rows`` behind row-counting proxies — the
+  columns must not know the difference (the tables end in the hash-build
+  column of that commit, 0 on every winner: no operator builds a hash
+  table any more);
 * a plain ``execute`` reports the same empty probes ANALYZE's column sums
   to (they are one counter now);
 * the chain helpers against an operator chain drained by hand.
@@ -26,7 +28,6 @@ from repro.exec import engine
 from repro.exec.operators import (
     Counters,
     Filter,
-    HashJoinBind,
     ScanBind,
     binding_levels,
     chain,
@@ -38,9 +39,10 @@ from repro.exec.planner import compile_query
 from repro.obs.analyze import analyze_query
 from repro.obs.trace import Tracer
 
-COLUMNS = ("rows", "loops", "probes", "empty_probes", "filtered", "hash_builds")
+COLUMNS = ("rows", "loops", "probes", "empty_probes", "filtered")
 
-#: label, then COLUMNS — the default ``rs`` build, recorded at 42e568b
+#: label, then COLUMNS and the retired hash-build column — the default
+#: ``rs`` build, recorded at 42e568b
 RS_WINNER = [
     ("unit", 1, 1, 0, 0, 0, 0),
     ("scan V as _x0", 150, 1, 0, 0, 0, 0),
@@ -82,17 +84,11 @@ WINNERS = {
         ),
     ],
 }
-RS_RAW_HASHED = [
-    ("unit", 1, 1, 0, 0, 0, 0),
-    ("scan R as r", 500, 1, 0, 0, 0, 0),
-    ("hash-join S as s on s.B = r.B", 2521, 500, 500, 350, 0, 500),
-    ("project struct(A = r.A, B = s.B, C = s.C)", 2521, 2521, 0, 0, 0, 0),
-]
 
 
 def table(analysis):
     return [
-        (stat.label,) + tuple(getattr(stat, column) for column in COLUMNS)
+        (stat.label,) + tuple(getattr(stat, column) for column in COLUMNS) + (0,)
         for stat in analysis.op_stats
     ]
 
@@ -104,36 +100,21 @@ class TestAnalyzeColumnsHeld:
         analysis = db.explain(db.workload.query, analyze=True)
         assert table(analysis) == WINNERS[name]
 
-    def test_rs_with_hash_joins(self):
-        # its own database: the flag is part of the configuration
-        db = Database.from_workload("rs", use_hash_joins=True)
-        # the winner is all index scans: the flag finds nothing to fold
+    def test_default_rs_winner(self):
+        # the default build, not the golden one: its own database
+        db = Database.from_workload("rs")
         assert table(db.explain(db.workload.query, analyze=True)) == RS_WINNER
-        raw = analyze_query(db.workload.query, db.instance, use_hash_joins=True)
-        assert table(raw) == RS_RAW_HASHED
         db.close()
 
 
 class TestEmptyProbesAreNative:
-    def test_hash_join_misses(self):
-        db = Database.from_workload("rs")
-        query = db.workload.query
-        analysis = analyze_query(query, db.instance, use_hash_joins=True)
-        ran = execute(query, db.instance, use_hash_joins=True, mode="interpret")
-        assert ran.counters.empty_probes == 350
-        assert ran.counters.empty_probes == sum(
-            stat.empty_probes for stat in analysis.op_stats
-        )
-        assert analysis.counters == ran.counters
-        db.close()
+    # S.B covers a third of R.B's values: a non-failing index lookup per
+    # R row comes up empty for the rest.
+    EMPTY_LOOKUPS = "select struct(A = r.A, C = t.C) from R r, IS{r.B} t"
 
     def test_scan_of_an_empty_lookup(self):
-        # S.B covers a third of R.B's values: a non-failing index lookup
-        # per R row comes up empty for the rest.
         db = Database.from_workload("rs")
-        query = parse_query(
-            "select struct(A = r.A, C = t.C) from R r, IS{r.B} t"
-        )
+        query = parse_query(self.EMPTY_LOOKUPS)
         analysis = analyze_query(query, db.instance)
         ran = execute(query, db.instance, mode="interpret")
         scan = next(s for s in analysis.op_stats if s.label.startswith("scan IS"))
@@ -145,9 +126,9 @@ class TestEmptyProbesAreNative:
     def test_reused_counters_accumulate_them(self):
         db = Database.from_workload("rs")
         total = Counters()
+        query = parse_query(self.EMPTY_LOOKUPS)
         for _ in range(2):
-            execute(db.workload.query, db.instance, use_hash_joins=True,
-                    counters=total, mode="interpret")
+            execute(query, db.instance, counters=total, mode="interpret")
         assert total.empty_probes == 700
         total.reset()
         assert total == Counters()
@@ -159,7 +140,7 @@ class TestEmptyProbesAreNative:
         the ANALYZE hook has no operators to be handed there."""
 
         db = Database.from_workload("rs")
-        ran = execute(db.workload.query, db.instance, use_hash_joins=True,
+        ran = execute(parse_query(self.EMPTY_LOOKUPS), db.instance,
                       mode="compiled")
         assert ran.mode == "compiled" and ran.counters.empty_probes == 0
         with pytest.raises(ReproError, match="instrument"):
@@ -180,9 +161,8 @@ class TestChainHelpers:
             }
         )
 
-    @pytest.mark.parametrize("hashed", (False, True))
-    def test_rows_and_levels_read_off_the_operators(self, instance, hashed):
-        plan = compile_query(parse_query(self.QUERY), use_hash_joins=hashed)
+    def test_rows_and_levels_read_off_the_operators(self, instance):
+        plan = compile_query(parse_query(self.QUERY))
         ops = own_counters(plan)
         assert ops == chain(plan) and ops[-1] is plan
         assert len({id(op.counters) for op in ops}) == len(ops)
@@ -194,14 +174,11 @@ class TestChainHelpers:
         assert produced["Singleton"] == 1
         assert produced["Project"] == 0
         levels = binding_levels(ops)
-        assert [type(ops[bind]) for bind, _ in levels] == [
-            ScanBind,
-            HashJoinBind if hashed else ScanBind,
-        ]
+        assert [type(ops[bind]) for bind, _ in levels] == [ScanBind, ScanBind]
         assert isinstance(ops[levels[0][1]], Filter)  # r.A = 1 follows R
         assert level_rows(ops) == (3, 0)
         bind = ops[levels[1][0]]
-        assert bind.counters.empty_probes == (3 if hashed else 0)
+        assert bind.counters.empty_probes == 0
 
 
 class TestOneEngineTail:

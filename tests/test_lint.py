@@ -30,7 +30,7 @@ JOIN = BUILTIN_CORPUS[0][1]
 def test_builtin_corpus_is_clean():
     verified, findings = verify_corpus()
     assert findings == []
-    assert verified == 2 * len(BUILTIN_CORPUS)  # both scan modes
+    assert verified == len(BUILTIN_CORPUS)
 
 
 def test_corpus_covers_verifier_constructs():
@@ -74,8 +74,8 @@ def test_seeded_printer_crash_is_reported(monkeypatch):
 def test_seeded_codegen_syntax_failure_is_reported(monkeypatch, capsys):
     original = codegen_mod.generate_plan
 
-    def sabotaged(query, use_hash_joins=False, **kwargs):
-        plan = original(query, use_hash_joins=use_hash_joins, **kwargs)
+    def sabotaged(query, **kwargs):
+        plan = original(query, **kwargs)
         return GeneratedPlan(
             source="def _plan(instance, counters, _params:\n    return []\n",
             metadata=plan.metadata,
@@ -83,8 +83,8 @@ def test_seeded_codegen_syntax_failure_is_reported(monkeypatch, capsys):
 
     monkeypatch.setattr(codegen_mod, "generate_plan", sabotaged)
     _, findings = verify_corpus()
-    # both scan modes of every corpus query hit the sabotaged generator
-    assert len(findings) == 2 * len(BUILTIN_CORPUS)
+    # every corpus query hits the sabotaged generator
+    assert len(findings) == len(BUILTIN_CORPUS)
     assert {f.rule for f in findings} == {"CG-SYNTAX"}
     assert main(CORPUS_ONLY) == 1
     assert "CG-SYNTAX" in capsys.readouterr().err
@@ -118,7 +118,7 @@ def test_cli_json_mode(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
     assert payload["findings"] == []
-    assert payload["artifacts_verified"] == 2 * len(BUILTIN_CORPUS)
+    assert payload["artifacts_verified"] == len(BUILTIN_CORPUS)
 
     bad = tmp_path / "bad.oql"
     bad.write_text("select struct( from where")

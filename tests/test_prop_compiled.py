@@ -5,9 +5,9 @@ execution paths agree answer-for-answer:
 
     compiled fused function  ≡  interpreted pipeline  ≡  reference evaluator
 
-in both scan modes (index-nested-loop and hash-join plans), under
-overlay (hybrid semantic-cache) execution, and with ``$param`` markers
-substituted into an already-compiled artifact at run time.  This is the
+on plain runs, under overlay (hybrid semantic-cache) execution, and with
+``$param`` markers substituted into an already-compiled artifact at run
+time.  This is the
 acceptance harness for the compiled tier: any divergence — a wrong
 column probe, a missed residual condition, a stale columnar extent — is
 a one-line counterexample.
@@ -55,15 +55,10 @@ def build_gen_instance(seed: int = 0) -> Instance:
 def test_compiled_matches_interpreted_and_reference(query, seed):
     instance = build_gen_instance(seed)
     reference = evaluate(query, instance)
-    for use_hash_joins in (False, True):
-        interpreted = execute(
-            query, instance, use_hash_joins=use_hash_joins, mode="interpret"
-        )
-        compiled = execute(
-            query, instance, use_hash_joins=use_hash_joins, mode="compiled"
-        )
-        assert compiled.mode == "compiled"
-        assert compiled.results == interpreted.results == reference
+    interpreted = execute(query, instance, mode="interpret")
+    compiled = execute(query, instance, mode="compiled")
+    assert compiled.mode == "compiled"
+    assert compiled.results == interpreted.results == reference
 
 
 @settings(max_examples=60, **RELAXED)

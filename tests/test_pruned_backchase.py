@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 from backchase_oracle import restrict_to_bindings
+from conftest import recording
 from repro import Database
 from repro.backchase import backchase as backchase_module
 from repro.backchase.backchase import (
@@ -24,7 +25,7 @@ from repro.chase.chase import ChaseEngine, chase
 from repro.chase.containment import is_contained_in
 from repro.errors import BackchaseError, OptimizationError
 from repro.lru import LRU
-from repro.optimizer.cost import estimate_cost
+from repro.optimizer.cost import estimate_cost, plan_cost_floor
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.statistics import Statistics
 from repro.physical.indexes import SecondaryIndex
@@ -291,6 +292,57 @@ class TestScalingShapes:
             small["full"].backchase_stats.candidates_explored
             - small["pruned"].backchase_stats.candidates_explored
         )
+
+
+class TestTheFloorIsAdmissible:
+    """What ``pruned`` rests on: ``plan_cost_floor`` never exceeds the cost
+    the bound compares it with.  For every normal form F of the unbounded
+    search, the floor of the universal plan (the root, whose subtree holds
+    F) and the floor of F itself are both at most F's bounding cost — the
+    best eligible cost of F's costed variants, ``Optimizer._bounding_cost``.
+    On the default workload builds and E8's chain shapes."""
+
+    @staticmethod
+    def _optimizer(case):
+        if isinstance(case, tuple):
+            query, deps, stats = scaling_workload(*case)
+            return query, Optimizer(
+                deps, statistics=stats, strategy="full", max_backchase_nodes=100_000
+            )
+        db = Database.from_workload(case)
+        try:
+            return db.workload.query, Optimizer(
+                context=db.context.override(strategy="full")
+            )
+        finally:
+            db.close()
+
+    @pytest.mark.parametrize(
+        "case",
+        ["projdept", "rabc", "rs", "oo_asr", (2, 1), (1, 2), (2, 2)],
+        ids=lambda case: case if isinstance(case, str) else "chain-%d-%d" % case,
+    )
+    def test_no_floor_exceeds_a_bounding_cost(self, case):
+        query, optimizer = self._optimizer(case)
+        with recording(Optimizer, "minimal_plans") as searches:
+            optimizer.optimize(query)
+        (forms,) = searches
+        # read after the run: the costing pipeline's memo is filled
+        bounding_cost = optimizer._bounding_cost(ChaseEngine(optimizer.constraints))
+
+        def floor(plan):
+            return plan_cost_floor(plan, optimizer.statistics, optimizer.cost_model)
+
+        root = floor(optimizer.universal_plan(query).query)
+        bounded = 0
+        for form in forms:
+            cost = bounding_cost(form)
+            if cost is None:  # no eligible variant: it never sets the bound
+                continue
+            bounded += 1
+            assert root <= cost, form
+            assert floor(form) <= cost, form
+        assert bounded > 0
 
 
 class TestLookupSafetyDecisions:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import SERVING_MIXES, serve_mix
+from conftest import SERVING_MIXES, recording, serve_mix
 from repro import (
     Database,
     Instance,
@@ -20,6 +20,7 @@ from repro.obs import ObsConfig
 from repro.optimizer.cost import CostModel
 from repro.optimizer.optimizer import Optimizer
 from repro.query.parser import parse_constraint
+from repro.semcache import session as session_module
 from repro.semcache import (
     COLD,
     EXACT,
@@ -605,20 +606,24 @@ class TestSessionExecMode:
     @pytest.mark.parametrize("mode", ("interpret", "compiled"))
     def test_a_standalone_session_runs_what_its_context_says(self, mode):
         """``CachedSession(db.instance, context=db.context)`` serves what
-        ``db.session()`` serves, hash joins included: the context alone
-        says how plans run (a standalone session used to take
-        ``use_hash_joins`` from an argument of its own, off by default)."""
+        ``db.session()`` serves, in the context's execution mode: the
+        context alone says how plans run (a standalone session used to
+        take its execution flags from arguments of its own)."""
 
         instance = TestTierWalk._instance()
-        db = Database(instance=instance, exec_mode=mode, use_hash_joins=True)
+        db = Database(instance=instance, exec_mode=mode)
         sessions = (db.session(), CachedSession(instance, context=db.context))
-        for text, source in self.REQUESTS:
-            query = parse_query(text)
-            wired, standalone = [sess.run(query) for sess in sessions]
-            assert wired.source == standalone.source == source
-            assert wired.plan_text == standalone.plan_text
-            assert ("hash-join" in wired.plan_text) == ("S s" in text)
-            assert wired.results == standalone.results == evaluate(query, instance)
+        with recording(session_module, "execute") as executions:
+            for text, source in self.REQUESTS:
+                query = parse_query(text)
+                wired, standalone = [sess.run(query) for sess in sessions]
+                assert wired.source == standalone.source == source
+                assert wired.plan_text == standalone.plan_text
+                assert wired.results == standalone.results == evaluate(
+                    query, instance
+                )
+        assert len(executions) == 2 * len(self.REQUESTS)
+        assert {execution.mode for execution in executions} == {mode}
         for sess in sessions:
             sess.close()
         db.close()
