@@ -77,15 +77,18 @@ The dual keeps what condition (3) rejected: a ``C`` into which a rejected
 would give ``R ⊑ root``).  What is still chased stops once answered.
 
 The same holds for failing-lookup safety: a scope (the bindings and fired
-conditions a lookup evaluates under) is chased only when neither the memo,
-nor the syntactic ``dom`` guard, nor the scopes already chased for that
-lookup decide it.  *Witnessed* — some ``dom``-bound variable of the chased
-scope is congruent to the key — is monotone in the scope, so it carries
-from a proved scope to every larger one and its absence to every smaller
-one; *occurs* — the key is written in the chased scope — is not, so a
-larger scope inherits *safe* only when the key occurs in it as given.  The
-inferred verdict is the chased one, never an approximation (the comment
-block below and ``tests/test_chase_differential.py`` have the traps).
+conditions a lookup evaluates under) is first cut down to the part linked
+to the key — what shares a variable or a constant with it, transitively —
+when the dependencies are separable, and that part is chased only when
+neither the memo, nor the syntactic ``dom`` guard, nor the parts already
+chased for that lookup decide it.  *Witnessed* — some ``dom``-bound
+variable of the chased scope is congruent to the key — is monotone in the
+scope, so it carries from a proved scope to every larger one and its
+absence to every smaller one; *occurs* — the key is written in the chased
+scope — is not, so a larger scope inherits *safe* only when the key occurs
+in it as given.  The part's verdict and the inferred one are the chased
+verdict of the whole scope, never an approximation (the comment block
+below and ``tests/test_chase_differential.py`` have the traps).
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, List
 from typing import Optional, Sequence, Set, Tuple
 
 from repro.chase import containment
-from repro.chase.chase import ChaseEngine
+from repro.chase.chase import ChaseEngine, linked_parts, links
 from repro.chase.congruence import CongruenceClosure, build_congruence, query_congruence
 from repro.constraints.epcd import EPCD
 from repro.errors import BackchaseError
@@ -153,6 +156,28 @@ from repro.query.paths import Dom, Lookup, Path, SName, Var
 # in every chase of it; a bare dictionary name that is witnessed occurs
 # (in the witnessing ``dom(M)``, or in the equality that aliases it); and a
 # verdict that failed on occurrence alone refutes nothing.
+#
+# A question the memo and the guard leave open is cut down to the key's
+# part of its scope when the engine's dependencies are *separable*
+# (``ChaseEngine.separable``).  Two items of a scope are linked when they
+# share a variable or a constant (a binding has its variable and its
+# source's, a condition both sides'); the part asked about is what the
+# variables and constants of the key and the dictionary reach.  Separable
+# dependencies mention no constant, have a variable on every condition
+# side, and are connected: the premise alone, and the premise with the
+# conclusion.  No term of one part is congruent to a term of another (only
+# a shared variable or constant, or a schema term equated as a whole, could
+# make one so), so a premise match lies inside one part, its conclusion is
+# witnessed in that part or nowhere, and what a step writes links to that
+# part alone.  So the chase of the scope, restricted to the key's part, is
+# the chase of the part — the same steps in the same order — and the
+# witness, the occurring key and the goal-stopped verdict are the same in
+# both.  A condition side of the scope with neither variable nor constant
+# (``r.S = G``) links everything that reads ``G``: such a scope is taken
+# whole.  An empty part has no binding, and the guard calls it unsafe:
+# nothing can produce the key.  The memo and the guard are asked under the
+# scope, then under the part; inference and the chase see the part, and
+# the verdict is stored under both keys.
 
 
 class _Scope:
@@ -167,6 +192,34 @@ class _Scope:
         first asks: the memo and the guard serve most evaluation points."""
 
         return frozenset(self.prefix + self.conditions)
+
+    @cached_property
+    def parts(self):
+        """:func:`linked_parts` of the scope, split once for all the lookups
+        that miss the memo here."""
+
+        return linked_parts(self.prefix, self.conditions)
+
+    def component(self, lookup: Lookup) -> "_Scope":
+        """The part of the scope linked to the variables and constants of
+        ``lookup``'s dictionary and key (the whole scope if it has no parts:
+        a condition side without a link)."""
+
+        if self.parts is None:
+            return self
+        part_of, parts = self.parts
+        wanted = {
+            part_of[atom]
+            for atom in links(lookup.base) | links(lookup.key)
+            if atom in part_of
+        }
+        if len(wanted) == len(set(parts)):
+            return self
+        n = len(self.prefix)
+        return _Scope(
+            tuple(b for b, part in zip(self.prefix, parts) if part in wanted),
+            tuple(c for c, part in zip(self.conditions, parts[n:]) if part in wanted),
+        )
 
 
 def _premise(prefix: Tuple[Binding, ...], conditions: Tuple[Eq, ...]) -> PCQuery:
@@ -196,9 +249,14 @@ def _failing_lookup_safe(
     A pure function of its arguments and the engine's dependencies, so the
     verdict is remembered on the engine: the candidates of a search share
     most of their prefixes.  A scope the memo has not seen is decided by the
-    cheapest of: the syntactic guard, inference from the scopes already
-    chased for this lookup, its own chase (``engine.lookup_decisions``
-    counts which).  ``scope``: ``prefix`` and ``conditions`` again, from a
+    cheapest of: the syntactic guard, then — on the part of the scope linked
+    to the key and the dictionary when the dependencies are separable
+    (:func:`_decide_part`, the comment block above) — the memo and the
+    guard again, inference from the parts already chased for this lookup,
+    the part's own chase (``engine.lookup_decisions`` counts which).  The
+    part's chase counts only the part's steps toward ``max_steps``, so the
+    reduction can turn a :class:`ChaseNonTermination` into a verdict, never
+    the reverse.  ``scope``: ``prefix`` and ``conditions`` again, from a
     caller that asks about several lookups at one evaluation point.
     """
 
@@ -206,27 +264,45 @@ def _failing_lookup_safe(
     verdict, how = engine.lookup_safety.get(memo_key), "memo"
     if verdict is None:
         verdict, how = _guard_verdict(lookup, prefix), "guard"
+        if verdict is None:
+            scope = scope or _Scope(prefix, conditions)
+            verdict, how = _decide_part(lookup, scope, engine)
+        engine.lookup_safety[memo_key] = verdict
+    engine.lookup_decisions[how] += 1
+    return verdict
+
+
+def _decide_part(lookup: Lookup, scope: _Scope, engine: ChaseEngine):
+    """The verdict on a scope neither the memo nor the guard decides, and
+    how it was reached, on the key's part of the scope when the engine's
+    dependencies are separable (the whole scope otherwise): the memo
+    again, the guard (an empty part is unsafe), inference from the parts
+    already chased for this lookup, or the part's own chase.  Remembered
+    under the part."""
+
+    part = scope.component(lookup) if engine.separable else scope
+    part_key = (lookup, part.prefix, part.conditions)
+    verdict, how = engine.lookup_safety.get(part_key), "memo"
     if verdict is None:
-        scope = scope or _Scope(prefix, conditions)
+        verdict, how = _guard_verdict(lookup, part.prefix), "guard"
+    if verdict is None:
         # Proofs carry over only where a witness is spelled ``dom(...)``:
         # nowhere is a dom term equated as a whole.
         proofs = None
         if not engine.equates_dom and not any(
-            isinstance(side, Dom) for c in conditions for side in (c.left, c.right)
+            isinstance(side, Dom) for c in part.conditions for side in (c.left, c.right)
         ):
             proofs = engine.lookup_proofs.setdefault(lookup, ([], []))
-            verdict, how = _infer_lookup_safe(lookup, scope, proofs), "inferred"
+            verdict, how = _infer_lookup_safe(lookup, part, proofs), "inferred"
         if verdict is None:
             witnessed, occurs = _decide_lookup_safe(
-                lookup, prefix, conditions, engine
+                lookup, part.prefix, part.conditions, engine
             )
             verdict, how = witnessed and occurs, "chased"
             if proofs is not None:
-                _remember(proofs, scope.items, witnessed)
-    if how != "memo":
-        engine.lookup_safety[memo_key] = verdict
-    engine.lookup_decisions[how] += 1
-    return verdict
+                _remember(proofs, part.items, witnessed)
+    engine.lookup_safety[part_key] = verdict
+    return verdict, how
 
 
 def _guard_verdict(lookup: Lookup, prefix: Tuple[Binding, ...]) -> Optional[bool]:

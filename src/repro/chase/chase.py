@@ -53,7 +53,7 @@ from repro.errors import ChaseNonTermination
 from repro.lru import LRU
 from repro.query import paths as P
 from repro.query.ast import Binding, Eq, PCQuery, fresh_var_namer
-from repro.query.paths import Dom, Path, Var
+from repro.query.paths import Const, Dom, Param, Path, Var
 
 DEFAULT_MAX_STEPS = 200
 
@@ -92,12 +92,14 @@ class ChaseResult:
 
 class _Matcher(NamedTuple):
     """One dependency as the chase reads it: both sides as patterns, the
-    heads of the premise sources and of every premise subterm."""
+    heads of the premise sources and of every premise subterm, and whether
+    its steps stay inside one part of a scope (:func:`_separable`)."""
 
     premise: Pattern
     conclusion: Pattern
     source_heads: FrozenSet
     vocabulary: FrozenSet
+    separable: bool
 
 
 def _matcher(dep: EPCD) -> _Matcher:
@@ -112,6 +114,7 @@ def _matcher(dep: EPCD) -> _Matcher:
             ),
             frozenset(map(head, sources)),
             frozenset(head(t) for p in sources + sides for t in P.subterms(p)),
+            _separable(dep),
         )
         object.__setattr__(dep, "_matcher", matcher)
     return matcher
@@ -287,6 +290,68 @@ class ChaseState:
         return arrived, equated
 
 
+def links(path: Path) -> Set[Path]:
+    """The variables and constants of ``path`` (a parameter is a constant):
+    what ties one item of a scope or a dependency to another."""
+
+    return {t for t in P.subterms(path) if isinstance(t, (Var, Const, Param))}
+
+
+def linked_parts(
+    bindings: Sequence[Binding], conditions: Sequence[Eq]
+) -> Optional[Tuple[Dict[Path, int], List[int]]]:
+    """Split the items (``bindings``, then ``conditions``) into parts, two
+    items being linked when they share a variable or a constant: a binding
+    brings its variable and its source's links, a condition both sides'.
+    Returns, per variable or constant, the part it lies in and, per item,
+    its part (a part is named by one of its items' indexes).  ``None`` when
+    a condition side has no link: a schema term equated as a whole ties
+    together every item that reads it."""
+
+    items = [links(b.source) | {Var(b.var)} for b in bindings]
+    for cond in conditions:
+        left, right = links(cond.left), links(cond.right)
+        if not (left and right):
+            return None
+        items.append(left | right)
+    parent = list(range(len(items)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    owner: Dict[Path, int] = {}
+    for i, item in enumerate(items):
+        for atom in item:
+            j = owner.setdefault(atom, i)
+            if j != i:
+                parent[find(j)] = find(i)
+    parts = [find(i) for i in range(len(items))]
+    return {atom: parts[i] for atom, i in owner.items()}, parts
+
+
+def _separable(dep: EPCD) -> bool:
+    """Does every step of ``dep`` stay inside one part of a scope (parts as
+    :func:`linked_parts` splits them)?  Yes when it mentions no constant,
+    its premise is one part and so is the whole dependency: a premise match
+    then lies in one part, its conclusion is witnessed in that part or
+    nowhere, and what the step writes links to that part alone."""
+
+    bindings = dep.premise_bindings + dep.conclusion_bindings
+    conditions = dep.premise_conditions + dep.conclusion_conditions
+    paths = [b.source for b in bindings]
+    paths += [side for c in conditions for side in (c.left, c.right)]
+    if any(isinstance(t, (Const, Param)) for p in paths for t in P.subterms(p)):
+        return False
+    premise = linked_parts(dep.premise_bindings, dep.premise_conditions)
+    whole = linked_parts(bindings, conditions)
+    if premise is None or whole is None:
+        return False
+    return len(set(premise[1])) == 1 and len(set(whole[1])) == 1
+
+
 def chase_once(
     query: PCQuery, deps: Sequence[EPCD]
 ) -> Optional[Tuple[PCQuery, ChaseStep]]:
@@ -363,6 +428,12 @@ class ChaseEngine:
             for cond in dep.conclusion_conditions
             for side in (cond.left, cond.right)
         )
+        #: is every dependency separable (:func:`_separable`)?  Then no step
+        #: matches, blocks or merges across parts of a scope that share no
+        #: variable or constant, and the chase of one part is the chase of
+        #: the scope restricted to it (the backchase decides lookup safety on
+        #: the part the key lies in)
+        self.separable = all(_matcher(dep).separable for dep in self.deps)
         self.cache_hits = 0
         self.cache_misses = 0
         #: :meth:`contained_in`'s verdicts per canonical (q1, q2) pair; an

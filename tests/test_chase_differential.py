@@ -276,9 +276,13 @@ class TestThePieces:
         _, _, verdicts, diffs = searches[name]
         assert diffs == []
         if name == "projdept":
+            # Every unsafe scope is one whose part linked to the key has no
+            # binding (``SI["CitiBank"]`` where "CitiBank" is not in scope):
+            # the guard decides it.  TestTheKeysPart covers the chased and
+            # inferred *False*.
             assert {("memo", True), ("memo", False), ("guard", True),
-                    ("inferred", True), ("inferred", False),
-                    ("chased", True), ("chased", False)} <= set(verdicts)
+                    ("guard", False), ("inferred", True),
+                    ("chased", True)} <= set(verdicts)
 
 
 def served_and_decided(engine, lookup, scope_text):
@@ -333,14 +337,23 @@ class TestLookupSafetyInference:
 
     def test_what_is_proved_is_inferred_in_both_directions(self, engine):
         wider = "select s from R r, S s where r.B = s.B"
-        unrelated = "select s from S s, S s2"
+        unrelated = "select r from S r, S s2 where r.B = s2.B"
         assert served_and_decided(engine, self.LOOKUP, self.SMALL)[2] == "chased"
         assert served_and_decided(engine, self.LOOKUP, wider) == (
             True, True, "inferred")
         assert served_and_decided(engine, self.LOOKUP, unrelated) == (
             False, False, "chased")
-        assert served_and_decided(engine, self.LOOKUP, "select s from S s") == (
+        assert served_and_decided(engine, self.LOOKUP, "select r from S r") == (
             False, False, "inferred")
+
+    def test_a_scope_apart_from_the_key_is_the_guards(self, engine):
+        """No binding of ``r`` in scope: the key's part is empty, and the
+        guard's *False* is stored under it for the next such scope."""
+
+        assert served_and_decided(engine, self.LOOKUP, "select s from S s, S s2") == (
+            False, False, "guard")
+        assert served_and_decided(engine, self.LOOKUP, "select s from S s") == (
+            False, False, "memo")
 
     def test_a_dom_term_equated_as_a_whole_switches_inference_off(self, engine):
         """With ``r.S = dom(IXB)`` in force the trigger is satisfied by the
@@ -357,6 +370,98 @@ class TestLookupSafetyInference:
         wider = "select s from R r, S s where r.B = s.B"
         assert served_and_decided(engine, self.LOOKUP, wider) == (
             True, True, "inferred")
+
+
+def stored_scopes(engine, lookup):
+    """The scopes ``engine`` remembers a verdict on ``lookup`` under, as
+    sorted (bindings, conditions) counts: a question whose scope was
+    reduced stores its part too."""
+
+    return sorted(
+        (len(p), len(c)) for (key, p, c) in engine.lookup_safety if key is lookup
+    )
+
+
+class TestTheKeysPart:
+    """Lookup safety is decided on the part of the scope linked to the
+    key's and the dictionary's variables and constants only when the
+    dependencies are separable (``ChaseEngine.separable``: each connected,
+    none with a constant or a condition side without a variable), and only
+    on a scope where every condition side has a variable or constant.  Each
+    trap holds a scope whose key part alone decides otherwise than the
+    whole scope: the served verdict must be the from-scratch one, and the
+    reduction must not have applied.  The traps also hold the chased and
+    inferred *False* that ProjDept's search no longer reaches."""
+
+    MXA = Lookup(SName("M"), Attr(Var("x"), "A"))
+    DOM_SB = "forall (y in S) -> exists (k in dom(M)) k = y.B"
+
+    @staticmethod
+    def engine(*texts):
+        return ChaseEngine([parse_constraint(t, f"d{i}") for i, t in enumerate(texts)])
+
+    def test_an_unlinked_binding_is_left_out(self):
+        """The control: under a separable set ``S y`` is no part of the
+        question, which is decided on ``R x`` and remembered there."""
+
+        engine = self.engine("forall (x in R) -> exists (k in dom(M)) k = x.A")
+        assert served_and_decided(engine, self.MXA, "select x from R x, S y") == (
+            True, True, "chased")
+        assert served_and_decided(
+            engine, self.MXA, "select x from R x, S y, S y2") == (True, True, "memo")
+        assert engine.separable
+        assert stored_scopes(engine, self.MXA) == [(1, 0), (2, 0), (3, 0)]
+
+    def test_a_cartesian_premise_keeps_the_whole_scope(self):
+        """(a) The premise matches ``x`` and ``y`` though they share
+        nothing: ``R x`` alone is not witnessed, the whole scope is."""
+
+        engine = self.engine("forall (x in R, y in S) -> exists (k in dom(M)) k = x.A")
+        assert served_and_decided(engine, self.MXA, "select x from R x, x.T z") == (
+            False, False, "chased")
+        assert served_and_decided(engine, self.MXA, "select x from R x") == (
+            False, False, "inferred")
+        assert served_and_decided(engine, self.MXA, "select x from R x, S y") == (
+            True, True, "chased")
+        assert not engine.separable
+        assert stored_scopes(engine, self.MXA) == [(1, 0), (2, 0), (2, 0)]
+
+    def test_a_shared_constant_links(self):
+        """(b) ``x`` and ``y`` meet only in the constant 5, and the dom
+        witness of ``y.B`` is one of ``x.A`` through it.  With 6 they are
+        apart, and ``R x`` with ``x.A = 5`` is decided alone."""
+
+        engine = self.engine(self.DOM_SB)
+        linked = "select x from R x, S y where x.A = 5 and y.B = 5"
+        apart = "select x from R x, S y where x.A = 5 and y.B = 6"
+        assert served_and_decided(engine, self.MXA, linked) == (True, True, "chased")
+        assert served_and_decided(engine, self.MXA, apart) == (False, False, "chased")
+        assert served_and_decided(engine, self.MXA, "select x from R x") == (
+            False, False, "inferred")
+        assert engine.separable
+        assert stored_scopes(engine, self.MXA) == [(1, 0), (1, 1), (2, 2), (2, 2)]
+
+    def test_a_dependency_constant_keeps_the_whole_scope(self):
+        """(c) The EGD writes ``x.A = 5`` mid-chase and so joins ``R x`` to
+        ``y``, whose ``y.B = 5`` has a dom witness: ``R x`` alone has none."""
+
+        engine = self.engine(self.DOM_SB, "forall (x in R) -> x.A = 5")
+        scope = "select x from R x, S y where y.B = 5"
+        assert served_and_decided(engine, self.MXA, scope) == (True, True, "chased")
+        assert not engine.separable
+        assert stored_scopes(engine, self.MXA) == [(2, 1)]
+
+    def test_a_schema_term_equated_as_a_whole_keeps_the_whole_scope(self):
+        """(d) ``p.Q = G`` makes ``G q`` a binding over ``p.Q``, so the
+        premise matches ``p`` and ``q`` though they share no variable."""
+
+        engine = self.engine(
+            "forall (p in P, q in p.Q) -> exists (k in dom(M)) k = p.A")
+        lookup = Lookup(SName("M"), Attr(Var("p"), "A"))
+        scope = "select p from P p, G q where p.Q = G"
+        assert served_and_decided(engine, lookup, scope) == (True, True, "chased")
+        assert engine.separable
+        assert stored_scopes(engine, lookup) == [(2, 1)]
 
 
 class TestTheNameSupply:

@@ -197,7 +197,10 @@ class TestTheWorkloadSearches:
         assert seen.unsound == []
         assert seen.early["containment"] + seen.early["lookup"], "nothing stopped early"
         if name == "projdept":
-            assert seen.early["containment"] > 20 and seen.early["lookup"] > 50
+            # 82 / 90 lookup chases stopped early before each was reduced to
+            # the part of its scope linked to the key: fewer are chased now
+            assert seen.early["containment"] > 20
+            assert seen.early["lookup"] == {"pruned": 28, "full": 35}[strategy]
 
     def test_every_stopped_state_is_a_prefix_of_the_oracle(
         self, searches, name, strategy
@@ -223,7 +226,11 @@ class TestTheWorkloadSearches:
             twin = copied(state)
             twin.run(200)
             saved += twin.steps - state.steps
-        assert saved > (300 if name == "projdept" else 0)
+        # ProjDept: 354 / 459 before lookup safety chased only the part of
+        # each scope linked to the key (fewer states, fewer left short)
+        if name == "projdept":
+            assert saved == {"pruned": 175, "full": 292}[strategy]
+        assert saved > 0
 
 
 def stop_after(n: int):

@@ -22,7 +22,7 @@ from repro.optimizer.statistics import Statistics
 from repro.physical.indexes import SecondaryIndex
 from repro.physical.views import MaterializedView
 from repro.query.evaluator import evaluate
-from repro.query.parser import parse_query
+from repro.query.parser import parse_constraint, parse_query
 
 
 @st.composite
@@ -115,14 +115,29 @@ def test_rule_normal_forms_are_the_backchase_normal_forms(scenario):
     }
 
 
+#: dependencies that make a set not separable (``ChaseEngine.separable``),
+#: so that lookup safety is decided on the whole scope: a premise whose
+#: bindings share nothing, and an EGD that writes a constant
+ENTANGLING = {
+    "cartesian": "forall (r in R, s in S) -> exists (k in dom(IXA)) k = r.A",
+    "const_egd": "forall (s in S) -> s.B = 1",
+}
+
+
 @st.composite
 def indexed_constraint_sets(draw):
     """Two of the three index groups plus up to two more pool groups: no
-    index, no lookup, and one index alone leaves little to infer."""
+    index, no lookup, and one index alone leaves little to infer.  One draw
+    in three adds an ``ENTANGLING`` dependency: most sets are separable,
+    and lookup safety is decided on the part of a scope linked to the key;
+    these (and ``ne_tr``'s) are not."""
 
     indexes = draw(st.permutations(("ix_rb", "ix_ra", "ix_sb")))[:2]
     pool = dict(constraint_pool())
     deps = draw(constraint_sets(max_groups=2)) + pool[indexes[0]] + pool[indexes[1]]
+    extra = draw(st.sampled_from((None, "cartesian", "const_egd")))
+    if extra is not None:
+        deps.append(parse_constraint(ENTANGLING[extra], extra))
     return list({dep.name: dep for dep in deps}.values())
 
 

@@ -15,10 +15,11 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from conftest import constraint_sets, pc_queries
+from conftest import constraint_sets, pc_queries, recording
 from repro.backchase.backchase import minimal_subqueries
+from repro.chase.chase import ChaseEngine
 from repro.errors import BackchaseError, ChaseNonTermination
 from repro.optimizer.cost import estimate_cost, plan_cost_floor
 from repro.optimizer.optimizer import Optimizer
@@ -95,3 +96,46 @@ def test_cost_floor_lower_bounds_every_normal_form(query, deps):
     floor = plan_cost_floor(universal, stats)
     for form in forms:
         assert floor <= estimate_cost(form, stats) + 1e-9, str(form)
+
+
+@settings(max_examples=60, **RELAXED)
+@given(
+    query=pc_queries(),
+    deps=constraint_sets(),
+    physical=st.sampled_from((None, frozenset(["S", "T", "IXA", "IXB", "IXS"]))),
+    cards=st.tuples(*[st.sampled_from((None, 10.0, 5_000.0))] * 3),
+)
+def test_no_floor_exceeds_a_bounding_cost(query, deps, physical, cards):
+    """What ``pruned`` compares, on generated designs: for every normal
+    form F of the unbounded search with an eligible variant, the floor of
+    the universal plan (the root, whose subtree holds F) and the floor of F
+    are both at most F's bounding cost — the best eligible cost of its
+    costed variants, ``Optimizer._bounding_cost`` (the generated twin of
+    ``test_pruned_backchase.py::TestTheFloorIsAdmissible``)."""
+
+    stats = Statistics()
+    for rel, card in zip("RST", cards):
+        if card is not None:
+            stats.set_card(rel, card)
+    optimizer = Optimizer(
+        deps, strategy="full", statistics=stats, physical_names=physical, **COMMON
+    )
+    with recording(Optimizer, "minimal_plans") as searches:
+        try:
+            optimizer.optimize(query)
+        except (ChaseNonTermination, BackchaseError):
+            assume(False)
+    (forms,) = searches
+    # read after the run: the costing pipeline's memo is filled
+    bounding_cost = optimizer._bounding_cost(ChaseEngine(optimizer.constraints))
+
+    def floor(plan):
+        return plan_cost_floor(plan, optimizer.statistics, optimizer.cost_model)
+
+    root = floor(optimizer.universal_plan(query).query)
+    for form in forms:
+        cost = bounding_cost(form)
+        if cost is None:  # no eligible variant: it never sets the bound
+            continue
+        assert root <= cost, str(form)
+        assert floor(form) <= cost, str(form)

@@ -7,11 +7,16 @@ only store of its verdicts, pruned-vs-full agreement on the workload
 scenarios, and the strategy plumbing.
 """
 
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from backchase_oracle import restrict_to_bindings
+from chain_shapes import scaling_workload
 from conftest import recording
 from repro import Database
 from repro.backchase import backchase as backchase_module
@@ -27,8 +32,6 @@ from repro.errors import BackchaseError, OptimizationError
 from repro.lru import LRU
 from repro.optimizer.cost import estimate_cost, plan_cost_floor
 from repro.optimizer.optimizer import Optimizer
-from repro.optimizer.statistics import Statistics
-from repro.physical.indexes import SecondaryIndex
 from repro.query.parser import parse_constraint, parse_query
 
 
@@ -204,26 +207,6 @@ class TestPrunedAgainstFull:
         assert best_pruned == pytest.approx(best_full)
 
 
-def scaling_workload(n_bindings: int, n_indexes: int):
-    """The E8 scaling shape: a chain R x0 ⋈ ... ⋈ R x(n-1) on B with a
-    selective constant, and ``k`` secondary indexes on R.B chased in."""
-
-    r_card, b_ndv = 2000.0, 50.0
-    bindings = ", ".join(f"R x{i}" for i in range(n_bindings))
-    chain = " and ".join(f"x{i}.B = x{i+1}.B" for i in range(n_bindings - 1))
-    conditions = (chain + " and " if chain else "") + "x0.B = 9"
-    query = q(f"select struct(A = x0.A) from {bindings} where {conditions}")
-    deps = []
-    stats = Statistics()
-    stats.set_card("R", r_card).set_ndv("R", "B", b_ndv)
-    for i in range(n_indexes):
-        name = f"IX{i}"
-        deps.extend(SecondaryIndex(name, "R", "B").constraints())
-        stats.cardinality[name] = b_ndv
-        stats.entry_cardinality[name] = r_card / b_ndv
-    return query, deps, stats
-
-
 class TestScalingShapes:
     """One search, with and without the bound, on the scaling shapes: the
     bound never costs plan quality nor work, and the shape-keyed verdict
@@ -293,6 +276,26 @@ class TestScalingShapes:
             - small["pruned"].backchase_stats.candidates_explored
         )
 
+    def test_make_chain_runs_the_shapes_script(self):
+        """``make chain`` runs ``benchmarks/chain.py`` as a script, so the
+        benchmarks' ``conftest.py`` comes first on its ``sys.path``: the
+        shapes must import without the tests' one.  Run the same way, on
+        the smallest shape (the (2,1) pruned search of ``runs``)."""
+
+        root = Path(__file__).resolve().parent.parent
+        env = dict(
+            os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1"
+        )
+        done = subprocess.run(
+            [sys.executable, str(root / "benchmarks" / "chain.py"), "2,1"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("chain (2,1): ")
+        assert done.stdout.rstrip().endswith(
+            "nodes 37  constructed 52  normal forms 2  best 83"
+        )
+
 
 class TestTheFloorIsAdmissible:
     """What ``pruned`` rests on: ``plan_cost_floor`` never exceeds the cost
@@ -348,16 +351,18 @@ class TestTheFloorIsAdmissible:
 class TestLookupSafetyDecisions:
     def test_most_scopes_are_decided_without_a_chase(self, optimized_workloads):
         """Where the decisions went, read off the shared ProjDept search:
-        414 scopes reach a decision (the memo serves the repeats; 430 before
-        the search built each accepted binding set once), and a chase
-        decides at most 130 of them — 210 before verdicts were inferred
-        from the scopes already chased."""
+        335 scopes reach a decision (the memo serves the repeats), and a
+        chase decides 30 of them.  Before each question past the guard was
+        cut down to the part of its scope linked to the key, 414 reached
+        one — guard 203, inferred 112, chased 99 — and 430 before the search
+        built each accepted binding set once; a chase decided 210 before
+        verdicts were inferred from the scopes already chased."""
 
         decisions = optimized_workloads.result("projdept").lookup_decisions
         decided = sum(decisions.values()) - decisions["memo"]
-        assert decided == 414
-        assert 0 < decisions["chased"] <= 130
-        assert decisions["inferred"] >= 80 and decisions["guard"] >= 200
+        assert decided == 335
+        assert (decisions["guard"], decisions["inferred"], decisions["chased"]) == (
+            203, 102, 30)
 
 
 class TestContainmentDecisions:
@@ -366,8 +371,8 @@ class TestContainmentDecisions:
         """Where ProjDept's computed containment verdicts went, read off the
         program's own counters: every one is counted once, subsumption
         settles most, and of those a chase settles, most stop at their
-        mapping.  The chases took 1 098 / 1 221 steps and left some 150
-        states short of their fixpoint, ~450 steps short on the default
+        mapping.  The chases took 463 / 537 steps and left 98 / 107 states
+        short of their fixpoint, ~175 / ~290 steps short on the default
         build (``tests/test_early_stop_differential.py`` finishes them).
         Subsumption's part is a share of the computed verdicts: the pruned
         search builds each accepted binding set once, so it computes fewer
@@ -385,8 +390,12 @@ class TestContainmentDecisions:
         assert sum(decided.values()) == computed
         assert decided["subsumed"] > 0.8 * computed and decided["refuted"] > 0
         assert decided["early"] > 5 * decided["fixpoint"] > 0
-        chased = result.chase_counts
-        assert chased["stopped"] > 100 and chased["steps"] < 1300
+        # lookup-safety chases included: 1 098 / 1 221 steps and 143 / 154
+        # stopped before they ran on the part of the scope linked to the key
+        assert result.chase_counts == {
+            "pruned": {"steps": 463, "stopped": 98},
+            "full": {"steps": 537, "stopped": 107},
+        }[strategy]
 
 
 # Recorded from the commit before the two search loops became one (the
