@@ -37,7 +37,11 @@ from repro.advisor.candidates import (
     enumerate_candidates,
 )
 from repro.advisor.whatif import WhatIfCoster, estimated_design_statistics
-from repro.advisor.workload import logical_database, tunable_structures
+from repro.advisor.workload import (
+    logical_database,
+    structure_views,
+    tunable_structures,
+)
 
 __all__ = [
     "AdvisorReport",
@@ -53,5 +57,6 @@ __all__ = [
     "estimated_design_statistics",
     "logical_database",
     "normalize_workload",
+    "structure_views",
     "tunable_structures",
 ]

@@ -19,6 +19,7 @@ from typing import List
 
 from repro.api.workloads import build_workload
 from repro.model.instance import Instance
+from repro.physical.views import MaterializedView
 
 
 def tunable_structures(workload) -> List[object]:
@@ -41,6 +42,20 @@ def tunable_structures(workload) -> List[object]:
         if structure is not None:
             structures.append(structure)
     return structures
+
+
+def structure_views(workload) -> List[MaterializedView]:
+    """The query-defined structures among :func:`tunable_structures`, each
+    as the view it installs (an ASR or a join index through its
+    ``view()``) — the definitions the workload's builder materialized."""
+
+    views: List[MaterializedView] = []
+    for structure in tunable_structures(workload):
+        if hasattr(structure, "view"):
+            structure = structure.view()
+        if isinstance(structure, MaterializedView):
+            views.append(structure)
+    return views
 
 
 def logical_database(

@@ -785,10 +785,12 @@ def verify_corpus(
 def verify_workload_plans(
     names: Optional[Sequence[str]] = None,
 ) -> Tuple[int, List[Finding]]:
-    """Run the verifier over every golden workload's canonical query and
-    optimized winning plan, with the workload's
-    constraint set backing the ``CG-LOOKUP`` chase fallback."""
+    """Run the verifier over every golden workload's canonical query,
+    optimized winning plan and the definition of every structure its
+    builder materialized through the compiled executor, with the
+    workload's constraint set backing the ``CG-LOOKUP`` chase fallback."""
 
+    from repro.advisor.workload import structure_views
     from repro.api.workloads import WORKLOAD_NAMES, build_workload
     from repro.chase.chase import ChaseEngine
     from repro.optimizer.optimizer import Optimizer
@@ -807,6 +809,10 @@ def verify_workload_plans(
         for label, query in (
             (f"{name}-canonical", workload.query),
             (f"{name}-winner", winner),
+            *(
+                (f"{name}-structure-{view.name}", view.definition)
+                for view in structure_views(workload)
+            ),
         ):
             count, query_findings = verify_query(
                 query, label=label, engine=engine

@@ -8,8 +8,13 @@ execution mode — ``"interpret"`` streams the operator pipeline,
 result tail.  No other module builds *and runs* an interpreted plan:
 plan-quality feedback (``feedback=True``) and EXPLAIN ANALYZE
 (``instrument=``) are this run with per-operator counters, not copies.
-``repro.query.evaluator.evaluate`` is the reference path.  The test suite
-checks all three agree on every plan the optimizer emits.  Each mode has
+Physical structures are built through it too: a view, ASR,
+join-index view or gmap materializes by running its definition here in
+``"compiled"`` mode (:mod:`repro.physical.views`,
+:mod:`repro.physical.gmap`), sharing the one artifact memo and column
+store with every plan.  ``repro.query.evaluator.evaluate`` is the
+reference path.  The test suite checks all three agree on every plan the
+optimizer emits and on every structure a workload installs.  Each mode has
 one join algorithm, and the plan picks where it probes: the interpreter
 runs index-nested-loop over ``ScanBind``, a compiled plan probes the
 column store's value index (:mod:`repro.exec.columnar`).

@@ -14,21 +14,26 @@ characterized by the dependency pair
 The paper notes gmaps correlate domain and range by construction; our
 encoding also supports the *generalized* form where O1 and O2 are
 independent outputs over the same body.
+
+A gmap is built like a materialized view (:mod:`repro.physical.views`):
+one compiled run (:func:`repro.exec.engine.execute`) of the body with a
+flattened struct output — the key fields, then the value fields — whose
+rows are then grouped by their key part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
 from repro.constraints.epcd import EPCD
 from repro.errors import ConstraintError
+from repro.exec.engine import execute
 from repro.model.instance import Instance
 from repro.model.schema import Schema
 from repro.model.types import SetType
 from repro.model.values import DictValue, Row
-from repro.query.ast import Binding, Eq, PathOutput, PCQuery, StructOutput
-from repro.query.evaluator import _iter_envs, eval_path
+from repro.query.ast import Binding, Eq, PCQuery, StructOutput
 from repro.query.paths import Attr, Dom, Lookup, Path, SName, Var
 
 
@@ -92,22 +97,31 @@ class GMap:
         )
         return [gm1, gm2]
 
+    def _flat_query(self) -> PCQuery:
+        """The body with one struct output: the key output's fields as
+        ``k0, k1, ...``, then the value output's as ``v0, v1, ...``."""
+
+        fields = tuple(
+            (f"{side}{i}", path)
+            for side, output in (("k", self.key_output), ("v", self.value_output))
+            for i, path in enumerate(_paths(output))
+        )
+        return PCQuery(StructOutput(fields), self.bindings, self.conditions)
+
     def materialize(self, instance: Instance) -> DictValue:
         """Group value outputs by key output over the body."""
 
-        body = PCQuery(PathOutput(Var(self.bindings[0].var)), self.bindings, self.conditions)
+        flat = self._flat_query()
+        names = [name for name, _ in flat.output.fields]
+        split = len(_paths(self.key_output))
         buckets: Dict = {}
-        for env in _iter_envs(body, instance):
-            key = self._eval_output(self.key_output, env, instance)
-            value = self._eval_output(self.value_output, env, instance)
-            buckets.setdefault(key, set()).add(value)
+        for row in execute(flat, instance, mode="compiled").results:
+            values = [row[name] for name in names]
+            key = _rebuild(self.key_output, values[:split])
+            buckets.setdefault(key, set()).add(
+                _rebuild(self.value_output, values[split:])
+            )
         return DictValue({k: frozenset(v) for k, v in buckets.items()})
-
-    @staticmethod
-    def _eval_output(output, env, instance):
-        if isinstance(output, StructOutput):
-            return Row({a: eval_path(p, env, instance) for a, p in output.fields})
-        return eval_path(output, env, instance)
 
     def install(self, instance: Instance, schema: Schema = None) -> DictValue:
         value = self.materialize(instance)
@@ -131,3 +145,15 @@ class GMap:
             key_output=key_output,
             value_output=value_output,
         )
+
+
+def _paths(output: Union[Path, StructOutput]) -> Tuple[Path, ...]:
+    return output.paths() if isinstance(output, StructOutput) else (output,)
+
+
+def _rebuild(output: Union[Path, StructOutput], values: Sequence[Any]) -> Any:
+    """One output's value from its flattened field values."""
+
+    if isinstance(output, StructOutput):
+        return Row({name: v for (name, _), v in zip(output.fields, values)})
+    return values[0]

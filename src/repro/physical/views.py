@@ -10,6 +10,12 @@ by the inclusion pair
 bounding chase of Theorem 1.  Source capabilities of information
 integration systems are described by the same pair (or by dictionaries
 modelling binding patterns; see :mod:`repro.physical.gmap`).
+
+A view is built by running its definition through the executor's
+compiled mode (:func:`repro.exec.engine.execute`), the same path a plan
+takes: ``install``, ``refresh``, the ASRs and join-index views built on
+this class and ``Database.apply_design`` all materialize here.  The
+reference evaluator is the oracle the tests compare those extents to.
 """
 
 from __future__ import annotations
@@ -19,11 +25,11 @@ from typing import FrozenSet, List, Tuple
 
 from repro.constraints.epcd import EPCD
 from repro.errors import ConstraintError, SchemaError
+from repro.exec.engine import execute
 from repro.model.instance import Instance
 from repro.model.schema import Schema
 from repro.model.types import SetType
 from repro.query.ast import Binding, Eq, PCQuery, StructOutput
-from repro.query.evaluator import evaluate
 from repro.query.paths import Attr, SName, Var
 from repro.query.typing import typecheck_query
 
@@ -80,7 +86,7 @@ class MaterializedView:
         return typed.output_type
 
     def materialize(self, instance: Instance) -> FrozenSet:
-        return evaluate(self.definition, instance)
+        return execute(self.definition, instance, mode="compiled").results
 
     def install(self, instance: Instance, schema: Schema = None) -> FrozenSet:
         value = self.materialize(instance)

@@ -13,10 +13,15 @@ from dataclasses import dataclass
 import pytest
 
 from repro import Database, Instance, Row, Schema, relation, INT, STRING
+from repro.exec import engine as engine_module
+from repro.exec.columnar import COLUMNS
+from repro.lru import LRU
 from repro.optimizer.cost import CostModel
 from repro.optimizer.optimizer import Optimizer
 from repro.physical.indexes import SecondaryIndex
-from repro.query.ast import PCQuery
+from repro.model.values import DictValue
+from repro.query.ast import PathOutput, PCQuery, StructOutput
+from repro.query.evaluator import _iter_envs, eval_path
 from repro.query.parser import parse_constraint, parse_query
 from repro.query.paths import Attr, Const, SName, Var
 from repro.semcache import session as session_module
@@ -124,6 +129,55 @@ if HAVE_HYPOTHESIS:
         )
         by_name = dict(pool)
         return [dep for name in picked for dep in by_name[name]]
+
+    @st.composite
+    def gen_instances(draw, max_rows: int = 10):
+        """A random instance of the generator schema: up to ``max_rows``
+        rows per relation, attribute values in the generator's 0..3
+        constant range."""
+
+        value = st.integers(min_value=0, max_value=3)
+        return Instance(
+            {
+                rel: frozenset(
+                    Row({attr: draw(value) for attr in attrs})
+                    for _ in range(draw(st.integers(0, max_rows)))
+                )
+                for rel, attrs in sorted(GEN_SCHEMA.items())
+            }
+        )
+
+
+def evaluator_grouping(gmap, instance: Instance) -> DictValue:
+    """The reference grouping of a :class:`~repro.physical.gmap.GMap`:
+    the body's environments enumerated by the evaluator, each key and
+    value output evaluated there — the oracle ``GMap.materialize`` is
+    checked against."""
+
+    def output(out, env):
+        if isinstance(out, StructOutput):
+            return Row({a: eval_path(p, env, instance) for a, p in out.fields})
+        return eval_path(out, env, instance)
+
+    body = PCQuery(
+        PathOutput(Var(gmap.bindings[0].var)), gmap.bindings, gmap.conditions
+    )
+    buckets = {}
+    for env in _iter_envs(body, instance):
+        key = output(gmap.key_output, env)
+        buckets.setdefault(key, set()).add(output(gmap.value_output, env))
+    return DictValue({k: frozenset(v) for k, v in buckets.items()})
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty engine artifact memo and column store for this test alone:
+    counts start at zero, a patched refusal does not outlive the test, and
+    no earlier test's extent stands in for this one's."""
+
+    monkeypatch.setattr(engine_module, "_COMPILED_CACHE", LRU(max_size=256))
+    monkeypatch.setattr(COLUMNS, "_extents", {})
+    return monkeypatch
 
 
 @pytest.fixture

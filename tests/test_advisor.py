@@ -433,11 +433,11 @@ class TestDatabaseIntegration:
 
 @pytest.fixture(scope="module", params=sorted(SERVING_MIXES))
 def advised_mix(request, serving_mixes):
-    """``(mix, report, installed names, budget, executions per arm)`` of one
-    serving mix: the mix once through the logical core as-is (*empty*),
-    through a second one after ``advise`` + ``apply_design`` (*advised*),
-    and through the paper's own design (*hand*); three structures and
-    200 000 tuples of budget."""
+    """``(mix, report, installed names, budget, advised instance, executions
+    per arm)`` of one serving mix: the mix once through the logical core
+    as-is (*empty*), through a second one after ``advise`` +
+    ``apply_design`` (*advised*), and through the paper's own design
+    (*hand*); three structures and 200 000 tuples of budget."""
 
     workload, params, _ = SERVING_MIXES[request.param]
     mix = serving_mixes[request.param]
@@ -454,7 +454,7 @@ def advised_mix(request, serving_mixes):
     }
     empty.close()
     advised.close()
-    return mix, report, installed, budget, arms
+    return mix, report, installed, budget, advised.instance, arms
 
 
 class TestAdvisedMixes:
@@ -465,7 +465,7 @@ class TestAdvisedMixes:
             assert [run.results for run in executions] == expected, arm
 
     def test_the_design_is_in_budget_and_estimated_to_pay(self, advised_mix):
-        _, report, installed, budget, _ = advised_mix
+        _, report, installed, budget, *_ = advised_mix
         assert report.chosen and report.chosen_names() == installed
         assert len(report.chosen) <= budget.max_structures
         assert report.chosen_tuples <= budget.max_total_tuples
@@ -473,6 +473,17 @@ class TestAdvisedMixes:
         # shared subproblems are costed once: the final report pass re-reads
         # every greedy winner from the what-if plan cache
         assert report.plan_cache.hits > 0
+
+    def test_installed_views_are_the_evaluators_extents(self, advised_mix):
+        """``apply_design`` materializes through the compiled executor; each
+        view it installed holds what the reference evaluator computes."""
+
+        _, report, _, _, instance, _ = advised_mix
+        views = [cand for cand in report.chosen if cand.kind == KIND_VIEW]
+        assert views
+        for cand in views:
+            want = evaluate(cand.structure.definition, instance)
+            assert instance[cand.name] == want, cand.name
 
     def test_the_advised_design_executes_less_than_the_empty_one(self, advised_mix):
         """Why the advised arm is faster (every arm serves plan-cache hits

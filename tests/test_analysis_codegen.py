@@ -77,13 +77,15 @@ def test_workload_sweep_is_clean(optimized_workloads):
     for label, query in (
         ("projdept-canonical", projdept.query),
         ("projdept-winner", optimized_workloads.winner("projdept")),
+        ("projdept-structure-JI", projdept.join_view.definition),
     ):
         count, query_findings = verify_query(query, label=label, engine=engine)
         verified += count
         findings.extend(query_findings)
     assert findings == []
-    # 4 workloads x (canonical + winner)
-    assert verified == 8
+    # 4 workloads x (canonical + winner), plus the structures they
+    # materialize: rs's V, projdept's JI, oo_asr's ASR
+    assert verified == 11
 
 
 def test_guarded_lookup_corpus_entries_emit_failing_lookups():

@@ -37,7 +37,6 @@ from repro.errors import (
     ReproError,
 )
 from repro.exec import compile as compile_module
-from repro.exec import engine as engine_module
 from repro.exec.columnar import COLUMNS
 from repro.exec.compile import PlanCompilationError, compile_plan, generate_plan
 from repro.exec.engine import compiled_for, execute
@@ -47,7 +46,6 @@ from repro.exec.operators import (
     ScanBind,
     Singleton,
 )
-from repro.lru import LRU
 from repro.model.instance import Instance
 from repro.model.values import DictValue, Row
 from repro.obs.trace import Tracer
@@ -77,17 +75,6 @@ def instance():
             ),
         }
     )
-
-
-@pytest.fixture
-def fresh_memo(monkeypatch):
-    """An empty engine artifact memo and column store for this test alone:
-    counts start at zero, a patched refusal does not outlive the test, and
-    no earlier test's extent stands in for this one's."""
-
-    monkeypatch.setattr(engine_module, "_COMPILED_CACHE", LRU(max_size=256))
-    monkeypatch.setattr(COLUMNS, "_extents", {})
-    return monkeypatch
 
 
 def count_compilations(monkeypatch):
@@ -310,9 +297,13 @@ class TestCompiledTemplates:
         assert plan.run(instance, params={"b": Const(10)}) == frozenset({Row(A=1)})
 
     def test_prepared_template_uses_one_artifact(self, fresh_memo):
-        calls = count_compilations(fresh_memo)
+        builds = count_compilations(fresh_memo)
         db = Database.from_workload("rs", exec_mode="compiled")
         db_ref = Database.from_workload("rs")
+        # both builds materialize V through the one memo: one artifact
+        assert [query for query, _ in builds] == [db.workload.views[0].definition]
+        # counted from here on: the template's artifact alone
+        calls = count_compilations(fresh_memo)
         template = q(
             "select struct(A = r.A, C = s.C) from R r, S s "
             "where r.B = s.B and s.C = $c"
@@ -455,8 +446,9 @@ class TestOneMemoOneColumnStore:
         db.close()
 
     def test_the_facade_and_the_engine_share_one_artifact(self, fresh_memo):
-        calls = count_compilations(fresh_memo)
         db = Database.from_workload("rs", exec_mode="compiled")
+        # counted after the build, which compiles V's definition
+        calls = count_compilations(fresh_memo)
         query = db.workload.query
         best = db.optimize(query).best.query
         want = evaluate(query, db.instance)
