@@ -21,6 +21,10 @@
 #                     analysis (parser round trip + codegen verifier over
 #                     the query corpus, invariant rules over src/repro),
 #                     leaving no bytecode in the tree
+#   make mutants      the seeded-fault matrix (tests/mutants.py): each row
+#                     breaks a throwaway copy of src/ on purpose and must
+#                     fail its named tests within 60 s; a control pass runs
+#                     them unmutated first (weekly CI, not make check)
 #   make loc          total and non-blank/non-comment line counts of
 #                     src/repro (the design metric ROADMAP aim 2 tracks)
 #   make profile      one cold ProjDept optimize under cProfile, the top
@@ -73,7 +77,7 @@ DETERMINISM_TESTS := tests/test_golden_plans.py \
 	tests/test_prop_optimizer.py::test_rule_normal_forms_are_the_backchase_normal_forms
 
 .PHONY: test check lint loc profile golden determinism fuzz examples bench \
-	bench-smoke bench-e18 bench-e19 bench-e20 chain
+	bench-smoke bench-e18 bench-e19 bench-e20 chain mutants
 
 test:
 	$(PYTEST) -x -q --durations=25
@@ -120,6 +124,9 @@ examples:
 			|| { status=1; break; }; \
 	done; \
 	rm -rf "$$tmp"; exit $$status
+
+mutants:
+	python tests/mutants.py
 
 loc:
 	@find src/repro -name '*.py' | xargs cat | wc -l \

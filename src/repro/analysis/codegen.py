@@ -42,11 +42,13 @@ Rules (each finding carries the rule id):
     bound, or the ``_lk`` call count disagrees with the recorded lookup
     sites.
 
-:func:`verify_artifact` is the constraint-free subset ``compile_plan``
-runs in debug-verify mode (``REPRO_VERIFY_CODEGEN=1``): everything above
+:func:`verify_artifact` is the constraint-free subset: everything above
 except ``CG-LOOKUP``, whose chase half needs the optimizer's constraint
 context (plan-level lookup safety is the backchase's proof; the lint
-driver re-checks it with the workload's engine).
+driver re-checks it with the workload's engine).  Artifacts are verified
+in two places, never at run time: ``python -m repro.analysis`` sweeps the
+lint corpus, every workload plan and every structure definition, and the
+test suite runs :func:`verify_artifact` over every artifact it compiles.
 """
 
 from __future__ import annotations
@@ -573,7 +575,7 @@ def verify_source(
     exactly what the generator declared; without it the static namespace
     floor (plus ``_k<n>`` constants) is used.  ``engine`` supplies the
     chase fallback for ``CG-LOOKUP``; ``check_lookups=False`` skips that
-    rule entirely (the runtime debug-verify mode, which has no constraint
+    rule entirely (:func:`verify_artifact`, which has no constraint
     context).
     """
 
@@ -724,10 +726,10 @@ def _dedupe(findings: Iterable[Finding]) -> List[Finding]:
 def verify_artifact(
     query, source: str, metadata: Optional[CodegenMetadata] = None
 ) -> List[Finding]:
-    """The constraint-free rule subset ``compile_plan`` runs before
-    exec'ing an artifact in debug-verify mode (``CG-LOOKUP`` excluded:
-    plan-level lookup safety is the backchase's proof, re-checked with
-    the constraint context by the lint driver)."""
+    """The constraint-free rule subset, for an artifact compiled outside
+    the lint sweeps (``CG-LOOKUP`` excluded: plan-level lookup safety is
+    the backchase's proof, re-checked with the constraint context by the
+    lint driver)."""
 
     return verify_source(
         query, source, metadata, label="<compiled-plan>", check_lookups=False

@@ -54,8 +54,15 @@ from repro.optimizer.optimizer import OptimizationResult, Plan
 from repro.optimizer.statistics import Statistics, default_sample
 from repro.query.ast import PCQuery
 from repro.query.parser import parse_cache_info, parse_query
-from repro.query.paths import Const, Param, Path
+from repro.query.paths import Const, Param
 
+
+#: the parameter-binding skew guard's band: a :class:`PreparedQuery`
+#: binding a constant whose observed frequency differs from the
+#: NDV-uniform selectivity the cached plan was costed with by at least
+#: this factor (either direction) re-optimizes under adjusted statistics
+#: into a skew-tagged plan-cache variant entry.
+SKEW_REPLAN_RATIO = 8.0
 
 #: request source -> the root span :meth:`Database._serve` opens for it
 _ROOT_SPANS = {"execute": "db.execute", "prepared": "db.run_prepared"}
@@ -70,13 +77,6 @@ class CacheConfig:
     by :meth:`Database.session`'s own arguments and the database's
     context, not here.
 
-    ``skew_replan_ratio`` is the parameter-binding skew guard: when a
-    :class:`PreparedQuery` binds a constant whose observed frequency
-    differs from the NDV-uniform selectivity the cached plan was costed
-    with by at least this factor (either direction), the binding is
-    re-optimized under adjusted statistics and parked in a skew-tagged
-    plan-cache variant entry.  ``None`` disables the guard.
-
     ``feedback_replan`` generalizes the skew guard from one bound value
     to the whole catalog: when plan-quality feedback
     (``ObsConfig(feedback=True)``) has judged a run of an entry a
@@ -89,7 +89,6 @@ class CacheConfig:
     """
 
     plan_cache_size: Optional[int] = 128
-    skew_replan_ratio: Optional[float] = 8.0
     feedback_replan: bool = False
 
 
@@ -111,7 +110,7 @@ class PreparedQuery:
     Parameterized templates additionally pass a **selectivity-skew
     guard** at bind time: when the observed frequency of a bound constant
     deviates from the NDV-uniform estimate the plan was costed with by at
-    least :attr:`CacheConfig.skew_replan_ratio`, the binding re-optimizes
+    least :data:`SKEW_REPLAN_RATIO`, the binding re-optimizes
     under adjusted statistics into a skew-tagged variant entry (bindings
     in the same log2 skew bucket then share *that* plan).
     """
@@ -556,24 +555,16 @@ class Database:
         overlays: Optional[Mapping[str, Any]],
     ) -> ExecutionResult:
         """Run a winning plan with ``values`` for its markers, unpacking
-        the context into :func:`execute`'s flags: in compiled mode the
-        engine's artifact for the plan takes the values at call time; a
-        binding that is a non-constant :class:`Path` runs interpreted,
-        where the engine substitutes it into the plan."""
+        the context into :func:`execute`'s flags unchanged (the engine
+        decides how a binding reaches the plan)."""
 
         context = self.context
-        mode = context.exec_mode
-        if any(
-            isinstance(value, Path) and not isinstance(value, Const)
-            for value in values.values()
-        ):
-            mode = "interpret"  # a compiled template takes plain values
         return execute(
             plan_query,
             self._target(instance),
             overlays=overlays,
             tracer=context.tracer,
-            mode=mode,
+            mode=context.exec_mode,
             params=values,
             feedback=self.obs.feedback is not None,
         )
@@ -947,7 +938,7 @@ class Database:
         (the cost model's own: ``1 / NDV`` when the NDV is recorded, else
         ``DEFAULT_SELECTIVITY``) against the bound constant's observed
         frequency; when the ratio crosses
-        :attr:`CacheConfig.skew_replan_ratio` in either direction, the
+        :data:`SKEW_REPLAN_RATIO` in either direction, the
         condition contributes ``p<canonical position>.<rel>.<attr>@<log2
         bucket>`` to the tag and its adjusted NDV to the statistics.
         Positions and buckets are alpha- and value-bucket-invariant, so a
@@ -961,8 +952,7 @@ class Database:
         the condition is skipped.
         """
 
-        threshold = self.cache_config.skew_replan_ratio
-        if not bindings or threshold is None or self.instance is None:
+        if not bindings or self.instance is None:
             return None
         sources = {b.var: b.source for b in query.bindings}
         stats = self.context.statistics
@@ -995,7 +985,7 @@ class Database:
                 planned = _selectivity(cond, sources, stats)
                 actual = max(len(index.get(value, ())), 0.5) / total
                 ratio = actual / planned
-                if 1.0 / threshold < ratio < threshold:
+                if 1.0 / SKEW_REPLAN_RATIO < ratio < SKEW_REPLAN_RATIO:
                     continue
                 skewed.setdefault(
                     (order.index(param_side.name), rel, attr),

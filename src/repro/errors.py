@@ -110,12 +110,3 @@ class BackchaseError(ReproError):
 class OptimizationError(ReproError):
     """Optimizer-level failure (e.g. no physical plan exists)."""
 
-
-class CodegenVerificationError(ReproError):
-    """The static verifier (:mod:`repro.analysis.codegen`) rejected a
-    generated plan function.
-
-    Deliberately *not* a ``PlanCompilationError``: that error triggers the
-    engine's transparent fall-back to interpretation, which would hide
-    exactly the codegen bug the debug-verify mode exists to surface.
-    """

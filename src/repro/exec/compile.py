@@ -5,10 +5,12 @@ tree tuple-at-a-time: every emitted binding copies the environment dict,
 every path evaluation re-enters :func:`~repro.query.evaluator.eval_path`
 dispatch.  After the chase & backchase have picked the plan, none of that
 flexibility is needed — the shape of the loops is fixed.  This module
-walks the same compiled operator tree (``ScanBind`` / ``Filter`` /
-``Project``) and emits **one fused Python function per plan**: nested
-tight loops over loop-local variables, with no per-tuple ``dict`` copies
-and no ``eval_path`` dispatch on the hot path.
+reads the plan itself — its bindings in from-clause order, each with the
+conditions :meth:`~repro.query.ast.PCQuery.condition_levels` pushes to
+it, the same levels the interpreter's planner builds — and emits **one
+fused Python function per plan**: nested tight loops over loop-local
+variables, with no per-tuple ``dict`` copies and no ``eval_path``
+dispatch on the hot path.
 
 Scans of schema-name extents run over :class:`~repro.exec.columnar`
 extents: referenced attributes become position-aligned columns (oids
@@ -31,36 +33,26 @@ Differences from the interpreted path, by design:
   a missing name or ill-typed extent can surface even when an outer
   loop turns out to be empty.
 
-Answers are differentially identical to the interpreted executor and the
-reference evaluator on every plan — the test suite checks exactly that,
-including under overlays and hypothesis-generated queries.
+A plan the generator cannot specialize raises
+:class:`PlanCompilationError`; nothing runs it another way.  Answers are
+differentially identical to the interpreted executor and the reference
+evaluator on every plan — the test suite checks exactly that, including
+under overlays and hypothesis-generated queries, and statically verifies
+(:mod:`repro.analysis.codegen`) every artifact it compiles.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
-from repro.errors import (
-    CodegenVerificationError,
-    ParameterBindingError,
-    QueryExecutionError,
-    ReproError,
-)
+from repro.errors import ParameterBindingError, QueryExecutionError, ReproError
 from repro.exec.columnar import COLUMNS, probe_positions
-from repro.exec.operators import (
-    Counters,
-    Filter,
-    Operator,
-    Project,
-    ScanBind,
-    Singleton,
-)
+from repro.exec.operators import Counters
 from repro.exec.planner import compile_query
 from repro.model.values import DictValue, Oid, Row
 from repro.query import paths as P
-from repro.query.ast import Eq, PCQuery, StructOutput
+from repro.query.ast import Binding, Eq, PCQuery, StructOutput
 from repro.query.paths import (
     Attr,
     Const,
@@ -75,24 +67,13 @@ from repro.query.paths import (
 
 
 class PlanCompilationError(ReproError):
-    """A plan the code generator cannot specialize (the engine falls back
-    to the interpreted operator pipeline)."""
+    """A plan the code generator cannot specialize.  Compiled execution
+    raises it: a plan runs compiled or not at all."""
 
 
 #: probe-attribute sentinel: index the scan's *elements* themselves
 #: (conditions of the form ``v = <expr>`` on the loop variable).
 _SELF = object()
-
-#: environment switch for the debug verify mode: when set (and not "0"),
-#: :func:`compile_plan` runs the static codegen verifier over every
-#: artifact before it is exec'd.  Read lazily per compilation — plans
-#: compile rarely, so the off-path cost is one dict lookup.
-VERIFY_ENV = "REPRO_VERIFY_CODEGEN"
-
-
-def verification_enabled() -> bool:
-    return os.environ.get(VERIFY_ENV, "") not in ("", "0")
-
 
 @dataclass(frozen=True)
 class LookupSite:
@@ -127,12 +108,10 @@ class CodegenMetadata:
 @dataclass(frozen=True)
 class GeneratedPlan:
     """Source text plus metadata for one plan (the verifier's input),
-    with the operator tree and the generator :func:`compile_plan` turns
-    into an artifact."""
+    with the generator :func:`compile_plan` turns into an artifact."""
 
     source: str
     metadata: CodegenMetadata
-    tree: Optional[Project] = field(default=None, repr=False, compare=False)
     gen: Optional["_CodeGen"] = field(default=None, repr=False, compare=False)
 
 
@@ -169,17 +148,10 @@ class CompiledPlan:
     ) -> FrozenSet[Any]:
         if counters is None:
             counters = Counters()
-        bound: Dict[str, Any] = {}
-        if params:
-            for name, value in params.items():
-                if isinstance(value, Const):
-                    value = value.value
-                elif isinstance(value, Path):
-                    raise ParameterBindingError(
-                        f"parameter ${name} bound to a non-constant path "
-                        f"{value} — compiled templates take plain values"
-                    )
-                bound[name] = value
+        bound: Dict[str, Any] = {
+            name: value.value if isinstance(value, Const) else value
+            for name, value in (params or {}).items()
+        }
         missing = [n for n in self.param_names if n not in bound]
         if missing:
             raise ParameterBindingError(
@@ -194,13 +166,10 @@ class CompiledPlan:
 
 
 class _CodeGen:
-    """Emit the fused function for one operator tree."""
+    """Emit the fused function for one plan."""
 
-    def __init__(
-        self, query: PCQuery, tree: Project, feedback: bool = False
-    ) -> None:
+    def __init__(self, query: PCQuery, feedback: bool = False) -> None:
         self.query = query
-        self.tree = tree
         #: emit per-level row counters + the ``_fb`` out-parameter
         self.feedback = feedback
         self.n_levels = 0
@@ -331,36 +300,11 @@ class _CodeGen:
         self.line("continue")
         self.indent -= 1
 
-    # -- operator chain walk ----------------------------------------------
+    # -- the plan's levels ------------------------------------------------
 
     def generate(self) -> str:
-        ops: List[Operator] = []
-        op: Operator = self.tree
-        while True:
-            ops.append(op)
-            if isinstance(op, Singleton):
-                break
-            op = op.child  # type: ignore[attr-defined]
-        ops.reverse()
-
-        i = 1
-        ground_conds: List[Eq] = []
-        if i < len(ops) and isinstance(ops[i], Filter):
-            ground_conds = list(ops[i].conditions)  # type: ignore[attr-defined]
-            i += 1
-        levels: List[Tuple[ScanBind, List[Eq]]] = []
-        while i < len(ops) and not isinstance(ops[i], Project):
-            bind = ops[i]
-            assert isinstance(bind, ScanBind)
-            i += 1
-            conds: List[Eq] = []
-            if i < len(ops) and isinstance(ops[i], Filter):
-                conds = list(ops[i].conditions)  # type: ignore[attr-defined]
-                i += 1
-            levels.append((bind, conds))
-        project = ops[-1]
-        assert isinstance(project, Project)
-
+        ground_conds, *per_binding = self.query.condition_levels()
+        levels = list(zip(self.query.bindings, per_binding))
         self._analyze_columnar(ground_conds, levels)
 
         # ground conditions run once, before any loop (with interpreted
@@ -404,7 +348,7 @@ class _CodeGen:
                 # so counting any earlier would diverge between modes).
                 self.line(f"_r{level} += 1")
 
-        self._emit_project(project)
+        self._emit_project()
 
         return self._assemble()
 
@@ -413,7 +357,7 @@ class _CodeGen:
     def _analyze_columnar(
         self,
         ground_conds: List[Eq],
-        levels: List[Tuple[ScanBind, List[Eq]]],
+        levels: List[Tuple[Binding, List[Eq]]],
     ) -> None:
         """Decide which scans run over columnar extents and which of
         their depth-1 attributes become columns."""
@@ -442,7 +386,7 @@ class _CodeGen:
     # -- per-operator emitters --------------------------------------------
 
     def _emit_columnar_scan(
-        self, level: int, bind: ScanBind, conds: List[Eq]
+        self, level: int, bind: Binding, conds: List[Eq]
     ) -> List[Eq]:
         """Loop positions of a columnar extent; returns the residual
         conditions (the probe condition, if any, is absorbed)."""
@@ -517,7 +461,7 @@ class _CodeGen:
                     join_pick = (cond, attr, other_side)
         return ground_pick or join_pick
 
-    def _emit_generic_scan(self, level: int, bind: ScanBind) -> None:
+    def _emit_generic_scan(self, level: int, bind: Binding) -> None:
         self.helpers.add("setof")
         probes = P.count_probes(bind.source)
         if probes:
@@ -531,7 +475,7 @@ class _CodeGen:
         self.indent += 1
         self.line("_tuples += 1")
 
-    def _emit_project(self, project: Project) -> None:
+    def _emit_project(self) -> None:
         output = self.query.output
         probes = sum(P.count_probes(p) for p in output.paths())
         if probes:
@@ -643,65 +587,44 @@ class _CodeGen:
         )
 
 
-def generate_plan(
-    query: PCQuery,
-    cached_names: Optional[FrozenSet[str]] = None,
-    feedback: bool = False,
-) -> GeneratedPlan:
+def generate_plan(query: PCQuery, feedback: bool = False) -> GeneratedPlan:
     """Source **and** metadata for one plan, without executing anything —
     what the static verifier (:mod:`repro.analysis.codegen`) consumes."""
 
-    tree = compile_query(query, Counters(), cached_names=cached_names)
-    gen = _CodeGen(query, tree, feedback=feedback)
+    gen = _CodeGen(query, feedback=feedback)
     source = gen.generate()
-    return GeneratedPlan(source, gen.metadata(), tree, gen)
+    return GeneratedPlan(source, gen.metadata(), gen)
 
 
 def compile_plan(
     query: PCQuery,
     cached_names: Optional[FrozenSet[str]] = None,
-    verify: Optional[bool] = None,
     feedback: bool = False,
 ) -> CompiledPlan:
-    """Compile one plan to a :class:`CompiledPlan`.
+    """Compile one plan to a :class:`CompiledPlan`, or raise
+    :class:`PlanCompilationError`.
 
-    The operator tree is built by the same planner the interpreter uses
-    (:func:`repro.exec.planner.compile_query`), so join order, selection
-    pushing and the ``explain()`` text all match the interpreted
-    execution of the same query exactly.
-
-    ``verify=True`` (or ``verify=None`` with the ``REPRO_VERIFY_CODEGEN``
-    environment switch set) runs the static codegen verifier over the
-    artifact *before* it is exec'd, raising
-    :class:`~repro.errors.CodegenVerificationError` on any finding — a
-    debug mode for the generator itself.  When off (the default) the only
-    cost is one environment lookup per compilation.
+    The loops are the plan's own levels, the ones the interpreter's
+    planner (:func:`repro.exec.planner.compile_query`) builds, so join
+    order and selection pushing match the interpreted execution of the
+    same query exactly; ``plan_text`` is that planner's ``explain()``
+    (``cached_names`` tags overlay scans ``[cached]``), byte-identical to
+    the interpreter's.
     """
 
-    plan = generate_plan(query, cached_names=cached_names, feedback=feedback)
+    plan = generate_plan(query, feedback=feedback)
     try:
         code = compile(plan.source, "<repro-compiled-plan>", "exec")
     except SyntaxError as exc:  # pragma: no cover - codegen bug guard
         raise PlanCompilationError(
             f"generated plan function does not compile: {exc}"
         ) from exc
-    if verify or (verify is None and verification_enabled()):
-        # Lazy import: repro.analysis depends on this module, and the
-        # debug mode must not tax compilations when disabled.
-        from repro.analysis.codegen import verify_artifact
-
-        problems = verify_artifact(query, plan.source, plan.metadata)
-        if problems:
-            raise CodegenVerificationError(
-                "generated plan function failed static verification:\n"
-                + "\n".join(p.render() for p in problems)
-            )
     namespace = dict(plan.gen.globals)
     exec(code, namespace)
     return CompiledPlan(
         query=query,
         source=plan.source,
-        plan_text=plan.tree.explain(),
+        plan_text=compile_query(query, cached_names=cached_names).explain(),
         param_names=query.param_names(),
         fn=namespace["_plan"],
         metadata=plan.metadata,

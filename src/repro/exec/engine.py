@@ -1,13 +1,15 @@
-"""Plan execution: run compiled operator trees and report instrumentation.
+"""Plan execution: run plans and report instrumentation.
 
 ``execute(query, instance)`` is the production path; it dispatches on the
 execution mode — ``"interpret"`` streams the operator pipeline,
 ``"compiled"`` runs the plan's generated fused function
-(:mod:`repro.exec.compile`) — and both fill the same
+(:mod:`repro.exec.compile`) or raises
+:class:`~repro.exec.compile.PlanCompilationError` — and both fill the same
 :class:`~repro.exec.operators.Counters`, one ``phase.exec`` span and one
-result tail.  No other module builds *and runs* an interpreted plan:
-plan-quality feedback (``feedback=True``) and EXPLAIN ANALYZE
-(``instrument=``) are this run with per-operator counters, not copies.
+result tail.  Neither mode hands a plan to the other.  No other module
+builds *and runs* an interpreted plan: plan-quality feedback
+(``feedback=True``) and EXPLAIN ANALYZE (``instrument=``) are this run
+with per-operator counters, not copies.
 Physical structures are built through it too: a view, ASR,
 join-index view or gmap materializes by running its definition here in
 ``"compiled"`` mode (:mod:`repro.physical.views`,
@@ -40,13 +42,13 @@ from repro.lru import LRU
 from repro.model.instance import Instance
 from repro.obs.trace import NOOP_TRACER
 from repro.query.ast import PCQuery
+from repro.query.paths import Const, Path
 
 EXEC_MODES = ("interpret", "compiled")
 
 #: the one LRU of compiled artifacts, keyed on the plan query (a
 #: template's ``$`` markers included, so its bindings share one artifact)
-#: plus the overlay names and the feedback flag; a refusal is memoized
-#: as ``False``.
+#: plus the overlay names and the feedback flag.
 #: Artifacts hold no extent data — columns live in
 #: :data:`~repro.exec.columnar.COLUMNS` — so entries stay sound across
 #: instance mutations and pin no database.
@@ -59,26 +61,24 @@ def compiled_for(
     feedback: bool = False,
 ):
     """The (LRU-cached) :class:`~repro.exec.compile.CompiledPlan` for a
-    query, its overlay names and feedback flag, or ``None`` when the code
-    generator refuses the plan — a refusal is memoized under the same
-    key, so each key costs one attempt.
+    query, its overlay names and feedback flag.  A plan the code
+    generator refuses raises
+    :class:`~repro.exec.compile.PlanCompilationError` and is not
+    remembered: the next call tries again.
 
     ``feedback`` is part of the key: feedback artifacts carry per-level
     row counters and a fourth parameter, so they must never be served to
     (or shadow) the byte-identical silent artifacts.
     """
 
-    from repro.exec.compile import PlanCompilationError, compile_plan
+    from repro.exec.compile import compile_plan
 
     key = (query, cached_names, feedback)
     plan = _COMPILED_CACHE.get(key)
     if plan is None:
-        try:
-            plan = compile_plan(query, cached_names=cached_names, feedback=feedback)
-        except PlanCompilationError:
-            plan = False
+        plan = compile_plan(query, cached_names=cached_names, feedback=feedback)
         _COMPILED_CACHE.put(key, plan)
-    return plan or None
+    return plan
 
 
 @dataclass
@@ -132,13 +132,14 @@ def execute(
     it into them.
 
     In ``"compiled"`` mode the plan runs as a generated fused function
-    (:func:`compiled_for`; a plan the generator refuses runs interpreted,
-    with one ``exec.compile_fallback`` event per such run);
-    ``params`` feeds ``$`` markers of a compiled template at call time
-    (raw values or :class:`~repro.query.paths.Const` leaves).  In
-    ``"interpret"`` mode ``params`` are substituted into the query before
-    planning — the one place a binding becomes plan terms.  Counters are
-    filled in both modes — but for
+    (:func:`compiled_for`; a plan the generator refuses raises
+    :class:`~repro.exec.compile.PlanCompilationError`).  This is the one
+    place a ``params`` binding becomes plan terms: interpreted, every
+    binding is substituted into the query before planning; compiled,
+    only a binding to a non-constant path is, and raw values or
+    :class:`~repro.query.paths.Const` leaves feed the artifact's ``$``
+    markers at call time, so every such binding shares one artifact.
+    Counters are filled in both modes — but for
     ``empty_probes``, which only the interpreted operators count (0 on a
     compiled run); a caller-reused ``counters`` object accumulates across
     runs while the returned :class:`ExecutionResult` always reports this
@@ -166,26 +167,23 @@ def execute(
     run_counters = Counters()
     cached_names = frozenset(overlays) if overlays else None
     target = instance.overlay(dict(overlays)) if overlays else instance
+    compiled = mode == "compiled"
+    if params:
+        terms = {
+            name: value if isinstance(value, Path) else Const(value)
+            for name, value in params.items()
+            if not compiled
+            or (isinstance(value, Path) and not isinstance(value, Const))
+        }
+        if terms:
+            query = query.substitute_params(terms)
 
-    if mode == "compiled":
-        plan = compiled_for(query, cached_names=cached_names, feedback=feedback)
-        if plan is None:
-            tracer.event("exec.compile_fallback")
-            mode = "interpret"
     ops = fb_out = None
-    if mode == "compiled":
+    if compiled:
+        plan = compiled_for(query, cached_names=cached_names, feedback=feedback)
         fb_out = [] if feedback else None
         plan_text = plan.plan_text
     else:
-        if params:
-            from repro.query.paths import Const, Path
-
-            query = query.substitute_params(
-                {
-                    name: value if isinstance(value, Path) else Const(value)
-                    for name, value in params.items()
-                }
-            )
         plan = compile_query(query, run_counters, cached_names=cached_names)
         plan_text = plan.explain()
         if feedback or instrument is not None:
@@ -195,7 +193,7 @@ def execute(
 
     with tracer.span("phase.exec") as span:
         start = time.perf_counter()
-        if mode == "compiled":
+        if compiled:
             results = plan.run(
                 target, run_counters, params=params, feedback_out=fb_out
             )
@@ -237,9 +235,8 @@ def explain(
     through, so the text matches what :func:`execute` with the equivalent
     ``overlays`` actually runs — without it, explaining a semantic-cache
     hybrid plan silently dropped the ``[cached]`` scan tags and the text
-    diverged from the executed plan.  The compiled mode shares the same
-    tree (and therefore the same text): the generated function is emitted
-    by walking it.
+    diverged from the executed plan.  A compiled artifact's
+    ``plan_text`` is this same text: its loops are the same levels.
     """
 
     return compile_query(query, cached_names=cached_names).explain()

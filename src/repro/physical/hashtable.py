@@ -10,8 +10,10 @@ exists, in the same way we rewrite queries into plans that use indexes."
 
 We use the identity hash function on the join attribute, which makes the
 hash table constraint-identical to a secondary index; the difference is
-operational: :meth:`HashTable.build` is invoked by the executor at plan
-open time rather than persisted in the physical schema.
+operational: the caller builds it for one execution
+(:meth:`HashTable.install_transient`) rather than persisting it in the
+physical schema.  No executor builds one behind a plan: a hash join is
+a plan over this dictionary, probed like any other index.
 """
 
 from __future__ import annotations

@@ -14,8 +14,10 @@ modelling binding patterns; see :mod:`repro.physical.gmap`).
 A view is built by running its definition through the executor's
 compiled mode (:func:`repro.exec.engine.execute`), the same path a plan
 takes: ``install``, ``refresh``, the ASRs and join-index views built on
-this class and ``Database.apply_design`` all materialize here.  The
-reference evaluator is the oracle the tests compare those extents to.
+this class and ``Database.apply_design`` all materialize here.  A
+definition the code generator refuses raises
+:class:`~repro.exec.compile.PlanCompilationError` and installs nothing.
+The reference evaluator is the oracle the tests compare those extents to.
 """
 
 from __future__ import annotations

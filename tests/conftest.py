@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import pytest
 
 from repro import Database, Instance, Row, Schema, relation, INT, STRING
+from repro.analysis.codegen import verify_artifact
+from repro.exec import compile as compile_module
 from repro.exec import engine as engine_module
 from repro.exec.columnar import COLUMNS
 from repro.lru import LRU
@@ -34,6 +36,41 @@ from repro.semcache.session import SessionResult
 if os.environ.get("PYTHONHASHSEED", "").isdigit():
     for _i in range(997 * int(os.environ["PYTHONHASHSEED"])):
         Var(f"_layout{_i}")
+
+# Every artifact the suite compiles is statically verified before it can
+# run: ``compile_plan`` is wrapped here, before any test module imports it,
+# so a direct ``from repro.exec.compile import compile_plan`` gets the
+# wrapper too, as does the engine's memo (which imports it per call).  A
+# finding fails the test that compiled the artifact.
+CODEGEN_VERIFIER = {"artifacts": 0, "findings": 0}
+
+
+def _verifying(compile_plan):
+    @functools.wraps(compile_plan)
+    def compile_and_verify(query, *args, **kwargs):
+        plan = compile_plan(query, *args, **kwargs)
+        findings = verify_artifact(query, plan.source, plan.metadata)
+        CODEGEN_VERIFIER["artifacts"] += 1
+        CODEGEN_VERIFIER["findings"] += len(findings)
+        if findings:
+            pytest.fail(
+                "generated plan function failed static verification:\n"
+                + "\n".join(finding.render() for finding in findings)
+            )
+        return plan
+
+    return compile_and_verify
+
+
+compile_module.compile_plan = _verifying(compile_module.compile_plan)
+
+
+def pytest_terminal_summary(terminalreporter):
+    terminalreporter.write_line(
+        "codegen verifier: {artifacts} compiled artifacts verified, "
+        "{findings} findings".format(**CODEGEN_VERIFIER)
+    )
+
 
 try:  # hypothesis is optional: the property harnesses skip without it
     from hypothesis import settings, strategies as st

@@ -12,18 +12,14 @@ Four layers:
 * the counter-init regression — re-seeding the historical bug (a
   counter bumped before its initialization: here ``_tuples += 1`` in the
   scan loop, the inits moved past the loops) trips CG-DOM, proving the
-  verifier would have caught it at lint time;
-* the runtime debug mode — ``REPRO_VERIFY_CODEGEN``/``verify=True``
-  rejects a sabotaged artifact with
-  :class:`~repro.errors.CodegenVerificationError` before exec, and adds
-  no verifier work when off.
+  verifier would have caught it at lint time (and the subset
+  :func:`verify_artifact`, which the suite's own hook runs over every
+  artifact it compiles, catches it too).
 """
 
 from __future__ import annotations
 
 import dataclasses
-
-import pytest
 
 import repro.exec.compile as compile_mod
 from repro.analysis.codegen import (
@@ -35,8 +31,7 @@ from repro.analysis.codegen import (
 )
 from repro.api.workloads import WORKLOAD_NAMES, build_workload
 from repro.chase.chase import ChaseEngine
-from repro.errors import CodegenVerificationError
-from repro.exec.compile import PlanCompilationError, compile_plan, generate_plan
+from repro.exec.compile import PlanCompilationError, generate_plan
 from repro.optimizer.optimizer import Optimizer
 from repro.query.parser import parse_query
 
@@ -405,7 +400,7 @@ def test_verify_query_reports_refusals():
         def param_names(self):
             return ()
 
-    def refuse(query, cached_names=None):
+    def refuse(query, **flags):
         raise PlanCompilationError("nope")
 
     original = compile_mod.generate_plan
@@ -457,7 +452,7 @@ def test_reintroduced_counter_init_bug_is_flagged(monkeypatch):
     assert any(
         f.rule == "CG-DOM" and "_tuples" in f.message for f in findings
     ), [f.render() for f in findings]
-    # the structural subset the runtime debug mode runs catches it too
+    # the structural subset the suite's hook runs catches it too
     assert any(
         f.rule == "CG-DOM"
         for f in verify_artifact(query, plan.source, plan.metadata)
@@ -477,48 +472,3 @@ def test_correct_emission_passes_for_feedback_artifacts():
     plan = generate_plan(query, feedback=True)
     assert "_fb" in plan.source
     assert verify_source(query, plan.source, plan.metadata) == []
-
-
-# -- the runtime debug-verify mode -----------------------------------------
-
-
-def test_runtime_verify_rejects_sabotaged_artifact(monkeypatch):
-    _move_counter_inits_past_the_loops(monkeypatch)
-    query = parse_query(JOIN)
-    with pytest.raises(CodegenVerificationError) as excinfo:
-        compile_plan(query, verify=True)
-    assert "CG-DOM" in str(excinfo.value)
-    # deliberately NOT a PlanCompilationError: that class triggers the
-    # engine's silent fall-back to interpretation, hiding the bug
-    assert not isinstance(excinfo.value, PlanCompilationError)
-
-
-def test_runtime_verify_env_switch(monkeypatch):
-    _move_counter_inits_past_the_loops(monkeypatch)
-    query = parse_query(JOIN)
-    monkeypatch.setenv(compile_mod.VERIFY_ENV, "1")
-    with pytest.raises(CodegenVerificationError):
-        compile_plan(query)
-    monkeypatch.setenv(compile_mod.VERIFY_ENV, "0")
-    # off: the broken artifact compiles (the bug would only surface at
-    # execution time — exactly what the debug mode exists to pre-empt)
-    assert compile_plan(query).fn is not None
-
-
-def test_runtime_verify_off_invokes_no_verifier(monkeypatch):
-    import repro.analysis.codegen as codegen_mod
-
-    def bomb(*args, **kwargs):  # pragma: no cover - must not run
-        raise AssertionError("verifier invoked with debug mode off")
-
-    monkeypatch.setattr(codegen_mod, "verify_artifact", bomb)
-    monkeypatch.delenv(compile_mod.VERIFY_ENV, raising=False)
-    plan = compile_plan(parse_query(JOIN))
-    assert plan.fn is not None
-
-
-def test_runtime_verify_accepts_healthy_artifact(monkeypatch):
-    monkeypatch.setenv(compile_mod.VERIFY_ENV, "1")
-    plan = compile_plan(parse_query(JOIN))
-    assert plan.metadata is not None
-    assert plan.metadata.locals

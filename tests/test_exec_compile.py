@@ -16,9 +16,10 @@ Three layers of coverage:
   (hybrid semantic-cache) execution and ``$param`` substitution into an
   already-compiled artifact, for silent and feedback artifacts alike;
 * mode plumbing — ``exec_mode`` validation, the engine artifact LRU (the
-  one memo every caller shares, refusals included), the column store
-  that frees a dead database's extents, EXPLAIN ANALYZE's transparent
-  interpreted fallback, and the CLI flag.
+  one memo every caller shares; a refusal raises wherever a compiled run
+  starts and is not memoized), the column store that frees a dead
+  database's extents, EXPLAIN ANALYZE's documented interpreted run, and
+  the CLI flag.
 """
 
 from __future__ import annotations
@@ -48,11 +49,11 @@ from repro.exec.operators import (
 )
 from repro.model.instance import Instance
 from repro.model.values import DictValue, Row
-from repro.obs.trace import Tracer
+from repro.physical.views import MaterializedView
 from repro.query.ast import Eq
 from repro.query.evaluator import evaluate
 from repro.query.parser import parse_path, parse_query
-from repro.query.paths import Const, SName
+from repro.query.paths import Attr, Const, SName, Var
 
 
 def q(text):
@@ -323,6 +324,59 @@ class TestCompiledTemplates:
         db.close()
         db_ref.close()
 
+    def test_a_path_binding_runs_compiled(self, fresh_memo):
+        """A ``$`` marker bound to a non-constant path becomes plan terms
+        before compiling — the engine's one substitution site — so the
+        run stays compiled; a plain value stays a call-time argument."""
+
+        db = Database.from_workload("rs", exec_mode="compiled")
+        calls = count_compilations(fresh_memo)
+        template = q("select struct(A = r.A, B = r.B) from R r where r.B = $c")
+        prepared = db.prepare(template)
+        path = Attr(Var("r"), "B")
+        want = evaluate(template.bind_params({"c": path}), db.instance)
+        assert len(want) == len(db.instance["R"])
+        for got in (
+            prepared.run(c=path),
+            db.execute(template, params={"c": path}),
+            prepared.run(c=path),
+        ):
+            assert got.mode == "compiled"
+            assert got.results == want
+        for c in (37, 82):
+            got = prepared.run(c=c)
+            assert got.mode == "compiled"
+            assert got.results == evaluate(
+                template.bind_params({"c": c}), db.instance
+            )
+        # one artifact for the path-bound plan, one for every plain value
+        assert len(calls) == 2
+        db.close()
+
+    @pytest.mark.parametrize("feedback", [False, True])
+    def test_a_path_and_a_value_bound_together(self, instance, feedback, fresh_memo):
+        """In one binding, the path becomes plan terms and the plain value
+        stays a call-time argument: values share the path-bound artifact."""
+
+        calls = count_compilations(fresh_memo)
+        template = q(
+            "select struct(A = r.A, C = s.C) from R r, S s "
+            "where r.B = $b and s.C = $c"
+        )
+        for c in ("x", "y", "nope"):
+            params = {"b": Attr(Var("s"), "B"), "c": c}
+            got = execute(
+                template, instance, mode="compiled", params=params, feedback=feedback
+            )
+            want = execute(
+                template, instance, mode="interpret", params=params, feedback=feedback
+            )
+            assert got.mode == "compiled"
+            assert got.results == want.results
+            assert got.results == evaluate(template.bind_params(params), instance)
+            assert got.level_rows == want.level_rows
+        assert len(calls) == 1
+
     def test_database_execute_compiled_matches_interpreted(self):
         compiled_db = Database.from_workload("rs", exec_mode="compiled")
         interp_db = Database.from_workload("rs")
@@ -348,6 +402,17 @@ class TestModePlumbing:
         interp = OptimizeContext(exec_mode="interpret")
         compiled = OptimizeContext(exec_mode="compiled")
         assert interp.fingerprint() == compiled.fingerprint()
+
+    def test_no_runtime_verify_switch(self):
+        """Artifacts are verified statically — by ``make lint``'s sweeps
+        and the suite's ``compile_plan`` hook — never by a runtime switch."""
+
+        import repro.errors
+
+        with pytest.raises(TypeError):
+            compile_plan(q("select r.A from R r"), verify=True)
+        assert not hasattr(compile_module, "VERIFY_ENV")
+        assert not hasattr(repro.errors, "CodegenVerificationError")
 
     def test_engine_lru_reuses_artifact(self):
         query = q("select struct(A = r.A) from R r where r.B = 2")
@@ -399,7 +464,7 @@ class TestModePlumbing:
 
 class TestOneMemoOneColumnStore:
     """A compiled artifact is code only, memoized once per plan and flags
-    (a refusal too); its columns belong to the extent, so nothing a plan
+    (a refusal raises, and is not memoized); its columns belong to the extent, so nothing a plan
     ran over outlives the database that held it."""
 
     def test_a_dead_databases_extents_are_freed(self, fresh_memo):
@@ -416,33 +481,61 @@ class TestOneMemoOneColumnStore:
         gc.collect()
         assert extent() is None
 
-    def test_a_refused_plan_is_tried_once_per_key(self, fresh_memo):
+    def test_a_refused_plan_raises_at_every_entry_point(self, fresh_memo):
+        """Compiled means compiled: a plan the generator refuses raises
+        ``PlanCompilationError`` wherever a compiled run starts — the
+        engine, the façade's two request paths and a structure build —
+        instead of running some other way."""
+
         db = Database.from_workload("rs", exec_mode="compiled")
         query = db.workload.query
         best = db.optimize(query).best.query
+        template = q("select struct(A = r.A, B = r.B) from R r where r.B = $c")
+        prepared = db.prepare(template)
+        view = MaterializedView(
+            "W", q("select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B")
+        )
         attempts = []
+
+        def refuse(plan, **flags):
+            attempts.append(plan)
+            raise PlanCompilationError("refused")
+
+        fresh_memo.setattr(compile_module, "generate_plan", refuse)
+        for run in (
+            lambda: execute(best, db.instance, mode="compiled"),
+            lambda: db.execute(query),
+            lambda: prepared.run(c=37),
+            lambda: view.install(db.instance),
+        ):
+            with pytest.raises(PlanCompilationError, match="refused"):
+                run()
+        assert len(attempts) == 4
+        assert "W" not in db.instance
+        db.close()
+
+    def test_a_refusal_is_not_remembered(self, fresh_memo):
+        db = Database.from_workload("rs", exec_mode="compiled")
+        query = db.workload.query
+        best = db.optimize(query).best.query
         original = compile_module.generate_plan
 
         def refuse(plan, **flags):
-            if plan == best:
-                attempts.append((plan, tuple(sorted(flags.items()))))
-                raise PlanCompilationError("refused")
-            return original(plan, **flags)
+            raise PlanCompilationError("refused")
 
         fresh_memo.setattr(compile_module, "generate_plan", refuse)
+        for _ in range(2):
+            with pytest.raises(PlanCompilationError):
+                execute(best, db.instance, mode="compiled")
+            with pytest.raises(PlanCompilationError):
+                db.execute(query)
+        # the patch lifted, the same key compiles and runs compiled
+        fresh_memo.setattr(compile_module, "generate_plan", original)
         want = evaluate(query, db.instance)
-        tracer = Tracer()
-        for _ in range(3):
-            for got in (
-                db.execute(query),
-                execute(best, db.instance, mode="compiled", tracer=tracer),
-            ):
-                assert got.mode == "interpret"
-                assert got.results == want
-        assert attempts and len(attempts) == len(set(attempts))
-        # each run that fell back says so, from the one site in execute
-        fallbacks = [s for s in tracer.spans if s.name == "exec.compile_fallback"]
-        assert len(fallbacks) == 3
+        for got in (execute(best, db.instance, mode="compiled"), db.execute(query)):
+            assert got.mode == "compiled"
+            assert got.results == want
+        assert compiled_for(best) is compiled_for(best)
         db.close()
 
     def test_the_facade_and_the_engine_share_one_artifact(self, fresh_memo):

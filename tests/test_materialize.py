@@ -146,17 +146,20 @@ def test_gmap_over_objects_is_the_evaluators_grouping():
     assert gmap.materialize(instance) == evaluator_grouping(gmap, instance)
 
 
-def test_a_refused_definition_runs_interpreted(fresh_memo):
+def test_a_refused_definition_raises(fresh_memo):
     def refuse(query, **flags):
         raise PlanCompilationError("refused for the test")
 
     fresh_memo.setattr(compile_module, "generate_plan", refuse)
     instance = rs_instance()
+    before = {name: instance[name] for name in instance}
     view = MaterializedView(
         "V", parse_query("select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B")
     )
-    assert view.install(instance) == evaluate(view.definition, instance)
-    # the refusal is memoized under the definition's key
-    assert engine_module._COMPILED_CACHE.get((view.definition, None, False)) is False
-    gmap = GMAPS["struct-key"]
-    assert gmap.materialize(instance) == evaluator_grouping(gmap, instance)
+    with pytest.raises(PlanCompilationError):
+        view.install(instance)
+    with pytest.raises(PlanCompilationError):
+        GMAPS["struct-key"].materialize(instance)
+    # nothing was installed, and the refusal is not memoized
+    assert {name: instance[name] for name in instance} == before
+    assert engine_module._COMPILED_CACHE.get((view.definition, None, False)) is None

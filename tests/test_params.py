@@ -14,6 +14,8 @@ bindings and mid-sequence mutations.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,6 +32,7 @@ from repro import (
     evaluate,
     parse_query,
 )
+from repro.api import database as database_module
 from repro.errors import QueryExecutionError
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.statistics import Statistics
@@ -389,20 +392,20 @@ MIX_TEMPLATES = {
 
 
 @pytest.mark.parametrize("mix", sorted(MIX_TEMPLATES))
-def test_template_mix_plans_each_shape_once_and_never_again(mix):
+def test_template_mix_plans_each_shape_once_and_never_again(mix, monkeypatch):
     """Why a template request is fast: every binding of a shape — distinct
     constants back to back, the worst case for exact-match caching — is a
     plan-cache hit on the one entry its ``prepare`` planned; the optimizer
     is never entered again.  (How fast: ``steady_templates`` in
     ``benchmarks/perf``, whose harness rejects a run with a plan-cache miss
-    or an ``optimize`` call in the timed region.)  The skew guard is off so
-    the count is exact: a skewed binding would legitimately add a variant
-    entry; ``TestSkewGuard`` covers it."""
+    or an ``optimize`` call in the timed region.)  The skew guard is off
+    (an infinite band holds every ratio) so the count is exact: a skewed
+    binding would legitimately add a variant entry; ``TestSkewGuard``
+    covers it."""
 
+    monkeypatch.setattr(database_module, "SKEW_REPLAN_RATIO", math.inf)
     workload, params, _ = SERVING_MIXES[mix]
-    db = Database.from_workload(
-        workload, cache_config=CacheConfig(skew_replan_ratio=None), **params
-    )
+    db = Database.from_workload(workload, **params)
     templates = [parse_query(text) for text, _ in MIX_TEMPLATES[mix]]
     prepared = [db.prepare(template) for template in templates]
     requests = [
@@ -428,22 +431,18 @@ def test_template_mix_plans_each_shape_once_and_never_again(mix):
 # -- the selectivity-skew guard -----------------------------------------------
 
 
-def skewed_database(**config_kwargs) -> Database:
+def skewed_database() -> Database:
     """40 R rows: A=1 thirty times (the skewed value), A=2..11 once each.
 
     NDV(R.A) = 11, so the uniform estimate prices every binding at ~1/11
     of the extent; A=1 actually selects 75% (ratio ~8.25, over the
-    default threshold of 8) while A=2 selects 2.5% (ratio ~0.28, inside
-    the band).
+    band of ``SKEW_REPLAN_RATIO`` = 8) while A=2 selects 2.5% (ratio
+    ~0.28, inside the band).
     """
 
     rows = {Row(A=1, N=i) for i in range(30)}
     rows |= {Row(A=a, N=100 + a) for a in range(2, 12)}
-    instance = Instance({"R": frozenset(rows)})
-    return Database(
-        instance=instance,
-        cache_config=CacheConfig(**config_kwargs) if config_kwargs else None,
-    )
+    return Database(instance=Instance({"R": frozenset(rows)}))
 
 
 def unrecorded_ndv_database(heavy: int) -> Database:
@@ -499,17 +498,10 @@ class TestSkewGuard:
         assert db.plan_cache_info().misses == misses
         db.close()
 
-    def test_guard_disabled_never_replans(self):
-        db = skewed_database(skew_replan_ratio=None)
-        template = parse_query(SKEW_TEMPLATE)
-        prepared = db.prepare(template)
-        for x in (1, 2, 1, 5):
-            got = prepared.run(x=x).results
-            assert got == evaluate(template.bind_params({"x": x}), db.instance)
-        info = db.plan_cache_info()
-        assert info.misses == 1
-        assert info.size == 1
-        db.close()
+    def test_the_band_is_a_constant_not_an_option(self):
+        with pytest.raises(TypeError):
+            CacheConfig(skew_replan_ratio=None)
+        assert database_module.SKEW_REPLAN_RATIO == 8.0
 
     def test_a_write_is_read_by_the_next_binding(self):
         """The guard counts off the extent's own value index, and a write
