@@ -2,10 +2,10 @@
 
 Loads every Python source under ``src/repro``, runs each rule module in
 :mod:`repro.analysis.rules`, then applies per-line suppression comments
-(``# repro: ignore[RULE-ID]``) and the checked-in baseline.  Findings
-render as ``file:line: RULE-ID message`` with paths relative to the
-repository root, so baseline entries and CI annotations are stable
-across checkouts.
+(``# repro: ignore[RULE-ID]``), the only escape hatch: there is no
+baseline.  Findings render as ``file:line: RULE-ID message`` with paths
+relative to the repository root, so CI annotations are stable across
+checkouts.
 """
 
 from __future__ import annotations
@@ -93,8 +93,7 @@ def project_from_sources(src: Mapping[str, str]) -> Project:
 
 def lint_project(project: Optional[Project] = None) -> List[Finding]:
     """All invariant findings surviving per-line suppressions, sorted by
-    location.  (The baseline is applied by the CLI driver, not here, so
-    tests can assert on raw rule output.)"""
+    location — what ``python -m repro.analysis`` reports."""
 
     if project is None:
         project = load_project()

@@ -54,7 +54,7 @@ from repro.optimizer.optimizer import OptimizationResult, Plan
 from repro.optimizer.statistics import Statistics, default_sample
 from repro.query.ast import PCQuery
 from repro.query.parser import parse_cache_info, parse_query
-from repro.query.paths import Const, Param
+from repro.query.paths import Param
 
 
 #: the parameter-binding skew guard's band: a :class:`PreparedQuery`
@@ -154,10 +154,10 @@ class PreparedQuery:
         """Execute the prepared plan.
 
         For a template, pass one keyword per ``$`` marker
-        (``prepared.run(x=3)``); the values are substituted into the
-        cached winning plan as constants at execution time — no
-        chase/backchase re-entry.  :class:`ParameterBindingError` is
-        raised on missing or unknown names.
+        (``prepared.run(x=3)``): the cached winning plan runs with the
+        values bound — no chase/backchase re-entry.
+        :class:`ParameterBindingError` is raised on missing or unknown
+        names and on a path that is not a ``Const``, before anything runs.
 
         ``instance`` substitutes the target database for this call;
         ``overlays`` executes against a read-through overlay of the
@@ -502,14 +502,14 @@ class Database:
         ``source`` (``"execute"`` / ``"prepared"``) names the root span
         and tags the slow-log and feedback records."""
 
-        query.check_bindings(bindings)
+        values = query.check_bindings(bindings)
         start = time.perf_counter()
         with self.obs.tracer.span(_ROOT_SPANS[source]) as sp:
             # Canonical-occurrence order: position i lines up with
             # position i of the cache entry's ``params`` tuple, whatever
             # the entry's own names were (alpha-variant sharing).
-            order = query.canonical().param_names() if bindings else ()
-            variant = self._skew_variant(query, order, bindings)
+            order = query.canonical().param_names() if values else ()
+            variant = self._skew_variant(query, order, values)
             skewed = variant is not None
             if not skewed:
                 result, entry = self._optimize_entry(query, strategy=strategy)
@@ -527,7 +527,7 @@ class Database:
             names = entry.params if entry is not None else order
             execution = self._run_entry(
                 result.best.query,
-                {names[i]: bindings[name] for i, name in enumerate(order)},
+                {names[i]: values[name] for i, name in enumerate(order)},
                 instance,
                 overlays,
             )
@@ -927,11 +927,12 @@ class Database:
         self,
         query: PCQuery,
         order: Tuple[str, ...],
-        bindings: Mapping[str, Any],
+        values: Mapping[str, Any],
     ) -> Optional[Tuple[str, Statistics]]:
         """The skew guard's replan policy: the ``(tag, adjusted
         statistics)`` of the variant entry a skewed binding routes to, or
-        ``None`` when no bound constant is skewed.
+        ``None`` when no bound constant is skewed (``values``: what
+        ``check_bindings`` returned).
 
         For each equality between a parameter and a binding-variable
         attribute, compare the selectivity the cached plan was costed with
@@ -952,7 +953,7 @@ class Database:
         the condition is skipped.
         """
 
-        if not bindings or self.instance is None:
+        if not values or self.instance is None:
             return None
         sources = {b.var: b.source for b in query.bindings}
         stats = self.context.statistics
@@ -969,9 +970,7 @@ class Database:
                 if info is None:
                     continue
                 rel, attr = info
-                value = bindings.get(param_side.name)
-                if isinstance(value, Const):
-                    value = value.value
+                value = values.get(param_side.name)
                 if not isinstance(value, (str, int, float, bool)):
                     continue
                 try:

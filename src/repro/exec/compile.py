@@ -52,7 +52,7 @@ from repro.exec.operators import Counters
 from repro.exec.planner import compile_query
 from repro.model.values import DictValue, Oid, Row
 from repro.query import paths as P
-from repro.query.ast import Binding, Eq, PCQuery, StructOutput
+from repro.query.ast import Binding, Eq, PCQuery, StructOutput, binding_value
 from repro.query.paths import (
     Attr,
     Const,
@@ -149,7 +149,7 @@ class CompiledPlan:
         if counters is None:
             counters = Counters()
         bound: Dict[str, Any] = {
-            name: value.value if isinstance(value, Const) else value
+            name: binding_value(name, value)
             for name, value in (params or {}).items()
         }
         missing = [n for n in self.param_names if n not in bound]

@@ -41,8 +41,8 @@ from repro.exec.planner import compile_query
 from repro.lru import LRU
 from repro.model.instance import Instance
 from repro.obs.trace import NOOP_TRACER
-from repro.query.ast import PCQuery
-from repro.query.paths import Const, Path
+from repro.query.ast import PCQuery, binding_value
+from repro.query.paths import Const
 
 EXEC_MODES = ("interpret", "compiled")
 
@@ -133,13 +133,12 @@ def execute(
 
     In ``"compiled"`` mode the plan runs as a generated fused function
     (:func:`compiled_for`; a plan the generator refuses raises
-    :class:`~repro.exec.compile.PlanCompilationError`).  This is the one
-    place a ``params`` binding becomes plan terms: interpreted, every
-    binding is substituted into the query before planning; compiled,
-    only a binding to a non-constant path is, and raw values or
-    :class:`~repro.query.paths.Const` leaves feed the artifact's ``$``
-    markers at call time, so every such binding shares one artifact.
-    Counters are filled in both modes — but for
+    :class:`~repro.exec.compile.PlanCompilationError`).  ``params`` are
+    ground values (:func:`~repro.query.ast.binding_value`; a path raises
+    before anything is compiled): compiled, the artifact's call-time
+    arguments, so a template's bindings share one artifact; interpreted,
+    constants substituted into the query.  Counters are filled in both
+    modes — but for
     ``empty_probes``, which only the interpreted operators count (0 on a
     compiled run); a caller-reused ``counters`` object accumulates across
     runs while the returned :class:`ExecutionResult` always reports this
@@ -168,15 +167,9 @@ def execute(
     cached_names = frozenset(overlays) if overlays else None
     target = instance.overlay(dict(overlays)) if overlays else instance
     compiled = mode == "compiled"
-    if params:
-        terms = {
-            name: value if isinstance(value, Path) else Const(value)
-            for name, value in params.items()
-            if not compiled
-            or (isinstance(value, Path) and not isinstance(value, Const))
-        }
-        if terms:
-            query = query.substitute_params(terms)
+    values = {n: binding_value(n, v) for n, v in (params or {}).items()}
+    if values and not compiled:
+        query = query.substitute_params({n: Const(v) for n, v in values.items()})
 
     ops = fb_out = None
     if compiled:
@@ -195,7 +188,7 @@ def execute(
         start = time.perf_counter()
         if compiled:
             results = plan.run(
-                target, run_counters, params=params, feedback_out=fb_out
+                target, run_counters, params=values, feedback_out=fb_out
             )
         else:
             results = frozenset(plan.results(target))

@@ -24,6 +24,21 @@ from repro.query import paths as P
 from repro.query.paths import Path, Var
 
 
+def binding_value(name: str, value: object) -> object:
+    """The one rule for a ``$name`` binding: a base value as given, a
+    ``Const`` unwrapped; any other path (a query no search proved, the
+    marker being an opaque ground term) raises ParameterBindingError."""
+
+    if not isinstance(value, Path):
+        return value
+    if isinstance(value, P.Const):
+        return value.value
+    raise ParameterBindingError(
+        f"${name} is bound to the path {value} — a $-marker takes a value "
+        "(or a Const), never a path"
+    )
+
+
 @dataclass(frozen=True)
 class Binding:
     """One ``from`` item: variable ``var`` ranging over set-valued ``source``."""
@@ -241,21 +256,18 @@ class PCQuery:
             ),
         )
 
-    def check_bindings(self, values: Mapping[str, object]) -> None:
-        """Raise :class:`~repro.errors.ParameterBindingError` unless
-        ``values`` binds exactly this query's ``$`` markers, each to a
-        value that carries no marker of its own — the one check behind
+    def check_bindings(self, values: Mapping[str, object]) -> Dict[str, object]:
+        """``values`` as plain values (:func:`binding_value`), or
+        :class:`~repro.errors.ParameterBindingError` unless they bind
+        exactly this query's ``$`` markers — the one check behind
         :meth:`bind_params`, ``Database.execute``, ``PreparedQuery.run``
         and ``CachedSession.run``, so a mistake reads the same at each."""
 
         declared = self.param_names()
         missing = [name for name in declared if name not in values]
-        for value in values.values():
-            if isinstance(value, Path):
-                missing += [n for n in P.param_names(value) if n not in missing]
         unknown = sorted(name for name in values if name not in declared)
         if not (missing or unknown):
-            return
+            return {name: binding_value(name, v) for name, v in values.items()}
         problems = [
             f"{kind} parameter(s) " + ", ".join(f"${n}" for n in names)
             for kind, names in (("unbound", missing), ("unknown", unknown))
@@ -271,18 +283,14 @@ class PCQuery:
     def bind_params(self, values: "Dict[str, object]") -> "PCQuery":
         """Substitute constants for every parameter.
 
-        ``values`` maps parameter names to Python base values (or ready
-        :class:`Path` nodes), checked by :meth:`check_bindings` so a
-        typo'd binding fails loudly instead of executing a half-bound
-        template.
+        ``values`` maps parameter names to Python base values (or
+        :class:`~repro.query.paths.Const` leaves), checked by
+        :meth:`check_bindings` so a typo'd binding fails loudly instead
+        of executing a half-bound template.
         """
 
-        self.check_bindings(values)
-        mapping = {
-            name: value if isinstance(value, Path) else P.Const(value)
-            for name, value in values.items()
-        }
-        return self.substitute_params(mapping)
+        plain = self.check_bindings(values)
+        return self.substitute_params({n: P.Const(v) for n, v in plain.items()})
 
     # -- validation ----------------------------------------------------------
 

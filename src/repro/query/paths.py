@@ -119,8 +119,8 @@ class Param(Path):
     occurrence of ``$x`` as one opaque constant.  Any equivalence proven
     for the template therefore holds under every binding of its
     parameters (the proof never inspects the constant's value), which is
-    what makes it sound to optimize a template once and substitute
-    constants into the cached winning plan at execution time.  The price
+    what makes it sound to optimize a template once and bind constants
+    (never paths) to the cached winning plan at execution time.  The price
     is conservatism: constant-clash pruning (``1 = 2`` is unsatisfiable)
     does not extend to parameters, since ``$x = $y`` may hold.
     """

@@ -119,17 +119,6 @@ ROWS: Tuple[Row, ...] = (
         ),
     ),
     Row(
-        "the engine substitutes a path binding only when interpreted",
-        "src/repro/exec/engine.py",
-        "            if not compiled\n"
-        "            or (isinstance(value, Path) and not isinstance(value, Const))\n",
-        "            if not compiled\n",
-        (
-            "tests/test_exec_compile.py::TestCompiledTemplates::"
-            "test_a_path_binding_runs_compiled",
-        ),
-    ),
-    Row(
         "the generator stops declaring a generic scan's loop local",
         "src/repro/exec/compile.py",
         "        self.declared.add(local)\n"
@@ -215,12 +204,28 @@ ROWS: Tuple[Row, ...] = (
         ),
     ),
     Row(
+        "accept a path binding",
+        "src/repro/query/ast.py",
+        "    if not isinstance(value, Path):\n",
+        "    if not isinstance(value, P.Const):\n",
+        (
+            "tests/test_params.py::TestSessionTemplates::"
+            "test_a_binding_mistake_reads_the_same_everywhere[params2]",
+            "tests/test_exec_compile.py::TestCompiledTemplates::"
+            "test_a_path_binding_is_rejected_before_anything_runs[interpret]",
+            "tests/test_exec_compile.py::TestCompiledTemplates::"
+            "test_a_path_binding_is_rejected_before_anything_runs[compiled]",
+            "tests/test_exec_compile.py::TestCompiledTemplates::"
+            "test_a_path_bound_beside_a_value_is_rejected_by_the_engine[True]",
+        ),
+    ),
+    Row(
         "_serve formats its own unbound-parameter message",
         "src/repro/api/database.py",
-        "        query.check_bindings(bindings)\n",
+        "        values = query.check_bindings(bindings)\n",
         "        if set(query.param_names()) - set(bindings): raise "
         'ParameterBindingError("unbound parameter(s) in this template")\n'
-        "        query.check_bindings(bindings)\n",
+        "        values = query.check_bindings(bindings)\n",
         (
             "tests/test_params.py::TestSessionTemplates::"
             "test_a_binding_mistake_reads_the_same_everywhere[params0]",

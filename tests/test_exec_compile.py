@@ -324,47 +324,61 @@ class TestCompiledTemplates:
         db.close()
         db_ref.close()
 
-    def test_a_path_binding_runs_compiled(self, fresh_memo):
-        """A ``$`` marker bound to a non-constant path becomes plan terms
-        before compiling — the engine's one substitution site — so the
-        run stays compiled; a plain value stays a call-time argument."""
+    @pytest.mark.parametrize("exec_mode", ["interpret", "compiled"])
+    def test_a_path_binding_is_rejected_before_anything_runs(
+        self, exec_mode, fresh_memo
+    ):
+        """A ``$`` marker is a ground value.  On ``rs`` this template's
+        winner renames its variables (``… from IS{$c} _x3, dom(IR) _x0``),
+        so ``c = r.B`` used to fail inside the run — an unbound variable,
+        interpreted or compiled; it is now refused by the binding check,
+        before any optimize or compile."""
 
-        db = Database.from_workload("rs", exec_mode="compiled")
+        db = Database.from_workload("rs", exec_mode=exec_mode)
         calls = count_compilations(fresh_memo)
-        template = q("select struct(A = r.A, B = r.B) from R r where r.B = $c")
-        prepared = db.prepare(template)
+        template = q("select struct(A = r.A, C = s.C) from R r, S s where s.B = $c")
         path = Attr(Var("r"), "B")
-        want = evaluate(template.bind_params({"c": path}), db.instance)
-        assert len(want) == len(db.instance["R"])
-        for got in (
-            prepared.run(c=path),
-            db.execute(template, params={"c": path}),
-            prepared.run(c=path),
-        ):
-            assert got.mode == "compiled"
-            assert got.results == want
-        for c in (37, 82):
-            got = prepared.run(c=c)
-            assert got.mode == "compiled"
-            assert got.results == evaluate(
-                template.bind_params({"c": c}), db.instance
-            )
-        # one artifact for the path-bound plan, one for every plain value
-        assert len(calls) == 2
+        with pytest.raises(ParameterBindingError, match=r"\$c .*path r\.B"):
+            db.execute(template, params={"c": path})
+        assert db.plan_cache_info().misses == 0  # nothing was optimized
+        prepared = db.prepare(template)
+        with pytest.raises(ParameterBindingError, match=r"\$c .*path r\.B"):
+            prepared.run(c=path)
+        assert calls == []
+        assert prepared.run(c=20).mode == exec_mode
         db.close()
 
     @pytest.mark.parametrize("feedback", [False, True])
-    def test_a_path_and_a_value_bound_together(self, instance, feedback, fresh_memo):
-        """In one binding, the path becomes plan terms and the plain value
-        stays a call-time argument: values share the path-bound artifact."""
+    def test_a_path_bound_beside_a_value_is_rejected_by_the_engine(
+        self, instance, feedback, fresh_memo
+    ):
+        """The engine and the artifact read a path binding the way the
+        façade does, whatever value it is bound beside: nothing is
+        substituted, compiled or run.  Plain values share one artifact
+        and agree with the interpreter, level rows included."""
 
         calls = count_compilations(fresh_memo)
         template = q(
             "select struct(A = r.A, C = s.C) from R r, S s "
             "where r.B = $b and s.C = $c"
         )
-        for c in ("x", "y", "nope"):
-            params = {"b": Attr(Var("s"), "B"), "c": c}
+        params = {"b": Attr(Var("s"), "B"), "c": "x"}
+        messages = set()
+        for mode in ("interpret", "compiled"):
+            with pytest.raises(ParameterBindingError) as caught:
+                execute(template, instance, mode=mode, params=params, feedback=feedback)
+            messages.add(str(caught.value))
+        assert calls == []
+        plan = compile_plan(template, feedback=feedback)
+        with pytest.raises(ParameterBindingError) as caught:
+            plan.run(instance, params=params)
+        messages.add(str(caught.value))
+        assert messages == {
+            "$b is bound to the path s.B — a $-marker takes a value "
+            "(or a Const), never a path"
+        }
+        for b in (10, 20, 99):
+            params = {"b": b, "c": Const("x")}
             got = execute(
                 template, instance, mode="compiled", params=params, feedback=feedback
             )
@@ -372,8 +386,9 @@ class TestCompiledTemplates:
                 template, instance, mode="interpret", params=params, feedback=feedback
             )
             assert got.mode == "compiled"
-            assert got.results == want.results
-            assert got.results == evaluate(template.bind_params(params), instance)
+            assert got.results == want.results == evaluate(
+                template.bind_params(params), instance
+            )
             assert got.level_rows == want.level_rows
         assert len(calls) == 1
 

@@ -34,6 +34,8 @@ from repro import (
 )
 from repro.api import database as database_module
 from repro.errors import QueryExecutionError
+from repro.exec.compile import compile_plan
+from repro.exec.engine import execute
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.statistics import Statistics
 from repro.physical.indexes import SecondaryIndex
@@ -301,8 +303,8 @@ class TestPreparedTemplates:
 
     def test_only_constant_bindings_skip_the_unbound_marker_walk(self):
         """Binding every declared marker to a constant leaves none to
-        look for; a path-valued binding can smuggle one in, so it is
-        still walked (as is the public ``execute_plan``)."""
+        look for; a marker bound to a marker is a path binding, refused
+        by the binding check before anything runs."""
 
         db = rs_database()
         prepared = db.prepare(parse_query(TEMPLATE_C))
@@ -310,7 +312,7 @@ class TestPreparedTemplates:
             plain = prepared.run(c=3).results
             assert prepared.run(c=P.Const(3)).results == plain
         assert walks == []
-        with pytest.raises(ParameterBindingError, match=r"unbound.*\$d"):
+        with pytest.raises(ParameterBindingError, match=r"\$c is bound to the path \$d"):
             prepared.run(c=Param("d"))
         db.close()
 
@@ -582,21 +584,36 @@ class TestSessionTemplates:
         session.close()
         db.close()
 
-    @pytest.mark.parametrize("params", ({}, {"a": 1, "b": 2}))
+    @pytest.mark.parametrize(
+        "params", ({}, {"a": 1, "b": 2}, {"a": P.Attr(P.Var("r"), "B")})
+    )
     def test_a_binding_mistake_reads_the_same_everywhere(self, params):
         """One validator behind every entry point (the façade and the
-        session used to word an unbound marker differently)."""
+        session used to word an unbound marker differently).  A path
+        bound in a value's place is a mistake of the value, which the
+        engine in either mode and a compiled artifact read the same way."""
 
         db = rs_database()
         session = db.session()
         template = parse_query("select struct(A = r.A) from R r where r.B = $a")
-        messages = set()
-        for call in (
+        calls = [
             lambda: db.execute(template, params=params),
             lambda: db.prepare(template).run(**params),
             lambda: session.run(template, params=params),
             lambda: template.bind_params(params),
-        ):
+        ]
+        if any(isinstance(value, P.Path) for value in params.values()):
+            calls += [
+                lambda mode=mode: execute(
+                    template, db.instance, mode=mode, params=params
+                )
+                for mode in ("interpret", "compiled")
+            ]
+            calls.append(
+                lambda: compile_plan(template).run(db.instance, params=params)
+            )
+        messages = set()
+        for call in calls:
             with pytest.raises(ParameterBindingError) as caught:
                 call()
             messages.add(str(caught.value))
