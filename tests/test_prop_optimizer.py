@@ -22,7 +22,10 @@ from repro.optimizer.statistics import Statistics
 from repro.physical.indexes import SecondaryIndex
 from repro.physical.views import MaterializedView
 from repro.query.evaluator import evaluate
+from repro.query import paths as P
+from repro.query.ast import Binding, Eq, PathOutput, PCQuery, StructOutput
 from repro.query.parser import parse_constraint, parse_query
+from repro.query.paths import Const
 
 
 @st.composite
@@ -173,3 +176,168 @@ def test_served_lookup_safety_is_the_from_scratch_verdict(query, deps):
         except (ChaseNonTermination, BackchaseError):
             assume(False)
     assert deciding.lookup_safety == {} and not deciding.lookup_proofs
+
+
+# -- genericity: the search's verdicts do not read constants -------------------
+#
+# Every verdict the search reaches is a chase fact, and the chase compares
+# constants only for equality: an injective renaming π of a query's
+# constants that keeps every constant a dependency mentions renames the
+# search without changing it.  The normal forms of π(Q) are π of Q's.
+
+
+def dependency_constants(deps):
+    """Every ``Const`` a dependency mentions."""
+
+    paths = [
+        path
+        for dep in deps
+        for path in [b.source for b in dep.premise_bindings + dep.conclusion_bindings]
+        + [
+            side
+            for c in dep.premise_conditions + dep.conclusion_conditions
+            for side in (c.left, c.right)
+        ]
+    ]
+    return {t for path in paths for t in P.subterms(path) if isinstance(t, Const)}
+
+
+def rename_constants(query, pi):
+    """``query`` with every constant ``c`` in ``pi`` written ``pi[c]``."""
+
+    def rename(path):
+        return P.transform(path, lambda term: pi.get(term, term))
+
+    output = query.output
+    if isinstance(output, StructOutput):
+        output = StructOutput(tuple((name, rename(p)) for name, p in output.fields))
+    else:
+        output = PathOutput(rename(output.path))
+    return PCQuery(
+        output,
+        tuple(Binding(b.var, rename(b.source)) for b in query.bindings),
+        tuple(Eq(rename(c.left), rename(c.right)) for c in query.conditions),
+    )
+
+
+#: what a renamed constant becomes: disjoint from the generators' 0..3 and
+#: from every constant a dependency writes, of both types
+FRESH = (10, 11, 12, 13, 47, "a", "b", "c", "d")
+
+
+def draw_renaming(draw, query, deps):
+    """A random injective renaming of ``query``'s constants onto ``FRESH``
+    that keeps every constant ``deps`` mentions."""
+
+    kept = dependency_constants(deps)
+    renamed = sorted(
+        {t for t in query.all_terms() if isinstance(t, Const)} - kept,
+        key=lambda c: c._str,
+    )
+    image = draw(st.permutations(FRESH))[: len(renamed)]
+    return dict(zip(renamed, map(Const, image)))
+
+
+def searched(query, deps, strategy, statistics=None, max_nodes=250, **options):
+    """Normal forms of the search from ``query``'s universal plan, and
+    whether that plan is unsatisfiable (two constants in one class)."""
+
+    universal = chase(query, deps, 80)
+    if strategy == "pruned":
+        options["statistics"] = statistics or Statistics()
+    forms = backchase.minimal_subqueries(
+        universal.query,
+        deps,
+        engine=ChaseEngine(deps, 80),
+        max_nodes=max_nodes,
+        strategy=strategy,
+        **options,
+    )
+    return forms, universal.congruence.inconsistent
+
+
+def form_keys(forms, inconsistent, pi=None):
+    """The normal forms, each constant renamed by ``pi``, as canonical
+    keys — binding lists only when the plan is unsatisfiable: the class
+    of two clashing constants is written through whichever spells
+    smaller, so its output and conditions follow the spelling, and an
+    unsatisfiable query's output is any of them."""
+
+    renamed = [rename_constants(f, pi) if pi else f for f in forms]
+    if inconsistent:
+        return {str(f.canonical().bindings) for f in renamed}
+    return {f.canonical_key() for f in renamed}
+
+
+def assert_generic(query, deps, pi, strategy, statistics=None, max_nodes=250):
+    try:
+        forms, inconsistent = searched(query, deps, strategy, statistics, max_nodes)
+    except (ChaseNonTermination, BackchaseError):
+        assume(False)
+    renamed, renamed_inconsistent = searched(
+        rename_constants(query, pi), deps, strategy, statistics, max_nodes
+    )
+    assert renamed_inconsistent == inconsistent
+    assert form_keys(forms, inconsistent, pi) == form_keys(renamed, inconsistent)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(
+    query=pc_queries(),
+    deps=indexed_constraint_sets(),
+    strategy=st.sampled_from(("full", "pruned")),
+    data=st.data(),
+)
+def test_normal_forms_are_generic_in_the_constants(query, deps, strategy, data):
+    """π(Q)'s normal forms are π of Q's, on generated queries and
+    constraint sets (the ``ENTANGLING`` arm, whose EGD writes a constant,
+    included)."""
+
+    assert_generic(query, deps, draw_renaming(data.draw, query, deps), strategy)
+
+
+@settings(max_examples=20, deadline=None)
+@given(scenario=scenarios(), strategy=st.sampled_from(("full", "pruned")), data=st.data())
+def test_scenario_normal_forms_are_generic_in_the_constants(scenario, strategy, data):
+    """The same on the physical designs of :func:`scenarios`, costed under
+    the instance's statistics."""
+
+    instance, deps, query = scenario
+    pi = draw_renaming(data.draw, query, deps)
+    assert_generic(query, deps, pi, strategy, Statistics.from_instance(instance))
+
+
+#: a constant-carrying query per workload, and a renaming of its constants
+GENERIC_WORKLOADS = {
+    "rs": (
+        "select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B and s.C = 3",
+        {3: "three"},
+    ),
+    "rabc": (None, {5: 23, 9: "nine"}),
+    "projdept": (None, {"CitiBank": "Initech"}),
+    "oo_asr": (
+        "select struct(D = d.DName, E = e.EName) from depts d, d.Staff e "
+        'where d.DName = "D3"',
+        {"D3": 77},
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy", ["pruned", "full"])
+@pytest.mark.parametrize("name", sorted(GENERIC_WORKLOADS))
+def test_workload_normal_forms_are_generic_in_the_constants(name, strategy):
+    from repro.api.workloads import build_workload
+
+    workload = build_workload(name)
+    text, renaming = GENERIC_WORKLOADS[name]
+    query = parse_query(text) if text else workload.query
+    pi = {Const(old): Const(new) for old, new in renaming.items()}
+    assert set(pi) <= set(query.all_terms())
+    statistics = workload.statistics if strategy == "pruned" else None
+    assert_generic(
+        query, list(workload.constraints), pi, strategy, statistics, max_nodes=20_000
+    )
