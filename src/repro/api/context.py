@@ -157,13 +157,7 @@ class OptimizeContext:
 
         cached = self.__dict__.get("_fingerprint")
         if cached is None:
-            from repro.query.printer import format_constraint
-
-            digest = hashlib.sha1()
-            for dep in self.constraints:
-                digest.update(dep.name.encode())
-                digest.update(format_constraint(dep).encode())
-                digest.update(b"\x00")
+            digest = hashlib.sha1(self.constraints_fingerprint().encode())
             digest.update(b"|phys|")
             if self.physical_names is None:
                 digest.update(b"<none>")
@@ -180,4 +174,23 @@ class OptimizeContext:
             )
             cached = digest.hexdigest()
             object.__setattr__(self, "_fingerprint", cached)
+        return cached
+
+    def constraints_fingerprint(self) -> str:
+        """The constraint part of :meth:`fingerprint`: a stable digest of
+        the constraint set alone, what the backchase's verdicts depend on
+        (the key of a :class:`~repro.api.database.Database`'s verdict
+        store).  Cached on first use."""
+
+        cached = self.__dict__.get("_constraints_fingerprint")
+        if cached is None:
+            from repro.query.printer import format_constraint
+
+            digest = hashlib.sha1()
+            for dep in self.constraints:
+                digest.update(dep.name.encode())
+                digest.update(format_constraint(dep).encode())
+                digest.update(b"\x00")
+            cached = digest.hexdigest()
+            object.__setattr__(self, "_constraints_fingerprint", cached)
         return cached

@@ -50,7 +50,8 @@ from repro.model.schema import Schema
 from repro.obs import Observability, ObsConfig
 from repro.obs.analyze import AnalyzeResult, analyze_query
 from repro.optimizer.cost import CostModel, _attr_of, _selectivity
-from repro.optimizer.optimizer import OptimizationResult, Plan
+from repro.lru import LRU
+from repro.optimizer.optimizer import OptimizationResult, Optimizer, Plan
 from repro.optimizer.statistics import Statistics, default_sample
 from repro.query.ast import PCQuery
 from repro.query.parser import parse_cache_info, parse_query
@@ -262,6 +263,15 @@ class Database:
         )
         size = self.cache_config.plan_cache_size
         self._plan_cache = PlanCache(max_size=size) if size != 0 else None
+        # The backchase's verdicts per (constraint set, root shape up to its
+        # constants): a search from a root that differs from an earlier one
+        # only in constants reads them instead of deciding them again
+        # (``backchase.minimal_subqueries``).  Bounded like the plan cache.
+        self._verdicts = LRU(size) if size != 0 else None
+        if self._verdicts is not None:
+            self.obs.registry.register_source(
+                "verdict_store", lambda: asdict(self._verdicts.cache_info())
+            )
 
     # -- construction ----------------------------------------------------------
 
@@ -448,7 +458,9 @@ class Database:
             if entry is not None:
                 result = entry.result
             else:
-                result = ctx.optimizer().optimize(query)
+                result = Optimizer(
+                    context=ctx, verdict_store=self._verdicts
+                ).optimize(query)
                 if cache is not None:
                     # the clock swept at the probe, read before optimizing
                     entry = cache.put(
@@ -556,7 +568,9 @@ class Database:
     ) -> ExecutionResult:
         """Run a winning plan with ``values`` for its markers, unpacking
         the context into :func:`execute`'s flags unchanged (the engine
-        decides how a binding reaches the plan)."""
+        decides how a binding reaches the plan).  The plan gets the values
+        of its own markers: it may have dropped one its template declares
+        (a condition an unsatisfiable template does not need)."""
 
         context = self.context
         return execute(
@@ -565,7 +579,7 @@ class Database:
             overlays=overlays,
             tracer=context.tracer,
             mode=context.exec_mode,
-            params=values,
+            params={name: values[name] for name in plan_query.param_names()},
             feedback=self.obs.feedback is not None,
         )
 

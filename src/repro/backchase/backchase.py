@@ -93,9 +93,10 @@ below and ``tests/test_chase_differential.py`` have the traps).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Iterable, List
+from typing import AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Mapping
 from typing import Optional, Sequence, Set, Tuple
 
 from repro.chase import containment
@@ -103,11 +104,12 @@ from repro.chase.chase import ChaseEngine, linked_parts, links
 from repro.chase.congruence import CongruenceClosure, build_congruence, query_congruence
 from repro.constraints.epcd import EPCD
 from repro.errors import BackchaseError
+from repro.lru import LRU
 from repro.optimizer.cost import CostModel, estimate_cost, plan_cost_floor
 from repro.optimizer.statistics import Statistics
 from repro.query import paths as P
 from repro.query.ast import Binding, Eq, PathOutput, PCQuery, StructOutput
-from repro.query.paths import Dom, Lookup, Path, SName, Var
+from repro.query.paths import Const, Dom, Lookup, Param, Path, SName, Var
 
 
 # -- failing-lookup safety ---------------------------------------------------
@@ -678,6 +680,115 @@ def accept_candidate(
     return plan_lookups_safe(candidate, engine)
 
 
+# -- the search's key: a shape up to its constants ----------------------------
+#
+# A verdict reads no statistic, no cost and no instance, and the chase and
+# the homomorphism search compare constants only for equality (the
+# closure's clash test by value).  So an injective renaming of a query's
+# constants that keeps every constant a dependency mentions, and every
+# equality between two constants, renames each verdict's question without
+# changing its answer: genericity, as in Chandra–Merlin containment.  The
+# search therefore keys each shape by its canonical form with the root's
+# constants written as markers, and the verdicts it keeps under one root
+# serve every root that differs from it only in those constants.
+
+
+def constant_markers(query: PCQuery, kept: AbstractSet[Path]) -> Dict[Path, Path]:
+    """The marker (``$#0``, ``$#1``, ...) each constant of ``query`` is
+    keyed by, one per constant, numbered by first occurrence with the
+    conditions ordered blind to the constants.  A constant stays literal
+    when it is in ``kept`` (the constants the dependencies mention,
+    ``ChaseEngine.constants``), when another constant of the query or of
+    ``kept`` equals it without being it (``True`` beside ``1``), when it is
+    not equal to itself (NaN), or when it is not a string or a number."""
+
+    canon = query.canonical()
+    own = {t for p in canon.all_paths() for t in P.subterms(p) if type(t) is Const}
+    if not own:
+        return {}
+    by_value: Dict[object, int] = {}
+    for c in own | kept:
+        by_value[c.value] = by_value.get(c.value, 0) + 1
+    free = {
+        c
+        for c in own - kept
+        if type(c.value) in (str, int, float, bool)
+        and c.value == c.value
+        and by_value[c.value] == 1
+    }
+    if not free:
+        return {}
+
+    blank = Param("#")
+    texts = [c._str for c in free]
+
+    def blind(path: Path) -> str:
+        if not any(t in path._str for t in texts):
+            return path._str
+        return P.transform(path, lambda t: blank if t in free else t)._str
+
+    sides = [
+        side
+        for c in sorted(
+            canon.conditions,
+            key=lambda c: (sorted((blind(c.left), blind(c.right))), c.key()),
+        )
+        for side in sorted((c.left, c.right), key=lambda side: (blind(side), side._str))
+    ]
+    markers: Dict[Path, Path] = {}
+    for path in [b.source for b in canon.bindings] + sides + list(canon.output.paths()):
+        for t in P.subterms(path):
+            if t in free and t not in markers:
+                markers[t] = Param(f"#{len(markers)}")
+    return markers
+
+
+def shape_key(query: PCQuery, markers: Mapping[Path, Path]) -> str:
+    """``query``'s canonical key with each constant in ``markers`` written
+    as its marker: one key per shape, the canonical form's text with the
+    few paths that hold such a constant rewritten (the canonical key itself
+    when none does)."""
+
+    canon = query.canonical()
+    if not markers:
+        return query.canonical_key()
+    # A path holds a marked constant only if its text holds the constant's
+    # (not inside a name or another number).
+    search = re.compile(
+        "|".join(rf"(?<![\w.]){re.escape(c._str)}(?![\w.])" for c in markers)
+    ).search
+
+    def mark(path: Path) -> Path:
+        if search(path._str) is None:
+            return path
+        return P.transform(path, lambda t: markers.get(t, t))
+
+    output, bindings = canon.output, canon.bindings
+    if any(search(p._str) for p in output.paths()):
+        if isinstance(output, StructOutput):
+            output = StructOutput(tuple((n, mark(p)) for n, p in output.fields))
+        else:
+            output = PathOutput(mark(output.path))
+    if any(search(b.source._str) for b in bindings):
+        bindings = tuple(Binding(b.var, mark(b.source)) for b in bindings)
+    conditions = canon.conditions
+    if any(search(c.left._str) or search(c.right._str) for c in conditions):
+        conditions = tuple(
+            sorted(
+                (
+                    Eq(mark(c.left), mark(c.right)).normalized()
+                    if search(c.left._str) or search(c.right._str)
+                    else c
+                    for c in conditions
+                ),
+                key=Eq.key,
+            )
+        )
+    elif output is canon.output and bindings is canon.bindings:
+        return query.canonical_key()
+    return str(PCQuery(output, bindings, conditions))
+
+
 @dataclass
 class BackchaseStats:
     """Instrumentation for the enumeration (used by benchmarks).
@@ -695,8 +806,9 @@ class BackchaseStats:
     * ``candidates_pruned`` — branches cut by the cost bound before
       expansion (pruned strategy only);
     * ``cache_hits`` / ``cache_misses`` — condition (3) verdicts reused
-      vs computed: the search's memo (one verdict per candidate shape, a
-      reused binding set counting as a hit) plus the engine's
+      vs computed in this search: the memo (one verdict per candidate
+      shape, a reused binding set or a verdict an earlier search stored
+      counting as a hit) plus the engine's
       :meth:`~repro.chase.chase.ChaseEngine.contained_in` traffic during
       the search (the pruned coster's ``prune_conditions``).
     """
@@ -739,6 +851,7 @@ def minimal_subqueries(
     cost_model: Optional[CostModel] = None,
     plan_cost: Optional[PlanCost] = None,
     cost_floor: Optional[CostFloor] = None,
+    verdict_store: Optional[LRU] = None,
 ) -> List[PCQuery]:
     """Normal forms of backchasing ``query``.
 
@@ -763,8 +876,21 @@ def minimal_subqueries(
     not given explicitly.  (``strategy`` stays an explicit argument: this
     function's default is ``"full"`` for Theorem 2 completeness, which
     deliberately differs from the optimizer's.)
+
+    ``verdict_store``: an :class:`~repro.lru.LRU` the verdicts outlive the
+    search in (the :class:`~repro.api.database.Database` owns one).  Its
+    entry is the root's verdict memo, keyed by ``context``'s constraint
+    fingerprint and the root's shape up to its constants (``shape_key``),
+    so a later search from a root that differs only in constants decides
+    none of them again.  It needs ``context``, and the constraint set is
+    the context's.
     """
 
+    if verdict_store is not None and (context is None or deps is not None):
+        raise BackchaseError(
+            "a verdict store is keyed by the context's constraint set: "
+            "pass context, not deps"
+        )
     if deps is None and context is not None:
         deps = list(context.constraints)
     if deps is None:
@@ -808,7 +934,9 @@ def minimal_subqueries(
     engine_misses0 = engine.containment.misses
 
     root = quick_simplify_conditions(query)
-    root_key = root.canonical_key()
+    # Every shape is keyed up to the root's constants (``shape_key``).
+    markers = constant_markers(root, engine.constants)
+    root_key = shape_key(root, markers)
 
     # The acceptance memo, the one store of the search's verdicts.  Every
     # node of the search is equivalent to the root, so a candidate's
@@ -817,9 +945,17 @@ def minimal_subqueries(
     # matching the full root every time would cost an order of magnitude
     # more per verdict) and remembered here whole — containment and
     # lookup safety — per shape, however many removal orders re-derive
-    # it.  Bounded by the node budget.
+    # it.  Bounded by the node budget; with a store, it is the root's
+    # entry, shared with every search from the same root up to constants.
     verdicts: Dict[str, bool] = {}
-    memo_hits = 0
+    if verdict_store is not None:
+        store_key = (context.constraints_fingerprint(), root_key)
+        kept = verdict_store.get(store_key)
+        if kept is None:
+            verdict_store.put(store_key, verdicts)
+        else:
+            verdicts = kept
+    memo_hits = computed = 0
 
     # antichain of minimal accepted binding-variable sets -> subquery
     accepted: Dict[FrozenSet[str], PCQuery] = {}
@@ -890,17 +1026,20 @@ def minimal_subqueries(
                 )
                 ckey = keys.get(shape)
                 if ckey is None:
-                    ckey = keys[shape] = candidate.canonical_key()
+                    ckey = keys[shape] = shape_key(candidate, markers)
                 verdict = verdicts.get(ckey)
                 if verdict is None:
                     keep_congruence(candidate)
                     verdict = verdicts[ckey] = accept_candidate(
                         candidate, current, engine, accepted.values(), refuted
                     )
+                    computed += 1
                     if not verdict and not (refuted and refuted[-1] is candidate):
                         drop_congruence(candidate)  # rejected as lookup-unsafe
                 else:
                     memo_hits += 1
+                    if verdict and ckey not in floors:
+                        keep_congruence(candidate)  # an earlier search's verdict
                 if not verdict:
                     continue
                 names = frozenset(candidate.binding_vars())
@@ -939,8 +1078,6 @@ def minimal_subqueries(
             drop_congruence(q)
 
     stats.cache_hits += memo_hits + engine.containment.hits - engine_hits0
-    stats.cache_misses += (
-        len(verdicts) + engine.containment.misses - engine_misses0
-    )
+    stats.cache_misses += computed + engine.containment.misses - engine_misses0
     normal_forms.sort(key=lambda q: (len(q.bindings), q.canonical_key()))
     return normal_forms

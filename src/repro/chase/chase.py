@@ -92,14 +92,16 @@ class ChaseResult:
 
 class _Matcher(NamedTuple):
     """One dependency as the chase reads it: both sides as patterns, the
-    heads of the premise sources and of every premise subterm, and whether
-    its steps stay inside one part of a scope (:func:`_separable`)."""
+    heads of the premise sources and of every premise subterm, whether
+    its steps stay inside one part of a scope (:func:`_separable`), and
+    the constants it mentions."""
 
     premise: Pattern
     conclusion: Pattern
     source_heads: FrozenSet
     vocabulary: FrozenSet
     separable: bool
+    constants: FrozenSet
 
 
 def _matcher(dep: EPCD) -> _Matcher:
@@ -107,6 +109,7 @@ def _matcher(dep: EPCD) -> _Matcher:
     if matcher is None:
         sources = [b.source for b in dep.premise_bindings]
         sides = [s for c in dep.premise_conditions for s in (c.left, c.right)]
+        paths = _dependency_paths(dep)
         matcher = _Matcher(
             Pattern(dep.premise_bindings, dep.premise_conditions),
             Pattern(
@@ -114,7 +117,8 @@ def _matcher(dep: EPCD) -> _Matcher:
             ),
             frozenset(map(head, sources)),
             frozenset(head(t) for p in sources + sides for t in P.subterms(p)),
-            _separable(dep),
+            _separable(dep, paths),
+            frozenset(t for p in paths for t in P.subterms(p) if type(t) is Const),
         )
         object.__setattr__(dep, "_matcher", matcher)
     return matcher
@@ -332,17 +336,26 @@ def linked_parts(
     return {atom: parts[i] for atom, i in owner.items()}, parts
 
 
-def _separable(dep: EPCD) -> bool:
-    """Does every step of ``dep`` stay inside one part of a scope (parts as
-    :func:`linked_parts` splits them)?  Yes when it mentions no constant,
-    its premise is one part and so is the whole dependency: a premise match
-    then lies in one part, its conclusion is witnessed in that part or
-    nowhere, and what the step writes links to that part alone."""
+def _dependency_paths(dep: EPCD) -> List[Path]:
+    """Every binding source and condition side of ``dep``."""
 
     bindings = dep.premise_bindings + dep.conclusion_bindings
     conditions = dep.premise_conditions + dep.conclusion_conditions
     paths = [b.source for b in bindings]
     paths += [side for c in conditions for side in (c.left, c.right)]
+    return paths
+
+
+def _separable(dep: EPCD, paths: List[Path]) -> bool:
+    """Does every step of ``dep`` stay inside one part of a scope (parts as
+    :func:`linked_parts` splits them)?  Yes when it mentions no constant,
+    its premise is one part and so is the whole dependency: a premise match
+    then lies in one part, its conclusion is witnessed in that part or
+    nowhere, and what the step writes links to that part alone.
+    ``paths``: :func:`_dependency_paths` of ``dep``."""
+
+    bindings = dep.premise_bindings + dep.conclusion_bindings
+    conditions = dep.premise_conditions + dep.conclusion_conditions
     if any(isinstance(t, (Const, Param)) for p in paths for t in P.subterms(p)):
         return False
     premise = linked_parts(dep.premise_bindings, dep.premise_conditions)
@@ -434,6 +447,11 @@ class ChaseEngine:
         #: the scope restricted to it (the backchase decides lookup safety on
         #: the part the key lies in)
         self.separable = all(_matcher(dep).separable for dep in self.deps)
+        #: every constant a dependency mentions (the backchase keys shapes
+        #: with these literal, the others as markers)
+        self.constants: FrozenSet[Path] = frozenset().union(
+            *(_matcher(dep).constants for dep in self.deps)
+        )
         self.cache_hits = 0
         self.cache_misses = 0
         #: :meth:`contained_in`'s verdicts per canonical (q1, q2) pair; an

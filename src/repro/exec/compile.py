@@ -46,13 +46,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
-from repro.errors import ParameterBindingError, QueryExecutionError, ReproError
+from repro.errors import QueryExecutionError, ReproError
 from repro.exec.columnar import COLUMNS, probe_positions
 from repro.exec.operators import Counters
 from repro.exec.planner import compile_query
 from repro.model.values import DictValue, Oid, Row
 from repro.query import paths as P
-from repro.query.ast import Binding, Eq, PCQuery, StructOutput, binding_value
+from repro.query.ast import Binding, Eq, PCQuery, StructOutput
 from repro.query.paths import (
     Attr,
     Const,
@@ -148,17 +148,7 @@ class CompiledPlan:
     ) -> FrozenSet[Any]:
         if counters is None:
             counters = Counters()
-        bound: Dict[str, Any] = {
-            name: binding_value(name, value)
-            for name, value in (params or {}).items()
-        }
-        missing = [n for n in self.param_names if n not in bound]
-        if missing:
-            raise ParameterBindingError(
-                "unbound parameter(s) "
-                + ", ".join(f"${n}" for n in missing)
-                + " — pass params= when running a compiled template"
-            )
+        bound = self.query.check_bindings(params or {})
         if self.feedback:
             out = feedback_out if feedback_out is not None else []
             return self.fn(instance, counters, bound, out)

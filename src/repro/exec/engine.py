@@ -41,7 +41,7 @@ from repro.exec.planner import compile_query
 from repro.lru import LRU
 from repro.model.instance import Instance
 from repro.obs.trace import NOOP_TRACER
-from repro.query.ast import PCQuery, binding_value
+from repro.query.ast import PCQuery
 from repro.query.paths import Const
 
 EXEC_MODES = ("interpret", "compiled")
@@ -133,9 +133,11 @@ def execute(
 
     In ``"compiled"`` mode the plan runs as a generated fused function
     (:func:`compiled_for`; a plan the generator refuses raises
-    :class:`~repro.exec.compile.PlanCompilationError`).  ``params`` are
-    ground values (:func:`~repro.query.ast.binding_value`; a path raises
-    before anything is compiled): compiled, the artifact's call-time
+    :class:`~repro.exec.compile.PlanCompilationError`).  ``params`` bind
+    exactly the plan's ``$`` markers, each to a ground value
+    (:meth:`~repro.query.ast.PCQuery.check_bindings`: a missing or unknown
+    name, or a path, raises before anything is compiled, in the one
+    wording of every entry point): compiled, the artifact's call-time
     arguments, so a template's bindings share one artifact; interpreted,
     constants substituted into the query.  Counters are filled in both
     modes — but for
@@ -167,7 +169,7 @@ def execute(
     cached_names = frozenset(overlays) if overlays else None
     target = instance.overlay(dict(overlays)) if overlays else instance
     compiled = mode == "compiled"
-    values = {n: binding_value(n, v) for n, v in (params or {}).items()}
+    values = query.check_bindings(params or {})
     if values and not compiled:
         query = query.substitute_params({n: Const(v) for n, v in values.items()})
 

@@ -46,7 +46,7 @@ from repro.backchase.backchase import BackchaseStats, minimal_subqueries
 from repro.chase.chase import ChaseEngine, ChaseResult, chase
 from repro.constraints.epcd import EPCD
 from repro.errors import OptimizationError
-from repro.lru import CacheInfo
+from repro.lru import LRU, CacheInfo
 from repro.optimizer.cost import CostModel, estimate_cost
 from repro.optimizer.refine import (
     nonfailing_refinement,
@@ -140,12 +140,17 @@ class Optimizer:
         reorder: bool = True,
         strategy: str = "pruned",
         context=None,
+        verdict_store: Optional[LRU] = None,
     ) -> None:
         """Build from classic keyword arguments or from one
         :class:`~repro.api.context.OptimizeContext` (``context=...``),
         which wins over the individual kwargs when given.  Either way
         the optimizer's whole configuration is that one frozen context;
-        the classic names below are read-only views of it."""
+        the classic names below are read-only views of it.
+
+        ``verdict_store``: where the backchase keeps its verdicts beyond
+        one search (``minimal_subqueries``' argument; the
+        :class:`~repro.api.database.Database` passes its own)."""
 
         if context is None:
             # Lazy: repro.api imports this module.
@@ -164,6 +169,7 @@ class Optimizer:
                 reorder=reorder,
             )
         self.context = context
+        self.verdict_store = verdict_store
         # Per-optimize() memos shared between the pruned search's bounding
         # coster and the final plan assembly.
         self._pipeline_cache: Dict[str, List[Tuple[PCQuery, bool]]] = {}
@@ -224,7 +230,8 @@ class Optimizer:
         With the ``"pruned"`` strategy the search is bounded by the cost of
         the best complete plan (run through the same costing pipeline the
         optimizer ranks plans with); with ``"full"`` it runs unbounded and
-        every normal form is returned.
+        every normal form is returned.  The search keeps its verdicts in
+        the optimizer's ``verdict_store``, if it has one.
         """
 
         strategy = strategy or self.strategy
@@ -240,6 +247,7 @@ class Optimizer:
             strategy=strategy,
             context=self.context,
             plan_cost=self._bounding_cost(engine) if strategy == "pruned" else None,
+            verdict_store=self.verdict_store,
         )
 
     # -- the costing pipeline (Algorithm 1 steps 3-4) --------------------------

@@ -257,9 +257,12 @@ GOLDEN_WORKLOADS = {
 
 
 class OptimizedWorkloads:
-    """The golden workloads, each behind one ``Database`` whose plan cache
-    holds the one ``pruned`` and the one ``full`` optimization of its
-    canonical query this test run pays for — built on first use.
+    """The golden workloads, behind one ``Database`` per strategy whose
+    plan cache holds the one ``pruned`` (or the one ``full``) optimization
+    of its canonical query this test run pays for — built on first use.
+    One per strategy: a database's verdict store would hand the second
+    search every verdict the first decided, and the pinned search
+    counters read the results as cold searches.
 
     Read-only: for tests that *read* a workload, its plans or its winner.
     A test that measures the search itself (counters, spans, recorded
@@ -270,12 +273,12 @@ class OptimizedWorkloads:
     def __init__(self) -> None:
         self._databases = {}
 
-    def database(self, name: str) -> Database:
-        if name not in self._databases:
-            self._databases[name] = Database.from_workload(
-                name, **GOLDEN_WORKLOADS[name]
+    def database(self, name: str, strategy: str = "pruned") -> Database:
+        if (name, strategy) not in self._databases:
+            self._databases[name, strategy] = Database.from_workload(
+                name, strategy=strategy, **GOLDEN_WORKLOADS[name]
             )
-        return self._databases[name]
+        return self._databases[name, strategy]
 
     def workload(self, name: str):
         return self.database(name).workload
@@ -284,8 +287,8 @@ class OptimizedWorkloads:
         """The ``OptimizationResult`` of the canonical query (a plan-cache
         hit after the first call per strategy)."""
 
-        db = self.database(name)
-        return db.optimize(db.workload.query, strategy=strategy)
+        db = self.database(name, strategy)
+        return db.optimize(db.workload.query)
 
     def winner(self, name: str) -> PCQuery:
         return self.result(name).best.query

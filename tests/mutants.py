@@ -231,6 +231,18 @@ ROWS: Tuple[Row, ...] = (
             "test_a_binding_mistake_reads_the_same_everywhere[params0]",
         ),
     ),
+    Row(
+        "the engine skips the marker-name check",
+        "src/repro/exec/engine.py",
+        "    values = query.check_bindings(params or {})\n",
+        "    values = dict(params or {})\n",
+        (
+            "tests/test_params.py::TestSessionTemplates::"
+            "test_a_binding_mistake_reads_the_same_everywhere[params0]",
+            "tests/test_params.py::TestSessionTemplates::"
+            "test_a_binding_mistake_reads_the_same_everywhere[params1]",
+        ),
+    ),
     # -- the backchase search ------------------------------------------------
     Row(
         "accept_candidate reverses the containment direction, no `accepted`",
@@ -292,6 +304,44 @@ ROWS: Tuple[Row, ...] = (
         (
             "tests/test_pruned_backchase.py::TestTheSearchKeepsItsOwnVerdicts::"
             "test_a_full_search_stores_nothing_in_the_engine[projdept]",
+        ),
+    ),
+    # -- the verdict store ----------------------------------------------------
+    Row(
+        "abstract a constant a dependency mentions",
+        "src/repro/backchase/backchase.py",
+        "        for c in own - kept\n",
+        "        for c in own\n",
+        (
+            "tests/test_verdict_store.py::TestTheKey::"
+            "test_a_constant_a_dependency_mentions_stays_literal",
+        ),
+    ),
+    Row(
+        "give two equal constants two markers",
+        "src/repro/backchase/backchase.py",
+        "                    Eq(mark(c.left), mark(c.right)).normalized()\n"
+        "                    if search(c.left._str) or search(c.right._str)\n"
+        "                    else c\n"
+        "                    for c in conditions\n",
+        "                    Eq(*[P.transform(side, lambda t, i=i: Param(f'#{i}') "
+        "if t in markers else t) for side in (c.left, c.right)]).normalized()\n"
+        "                    if search(c.left._str) or search(c.right._str)\n"
+        "                    else c\n"
+        "                    for i, c in enumerate(conditions)\n",
+        (
+            "tests/test_verdict_store.py::TestTheKey::"
+            "test_equal_constants_share_a_marker",
+        ),
+    ),
+    Row(
+        "read the store across a constraint change",
+        "src/repro/backchase/backchase.py",
+        "        store_key = (context.constraints_fingerprint(), root_key)\n",
+        "        store_key = root_key\n",
+        (
+            "tests/test_verdict_store.py::TestTheKey::"
+            "test_the_store_is_not_read_across_a_constraint_change",
         ),
     ),
     Row(

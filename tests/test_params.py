@@ -589,9 +589,11 @@ class TestSessionTemplates:
     )
     def test_a_binding_mistake_reads_the_same_everywhere(self, params):
         """One validator behind every entry point (the façade and the
-        session used to word an unbound marker differently).  A path
-        bound in a value's place is a mistake of the value, which the
-        engine in either mode and a compiled artifact read the same way."""
+        session used to word an unbound marker differently, and the
+        engine ran past an unknown one).  A missing marker, an unknown
+        one and a path bound in a value's place read the same at the
+        façade, the session, the engine in either mode and a compiled
+        artifact."""
 
         db = rs_database()
         session = db.session()
@@ -601,17 +603,12 @@ class TestSessionTemplates:
             lambda: db.prepare(template).run(**params),
             lambda: session.run(template, params=params),
             lambda: template.bind_params(params),
+            lambda: compile_plan(template).run(db.instance, params=params),
         ]
-        if any(isinstance(value, P.Path) for value in params.values()):
-            calls += [
-                lambda mode=mode: execute(
-                    template, db.instance, mode=mode, params=params
-                )
-                for mode in ("interpret", "compiled")
-            ]
-            calls.append(
-                lambda: compile_plan(template).run(db.instance, params=params)
-            )
+        calls += [
+            lambda mode=mode: execute(template, db.instance, mode=mode, params=params)
+            for mode in ("interpret", "compiled")
+        ]
         messages = set()
         for call in calls:
             with pytest.raises(ParameterBindingError) as caught:
@@ -619,6 +616,19 @@ class TestSessionTemplates:
             messages.add(str(caught.value))
         assert len(messages) == 1, messages
         session.close()
+        db.close()
+
+    @pytest.mark.parametrize("mode", ["interpret", "compiled"])
+    def test_a_plan_that_dropped_a_marker_runs(self, mode):
+        """An unsatisfiable template's plan need not keep its marker's
+        condition; the engine checks the plan's own markers exactly, so
+        the façade hands it those."""
+
+        db = rs_database(exec_mode=mode)
+        template = "select struct(B = r.B) from R r where r.B = 0 and r.B = 1 and r.A = $a"
+        assert not db.optimize(template).best.query.param_names()
+        assert db.execute(template, params={"a": 1}).results == frozenset()
+        assert db.prepare(template).run(a=2).results == frozenset()
         db.close()
 
     def test_cache_register_rejects_templates(self):

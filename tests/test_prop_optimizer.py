@@ -13,8 +13,10 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from backchase_oracle import rule_normal_forms
 from conftest import constraint_pool, constraint_sets, pc_queries
 from repro.backchase import backchase
+from repro.api.context import OptimizeContext
 from repro.chase.chase import ChaseEngine, chase
 from repro.errors import BackchaseError, ChaseNonTermination
+from repro.lru import LRU
 from repro.model.instance import Instance
 from repro.model.values import Row
 from repro.optimizer.optimizer import Optimizer
@@ -183,7 +185,9 @@ def test_served_lookup_safety_is_the_from_scratch_verdict(query, deps):
 # Every verdict the search reaches is a chase fact, and the chase compares
 # constants only for equality: an injective renaming π of a query's
 # constants that keeps every constant a dependency mentions renames the
-# search without changing it.  The normal forms of π(Q) are π of Q's.
+# search without changing it.  The normal forms of π(Q) are π of Q's — and
+# so a search from π(Q) may read the verdicts Q's search kept (the
+# database's verdict store, ``minimal_subqueries``' ``verdict_store``).
 
 
 def dependency_constants(deps):
@@ -238,20 +242,22 @@ def draw_renaming(draw, query, deps):
     return dict(zip(renamed, map(Const, image)))
 
 
-def searched(query, deps, strategy, statistics=None, max_nodes=250, **options):
-    """Normal forms of the search from ``query``'s universal plan, and
-    whether that plan is unsatisfiable (two constants in one class)."""
+def searched(query, deps, strategy, statistics=None, max_nodes=250, store=None):
+    """Normal forms of the search from ``query``'s universal plan (its
+    verdicts kept in ``store``, if given), and whether that plan is
+    unsatisfiable (two constants in one class)."""
 
     universal = chase(query, deps, 80)
-    if strategy == "pruned":
-        options["statistics"] = statistics or Statistics()
+    context = OptimizeContext(
+        constraints=tuple(deps), statistics=statistics or Statistics()
+    )
     forms = backchase.minimal_subqueries(
         universal.query,
-        deps,
         engine=ChaseEngine(deps, 80),
         max_nodes=max_nodes,
         strategy=strategy,
-        **options,
+        context=context,
+        verdict_store=store,
     )
     return forms, universal.congruence.inconsistent
 
@@ -270,15 +276,32 @@ def form_keys(forms, inconsistent, pi=None):
 
 
 def assert_generic(query, deps, pi, strategy, statistics=None, max_nodes=250):
+    """Three ways to the normal forms of π(Q) agree: π of Q's, π(Q)'s own
+    search, and π(Q)'s search reading the verdict store Q's search filled
+    — and every verdict the store serves is the one π(Q)'s search decides
+    (a fresh store reads nothing: that search is store-less)."""
+
+    shared, alone = LRU(), LRU()
     try:
-        forms, inconsistent = searched(query, deps, strategy, statistics, max_nodes)
+        forms, inconsistent = searched(
+            query, deps, strategy, statistics, max_nodes, shared
+        )
     except (ChaseNonTermination, BackchaseError):
         assume(False)
-    renamed, renamed_inconsistent = searched(
-        rename_constants(query, pi), deps, strategy, statistics, max_nodes
+    renamed = rename_constants(query, pi)
+    own, own_inconsistent = searched(
+        renamed, deps, strategy, statistics, max_nodes, alone
     )
-    assert renamed_inconsistent == inconsistent
-    assert form_keys(forms, inconsistent, pi) == form_keys(renamed, inconsistent)
+    served, _ = searched(renamed, deps, strategy, statistics, max_nodes, shared)
+    assert own_inconsistent == inconsistent
+    expected = form_keys(forms, inconsistent, pi)
+    assert form_keys(own, inconsistent) == expected
+    assert form_keys(served, inconsistent) == expected
+    ((key, decided),) = alone.items()
+    kept = dict(shared.items()).get(key, {})
+    assert {k: kept[k] for k in decided.keys() & kept.keys()} == {
+        k: decided[k] for k in decided.keys() & kept.keys()
+    }
 
 
 @settings(
@@ -293,9 +316,9 @@ def assert_generic(query, deps, pi, strategy, statistics=None, max_nodes=250):
     data=st.data(),
 )
 def test_normal_forms_are_generic_in_the_constants(query, deps, strategy, data):
-    """π(Q)'s normal forms are π of Q's, on generated queries and
-    constraint sets (the ``ENTANGLING`` arm, whose EGD writes a constant,
-    included)."""
+    """π(Q)'s normal forms are π of Q's, with and without the verdicts
+    Q's search stored, on generated queries and constraint sets (the
+    ``ENTANGLING`` arm, whose EGD writes a constant, included)."""
 
     assert_generic(query, deps, draw_renaming(data.draw, query, deps), strategy)
 
