@@ -6,8 +6,10 @@ only a shape's *first* request decides them; a later request with fresh
 constants reads them.  This driver serves each workload's request stream
 (one set-up, ``--cycles`` cycles over its shapes, the constants
 ``shape_cycles`` draws from ``--seed``) and prints, per shape, the wall
-time of its first request and the median of its later ones, in ms.
-Single runs, no tracing: run it on two checkouts, alternating, to compare.
+time of its first request and the median of its later ones, in ms,
+scaled to the box's reference speed as ``benchmarks/perf`` scales its
+times (``harness.SpeedMeter``).  Single runs, no tracing: run it on two
+checkouts, alternating, to compare.
 
     PYTHONPATH=src python benchmarks/first_repeat.py [--seed 1] [--cycles 6]
 """
@@ -22,6 +24,7 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent / "perf"))
+from harness import SpeedMeter  # noqa: E402
 from workloads import ColdMix, ColdProjDept  # noqa: E402
 
 #: a request's shape: its text with every constant written ``?``
@@ -33,14 +36,18 @@ def first_and_repeat(workload, cycles: int):
     ``cycles`` cycles (a shape without constants is sent once)."""
 
     workload.setup()
-    times = {}
+    spans = []
     requests = (req for block in workload.blocks() for req in block)
-    for _, req in zip(range(cycles * len(workload.SHAPES)), requests):
-        start = time.perf_counter()
-        workload.serve(req)
-        elapsed = 1000 * (time.perf_counter() - start)
-        times.setdefault(CONSTANT.sub("?", req.text), []).append(elapsed)
+    with SpeedMeter() as meter:
+        for _, req in zip(range(cycles * len(workload.SHAPES)), requests):
+            start = time.perf_counter()
+            workload.serve(req)
+            spans.append((CONSTANT.sub("?", req.text), start, time.perf_counter()))
     workload.close()
+    times = {}
+    for shape, start, end in spans:
+        scaled = 1000 * (end - start) / meter.slowdown(start, end)
+        times.setdefault(shape, []).append(scaled)
     return times
 
 

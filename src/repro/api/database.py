@@ -45,12 +45,12 @@ from repro.constraints.epcd import EPCD
 from repro.errors import ParameterBindingError, ReproError
 from repro.exec.columnar import COLUMNS
 from repro.exec.engine import ExecutionResult, execute, explain
+from repro.lru import LRU
 from repro.model.instance import Instance
 from repro.model.schema import Schema
 from repro.obs import Observability, ObsConfig
 from repro.obs.analyze import AnalyzeResult, analyze_query
 from repro.optimizer.cost import CostModel, _attr_of, _selectivity
-from repro.lru import LRU
 from repro.optimizer.optimizer import OptimizationResult, Optimizer, Plan
 from repro.optimizer.statistics import Statistics, default_sample
 from repro.query.ast import PCQuery

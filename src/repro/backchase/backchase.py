@@ -93,7 +93,6 @@ below and ``tests/test_chase_differential.py`` have the traps).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Mapping
@@ -743,50 +742,54 @@ def constant_markers(query: PCQuery, kept: AbstractSet[Path]) -> Dict[Path, Path
     return markers
 
 
-def shape_key(query: PCQuery, markers: Mapping[Path, Path]) -> str:
-    """``query``'s canonical key with each constant in ``markers`` written
-    as its marker: one key per shape, the canonical form's text with the
-    few paths that hold such a constant rewritten (the canonical key itself
-    when none does)."""
+class ShapeKeys:
+    """The key of each shape a search meets: its canonical key with each
+    constant in ``markers`` written as its marker (the canonical key
+    itself when it holds none).  One per search: the paths it rewrote
+    are remembered, and most recur in every candidate."""
 
-    canon = query.canonical()
-    if not markers:
-        return query.canonical_key()
-    # A path holds a marked constant only if its text holds the constant's
-    # (not inside a name or another number).
-    search = re.compile(
-        "|".join(rf"(?<![\w.]){re.escape(c._str)}(?![\w.])" for c in markers)
-    ).search
+    def __init__(self, markers: Mapping[Path, Path]) -> None:
+        self.markers = markers
+        self._texts = [c._str for c in markers]
+        self._marked: Dict[Path, Path] = {}
 
-    def mark(path: Path) -> Path:
-        if search(path._str) is None:
-            return path
-        return P.transform(path, lambda t: markers.get(t, t))
+    def _mark(self, path: Path) -> Path:
+        marked = self._marked.get(path)
+        if marked is None:
+            marked = path
+            # only a path whose text holds a constant's can hold it
+            if any(text in path._str for text in self._texts):
+                marked = P.transform(path, lambda t: self.markers.get(t, t))
+            self._marked[path] = marked
+        return marked
 
-    output, bindings = canon.output, canon.bindings
-    if any(search(p._str) for p in output.paths()):
-        if isinstance(output, StructOutput):
-            output = StructOutput(tuple((n, mark(p)) for n, p in output.fields))
-        else:
-            output = PathOutput(mark(output.path))
-    if any(search(b.source._str) for b in bindings):
-        bindings = tuple(Binding(b.var, mark(b.source)) for b in bindings)
-    conditions = canon.conditions
-    if any(search(c.left._str) or search(c.right._str) for c in conditions):
-        conditions = tuple(
-            sorted(
-                (
-                    Eq(mark(c.left), mark(c.right)).normalized()
-                    if search(c.left._str) or search(c.right._str)
-                    else c
-                    for c in conditions
-                ),
-                key=Eq.key,
+    def _mark_eq(self, cond: Eq) -> Eq:
+        left, right = self._mark(cond.left), self._mark(cond.right)
+        if left is cond.left and right is cond.right:
+            return cond
+        return Eq(left, right).normalized()
+
+    def __call__(self, query: PCQuery) -> str:
+        if not self.markers:
+            return query.canonical_key()
+        canon = query.canonical()
+        mark = self._mark
+        output, bindings, conditions = canon.output, canon.bindings, canon.conditions
+        paths = output.paths()
+        if any(mark(p) is not p for p in paths):
+            if isinstance(output, StructOutput):
+                output = StructOutput(tuple((n, mark(p)) for n, p in output.fields))
+            else:
+                output = PathOutput(mark(output.path))
+        if any(mark(b.source) is not b.source for b in bindings):
+            bindings = tuple(Binding(b.var, mark(b.source)) for b in bindings)
+        if any(mark(c.left) is not c.left or mark(c.right) is not c.right for c in conditions):
+            conditions = tuple(
+                sorted((self._mark_eq(c) for c in conditions), key=Eq.key)
             )
-        )
-    elif output is canon.output and bindings is canon.bindings:
-        return query.canonical_key()
-    return str(PCQuery(output, bindings, conditions))
+        elif output is canon.output and bindings is canon.bindings:
+            return query.canonical_key()
+        return str(PCQuery(output, bindings, conditions))
 
 
 @dataclass
@@ -880,7 +883,7 @@ def minimal_subqueries(
     ``verdict_store``: an :class:`~repro.lru.LRU` the verdicts outlive the
     search in (the :class:`~repro.api.database.Database` owns one).  Its
     entry is the root's verdict memo, keyed by ``context``'s constraint
-    fingerprint and the root's shape up to its constants (``shape_key``),
+    fingerprint and the root's shape up to its constants (``ShapeKeys``),
     so a later search from a root that differs only in constants decides
     none of them again.  It needs ``context``, and the constraint set is
     the context's.
@@ -934,9 +937,9 @@ def minimal_subqueries(
     engine_misses0 = engine.containment.misses
 
     root = quick_simplify_conditions(query)
-    # Every shape is keyed up to the root's constants (``shape_key``).
-    markers = constant_markers(root, engine.constants)
-    root_key = shape_key(root, markers)
+    # Every shape is keyed up to the root's constants.
+    key_of = ShapeKeys(constant_markers(root, engine.constants))
+    root_key = key_of(root)
 
     # The acceptance memo, the one store of the search's verdicts.  Every
     # node of the search is equivalent to the root, so a candidate's
@@ -950,11 +953,11 @@ def minimal_subqueries(
     verdicts: Dict[str, bool] = {}
     if verdict_store is not None:
         store_key = (context.constraints_fingerprint(), root_key)
-        kept = verdict_store.get(store_key)
-        if kept is None:
+        stored = verdict_store.get(store_key)
+        if stored is None:
             verdict_store.put(store_key, verdicts)
         else:
-            verdicts = kept
+            verdicts = stored
     memo_hits = computed = 0
 
     # antichain of minimal accepted binding-variable sets -> subquery
@@ -1026,7 +1029,7 @@ def minimal_subqueries(
                 )
                 ckey = keys.get(shape)
                 if ckey is None:
-                    ckey = keys[shape] = shape_key(candidate, markers)
+                    ckey = keys[shape] = key_of(candidate)
                 verdict = verdicts.get(ckey)
                 if verdict is None:
                     keep_congruence(candidate)

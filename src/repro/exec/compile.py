@@ -129,7 +129,6 @@ class CompiledPlan:
     query: PCQuery
     source: str
     plan_text: str
-    param_names: Tuple[str, ...]
     fn: Callable[..., FrozenSet[Any]] = field(repr=False)
     #: structured codegen facts (locals, params, namespace, lookup sites)
     #: for the static verifier; ``None`` on artifacts built elsewhere.
@@ -615,7 +614,6 @@ def compile_plan(
         query=query,
         source=plan.source,
         plan_text=compile_query(query, cached_names=cached_names).explain(),
-        param_names=query.param_names(),
         fn=namespace["_plan"],
         metadata=plan.metadata,
         feedback=feedback,

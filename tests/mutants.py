@@ -320,15 +320,10 @@ ROWS: Tuple[Row, ...] = (
     Row(
         "give two equal constants two markers",
         "src/repro/backchase/backchase.py",
-        "                    Eq(mark(c.left), mark(c.right)).normalized()\n"
-        "                    if search(c.left._str) or search(c.right._str)\n"
-        "                    else c\n"
-        "                    for c in conditions\n",
-        "                    Eq(*[P.transform(side, lambda t, i=i: Param(f'#{i}') "
-        "if t in markers else t) for side in (c.left, c.right)]).normalized()\n"
-        "                    if search(c.left._str) or search(c.right._str)\n"
-        "                    else c\n"
-        "                    for i, c in enumerate(conditions)\n",
+        "                sorted((self._mark_eq(c) for c in conditions), key=Eq.key)\n",
+        "                sorted((Eq(*[P.transform(side, lambda t, i=i: Param(f'#{i}') "
+        "if t in self.markers else t) for side in (c.left, c.right)]).normalized() "
+        "for i, c in enumerate(conditions)), key=Eq.key)\n",
         (
             "tests/test_verdict_store.py::TestTheKey::"
             "test_equal_constants_share_a_marker",

@@ -23,7 +23,7 @@ from repro import Database, Instance, Row
 from repro.advisor.candidates import Candidate
 from repro.api.context import OptimizeContext
 from repro.api.database import CacheConfig
-from repro.backchase.backchase import constant_markers, shape_key
+from repro.backchase.backchase import ShapeKeys, constant_markers
 from repro.chase.chase import ChaseEngine
 from repro.errors import BackchaseError
 from repro.lru import LRU
@@ -176,7 +176,7 @@ class TestTheKey:
         markers = constant_markers(query, ChaseEngine([dep]).constants)
         assert markers == {Const("x"): Param("#0"), Const(7): Param("#1"), Const(9): Param("#2")}
         assert Const(7.0) is Const(7)
-        key = shape_key(query, markers)
+        key = ShapeKeys(markers)(query)
         assert key.count("$#0") == 2 and '"x"' not in key and " 4" in key
 
         twins = parse_query("select r.A from R r where r.A = 1 and r.B = true and r.C = 3")
