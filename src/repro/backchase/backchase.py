@@ -693,9 +693,10 @@ def accept_candidate(
 
 
 def constant_markers(query: PCQuery, kept: AbstractSet[Path]) -> Dict[Path, Path]:
-    """The marker (``$#0``, ``$#1``, ...) each constant of ``query`` is
-    keyed by, one per constant, numbered by first occurrence with the
-    conditions ordered blind to the constants.  A constant stays literal
+    """The marker (``$#0``, ``$#1``, ...; no parsed ``$`` name starts with
+    ``#``) each constant of ``query`` is keyed by, one per constant,
+    numbered by first occurrence with the conditions ordered blind to the
+    constants.  A constant stays literal
     when it is in ``kept`` (the constants the dependencies mention,
     ``ChaseEngine.constants``), when another constant of the query or of
     ``kept`` equals it without being it (``True`` beside ``1``), when it is
