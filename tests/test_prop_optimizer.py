@@ -15,6 +15,7 @@ from conftest import constraint_pool, constraint_sets, pc_queries
 from repro.backchase import backchase
 from repro.api.context import OptimizeContext
 from repro.chase.chase import ChaseEngine, chase
+from repro.chase.containment import is_contained_in
 from repro.errors import BackchaseError, ChaseNonTermination
 from repro.lru import LRU
 from repro.model.instance import Instance
@@ -364,3 +365,98 @@ def test_workload_normal_forms_are_generic_in_the_constants(name, strategy):
     assert_generic(
         query, list(workload.constraints), pi, strategy, statistics, max_nodes=20_000
     )
+
+
+# -- genericity of step 3: condition pruning's containment pairs ---------------
+#
+# Condition pruning asks whether a normal form less one condition is
+# contained in the form: a chase fact of the same kind as condition (3),
+# so the same renaming π keeps its verdict.
+
+
+def pruning_pairs(query, deps, strategy, statistics=None, max_nodes=250):
+    """Every (trial, reference) pair condition pruning asks while ``query``
+    is optimized, once each (``ChaseEngine.contained_in`` is asked by
+    ``prune_conditions`` alone)."""
+
+    context = OptimizeContext(
+        constraints=tuple(deps),
+        statistics=statistics or Statistics(),
+        strategy=strategy,
+        max_chase_steps=80,
+        max_backchase_nodes=max_nodes,
+    )
+    pairs = {}
+    asked = ChaseEngine.contained_in
+
+    def recording(engine, q1, q2, *rest):
+        pairs.setdefault((q1.canonical_key(), q2.canonical_key()), (q1, q2))
+        return asked(engine, q1, q2, *rest)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ChaseEngine, "contained_in", recording)
+        Optimizer(context=context).optimize(query)
+    return list(pairs.values())
+
+
+def assert_pruning_generic(query, deps, pi, strategy, statistics=None, max_nodes=250):
+    """Each pair condition pruning asks on ``query`` keeps its verdict
+    under π, both sides renamed by the one π."""
+
+    try:
+        pairs = pruning_pairs(query, deps, strategy, statistics, max_nodes)
+    except (ChaseNonTermination, BackchaseError):
+        assume(False)
+    for q1, q2 in pairs:
+        verdict = is_contained_in(q1, q2, deps, ChaseEngine(deps, 80))
+        renamed = is_contained_in(
+            rename_constants(q1, pi), rename_constants(q2, pi), deps, ChaseEngine(deps, 80)
+        )
+        assert renamed == verdict, (str(q1), str(q2), pi)
+    return pairs
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(
+    query=pc_queries(),
+    deps=indexed_constraint_sets(),
+    strategy=st.sampled_from(("full", "pruned")),
+    data=st.data(),
+)
+def test_pruning_verdicts_are_generic_in_the_constants(query, deps, strategy, data):
+    """On generated queries and constraint sets (``ENTANGLING`` included)."""
+
+    pi = draw_renaming(data.draw, query, deps)
+    assert_pruning_generic(query, deps, pi, strategy)
+
+
+@settings(max_examples=15, deadline=None)
+@given(scenario=scenarios(), strategy=st.sampled_from(("full", "pruned")), data=st.data())
+def test_scenario_pruning_verdicts_are_generic_in_the_constants(scenario, strategy, data):
+    """On the physical designs of :func:`scenarios`, costed under the
+    instance's statistics."""
+
+    instance, deps, query = scenario
+    pi = draw_renaming(data.draw, query, deps)
+    assert_pruning_generic(query, deps, pi, strategy, Statistics.from_instance(instance))
+
+
+@pytest.mark.parametrize("name", sorted(GENERIC_WORKLOADS))
+def test_workload_pruning_verdicts_are_generic_in_the_constants(name):
+    """On each workload's constant-carrying query (the default strategy:
+    its coster prunes every normal form the search completes)."""
+
+    from repro.api.workloads import build_workload
+
+    workload = build_workload(name)
+    text, renaming = GENERIC_WORKLOADS[name]
+    query = parse_query(text) if text else workload.query
+    pi = {Const(old): Const(new) for old, new in renaming.items()}
+    pairs = assert_pruning_generic(
+        query, list(workload.constraints), pi, "pruned", workload.statistics, 20_000
+    )
+    assert pairs
