@@ -8,8 +8,11 @@ constants reads them.  This driver serves each workload's request stream
 ``shape_cycles`` draws from ``--seed``) and prints, per shape, the wall
 time of its first request and the median of its later ones, in ms,
 scaled to the box's reference speed as ``benchmarks/perf`` scales its
-times (``harness.SpeedMeter``).  Single runs, no tracing: run it on two
-checkouts, alternating, to compare.
+times (``harness.SpeedMeter``).  Beside them, per request, the verdicts
+it decided, read off its plan-cache entry's ``OptimizationResult`` right
+after it ran: condition (3) / lookup-safety chases / condition-pruning
+containments (``0/0/0`` for a plan-cache hit).  Single runs, no tracing:
+run it on two checkouts, alternating, to compare.
 
     PYTHONPATH=src python benchmarks/first_repeat.py [--seed 1] [--cycles 6]
 """
@@ -31,23 +34,43 @@ from workloads import ColdMix, ColdProjDept  # noqa: E402
 CONSTANT = re.compile(r'"[^"]*"|(?<![\w.])-?\d+(?:\.\d+)?')
 
 
+def decided(db, text: str, misses: int) -> str:
+    """The verdicts the request for ``text`` just decided, as
+    ``condition (3)/lookup-safety chases/pruning containments``: read off
+    its plan-cache entry (a probe that hits the entry the request left
+    most recent), or none if the request itself hit (``misses`` is the
+    cache's miss count before it)."""
+
+    if db.plan_cache_info().misses == misses:
+        return "0/0/0"
+    result = db.optimize(text)
+    pruning = result.containment.misses
+    condition3 = sum(result.containment_decisions.values()) - pruning
+    return f"{condition3}/{result.lookup_decisions['chased']}/{pruning}"
+
+
 def first_and_repeat(workload, cycles: int):
-    """``shape -> [first ms, later ms...]`` over the workload's first
-    ``cycles`` cycles (a shape without constants is sent once)."""
+    """``shape -> [(first ms, verdicts), (later ms, verdicts)...]`` over the
+    workload's first ``cycles`` cycles (a shape without constants is sent
+    once)."""
 
     workload.setup()
     spans = []
     requests = (req for block in workload.blocks() for req in block)
     with SpeedMeter() as meter:
         for _, req in zip(range(cycles * len(workload.SHAPES)), requests):
+            db = workload.databases[req.target]
+            misses = db.plan_cache_info().misses
             start = time.perf_counter()
             workload.serve(req)
-            spans.append((CONSTANT.sub("?", req.text), start, time.perf_counter()))
+            end = time.perf_counter()
+            verdicts = decided(db, req.text, misses)
+            spans.append((CONSTANT.sub("?", req.text), start, end, verdicts))
     workload.close()
     times = {}
-    for shape, start, end in spans:
+    for shape, start, end, verdicts in spans:
         scaled = 1000 * (end - start) / meter.slowdown(start, end)
-        times.setdefault(shape, []).append(scaled)
+        times.setdefault(shape, []).append((scaled, verdicts))
     return times
 
 
@@ -58,12 +81,21 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     for cls in (ColdProjDept, ColdMix):
         times = first_and_repeat(cls(args.seed), args.cycles)
-        print(f"{cls.name}: first / median of later requests, ms")
-        for shape, ms in times.items():
+        print(
+            f"{cls.name}: first / median of later requests, ms; the verdicts "
+            "each request decided (condition 3/lookup chases/pruning)"
+        )
+        for shape, runs in times.items():
+            ms = [scaled for scaled, _ in runs]
             later = f"{statistics.median(ms[1:]):8.1f}" if len(ms) > 1 else "       -"
-            print(f"  {ms[0]:8.1f} {later}  {shape[:90]}")
-        firsts = [ms[0] for ms in times.values()]
-        laters = [statistics.median(ms[1:]) for ms in times.values() if len(ms) > 1]
+            verdicts = " ".join(v for _, v in runs)
+            print(f"  {ms[0]:8.1f} {later}  {verdicts}\n      {shape[:90]}")
+        firsts = [runs[0][0] for runs in times.values()]
+        laters = [
+            statistics.median(scaled for scaled, _ in runs[1:])
+            for runs in times.values()
+            if len(runs) > 1
+        ]
         print(
             f"  median over shapes: first {statistics.median(firsts):.1f}, "
             f"later {statistics.median(laters):.1f}"

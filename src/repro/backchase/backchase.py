@@ -793,6 +793,57 @@ class ShapeKeys:
         return str(PCQuery(output, bindings, conditions))
 
 
+class RootVerdicts:
+    """The verdicts kept under one root, up to the root's constants.
+
+    One dict, keyed by ``ShapeKeys`` under the root's one marker mapping:
+    condition (3) with lookup safety per candidate shape (a key), and the
+    containment verdicts step 3's condition pruning asks per (trial,
+    reference) pair (a pair of keys: one injective renaming covers both
+    sides).  The dict is the search's own, or — given ``store``, an
+    :class:`~repro.lru.LRU` — the store's entry for ``context``'s
+    constraint fingerprint and the root's key, so a later search from a
+    root that differs only in constants decides none of them again.
+    ``engine`` decides what the dict does not hold; it must chase with
+    the context's constraint set, which keys the store.
+    """
+
+    def __init__(
+        self,
+        query: PCQuery,
+        engine: ChaseEngine,
+        context=None,
+        store: Optional[LRU] = None,
+    ) -> None:
+        if store is not None and (
+            context is None or engine.deps != list(context.constraints)
+        ):
+            raise BackchaseError(
+                "a verdict store is keyed by the context's constraint set: "
+                "pass context, and an engine that chases with it"
+            )
+        self.query, self.engine = query, engine
+        self.root = quick_simplify_conditions(query)
+        self.key_of = ShapeKeys(constant_markers(self.root, engine.constants))
+        self.root_key = self.key_of(self.root)
+        self.memo: Dict = {}
+        if store is not None:
+            store_key = (context.constraints_fingerprint(), self.root_key)
+            stored = store.get(store_key)
+            if stored is None:
+                store.put(store_key, self.memo)
+            else:
+                self.memo = stored
+
+    def contained_in(self, q1: PCQuery, q2: PCQuery) -> bool:
+        """``q1 ⊑ q2`` (shapes of this root's search), decided by the
+        engine on the real pair and remembered here under the pair's keys."""
+
+        return self.engine.contained_in(
+            q1, q2, self.memo, (self.key_of(q1), self.key_of(q2))
+        )
+
+
 @dataclass
 class BackchaseStats:
     """Instrumentation for the enumeration (used by benchmarks).
@@ -814,7 +865,8 @@ class BackchaseStats:
       shape, a reused binding set or a verdict an earlier search stored
       counting as a hit) plus the engine's
       :meth:`~repro.chase.chase.ChaseEngine.contained_in` traffic during
-      the search (the pruned coster's ``prune_conditions``).
+      the search (the pruned coster's ``prune_conditions``, whose pair
+      verdicts an earlier search stored count as hits too).
     """
 
     nodes_visited: int = 0
@@ -855,7 +907,7 @@ def minimal_subqueries(
     cost_model: Optional[CostModel] = None,
     plan_cost: Optional[PlanCost] = None,
     cost_floor: Optional[CostFloor] = None,
-    verdict_store: Optional[LRU] = None,
+    verdicts: Optional[RootVerdicts] = None,
 ) -> List[PCQuery]:
     """Normal forms of backchasing ``query``.
 
@@ -881,20 +933,17 @@ def minimal_subqueries(
     function's default is ``"full"`` for Theorem 2 completeness, which
     deliberately differs from the optimizer's.)
 
-    ``verdict_store``: an :class:`~repro.lru.LRU` the verdicts outlive the
-    search in (the :class:`~repro.api.database.Database` owns one).  Its
-    entry is the root's verdict memo, keyed by ``context``'s constraint
-    fingerprint and the root's shape up to its constants (``ShapeKeys``),
-    so a later search from a root that differs only in constants decides
-    none of them again.  It needs ``context``, and the constraint set is
-    the context's.
+    ``verdicts``: the :class:`RootVerdicts` of ``query`` the search keeps
+    its verdicts in and decides them with (its engine; ``engine`` may
+    only repeat it) — a verdict store's entry, and the lookup the caller's
+    coster prunes conditions through (the :class:`Optimizer` builds one
+    per optimize).  By default a fresh one, the search's own.
     """
 
-    if verdict_store is not None and (context is None or deps is not None):
-        raise BackchaseError(
-            "a verdict store is keyed by the context's constraint set: "
-            "pass context, not deps"
-        )
+    if verdicts is not None and (
+        verdicts.query is not query or engine not in (None, verdicts.engine)
+    ):
+        raise BackchaseError("these verdicts belong to another search")
     if deps is None and context is not None:
         deps = list(context.constraints)
     if deps is None:
@@ -932,15 +981,15 @@ def minimal_subqueries(
             f"unknown backchase strategy {strategy!r} (expected 'full' or 'pruned')"
         )
 
-    engine = engine or ChaseEngine(list(deps))
+    if verdicts is None:
+        verdicts = RootVerdicts(query, engine or ChaseEngine(list(deps)))
+    engine = verdicts.engine
     stats = stats if stats is not None else BackchaseStats()
     engine_hits0 = engine.containment.hits
     engine_misses0 = engine.containment.misses
 
-    root = quick_simplify_conditions(query)
     # Every shape is keyed up to the root's constants.
-    key_of = ShapeKeys(constant_markers(root, engine.constants))
-    root_key = key_of(root)
+    root, key_of, root_key = verdicts.root, verdicts.key_of, verdicts.root_key
 
     # The acceptance memo, the one store of the search's verdicts.  Every
     # node of the search is equivalent to the root, so a candidate's
@@ -951,14 +1000,7 @@ def minimal_subqueries(
     # lookup safety — per shape, however many removal orders re-derive
     # it.  Bounded by the node budget; with a store, it is the root's
     # entry, shared with every search from the same root up to constants.
-    verdicts: Dict[str, bool] = {}
-    if verdict_store is not None:
-        store_key = (context.constraints_fingerprint(), root_key)
-        stored = verdict_store.get(store_key)
-        if stored is None:
-            verdict_store.put(store_key, verdicts)
-        else:
-            verdicts = stored
+    memo = verdicts.memo
     memo_hits = computed = 0
 
     # antichain of minimal accepted binding-variable sets -> subquery
@@ -1031,10 +1073,10 @@ def minimal_subqueries(
                 ckey = keys.get(shape)
                 if ckey is None:
                     ckey = keys[shape] = key_of(candidate)
-                verdict = verdicts.get(ckey)
+                verdict = memo.get(ckey)
                 if verdict is None:
                     keep_congruence(candidate)
-                    verdict = verdicts[ckey] = accept_candidate(
+                    verdict = memo[ckey] = accept_candidate(
                         candidate, current, engine, accepted.values(), refuted
                     )
                     computed += 1

@@ -403,7 +403,9 @@ class ChaseEngine:
     candidate subquery with the same constraint set; one live
     :class:`ChaseState` per canonical form removes the repeated work.  The
     search remembers its own condition-(3) verdicts; :meth:`contained_in`
-    remembers those of a caller that asks a pair again.
+    remembers those of a caller that asks a pair again, in the caller's
+    dict (the optimizer's condition pruning: its search's verdicts) or in
+    :attr:`containment`.
     """
 
     def __init__(
@@ -454,8 +456,9 @@ class ChaseEngine:
         )
         self.cache_hits = 0
         self.cache_misses = 0
-        #: :meth:`contained_in`'s verdicts per canonical (q1, q2) pair; an
-        #: engine lives for one optimization, so nothing bounds it
+        #: :meth:`contained_in`'s verdicts per canonical (q1, q2) pair, and
+        #: the hits and misses of its every probe; an engine lives for one
+        #: optimization, so nothing bounds it
         self.containment = LRU()
 
     def chase_counts(self) -> Dict[str, int]:
@@ -465,22 +468,36 @@ class ChaseEngine:
         stopped = sum(not s.done for s in states)
         return {"steps": sum(s.steps for s in states), "stopped": stopped}
 
-    def contained_in(self, q1: PCQuery, q2: PCQuery) -> bool:
-        """Decide ``q1 ⊑ q2`` under this engine's dependencies, remembered
-        per canonical pair in :attr:`containment` (exactly
+    def contained_in(
+        self,
+        q1: PCQuery,
+        q2: PCQuery,
+        verdicts: Optional[Dict] = None,
+        key: Optional[Tuple] = None,
+    ) -> bool:
+        """Decide ``q1 ⊑ q2`` under this engine's dependencies (exactly
         :func:`repro.chase.containment.is_contained_in`'s verdict, a pure
-        function of the pair and ``self.deps``)."""
+        function of the pair and ``self.deps``), remembered in
+        ``verdicts`` under ``key`` — by default per canonical pair in
+        :attr:`containment`, whose hits and misses count every probe
+        either way (the optimizer passes its search's
+        ``backchase.RootVerdicts``, keyed up to the root's constants)."""
 
         from repro.chase.containment import is_contained_in
 
-        key = (q1.canonical_key(), q2.canonical_key())
-        verdict = self.containment.get(key)
+        counts = self.containment
+        if verdicts is None:
+            verdicts, key = counts, (q1.canonical_key(), q2.canonical_key())
+        verdict = verdicts.get(key)
+        if verdicts is not counts:  # the LRU counts its own probes
+            counts.hits += verdict is not None
+            counts.misses += verdict is None
         if verdict is None:
             # a computed verdict is a span; a remembered one is a hit
             with self.tracer.span("chase.containment") as sp:
                 verdict = is_contained_in(q1, q2, self.deps, self)
                 sp.set(contained=verdict)
-            self.containment.put(key, verdict)
+            verdicts[key] = verdict
         return verdict
 
     def chase(self, query: PCQuery, goal: Optional[Goal] = None) -> ChaseState:

@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.backchase.backchase import BackchaseStats, minimal_subqueries
+from repro.backchase.backchase import BackchaseStats, RootVerdicts, minimal_subqueries
 from repro.chase.chase import ChaseEngine, ChaseResult, chase
 from repro.constraints.epcd import EPCD
 from repro.errors import OptimizationError
@@ -94,9 +94,10 @@ class OptimizationResult:
     best: Plan
     backchase_stats: BackchaseStats
     strategy: str = "full"
-    #: the run's ``ChaseEngine.contained_in`` traffic (the engine is
-    #: per-run, so these are this optimization's own hits/misses; the
-    #: search's own verdicts are in ``backchase_stats``)
+    #: the run's ``ChaseEngine.contained_in`` traffic — condition
+    #: pruning's pairs, a pair an earlier search stored counting as a hit
+    #: (the engine is per-run, so these are this optimization's own
+    #: hits/misses; the search's own verdicts are in ``backchase_stats``)
     containment: Optional[CacheInfo] = None
     #: how the run's lookup-safety decisions were reached
     #: (memo / guard / inferred / chased — ``backchase._failing_lookup_safe``)
@@ -148,9 +149,13 @@ class Optimizer:
         the optimizer's whole configuration is that one frozen context;
         the classic names below are read-only views of it.
 
-        ``verdict_store``: where the backchase keeps its verdicts beyond
-        one search (``minimal_subqueries``' argument; the
-        :class:`~repro.api.database.Database` passes its own)."""
+        ``verdict_store``: an :class:`~repro.lru.LRU` the verdicts of a
+        search outlive it in — condition (3), lookup safety and step 3's
+        condition-pruning pairs, one entry per constraint set and root up
+        to its constants (:class:`~repro.backchase.backchase.RootVerdicts`;
+        the :class:`~repro.api.database.Database` passes its own).  Only
+        facts are shared: every optimize still walks, builds and costs its
+        own search."""
 
         if context is None:
             # Lazy: repro.api imports this module.
@@ -218,12 +223,20 @@ class Optimizer:
 
         return chase(query, self.constraints, self.max_chase_steps)
 
+    def _root_verdicts(self, universal: PCQuery) -> RootVerdicts:
+        """Where the search from ``universal`` keeps its verdicts (the
+        ``verdict_store``'s entry, if the optimizer has a store) and the
+        fresh engine that decides them."""
+
+        engine = ChaseEngine(self.constraints, self.max_chase_steps, tracer=self.tracer)
+        return RootVerdicts(universal, engine, self.context, self.verdict_store)
+
     def minimal_plans(
         self,
         universal: PCQuery,
         stats: Optional[BackchaseStats] = None,
         strategy: Optional[str] = None,
-        engine: Optional[ChaseEngine] = None,
+        verdicts: Optional[RootVerdicts] = None,
     ) -> List[PCQuery]:
         """Phase 2: backchase normal forms of the universal plan.
 
@@ -231,31 +244,30 @@ class Optimizer:
         the best complete plan (run through the same costing pipeline the
         optimizer ranks plans with); with ``"full"`` it runs unbounded and
         every normal form is returned.  The search keeps its verdicts in
-        the optimizer's ``verdict_store``, if it has one.
+        ``verdicts`` (by default the optimizer's entry for ``universal``),
+        and the bound's coster prunes conditions through them.
         """
 
         strategy = strategy or self.strategy
-        engine = engine or ChaseEngine(
-            self.constraints, self.max_chase_steps, tracer=self.tracer
-        )
+        verdicts = verdicts or self._root_verdicts(universal)
         # The context carries the constraint set and the bound's catalog.
         return minimal_subqueries(
             universal,
-            engine=engine,
             max_nodes=self.max_backchase_nodes,
             stats=stats,
             strategy=strategy,
             context=self.context,
-            plan_cost=self._bounding_cost(engine) if strategy == "pruned" else None,
-            verdict_store=self.verdict_store,
+            plan_cost=self._bounding_cost(verdicts) if strategy == "pruned" else None,
+            verdicts=verdicts,
         )
 
     # -- the costing pipeline (Algorithm 1 steps 3-4) --------------------------
 
     def _variants(
-        self, form: PCQuery, engine: ChaseEngine
+        self, form: PCQuery, verdicts: RootVerdicts
     ) -> List[Tuple[PCQuery, bool]]:
-        """Normalized and (when applicable) non-failing-refined variants.
+        """Normalized and (when applicable) non-failing-refined variants,
+        conditions pruned through the search's ``verdicts``.
 
         Memoized per normal-form shape on the engine's lifetime so the
         pruned search and the final plan assembly share the work.
@@ -266,7 +278,9 @@ class Optimizer:
         got = cache.get(key)
         if got is None:
             cleaned = normalize_plan(form)
-            cleaned = prune_conditions(cleaned, self.constraints, engine)
+            cleaned = prune_conditions(
+                cleaned, self.constraints, contained_in=verdicts.contained_in
+            )
             cleaned = normalize_plan(cleaned)
             got = [(cleaned, False)]
             refined = nonfailing_refinement(cleaned)
@@ -298,7 +312,7 @@ class Optimizer:
             cache[key] = plan
         return plan
 
-    def _bounding_cost(self, engine: ChaseEngine):
+    def _bounding_cost(self, verdicts: RootVerdicts):
         """The pruned search's ``plan_cost``: a normal form's best *eligible*
         cost through the full costing pipeline, or ``None`` when no variant
         could be picked as the final answer (so it must not tighten the
@@ -309,7 +323,7 @@ class Optimizer:
         def plan_cost(form: PCQuery) -> Optional[float]:
             costs = [
                 self._costed(variant, refined).cost
-                for variant, refined in self._variants(form, engine)
+                for variant, refined in self._variants(form, verdicts)
                 if not physical_filter or self._costed(variant, refined).physical_only
             ]
             return min(costs) if costs else None
@@ -333,11 +347,10 @@ class Optimizer:
         self._pipeline_cache: Dict[str, List[Tuple[PCQuery, bool]]] = {}
         self._plan_cache: Dict[Tuple[str, bool], Plan] = {}
 
-        engine = ChaseEngine(
-            self.constraints, self.max_chase_steps, tracer=tracer
-        )
+        verdicts = self._root_verdicts(universal)
+        engine = verdicts.engine
         with tracer.span("phase.backchase", strategy=self.strategy) as sp:
-            normal_forms = self.minimal_plans(universal, bc_stats, engine=engine)
+            normal_forms = self.minimal_plans(universal, bc_stats, verdicts=verdicts)
             sp.set(
                 normal_forms=len(normal_forms),
                 candidates_explored=bc_stats.candidates_explored,
@@ -353,7 +366,7 @@ class Optimizer:
 
         with tracer.span("phase.cost") as sp:
             for form in normal_forms:
-                for variant, refined in self._variants(form, engine):
+                for variant, refined in self._variants(form, verdicts):
                     add(variant, refined=refined)
 
             plans: List[Plan] = [

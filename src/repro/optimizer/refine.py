@@ -22,7 +22,7 @@ since the chase-based equivalence check is exactly the safety proof.)
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.backchase.backchase import simplify_conditions, toposort_bindings
 from repro.chase.chase import ChaseEngine
@@ -83,6 +83,7 @@ def prune_conditions(
     query: PCQuery,
     deps: Sequence[EPCD],
     engine: Optional[ChaseEngine] = None,
+    contained_in: Optional[Callable[[PCQuery, PCQuery], bool]] = None,
 ) -> PCQuery:
     """Drop conditions implied by ``deps`` given the rest of the plan.
 
@@ -90,9 +91,16 @@ def prune_conditions(
     must still be contained in the original (the reverse direction is a
     pure weakening).  Larger conditions are attempted first so that
     residues like ``Dept[d].DName = d.DName`` go before their generators.
+
+    ``contained_in`` is what the drops are asked through: the optimizer
+    hands over its search's ``backchase.RootVerdicts.contained_in``, so a
+    pair an earlier search from the same root up to its constants decided
+    is not decided again; by default ``engine.contained_in``.  Either way
+    the pair asked is the real one, in the order computed on ``query``.
     """
 
-    engine = engine or ChaseEngine(list(deps))
+    if contained_in is None:
+        contained_in = (engine or ChaseEngine(list(deps))).contained_in
     conditions = sorted(
         query.conditions,
         key=lambda c: (-(P.size(c.left) + P.size(c.right)), c.key()),
@@ -100,11 +108,11 @@ def prune_conditions(
     changed = True
     while changed:
         changed = False
+        reference = PCQuery(query.output, query.bindings, tuple(conditions))
         for i in range(len(conditions)):
             trial = conditions[:i] + conditions[i + 1 :]
             candidate = PCQuery(query.output, query.bindings, tuple(trial))
-            reference = PCQuery(query.output, query.bindings, tuple(conditions))
-            if engine.contained_in(candidate, reference):
+            if contained_in(candidate, reference):
                 conditions = trial
                 changed = True
                 break

@@ -332,11 +332,34 @@ ROWS: Tuple[Row, ...] = (
     Row(
         "read the store across a constraint change",
         "src/repro/backchase/backchase.py",
-        "        store_key = (context.constraints_fingerprint(), root_key)\n",
-        "        store_key = root_key\n",
+        "            store_key = (context.constraints_fingerprint(), self.root_key)\n",
+        "            store_key = self.root_key\n",
         (
             "tests/test_verdict_store.py::TestTheKey::"
             "test_the_store_is_not_read_across_a_constraint_change",
+        ),
+    ),
+    Row(
+        "key a pruning verdict by its trial side alone",
+        "src/repro/backchase/backchase.py",
+        "            q1, q2, self.memo, (self.key_of(q1), self.key_of(q2))\n",
+        "            q1, q2, self.memo, self.key_of(q1)\n",
+        (
+            "tests/test_verdict_store.py::TestPairVerdicts::"
+            "test_a_pair_is_keyed_by_both_sides",
+        ),
+    ),
+    Row(
+        "decide a pruning verdict under another root's markers",
+        "src/repro/backchase/backchase.py",
+        "        return self.engine.contained_in(\n"
+        "            q1, q2, self.memo, (self.key_of(q1), self.key_of(q2))\n",
+        "        key_of = self.memo.setdefault(\"markers\", self.key_of)\n"
+        "        return self.engine.contained_in(\n"
+        "            q1, q2, self.memo, (key_of(q1), key_of(q2))\n",
+        (
+            "tests/test_verdict_store.py::TestARepeatedShape::"
+            "test_a_fresh_constant_prunes_no_condition_again",
         ),
     ),
     Row(

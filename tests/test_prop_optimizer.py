@@ -244,22 +244,25 @@ def draw_renaming(draw, query, deps):
 
 
 def searched(query, deps, strategy, statistics=None, max_nodes=250, store=None):
-    """Normal forms of the search from ``query``'s universal plan (its
-    verdicts kept in ``store``, if given), and whether that plan is
-    unsatisfiable (two constants in one class)."""
+    """Normal forms of the optimizer's search from ``query``'s universal
+    plan, each then cleaned as step 3 cleans it — its verdicts, condition
+    pruning's pairs included, kept in ``store``, if given — and whether
+    that plan is unsatisfiable (two constants in one class)."""
 
     universal = chase(query, deps, 80)
     context = OptimizeContext(
-        constraints=tuple(deps), statistics=statistics or Statistics()
-    )
-    forms = backchase.minimal_subqueries(
-        universal.query,
-        engine=ChaseEngine(deps, 80),
-        max_nodes=max_nodes,
+        constraints=tuple(deps),
+        statistics=statistics or Statistics(),
         strategy=strategy,
-        context=context,
-        verdict_store=store,
+        max_backchase_nodes=max_nodes,
     )
+    optimizer = Optimizer(context=context)
+    verdicts = backchase.RootVerdicts(
+        universal.query, ChaseEngine(context.constraints, 80), context, store
+    )
+    forms = optimizer.minimal_plans(universal.query, verdicts=verdicts)
+    for form in forms:
+        optimizer._variants(form, verdicts)  # prunes through the entry
     return forms, universal.congruence.inconsistent
 
 
@@ -279,8 +282,9 @@ def form_keys(forms, inconsistent, pi=None):
 def assert_generic(query, deps, pi, strategy, statistics=None, max_nodes=250):
     """Three ways to the normal forms of π(Q) agree: π of Q's, π(Q)'s own
     search, and π(Q)'s search reading the verdict store Q's search filled
-    — and every verdict the store serves is the one π(Q)'s search decides
-    (a fresh store reads nothing: that search is store-less)."""
+    — and every verdict the store serves, condition (3) per shape and
+    condition pruning's per pair, is the one π(Q)'s search decides (a
+    fresh store reads nothing: that search is store-less)."""
 
     shared, alone = LRU(), LRU()
     try:
@@ -300,9 +304,9 @@ def assert_generic(query, deps, pi, strategy, statistics=None, max_nodes=250):
     assert form_keys(served, inconsistent) == expected
     ((key, decided),) = alone.items()
     kept = dict(shared.items()).get(key, {})
-    assert {k: kept[k] for k in decided.keys() & kept.keys()} == {
-        k: decided[k] for k in decided.keys() & kept.keys()
-    }
+    both = decided.keys() & kept.keys()
+    assert {k: kept[k] for k in both} == {k: decided[k] for k in both}
+    return both
 
 
 @settings(
@@ -362,9 +366,11 @@ def test_workload_normal_forms_are_generic_in_the_constants(name, strategy):
     pi = {Const(old): Const(new) for old, new in renaming.items()}
     assert set(pi) <= set(query.all_terms())
     statistics = workload.statistics if strategy == "pruned" else None
-    assert_generic(
+    served = assert_generic(
         query, list(workload.constraints), pi, strategy, statistics, max_nodes=20_000
     )
+    # both kinds of verdict were served: per shape, and per pruning pair
+    assert {type(key) for key in served} == {str, tuple}
 
 
 # -- genericity of step 3: condition pruning's containment pairs ---------------

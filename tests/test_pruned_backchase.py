@@ -22,6 +22,7 @@ from repro import Database
 from repro.backchase import backchase as backchase_module
 from repro.backchase.backchase import (
     BackchaseStats,
+    RootVerdicts,
     accept_candidate,
     build_candidate,
     minimal_subqueries,
@@ -136,30 +137,38 @@ class TestTheSearchKeepsItsOwnVerdicts:
         assert len(engine.containment) == 0
         assert 0 < stats.cache_misses <= stats.candidates_explored
 
-    def test_a_bounded_engine_store_only_recomputes(self, rs_workload):
-        """``prune_conditions`` re-asks ``contained_in`` inside a pruned
-        search; bounding the engine's store to one verdict evicts, yet the
-        search returns the same plans and explores the same candidates."""
+    def test_a_bounded_verdict_store_only_recomputes(self, rs_workload):
+        """``prune_conditions`` asks its pairs inside a pruned search through
+        the search's verdicts, in the root's store entry; bounding the store
+        to one entry evicts it when another root is searched, yet the root
+        searched again returns the same plans, explores the same candidates
+        and decides its verdicts again — and the engine's own memo holds
+        none of them."""
 
-        universal = chase(rs_workload.query, rs_workload.constraints).query
-        runs = {}
-        for size in (None, 1):
-            # a fresh optimizer each time: its context remembers plan costs
-            opt = Optimizer(
-                rs_workload.constraints,
-                physical_names=rs_workload.physical_names,
-                statistics=rs_workload.statistics,
+        wl = rs_workload
+        roots = [
+            chase(parse_query(text), wl.constraints).query
+            for text in (
+                "select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B",
+                "select r.A from R r where r.B = 2",
             )
-            engine = ChaseEngine(rs_workload.constraints)
-            engine.containment = LRU(max_size=size)
-            stats = BackchaseStats()
-            plans = opt.minimal_plans(universal, stats, "pruned", engine=engine)
-            runs[size] = (engine, stats, [p.canonical_key() for p in plans])
-        bounded, unbounded = runs[1], runs[None]
-        assert bounded[0].containment.evictions > 0  # the bound really bit
-        assert unbounded[0].containment.evictions == 0
-        assert bounded[2] == unbounded[2]
-        assert bounded[1].candidates_explored == unbounded[1].candidates_explored
+        ]
+        store, runs = LRU(max_size=1), []
+        for root in (roots[0], roots[1], roots[0]):
+            # a fresh optimizer each time: it remembers each form's variants
+            opt = Optimizer(
+                wl.constraints,
+                physical_names=wl.physical_names,
+                statistics=wl.statistics,
+                verdict_store=store,
+            )
+            verdicts = RootVerdicts(root, ChaseEngine(wl.constraints), opt.context, store)
+            stats, engine = BackchaseStats(), verdicts.engine
+            plans = opt.minimal_plans(root, stats, "pruned", verdicts)
+            assert len(engine.containment) == 0 < engine.containment.misses
+            runs.append((stats.as_dict(), [p.canonical_key() for p in plans]))
+        assert store.evictions == 2  # the bound really bit
+        assert runs[2] == runs[0] and runs[0][0]["cache_misses"] > 0
 
 
 class TestPrunedAgainstFull:

@@ -2,13 +2,15 @@
 
 A :class:`~repro.api.database.Database` keeps the verdicts its searches
 decide per (constraint set, root shape up to its constants)
-(``backchase.minimal_subqueries``' ``verdict_store``), so a request whose
-universal plan differs from an earlier one only in constants decides none
-of them again.  Sound because a verdict is generic in the constants no
-dependency mentions (``tests/test_prop_optimizer.py`` holds the search to
-that); these tests hold the store to its key: a constant a dependency
-mentions stays literal, equal constants share a marker, and a constraint
-change reads other entries.
+(``backchase.RootVerdicts``): condition (3) and lookup safety per
+candidate shape, and step 3's condition-pruning containments per (trial,
+reference) pair.  So a request whose universal plan differs from an
+earlier one only in constants decides none of them again.  Sound because
+a verdict is generic in the constants no dependency mentions
+(``tests/test_prop_optimizer.py`` holds the search and the pruning pairs
+to that); these tests hold the store to its key: a constant a dependency
+mentions stays literal, equal constants share a marker, a constraint
+change reads other entries, and a pair is keyed by both its sides.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from repro import Database, Instance, Row
 from repro.advisor.candidates import Candidate
 from repro.api.context import OptimizeContext
 from repro.api.database import CacheConfig
-from repro.backchase.backchase import ShapeKeys, constant_markers
+from repro.backchase.backchase import RootVerdicts, ShapeKeys, constant_markers
 from repro.chase.chase import ChaseEngine
 from repro.errors import BackchaseError
 from repro.lru import LRU
@@ -48,10 +50,11 @@ def search_counts(result):
 
 
 def computed(result):
-    """Condition-(3) verdicts the search decided (its ``cache_misses`` less
-    the engine's ``contained_in`` traffic, which is the coster's)."""
+    """The containment verdicts the request decided: condition (3)'s and
+    condition pruning's (``containment_decisions`` counts each computed
+    one once; a verdict the store served is a hit, not a decision)."""
 
-    return result.backchase_stats.cache_misses - result.containment.misses
+    return sum(result.containment_decisions.values())
 
 
 class TestARepeatedShape:
@@ -95,11 +98,61 @@ class TestARepeatedShape:
         assert "verdict_store" not in uncached.metrics()["sources"]
 
     def test_a_store_needs_the_context_its_key_reads(self):
-        from repro.backchase.backchase import minimal_subqueries
-
         query = parse_query("select r.C from R r")
+        dep = parse_constraint("forall (r in R) -> r.A = r.B", "d")
+        context = OptimizeContext(constraints=(dep,))
         with pytest.raises(BackchaseError, match="verdict store"):
-            minimal_subqueries(query, [], verdict_store=LRU())
+            RootVerdicts(query, ChaseEngine([dep]), store=LRU())
+        with pytest.raises(BackchaseError, match="verdict store"):
+            RootVerdicts(query, ChaseEngine([]), context, LRU())
+        RootVerdicts(query, ChaseEngine(context.constraints), context, LRU())
+
+    def test_a_fresh_constant_prunes_no_condition_again(self):
+        """The second ProjDept-Q request, with a fresh CustName, runs no
+        containment test from ``prune_conditions`` — every pair is served
+        from the store, and counted as a hit — and returns the plans of a
+        store-less optimize."""
+
+        from repro.chase import containment
+        from repro.optimizer import optimizer as optimizer_module
+
+        pruning, tested = [False], []
+        real_prune = optimizer_module.prune_conditions
+        real_test = containment.is_contained_in
+
+        def prune(*args, **kwargs):
+            pruning[0] = True
+            try:
+                return real_prune(*args, **kwargs)
+            finally:
+                pruning[0] = False
+
+        def test(*args, **kwargs):
+            tested.append(pruning[0])
+            return real_test(*args, **kwargs)
+
+        db = Database.from_workload("projdept", **GOLDEN_WORKLOADS["projdept"])
+        query = parse_query(PROJDEPT_Q.format('"Initech"'))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(optimizer_module, "prune_conditions", prune)
+            patch.setattr(containment, "is_contained_in", test)
+            first = db.optimize(PROJDEPT_Q.format('"CitiBank"'))
+            from_pruning = tested.count(True)
+            del tested[:]
+            second = db.optimize(query)
+            assert tested.count(True) == 0 < from_pruning
+            alone = db.context.optimizer().optimize(query)
+            assert tested.count(True) == from_pruning
+
+        assert plan_texts(second) == plan_texts(alone)
+        assert str(second.best.query) == str(alone.best.query)
+        # every verdict the first request asked, decided or not, is a hit
+        stats, before = second.backchase_stats, first.backchase_stats
+        assert stats.cache_misses == second.containment.misses == 0
+        assert stats.cache_hits == before.cache_hits + before.cache_misses
+        assert second.containment.hits == (
+            first.containment.hits + first.containment.misses
+        )
 
 
 def stored_then_alone(deps, first_text, then_text, strategy="full"):
@@ -201,3 +254,52 @@ def test_stats_count_this_searchs_verdicts():
     assert computed(first) > 0
     assert computed(second) == 0
     assert second.backchase_stats.cache_hits >= computed(first)
+
+
+class TestPairVerdicts:
+    """Condition pruning's verdicts, in the root's entry."""
+
+    def test_a_pair_is_keyed_by_both_sides(self):
+        """One trial against two references: transitivity implies
+        ``r.A = r.C``, nothing implies ``r.A = r.D``."""
+
+        trial = "select r.C from R r where r.A = r.B and r.B = r.C and r.E = 5"
+        verdicts = RootVerdicts(parse_query(trial), ChaseEngine([]))
+        implied = parse_query(trial + " and r.A = r.C")
+        free = parse_query(trial + " and r.A = r.D")
+        trial = parse_query(trial)
+        assert verdicts.contained_in(trial, implied) is True
+        assert verdicts.contained_in(trial, free) is False
+        assert verdicts.contained_in(trial, implied) is True
+        info = verdicts.engine.containment.cache_info()
+        assert (info.hits, info.misses, info.size) == (1, 2, 0)
+        keys = [key for key in verdicts.memo if isinstance(key, tuple)]
+        assert len(keys) == 2 and all("$#0" in side for key in keys for side in key)
+
+    def test_a_store_less_optimize_keeps_its_pairs_in_its_search(self):
+        """No second path: without a store the pairs go where a stored
+        search keeps them — its verdict dict, beside condition (3)'s
+        shapes — under the same keys, and the engine's own memo stays
+        empty."""
+
+        from repro.api.workloads import build_workload
+
+        workload = build_workload("rabc")
+        kept = []
+        optimizer = Optimizer(workload.constraints, statistics=workload.statistics)
+        real = optimizer._root_verdicts
+
+        def keeping(*args):
+            kept.append(real(*args))
+            return kept[-1]
+
+        optimizer._root_verdicts = keeping
+        optimizer.optimize(workload.query)
+        (verdicts,) = kept
+        assert {type(key) for key in verdicts.memo} == {str, tuple}
+        assert len(verdicts.engine.containment) == 0
+
+        store = LRU()
+        Optimizer(context=optimizer.context, verdict_store=store).optimize(workload.query)
+        ((_, stored),) = store.items()
+        assert stored.keys() == verdicts.memo.keys()
