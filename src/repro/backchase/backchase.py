@@ -934,22 +934,29 @@ def minimal_subqueries(
     deliberately differs from the optimizer's.)
 
     ``verdicts``: the :class:`RootVerdicts` of ``query`` the search keeps
-    its verdicts in and decides them with (its engine; ``engine`` may
-    only repeat it) — a verdict store's entry, and the lookup the caller's
-    coster prunes conditions through (the :class:`Optimizer` builds one
-    per optimize).  By default a fresh one, the search's own.
+    its verdicts in and decides them with — a verdict store's entry, and
+    the lookup the caller's coster prunes conditions through (the
+    :class:`Optimizer` builds one per optimize).  It replaces ``engine``
+    (the search decides with its engine, which must chase with the
+    constraint set).  By default a fresh one, the search's own.
     """
 
-    if verdicts is not None and (
-        verdicts.query is not query or engine not in (None, verdicts.engine)
-    ):
-        raise BackchaseError("these verdicts belong to another search")
     if deps is None and context is not None:
         deps = list(context.constraints)
     if deps is None:
         raise BackchaseError(
             "minimal_subqueries needs a constraint set: pass deps or context"
         )
+    if verdicts is not None:
+        if engine is not None:
+            raise BackchaseError(
+                "pass verdicts or engine, not both: the verdicts' engine decides"
+            )
+        if verdicts.query is not query or verdicts.engine.deps != list(deps):
+            raise BackchaseError(
+                "these verdicts belong to another search: another query "
+                "or another constraint set"
+            )
     if strategy == "pruned":
         if context is not None:
             statistics = context.statistics if statistics is None else statistics

@@ -487,9 +487,10 @@ class ChaseEngine:
 
         counts = self.containment
         if verdicts is None:
-            verdicts, key = counts, (q1.canonical_key(), q2.canonical_key())
-        verdict = verdicts.get(key)
-        if verdicts is not counts:  # the LRU counts its own probes
+            key = (q1.canonical_key(), q2.canonical_key())
+            verdict = counts.get(key)  # the LRU counts its own probes
+        else:
+            verdict = verdicts.get(key)
             counts.hits += verdict is not None
             counts.misses += verdict is None
         if verdict is None:
@@ -497,7 +498,10 @@ class ChaseEngine:
             with self.tracer.span("chase.containment") as sp:
                 verdict = is_contained_in(q1, q2, self.deps, self)
                 sp.set(contained=verdict)
-            verdicts[key] = verdict
+            if verdicts is None:
+                counts.put(key, verdict)
+            else:
+                verdicts[key] = verdict
         return verdict
 
     def chase(self, query: PCQuery, goal: Optional[Goal] = None) -> ChaseState:

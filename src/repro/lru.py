@@ -61,11 +61,6 @@ class LRU:
                 self.evictions += 1
         return evicted
 
-    def __setitem__(self, key: Hashable, value: Any) -> None:
-        """:meth:`put`, as a mapping stores."""
-
-        self.put(key, value)
-
     def pop(self, key: Hashable) -> Optional[Any]:
         """Remove ``key``; neither a probe nor an eviction is counted."""
 

@@ -82,7 +82,6 @@ def normalize_plan(query: PCQuery) -> PCQuery:
 def prune_conditions(
     query: PCQuery,
     deps: Sequence[EPCD],
-    engine: Optional[ChaseEngine] = None,
     contained_in: Optional[Callable[[PCQuery, PCQuery], bool]] = None,
 ) -> PCQuery:
     """Drop conditions implied by ``deps`` given the rest of the plan.
@@ -92,15 +91,16 @@ def prune_conditions(
     pure weakening).  Larger conditions are attempted first so that
     residues like ``Dept[d].DName = d.DName`` go before their generators.
 
-    ``contained_in`` is what the drops are asked through: the optimizer
-    hands over its search's ``backchase.RootVerdicts.contained_in``, so a
-    pair an earlier search from the same root up to its constants decided
-    is not decided again; by default ``engine.contained_in``.  Either way
-    the pair asked is the real one, in the order computed on ``query``.
+    ``contained_in`` is what the drops are asked through, and it must
+    decide under ``deps``: the optimizer hands over its search's
+    ``backchase.RootVerdicts.contained_in``, so a pair an earlier search
+    from the same root up to its constants decided is not decided again;
+    by default a fresh ``ChaseEngine(deps).contained_in``.  Either way the
+    pair asked is the real one, in the order computed on ``query``.
     """
 
     if contained_in is None:
-        contained_in = (engine or ChaseEngine(list(deps))).contained_in
+        contained_in = ChaseEngine(list(deps)).contained_in
     conditions = sorted(
         query.conditions,
         key=lambda c: (-(P.size(c.left) + P.size(c.right)), c.key()),

@@ -25,7 +25,12 @@ from repro import Database, Instance, Row
 from repro.advisor.candidates import Candidate
 from repro.api.context import OptimizeContext
 from repro.api.database import CacheConfig
-from repro.backchase.backchase import RootVerdicts, ShapeKeys, constant_markers
+from repro.backchase.backchase import (
+    RootVerdicts,
+    ShapeKeys,
+    constant_markers,
+    minimal_subqueries,
+)
 from repro.chase.chase import ChaseEngine
 from repro.errors import BackchaseError
 from repro.lru import LRU
@@ -105,7 +110,17 @@ class TestARepeatedShape:
             RootVerdicts(query, ChaseEngine([dep]), store=LRU())
         with pytest.raises(BackchaseError, match="verdict store"):
             RootVerdicts(query, ChaseEngine([]), context, LRU())
-        RootVerdicts(query, ChaseEngine(context.constraints), context, LRU())
+        verdicts = RootVerdicts(query, ChaseEngine(context.constraints), context, LRU())
+        # a search runs under its verdicts' constraint set, so no other one
+        # may be passed beside them, nor a second engine, nor another query
+        with pytest.raises(BackchaseError, match="another constraint set"):
+            minimal_subqueries(query, [], verdicts=verdicts)
+        with pytest.raises(BackchaseError, match="not both"):
+            minimal_subqueries(query, [dep], verdicts.engine, verdicts=verdicts)
+        with pytest.raises(BackchaseError, match="another query"):
+            minimal_subqueries(parse_query("select r.A from R r"), [dep], verdicts=verdicts)
+        assert minimal_subqueries(query, [dep], verdicts=verdicts) == [query]
+        assert minimal_subqueries(query, context=context, verdicts=verdicts) == [query]
 
     def test_a_fresh_constant_prunes_no_condition_again(self):
         """The second ProjDept-Q request, with a fresh CustName, runs no
