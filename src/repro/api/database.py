@@ -116,28 +116,22 @@ class PreparedQuery:
     in the same log2 skew bucket then share *that* plan).
     """
 
-    def __init__(
-        self,
-        database: "Database",
-        query: PCQuery,
-        strategy: Optional[str] = None,
-    ) -> None:
+    def __init__(self, database: "Database", query: PCQuery) -> None:
         self.database = database
         self.query = query
-        self.strategy = strategy
         #: parameter names in template order (first occurrence in the
         #: source text) — the keywords :meth:`run` accepts.
         self.params: Tuple[str, ...] = query.param_names()
         # Optimize eagerly: prepare pays the planning cost so run()
         # doesn't have to.
-        database.optimize(query, strategy=strategy)
+        database.optimize(query)
 
     @property
     def optimization(self) -> OptimizationResult:
         """The current optimization result (refreshed through the plan
         cache, so it tracks invalidations)."""
 
-        return self.database.optimize(self.query, strategy=self.strategy)
+        return self.database.optimize(self.query)
 
     @property
     def plan(self) -> Plan:
@@ -169,7 +163,6 @@ class PreparedQuery:
         return self.database._serve(
             self.query,
             bindings,
-            strategy=self.strategy,
             instance=instance,
             overlays=overlays,
             source="prepared",
@@ -403,29 +396,22 @@ class Database:
             return parse_query(query)
         return query
 
-    def optimize(
-        self,
-        query: Union[PCQuery, str],
-        strategy: Optional[str] = None,
-    ) -> OptimizationResult:
+    def optimize(self, query: Union[PCQuery, str]) -> OptimizationResult:
         """Algorithm 1 through the plan cache.
 
         A hit returns the retained :class:`OptimizationResult` with no
         chase/backchase work; a miss optimizes under the database context
-        (per-call ``strategy`` override supported) and caches the result
-        keyed on template key (canonical form with parameters renamed
-        positionally) + context fingerprint, so every binding and every
-        alpha-variant of a ``$x`` template probes one entry.
+        and caches the result keyed on template key (canonical form with
+        parameters renamed positionally) + context fingerprint, so every
+        binding and every alpha-variant of a ``$x`` template probes one
+        entry.
         ``CacheConfig(plan_cache_size=0)`` is the way to run uncached."""
 
-        return self._optimize_entry(
-            self._coerce_query(query), strategy=strategy
-        )[0]
+        return self._optimize_entry(self._coerce_query(query))[0]
 
     def _optimize_entry(
         self,
         query: PCQuery,
-        strategy: Optional[str] = None,
         variant: str = "",
         context: Optional[OptimizeContext] = None,
     ) -> Tuple[OptimizationResult, Optional[PlanCacheEntry]]:
@@ -442,8 +428,6 @@ class Database:
         """
 
         ctx = context if context is not None else self.context
-        if strategy is not None and strategy != ctx.strategy:
-            ctx = ctx.override(strategy=strategy)
         cache = self._plans()
         with self.obs.tracer.span("db.optimize") as sp:
             entry = None
@@ -501,7 +485,6 @@ class Database:
         query: PCQuery,
         bindings: Mapping[str, Any],
         *,
-        strategy: Optional[str] = None,
         instance: Optional[Instance] = None,
         overlays: Optional[Mapping[str, Any]] = None,
         source: str,
@@ -524,7 +507,7 @@ class Database:
             variant = self._skew_variant(query, order, values)
             skewed = variant is not None
             if not skewed:
-                result, entry = self._optimize_entry(query, strategy=strategy)
+                result, entry = self._optimize_entry(query)
                 if self.cache_config.feedback_replan and (
                     store := self._feedback()
                 ) is not None:
@@ -534,7 +517,7 @@ class Database:
                 # differ only in when to replan and how to adjust.
                 tag, statistics = variant
                 result, entry = self._optimize_entry(
-                    query, strategy, tag, self.context.override(statistics=statistics)
+                    query, tag, self.context.override(statistics=statistics)
                 )
             names = entry.params if entry is not None else order
             execution = self._run_entry(
@@ -693,16 +676,14 @@ class Database:
             cost_model=context.cost_model,
         )
 
-    def prepare(
-        self, query: Union[PCQuery, str], strategy: Optional[str] = None
-    ) -> PreparedQuery:
+    def prepare(self, query: Union[PCQuery, str]) -> PreparedQuery:
         """Canonicalize + optimize once; returns a :class:`PreparedQuery`
         whose :meth:`~PreparedQuery.run` skips chase/backchase on every
         repeat (plan-cache hits)."""
 
         query = self._coerce_query(query)
         with self.obs.tracer.span("db.prepare") as sp:
-            prepared = PreparedQuery(self, query, strategy=strategy)
+            prepared = PreparedQuery(self, query)
             sp.set(params=len(prepared.params))
         return prepared
 

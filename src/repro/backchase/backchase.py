@@ -98,7 +98,6 @@ from functools import cached_property
 from typing import AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Mapping
 from typing import Optional, Sequence, Set, Tuple
 
-from repro.chase import containment
 from repro.chase.chase import ChaseEngine, linked_parts, links
 from repro.chase.congruence import CongruenceClosure, build_congruence, query_congruence
 from repro.constraints.epcd import EPCD
@@ -653,8 +652,9 @@ def accept_candidate(
     congruent images of the parent's own, so the identity is a containment
     mapping (``tests/test_backchase_differential.py`` re-decides it with the
     chase for every accepted pair of the workload searches).  Only
-    candidate ⊑ parent needs the chase, and it is decided here, once per
-    call: remembering verdicts is the caller's (the search's memo).  An
+    candidate ⊑ parent needs the chase, and the engine decides it once per
+    call (:meth:`~repro.chase.chase.ChaseEngine.contained_in`):
+    remembering verdicts is the caller's (the search's memo).  An
     equivalent candidate must also keep every failing lookup safe.
 
     ``accepted``: subqueries already accepted as equivalent to ``parent``,
@@ -667,12 +667,7 @@ def accept_candidate(
     every *False* still raises :class:`~repro.errors.ChaseNonTermination`.
     """
 
-    with engine.tracer.span("chase.containment") as sp:
-        contained = containment.is_contained_in(
-            candidate, parent, engine.deps, engine, accepted, refuted or ()
-        )
-        sp.set(contained=contained)
-    if not contained:
+    if not engine.contained_in(candidate, parent, accepted, refuted or ()):
         if refuted is not None:
             refuted.append(candidate)
         return False
@@ -690,6 +685,21 @@ def accept_candidate(
 # search therefore keys each shape by its canonical form with the root's
 # constants written as markers, and the verdicts it keeps under one root
 # serve every root that differs from it only in those constants.
+
+
+_BLANK = Param("#")
+
+
+def blind(path: Path, free: Optional[AbstractSet[Path]] = None) -> str:
+    """``path``'s text with each constant in ``free`` (by default every
+    constant) written as one placeholder, ``$#``: what orders conditions
+    blind to the constants (:func:`constant_markers`' numbering,
+    ``refine.prune_conditions``' drops), so two queries that differ only
+    in those constants order them alike."""
+
+    return P.transform(
+        path, lambda t: _BLANK if type(t) is Const and (free is None or t in free) else t
+    )._str
 
 
 def constant_markers(query: PCQuery, kept: AbstractSet[Path]) -> Dict[Path, Path]:
@@ -719,21 +729,13 @@ def constant_markers(query: PCQuery, kept: AbstractSet[Path]) -> Dict[Path, Path
     if not free:
         return {}
 
-    blank = Param("#")
-    texts = [c._str for c in free]
-
-    def blind(path: Path) -> str:
-        if not any(t in path._str for t in texts):
-            return path._str
-        return P.transform(path, lambda t: blank if t in free else t)._str
-
     sides = [
         side
         for c in sorted(
             canon.conditions,
-            key=lambda c: (sorted((blind(c.left), blind(c.right))), c.key()),
+            key=lambda c: (sorted((blind(c.left, free), blind(c.right, free))), c.key()),
         )
-        for side in sorted((c.left, c.right), key=lambda side: (blind(side), side._str))
+        for side in sorted((c.left, c.right), key=lambda side: (blind(side, free), side._str))
     ]
     markers: Dict[Path, Path] = {}
     for path in [b.source for b in canon.bindings] + sides + list(canon.output.paths()):
@@ -805,7 +807,9 @@ class RootVerdicts:
     constraint fingerprint and the root's key, so a later search from a
     root that differs only in constants decides none of them again.
     ``engine`` decides what the dict does not hold; it must chase with
-    the context's constraint set, which keys the store.
+    the context's constraint set, which keys the store.  ``hits`` /
+    ``misses`` count :meth:`contained_in`'s probes of the dict — the one
+    memo of pair verdicts and its one counter.
     """
 
     def __init__(
@@ -827,6 +831,7 @@ class RootVerdicts:
         self.key_of = ShapeKeys(constant_markers(self.root, engine.constants))
         self.root_key = self.key_of(self.root)
         self.memo: Dict = {}
+        self.hits = self.misses = 0
         if store is not None:
             store_key = (context.constraints_fingerprint(), self.root_key)
             stored = store.get(store_key)
@@ -839,9 +844,14 @@ class RootVerdicts:
         """``q1 ⊑ q2`` (shapes of this root's search), decided by the
         engine on the real pair and remembered here under the pair's keys."""
 
-        return self.engine.contained_in(
-            q1, q2, self.memo, (self.key_of(q1), self.key_of(q2))
-        )
+        key = (self.key_of(q1), self.key_of(q2))
+        verdict = self.memo.get(key)
+        if verdict is None:
+            self.misses += 1
+            verdict = self.memo[key] = self.engine.contained_in(q1, q2)
+        else:
+            self.hits += 1
+        return verdict
 
 
 @dataclass
@@ -863,10 +873,10 @@ class BackchaseStats:
     * ``cache_hits`` / ``cache_misses`` — condition (3) verdicts reused
       vs computed in this search: the memo (one verdict per candidate
       shape, a reused binding set or a verdict an earlier search stored
-      counting as a hit) plus the engine's
-      :meth:`~repro.chase.chase.ChaseEngine.contained_in` traffic during
-      the search (the pruned coster's ``prune_conditions``, whose pair
-      verdicts an earlier search stored count as hits too).
+      counting as a hit) plus the pair verdicts the search's
+      :class:`RootVerdicts` served and decided by the end of the search
+      (the pruned coster's ``prune_conditions``, whose pairs an earlier
+      search stored count as hits too).
     """
 
     nodes_visited: int = 0
@@ -992,8 +1002,6 @@ def minimal_subqueries(
         verdicts = RootVerdicts(query, engine or ChaseEngine(list(deps)))
     engine = verdicts.engine
     stats = stats if stats is not None else BackchaseStats()
-    engine_hits0 = engine.containment.hits
-    engine_misses0 = engine.containment.misses
 
     # Every shape is keyed up to the root's constants.
     root, key_of, root_key = verdicts.root, verdicts.key_of, verdicts.root_key
@@ -1130,7 +1138,7 @@ def minimal_subqueries(
         for q in list(holders.values()):
             drop_congruence(q)
 
-    stats.cache_hits += memo_hits + engine.containment.hits - engine_hits0
-    stats.cache_misses += computed + engine.containment.misses - engine_misses0
+    stats.cache_hits += memo_hits + verdicts.hits
+    stats.cache_misses += computed + verdicts.misses
     normal_forms.sort(key=lambda q: (len(q.bindings), q.canonical_key()))
     return normal_forms

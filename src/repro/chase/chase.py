@@ -50,7 +50,6 @@ from repro.chase.congruence import CongruenceClosure, build_congruence, head
 from repro.chase.homomorphism import Hom, Pattern
 from repro.constraints.epcd import EPCD
 from repro.errors import ChaseNonTermination
-from repro.lru import LRU
 from repro.query import paths as P
 from repro.query.ast import Binding, Eq, PCQuery, fresh_var_namer
 from repro.query.paths import Const, Dom, Param, Path, Var
@@ -401,11 +400,10 @@ class ChaseEngine:
 
     The backchase performs many containment checks, each of which chases a
     candidate subquery with the same constraint set; one live
-    :class:`ChaseState` per canonical form removes the repeated work.  The
-    search remembers its own condition-(3) verdicts; :meth:`contained_in`
-    remembers those of a caller that asks a pair again, in the caller's
-    dict (the optimizer's condition pruning: its search's verdicts) or in
-    :attr:`containment`.
+    :class:`ChaseState` per canonical form removes the repeated work.
+    :meth:`contained_in` decides a containment and remembers no verdict:
+    the caller that asks a pair again keeps them
+    (``backchase.RootVerdicts``).
     """
 
     def __init__(
@@ -456,10 +454,6 @@ class ChaseEngine:
         )
         self.cache_hits = 0
         self.cache_misses = 0
-        #: :meth:`contained_in`'s verdicts per canonical (q1, q2) pair, and
-        #: the hits and misses of its every probe; an engine lives for one
-        #: optimization, so nothing bounds it
-        self.containment = LRU()
 
     def chase_counts(self) -> Dict[str, int]:
         """Steps applied in all; chases a goal left short of the fixpoint."""
@@ -472,36 +466,22 @@ class ChaseEngine:
         self,
         q1: PCQuery,
         q2: PCQuery,
-        verdicts: Optional[Dict] = None,
-        key: Optional[Tuple] = None,
+        accepted: Iterable[PCQuery] = (),
+        refuted: Iterable[PCQuery] = (),
     ) -> bool:
-        """Decide ``q1 ⊑ q2`` under this engine's dependencies (exactly
-        :func:`repro.chase.containment.is_contained_in`'s verdict, a pure
-        function of the pair and ``self.deps``), remembered in
-        ``verdicts`` under ``key`` — by default per canonical pair in
-        :attr:`containment`, whose hits and misses count every probe
-        either way (the optimizer passes its search's
-        ``backchase.RootVerdicts``, keyed up to the root's constants)."""
+        """Decide ``q1 ⊑ q2`` under this engine's dependencies, one
+        ``chase.containment`` span: exactly
+        :func:`repro.chase.containment.is_contained_in`'s verdict (with its
+        ``accepted`` / ``refuted`` hints), a pure function of the pair and
+        ``self.deps``, remembered nowhere."""
 
-        from repro.chase.containment import is_contained_in
+        from repro.chase import containment
 
-        counts = self.containment
-        if verdicts is None:
-            key = (q1.canonical_key(), q2.canonical_key())
-            verdict = counts.get(key)  # the LRU counts its own probes
-        else:
-            verdict = verdicts.get(key)
-            counts.hits += verdict is not None
-            counts.misses += verdict is None
-        if verdict is None:
-            # a computed verdict is a span; a remembered one is a hit
-            with self.tracer.span("chase.containment") as sp:
-                verdict = is_contained_in(q1, q2, self.deps, self)
-                sp.set(contained=verdict)
-            if verdicts is None:
-                counts.put(key, verdict)
-            else:
-                verdicts[key] = verdict
+        with self.tracer.span("chase.containment") as sp:
+            verdict = containment.is_contained_in(
+                q1, q2, self.deps, self, accepted, refuted
+            )
+            sp.set(contained=verdict)
         return verdict
 
     def chase(self, query: PCQuery, goal: Optional[Goal] = None) -> ChaseState:

@@ -1,7 +1,7 @@
 """The one bounded least-recently-used store every cache composes: the
-containment-verdict cache, the plan cache and the executor's artifact
-cache hold an :class:`LRU` and add only what is theirs (key derivation,
-compilation, the plan cache's write-clock sweep)."""
+verdict store, the plan cache and the executor's artifact cache hold an
+:class:`LRU` and add only what is theirs (key derivation, compilation,
+the plan cache's write-clock sweep)."""
 
 from __future__ import annotations
 

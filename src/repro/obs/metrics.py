@@ -1,7 +1,7 @@
 """One metrics registry over every counter family in the stack.
 
 Before this module the stack had four ad-hoc counter families — the
-chase engine's containment verdicts (``OptimizationResult.containment``),
+containment verdicts (``OptimizationResult.containment``),
 the backchase's :class:`~repro.backchase.backchase.BackchaseStats`, the
 semantic cache's :class:`~repro.semcache.stats.CacheStats` and the plan
 cache's :meth:`~repro.api.database.Database.plan_cache_info` — each with

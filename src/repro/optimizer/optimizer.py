@@ -94,10 +94,11 @@ class OptimizationResult:
     best: Plan
     backchase_stats: BackchaseStats
     strategy: str = "full"
-    #: the run's ``ChaseEngine.contained_in`` traffic — condition
-    #: pruning's pairs, a pair an earlier search stored counting as a hit
-    #: (the engine is per-run, so these are this optimization's own
-    #: hits/misses; the search's own verdicts are in ``backchase_stats``)
+    #: condition pruning's pair verdicts this run served and decided
+    #: (``RootVerdicts.contained_in``'s hits / misses, a pair an earlier
+    #: search stored counting as a hit; ``size`` is 0: the pairs live in
+    #: the root's verdict entry, beside the search's own verdicts, which
+    #: are counted in ``backchase_stats``)
     containment: Optional[CacheInfo] = None
     #: how the run's lookup-safety decisions were reached
     #: (memo / guard / inferred / chased — ``backchase._failing_lookup_safe``)
@@ -380,9 +381,9 @@ class Optimizer:
             eligible = [p for p in plans if p.physical_only] or plans
             best = eligible[0]
             sp.set(plans=len(plans), best_cost=round(best.cost, 3))
-        containment = engine.containment.cache_info()
-        # The engine (and bc_stats) are per-run, so every field is this
-        # run's own delta; sizes are states, not deltas, and stay out.
+        containment = CacheInfo(verdicts.hits, verdicts.misses, 0, None, 0)
+        # The verdicts, the engine and bc_stats are per-run, so every field
+        # is this run's own delta; sizes are states, not deltas, and stay out.
         tracer.add_counters("backchase", bc_stats.as_dict())
         tracer.add_counters(
             "containment", {"hits": containment.hits, "misses": containment.misses}

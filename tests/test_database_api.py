@@ -209,16 +209,6 @@ class TestPlanCache:
         assert db.optimize(q) is first  # a hit: no chase/backchase re-run
         assert db.plan_cache_info().hits == 1
 
-    def test_strategy_override_is_keyed_separately(self):
-        db = rs_database()
-        q = db.workload.query
-        pruned = db.optimize(q)
-        full = db.optimize(q, strategy="full")
-        assert db.plan_cache_info().misses == 2
-        assert full.strategy == "full" and pruned.strategy == "pruned"
-        assert full.best.cost == pruned.best.cost
-        assert db.optimize(q, strategy="full") is full
-
     def test_lru_eviction(self):
         db = rs_database(cache_config=CacheConfig(plan_cache_size=1))
         q1 = parse_query("select struct(A = r.A) from R r")

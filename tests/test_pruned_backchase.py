@@ -92,26 +92,37 @@ class TestStatsCounters:
 
 
 class TestContainmentCacheParity:
-    """The cache must return exactly the uncached verdicts (E1 and E5)."""
+    """A served verdict is exactly the decided one (E1 and E5)."""
 
     def _assert_parity(self, workload):
         deps = workload.constraints
-        engine = ChaseEngine(deps)
         universal = chase(workload.query, deps).query
-        forms = minimal_subqueries(universal, deps, engine)
+        verdicts = RootVerdicts(universal, ChaseEngine(deps))
+        forms = minimal_subqueries(universal, deps, verdicts=verdicts)
         assert forms
         pairs = [(form, universal) for form in forms]
         pairs += [(universal, form) for form in forms]
         pairs.append((workload.query, universal))
         # `is_contained_in` is the raw decision procedure: it shares the
-        # engine's chase memo but never consults the verdict cache.
+        # engine's chase memo, and no verdict memo is consulted.
         for q1, q2 in pairs:
-            first = engine.contained_in(q1, q2)
-            hits_before = engine.containment.hits
-            second = engine.contained_in(q1, q2)  # cached
-            assert engine.containment.hits == hits_before + 1
-            uncached = is_contained_in(q1, q2, deps, engine)
-            assert first == second == uncached, f"{q1} vs {q2}"
+            first = verdicts.contained_in(q1, q2)
+            hits_before = verdicts.hits
+            second = verdicts.contained_in(q1, q2)  # served
+            assert verdicts.hits == hits_before + 1
+            decided = verdicts.engine.contained_in(q1, q2)
+            uncached = is_contained_in(q1, q2, deps, verdicts.engine)
+            assert first == second == decided == uncached, f"{q1} vs {q2}"
+
+    def test_the_engine_remembers_no_verdict(self):
+        """``ChaseEngine.contained_in`` decides every pair it is asked;
+        ``RootVerdicts`` is the one memo of verdicts."""
+
+        engine = ChaseEngine([])
+        q1 = parse_query("select struct(A = r.A) from R r")
+        assert engine.contained_in(q1, q1) is True
+        assert engine.contained_in(q1, q1) is True
+        assert sum(engine.containment_decisions.values()) == 2
 
     def test_e1_projdept_verdicts(self, projdept):
         self._assert_parity(projdept)
@@ -122,19 +133,19 @@ class TestContainmentCacheParity:
 
 class TestTheSearchKeepsItsOwnVerdicts:
     @pytest.mark.parametrize("name", ["projdept", "rabc", "rs", "oo_asr"])
-    def test_a_full_search_stores_nothing_in_the_engine(
+    def test_a_full_search_decides_each_verdict_once(
         self, name, optimized_workloads
     ):
         """The search's memo is the only store of its condition-(3)
-        verdicts: an unbounded search (no coster asks ``contained_in``
-        inside it) leaves the engine's ``containment`` empty, so no search
-        verdict can be evicted and counted twice."""
+        verdicts, and an unbounded search (no coster inside it) asks no
+        pair: it decides at most one verdict per candidate explored."""
 
         wl = optimized_workloads.workload(name)
         universal = optimized_workloads.result(name, "full").universal_plan
-        engine, stats = ChaseEngine(wl.constraints), BackchaseStats()
-        minimal_subqueries(universal, wl.constraints, engine, stats=stats)
-        assert len(engine.containment) == 0
+        verdicts = RootVerdicts(universal, ChaseEngine(wl.constraints))
+        stats = BackchaseStats()
+        minimal_subqueries(universal, wl.constraints, stats=stats, verdicts=verdicts)
+        assert verdicts.hits == verdicts.misses == 0
         assert 0 < stats.cache_misses <= stats.candidates_explored
 
     def test_a_bounded_verdict_store_only_recomputes(self, rs_workload):
@@ -142,8 +153,7 @@ class TestTheSearchKeepsItsOwnVerdicts:
         the search's verdicts, in the root's store entry; bounding the store
         to one entry evicts it when another root is searched, yet the root
         searched again returns the same plans, explores the same candidates
-        and decides its verdicts again — and the engine's own memo holds
-        none of them."""
+        and decides its verdicts again — its pairs among them."""
 
         wl = rs_workload
         roots = [
@@ -163,9 +173,9 @@ class TestTheSearchKeepsItsOwnVerdicts:
                 verdict_store=store,
             )
             verdicts = RootVerdicts(root, ChaseEngine(wl.constraints), opt.context, store)
-            stats, engine = BackchaseStats(), verdicts.engine
+            stats = BackchaseStats()
             plans = opt.minimal_plans(root, stats, "pruned", verdicts)
-            assert len(engine.containment) == 0 < engine.containment.misses
+            assert verdicts.misses > 0
             runs.append((stats.as_dict(), [p.canonical_key() for p in plans]))
         assert store.evictions == 2  # the bound really bit
         assert runs[2] == runs[0] and runs[0][0]["cache_misses"] > 0

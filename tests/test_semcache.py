@@ -14,7 +14,6 @@ from repro import (
     evaluate,
     parse_query,
 )
-from repro.chase.chase import ChaseEngine
 from repro.lru import LRU
 from repro.obs import ObsConfig
 from repro.optimizer.cost import CostModel
@@ -737,7 +736,8 @@ class TestOptimizerContextOverlay:
 
 
 class TestContainmentCacheLRU:
-    """The LRU ``ChaseEngine.contained_in`` keeps its verdicts in."""
+    """The LRU a database's verdict store (``backchase.RootVerdicts``'
+    entries) and its plan cache are."""
 
     def test_bound_and_eviction_order(self):
         cache = LRU(max_size=2)
@@ -773,38 +773,6 @@ class TestContainmentCacheLRU:
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
             LRU(max_size=0)
-
-    def test_engine_keeps_its_verdicts_unbounded(self):
-        engine = ChaseEngine([])
-        assert engine.containment.max_size is None
-        assert engine.containment.cache_info().size == 0
-        q1 = parse_query("select struct(A = r.A) from R r")
-        assert engine.contained_in(q1, q1) is True
-        assert engine.contained_in(q1, q1) is True
-        info = engine.containment.cache_info()
-        assert (info.hits, info.misses, info.size) == (1, 1, 1)
-
-    def test_eviction_only_recomputes_never_corrupts(self):
-        """A bounded store returns the same verdicts as the unbounded one."""
-
-        deps = [
-            parse_constraint(
-                "forall (r in R) -> exists (s in S) r.B = s.B", "ric_rs"
-            )
-        ]
-        bounded = ChaseEngine(deps)
-        bounded.containment = LRU(max_size=1)
-        unbounded = ChaseEngine(deps)
-        queries = [
-            parse_query("select struct(A = r.A) from R r"),
-            parse_query("select struct(A = r.A) from R r, S s where r.B = s.B"),
-            parse_query("select struct(B = s.B) from S s"),
-        ]
-        for q1 in queries:
-            for q2 in queries:
-                assert bounded.contained_in(q1, q2) == unbounded.contained_in(q1, q2)
-        # with bound 1 and 9 distinct pairs, evictions must have happened
-        assert bounded.containment.evictions > 0
 
 
 # -- the repeated mixes: cold vs view-only warm (formerly benchmark E13) ------
