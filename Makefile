@@ -10,7 +10,8 @@
 #   make determinism  goldens, pinned search counters, the kernel, chase,
 #                     backchase and early-stop differential suites
 #                     (lookup-safety traps included), the Theorem 2
-#                     cross-checks and the served-verdict property under
+#                     cross-checks, the checker's pinned witnesses and
+#                     the served-verdict property under
 #                     PYTHONHASHSEED=0, 1, 2, each arm with its own
 #                     address layout
 #   make fuzz         the property suites (tests/test_prop_*.py) under fresh
@@ -61,8 +62,10 @@ GOLDEN_FILES := tests/test_golden_plans.py tests/test_advisor.py
 # files below; the interned fields' parity is TestTheFieldsAreTheLadders.
 # Theorem 2 is cross-checked too: the search's normal forms against the
 # bottom-up subset enumeration and against section 3's rule formulation
-# (both in tests/backchase_oracle.py).
+# (both in tests/backchase_oracle.py).  The constraint checker's witnesses
+# follow the values' order, not a set's (item 1's write, pinned).
 DETERMINISM_TESTS := tests/test_golden_plans.py \
+	tests/test_builders_checker.py::TestItemOnesWrite \
 	tests/test_paths.py::TestTheFieldsAreTheLadders \
 	tests/test_pruned_backchase.py::TestCountersPinnedAcrossTheMerge \
 	tests/test_pruned_backchase.py::TestLookupSafetyDecisions \

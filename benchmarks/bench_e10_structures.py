@@ -29,8 +29,6 @@ def instance():
 
 @pytest.fixture(scope="module")
 def small_instance():
-    # the join-index constraint check enumerates |J| x |R x S| candidate
-    # witnesses; keep it small enough for the checker's nested loops
     r = frozenset(Row(K=i, A=i % 7, B=i % 5) for i in range(40))
     s = frozenset(Row(K=1000 + i, B=i % 5, C=i) for i in range(40))
     return Instance({"R": r, "S": s})

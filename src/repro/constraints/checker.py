@@ -3,55 +3,25 @@
 Used by tests and workload generators to validate that materialized
 physical structures really satisfy their characterizing EPCDs — i.e. that
 the implementation mapping is faithful before the optimizer relies on it.
+
+A constraint is a boolean-valued query (paper, section 3), and so is its
+check: ∀x̄(B₁ → ∃ȳ B₂) holds on I iff every row of the premise query
+(:meth:`~repro.constraints.epcd.EPCD.premise_query`, one struct of x̄ per
+match of B₁) is also a row of the same output over B₁ ∧ B₂.  Both run
+through the compiled executor; a violation is a row of the difference.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.constraints.epcd import EPCD
+from repro.exec.engine import execute
 from repro.model.instance import Instance
-from repro.query.ast import PathOutput, PCQuery
-from repro.query.evaluator import Env, _iter_envs, eval_path
-from repro.query.paths import Var
+from repro.model.values import sort_key
+from repro.query.ast import PCQuery
 
-
-def _premise_envs(dep: EPCD, instance: Instance) -> Iterator[Env]:
-    if not dep.premise_bindings:
-        yield {}
-        return
-    body = PCQuery(
-        PathOutput(Var(dep.premise_bindings[0].var)),
-        dep.premise_bindings,
-        dep.premise_conditions,
-    )
-    yield from _iter_envs(body, instance)
-
-
-def _conclusion_holds(dep: EPCD, env: Env, instance: Instance) -> bool:
-    def conditions_hold(e: Env, conditions) -> bool:
-        return all(
-            eval_path(c.left, e, instance) == eval_path(c.right, e, instance)
-            for c in conditions
-        )
-
-    if not dep.conclusion_bindings:
-        return conditions_hold(env, dep.conclusion_conditions)
-
-    def search(index: int, e: Env) -> bool:
-        if index == len(dep.conclusion_bindings):
-            return conditions_hold(e, dep.conclusion_conditions)
-        binding = dep.conclusion_bindings[index]
-        collection = eval_path(binding.source, e, instance)
-        for element in collection:
-            child = dict(e)
-            child[binding.var] = element
-            # Check the conditions that are fully bound already, to prune.
-            if search(index + 1, child):
-                return True
-        return False
-
-    return search(0, dict(env))
+Env = Dict[str, Any]
 
 
 def holds(dep: EPCD, instance: Instance) -> bool:
@@ -63,15 +33,23 @@ def holds(dep: EPCD, instance: Instance) -> bool:
 def violations(
     dep: EPCD, instance: Instance, limit: Optional[int] = None
 ) -> Iterator[Env]:
-    """Premise environments with no conclusion witness (counterexamples)."""
+    """Premise environments with no conclusion witness (counterexamples),
+    ordered by the values of the universal variables."""
 
-    found = 0
-    for env in _premise_envs(dep, instance):
-        if not _conclusion_holds(dep, env, instance):
-            yield env
-            found += 1
-            if limit is not None and found >= limit:
-                return
+    premise = dep.premise_query()
+    whole = PCQuery(
+        premise.output,
+        dep.premise_bindings + dep.conclusion_bindings,
+        dep.premise_conditions + dep.conclusion_conditions,
+    )
+    names = dep.universal_vars()
+    missing = (
+        execute(premise, instance, mode="compiled").results
+        - execute(whole, instance, mode="compiled").results
+    )
+    ordered = sorted(missing, key=lambda row: [sort_key(row[n]) for n in names])
+    for row in ordered[:limit]:
+        yield {n: row[n] for n in names}
 
 
 def check_all(
@@ -79,9 +57,8 @@ def check_all(
 ) -> List[Tuple[str, Env]]:
     """First violation (if any) per failing constraint."""
 
-    failures: List[Tuple[str, Env]] = []
-    for dep in deps:
-        witness = next(violations(dep, instance, limit=1), None)
-        if witness is not None:
-            failures.append((dep.name, witness))
-    return failures
+    return [
+        (dep.name, witness)
+        for dep in deps
+        for witness in violations(dep, instance, limit=1)
+    ]

@@ -4,13 +4,13 @@ This is the library's semantic ground truth: the chase, backchase and plan
 refinement must all preserve ``evaluate(query, instance)``.  The test
 suite checks exactly that, including on hypothesis-generated instances.
 
-It is the oracle only — for the tests, for the constraint checker
-(:mod:`repro.constraints.checker`) and for the benchmark harness's
+It is the oracle only — for the tests and for the benchmark harness's
 answer checks.  Nothing on a request or build path evaluates through it:
 plans run through :func:`repro.exec.engine.execute`, and so do the
 definitions of physical structures (views, ASRs, join-index views,
-gmaps) when they are materialized.  The interpreted operators share only
-its :func:`eval_path`.
+gmaps) when they are materialized, and the two queries of a constraint
+check (:mod:`repro.constraints.checker`).  The interpreted operators
+share only its :func:`eval_path`.
 
 Bindings are evaluated left to right as nested loops; equality conditions
 fire as soon as all their variables are bound (a tiny bit of selection

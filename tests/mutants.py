@@ -262,8 +262,8 @@ ROWS: Tuple[Row, ...] = (
         "    return plan_lookups_safe(candidate, engine)\n",
         "    return True\n",
         (
-            "tests/test_pruned_backchase.py::TestLookupSafetyDecisions::"
-            "test_most_scopes_are_decided_without_a_chase",
+            "tests/test_prop_checker.py::TestLookupSafetyByAnswers::"
+            "test_every_normal_form_returns_the_answer",
         ),
     ),
     Row(
@@ -536,6 +536,28 @@ ROWS: Tuple[Row, ...] = (
         (
             "tests/test_feedback.py::TestDriftFlagReplan::"
             "test_replan_optimizes_under_the_corrected_catalog",
+        ),
+    ),
+    # -- the constraint checker ------------------------------------------------
+    Row(
+        "drop the conclusion's conditions from the second query",
+        "src/repro/constraints/checker.py",
+        "        dep.premise_conditions + dep.conclusion_conditions,\n",
+        "        dep.premise_conditions,\n",
+        (
+            "tests/test_prop_checker.py::TestTheOracle::"
+            "test_verdicts_and_witnesses_are_the_nested_loops",
+        ),
+    ),
+    Row(
+        "take the first witness in set order",
+        "src/repro/constraints/checker.py",
+        "    ordered = sorted(missing, key=lambda row: "
+        "[sort_key(row[n]) for n in names])\n",
+        "    ordered = list(missing)\n",
+        (
+            "tests/test_builders_checker.py::TestItemOnesWrite::"
+            "test_the_broken_pairs_and_their_witnesses_are_pinned",
         ),
     ),
 )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Database
 from repro.constraints.builders import (
     foreign_key,
     inclusion,
@@ -130,3 +131,47 @@ class TestCheckAll:
             "forall (p in Proj, q in Proj) where p.PName = q.PName -> p = q", "key"
         )
         assert holds(dep, consistent)
+
+
+class TestItemOnesWrite:
+    """ROADMAP item 1's write, raised on three CitiBank projects: the four
+    index constraints it breaks, each with its witnesses in one order
+    whatever ``PYTHONHASHSEED`` is (``make determinism`` runs it under
+    three seeds).  Witnesses are ordered by the universal variables'
+    values (``model.values.sort_key``; a row compares field by field, in
+    field-name order, so ``Budg`` first), never by set order."""
+
+    def test_the_broken_pairs_and_their_witnesses_are_pinned(self):
+        db = Database.from_workload("projdept")
+        projects = db.instance["Proj"]
+        raised = sorted(
+            (p for p in projects if p["CustName"] == "CitiBank"),
+            key=lambda p: p["PName"],
+        )[:3]
+        db.instance["Proj"] = (projects - set(raised)) | {
+            Row({**p, "Budg": p["Budg"] + 1000}) for p in raised
+        }
+
+        def named(value):
+            return value["PName"] if isinstance(value, Row) else value
+
+        failures = check_all(db.constraints, db.instance)
+        assert [(name, {v: named(x) for v, x in witness.items()})
+                for name, witness in failures] == [
+            ("I_pi1", {"p": "P2_1"}),
+            ("I_pi2", {"i": "P0_3"}),
+            ("SI_si1", {"p": "P2_1"}),
+            ("SI_si2", {"k": "CitiBank", "t": "P2_1"}),
+        ]
+        # The whole order, not only its head: set order would have to
+        # match it on four sets of three to pass by chance.
+        by_name = {dep.name: dep for dep in db.constraints}
+        assert [
+            [named(env[dep.universal_vars()[-1]]) for env in violations(dep, db.instance)]
+            for dep in map(by_name.get, ("I_pi1", "I_pi2", "SI_si1", "SI_si2"))
+        ] == [
+            ["P2_1", "P0_3", "P2_0"],
+            ["P0_3", "P2_0", "P2_1"],
+            ["P2_1", "P0_3", "P2_0"],
+            ["P2_1", "P0_3", "P2_0"],
+        ]
