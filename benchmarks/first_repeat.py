@@ -8,11 +8,13 @@ constants reads them.  This driver serves each workload's request stream
 ``shape_cycles`` draws from ``--seed``) and prints, per shape, the wall
 time of its first request and the median of its later ones, in ms,
 scaled to the box's reference speed as ``benchmarks/perf`` scales its
-times (``harness.SpeedMeter``).  Beside them, per request, the verdicts
-it decided, read off its plan-cache entry's ``OptimizationResult`` right
-after it ran: condition (3) / lookup-safety chases / condition-pruning
-containments (``0/0/0`` for a plan-cache hit).  Single runs, no tracing:
-run it on two checkouts, alternating, to compare.
+times (``harness.SpeedMeter``).  Beside them, per request, what it
+decided and built, read off its plan-cache entry's ``OptimizationResult``
+right after it ran: condition (3) / lookup-safety chases /
+condition-pruning containments / candidates built (explored less those
+replayed from the entry's removal graph) — ``0/0/0/0`` for a plan-cache
+hit, ``0/0/0/0`` too for a later request of a shape.  Single runs, no
+tracing: run it on two checkouts, alternating, to compare.
 
     PYTHONPATH=src python benchmarks/first_repeat.py [--seed 1] [--cycles 6]
 """
@@ -35,18 +37,20 @@ CONSTANT = re.compile(r'"[^"]*"|(?<![\w.])-?\d+(?:\.\d+)?')
 
 
 def decided(db, text: str, misses: int) -> str:
-    """The verdicts the request for ``text`` just decided, as
-    ``condition (3)/lookup-safety chases/pruning containments``: read off
-    its plan-cache entry (a probe that hits the entry the request left
-    most recent), or none if the request itself hit (``misses`` is the
-    cache's miss count before it)."""
+    """The verdicts the request for ``text`` just decided and the
+    candidates it built, as ``condition (3)/lookup-safety chases/pruning
+    containments/built``: read off its plan-cache entry (a probe that
+    hits the entry the request left most recent), or none if the request
+    itself hit (``misses`` is the cache's miss count before it)."""
 
     if db.plan_cache_info().misses == misses:
-        return "0/0/0"
+        return "0/0/0/0"
     result = db.optimize(text)
     pruning = result.containment.misses
     condition3 = sum(result.containment_decisions.values()) - pruning
-    return f"{condition3}/{result.lookup_decisions['chased']}/{pruning}"
+    stats = result.backchase_stats
+    built = stats.candidates_explored - stats.candidates_replayed
+    return f"{condition3}/{result.lookup_decisions['chased']}/{pruning}/{built}"
 
 
 def first_and_repeat(workload, cycles: int):
@@ -82,8 +86,9 @@ def main(argv=None) -> None:
     for cls in (ColdProjDept, ColdMix):
         times = first_and_repeat(cls(args.seed), args.cycles)
         print(
-            f"{cls.name}: first / median of later requests, ms; the verdicts "
-            "each request decided (condition 3/lookup chases/pruning)"
+            f"{cls.name}: first / median of later requests, ms; what each "
+            "request decided and built (condition 3/lookup chases/pruning/"
+            "candidates built)"
         )
         for shape, runs in times.items():
             ms = [scaled for scaled, _ in runs]

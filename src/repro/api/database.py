@@ -256,10 +256,11 @@ class Database:
         )
         size = self.cache_config.plan_cache_size
         self._plan_cache = PlanCache(max_size=size) if size != 0 else None
-        # The backchase's verdicts per (constraint set, root shape up to its
-        # constants): a search from a root that differs from an earlier one
-        # only in constants reads them instead of deciding them again
-        # (``backchase.minimal_subqueries``).  Bounded like the plan cache.
+        # The backchase's verdicts and removals per (constraint set, root
+        # shape up to its constants): a search from a root that differs from
+        # an earlier one only in constants reads them instead of deciding
+        # and building them again (``backchase.minimal_subqueries``).
+        # Bounded like the plan cache.
         self._verdicts = LRU(size) if size != 0 else None
         if self._verdicts is not None:
             self.obs.registry.register_source(

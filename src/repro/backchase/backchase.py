@@ -89,6 +89,22 @@ scope — is not, so a larger scope inherits *safe* only when the key occurs
 in it as given.  The part's verdict and the inferred one are the chased
 verdict of the whole scope, never an approximation (the comment block
 below and ``tests/test_chase_differential.py`` have the traps).
+
+A removal is a fact of the shape, too.  Conditions (1)-(2) rewrite through
+the where clause's closure: they read no statistic, no instance and no
+dependency, and they compare constants only for equality, so the candidate
+a removal yields is generic in the root's constants just as its verdict
+is.  A verdict store's entry therefore keeps, beside the verdicts, the
+root's **removal graph**: per node (its key and its binding variables, so
+one canonical shape spelled over other variables is another node) and
+removed binding, either "fails syntactically", the rejected child's key,
+or the accepted child's node, spelled with the root's constants written
+as their markers.  A later search of the shape replays a recorded removal
+instead of building it: a rejected child needs its key alone, an accepted
+one already queued nothing, and a new one is the spelling with this
+root's constants written back.  What is not recorded yet is built, and
+recorded once its verdict is decided; a search without a store records
+nothing.
 """
 
 from __future__ import annotations
@@ -96,7 +112,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Mapping
-from typing import Optional, Sequence, Set, Tuple
+from typing import NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.chase.chase import ChaseEngine, linked_parts, links
 from repro.chase.congruence import CongruenceClosure, build_congruence, query_congruence
@@ -501,6 +517,12 @@ def simplify_conditions(query: PCQuery) -> PCQuery:
     return PCQuery(query.output, query.bindings, tuple(unique))
 
 
+def _smallest_first(cond: Eq) -> Tuple[int, Tuple[str, str]]:
+    """The order :func:`quick_simplify_conditions` leaves conditions in."""
+
+    return cond.left._size + cond.right._size, cond.key()
+
+
 def quick_simplify_conditions(query: PCQuery) -> PCQuery:
     """One-pass simplification for the hot enumeration path.
 
@@ -512,7 +534,7 @@ def quick_simplify_conditions(query: PCQuery) -> PCQuery:
 
     ordered = sorted(
         (c.normalized() for c in query.conditions if c.left != c.right),
-        key=lambda c: (c.left._size + c.right._size, c.key()),
+        key=_smallest_first,
     )
     cc = CongruenceClosure()
     kept: List[Eq] = []
@@ -745,16 +767,33 @@ def constant_markers(query: PCQuery, kept: AbstractSet[Path]) -> Dict[Path, Path
     return markers
 
 
+def _fields(part) -> Tuple:
+    """What identifies an output, a binding or a condition: its paths (and
+    names), each path interned."""
+
+    if type(part) is Binding:
+        return part.var, part.source
+    if type(part) is Eq:
+        return part.left, part.right
+    return part.fields if type(part) is StructOutput else part.path
+
+
 class ShapeKeys:
     """The key of each shape a search meets: its canonical key with each
     constant in ``markers`` written as its marker (the canonical key
     itself when it holds none).  One per search: the paths it rewrote
-    are remembered, and most recur in every candidate."""
+    are remembered, and most recur in every candidate — both ways, for
+    :meth:`spell` and :meth:`unspell`."""
 
     def __init__(self, markers: Mapping[Path, Path]) -> None:
         self.markers = markers
         self._texts = [c._str for c in markers]
         self._marked: Dict[Path, Path] = {}
+        self._constants = {marker: c for c, marker in markers.items()}
+        self._unmarked: Dict[Path, Path] = {}
+        # outputs, bindings and conditions spelled / unspelled so far
+        self._spelt: Dict = {}
+        self._unspelt: Dict = {}
 
     def _mark(self, path: Path) -> Path:
         marked = self._marked.get(path)
@@ -766,11 +805,90 @@ class ShapeKeys:
             self._marked[path] = marked
         return marked
 
+    def _unmark(self, path: Path) -> Path:
+        unmarked = self._unmarked.get(path)
+        if unmarked is None:
+            unmarked = path
+            if "$#" in path._str:
+                unmarked = P.transform(path, lambda t: self._constants.get(t, t))
+            self._unmarked[path] = unmarked
+        return unmarked
+
     def _mark_eq(self, cond: Eq) -> Eq:
         left, right = self._mark(cond.left), self._mark(cond.right)
         if left is cond.left and right is cond.right:
             return cond
         return Eq(left, right).normalized()
+
+    @staticmethod
+    def _rewrite(
+        query: PCQuery,
+        rewrite: Callable[[Path], Path],
+        memo: Dict,
+        shared: Optional[Dict] = None,
+    ) -> PCQuery:
+        """``query`` with ``rewrite`` applied to every path.  Its output,
+        each binding and each condition is rewritten once per ``memo``
+        (keyed by its fields; kept as it is where no path changes) and,
+        given ``shared``, stored there once; the conditions normalized
+        and, where one changed, ordered as :func:`quick_simplify_conditions`
+        orders them."""
+
+        def store(key, new):
+            if shared is not None:
+                new = shared.setdefault(_fields(new), new)
+            memo[key] = new
+            return new
+
+        output = query.output
+        key = _fields(output)
+        new_output = memo.get(key)
+        if new_output is None:
+            new_output = output
+            if any(rewrite(p) is not p for p in output.paths()):
+                if isinstance(output, StructOutput):
+                    new_output = StructOutput(
+                        tuple((n, rewrite(p)) for n, p in output.fields)
+                    )
+                else:
+                    new_output = PathOutput(rewrite(output.path))
+            new_output = store(key, new_output)
+        bindings = []
+        for b in query.bindings:
+            key = (b.var, b.source)
+            new = memo.get(key)
+            if new is None:
+                source = rewrite(b.source)
+                new = store(key, b if source is b.source else Binding(b.var, source))
+            bindings.append(new)
+        conditions, moved = [], False
+        for c in query.conditions:
+            key = (c.left, c.right)
+            new = memo.get(key)
+            if new is None:
+                left, right = rewrite(c.left), rewrite(c.right)
+                same = left is c.left and right is c.right
+                new = store(key, c if same else Eq(left, right).normalized())
+            moved = moved or new.left is not c.left or new.right is not c.right
+            conditions.append(new)
+        if moved:
+            conditions.sort(key=_smallest_first)
+        return PCQuery(new_output, tuple(bindings), tuple(conditions))
+
+    def spell(self, query: PCQuery, shared: Dict) -> PCQuery:
+        """``query`` — a candidate, its conditions as
+        :func:`quick_simplify_conditions` leaves them — with each constant
+        in ``markers`` written as its marker: not renamed, and the same
+        for every root that differs from this one only in those
+        constants.  Its parts are stored once in ``shared``."""
+
+        return self._rewrite(query, self._mark, self._spelt, shared)
+
+    def unspell(self, spelling: PCQuery) -> PCQuery:
+        """The inverse of :meth:`spell` under this root's constants: a
+        new query, exactly the candidate ``build_candidate`` returns."""
+
+        return self._rewrite(spelling, self._unmark, self._unspelt)
 
     def __call__(self, query: PCQuery) -> str:
         if not self.markers:
@@ -795,6 +913,44 @@ class ShapeKeys:
         return str(PCQuery(output, bindings, conditions))
 
 
+class RemovalNode:
+    """A node of a removal graph (module docstring): its shape key, its
+    spelling's parts with the root's constants written as their markers
+    (none for the root, which every search is given) and, per binding in
+    order, what removing it yielded — ``None`` while not recorded,
+    ``FAILS``, the rejected child's key, or the accepted child's node."""
+
+    __slots__ = ("key", "output", "bindings", "conditions", "edges")
+
+    def __init__(self, key: str, width: int, spelling: Optional[PCQuery] = None) -> None:
+        self.key = key
+        self.output = spelling.output if spelling else None
+        self.bindings = spelling.bindings if spelling else ()
+        self.conditions = spelling.conditions if spelling else ()
+        self.edges: List[object] = [None] * width
+
+    @property
+    def spelling(self) -> Optional[PCQuery]:
+        if self.output is None:
+            return None
+        return PCQuery(self.output, self.bindings, self.conditions)
+
+
+class StoreEntry(NamedTuple):
+    """One root's entry in a verdict store (:class:`RootVerdicts`)."""
+
+    #: condition (3) with lookup safety per shape key, pruning per key pair
+    verdicts: Dict
+    #: the removal graph: (shape key, binding variables) -> its node
+    removals: Dict[Tuple[str, Tuple[str, ...]], RemovalNode]
+    #: every output, binding and condition the graph's spellings hold, once
+    parts: Dict
+
+
+#: a recorded removal that fails syntactically (``build_candidate`` gave None)
+FAILS = "fails syntactically"
+
+
 class RootVerdicts:
     """The verdicts kept under one root, up to the root's constants.
 
@@ -803,13 +959,16 @@ class RootVerdicts:
     containment verdicts step 3's condition pruning asks per (trial,
     reference) pair (a pair of keys: one injective renaming covers both
     sides).  The dict is the search's own, or — given ``store``, an
-    :class:`~repro.lru.LRU` — the store's entry for ``context``'s
-    constraint fingerprint and the root's key, so a later search from a
-    root that differs only in constants decides none of them again.
-    ``engine`` decides what the dict does not hold; it must chase with
-    the context's constraint set, which keys the store.  ``hits`` /
-    ``misses`` count :meth:`contained_in`'s probes of the dict — the one
-    memo of pair verdicts and its one counter.
+    :class:`~repro.lru.LRU` — the verdicts of the store's
+    :class:`StoreEntry` for ``context``'s constraint fingerprint and the
+    root's key, so a later search from a root that differs only in
+    constants decides none of them again.  Only a stored entry keeps the
+    root's removal graph too (``removals``, ``None`` for a search's own
+    dict; the module docstring): such a search builds no candidate an
+    earlier one recorded.  ``engine`` decides what the dict does not hold;
+    it must chase with the context's constraint set, which keys the store.
+    ``hits`` / ``misses`` count :meth:`contained_in`'s probes of the dict
+    — the one memo of pair verdicts and its one counter.
     """
 
     def __init__(
@@ -831,14 +990,33 @@ class RootVerdicts:
         self.key_of = ShapeKeys(constant_markers(self.root, engine.constants))
         self.root_key = self.key_of(self.root)
         self.memo: Dict = {}
+        self.removals: Optional[Dict] = None
+        self._parts: Dict = {}
         self.hits = self.misses = 0
         if store is not None:
             store_key = (context.constraints_fingerprint(), self.root_key)
             stored = store.get(store_key)
             if stored is None:
-                store.put(store_key, self.memo)
-            else:
-                self.memo = stored
+                stored = StoreEntry({}, {}, {})
+                store.put(store_key, stored)
+            self.memo, self.removals, self._parts = stored
+
+    def node(self, key: str, query: PCQuery) -> Optional[RemovalNode]:
+        """The removal graph's node of ``query`` — the root or a candidate
+        of shape ``key`` — made on first sight, ``None`` for a search's own
+        dict.  A key and the binding variables spell one query (the
+        canonical form renames by position), so that pair names the node,
+        and a shape spelled over other variables is another node."""
+
+        removals = self.removals
+        if removals is None:
+            return None
+        name = (key, query.binding_vars())
+        node = removals.get(name)
+        if node is None:
+            spelling = None if query is self.root else self.key_of.spell(query, self._parts)
+            node = removals[name] = RemovalNode(key, len(query.bindings), spelling)
+        return node
 
     def contained_in(self, q1: PCQuery, q2: PCQuery) -> bool:
         """``q1 ⊑ q2`` (shapes of this root's search), decided by the
@@ -865,9 +1043,12 @@ class BackchaseStats:
     * ``steps_attempted`` / ``steps_applied`` — removals tried / accepted,
       a removal onto an accepted binding set the pruned search reuses
       included;
-    * ``candidates_explored`` — candidate subqueries constructed and
-      considered (conditions (1)-(2) succeeded); a reused binding set is
-      not constructed again;
+    * ``candidates_explored`` — candidate subqueries considered
+      (conditions (1)-(2) succeeded), built or replayed; a reused binding
+      set is not considered again;
+    * ``candidates_replayed`` — of those, the ones read off the removal
+      graph of the search's verdict-store entry instead of built (a
+      later request of a shape replays every removal its first recorded);
     * ``candidates_pruned`` — branches cut by the cost bound before
       expansion (pruned strategy only);
     * ``cache_hits`` / ``cache_misses`` — condition (3) verdicts reused
@@ -887,6 +1068,7 @@ class BackchaseStats:
     candidates_pruned: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    candidates_replayed: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -898,6 +1080,7 @@ class BackchaseStats:
             "candidates_pruned": self.candidates_pruned,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
+            "candidates_replayed": self.candidates_replayed,
         }
 
 
@@ -944,8 +1127,9 @@ def minimal_subqueries(
     deliberately differs from the optimizer's.)
 
     ``verdicts``: the :class:`RootVerdicts` of ``query`` the search keeps
-    its verdicts in and decides them with — a verdict store's entry, and
-    the lookup the caller's coster prunes conditions through (the
+    its verdicts in and decides them with — a verdict store's entry, whose
+    removal graph the search replays and extends, and the lookup the
+    caller's coster prunes conditions through (the
     :class:`Optimizer` builds one per optimize).  It replaces ``engine``
     (the search decides with its engine, which must chase with the
     constraint set).  By default a fresh one, the search's own.
@@ -1044,7 +1228,12 @@ def minimal_subqueries(
         # visited) at most once.
         floors: Dict[str, float] = {root_key: cost_floor(root)}
         normal_forms: List[PCQuery] = []
-        stack: List[Tuple[str, PCQuery]] = [(root_key, root)]
+        # Each queued node with its node in the root's removal graph (with a
+        # store: what each removal from it yielded in an earlier search of
+        # the shape, read and extended here — the module docstring).
+        stack: List[Tuple[str, PCQuery, Optional[RemovalNode]]] = [
+            (root_key, root, verdicts.node(root_key, root))
+        ]
         # Under the bound each binding set is built once: the first spelling
         # accepted over it settles it, and a removal landing on it later is
         # that node again — queued or cut already, its verdict *True*.  A
@@ -1055,7 +1244,7 @@ def minimal_subqueries(
         )
 
         while stack:
-            current_key, current = stack.pop()
+            current_key, current, node = stack.pop()
             if best is not None and floors[current_key] > best:
                 # The bound tightened since this node was queued.
                 stats.candidates_pruned += 1
@@ -1066,60 +1255,85 @@ def minimal_subqueries(
                 raise BackchaseError(f"backchase search exceeded {max_nodes} nodes")
 
             reduced_any = False
-            children: List[Tuple[float, str, PCQuery]] = []
+            children: List[Tuple[float, str, PCQuery, Optional[RemovalNode]]] = []
             cc = query_congruence(current)  # each removal works on a copy
             bound_vars = frozenset(current.binding_vars())
-            for var in current.binding_vars():
+            edges = node.edges if node is not None else None
+            for i, var in enumerate(current.binding_vars()):
                 stats.steps_attempted += 1
                 if settled is not None and bound_vars - {var} in settled:
                     memo_hits += 1
                     stats.steps_applied += 1
                     reduced_any = True
                     continue
-                candidate = build_candidate(current, frozenset((var,)), cc.copy())
-                if candidate is None:
+                edge = edges[i] if edges is not None else None
+                if edge is FAILS:
                     continue
-                stats.candidates_explored += 1
-                shape = (
-                    candidate.output,
-                    tuple([(b.var, b.source) for b in candidate.bindings]),
-                    tuple([(c.left, c.right) for c in candidate.conditions]),
-                )
-                ckey = keys.get(shape)
-                if ckey is None:
-                    ckey = keys[shape] = key_of(candidate)
-                verdict = memo.get(ckey)
-                if verdict is None:
-                    keep_congruence(candidate)
-                    verdict = memo[ckey] = accept_candidate(
-                        candidate, current, engine, accepted.values(), refuted
-                    )
-                    computed += 1
-                    if not verdict and not (refuted and refuted[-1] is candidate):
-                        drop_congruence(candidate)  # rejected as lookup-unsafe
-                else:
+                if edge is not None:
+                    # replayed: a rejected child's key, whose verdict the
+                    # memo holds, or an accepted child's node, whose
+                    # spelling is this root's candidate once the constants
+                    # are written back
+                    stats.candidates_explored += 1
+                    stats.candidates_replayed += 1
                     memo_hits += 1
-                    if verdict and ckey not in floors:
-                        keep_congruence(candidate)  # an earlier search's verdict
+                    if type(edge) is str:
+                        continue
+                    candidate, child, ckey, verdict = None, edge, edge.key, True
+                else:
+                    candidate = build_candidate(current, frozenset((var,)), cc.copy())
+                    if candidate is None:
+                        if edges is not None:
+                            edges[i] = FAILS
+                        continue
+                    stats.candidates_explored += 1
+                    shape = (
+                        candidate.output,
+                        tuple([(b.var, b.source) for b in candidate.bindings]),
+                        tuple([(c.left, c.right) for c in candidate.conditions]),
+                    )
+                    ckey = keys.get(shape)
+                    if ckey is None:
+                        ckey = keys[shape] = key_of(candidate)
+                    verdict = memo.get(ckey)
+                    if verdict is None:
+                        keep_congruence(candidate)
+                        verdict = memo[ckey] = accept_candidate(
+                            candidate, current, engine, accepted.values(), refuted
+                        )
+                        computed += 1
+                        if not verdict and not (refuted and refuted[-1] is candidate):
+                            drop_congruence(candidate)  # rejected as lookup-unsafe
+                    else:
+                        memo_hits += 1
+                    child = verdicts.node(ckey, candidate) if verdict else None
+                    if edges is not None:
+                        edges[i] = child or ckey
                 if not verdict:
                     continue
-                names = frozenset(candidate.binding_vars())
+                names = frozenset(
+                    candidate.binding_vars() if candidate else [b.var for b in child.bindings]
+                )
                 if settled is not None:
                     settled.add(names)
                 if not any(kept <= names for kept in accepted):
+                    candidate = candidate or key_of.unspell(child.spelling)
                     accepted = {k: a for k, a in accepted.items() if not names < k}
                     accepted[names] = candidate
                 stats.steps_applied += 1
                 reduced_any = True
                 if ckey in floors:
                     continue
+                candidate = candidate or key_of.unspell(child.spelling)
+                if id(candidate) not in holders:
+                    keep_congruence(candidate)  # a verdict this search served
                 floor = cost_floor(candidate)
                 floors[ckey] = floor
                 if best is not None and floor > best:
                     stats.candidates_pruned += 1
                     drop_congruence(candidate)
                     continue
-                children.append((floor, ckey, candidate))
+                children.append((floor, ckey, candidate, child))
             drop_congruence(current)
 
             if not reduced_any:
@@ -1132,8 +1346,8 @@ def minimal_subqueries(
                 # Most promising child on top of the stack: depth-first toward
                 # cheap complete plans tightens the bound early.
                 children.sort(key=lambda entry: (-entry[0], entry[1]))
-                for _, ckey, child in children:
-                    stack.append((ckey, child))
+                for _, ckey, child, child_node in children:
+                    stack.append((ckey, child, child_node))
     finally:
         for q in list(holders.values()):
             drop_congruence(q)

@@ -151,12 +151,12 @@ class Optimizer:
         the classic names below are read-only views of it.
 
         ``verdict_store``: an :class:`~repro.lru.LRU` the verdicts of a
-        search outlive it in — condition (3), lookup safety and step 3's
-        condition-pruning pairs, one entry per constraint set and root up
-        to its constants (:class:`~repro.backchase.backchase.RootVerdicts`;
-        the :class:`~repro.api.database.Database` passes its own).  Only
-        facts are shared: every optimize still walks, builds and costs its
-        own search."""
+        search outlive it in — condition (3), lookup safety, step 3's
+        condition-pruning pairs and the removals the search built, one
+        entry per constraint set and root up to its constants
+        (:class:`~repro.backchase.backchase.RootVerdicts`; the
+        :class:`~repro.api.database.Database` passes its own).  Only facts
+        are shared: every optimize still walks and costs its own search."""
 
         if context is None:
             # Lazy: repro.api imports this module.

@@ -361,6 +361,28 @@ ROWS: Tuple[Row, ...] = (
         ),
     ),
     Row(
+        "replay the graph across a renaming of the root's variables",
+        "src/repro/backchase/backchase.py",
+        "        name = (key, query.binding_vars())\n",
+        "        name = (key,)\n",
+        (
+            "tests/test_verdict_store.py::TestTheRemovalGraph::"
+            "test_a_root_spelled_over_other_variables_plans_as_a_fresh_optimize",
+        ),
+    ),
+    Row(
+        "store an accepted child's spelling unmarked",
+        "src/repro/backchase/backchase.py",
+        "self.key_of.spell(query, self._parts)\n",
+        "query\n",
+        (
+            "tests/test_prop_optimizer.py::"
+            "test_workload_normal_forms_are_generic_in_the_constants[projdept-pruned]",
+            "tests/test_verdict_store.py::TestARepeatedShape::"
+            "test_a_fresh_constant_decides_no_verdict_and_plans_the_same",
+        ),
+    ),
+    Row(
         "order the drops by the literal text",
         "src/repro/optimizer/refine.py",
         "            sorted((blind(c.left), blind(c.right))),\n",
@@ -501,6 +523,32 @@ ROWS: Tuple[Row, ...] = (
         (
             "tests/test_kernel_differential.py::"
             "test_a_root_without_parents_takes_over_the_absorbed_ones",
+        ),
+    ),
+    Row(
+        "drop the chase's satisfied trigger-set soundness condition (a "
+        "trigger is skipped when its first premise binding's image is that "
+        "of a satisfied one)",
+        "src/repro/chase/chase.py",
+        "        image = tuple(hom[b.var] for b in dep.premise_bindings)\n",
+        "        image = tuple(hom[b.var] for b in dep.premise_bindings[:1])\n",
+        (
+            "tests/test_chase_differential.py::"
+            "test_generated_chases_equal_the_oracle",
+            "tests/test_chase_differential.py::TestAgainstTheNaiveChase::"
+            "test_every_chase_of_a_search[projdept]",
+        ),
+    ),
+    Row(
+        "let bindings_in_class go stale across a union",
+        "src/repro/chase/congruence.py",
+        "                self._indexed = None  # its bindings now belong under rx\n",
+        "                pass\n",
+        (
+            "tests/test_kernel_differential.py::"
+            "test_an_index_is_rebuilt_after_a_union_moves_it",
+            "tests/test_chase_differential.py::TestThePieces::"
+            "test_class_index_survives_a_union",
         ),
     ),
     # -- the skew guard and plan-quality feedback ------------------------------

@@ -246,8 +246,9 @@ def draw_renaming(draw, query, deps):
 def searched(query, deps, strategy, statistics=None, max_nodes=250, store=None):
     """Normal forms of the optimizer's search from ``query``'s universal
     plan, each then cleaned as step 3 cleans it — its verdicts, condition
-    pruning's pairs included, kept in ``store``, if given — and whether
-    that plan is unsatisfiable (two constants in one class)."""
+    pruning's pairs included, kept in ``store``, if given — whether that
+    plan is unsatisfiable (two constants in one class), and the search's
+    counters."""
 
     universal = chase(query, deps, 80)
     context = OptimizeContext(
@@ -260,10 +261,39 @@ def searched(query, deps, strategy, statistics=None, max_nodes=250, store=None):
     verdicts = backchase.RootVerdicts(
         universal.query, ChaseEngine(context.constraints, 80), context, store
     )
-    forms = optimizer.minimal_plans(universal.query, verdicts=verdicts)
+    stats = backchase.BackchaseStats()
+    forms = optimizer.minimal_plans(universal.query, stats, verdicts=verdicts)
     for form in forms:
         optimizer._variants(form, verdicts)  # prunes through the entry
-    return forms, universal.congruence.inconsistent
+    return forms, universal.congruence.inconsistent, stats
+
+
+#: the counters of a search's walk: a search served from a store walks
+#: what the same search from a fresh store walks
+WALK = (
+    "nodes_visited",
+    "steps_attempted",
+    "steps_applied",
+    "normal_forms",
+    "candidates_explored",
+    "candidates_pruned",
+)
+
+
+def removal_graph(store):
+    """The removal graph of ``store``'s one entry, as it stands now: per
+    node, its spelling and each removal's outcome (an accepted child by
+    its node's name)."""
+
+    ((_, entry),) = store.items()
+    names = {id(node): name for name, node in entry.removals.items()}
+    return {
+        name: (
+            node.spelling,
+            [names[id(e)] if isinstance(e, backchase.RemovalNode) else e for e in node.edges],
+        )
+        for name, node in entry.removals.items()
+    }
 
 
 def form_keys(forms, inconsistent, pi=None):
@@ -284,26 +314,41 @@ def assert_generic(query, deps, pi, strategy, statistics=None, max_nodes=250):
     search, and π(Q)'s search reading the verdict store Q's search filled
     — and every verdict the store serves, condition (3) per shape and
     condition pruning's per pair, is the one π(Q)'s search decides (a
-    fresh store reads nothing: that search is store-less)."""
+    fresh store reads nothing: that search is store-less).  Where π keeps
+    the root's key, Q's search and π(Q)'s record the same removal graph
+    (edges, child keys, marked spellings), and π(Q)'s search from Q's
+    store replays every removal it walks — it builds no candidate — and
+    walks what its own search walks."""
 
     shared, alone = LRU(), LRU()
     try:
-        forms, inconsistent = searched(
+        forms, inconsistent, _ = searched(
             query, deps, strategy, statistics, max_nodes, shared
         )
     except (ChaseNonTermination, BackchaseError):
         assume(False)
+    recorded = removal_graph(shared)
     renamed = rename_constants(query, pi)
-    own, own_inconsistent = searched(
+    own, own_inconsistent, own_stats = searched(
         renamed, deps, strategy, statistics, max_nodes, alone
     )
-    served, _ = searched(renamed, deps, strategy, statistics, max_nodes, shared)
+    served, _, served_stats = searched(
+        renamed, deps, strategy, statistics, max_nodes, shared
+    )
     assert own_inconsistent == inconsistent
     expected = form_keys(forms, inconsistent, pi)
     assert form_keys(own, inconsistent) == expected
     assert form_keys(served, inconsistent) == expected
     ((key, decided),) = alone.items()
-    kept = dict(shared.items()).get(key, {})
+    entry = dict(shared.items()).get(key)
+    if entry is None:
+        return set()  # π moved the root's key: nothing was served
+    assert removal_graph(alone) == recorded
+    assert served_stats.candidates_replayed == served_stats.candidates_explored
+    assert [getattr(served_stats, c) for c in WALK] == [
+        getattr(own_stats, c) for c in WALK
+    ]
+    kept, decided = entry.verdicts, decided.verdicts
     both = decided.keys() & kept.keys()
     assert {k: kept[k] for k in both} == {k: decided[k] for k in both}
     return both

@@ -10,12 +10,18 @@ a verdict is generic in the constants no dependency mentions
 (``tests/test_prop_optimizer.py`` holds the search and the pruning pairs
 to that); these tests hold the store to its key: a constant a dependency
 mentions stays literal, equal constants share a marker, a constraint
-change reads other entries, and a pair is keyed by both its sides.
+change reads other entries, and a pair is keyed by both its sides.  The
+entry also keeps the root's removal graph, so a later request builds no
+candidate: these tests hold its replay to a store-less optimize on the
+cold workloads, and its nodes to one spelling of the binding variables.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -26,6 +32,8 @@ from repro.advisor.candidates import Candidate
 from repro.api.context import OptimizeContext
 from repro.api.database import CacheConfig
 from repro.backchase.backchase import (
+    FAILS,
+    RemovalNode,
     RootVerdicts,
     ShapeKeys,
     constant_markers,
@@ -54,6 +62,28 @@ def search_counts(result):
     return stats.candidates_explored, stats.candidates_pruned, stats.normal_forms
 
 
+def walk(result):
+    """The counters of the search's walk (what a served search shares with
+    a store-less one: not its verdict hits, misses or replays)."""
+
+    stats = result.backchase_stats
+    return (
+        stats.nodes_visited,
+        stats.steps_attempted,
+        stats.steps_applied,
+        stats.normal_forms,
+        stats.candidates_explored,
+        stats.candidates_pruned,
+    )
+
+
+def built(result):
+    """The candidates the request built: explored less replayed."""
+
+    stats = result.backchase_stats
+    return stats.candidates_explored - stats.candidates_replayed
+
+
 def computed(result):
     """The containment verdicts the request decided: condition (3)'s and
     condition pruning's (``containment_decisions`` counts each computed
@@ -65,9 +95,10 @@ def computed(result):
 class TestARepeatedShape:
     def test_a_fresh_constant_decides_no_verdict_and_plans_the_same(self):
         """The second ProjDept-Q request, with a CustName the first never
-        saw, decides no condition-(3) verdict and runs no lookup-safety
-        chase, walks the same search and returns the plans a store-less
-        optimize returns."""
+        saw, decides no condition-(3) verdict, runs no lookup-safety chase
+        and builds no candidate (it replays the first request's removals),
+        walks the same search and returns the plans a store-less optimize
+        returns."""
 
         db = Database.from_workload("projdept", **GOLDEN_WORKLOADS["projdept"])
         first = db.optimize(PROJDEPT_Q.format('"CitiBank"'))
@@ -78,11 +109,18 @@ class TestARepeatedShape:
 
         assert computed(second) == 0 and computed(alone) > 0
         assert second.lookup_decisions["chased"] == 0
+        assert built(second) == 0 < second.backchase_stats.candidates_replayed
+        assert built(first) == built(alone) > 0
+        assert walk(second) == walk(alone)
         assert search_counts(second) == search_counts(alone) == search_counts(first)
         assert plan_texts(second) == plan_texts(alone)
         assert str(second.best.query) == str(alone.best.query)
-        info = db.metrics()["sources"]["verdict_store"]
+        metrics = db.metrics()
+        info = metrics["sources"]["verdict_store"]
         assert (info["hits"], info["misses"], info["size"]) == (1, 1, 1)
+        assert metrics["counters"]["backchase.candidates_replayed"] == (
+            second.backchase_stats.candidates_replayed
+        )
 
     def test_the_store_is_bounded_like_the_plan_cache(self):
         deps = [parse_constraint("forall (x in R, y in R) where x.A = y.A -> x = y", "k")]
@@ -168,6 +206,117 @@ class TestARepeatedShape:
         assert second.containment.hits == (
             first.containment.hits + first.containment.misses
         )
+
+
+#: a request's shape: its text with every constant written ``?``
+CONSTANT = re.compile(r'"[^"]*"|(?<![\w.])-?\d+(?:\.\d+)?')
+
+
+def cold_workload(name):
+    """``benchmarks/perf``'s cold workload ``name`` (seed 1), set up."""
+
+    path = Path(__file__).resolve().parent.parent / "benchmarks" / "perf" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perf_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    workload = {"cold_projdept": module.ColdProjDept, "cold_mix": module.ColdMix}[name](1)
+    workload.setup()
+    return workload
+
+
+@pytest.mark.parametrize("name", ["cold_projdept", "cold_mix"])
+def test_every_later_request_is_a_store_less_optimize(name):
+    """Over the first two cycles of a cold workload's shapes, a shape's
+    later request builds no candidate, and its plans, their costs, the
+    best plan's text and the search's walk are a store-less optimize's."""
+
+    workload = cold_workload(name)
+    shapes = workload.SHAPES
+    count = 2 * len(shapes) - sum(1 for *_, names in shapes if not names)
+    requests = [req for block in workload.blocks() for req in block][:count]
+    seen, later = set(), 0
+    for req in requests:
+        db = workload.databases[req.target]
+        result = db.optimize(req.text)
+        shape = (req.target, CONSTANT.sub("?", req.text))
+        if shape not in seen:
+            seen.add(shape)
+            continue
+        later += 1
+        alone = db.context.optimizer().optimize(parse_query(req.text))
+        assert built(result) == 0, req.text
+        assert plan_texts(result) == plan_texts(alone), req.text
+        assert str(result.best.query) == str(alone.best.query), req.text
+        assert walk(result) == walk(alone), req.text
+    assert later == count - len(seen) > 0
+    workload.close()
+
+
+class TestTheRemovalGraph:
+    """A removal is recorded per node and removed variable, a node being
+    its key and its binding variables."""
+
+    #: one root key on ``rs``, two namings: ``x`` is ``R`` in the first
+    #: and ``S`` in the second
+    NAMINGS = (
+        "select struct(A = x.A, C = y.C) from R x, S y where x.B = y.B and y.C = 3",
+        "select struct(A = y.A, C = x.C) from R y, S x where y.B = x.B and x.C = 5",
+    )
+    #: the first with its from clause permuted: another root key
+    PERMUTED = (
+        "select struct(A = x.A, C = y.C) from S y, R x where x.B = y.B and y.C = 7"
+    )
+
+    def test_a_root_spelled_over_other_variables_plans_as_a_fresh_optimize(self):
+        """The second naming shares the first's entry, but a removal is
+        replayed only at a node of the same key and binding variables:
+        keyed by the removed variable's name alone, R's removal would come
+        back as S's, and the plans would spell ``S y`` where a fresh
+        optimize spells ``S x``."""
+
+        db = Database.from_workload("rs")
+        first = db.optimize(self.NAMINGS[0])
+        query = parse_query(self.NAMINGS[1])
+        second = db.optimize(query)
+        alone = db.context.optimizer().optimize(query)
+        info = db.metrics()["sources"]["verdict_store"]
+        assert (info["hits"], info["misses"], info["size"]) == (1, 1, 1)
+        assert computed(first) > 0
+        assert plan_texts(second) == plan_texts(alone)
+        assert str(second.best.query) == str(alone.best.query)
+        assert "S x" in str(alone.best.query)
+        assert walk(second) == walk(alone)
+
+        permuted = db.optimize(self.PERMUTED)
+        info = db.metrics()["sources"]["verdict_store"]
+        assert (info["hits"], info["misses"], info["size"]) == (1, 2, 2)
+        assert computed(permuted) > 0 and permuted.backchase_stats.candidates_replayed == 0
+
+    def test_a_search_without_a_store_records_nothing(self):
+        query = parse_query(self.NAMINGS[0])
+        verdicts = RootVerdicts(query, ChaseEngine([]))
+        minimal_subqueries(query, [], verdicts=verdicts)
+        assert verdicts.removals is None
+
+    def test_a_recorded_spelling_holds_markers_and_shares_its_parts(self):
+        """Each accepted removal keeps its child's node, spelled with the
+        root's markers, not its constants; a rejected one its child's key;
+        and the entry holds one object per distinct binding and
+        condition."""
+
+        db = Database.from_workload("rs")
+        db.optimize(self.NAMINGS[0])
+        ((_, entry),) = db._verdicts.items()
+        edges = [e for node in entry.removals.values() for e in node.edges if e]
+        assert {type(e) for e in edges} == {str, RemovalNode}
+        rejected = [e for e in edges if type(e) is str and e is not FAILS]
+        assert rejected and all(entry.verdicts[key] is False for key in rejected)
+        spellings = [node.spelling for node in entry.removals.values() if node.spelling]
+        texts = [str(spelling) for spelling in spellings]
+        assert any("$#0" in text for text in texts)
+        assert not any(" 3" in text for text in texts)
+        parts = [p for spelling in spellings for p in spelling.bindings + spelling.conditions]
+        assert len({id(p) for p in parts}) == len(set(parts))
 
 
 def stored_then_alone(deps, first_text, then_text, strategy="full"):
@@ -339,4 +488,4 @@ class TestPairVerdicts:
         store = LRU()
         Optimizer(context=optimizer.context, verdict_store=store).optimize(workload.query)
         ((_, stored),) = store.items()
-        assert stored.keys() == verdicts.memo.keys()
+        assert stored.verdicts.keys() == verdicts.memo.keys()
