@@ -105,6 +105,19 @@ one already queued nothing, and a new one is the spelling with this
 root's constants written back.  What is not recorded yet is built, and
 recorded once its verdict is decided; a search without a store records
 nothing.
+
+A floor is a fact of the shape, too.  Its closure half
+(:func:`~repro.optimizer.cost.floor_terms`: ground-term counts per class,
+the statistic each groundable source would read) reads no catalog and
+compares constants only for equality; only its pricing
+(:func:`~repro.optimizer.cost.floor_value`) reads the statistics.  So a
+node of the removal graph keeps its terms, recorded the first time its
+floor is computed, and a later search prices them under its own catalog
+— a refresh of the statistics or a skew variant's adjusted ones share
+the store.  Such a search spells a replayed node back with its own
+constants, and builds its closure, only when a reader comes: a removal
+not recorded yet, a condition-(3) verdict that reads the antichain, or
+its costing as a normal form.
 """
 
 from __future__ import annotations
@@ -119,7 +132,8 @@ from repro.chase.congruence import CongruenceClosure, build_congruence, query_co
 from repro.constraints.epcd import EPCD
 from repro.errors import BackchaseError
 from repro.lru import LRU
-from repro.optimizer.cost import CostModel, estimate_cost, plan_cost_floor
+from repro.optimizer.cost import CostModel, FloorTerms, estimate_cost, floor_pricer
+from repro.optimizer.cost import floor_terms
 from repro.optimizer.statistics import Statistics
 from repro.query import paths as P
 from repro.query.ast import Binding, Eq, PathOutput, PCQuery, StructOutput
@@ -916,17 +930,20 @@ class ShapeKeys:
 class RemovalNode:
     """A node of a removal graph (module docstring): its shape key, its
     spelling's parts with the root's constants written as their markers
-    (none for the root, which every search is given) and, per binding in
-    order, what removing it yielded — ``None`` while not recorded,
-    ``FAILS``, the rejected child's key, or the accepted child's node."""
+    (none for the root, which every search is given), its floor terms
+    (:func:`~repro.optimizer.cost.floor_terms`, ``None`` until a search
+    first computes its floor) and, per binding in order, what removing it
+    yielded — ``None`` while not recorded, ``FAILS``, the rejected child's
+    key, or the accepted child's node."""
 
-    __slots__ = ("key", "output", "bindings", "conditions", "edges")
+    __slots__ = ("key", "output", "bindings", "conditions", "terms", "edges")
 
     def __init__(self, key: str, width: int, spelling: Optional[PCQuery] = None) -> None:
         self.key = key
         self.output = spelling.output if spelling else None
         self.bindings = spelling.bindings if spelling else ()
         self.conditions = spelling.conditions if spelling else ()
+        self.terms: Optional[FloorTerms] = None
         self.edges: List[object] = [None] * width
 
     @property
@@ -943,7 +960,8 @@ class StoreEntry(NamedTuple):
     verdicts: Dict
     #: the removal graph: (shape key, binding variables) -> its node
     removals: Dict[Tuple[str, Tuple[str, ...]], RemovalNode]
-    #: every output, binding and condition the graph's spellings hold, once
+    #: every output, binding and condition the graph's spellings hold, and
+    #: every node's floor terms, once
     parts: Dict
 
 
@@ -1018,6 +1036,18 @@ class RootVerdicts:
             node = removals[name] = RemovalNode(key, len(query.bindings), spelling)
         return node
 
+    def floor_terms(self, node: Optional[RemovalNode], query: PCQuery) -> FloorTerms:
+        """The floor terms of ``query``, the shape at ``node``: the node's,
+        read off ``query``'s closure the first time and recorded (interned
+        in the entry), or read every time without a node."""
+
+        if node is None:
+            return floor_terms(query)
+        if node.terms is None:
+            terms = floor_terms(query)
+            node.terms = self._parts.setdefault(terms, terms)
+        return node.terms
+
     def contained_in(self, q1: PCQuery, q2: PCQuery) -> bool:
         """``q1 ⊑ q2`` (shapes of this root's search), decided by the
         engine on the real pair and remembered here under the pair's keys."""
@@ -1085,7 +1115,6 @@ class BackchaseStats:
 
 
 PlanCost = Callable[[PCQuery], Optional[float]]
-CostFloor = Callable[[PCQuery], float]
 
 
 def minimal_subqueries(
@@ -1099,7 +1128,6 @@ def minimal_subqueries(
     statistics: Optional[Statistics] = None,
     cost_model: Optional[CostModel] = None,
     plan_cost: Optional[PlanCost] = None,
-    cost_floor: Optional[CostFloor] = None,
     verdicts: Optional[RootVerdicts] = None,
 ) -> List[PCQuery]:
     """Normal forms of backchasing ``query``.
@@ -1110,14 +1138,14 @@ def minimal_subqueries(
     (Theorem 2).  With ``strategy="pruned"`` (what the :class:`Optimizer`
     defaults to) the same search is cost-bounded: ``plan_cost`` maps a
     complete plan (normal form) to the cost the caller will rank it by, or
-    ``None`` when the plan cannot win (ineligible); ``cost_floor`` maps any
-    node to a lower bound on ``plan_cost`` over the node's whole subtree;
-    the defaults use :func:`estimate_cost` / :func:`plan_cost_floor` with
-    the ``statistics`` / ``cost_model`` catalog.  The bounded run returns a
-    subset of the unbounded run's normal forms that always contains one of
-    minimal eligible cost.  Those four options are rejected for the full
-    strategy.  Deterministic output order either way (by size, then
-    canonical text).
+    ``None`` when the plan cannot win (ineligible), by default
+    :func:`estimate_cost` with the ``statistics`` / ``cost_model``
+    catalog; each node's lower bound on ``plan_cost`` over its whole
+    subtree is :func:`~repro.optimizer.cost.plan_cost_floor` under the same
+    catalog.  The bounded run returns a subset of the unbounded run's
+    normal forms that always contains one of minimal eligible cost.  Those
+    three options are rejected for the full strategy.  Deterministic
+    output order either way (by size, then canonical text).
 
     ``context`` (an :class:`~repro.api.context.OptimizeContext`) supplies
     defaults in one value: the constraint set when ``deps`` is omitted,
@@ -1151,6 +1179,7 @@ def minimal_subqueries(
                 "these verdicts belong to another search: another query "
                 "or another constraint set"
             )
+    price: Optional[Callable[[FloorTerms], float]] = None
     if strategy == "pruned":
         if context is not None:
             statistics = context.statistics if statistics is None else statistics
@@ -1159,14 +1188,12 @@ def minimal_subqueries(
         model = cost_model or CostModel()
         if plan_cost is None:
             plan_cost = lambda q: estimate_cost(q, catalog, model)  # noqa: E731
-        if cost_floor is None:
-            cost_floor = lambda q: plan_cost_floor(q, catalog, model)  # noqa: E731
+        price = floor_pricer(catalog, model)
     elif strategy == "full":
         bound_options = dict(
             statistics=statistics,
             cost_model=cost_model,
             plan_cost=plan_cost,
-            cost_floor=cost_floor,
         )
         given = sorted(k for k, v in bound_options.items() if v is not None)
         if given:
@@ -1176,7 +1203,6 @@ def minimal_subqueries(
         # The bound switched off: no complete plan ever sets it, and no
         # floor is computed for nodes nobody will compare.
         plan_cost = lambda q: None  # noqa: E731
-        cost_floor = lambda q: 0.0  # noqa: E731
     else:
         raise BackchaseError(
             f"unknown backchase strategy {strategy!r} (expected 'full' or 'pruned')"
@@ -1202,37 +1228,69 @@ def minimal_subqueries(
     memo = verdicts.memo
     memo_hits = computed = 0
 
-    # antichain of minimal accepted binding-variable sets -> subquery
-    accepted: Dict[FrozenSet[str], PCQuery] = {}
+    # antichain of minimal accepted binding-variable sets -> subquery, or
+    # the replayed node that spells it until a verdict needs the subquery
+    accepted: Dict[FrozenSet[str], object] = {}
     refuted: List[PCQuery] = []  # what condition (3) rejected
     # one canonical key per syntactic shape (most candidates repeat one)
     keys: Dict[Tuple, str] = {}
 
+    def antichain() -> Iterable[PCQuery]:
+        """The antichain's subqueries, each replayed node spelled with this
+        root's constants once a verdict reads it."""
+
+        for names, sub in accepted.items():
+            if type(sub) is RemovalNode:
+                accepted[names] = key_of.unspell(sub.spelling)
+        return accepted.values()
+
     # Each shape's closure is built once, kept on its first candidate while
     # a reader may come — its subsumption test, its floor, its node's
     # removals, the refutation of later candidates (``query_congruence``) —
-    # and dropped after: only the queued nodes and the refuted keep one.
+    # and dropped after: only the queued nodes and the refuted keep one.  A
+    # node replayed from the removal graph gets its query and its closure
+    # only when a reader comes: a removal not recorded yet, a floor whose
+    # terms are not, or its costing as a normal form (its query alone).
     holders: Dict[int, PCQuery] = {}
 
     def keep_congruence(q: PCQuery) -> None:
-        object.__setattr__(q, "_congruence", build_congruence(q))
-        holders[id(q)] = q
+        if id(q) not in holders:
+            object.__setattr__(q, "_congruence", build_congruence(q))
+            holders[id(q)] = q
 
-    def drop_congruence(q: PCQuery) -> None:
-        del q.__dict__["_congruence"], holders[id(q)]
+    def drop_congruence(q: Optional[PCQuery]) -> None:
+        if q is not None and holders.pop(id(q), None) is not None:
+            del q.__dict__["_congruence"]
+
+    def floor_of(
+        q: Optional[PCQuery], node: Optional[RemovalNode]
+    ) -> Tuple[float, PCQuery]:
+        """The bound of the shape at ``node`` (``q``, if built): its
+        recorded terms priced under this search's catalog, or else the
+        terms read off ``q``'s closure — spelled back and kept first if
+        need be — and recorded; and ``q`` as it now stands."""
+
+        if price is None:
+            return 0.0, q
+        if node is None or node.terms is None:
+            q = q or key_of.unspell(node.spelling)
+            keep_congruence(q)
+        return price(verdicts.floor_terms(node, q)), q
 
     try:
         keep_congruence(root)
         best: Optional[float] = None
+        root_node = verdicts.node(root_key, root)
         # Every shape ever queued, with its bound: a shape is queued (hence
         # visited) at most once.
-        floors: Dict[str, float] = {root_key: cost_floor(root)}
+        floors: Dict[str, float] = {root_key: floor_of(root, root_node)[0]}
         normal_forms: List[PCQuery] = []
-        # Each queued node with its node in the root's removal graph (with a
+        # Each queued node — its query, ``None`` while a replayed node has
+        # not needed one — with its node in the root's removal graph (with a
         # store: what each removal from it yielded in an earlier search of
         # the shape, read and extended here — the module docstring).
-        stack: List[Tuple[str, PCQuery, Optional[RemovalNode]]] = [
-            (root_key, root, verdicts.node(root_key, root))
+        stack: List[Tuple[str, Optional[PCQuery], Optional[RemovalNode]]] = [
+            (root_key, root, root_node)
         ]
         # Under the bound each binding set is built once: the first spelling
         # accepted over it settles it, and a removal landing on it later is
@@ -1255,11 +1313,12 @@ def minimal_subqueries(
                 raise BackchaseError(f"backchase search exceeded {max_nodes} nodes")
 
             reduced_any = False
-            children: List[Tuple[float, str, PCQuery, Optional[RemovalNode]]] = []
-            cc = query_congruence(current)  # each removal works on a copy
-            bound_vars = frozenset(current.binding_vars())
+            children: List[Tuple[float, str, Optional[PCQuery], Optional[RemovalNode]]] = []
+            cc = None  # the node's closure, once a removal is built from it
+            names_here = [b.var for b in (node if current is None else current).bindings]
+            bound_vars = frozenset(names_here)
             edges = node.edges if node is not None else None
-            for i, var in enumerate(current.binding_vars()):
+            for i, var in enumerate(names_here):
                 stats.steps_attempted += 1
                 if settled is not None and bound_vars - {var} in settled:
                     memo_hits += 1
@@ -1281,6 +1340,10 @@ def minimal_subqueries(
                         continue
                     candidate, child, ckey, verdict = None, edge, edge.key, True
                 else:
+                    if cc is None:
+                        current = current or key_of.unspell(node.spelling)
+                        keep_congruence(current)
+                        cc = query_congruence(current)  # each removal works on a copy
                     candidate = build_candidate(current, frozenset((var,)), cc.copy())
                     if candidate is None:
                         if edges is not None:
@@ -1299,7 +1362,7 @@ def minimal_subqueries(
                     if verdict is None:
                         keep_congruence(candidate)
                         verdict = memo[ckey] = accept_candidate(
-                            candidate, current, engine, accepted.values(), refuted
+                            candidate, current, engine, antichain(), refuted
                         )
                         computed += 1
                         if not verdict and not (refuted and refuted[-1] is candidate):
@@ -1317,26 +1380,23 @@ def minimal_subqueries(
                 if settled is not None:
                     settled.add(names)
                 if not any(kept <= names for kept in accepted):
-                    candidate = candidate or key_of.unspell(child.spelling)
                     accepted = {k: a for k, a in accepted.items() if not names < k}
-                    accepted[names] = candidate
+                    accepted[names] = candidate or child
                 stats.steps_applied += 1
                 reduced_any = True
                 if ckey in floors:
                     continue
-                candidate = candidate or key_of.unspell(child.spelling)
-                if id(candidate) not in holders:
-                    keep_congruence(candidate)  # a verdict this search served
-                floor = cost_floor(candidate)
-                floors[ckey] = floor
-                if best is not None and floor > best:
+                bound, candidate = floor_of(candidate, child)
+                floors[ckey] = bound
+                if best is not None and bound > best:
                     stats.candidates_pruned += 1
                     drop_congruence(candidate)
                     continue
-                children.append((floor, ckey, candidate, child))
+                children.append((bound, ckey, candidate, child))
             drop_congruence(current)
 
             if not reduced_any:
+                current = current or key_of.unspell(node.spelling)
                 normal_forms.append(current)
                 stats.normal_forms += 1
                 cost = plan_cost(current)

@@ -12,7 +12,7 @@ cost function C.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
 from repro.optimizer.statistics import DEFAULT_SELECTIVITY, Statistics
 from repro.query import paths as P
@@ -52,23 +52,35 @@ def _root_name(path: Path) -> Optional[str]:
         path = kids[0]
 
 
+def _statistic_read(source: Path) -> Tuple[str, ...]:
+    """Which statistic estimates the elements a binding source produces:
+    the :class:`Statistics` method and its arguments, or the default
+    attribute alone.  It names schema names and attributes only, never a
+    path or a constant."""
+
+    if isinstance(source, SName):
+        return ("card", source.name)
+    if isinstance(source, Dom):
+        name = _root_name(source.base)
+        return ("card", name) if name else ("default_cardinality",)
+    if isinstance(source, (Lookup, NFLookup)):
+        name = _root_name(source.base)
+        return ("entry_card", name) if name else ("default_fanout",)
+    if isinstance(source, Attr):
+        name = _root_name(source)
+        return ("attr_fanout", name, source.attr) if name else ("default_fanout",)
+    return ("default_cardinality",)
+
+
+def _read(statistic: Tuple[str, ...], stats: Statistics) -> float:
+    value = getattr(stats, statistic[0])
+    return value(*statistic[1:]) if len(statistic) > 1 else value
+
+
 def _source_cardinality(source: Path, stats: Statistics) -> float:
     """Expected number of elements produced by a binding source."""
 
-    if isinstance(source, SName):
-        return stats.card(source.name)
-    if isinstance(source, Dom):
-        name = _root_name(source.base)
-        return stats.card(name) if name else stats.default_cardinality
-    if isinstance(source, (Lookup, NFLookup)):
-        name = _root_name(source.base)
-        return stats.entry_card(name) if name else stats.default_fanout
-    if isinstance(source, Attr):
-        name = _root_name(source)
-        if name:
-            return stats.attr_fanout(name, source.attr)
-        return stats.default_fanout
-    return stats.default_cardinality
+    return _read(_statistic_read(source), stats)
 
 
 def _attr_of(
@@ -250,8 +262,36 @@ def extent_statistics(
 # sources are floored at the cheapest statistic on record, so the bound
 # holds for arbitrary catalogs, and is tight enough to bite exactly when a
 # branch has lost access to cheap (index) sources.
+#
+# The bound is computed in two halves.  `floor_terms` reads the closure and
+# no catalog: which classes count how many ground terms (the exponents of
+# `m0`'s factors), and which statistic each groundable congruent source
+# would read, and whether it has free variables (an image may re-root it
+# onto any statistic).  It compares constants only for equality and keeps
+# no path, so the terms are a fact of the shape, the same for every query
+# that differs from this one only in its constants.  `floor_value` reads
+# the catalog and no closure: it prices the statistics, takes `n_first` as
+# their minimum and `s_min` from the catalog's NDVs.  The backchase keeps
+# each node's terms in its removal graph and prices them again under each
+# search's own catalog.
 
 _GROUND_COUNT_CAP = 8
+
+
+class FloorTerms(NamedTuple):
+    """What the cost floor reads off a query's closure (:func:`floor_terms`)."""
+
+    #: one per class with two or more ground terms, its count less one,
+    #: ascending: the level-0 discount multiplies ``s_min`` to each power
+    #: in this order, so two spellings of a shape price alike
+    exponents: Tuple[int, ...]
+    #: (statistic read, has free variables) per groundable congruent
+    #: binding source; empty when only the startup charge is safe
+    sources: FrozenSet[Tuple[Tuple[str, ...], bool]]
+
+
+#: the terms of a query whose floor is the startup charge alone
+STARTUP_ONLY = FloorTerms((), frozenset())
 
 
 def _stat_floor(stats: Statistics) -> float:
@@ -322,28 +362,18 @@ def _ground_term_counts(cc) -> Dict[Path, int]:
     return counts
 
 
-def plan_cost_floor(
-    query: PCQuery,
-    stats: Statistics,
-    model: Optional[CostModel] = None,
-) -> float:
-    """Lower bound on the estimated cost of ``query`` and of every subquery
-    reachable from it by backchase steps (congruent re-sourcing, condition
-    restriction, non-failing refinement and reordering included).
-
-    Used by the pruned backchase to cut branches that provably cannot beat
-    the best complete plan found so far; see the derivation above.
-    """
+def floor_terms(query: PCQuery) -> FloorTerms:
+    """The half of :func:`plan_cost_floor` that reads ``query``'s closure
+    and no catalog (the derivation above)."""
 
     from repro.chase.congruence import query_congruence
 
-    model = model or CostModel()
     if not query.bindings:
-        return model.scan_startup
+        return STARTUP_ONLY
     cc = query_congruence(query)  # read, never extended: binding sources are in it
     if cc.inconsistent:
         # Unsatisfiable subqueries cost as little as the startup charge.
-        return model.scan_startup
+        return STARTUP_ONLY
 
     ground_counts = _ground_term_counts(cc)
 
@@ -358,37 +388,74 @@ def plan_cost_floor(
     # A subquery whose output can be rewritten ground may shed every
     # binding; only the startup charge survives.
     if all(groundable(path) for path in query.output.paths()):
-        return model.scan_startup
+        return STARTUP_ONLY
 
     # Cheapest first loop: the leading binding of any subquery has a ground
     # source, drawn from the groundable congruent sources of some binding.
-    floor_stat = _stat_floor(stats)
-    n_first = None
-    for binding in query.bindings:
-        for member in cc.members(binding.source):
-            if not groundable(member):
-                continue
-            estimate = _source_cardinality(member, stats)
-            if P.free_vars(member):
-                # a ground image may re-root the term onto any recorded
-                # statistic; floor at the cheapest one
-                estimate = min(estimate, floor_stat)
-            if n_first is None or estimate < n_first:
-                n_first = estimate
-    if n_first is None:  # no groundable source at all: only startup is safe
-        return model.scan_startup
-
+    sources = frozenset(
+        (_statistic_read(member), bool(member._fvs))
+        for binding in query.bindings
+        for member in cc.members(binding.source)
+        if groundable(member)
+    )
     # Ground (level-0) conditions a subquery could state: one spanning
     # equality per extra distinct ground term in a class.  A class whose
     # count saturated the fixpoint cap may hold arbitrarily many ground
-    # terms; the discount below would then *under*count (raising the
-    # floor), so give up and return the trivial bound instead.
-    s_min = _min_selectivity(stats)
-    m0 = 1.0
-    for root, count in ground_counts.items():
-        if count >= _GROUND_COUNT_CAP:
-            return model.scan_startup
-        if count >= 2:
-            m0 *= s_min ** (count - 1)
+    # terms; the discount would then *under*count (raising the floor), so
+    # give up and keep the trivial bound instead.
+    counts = sorted(ground_counts.values())
+    if not sources or (counts and counts[-1] >= _GROUND_COUNT_CAP):
+        return STARTUP_ONLY
+    return FloorTerms(tuple(count - 1 for count in counts if count >= 2), sources)
 
-    return model.scan_startup + m0 * n_first * model.tuple_cost
+
+def floor_pricer(
+    stats: Statistics, model: Optional[CostModel] = None
+) -> Callable[[FloorTerms], float]:
+    """:func:`floor_value` under one catalog, its extremes read once: what
+    a search prices every node's terms with."""
+
+    model = model or CostModel()
+    floor_stat = _stat_floor(stats)
+    s_min = _min_selectivity(stats)
+
+    def price(terms: FloorTerms) -> float:
+        if not terms.sources:
+            return model.scan_startup
+        # a ground image of a source with free variables may re-root it
+        # onto any recorded statistic; floor it at the cheapest one
+        n_first = min(
+            min(_read(statistic, stats), floor_stat) if free else _read(statistic, stats)
+            for statistic, free in terms.sources
+        )
+        m0 = 1.0
+        for exponent in terms.exponents:
+            m0 *= s_min ** exponent
+        return model.scan_startup + m0 * n_first * model.tuple_cost
+
+    return price
+
+
+def floor_value(
+    terms: FloorTerms, stats: Statistics, model: Optional[CostModel] = None
+) -> float:
+    """The half of :func:`plan_cost_floor` that reads the catalog and no
+    closure: ``terms`` priced under ``stats``."""
+
+    return floor_pricer(stats, model)(terms)
+
+
+def plan_cost_floor(
+    query: PCQuery,
+    stats: Statistics,
+    model: Optional[CostModel] = None,
+) -> float:
+    """Lower bound on the estimated cost of ``query`` and of every subquery
+    reachable from it by backchase steps (congruent re-sourcing, condition
+    restriction, non-failing refinement and reordering included).
+
+    Used by the pruned backchase to cut branches that provably cannot beat
+    the best complete plan found so far; see the derivation above.
+    """
+
+    return floor_value(floor_terms(query), stats, model)

@@ -383,6 +383,31 @@ ROWS: Tuple[Row, ...] = (
         ),
     ),
     Row(
+        "record a node's floor value, not its terms",
+        "src/repro/backchase/backchase.py",
+        "        return price(verdicts.floor_terms(node, q)), q\n",
+        "        if node is not None and type(node.terms) is float:\n"
+        "            return node.terms, q\n"
+        "        value = price(verdicts.floor_terms(node, q))\n"
+        "        if node is not None:\n"
+        "            node.terms = value\n"
+        "        return value, q\n",
+        (
+            "tests/test_verdict_store.py::TestACatalogChange::"
+            "test_refreshed_statistics_price_the_terms_afresh",
+        ),
+    ),
+    Row(
+        "drop the free-variable clamp from the terms",
+        "src/repro/optimizer/cost.py",
+        "        (_statistic_read(member), bool(member._fvs))\n",
+        "        (_statistic_read(member), False)\n",
+        (
+            "tests/test_prop_pruning.py::"
+            "test_the_split_floor_is_the_one_pass_floor_bit_for_bit",
+        ),
+    ),
+    Row(
         "order the drops by the literal text",
         "src/repro/optimizer/refine.py",
         "            sorted((blind(c.left), blind(c.right))),\n",
@@ -395,8 +420,8 @@ ROWS: Tuple[Row, ...] = (
     Row(
         "the cost floor is not admissible (ten times its value)",
         "src/repro/optimizer/cost.py",
-        "    return model.scan_startup + m0 * n_first * model.tuple_cost\n",
-        "    return 10 * (model.scan_startup + m0 * n_first * model.tuple_cost)\n",
+        "        return model.scan_startup + m0 * n_first * model.tuple_cost\n",
+        "        return 10 * (model.scan_startup + m0 * n_first * model.tuple_cost)\n",
         (
             "tests/test_pruned_backchase.py::TestTheFloorIsAdmissible::"
             "test_no_floor_exceeds_a_bounding_cost[projdept]",

@@ -120,7 +120,7 @@ def observe(wl, strategy) -> Observed:
     real_accept = backchase.accept_candidate
     real_decide = containment.is_contained_in
     real_subsumed = containment.subsumed
-    real_floor = backchase.plan_cost_floor
+    real_floor = backchase.floor_terms
 
     def as_built(query, reader):
         kept = kept_closure(query)
@@ -135,10 +135,10 @@ def observe(wl, strategy) -> Observed:
         as_built(query, "subsumption")
         return verdict
 
-    def floor(query, *args, **kwargs):
-        bound = real_floor(query, *args, **kwargs)
+    def floor(query):
+        terms = real_floor(query)
         as_built(query, "floor")
-        return bound
+        return terms
 
     def build(query, banned, cc=None):
         candidate = real_build(query, banned, cc)
@@ -192,7 +192,7 @@ def observe(wl, strategy) -> Observed:
         patch.setattr(backchase, "accept_candidate", accept)
         patch.setattr(containment, "is_contained_in", decide)
         patch.setattr(containment, "subsumed", subsumed)
-        patch.setattr(backchase, "plan_cost_floor", floor)
+        patch.setattr(backchase, "floor_terms", floor)
         result = Optimizer(
             wl.constraints,
             physical_names=wl.physical_names,

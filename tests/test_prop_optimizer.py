@@ -282,14 +282,15 @@ WALK = (
 
 def removal_graph(store):
     """The removal graph of ``store``'s one entry, as it stands now: per
-    node, its spelling and each removal's outcome (an accepted child by
-    its node's name)."""
+    node, its spelling, its floor terms and each removal's outcome (an
+    accepted child by its node's name)."""
 
     ((_, entry),) = store.items()
     names = {id(node): name for name, node in entry.removals.items()}
     return {
         name: (
             node.spelling,
+            node.terms,
             [names[id(e)] if isinstance(e, backchase.RemovalNode) else e for e in node.edges],
         )
         for name, node in entry.removals.items()
@@ -316,7 +317,7 @@ def assert_generic(query, deps, pi, strategy, statistics=None, max_nodes=250):
     condition pruning's per pair, is the one π(Q)'s search decides (a
     fresh store reads nothing: that search is store-less).  Where π keeps
     the root's key, Q's search and π(Q)'s record the same removal graph
-    (edges, child keys, marked spellings), and π(Q)'s search from Q's
+    (edges, child keys, marked spellings, floor terms), and π(Q)'s search from Q's
     store replays every removal it walks — it builds no candidate — and
     walks what its own search walks."""
 
@@ -344,6 +345,8 @@ def assert_generic(query, deps, pi, strategy, statistics=None, max_nodes=250):
     if entry is None:
         return set()  # π moved the root's key: nothing was served
     assert removal_graph(alone) == recorded
+    if strategy == "pruned":  # the root's floor, at least, was computed
+        assert any(terms is not None for _, terms, _ in recorded.values())
     assert served_stats.candidates_replayed == served_stats.candidates_explored
     assert [getattr(served_stats, c) for c in WALK] == [
         getattr(own_stats, c) for c in WALK

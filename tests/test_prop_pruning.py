@@ -6,7 +6,8 @@ full enumeration would find — pruning may drop dominated normal forms but
 never the winner.  Exercised here on randomly generated PC queries and
 constraint sets (generators in ``conftest``), with and without a
 physical-schema filter, plus a direct soundness check of the lower bound
-that justifies the pruning.
+that justifies the pruning, and its two halves held to the one-pass
+reference (``tests/floor_oracle.py``).
 """
 
 from __future__ import annotations
@@ -15,15 +16,17 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from conftest import constraint_sets, pc_queries, recording
-from repro.backchase.backchase import minimal_subqueries
+import floor_oracle
+from conftest import GEN_SCHEMA, constraint_pool, constraint_sets, pc_queries, recording
+from repro.backchase.backchase import build_candidate, minimal_subqueries
 from repro.chase.chase import ChaseEngine
 from repro.errors import BackchaseError, ChaseNonTermination
-from repro.optimizer.cost import estimate_cost, plan_cost_floor
+from repro.optimizer.cost import estimate_cost, floor_terms, floor_value, plan_cost_floor
 from repro.optimizer.optimizer import Optimizer
 from repro.optimizer.statistics import Statistics
+from repro.query.parser import parse_query
 
 COMMON = dict(max_chase_steps=80, max_backchase_nodes=4_000)
 
@@ -139,3 +142,74 @@ def test_no_floor_exceeds_a_bounding_cost(query, deps, physical, cards):
             continue
         assert root <= cost, str(form)
         assert floor(form) <= cost, str(form)
+
+
+#: what a generated catalog may read: the generator schema's names, the
+#: pool's index names and a name no generated query mentions
+STAT = st.sampled_from((0.5, 1.0, 3.0, 12.0, 250.0, 5_000.0))
+INDEXES = ["IXA", "IXB", "IXS"]
+NAMES = sorted(GEN_SCHEMA) + INDEXES + ["Z"]
+ATTRS = [f"{name}.{attr}" for name, attrs in sorted(GEN_SCHEMA.items()) for attr in attrs]
+
+
+def catalogs():
+    """Generated statistics: some cards, entry cards, fanouts and NDVs on
+    record, and the defaults, each drawn from a wide range."""
+
+    return st.builds(
+        Statistics,
+        cardinality=st.dictionaries(st.sampled_from(NAMES), STAT, max_size=4),
+        entry_cardinality=st.dictionaries(st.sampled_from(INDEXES + ["Z"]), STAT, max_size=3),
+        ndv=st.dictionaries(st.sampled_from(ATTRS), STAT, max_size=3),
+        fanout=st.dictionaries(st.sampled_from(ATTRS), STAT, max_size=2),
+        default_cardinality=STAT,
+        default_ndv=STAT,
+        default_fanout=STAT,
+    )
+
+
+@st.composite
+def indexed_constraint_sets(draw):
+    """Up to one pool group and one index group: a lookup source over a
+    key equated to a constant is what a free-variable source is."""
+
+    index = draw(st.sampled_from(("ix_rb", "ix_ra", "ix_sb")))
+    return draw(constraint_sets(max_groups=1)) + dict(constraint_pool())[index]
+
+
+@settings(max_examples=60, **RELAXED)
+@given(
+    query=pc_queries(),
+    deps=indexed_constraint_sets(),
+    first=catalogs(),
+    then=catalogs(),
+)
+@example(  # a lookup keyed by a constant, under a catalog whose cheapest
+    # statistic is a name no query reads: the free-variable clamp decides
+    query=parse_query("select struct(F0 = v0.A) from R v0 where v0.B = 2"),
+    deps=dict(constraint_pool())["ix_rb"],
+    first=Statistics(cardinality={"Z": 0.5}),
+    then=Statistics(),
+)
+def test_the_split_floor_is_the_one_pass_floor_bit_for_bit(query, deps, first, then):
+    """``floor_value(floor_terms(q))`` is ``tests/floor_oracle.py``'s
+    one-pass floor exactly — not approximately: a floor that ties the
+    bound decides a pruning — on the query, its universal plan and the
+    plan's one-binding removals, the terms read once and priced under
+    ``first`` and again under ``then``, a catalog unlike it (a later
+    request of a shape prices its recorded terms under its own)."""
+
+    try:
+        universal = Optimizer(deps, strategy="full", **COMMON).universal_plan(query).query
+    except ChaseNonTermination:
+        assume(False)
+    removals = (
+        build_candidate(universal, frozenset((var,)))
+        for var in universal.binding_vars()
+    )
+    for node in [query, universal, *filter(None, removals)]:
+        terms = floor_terms(node)
+        for stats in (first, then):
+            reference = floor_oracle.plan_cost_floor(node, stats)
+            assert floor_value(terms, stats) == reference, str(node)
+            assert plan_cost_floor(node, stats) == reference, str(node)

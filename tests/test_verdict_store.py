@@ -14,6 +14,10 @@ change reads other entries, and a pair is keyed by both its sides.  The
 entry also keeps the root's removal graph, so a later request builds no
 candidate: these tests hold its replay to a store-less optimize on the
 cold workloads, and its nodes to one spelling of the binding variables.
+Each node keeps its floor terms, not its floor, so a later request builds
+no closure but its root's and prices the terms under its own catalog:
+these tests hold that to a store-less optimize after a refresh of the
+statistics and under a skew variant's adjusted ones.
 """
 
 from __future__ import annotations
@@ -208,6 +212,57 @@ class TestARepeatedShape:
         )
 
 
+class TestACatalogChange:
+    """The removal graph keeps each node's floor terms, not its floor, so
+    a later request of a shape prices them under its own catalog: the
+    store is shared across a refresh of the statistics and a skew
+    variant's adjusted ones."""
+
+    def test_refreshed_statistics_price_the_terms_afresh(self):
+        """A catalog with other cards and NDVs (a larger ProjDept's)
+        moves the bound, so the search prunes other branches than the
+        first request's: a fresh constant then walks and plans as a
+        store-less optimize under the new catalog."""
+
+        from repro.api.workloads import build_workload
+
+        db = Database.from_workload("projdept", **GOLDEN_WORKLOADS["projdept"])
+        first = db.optimize(PROJDEPT_Q.format('"CitiBank"'))
+        larger = build_workload("projdept", n_depts=25, projs_per_dept=15, seed=9)
+        db.refresh_statistics(larger.statistics)
+        query = parse_query(PROJDEPT_Q.format('"Initech"'))
+        later = db.optimize(query)
+        alone = db.context.optimizer().optimize(query)
+
+        assert walk(alone) != walk(first)
+        assert later.backchase_stats.candidates_replayed > 0
+        assert walk(later) == walk(alone)
+        assert plan_texts(later) == plan_texts(alone)
+        assert str(later.best.query) == str(alone.best.query)
+
+    def test_a_skew_variant_prices_the_terms_under_its_statistics(self):
+        """The skew guard's adjusted statistics for a CustName no project
+        has, through the variant entry's optimize: a fresh constant plans
+        as a store-less optimize under them."""
+
+        db = Database.from_workload("projdept", n_depts=10, projs_per_dept=6, seed=3)
+        first = db.optimize(PROJDEPT_Q.format('"CitiBank"'))
+        template = parse_query(PROJDEPT_Q.format("$c"))
+        order = template.canonical().param_names()
+        tag, adjusted = db._skew_variant(template, order, {"c": "Nobody"})
+        context = db.context.override(statistics=adjusted)
+        query = parse_query(PROJDEPT_Q.format('"Initech"'))
+        later, _ = db._optimize_entry(query, tag, context)
+        alone = Optimizer(context=context).optimize(query)
+
+        assert tag.startswith("#skew:") and adjusted != db.context.statistics
+        assert later.backchase_stats.candidates_replayed > 0
+        assert walk(later) == walk(alone)
+        assert plan_texts(later) == plan_texts(alone)
+        assert plan_texts(later) != plan_texts(first)
+        assert str(later.best.query) == str(alone.best.query)
+
+
 #: a request's shape: its text with every constant written ``?``
 CONSTANT = re.compile(r'"[^"]*"|(?<![\w.])-?\d+(?:\.\d+)?')
 
@@ -224,11 +279,29 @@ def cold_workload(name):
     return workload
 
 
+def counting(patch, owner, name, calls):
+    """Count the calls of ``owner.<name>`` in ``calls[name]`` while ``patch``
+    holds."""
+
+    real = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    patch.setattr(owner, name, wrapper)
+
+
 @pytest.mark.parametrize("name", ["cold_projdept", "cold_mix"])
 def test_every_later_request_is_a_store_less_optimize(name):
     """Over the first two cycles of a cold workload's shapes, a shape's
-    later request builds no candidate, and its plans, their costs, the
-    best plan's text and the search's walk are a store-less optimize's."""
+    later request builds no candidate and no closure but its root's, and
+    spells back with its own constants only its normal forms (the floors
+    are the recorded terms, priced); its plans, their costs, the best
+    plan's text and the search's walk are a store-less optimize's."""
+
+    from repro.backchase import backchase
+    from repro.chase import congruence
 
     workload = cold_workload(name)
     shapes = workload.SHAPES
@@ -237,7 +310,13 @@ def test_every_later_request_is_a_store_less_optimize(name):
     seen, later = set(), 0
     for req in requests:
         db = workload.databases[req.target]
-        result = db.optimize(req.text)
+        calls = dict.fromkeys(("build_congruence", "unspell"), 0)
+        with pytest.MonkeyPatch.context() as patch:
+            counting(patch, backchase, "build_congruence", calls)
+            # a closure a reader builds for a query that keeps none
+            counting(patch, congruence, "build_congruence", calls)
+            counting(patch, ShapeKeys, "unspell", calls)
+            result = db.optimize(req.text)
         shape = (req.target, CONSTANT.sub("?", req.text))
         if shape not in seen:
             seen.add(shape)
@@ -245,6 +324,10 @@ def test_every_later_request_is_a_store_less_optimize(name):
         later += 1
         alone = db.context.optimizer().optimize(parse_query(req.text))
         assert built(result) == 0, req.text
+        assert calls == {
+            "build_congruence": 1,
+            "unspell": result.backchase_stats.normal_forms,
+        }, req.text
         assert plan_texts(result) == plan_texts(alone), req.text
         assert str(result.best.query) == str(alone.best.query), req.text
         assert walk(result) == walk(alone), req.text
