@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.backchase import backchase
-from repro.backchase.backchase import minimal_subqueries
+from repro.backchase.backchase import RootVerdicts, minimal_subqueries
 from repro.chase.chase import ChaseEngine, chase
 from repro.optimizer.optimizer import Optimizer
 
@@ -83,7 +83,9 @@ def test_e11_chase_cache_ablation(benchmark, rs_small):
         with pytest.MonkeyPatch.context() as patch:
             if fresh_engine_per_decision:
                 patch.setattr(backchase, "accept_candidate", accept_afresh)
-            forms = minimal_subqueries(universal, wl.constraints, engines[0])
+            forms = minimal_subqueries(
+                universal, wl.constraints, verdicts=RootVerdicts(universal, engines[0])
+            )
         return [str(f) for f in forms], sum(e.cache_misses for e in engines)
 
     shared_forms, shared_chases = benchmark.pedantic(

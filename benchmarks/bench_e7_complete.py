@@ -11,7 +11,7 @@ order in which removals are tried).
 from __future__ import annotations
 
 from backchase_oracle import bottom_up_minimal_plans, is_minimal, try_remove_binding
-from repro.backchase.backchase import minimal_subqueries
+from repro.backchase.backchase import RootVerdicts, minimal_subqueries
 from repro.chase.chase import ChaseEngine, chase
 from repro.chase.containment import is_equivalent
 from repro.query.ast import PCQuery
@@ -23,7 +23,9 @@ def test_e7_normal_forms_are_minimal_and_equivalent(benchmark, rs_small):
 
     def enumerate_and_verify():
         engine = ChaseEngine(wl.constraints)
-        forms = minimal_subqueries(universal, wl.constraints, engine)
+        forms = minimal_subqueries(
+            universal, wl.constraints, verdicts=RootVerdicts(universal, engine)
+        )
         for form in forms:
             assert is_minimal(form, wl.constraints, engine), str(form)
             assert is_equivalent(form, universal, wl.constraints, engine), str(form)

@@ -31,10 +31,11 @@ subqueries (Theorem 2).  Algorithm 1 only needs the *cheapest* plan, so
 cuts every branch that provably cannot beat the best complete plan found
 so far:
 
-* each node carries a **lower bound** (:func:`plan_cost_floor`) on the
-  cost of every subquery reachable from it, its own normalized and refined
-  variants included; a branch whose bound exceeds the best complete plan is
-  never expanded;
+* each node carries a **lower bound** on the cost of every subquery
+  reachable from it, its own normalized and refined variants included —
+  its floor terms (:func:`~repro.optimizer.cost.floor_terms`) priced under
+  the search's catalog (:func:`~repro.optimizer.cost.floor_pricer`); a
+  branch whose bound exceeds the best complete plan is never expanded;
 * the **bound** is tightened only by complete plans (normal forms) that the
   caller deems eligible (``plan_cost`` returns ``None`` for ineligible
   ones, e.g. plans outside the physical schema), so the plan the
@@ -94,17 +95,18 @@ A removal is a fact of the shape, too.  Conditions (1)-(2) rewrite through
 the where clause's closure: they read no statistic, no instance and no
 dependency, and they compare constants only for equality, so the candidate
 a removal yields is generic in the root's constants just as its verdict
-is.  A verdict store's entry therefore keeps, beside the verdicts, the
-root's **removal graph**: per node (its key and its binding variables, so
-one canonical shape spelled over other variables is another node) and
-removed binding, either "fails syntactically", the rejected child's key,
-or the accepted child's node, spelled with the root's constants written
-as their markers.  A later search of the shape replays a recorded removal
-instead of building it: a rejected child needs its key alone, an accepted
-one already queued nothing, and a new one is the spelling with this
-root's constants written back.  What is not recorded yet is built, and
-recorded once its verdict is decided; a search without a store records
-nothing.
+is.  Every search therefore keeps, beside the verdicts, the root's
+**removal graph**: per node (its key and its binding variables, so one
+canonical shape spelled over other variables is another node) and removed
+binding, either "fails syntactically", the rejected child's key, or the
+accepted child's node, spelled with the root's constants written as their
+markers.  A removal not recorded yet is built, decided and recorded; every
+step is then read off its edge, so a later search of the shape replays an
+earlier one's removal instead of building it: a rejected child needs its
+key alone, an accepted one already queued nothing, and a new one is the
+spelling with this root's constants written back.  A verdict store's entry
+keeps the graph for later searches; a search without a store records into
+a private entry, dropped with it.
 
 A floor is a fact of the shape, too.  Its closure half
 (:func:`~repro.optimizer.cost.floor_terms`: ground-term counts per class,
@@ -976,15 +978,14 @@ class RootVerdicts:
     condition (3) with lookup safety per candidate shape (a key), and the
     containment verdicts step 3's condition pruning asks per (trial,
     reference) pair (a pair of keys: one injective renaming covers both
-    sides).  The dict is the search's own, or — given ``store``, an
-    :class:`~repro.lru.LRU` — the verdicts of the store's
-    :class:`StoreEntry` for ``context``'s constraint fingerprint and the
-    root's key, so a later search from a root that differs only in
-    constants decides none of them again.  Only a stored entry keeps the
-    root's removal graph too (``removals``, ``None`` for a search's own
-    dict; the module docstring): such a search builds no candidate an
-    earlier one recorded.  ``engine`` decides what the dict does not hold;
-    it must chase with the context's constraint set, which keys the store.
+    sides).  Beside it the root's removal graph (``removals``; the module
+    docstring).  Both live in a :class:`StoreEntry`: the search's own, or —
+    given ``store``, an :class:`~repro.lru.LRU` — the store's entry for
+    ``context``'s constraint fingerprint and the root's key, so a later
+    search from a root that differs only in constants decides none of the
+    verdicts again and builds no candidate an earlier one recorded.
+    ``engine`` decides what the dict does not hold; it must chase with the
+    context's constraint set, which keys the store.
     ``hits`` / ``misses`` count :meth:`contained_in`'s probes of the dict
     — the one memo of pair verdicts and its one counter.
     """
@@ -1007,42 +1008,35 @@ class RootVerdicts:
         self.root = quick_simplify_conditions(query)
         self.key_of = ShapeKeys(constant_markers(self.root, engine.constants))
         self.root_key = self.key_of(self.root)
-        self.memo: Dict = {}
-        self.removals: Optional[Dict] = None
-        self._parts: Dict = {}
         self.hits = self.misses = 0
+        entry = None
         if store is not None:
             store_key = (context.constraints_fingerprint(), self.root_key)
-            stored = store.get(store_key)
-            if stored is None:
-                stored = StoreEntry({}, {}, {})
-                store.put(store_key, stored)
-            self.memo, self.removals, self._parts = stored
+            entry = store.get(store_key)
+            if entry is None:
+                entry = StoreEntry({}, {}, {})
+                store.put(store_key, entry)
+        self.memo, self.removals, self._parts = entry or StoreEntry({}, {}, {})
 
-    def node(self, key: str, query: PCQuery) -> Optional[RemovalNode]:
+    def node(self, key: str, query: PCQuery) -> RemovalNode:
         """The removal graph's node of ``query`` — the root or a candidate
-        of shape ``key`` — made on first sight, ``None`` for a search's own
-        dict.  A key and the binding variables spell one query (the
-        canonical form renames by position), so that pair names the node,
-        and a shape spelled over other variables is another node."""
+        of shape ``key`` — made on first sight.  A key and the binding
+        variables spell one query (the canonical form renames by position),
+        so that pair names the node, and a shape spelled over other
+        variables is another node."""
 
-        removals = self.removals
-        if removals is None:
-            return None
         name = (key, query.binding_vars())
-        node = removals.get(name)
+        node = self.removals.get(name)
         if node is None:
             spelling = None if query is self.root else self.key_of.spell(query, self._parts)
-            node = removals[name] = RemovalNode(key, len(query.bindings), spelling)
+            node = self.removals[name] = RemovalNode(key, len(query.bindings), spelling)
         return node
 
-    def floor_terms(self, node: Optional[RemovalNode], query: PCQuery) -> FloorTerms:
+    def floor_terms(self, node: RemovalNode, query: PCQuery) -> FloorTerms:
         """The floor terms of ``query``, the shape at ``node``: the node's,
         read off ``query``'s closure the first time and recorded (interned
-        in the entry), or read every time without a node."""
+        in the entry)."""
 
-        if node is None:
-            return floor_terms(query)
         if node.terms is None:
             terms = floor_terms(query)
             node.terms = self._parts.setdefault(terms, terms)
@@ -1120,7 +1114,6 @@ PlanCost = Callable[[PCQuery], Optional[float]]
 def minimal_subqueries(
     query: PCQuery,
     deps: Optional[Sequence[EPCD]] = None,
-    engine: Optional[ChaseEngine] = None,
     max_nodes: int = 10_000,
     stats: Optional[BackchaseStats] = None,
     strategy: str = "full",
@@ -1141,9 +1134,10 @@ def minimal_subqueries(
     ``None`` when the plan cannot win (ineligible), by default
     :func:`estimate_cost` with the ``statistics`` / ``cost_model``
     catalog; each node's lower bound on ``plan_cost`` over its whole
-    subtree is :func:`~repro.optimizer.cost.plan_cost_floor` under the same
-    catalog.  The bounded run returns a subset of the unbounded run's
-    normal forms that always contains one of minimal eligible cost.  Those
+    subtree is its :func:`~repro.optimizer.cost.floor_terms` priced under
+    the same catalog (:func:`~repro.optimizer.cost.floor_pricer`).  The
+    bounded run returns a subset of the unbounded run's normal forms that
+    always contains one of minimal eligible cost.  Those
     three options are rejected for the full strategy.  Deterministic
     output order either way (by size, then canonical text).
 
@@ -1155,12 +1149,12 @@ def minimal_subqueries(
     deliberately differs from the optimizer's.)
 
     ``verdicts``: the :class:`RootVerdicts` of ``query`` the search keeps
-    its verdicts in and decides them with — a verdict store's entry, whose
-    removal graph the search replays and extends, and the lookup the
-    caller's coster prunes conditions through (the
-    :class:`Optimizer` builds one per optimize).  It replaces ``engine``
-    (the search decides with its engine, which must chase with the
-    constraint set).  By default a fresh one, the search's own.
+    its verdicts and its removal graph in, and decides them with its
+    engine (which must chase with the constraint set) — a verdict store's
+    entry, whose removal graph the search replays and extends, and the
+    lookup the caller's coster prunes conditions through (the
+    :class:`Optimizer` builds one per optimize).  By default a fresh one
+    with a fresh engine, the search's own.
     """
 
     if deps is None and context is not None:
@@ -1169,16 +1163,13 @@ def minimal_subqueries(
         raise BackchaseError(
             "minimal_subqueries needs a constraint set: pass deps or context"
         )
-    if verdicts is not None:
-        if engine is not None:
-            raise BackchaseError(
-                "pass verdicts or engine, not both: the verdicts' engine decides"
-            )
-        if verdicts.query is not query or verdicts.engine.deps != list(deps):
-            raise BackchaseError(
-                "these verdicts belong to another search: another query "
-                "or another constraint set"
-            )
+    if verdicts is not None and (
+        verdicts.query is not query or verdicts.engine.deps != list(deps)
+    ):
+        raise BackchaseError(
+            "these verdicts belong to another search: another query "
+            "or another constraint set"
+        )
     price: Optional[Callable[[FloorTerms], float]] = None
     if strategy == "pruned":
         if context is not None:
@@ -1209,7 +1200,7 @@ def minimal_subqueries(
         )
 
     if verdicts is None:
-        verdicts = RootVerdicts(query, engine or ChaseEngine(list(deps)))
+        verdicts = RootVerdicts(query, ChaseEngine(list(deps)))
     engine = verdicts.engine
     stats = stats if stats is not None else BackchaseStats()
 
@@ -1224,7 +1215,7 @@ def minimal_subqueries(
     # more per verdict) and remembered here whole — containment and
     # lookup safety — per shape, however many removal orders re-derive
     # it.  Bounded by the node budget; with a store, it is the root's
-    # entry, shared with every search from the same root up to constants.
+    # entry's, shared with every search from the same root up to constants.
     memo = verdicts.memo
     memo_hits = computed = 0
 
@@ -1262,9 +1253,34 @@ def minimal_subqueries(
         if q is not None and holders.pop(id(q), None) is not None:
             del q.__dict__["_congruence"]
 
-    def floor_of(
-        q: Optional[PCQuery], node: Optional[RemovalNode]
-    ) -> Tuple[float, PCQuery]:
+    def decide(candidate: PCQuery, parent: PCQuery) -> object:
+        """The edge a built ``candidate`` of ``parent`` is recorded as: its
+        node if condition (3) accepts it, else its key."""
+
+        nonlocal memo_hits, computed
+        stats.candidates_explored += 1
+        shape = (
+            candidate.output,
+            tuple([(b.var, b.source) for b in candidate.bindings]),
+            tuple([(c.left, c.right) for c in candidate.conditions]),
+        )
+        ckey = keys.get(shape)
+        if ckey is None:
+            ckey = keys[shape] = key_of(candidate)
+        verdict = memo.get(ckey)
+        if verdict is None:
+            keep_congruence(candidate)
+            verdict = memo[ckey] = accept_candidate(
+                candidate, parent, engine, antichain(), refuted
+            )
+            computed += 1
+            if not verdict and not (refuted and refuted[-1] is candidate):
+                drop_congruence(candidate)  # rejected as lookup-unsafe
+        else:
+            memo_hits += 1
+        return verdicts.node(ckey, candidate) if verdict else ckey
+
+    def floor_of(q: Optional[PCQuery], node: RemovalNode) -> Tuple[float, PCQuery]:
         """The bound of the shape at ``node`` (``q``, if built): its
         recorded terms priced under this search's catalog, or else the
         terms read off ``q``'s closure — spelled back and kept first if
@@ -1272,7 +1288,7 @@ def minimal_subqueries(
 
         if price is None:
             return 0.0, q
-        if node is None or node.terms is None:
+        if node.terms is None:
             q = q or key_of.unspell(node.spelling)
             keep_congruence(q)
         return price(verdicts.floor_terms(node, q)), q
@@ -1286,10 +1302,10 @@ def minimal_subqueries(
         floors: Dict[str, float] = {root_key: floor_of(root, root_node)[0]}
         normal_forms: List[PCQuery] = []
         # Each queued node — its query, ``None`` while a replayed node has
-        # not needed one — with its node in the root's removal graph (with a
-        # store: what each removal from it yielded in an earlier search of
-        # the shape, read and extended here — the module docstring).
-        stack: List[Tuple[str, Optional[PCQuery], Optional[RemovalNode]]] = [
+        # not needed one — with its node in the root's removal graph: what
+        # each removal from it yielded, read and extended here (the module
+        # docstring).
+        stack: List[Tuple[str, Optional[PCQuery], RemovalNode]] = [
             (root_key, root, root_node)
         ]
         # Under the bound each binding set is built once: the first spelling
@@ -1313,11 +1329,10 @@ def minimal_subqueries(
                 raise BackchaseError(f"backchase search exceeded {max_nodes} nodes")
 
             reduced_any = False
-            children: List[Tuple[float, str, Optional[PCQuery], Optional[RemovalNode]]] = []
+            children: List[Tuple[float, str, Optional[PCQuery], RemovalNode]] = []
             cc = None  # the node's closure, once a removal is built from it
-            names_here = [b.var for b in (node if current is None else current).bindings]
+            names_here = [b.var for b in (current or node).bindings]
             bound_vars = frozenset(names_here)
-            edges = node.edges if node is not None else None
             for i, var in enumerate(names_here):
                 stats.steps_attempted += 1
                 if settled is not None and bound_vars - {var} in settled:
@@ -1325,74 +1340,43 @@ def minimal_subqueries(
                     stats.steps_applied += 1
                     reduced_any = True
                     continue
-                edge = edges[i] if edges is not None else None
-                if edge is FAILS:
-                    continue
-                if edge is not None:
-                    # replayed: a rejected child's key, whose verdict the
-                    # memo holds, or an accepted child's node, whose
-                    # spelling is this root's candidate once the constants
-                    # are written back
-                    stats.candidates_explored += 1
-                    stats.candidates_replayed += 1
-                    memo_hits += 1
-                    if type(edge) is str:
-                        continue
-                    candidate, child, ckey, verdict = None, edge, edge.key, True
-                else:
+                edge, candidate = node.edges[i], None
+                if edge is None:
+                    # not recorded yet: built, decided and recorded
                     if cc is None:
                         current = current or key_of.unspell(node.spelling)
                         keep_congruence(current)
                         cc = query_congruence(current)  # each removal works on a copy
                     candidate = build_candidate(current, frozenset((var,)), cc.copy())
-                    if candidate is None:
-                        if edges is not None:
-                            edges[i] = FAILS
-                        continue
+                    edge = FAILS if candidate is None else decide(candidate, current)
+                    node.edges[i] = edge
+                elif edge is not FAILS:
+                    # recorded by an earlier search: a rejected child's key,
+                    # whose verdict the memo holds, or an accepted child's
+                    # node, whose spelling is this root's candidate once the
+                    # constants are written back
                     stats.candidates_explored += 1
-                    shape = (
-                        candidate.output,
-                        tuple([(b.var, b.source) for b in candidate.bindings]),
-                        tuple([(c.left, c.right) for c in candidate.conditions]),
-                    )
-                    ckey = keys.get(shape)
-                    if ckey is None:
-                        ckey = keys[shape] = key_of(candidate)
-                    verdict = memo.get(ckey)
-                    if verdict is None:
-                        keep_congruence(candidate)
-                        verdict = memo[ckey] = accept_candidate(
-                            candidate, current, engine, antichain(), refuted
-                        )
-                        computed += 1
-                        if not verdict and not (refuted and refuted[-1] is candidate):
-                            drop_congruence(candidate)  # rejected as lookup-unsafe
-                    else:
-                        memo_hits += 1
-                    child = verdicts.node(ckey, candidate) if verdict else None
-                    if edges is not None:
-                        edges[i] = child or ckey
-                if not verdict:
-                    continue
-                names = frozenset(
-                    candidate.binding_vars() if candidate else [b.var for b in child.bindings]
-                )
+                    stats.candidates_replayed += 1
+                    memo_hits += 1
+                if type(edge) is not RemovalNode:
+                    continue  # fails syntactically, or rejected
+                names = frozenset([b.var for b in edge.bindings])
                 if settled is not None:
                     settled.add(names)
                 if not any(kept <= names for kept in accepted):
                     accepted = {k: a for k, a in accepted.items() if not names < k}
-                    accepted[names] = candidate or child
+                    accepted[names] = candidate or edge
                 stats.steps_applied += 1
                 reduced_any = True
-                if ckey in floors:
+                if edge.key in floors:
                     continue
-                bound, candidate = floor_of(candidate, child)
-                floors[ckey] = bound
+                bound, candidate = floor_of(candidate, edge)
+                floors[edge.key] = bound
                 if best is not None and bound > best:
                     stats.candidates_pruned += 1
                     drop_congruence(candidate)
                     continue
-                children.append((bound, ckey, candidate, child))
+                children.append((bound, edge.key, candidate, edge))
             drop_congruence(current)
 
             if not reduced_any:

@@ -10,19 +10,15 @@ larger class of queries and under constraints").
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.backchase.backchase import minimal_subqueries
-from repro.chase.chase import ChaseEngine, chase
+from repro.chase.chase import chase
 from repro.constraints.epcd import EPCD
 from repro.query.ast import PCQuery
 
 
-def minimize(
-    query: PCQuery,
-    deps: Sequence[EPCD] = (),
-    engine: Optional[ChaseEngine] = None,
-) -> PCQuery:
+def minimize(query: PCQuery, deps: Sequence[EPCD] = ()) -> PCQuery:
     """A minimal query equivalent to ``query`` under ``deps``.
 
     With ``deps = ()`` this is generalized tableau minimization; the
@@ -36,17 +32,13 @@ def minimize(
     removable).
     """
 
-    forms = minimize_all(query, deps, engine)
+    forms = minimize_all(query, deps)
     return forms[0] if forms else query
 
 
-def minimize_all(
-    query: PCQuery,
-    deps: Sequence[EPCD] = (),
-    engine: Optional[ChaseEngine] = None,
-) -> List[PCQuery]:
+def minimize_all(query: PCQuery, deps: Sequence[EPCD] = ()) -> List[PCQuery]:
     """All minimal equivalents (may be several under constraints)."""
 
     dep_list = list(deps)
     chased = chase(query, dep_list).query if dep_list else query
-    return minimal_subqueries(chased, dep_list, engine)
+    return minimal_subqueries(chased, dep_list)

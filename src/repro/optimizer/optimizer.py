@@ -236,29 +236,28 @@ class Optimizer:
         self,
         universal: PCQuery,
         stats: Optional[BackchaseStats] = None,
-        strategy: Optional[str] = None,
         verdicts: Optional[RootVerdicts] = None,
     ) -> List[PCQuery]:
         """Phase 2: backchase normal forms of the universal plan.
 
-        With the ``"pruned"`` strategy the search is bounded by the cost of
-        the best complete plan (run through the same costing pipeline the
-        optimizer ranks plans with); with ``"full"`` it runs unbounded and
-        every normal form is returned.  The search keeps its verdicts in
-        ``verdicts`` (by default the optimizer's entry for ``universal``),
-        and the bound's coster prunes conditions through them.
+        Under the optimizer's strategy: with ``"pruned"`` the search is
+        bounded by the cost of the best complete plan (run through the same
+        costing pipeline the optimizer ranks plans with); with ``"full"`` it
+        runs unbounded and every normal form is returned.  The search keeps
+        its verdicts in ``verdicts`` (by default the optimizer's entry for
+        ``universal``), and the bound's coster prunes conditions through
+        them.
         """
 
-        strategy = strategy or self.strategy
         verdicts = verdicts or self._root_verdicts(universal)
         # The context carries the constraint set and the bound's catalog.
         return minimal_subqueries(
             universal,
             max_nodes=self.max_backchase_nodes,
             stats=stats,
-            strategy=strategy,
+            strategy=self.strategy,
             context=self.context,
-            plan_cost=self._bounding_cost(verdicts) if strategy == "pruned" else None,
+            plan_cost=self._bounding_cost(verdicts) if self.strategy == "pruned" else None,
             verdicts=verdicts,
         )
 
@@ -270,8 +269,8 @@ class Optimizer:
         """Normalized and (when applicable) non-failing-refined variants,
         conditions pruned through the search's ``verdicts``.
 
-        Memoized per normal-form shape on the engine's lifetime so the
-        pruned search and the final plan assembly share the work.
+        Memoized per normal-form shape for one optimize, so the pruned
+        search and the final plan assembly share the work.
         """
 
         cache = self._pipeline_cache

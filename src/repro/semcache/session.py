@@ -34,7 +34,7 @@ session, so a dropped session is freed; :meth:`close` releases nothing.
 A promoted hybrid answer registers under the *original* query, whose
 sources name every base relation it read, so a base write drops it like
 any view.  ``enabled=False`` degrades to a plain cold executor with the
-same interface, which is what the cold arms of the benchmarks run.
+same interface.
 """
 
 from __future__ import annotations

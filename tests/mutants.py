@@ -269,10 +269,10 @@ ROWS: Tuple[Row, ...] = (
     Row(
         "the search settles a binding set whatever its verdict",
         "src/repro/backchase/backchase.py",
-        "                if not verdict:\n                    continue\n",
-        "                if settled is not None:\n"
+        "                if type(edge) is not RemovalNode:\n",
+        "                if settled is not None and candidate is not None:\n"
         "                    settled.add(frozenset(candidate.binding_vars()))\n"
-        "                if not verdict:\n                    continue\n",
+        "                if type(edge) is not RemovalNode:\n",
         (
             "tests/test_pruned_backchase.py::TestPrunedAgainstFull::"
             "test_unbounded_pruned_search_is_the_full_enumeration",
@@ -371,6 +371,32 @@ ROWS: Tuple[Row, ...] = (
         ),
     ),
     Row(
+        "replay a recorded rejection as FAILS",
+        "src/repro/backchase/backchase.py",
+        "verdicts.node(ckey, candidate) if verdict else ckey\n",
+        "verdicts.node(ckey, candidate) if verdict else FAILS\n",
+        (
+            "tests/test_verdict_store.py::TestARepeatedShape::"
+            "test_a_fresh_constant_decides_no_verdict_and_plans_the_same",
+            "tests/test_verdict_store.py::TestTheRemovalGraph::"
+            "test_a_recorded_spelling_holds_markers_and_shares_its_parts",
+        ),
+    ),
+    Row(
+        "share one private entry across store-less searches",
+        "src/repro/backchase/backchase.py",
+        "        self.memo, self.removals, self._parts = entry or StoreEntry({}, {}, {})\n",
+        "        private = RootVerdicts.__dict__.get('private') or {}\n"
+        "        RootVerdicts.private = private\n"
+        "        self.memo, self.removals, self._parts = entry or private.setdefault(\n"
+        "            (str(engine.deps), self.root_key), StoreEntry({}, {}, {})\n"
+        "        )\n",
+        (
+            "tests/test_verdict_store.py::TestTheRemovalGraph::"
+            "test_a_store_less_graph_stays_private",
+        ),
+    ),
+    Row(
         "store an accepted child's spelling unmarked",
         "src/repro/backchase/backchase.py",
         "self.key_of.spell(query, self._parts)\n",
@@ -386,12 +412,10 @@ ROWS: Tuple[Row, ...] = (
         "record a node's floor value, not its terms",
         "src/repro/backchase/backchase.py",
         "        return price(verdicts.floor_terms(node, q)), q\n",
-        "        if node is not None and type(node.terms) is float:\n"
+        "        if type(node.terms) is float:\n"
         "            return node.terms, q\n"
-        "        value = price(verdicts.floor_terms(node, q))\n"
-        "        if node is not None:\n"
-        "            node.terms = value\n"
-        "        return value, q\n",
+        "        node.terms = price(verdicts.floor_terms(node, q))\n"
+        "        return node.terms, q\n",
         (
             "tests/test_verdict_store.py::TestACatalogChange::"
             "test_refreshed_statistics_price_the_terms_afresh",

@@ -174,7 +174,10 @@ def test_served_lookup_safety_is_the_from_scratch_verdict(query, deps):
         try:
             universal = chase(query, deps, 80).query
             backchase.minimal_subqueries(
-                universal, deps, engine=serving, max_nodes=250
+                universal,
+                deps,
+                max_nodes=250,
+                verdicts=backchase.RootVerdicts(universal, serving),
             )
         except (ChaseNonTermination, BackchaseError):
             assume(False)

@@ -174,7 +174,7 @@ class TestTheSearchKeepsItsOwnVerdicts:
             )
             verdicts = RootVerdicts(root, ChaseEngine(wl.constraints), opt.context, store)
             stats = BackchaseStats()
-            plans = opt.minimal_plans(root, stats, "pruned", verdicts)
+            plans = opt.minimal_plans(root, stats, verdicts)
             assert verdicts.misses > 0
             runs.append((stats.as_dict(), [p.canonical_key() for p in plans]))
         assert store.evictions == 2  # the bound really bit

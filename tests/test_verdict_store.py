@@ -154,11 +154,9 @@ class TestARepeatedShape:
             RootVerdicts(query, ChaseEngine([]), context, LRU())
         verdicts = RootVerdicts(query, ChaseEngine(context.constraints), context, LRU())
         # a search runs under its verdicts' constraint set, so no other one
-        # may be passed beside them, nor a second engine, nor another query
+        # may be passed beside them, nor another query
         with pytest.raises(BackchaseError, match="another constraint set"):
             minimal_subqueries(query, [], verdicts=verdicts)
-        with pytest.raises(BackchaseError, match="not both"):
-            minimal_subqueries(query, [dep], verdicts.engine, verdicts=verdicts)
         with pytest.raises(BackchaseError, match="another query"):
             minimal_subqueries(parse_query("select r.A from R r"), [dep], verdicts=verdicts)
         assert minimal_subqueries(query, [dep], verdicts=verdicts) == [query]
@@ -375,11 +373,21 @@ class TestTheRemovalGraph:
         assert (info["hits"], info["misses"], info["size"]) == (1, 2, 2)
         assert computed(permuted) > 0 and permuted.backchase_stats.candidates_replayed == 0
 
-    def test_a_search_without_a_store_records_nothing(self):
+    def test_a_store_less_graph_stays_private(self):
+        """A search without a store records into a graph of its own, dropped
+        with it: a second store-less optimize of the root replays nothing
+        and decides every verdict again, and a first optimize into a store
+        counts the search a store-less one counts."""
+
+        db = Database.from_workload("rs")
         query = parse_query(self.NAMINGS[0])
-        verdicts = RootVerdicts(query, ChaseEngine([]))
-        minimal_subqueries(query, [], verdicts=verdicts)
-        assert verdicts.removals is None
+        optimizer = db.context.optimizer()
+        first, second = optimizer.optimize(query), optimizer.optimize(query)
+        assert second.backchase_stats.candidates_replayed == 0
+        assert computed(second) == computed(first) > 0
+        assert second.backchase_stats == first.backchase_stats
+        stored = Optimizer(context=db.context, verdict_store=LRU()).optimize(query)
+        assert stored.backchase_stats == first.backchase_stats
 
     def test_a_recorded_spelling_holds_markers_and_shares_its_parts(self):
         """Each accepted removal keeps its child's node, spelled with the
