@@ -107,13 +107,18 @@ def test_e10_asr_rewriting_end_to_end(benchmark):
     """Section 2: ASRs rewrite navigation path queries into scans of the
     materialized path relation plus oid dereferences."""
 
+    from repro.api.context import OptimizeContext
     from repro.optimizer.optimizer import Optimizer
     from repro.query.evaluator import evaluate
     from repro.workloads.oo_asr import build_oo_asr
 
     wl = build_oo_asr(n_depts=4, staff_per_dept=3, seed=17)
     opt = Optimizer(
-        wl.constraints, physical_names=wl.physical_names, statistics=wl.statistics
+        OptimizeContext(
+            constraints=wl.constraints,
+            physical_names=wl.physical_names,
+            statistics=wl.statistics,
+        )
     )
 
     result = benchmark.pedantic(opt.optimize, args=(wl.query,), rounds=1, iterations=1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api.context import OptimizeContext
 from repro.backchase import backchase
 from repro.backchase.backchase import RootVerdicts, minimal_subqueries
 from repro.chase.chase import ChaseEngine, chase
@@ -23,10 +24,12 @@ def test_e11_pruned_vs_full(benchmark, projdept_small):
 
     def optimize(strategy):
         result = Optimizer(
-            wl.constraints,
-            physical_names=wl.physical_names,
-            statistics=wl.statistics,
-            strategy=strategy,
+            OptimizeContext(
+                constraints=wl.constraints,
+                physical_names=wl.physical_names,
+                statistics=wl.statistics,
+                strategy=strategy,
+            )
         ).optimize(wl.query)
         return result.best.cost, result.backchase_stats
 
@@ -47,16 +50,20 @@ def test_e11_reordering_never_hurts(benchmark, projdept_small):
 
     def compare():
         with_reorder = Optimizer(
-            wl.constraints,
-            physical_names=wl.physical_names,
-            statistics=wl.statistics,
-            reorder=True,
+            OptimizeContext(
+                constraints=wl.constraints,
+                physical_names=wl.physical_names,
+                statistics=wl.statistics,
+                reorder=True,
+            )
         ).optimize(wl.query)
         without = Optimizer(
-            wl.constraints,
-            physical_names=wl.physical_names,
-            statistics=wl.statistics,
-            reorder=False,
+            OptimizeContext(
+                constraints=wl.constraints,
+                physical_names=wl.physical_names,
+                statistics=wl.statistics,
+                reorder=False,
+            )
         ).optimize(wl.query)
         return with_reorder.best.cost, without.best.cost
 
@@ -83,9 +90,7 @@ def test_e11_chase_cache_ablation(benchmark, rs_small):
         with pytest.MonkeyPatch.context() as patch:
             if fresh_engine_per_decision:
                 patch.setattr(backchase, "accept_candidate", accept_afresh)
-            forms = minimal_subqueries(
-                universal, wl.constraints, verdicts=RootVerdicts(universal, engines[0])
-            )
+            forms = minimal_subqueries(RootVerdicts(universal, engines[0]))
         return [str(f) for f in forms], sum(e.cache_misses for e in engines)
 
     shared_forms, shared_chases = benchmark.pedantic(

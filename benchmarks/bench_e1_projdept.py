@@ -7,6 +7,7 @@ directory for the exact forms) and the cost-based choice of Algorithm 1.
 
 from __future__ import annotations
 
+from repro.api.context import OptimizeContext
 from repro.optimizer.optimizer import Optimizer
 from repro.query.evaluator import evaluate
 from repro.query.paths import NFLookup
@@ -16,10 +17,12 @@ def test_e1_end_to_end_optimization(benchmark, projdept_small):
     wl = projdept_small
     # Full enumeration: the P1-P4 inventory below is a completeness check.
     opt = Optimizer(
-        wl.constraints,
-        physical_names=wl.physical_names,
-        statistics=wl.statistics,
-        strategy="full",
+        OptimizeContext(
+            constraints=wl.constraints,
+            physical_names=wl.physical_names,
+            statistics=wl.statistics,
+            strategy="full",
+        )
     )
     result = benchmark.pedantic(opt.optimize, args=(wl.query,), rounds=1, iterations=1)
 

@@ -9,6 +9,7 @@ see the E4 note in this directory's ``README.md``).
 
 from __future__ import annotations
 
+from repro.api.context import OptimizeContext
 from repro.exec.engine import execute
 from repro.optimizer.cost import estimate_cost
 from repro.optimizer.optimizer import Optimizer
@@ -20,10 +21,12 @@ def _optimize(rabc_workload):
     # Full enumeration: E4 compares the scan plan against the index plans,
     # and the pruned strategy (correctly) drops the dominated scan.
     opt = Optimizer(
-        rabc_workload.constraints,
-        physical_names=rabc_workload.physical_names,
-        statistics=rabc_workload.statistics,
-        strategy="full",
+        OptimizeContext(
+            constraints=rabc_workload.constraints,
+            physical_names=rabc_workload.physical_names,
+            statistics=rabc_workload.statistics,
+            strategy="full",
+        )
     )
     return opt.optimize(rabc_workload.query)
 

@@ -10,6 +10,7 @@ when V is small.
 
 from __future__ import annotations
 
+from repro.api.context import OptimizeContext
 from repro.chase.containment import is_equivalent
 from repro.exec.engine import execute
 from repro.optimizer.optimizer import Optimizer
@@ -22,10 +23,12 @@ def _optimize(wl):
     # Full enumeration: E5 asserts the (dominated) navigation plan and the
     # paper's intermediate P appear in the plan space, not just the winner.
     opt = Optimizer(
-        wl.constraints,
-        physical_names=wl.physical_names,
-        statistics=wl.statistics,
-        strategy="full",
+        OptimizeContext(
+            constraints=wl.constraints,
+            physical_names=wl.physical_names,
+            statistics=wl.statistics,
+            strategy="full",
+        )
     )
     return opt.optimize(wl.query)
 

@@ -23,9 +23,7 @@ def test_e7_normal_forms_are_minimal_and_equivalent(benchmark, rs_small):
 
     def enumerate_and_verify():
         engine = ChaseEngine(wl.constraints)
-        forms = minimal_subqueries(
-            universal, wl.constraints, verdicts=RootVerdicts(universal, engine)
-        )
+        forms = minimal_subqueries(RootVerdicts(universal, engine))
         for form in forms:
             assert is_minimal(form, wl.constraints, engine), str(form)
             assert is_equivalent(form, universal, wl.constraints, engine), str(form)

@@ -19,6 +19,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.api.context import OptimizeContext
 from repro.errors import BackchaseError
 from repro.optimizer.optimizer import Optimizer
 
@@ -33,7 +34,13 @@ SHAPES = ((2, 2), (3, 2))
 
 def run_shape(n_bindings: int, n_indexes: int) -> str:
     query, deps, stats = scaling_workload(n_bindings, n_indexes)
-    optimizer = Optimizer(deps, statistics=stats, strategy="pruned")
+    optimizer = Optimizer(
+        OptimizeContext(
+            constraints=deps,
+            statistics=stats,
+            strategy="pruned",
+        )
+    )
     start = time.perf_counter()
     try:
         result = optimizer.optimize(query)

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import build_workload
+from repro.api.context import OptimizeContext
 from repro.optimizer.optimizer import Optimizer
 
 # The reference enumerators the benchmarks cross-check against are test oracles.
@@ -35,10 +36,12 @@ def projdept_medium():
 def projdept_optimized(projdept_small):
     # Full enumeration: E1 asserts the complete P1-P4 plan inventory.
     opt = Optimizer(
-        projdept_small.constraints,
-        physical_names=projdept_small.physical_names,
-        statistics=projdept_small.statistics,
-        strategy="full",
+        OptimizeContext(
+            constraints=projdept_small.constraints,
+            physical_names=projdept_small.physical_names,
+            statistics=projdept_small.statistics,
+            strategy="full",
+        )
     )
     return projdept_small, opt.optimize(projdept_small.query)
 

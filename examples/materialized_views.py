@@ -12,7 +12,14 @@ Run:  python examples/materialized_views.py
 
 from __future__ import annotations
 
-from repro import Optimizer, evaluate, execute, is_equivalent, parse_query
+from repro import (
+    OptimizeContext,
+    Optimizer,
+    evaluate,
+    execute,
+    is_equivalent,
+    parse_query,
+)
 from repro.workloads.relational import build_rs
 
 
@@ -35,7 +42,11 @@ def main() -> None:
     print("  keeps reducing until the indexes take over.\n")
 
     optimizer = Optimizer(
-        wl.constraints, physical_names=wl.physical_names, statistics=wl.statistics
+        OptimizeContext(
+            constraints=wl.constraints,
+            physical_names=wl.physical_names,
+            statistics=wl.statistics,
+        )
     )
     result = optimizer.optimize(wl.query)
     print("minimal plans:")

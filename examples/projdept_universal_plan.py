@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 
-from repro import Optimizer, evaluate, execute, format_query
+from repro import OptimizeContext, Optimizer, evaluate, execute, format_query
 from repro.workloads.projdept import build_projdept
 
 
@@ -29,9 +29,11 @@ def main() -> None:
     print()
 
     optimizer = Optimizer(
-        wl.constraints,
-        physical_names=wl.physical_names,
-        statistics=wl.statistics,
+        OptimizeContext(
+            constraints=wl.constraints,
+            physical_names=wl.physical_names,
+            statistics=wl.statistics,
+        )
     )
 
     t0 = time.perf_counter()

@@ -15,6 +15,7 @@ import random
 from repro import (
     INT,
     Instance,
+    OptimizeContext,
     Optimizer,
     Row,
     Schema,
@@ -47,9 +48,11 @@ def main() -> None:
     query = parse_query("select e.Name from Emp e where e.Dept = 7")
 
     optimizer = Optimizer(
-        by_dept.constraints(),
-        physical_names={"Emp", "EmpByDept"},
-        statistics=Statistics.from_instance(instance),
+        OptimizeContext(
+            constraints=by_dept.constraints(),
+            physical_names={"Emp", "EmpByDept"},
+            statistics=Statistics.from_instance(instance),
+        )
     )
     result = optimizer.optimize(query)
     print(result.report())

@@ -36,7 +36,7 @@ from repro.advisor.candidates import (
 from repro.api.context import OptimizeContext
 from repro.api.plancache import PlanCache, PlanCacheInfo
 from repro.errors import ReproError
-from repro.optimizer.optimizer import Plan
+from repro.optimizer.optimizer import Optimizer, Plan
 from repro.optimizer.statistics import Statistics
 from repro.query.ast import PCQuery
 
@@ -130,7 +130,7 @@ class WhatIfCoster:
         entry = self._plans.get(key)
         if entry is None:
             try:
-                result = ctx.optimizer().optimize(query)
+                result = Optimizer(ctx).optimize(query)
             except ReproError:
                 return None
             entry = self._plans.put(key, result, frozenset())

@@ -793,6 +793,7 @@ def verify_workload_plans(
     workload's constraint set backing the ``CG-LOOKUP`` chase fallback."""
 
     from repro.advisor.workload import structure_views
+    from repro.api.context import OptimizeContext
     from repro.api.workloads import WORKLOAD_NAMES, build_workload
     from repro.chase.chase import ChaseEngine
     from repro.optimizer.optimizer import Optimizer
@@ -803,9 +804,11 @@ def verify_workload_plans(
         workload = build_workload(name)
         engine = ChaseEngine(workload.constraints)
         optimizer = Optimizer(
-            workload.constraints,
-            physical_names=workload.physical_names,
-            statistics=workload.statistics,
+            OptimizeContext(
+                constraints=workload.constraints,
+                physical_names=workload.physical_names,
+                statistics=workload.statistics,
+            )
         )
         winner = optimizer.optimize(workload.query).best.query
         for label, query in (

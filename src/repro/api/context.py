@@ -4,8 +4,9 @@ The bundle of state Algorithm 1 needs — constraint set, physical-schema
 filter, catalog statistics, cost model, search limits, strategy — is one
 frozen value object, :class:`OptimizeContext`:
 
-* an :class:`~repro.optimizer.optimizer.Optimizer` holds exactly one
-  (its classic constructor kwargs build it);
+* an :class:`~repro.optimizer.optimizer.Optimizer` is built over exactly
+  one, ``Optimizer(context, verdict_store=None)``, and reads every setting
+  off it;
 * the :class:`~repro.api.database.Database` façade owns one context and
   derives everything (optimizer, sessions, plan-cache keys) from it;
 * a :class:`~repro.semcache.cache.SemanticCache` and the
@@ -26,7 +27,7 @@ frozen value object, :class:`OptimizeContext`:
 
 The module imports nothing above the optimizer and executor layers, so
 every layer (optimizer, backchase, semcache, CLI) can depend on it
-without cycles; :meth:`optimizer` imports lazily for the same reason.
+without cycles.
 """
 
 from __future__ import annotations
@@ -135,14 +136,6 @@ class OptimizeContext:
             exec_mode=exec_mode or self.exec_mode,
             tracer=tracer or self.tracer,
         )
-
-    def optimizer(self):
-        """An :class:`~repro.optimizer.optimizer.Optimizer` over this
-        context (fresh per call: optimizers carry per-run memo state)."""
-
-        from repro.optimizer.optimizer import Optimizer
-
-        return Optimizer(context=self)
 
     def fingerprint(self) -> str:
         """A stable digest of the physical design this context optimizes

@@ -443,9 +443,7 @@ class Database:
             if entry is not None:
                 result = entry.result
             else:
-                result = Optimizer(
-                    context=ctx, verdict_store=self._verdicts
-                ).optimize(query)
+                result = Optimizer(ctx, self._verdicts).optimize(query)
                 if cache is not None:
                     # the clock swept at the probe, read before optimizing
                     entry = cache.put(
@@ -625,7 +623,7 @@ class Database:
         instance = overlays = None
         if session is None:
             query = self.optimize(query).best.query
-        elif session.enabled:
+        else:
             instance = session.instance
             stored, rewrite = session.lookup(query, record=False)
             if stored is not None:
@@ -688,7 +686,7 @@ class Database:
             sp.set(params=len(prepared.params))
         return prepared
 
-    def session(self, hybrid: bool = True, enabled: bool = True):
+    def session(self, hybrid: bool = True):
         """A :class:`~repro.semcache.session.CachedSession` over this
         database's instance and current :attr:`context` — constraints,
         statistics, cost model, strategy, limits, execution flags and
@@ -710,7 +708,6 @@ class Database:
         sess = CachedSession(
             self.instance,
             context=self.context,
-            enabled=enabled,
             hybrid=hybrid,
             slow_log=self.obs.slow_log,
             feedback_hook=feedback_hook,

@@ -124,10 +124,10 @@ its costing as a normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import AbstractSet, Callable, Dict, FrozenSet, Iterable, List, Mapping
-from typing import NamedTuple, Optional, Sequence, Set, Tuple
+from typing import NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from repro.chase.chase import ChaseEngine, linked_parts, links
 from repro.chase.congruence import CongruenceClosure, build_congruence, query_congruence
@@ -1004,7 +1004,7 @@ class RootVerdicts:
                 "a verdict store is keyed by the context's constraint set: "
                 "pass context, and an engine that chases with it"
             )
-        self.query, self.engine = query, engine
+        self.engine = engine
         self.root = quick_simplify_conditions(query)
         self.key_of = ShapeKeys(constant_markers(self.root, engine.constants))
         self.root_key = self.key_of(self.root)
@@ -1095,35 +1095,33 @@ class BackchaseStats:
     candidates_replayed: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "nodes_visited": self.nodes_visited,
-            "steps_attempted": self.steps_attempted,
-            "steps_applied": self.steps_applied,
-            "normal_forms": self.normal_forms,
-            "candidates_explored": self.candidates_explored,
-            "candidates_pruned": self.candidates_pruned,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "candidates_replayed": self.candidates_replayed,
-        }
+        return asdict(self)
 
 
 PlanCost = Callable[[PCQuery], Optional[float]]
 
 
 def minimal_subqueries(
-    query: PCQuery,
+    root: Union[PCQuery, RootVerdicts],
     deps: Optional[Sequence[EPCD]] = None,
     max_nodes: int = 10_000,
     stats: Optional[BackchaseStats] = None,
     strategy: str = "full",
-    context=None,
     statistics: Optional[Statistics] = None,
     cost_model: Optional[CostModel] = None,
     plan_cost: Optional[PlanCost] = None,
-    verdicts: Optional[RootVerdicts] = None,
 ) -> List[PCQuery]:
-    """Normal forms of backchasing ``query``.
+    """Normal forms of backchasing ``root``.
+
+    ``root`` is the query with its constraint set ``deps`` — the search
+    then keeps its verdicts and its removal graph in a fresh
+    :class:`RootVerdicts` of its own, with a fresh engine — or the
+    :class:`RootVerdicts` of the query, which already carries both: its
+    engine chases with the constraint set, and a verdict store's entry
+    holds the removal graph the search replays and extends (the
+    :class:`Optimizer` builds one per optimize, and its coster prunes
+    conditions through the same verdicts).  Never both: ``deps`` goes
+    only with a bare query.
 
     One memoized depth-first search over backchase sequences.  With
     ``strategy="full"`` (the default here) it runs unbounded and returns
@@ -1137,44 +1135,26 @@ def minimal_subqueries(
     subtree is its :func:`~repro.optimizer.cost.floor_terms` priced under
     the same catalog (:func:`~repro.optimizer.cost.floor_pricer`).  The
     bounded run returns a subset of the unbounded run's normal forms that
-    always contains one of minimal eligible cost.  Those
-    three options are rejected for the full strategy.  Deterministic
-    output order either way (by size, then canonical text).
-
-    ``context`` (an :class:`~repro.api.context.OptimizeContext`) supplies
-    defaults in one value: the constraint set when ``deps`` is omitted,
-    and — for the pruned search — ``statistics`` / ``cost_model`` when
-    not given explicitly.  (``strategy`` stays an explicit argument: this
-    function's default is ``"full"`` for Theorem 2 completeness, which
-    deliberately differs from the optimizer's.)
-
-    ``verdicts``: the :class:`RootVerdicts` of ``query`` the search keeps
-    its verdicts and its removal graph in, and decides them with its
-    engine (which must chase with the constraint set) — a verdict store's
-    entry, whose removal graph the search replays and extends, and the
-    lookup the caller's coster prunes conditions through (the
-    :class:`Optimizer` builds one per optimize).  By default a fresh one
-    with a fresh engine, the search's own.
+    always contains one of minimal eligible cost.  ``statistics``,
+    ``cost_model`` and ``plan_cost`` are rejected for the full strategy.
+    Deterministic output order either way (by size, then canonical text).
+    This function's default strategy is ``"full"`` for Theorem 2
+    completeness, which deliberately differs from the optimizer's.
     """
 
-    if deps is None and context is not None:
-        deps = list(context.constraints)
-    if deps is None:
+    if isinstance(root, RootVerdicts):
+        if deps is not None:
+            raise BackchaseError(
+                "these verdicts carry their constraint set: pass deps only "
+                "with a bare query"
+            )
+    elif deps is None:
         raise BackchaseError(
-            "minimal_subqueries needs a constraint set: pass deps or context"
-        )
-    if verdicts is not None and (
-        verdicts.query is not query or verdicts.engine.deps != list(deps)
-    ):
-        raise BackchaseError(
-            "these verdicts belong to another search: another query "
-            "or another constraint set"
+            "minimal_subqueries needs a constraint set: pass deps with a "
+            "bare query"
         )
     price: Optional[Callable[[FloorTerms], float]] = None
     if strategy == "pruned":
-        if context is not None:
-            statistics = context.statistics if statistics is None else statistics
-            cost_model = context.cost_model if cost_model is None else cost_model
         catalog = statistics or Statistics()
         model = cost_model or CostModel()
         if plan_cost is None:
@@ -1199,8 +1179,9 @@ def minimal_subqueries(
             f"unknown backchase strategy {strategy!r} (expected 'full' or 'pruned')"
         )
 
-    if verdicts is None:
-        verdicts = RootVerdicts(query, ChaseEngine(list(deps)))
+    verdicts = (
+        root if deps is None else RootVerdicts(root, ChaseEngine(list(deps)))
+    )
     engine = verdicts.engine
     stats = stats if stats is not None else BackchaseStats()
 

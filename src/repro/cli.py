@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import List, Optional
 
 from repro.api import Database
@@ -67,9 +68,11 @@ from repro.backchase.minimize import minimize
 from repro.chase.chase import chase
 from repro.constraints.epcd import EPCD
 from repro.errors import ReproError
+from repro.exec.engine import execute
 from repro.model.ddl import parse_ddl
 from repro.query.parser import parse_constraint, parse_query
 from repro.query.printer import format_query
+from repro.semcache.session import COLD, SessionResult
 
 
 def load_constraints(path: str) -> List[EPCD]:
@@ -374,10 +377,7 @@ def cmd_serve_repl(args) -> int:
     db = Database.from_workload(
         args.workload, obs=ObsConfig(feedback=args.feedback)
     )
-    session = db.session(
-        enabled=not args.no_cache,
-        hybrid=args.hybrid,
-    )
+    session = db.session(hybrid=args.hybrid)
     cache_state = "disabled" if args.no_cache else (
         "enabled (hybrid)" if args.hybrid else "enabled (view-only)"
     )
@@ -456,7 +456,22 @@ def cmd_serve_repl(args) -> int:
                     for n in query.param_names()
                     if n in bindings
                 }
-            result = session.run(query, params=params)
+            if args.no_cache:
+                # the query as written, run on the instance the way a
+                # session's cold miss runs it, and admitted nowhere
+                start = time.perf_counter()
+                execution = execute(
+                    query,
+                    db.instance,
+                    tracer=db.context.tracer,
+                    mode=db.context.exec_mode,
+                    params=params,
+                )
+                result = SessionResult(
+                    execution.results, COLD, time.perf_counter() - start
+                )
+            else:
+                result = session.run(query, params=params)
         except ReproError as exc:
             print(f"error: {exc}")
             continue

@@ -12,7 +12,9 @@
     3.     do cost-based conventional optimization
     4.     keep cheapest plan so far
 
-Our chase is deterministic, so step 1 yields the single universal plan;
+The inputs besides Q are one :class:`~repro.api.context.OptimizeContext`,
+the :class:`Optimizer`'s only setting besides its verdict store.  Our chase
+is deterministic, so step 1 yields the single universal plan;
 step 2 enumerates backchase normal forms; each normal form is normalized,
 condition-pruned, refined with non-failing lookups, join-reordered
 (step 3) and costed (step 4).
@@ -28,8 +30,11 @@ run under one of two **strategies**:
 * ``"pruned"`` (the default) — the same search, cost-bounded.  Steps 3-4
   are pushed *into* the backchase: every complete plan is costed through
   the same normalize/prune/refine/reorder pipeline as it is discovered, and any
-  branch whose cost lower bound (:func:`plan_cost_floor`) exceeds the best
-  eligible complete plan so far is cut.  ``result.plans`` may omit
+  branch whose cost lower bound exceeds the best eligible complete plan so
+  far is cut.  The bound is the node's
+  :func:`~repro.optimizer.cost.floor_terms` (recorded in the root's
+  removal graph) priced under the context's catalog by
+  :func:`~repro.optimizer.cost.floor_pricer`.  ``result.plans`` may omit
   dominated normal forms, but ``result.best`` always has the same cost as
   the full enumeration's winner — when a physical-schema filter is
   installed, only physical plans tighten the bound, so the filtered
@@ -40,21 +45,19 @@ run under one of two **strategies**:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.backchase.backchase import BackchaseStats, RootVerdicts, minimal_subqueries
 from repro.chase.chase import ChaseEngine, ChaseResult, chase
-from repro.constraints.epcd import EPCD
 from repro.errors import OptimizationError
 from repro.lru import LRU, CacheInfo
-from repro.optimizer.cost import CostModel, estimate_cost
+from repro.optimizer.cost import estimate_cost
 from repro.optimizer.refine import (
     nonfailing_refinement,
     normalize_plan,
     prune_conditions,
 )
 from repro.optimizer.reorder import reorder_bindings
-from repro.optimizer.statistics import Statistics
 from repro.query.ast import PCQuery
 
 
@@ -131,24 +134,10 @@ class OptimizationResult:
 class Optimizer:
     """The chase & backchase optimizer (Algorithm 1)."""
 
-    def __init__(
-        self,
-        constraints: Sequence[EPCD] = (),
-        physical_names: Optional[Iterable[str]] = None,
-        statistics: Optional[Statistics] = None,
-        cost_model: Optional[CostModel] = None,
-        max_chase_steps: int = 200,
-        max_backchase_nodes: int = 20_000,
-        reorder: bool = True,
-        strategy: str = "pruned",
-        context=None,
-        verdict_store: Optional[LRU] = None,
-    ) -> None:
-        """Build from classic keyword arguments or from one
-        :class:`~repro.api.context.OptimizeContext` (``context=...``),
-        which wins over the individual kwargs when given.  Either way
-        the optimizer's whole configuration is that one frozen context;
-        the classic names below are read-only views of it.
+    def __init__(self, context, verdict_store: Optional[LRU] = None) -> None:
+        """``context``: the one :class:`~repro.api.context.OptimizeContext`
+        every setting is read from — constraints, physical filter,
+        statistics, cost model, strategy, limits, tracer.
 
         ``verdict_store``: an :class:`~repro.lru.LRU` the verdicts of a
         search outlive it in — condition (3), lookup safety, step 3's
@@ -158,107 +147,56 @@ class Optimizer:
         :class:`~repro.api.database.Database` passes its own).  Only facts
         are shared: every optimize still walks and costs its own search."""
 
-        if context is None:
-            # Lazy: repro.api imports this module.
-            from repro.api.context import OptimizeContext
-
-            context = OptimizeContext(
-                constraints=tuple(constraints),
-                physical_names=(
-                    frozenset(physical_names) if physical_names else None
-                ),
-                statistics=statistics or Statistics(),
-                cost_model=cost_model or CostModel(),
-                strategy=strategy,
-                max_chase_steps=max_chase_steps,
-                max_backchase_nodes=max_backchase_nodes,
-                reorder=reorder,
-            )
         self.context = context
         self.verdict_store = verdict_store
-        # Per-optimize() memos shared between the pruned search's bounding
-        # coster and the final plan assembly.
-        self._pipeline_cache: Dict[str, List[Tuple[PCQuery, bool]]] = {}
-        self._plan_cache: Dict[Tuple[str, bool], Plan] = {}
-
-    @property
-    def constraints(self) -> Tuple[EPCD, ...]:
-        return self.context.constraints
-
-    @property
-    def physical_names(self):
-        return self.context.physical_names
-
-    @property
-    def statistics(self) -> Statistics:
-        return self.context.statistics
-
-    @property
-    def cost_model(self) -> CostModel:
-        return self.context.cost_model
-
-    @property
-    def max_chase_steps(self) -> int:
-        return self.context.max_chase_steps
-
-    @property
-    def max_backchase_nodes(self) -> int:
-        return self.context.max_backchase_nodes
-
-    @property
-    def reorder(self) -> bool:
-        return self.context.reorder
-
-    @property
-    def strategy(self) -> str:
-        return self.context.strategy
-
-    @property
-    def tracer(self):
-        return self.context.tracer
 
     # -- phases --------------------------------------------------------------
 
     def universal_plan(self, query: PCQuery) -> ChaseResult:
         """Phase 1: chase the query into the universal plan."""
 
-        return chase(query, self.constraints, self.max_chase_steps)
+        return chase(query, self.context.constraints, self.context.max_chase_steps)
 
     def _root_verdicts(self, universal: PCQuery) -> RootVerdicts:
         """Where the search from ``universal`` keeps its verdicts (the
         ``verdict_store``'s entry, if the optimizer has a store) and the
         fresh engine that decides them."""
 
-        engine = ChaseEngine(self.constraints, self.max_chase_steps, tracer=self.tracer)
-        return RootVerdicts(universal, engine, self.context, self.verdict_store)
+        context = self.context
+        engine = ChaseEngine(
+            context.constraints, context.max_chase_steps, tracer=context.tracer
+        )
+        return RootVerdicts(universal, engine, context, self.verdict_store)
 
     def minimal_plans(
-        self,
-        universal: PCQuery,
-        stats: Optional[BackchaseStats] = None,
-        verdicts: Optional[RootVerdicts] = None,
+        self, verdicts: RootVerdicts, stats: Optional[BackchaseStats] = None
     ) -> List[PCQuery]:
-        """Phase 2: backchase normal forms of the universal plan.
+        """Phase 2: backchase normal forms of the universal plan that
+        ``verdicts`` is over (:meth:`optimize` builds them, the verdict
+        store's entry for the plan if the optimizer has a store).
 
         Under the optimizer's strategy: with ``"pruned"`` the search is
         bounded by the cost of the best complete plan (run through the same
         costing pipeline the optimizer ranks plans with); with ``"full"`` it
         runs unbounded and every normal form is returned.  The search keeps
-        its verdicts in ``verdicts`` (by default the optimizer's entry for
-        ``universal``), and the bound's coster prunes conditions through
-        them.
+        its verdicts in ``verdicts``, and the bound's coster prunes
+        conditions through them.  Each search starts the costing
+        pipeline's memos afresh, and :meth:`optimize`'s cost phase reads
+        what it filled.
         """
 
-        verdicts = verdicts or self._root_verdicts(universal)
-        # The context carries the constraint set and the bound's catalog.
+        self._pipeline_cache: Dict[str, List[Tuple[PCQuery, bool]]] = {}
+        self._plan_cache: Dict[Tuple[str, bool], Plan] = {}
+        context = self.context
+        pruned = context.strategy == "pruned"
         return minimal_subqueries(
-            universal,
-            max_nodes=self.max_backchase_nodes,
+            verdicts,
+            max_nodes=context.max_backchase_nodes,
             stats=stats,
-            strategy=self.strategy,
-            context=self.context,
-            plan_cost=self._bounding_cost(verdicts) if self.strategy == "pruned" else None,
-            verdicts=verdicts,
+            strategy=context.strategy,
+            statistics=context.statistics if pruned else None,
+            cost_model=context.cost_model if pruned else None,
+            plan_cost=self._bounding_cost(verdicts) if pruned else None,
         )
 
     # -- the costing pipeline (Algorithm 1 steps 3-4) --------------------------
@@ -279,7 +217,7 @@ class Optimizer:
         if got is None:
             cleaned = normalize_plan(form)
             cleaned = prune_conditions(
-                cleaned, self.constraints, contained_in=verdicts.contained_in
+                cleaned, self.context.constraints, contained_in=verdicts.contained_in
             )
             cleaned = normalize_plan(cleaned)
             got = [(cleaned, False)]
@@ -297,12 +235,13 @@ class Optimizer:
         key = (plan_query.canonical_key(), refined)
         plan = cache.get(key)
         if plan is None:
+            context = self.context
             execution_query = plan_query
-            if self.reorder:
+            if context.reorder:
                 execution_query = reorder_bindings(
-                    plan_query, self.statistics, self.cost_model
+                    plan_query, context.statistics, context.cost_model
                 )
-            cost = estimate_cost(execution_query, self.statistics, self.cost_model)
+            cost = estimate_cost(execution_query, context.statistics, context.cost_model)
             plan = Plan(
                 query=execution_query,
                 cost=cost,
@@ -318,7 +257,7 @@ class Optimizer:
         could be picked as the final answer (so it must not tighten the
         bound)."""
 
-        physical_filter = self.physical_names is not None
+        physical_filter = self.context.physical_names is not None
 
         def plan_cost(form: PCQuery) -> Optional[float]:
             costs = [
@@ -335,7 +274,7 @@ class Optimizer:
     def optimize(self, query: PCQuery) -> OptimizationResult:
         """Run Algorithm 1 on ``query``."""
 
-        tracer = self.tracer
+        tracer = self.context.tracer
         with tracer.span("phase.chase") as sp:
             chase_result = self.universal_plan(query)
             universal = chase_result.query
@@ -344,13 +283,10 @@ class Optimizer:
                 universal_bindings=len(universal.bindings),
             )
         bc_stats = BackchaseStats()
-        self._pipeline_cache: Dict[str, List[Tuple[PCQuery, bool]]] = {}
-        self._plan_cache: Dict[Tuple[str, bool], Plan] = {}
-
         verdicts = self._root_verdicts(universal)
         engine = verdicts.engine
-        with tracer.span("phase.backchase", strategy=self.strategy) as sp:
-            normal_forms = self.minimal_plans(universal, bc_stats, verdicts=verdicts)
+        with tracer.span("phase.backchase", strategy=self.context.strategy) as sp:
+            normal_forms = self.minimal_plans(verdicts, bc_stats)
             sp.set(
                 normal_forms=len(normal_forms),
                 candidates_explored=bc_stats.candidates_explored,
@@ -398,7 +334,7 @@ class Optimizer:
             plans=plans,
             best=best,
             backchase_stats=bc_stats,
-            strategy=self.strategy,
+            strategy=self.context.strategy,
             containment=containment,
             lookup_decisions=engine.lookup_decisions,
             containment_decisions=engine.containment_decisions,
@@ -406,6 +342,5 @@ class Optimizer:
         )
 
     def _is_physical(self, query: PCQuery) -> bool:
-        if self.physical_names is None:
-            return True
-        return query.schema_names() <= self.physical_names
+        names = self.context.physical_names
+        return names is None or query.schema_names() <= names

@@ -278,7 +278,7 @@ class SemanticCache:
             statistics=statistics,
         )
         try:
-            result = Optimizer(context=context).optimize(query)
+            result = Optimizer(context).optimize(query)
         except ReproError:
             if record:
                 self.stats.rewrite_failures += 1

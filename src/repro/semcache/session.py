@@ -10,7 +10,8 @@ A session has one :class:`~repro.api.context.OptimizeContext`, its
 cache's: rewrites optimize under it, and it alone says how plans run
 (``exec_mode``) and where spans go (``tracer``) — so
 ``CachedSession(db.instance, context=db.context)`` serves exactly what
-``db.session()`` serves.  Without a context a session runs interpreted,
+``db.session()`` serves.  Given neither a context nor a cache, a session
+builds its cache over a default context, and so runs interpreted,
 untraced.
 
 Rewritten plans execute against a read-through **overlay**
@@ -33,8 +34,7 @@ the views a write made stale.  The instance holds no reference to the
 session, so a dropped session is freed; :meth:`close` releases nothing.
 A promoted hybrid answer registers under the *original* query, whose
 sources name every base relation it read, so a base write drops it like
-any view.  ``enabled=False`` degrades to a plain cold executor with the
-same interface.
+any view.
 """
 
 from __future__ import annotations
@@ -89,13 +89,11 @@ class CachedSession:
         instance: Instance,
         context=None,
         cache: Optional[SemanticCache] = None,
-        enabled: bool = True,
         hybrid: bool = True,
         slow_log=None,
         feedback_hook=None,
     ) -> None:
         self.instance = instance
-        self.enabled = enabled
         self.hybrid = hybrid
         self.slow_log = slow_log
         self.feedback_hook = feedback_hook
@@ -182,9 +180,6 @@ class CachedSession:
     def _run(self, query: PCQuery) -> SessionResult:
         start = time.perf_counter()
         clock = self.instance.clock  # what every answer below reads
-        if not self.enabled:
-            return self._cold(query, start, clock)
-
         exact, rewrite = self.lookup(query)
         if exact is not None:
             return SessionResult(
@@ -218,15 +213,14 @@ class CachedSession:
     def _cold(self, query: PCQuery, start: float, clock: int) -> SessionResult:
         """Execute ``query`` verbatim against the live instance, feeding
         the per-level actuals to the feedback hook when one is wired and
-        (an enabled session) the result back into the view pool."""
+        the result back into the view pool."""
 
         execution = self._execute(
             query, feedback=self.feedback_hook is not None
         )
         if self.feedback_hook is not None:
             self.feedback_hook(query, execution, "session.cold")
-        if self.enabled:
-            self._register(query, execution, clock)
+        self._register(query, execution, clock)
         return SessionResult(
             results=execution.results,
             source=COLD,

@@ -2,8 +2,9 @@
 names the tests that must catch it.
 
 Run it with ``make mutants`` (or ``python tests/mutants.py [ROW ...]``,
-rows by number).  The script copies ``src/``, ``tests/`` and
-``pytest.ini`` into a throwaway directory; for each row it replaces the
+rows by number).  The script copies ``src/``, ``tests/``,
+``benchmarks/perf/`` (whose workloads some tests read) and ``pytest.ini``
+into a throwaway directory; for each row it replaces the
 row's old text — which must occur exactly once in its file, or the run
 stops loudly before anything runs — with its new text, runs the named
 tests there and restores the file.  A row
@@ -28,7 +29,7 @@ from typing import List, NamedTuple, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 60
-COPIED = ("src", "tests", "pytest.ini")
+COPIED = ("src", "tests", "benchmarks/perf", "pytest.ini")
 
 
 class Row(NamedTuple):
@@ -380,6 +381,8 @@ ROWS: Tuple[Row, ...] = (
             "test_a_fresh_constant_decides_no_verdict_and_plans_the_same",
             "tests/test_verdict_store.py::TestTheRemovalGraph::"
             "test_a_recorded_spelling_holds_markers_and_shares_its_parts",
+            "tests/test_verdict_store.py::"
+            "test_every_later_request_is_a_store_less_optimize[cold_projdept]",
         ),
     ),
     Row(

@@ -29,6 +29,7 @@ from repro.analysis.codegen import (
     verify_source,
     verify_workload_plans,
 )
+from repro.api.context import OptimizeContext
 from repro.api.workloads import WORKLOAD_NAMES, build_workload
 from repro.chase.chase import ChaseEngine
 from repro.exec.compile import PlanCompilationError, generate_plan
@@ -40,9 +41,11 @@ JOIN = "select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B"
 
 def _winner(workload):
     optimizer = Optimizer(
-        workload.constraints,
-        physical_names=workload.physical_names,
-        statistics=workload.statistics,
+        OptimizeContext(
+            constraints=workload.constraints,
+            physical_names=workload.physical_names,
+            statistics=workload.statistics,
+        )
     )
     return optimizer.optimize(workload.query).best.query
 

@@ -45,6 +45,7 @@ from backchase_oracle import (
     restrict_to_bindings,
     try_remove_binding,
 )
+from repro.api.context import OptimizeContext
 from repro.api.workloads import WORKLOAD_NAMES, build_workload
 from repro.backchase import backchase
 from repro.backchase.backchase import BackchaseStats, minimal_subqueries
@@ -194,10 +195,12 @@ def observe(wl, strategy) -> Observed:
         patch.setattr(containment, "subsumed", subsumed)
         patch.setattr(backchase, "floor_terms", floor)
         result = Optimizer(
-            wl.constraints,
-            physical_names=wl.physical_names,
-            statistics=wl.statistics,
-            strategy=strategy,
+            OptimizeContext(
+                constraints=wl.constraints,
+                physical_names=wl.physical_names,
+                statistics=wl.statistics,
+                strategy=strategy,
+            )
         ).optimize(wl.query)
     seen.left_holding = holding_a_closure()
     assert result.plans  # alive through the scan above

@@ -24,6 +24,7 @@ from chase_oracle import (
     naive_prefix,
     naive_satisfied,
 )
+from repro.api.context import OptimizeContext
 from repro.api.workloads import WORKLOAD_NAMES, build_workload
 from repro.backchase import backchase
 from repro.chase.chase import DEFAULT_MAX_STEPS, ChaseEngine, ChaseState, chase
@@ -145,9 +146,11 @@ def searches(workloads):
             patch.setattr(ChaseState, "run", checked_run)
             patch.setattr(backchase, "_failing_lookup_safe", checked_safe)
             Optimizer(
-                wl.constraints,
-                physical_names=wl.physical_names,
-                statistics=wl.statistics,
+                OptimizeContext(
+                    constraints=wl.constraints,
+                    physical_names=wl.physical_names,
+                    statistics=wl.statistics,
+                )
             ).optimize(wl.query)
         observed[name] = (chased, chase_diffs, verdicts, verdict_diffs)
     return observed

@@ -33,10 +33,14 @@ from repro import (
 )
 from repro.api import build_workload
 from repro.api.plancache import PlanCache
+from repro.backchase.backchase import RootVerdicts
+from repro.chase.chase import ChaseEngine
 from repro.errors import OptimizationError
 from repro.exec.engine import explain
+from repro.lru import LRU
 from repro.query import parser as parser_module
 from repro.query.ast import PCQuery
+from repro.semcache.session import CachedSession
 
 
 def rs_database(**kwargs) -> Database:
@@ -162,11 +166,16 @@ class TestOptimizeContext:
             execute(parse_query("select r.A from R r"), instance, use_hash_joins=True)
 
     def test_optimizer_roundtrip(self):
+        """An optimizer is built over one context and reads every setting
+        off it; there is no second way to build one."""
+
         ctx = OptimizeContext(strategy="full", max_chase_steps=77)
-        opt = ctx.optimizer()
-        assert opt.strategy == "full"
-        assert opt.max_chase_steps == 77
+        opt = Optimizer(ctx)
         assert opt.context is ctx
+        assert opt.optimize(parse_query("select r.A from R r")).strategy == "full"
+        with pytest.raises(TypeError):
+            Optimizer(constraints=(), strategy="full")
+        assert not hasattr(ctx, "optimizer") and not hasattr(opt, "strategy")
 
     def test_backchase_and_exec_consume_contexts(self):
         from repro import minimal_subqueries
@@ -178,13 +187,15 @@ class TestOptimizeContext:
         q = parse_query(
             "select struct(A = r.A) from R r, S s where r.B = s.B"
         )
-        # the context stands in for the deps argument (and, for the
-        # pruned search, the statistics/cost-model defaults)
+        # the search takes its constraint set once: from the verdicts of
+        # its root, whose engine chases with the context's, or beside a
+        # bare query
         for strategy in ("full", "pruned"):
-            with_ctx = minimal_subqueries(q, context=ctx, strategy=strategy)
-            classic = minimal_subqueries(q, [dep], strategy=strategy)
+            verdicts = RootVerdicts(q, ChaseEngine(ctx.constraints), ctx, LRU())
+            with_ctx = minimal_subqueries(verdicts, strategy=strategy)
+            bare = minimal_subqueries(q, [dep], strategy=strategy)
             assert [f.canonical_key() for f in with_ctx] == [
-                f.canonical_key() for f in classic
+                f.canonical_key() for f in bare
             ]
         with pytest.raises(ReproError, match="constraint set"):
             minimal_subqueries(q)
@@ -329,9 +340,11 @@ class TestExecuteAndPrepare:
         db = rs_database()
         q = db.workload.query
         cold_opt = Optimizer(
-            list(db.constraints),
-            physical_names=db.physical_names,
-            statistics=db.statistics,
+            OptimizeContext(
+                constraints=list(db.constraints),
+                physical_names=db.physical_names,
+                statistics=db.statistics,
+            )
         )
         cold = execute(cold_opt.optimize(q).best.query, db.instance)
         got = db.execute(q)
@@ -590,9 +603,8 @@ class TestExplainParity:
         exact = session.run(partial)
         assert exact.source == "exact" and exact.plan_text == ""
 
-        # disabled sessions explain the raw cold execution
-        cold_session = db.session(enabled=False)
-        assert db.explain(partial, session=cold_session) == explain(partial)
+        # a session with nothing cached explains the raw cold execution
+        assert db.explain(partial, session=db.session()) == explain(partial)
         session.close()
         db.close()
 
@@ -616,12 +628,15 @@ class TestSessionWiring:
         assert session.hybrid is True
         session.close()
 
-    def test_disabled_session_serves_cold(self):
+    def test_a_session_has_no_disabled_mode(self):
+        """A session always serves through its cache; the query run as
+        written, uncached, is ``execute`` on the instance."""
+
         db = rs_database()
-        session = db.session(enabled=False)
-        got = session.run(parse_query("select struct(A = r.A) from R r"))
-        assert got.source == "cold"
-        assert len(session.cache) == 0
+        with pytest.raises(TypeError):
+            db.session(enabled=False)
+        with pytest.raises(TypeError):
+            CachedSession(db.instance, enabled=False)
 
 
 class TestNothingHoldsADroppedOwner:

@@ -110,6 +110,7 @@ class TestConstraintSemantics:
     def test_end_to_end_optimization_from_ddl(self):
         """DDL constraints + encoding drive the optimizer directly."""
 
+        from repro.api.context import OptimizeContext
         from repro.optimizer.optimizer import Optimizer
         from repro.workloads.projdept import build_projdept
 
@@ -117,7 +118,13 @@ class TestConstraintSemantics:
         ddl = parse_ddl(PROJDEPT_DDL)
         deps = ddl.constraints + ddl.encoding_for("Dept").constraints()
         # full enumeration: P2 need not win, it must merely be *present*
-        opt = Optimizer(deps, physical_names={"Dept", "Proj"}, strategy="full")
+        opt = Optimizer(
+            OptimizeContext(
+                constraints=deps,
+                physical_names={"Dept", "Proj"},
+                strategy="full",
+            )
+        )
         result = opt.optimize(wl.query)
         # P2 (scan Proj) is reachable purely from DDL constraints
         assert any(

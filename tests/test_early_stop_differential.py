@@ -28,6 +28,7 @@ from typing import Dict, List
 import pytest
 
 from chase_oracle import naive_prefix
+from repro.api.context import OptimizeContext
 from repro.api.workloads import WORKLOAD_NAMES, build_workload
 from repro.backchase import backchase
 from repro.backchase.backchase import minimal_subqueries
@@ -111,10 +112,12 @@ def observe(wl, strategy) -> Observed:
     seen = Observed()
     with observed_decisions(wl.constraints, seen):
         Optimizer(
-            wl.constraints,
-            physical_names=wl.physical_names,
-            statistics=wl.statistics,
-            strategy=strategy,
+            OptimizeContext(
+                constraints=wl.constraints,
+                physical_names=wl.physical_names,
+                statistics=wl.statistics,
+                strategy=strategy,
+            )
         ).optimize(wl.query)
     return seen
 

@@ -8,6 +8,7 @@ import pytest
 from backchase_oracle import rule_normal_forms
 from repro import (
     Instance,
+    OptimizeContext,
     Optimizer,
     Row,
     SecondaryIndex,
@@ -58,9 +59,11 @@ class TestFullPipeline:
             'select o.Total from Orders o where o.Cust = "C3"'
         )
         opt = Optimizer(
-            constraints,
-            physical_names={"Orders", "Customers", "ByCust"},
-            statistics=Statistics.from_instance(instance),
+            OptimizeContext(
+                constraints=constraints,
+                physical_names={"Orders", "Customers", "ByCust"},
+                statistics=Statistics.from_instance(instance),
+            )
         )
         result = opt.optimize(query)
         assert "ByCust" in str(result.best.query)
@@ -82,9 +85,11 @@ class TestFullPipeline:
             "where o.Cust = c.Name"
         )
         opt = Optimizer(
-            deps,
-            physical_names={"Orders", "Customers", "ByCust"},
-            statistics=Statistics.from_instance(instance),
+            OptimizeContext(
+                constraints=deps,
+                physical_names={"Orders", "Customers", "ByCust"},
+                statistics=Statistics.from_instance(instance),
+            )
         )
         result = opt.optimize(query)
         # the FK makes the Customers join removable
@@ -101,11 +106,13 @@ class TestFullPipeline:
         stats = Statistics.from_instance(instance)
         # full enumeration: the count comparison below needs every normal form
         direct = Optimizer(
-            constraints,
-            physical_names={"Orders", "Customers", "ByCust"},
-            statistics=stats,
-            reorder=False,
-            strategy="full",
+            OptimizeContext(
+                constraints=constraints,
+                physical_names={"Orders", "Customers", "ByCust"},
+                statistics=stats,
+                reorder=False,
+                strategy="full",
+            )
         ).optimize(query)
         # same normal-form count modulo refinement variants
         unrefined = [p for p in direct.plans if not p.refined]

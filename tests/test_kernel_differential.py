@@ -29,6 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import congruence_oracle as oracle
+from repro.api.context import OptimizeContext
 from repro.api.workloads import WORKLOAD_NAMES, build_workload
 from repro.chase import homomorphism
 from repro.chase.congruence import CongruenceClosure
@@ -194,10 +195,12 @@ def replayed_matches(name, strategy):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(homomorphism.Pattern, "match", replaying)
         Optimizer(
-            wl.constraints,
-            physical_names=wl.physical_names,
-            statistics=wl.statistics,
-            strategy=strategy,
+            OptimizeContext(
+                constraints=wl.constraints,
+                physical_names=wl.physical_names,
+                statistics=wl.statistics,
+                strategy=strategy,
+            )
         ).optimize(wl.query)
     return counts["replayed"], counts["several"], mismatches
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Optimizer, check_all, evaluate, execute
+from repro import OptimizeContext, Optimizer, check_all, evaluate, execute
 from repro.workloads.oo_asr import build_oo_asr
 
 
@@ -16,10 +16,12 @@ def optimized(workload):
     # Full enumeration: the tests below assert specific (non-winning)
     # plans are present, which the pruned default does not guarantee.
     opt = Optimizer(
-        workload.constraints,
-        physical_names=workload.physical_names,
-        statistics=workload.statistics,
-        strategy="full",
+        OptimizeContext(
+            constraints=workload.constraints,
+            physical_names=workload.physical_names,
+            statistics=workload.statistics,
+            strategy="full",
+        )
     )
     return opt.optimize(workload.query)
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api.context import OptimizeContext
 from repro.exec.engine import execute
 from repro.optimizer.optimizer import Optimizer
 from repro.query.evaluator import evaluate
@@ -14,10 +15,12 @@ def rabc_result(request):
     # Full enumeration: these tests assert on the complete plan set
     # (Theorem 2), which the pruned strategy deliberately does not produce.
     opt = Optimizer(
-        rabc.constraints,
-        physical_names=rabc.physical_names,
-        statistics=rabc.statistics,
-        strategy="full",
+        OptimizeContext(
+            constraints=rabc.constraints,
+            physical_names=rabc.physical_names,
+            statistics=rabc.statistics,
+            strategy="full",
+        )
     )
     return rabc, opt.optimize(rabc.query)
 
@@ -27,10 +30,12 @@ def rs_result(request):
     rs = request.getfixturevalue("rs_workload")
     # Full enumeration: several tests assert non-winning plans are present.
     opt = Optimizer(
-        rs.constraints,
-        physical_names=rs.physical_names,
-        statistics=rs.statistics,
-        strategy="full",
+        OptimizeContext(
+            constraints=rs.constraints,
+            physical_names=rs.physical_names,
+            statistics=rs.statistics,
+            strategy="full",
+        )
     )
     return rs, opt.optimize(rs.query)
 
@@ -160,9 +165,11 @@ class TestHashJoinRewriting:
             "select struct(A = r.A, C = s.C) from R r, S s where r.B = s.B"
         )
         opt = Optimizer(
-            table.constraints(),
-            physical_names={"R", "S", "H"},
-            statistics=Statistics.from_instance(instance),
+            OptimizeContext(
+                constraints=table.constraints(),
+                physical_names={"R", "S", "H"},
+                statistics=Statistics.from_instance(instance),
+            )
         )
         result = opt.optimize(query)
         hash_plans = [
@@ -182,17 +189,24 @@ class TestOptimizerConfiguration:
 
     def test_no_physical_names_means_all_physical(self, rabc_result):
         rabc, _ = rabc_result
-        opt = Optimizer(rabc.constraints, statistics=rabc.statistics)
+        opt = Optimizer(
+            OptimizeContext(
+                constraints=rabc.constraints,
+                statistics=rabc.statistics,
+            )
+        )
         result = opt.optimize(rabc.query)
         assert all(p.physical_only for p in result.plans)
 
     def test_reorder_disabled(self, rabc_result):
         rabc, _ = rabc_result
         opt = Optimizer(
-            rabc.constraints,
-            physical_names=rabc.physical_names,
-            statistics=rabc.statistics,
-            reorder=False,
+            OptimizeContext(
+                constraints=rabc.constraints,
+                physical_names=rabc.physical_names,
+                statistics=rabc.statistics,
+                reorder=False,
+            )
         )
         result = opt.optimize(rabc.query)
         assert result.best is not None

@@ -8,6 +8,7 @@ on generated instances.
 
 import pytest
 
+from repro.api.context import OptimizeContext
 from repro.chase.chase import chase
 from repro.chase.containment import is_equivalent
 from repro.exec.engine import execute
@@ -161,7 +162,13 @@ class TestP1WithoutExtraStructures:
         deps = (
             projdept.class_encoding.constraints()
         )
-        opt = Optimizer(deps, physical_names=projdept.physical_names, reorder=False)
+        opt = Optimizer(
+            OptimizeContext(
+                constraints=deps,
+                physical_names=projdept.physical_names,
+                reorder=False,
+            )
+        )
         result = opt.optimize(projdept.query)
         p1 = parse_query(
             "select struct(PN = s, PB = p.Budg, DN = d.DName) "

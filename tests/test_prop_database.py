@@ -33,6 +33,7 @@ from conftest import GEN_SCHEMA, pc_queries
 from repro import (
     Database,
     Instance,
+    OptimizeContext,
     Optimizer,
     Param,
     Row,
@@ -83,9 +84,11 @@ def cold_pipeline(db: Database, query):
     """The pre-façade path: a fresh Optimizer + execute, fresh statistics."""
 
     optimizer = Optimizer(
-        list(db.constraints),
-        physical_names=db.physical_names,
-        statistics=Statistics.from_instance(db.instance),
+        OptimizeContext(
+            constraints=list(db.constraints),
+            physical_names=db.physical_names,
+            statistics=Statistics.from_instance(db.instance),
+        )
     )
     return execute(optimizer.optimize(query).best.query, db.instance)
 

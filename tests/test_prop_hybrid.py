@@ -26,7 +26,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import SERVING_MIXES, pc_queries, serve_mix
+from conftest import SERVING_MIXES, executed_cost, pc_queries, serve_mix
 from repro import (
     Database,
     Instance,
@@ -34,6 +34,7 @@ from repro import (
     Row,
     Statistics,
     evaluate,
+    execute,
     parse_query,
 )
 from repro.semcache import (
@@ -241,42 +242,40 @@ def partial_overlap_queries(mix: str, instance: Instance):
 
 @pytest.fixture(scope="module", params=sorted(SERVING_MIXES))
 def partial_overlap(request, serving_mixes):
-    """``(instance, warm queries, partial queries, rounds, stats)`` of one
-    serving mix, ``rounds`` and ``stats`` keyed by arm: warm + partial once
-    through a disabled session (every further round would be the same
-    executions again) and three times through a view-only and a hybrid
-    session of one façade (no base constraints: the rewrites are purely
-    view-driven)."""
+    """``(instance, warm queries, partial queries, cold, rounds, stats)`` of
+    one serving mix: ``cold`` is warm + partial each executed once verbatim
+    (every further round would be the same executions again); ``rounds``
+    and ``stats``, keyed by arm, are three rounds through a view-only and a
+    hybrid session of one façade (no base constraints: the rewrites are
+    purely view-driven)."""
 
     instance = serving_mixes[request.param].instance
     warm, partial = partial_overlap_queries(request.param, instance)
+    cold = [execute(query, instance) for query in warm + partial]
     db = Database(instance=instance, statistics=Statistics.from_instance(instance))
     rounds, stats = {}, {}
-    for arm, repetitions, options in (
-        ("cold", 1, dict(enabled=False)),
-        ("view_only", 3, dict(hybrid=False)),
-        ("hybrid", 3, dict(hybrid=True)),
-    ):
-        with db.session(**options) as session:
-            rounds[arm] = serve_mix(session, warm + partial, repetitions)
+    for arm, hybrid in (("view_only", False), ("hybrid", True)):
+        with db.session(hybrid=hybrid) as session:
+            rounds[arm] = serve_mix(session, warm + partial, 3)
             stats[arm] = session.stats
     db.close()
-    return instance, warm, partial, rounds, stats
+    return instance, warm, partial, cold, rounds, stats
 
 
 class TestPartialOverlapMixes:
     def test_three_arms_agree_with_the_evaluator(self, partial_overlap):
-        instance, warm, partial, rounds, _ = partial_overlap
+        instance, warm, partial, cold, rounds, _ = partial_overlap
         covered = [evaluate(q, instance) for q in warm]
         joined = [evaluate(q, instance) for q in partial]
         # rows on both sides of the overlap, or equality proves nothing
         assert all(covered) and any(joined)
+        assert [run.results for run in cold] == covered + joined
         for arm in rounds.values():
             for round_ in arm:
                 assert [r.answer.results for r in round_] == covered + joined
 
     def test_hybrid_rescues_what_view_only_serves_cold(self, partial_overlap):
-        _, warm, partial, rounds, stats = partial_overlap
+        _, warm, partial, _, rounds, stats = partial_overlap
         sources = {
             arm: [r.answer.source for round_ in rounds[arm] for r in round_]
             for arm in ("view_only", "hybrid")
@@ -302,19 +301,19 @@ class TestPartialOverlapMixes:
         scans a small cached selection where the cold plan scans the base
         relation."""
 
-        _, warm, _, rounds, _ = partial_overlap
-        cold, hybrid = rounds["cold"][0], rounds["hybrid"][0]
-        for cold_served, hybrid_served in zip(cold[len(warm):], hybrid[len(warm):]):
+        _, warm, _, cold, rounds, _ = partial_overlap
+        hybrid = rounds["hybrid"][0]
+        for cold_run, hybrid_served in zip(cold[len(warm):], hybrid[len(warm):]):
             assert hybrid_served.answer.base_names  # it did read base data
-            assert hybrid_served.executed_cost < cold_served.executed_cost / 10
+            assert hybrid_served.executed_cost < executed_cost(cold_run.counters) / 10
 
     def test_steady_rounds_are_exact_in_both_cached_arms(self, partial_overlap):
         """Why hybrid's steady state ties view-only's and beats cold's, and
         why the gain grows with repetitions: promoted answers make every
         later round pure exact hits in both arms — no plan, no optimizer —
-        while a disabled session executes every request it is sent."""
+        while the cold arm executes every request it is sent."""
 
-        _, warm, partial, rounds, _ = partial_overlap
+        _, warm, partial, _, rounds, _ = partial_overlap
         for arm in ("view_only", "hybrid"):
             for round_ in rounds[arm][1:]:
                 assert [r.answer.source for r in round_] == [EXACT] * len(
@@ -323,4 +322,3 @@ class TestPartialOverlapMixes:
                 assert all(
                     r.executions == [] and r.optimizations == 0 for r in round_
                 )
-        assert all(len(r.executions) == 1 for r in rounds["cold"][0])

@@ -83,9 +83,11 @@ def scenarios(draw):
 def test_every_emitted_plan_is_correct(scenario):
     instance, constraints, query = scenario
     optimizer = Optimizer(
-        constraints,
-        statistics=Statistics.from_instance(instance),
-        max_backchase_nodes=5000,
+        OptimizeContext(
+            constraints=constraints,
+            statistics=Statistics.from_instance(instance),
+            max_backchase_nodes=5000,
+        )
     )
     result = optimizer.optimize(query)
     reference = evaluate(query, instance)
@@ -100,7 +102,13 @@ def test_best_plan_never_costlier_than_original(scenario):
     from repro.optimizer.cost import estimate_cost
 
     stats = Statistics.from_instance(instance)
-    optimizer = Optimizer(constraints, statistics=stats, max_backchase_nodes=5000)
+    optimizer = Optimizer(
+        OptimizeContext(
+            constraints=constraints,
+            statistics=stats,
+            max_backchase_nodes=5000,
+        )
+    )
     result = optimizer.optimize(query)
     assert result.best.cost <= estimate_cost(query, stats) + 1e-9
 
@@ -174,10 +182,7 @@ def test_served_lookup_safety_is_the_from_scratch_verdict(query, deps):
         try:
             universal = chase(query, deps, 80).query
             backchase.minimal_subqueries(
-                universal,
-                deps,
-                max_nodes=250,
-                verdicts=backchase.RootVerdicts(universal, serving),
+                backchase.RootVerdicts(universal, serving), max_nodes=250
             )
         except (ChaseNonTermination, BackchaseError):
             assume(False)
@@ -265,7 +270,7 @@ def searched(query, deps, strategy, statistics=None, max_nodes=250, store=None):
         universal.query, ChaseEngine(context.constraints, 80), context, store
     )
     stats = backchase.BackchaseStats()
-    forms = optimizer.minimal_plans(universal.query, stats, verdicts=verdicts)
+    forms = optimizer.minimal_plans(verdicts, stats)
     for form in forms:
         optimizer._variants(form, verdicts)  # prunes through the entry
     return forms, universal.congruence.inconsistent, stats

@@ -20,8 +20,8 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 import floor_oracle
 from conftest import GEN_SCHEMA, constraint_pool, constraint_sets, pc_queries, recording
+from repro.api.context import OptimizeContext
 from repro.backchase.backchase import build_candidate, minimal_subqueries
-from repro.chase.chase import ChaseEngine
 from repro.errors import BackchaseError, ChaseNonTermination
 from repro.optimizer.cost import estimate_cost, floor_terms, floor_value, plan_cost_floor
 from repro.optimizer.optimizer import Optimizer
@@ -36,10 +36,14 @@ RELAXED = dict(
 )
 
 
+def _context(deps, **kwargs):
+    return OptimizeContext(constraints=deps, **COMMON, **kwargs)
+
+
 def _optimize_both(query, deps, **kwargs):
     try:
-        full = Optimizer(deps, strategy="full", **COMMON, **kwargs).optimize(query)
-        pruned = Optimizer(deps, strategy="pruned", **COMMON, **kwargs).optimize(
+        full = Optimizer(_context(deps, strategy="full", **kwargs)).optimize(query)
+        pruned = Optimizer(_context(deps, strategy="pruned", **kwargs)).optimize(
             query
         )
     except (ChaseNonTermination, BackchaseError):
@@ -89,7 +93,7 @@ def test_cost_floor_lower_bounds_every_normal_form(query, deps):
 
     stats = Statistics()
     try:
-        opt = Optimizer(deps, strategy="full", **COMMON)
+        opt = Optimizer(_context(deps, strategy="full"))
         universal = opt.universal_plan(query).query
         forms = minimal_subqueries(
             universal, deps, max_nodes=COMMON["max_backchase_nodes"]
@@ -121,7 +125,7 @@ def test_no_floor_exceeds_a_bounding_cost(query, deps, physical, cards):
         if card is not None:
             stats.set_card(rel, card)
     optimizer = Optimizer(
-        deps, strategy="full", statistics=stats, physical_names=physical, **COMMON
+        _context(deps, strategy="full", statistics=stats, physical_names=physical)
     )
     with recording(Optimizer, "minimal_plans") as searches:
         try:
@@ -129,13 +133,15 @@ def test_no_floor_exceeds_a_bounding_cost(query, deps, physical, cards):
         except (ChaseNonTermination, BackchaseError):
             assume(False)
     (forms,) = searches
-    # read after the run: the costing pipeline's memo is filled
-    bounding_cost = optimizer._bounding_cost(ChaseEngine(optimizer.constraints))
+    universal = optimizer.universal_plan(query).query
+    # over the universal plan's own verdicts: a form the run's memo does
+    # not hold is priced, not looked up
+    bounding_cost = optimizer._bounding_cost(optimizer._root_verdicts(universal))
 
     def floor(plan):
-        return plan_cost_floor(plan, optimizer.statistics, optimizer.cost_model)
+        return plan_cost_floor(plan, stats, optimizer.context.cost_model)
 
-    root = floor(optimizer.universal_plan(query).query)
+    root = floor(universal)
     for form in forms:
         cost = bounding_cost(form)
         if cost is None:  # no eligible variant: it never sets the bound
@@ -200,7 +206,7 @@ def test_the_split_floor_is_the_one_pass_floor_bit_for_bit(query, deps, first, t
     request of a shape prices its recorded terms under its own)."""
 
     try:
-        universal = Optimizer(deps, strategy="full", **COMMON).universal_plan(query).query
+        universal = Optimizer(_context(deps, strategy="full")).universal_plan(query).query
     except ChaseNonTermination:
         assume(False)
     removals = (

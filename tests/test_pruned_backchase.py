@@ -19,6 +19,7 @@ from backchase_oracle import restrict_to_bindings
 from chain_shapes import scaling_workload
 from conftest import recording
 from repro import Database
+from repro.api.context import OptimizeContext
 from repro.backchase import backchase as backchase_module
 from repro.backchase.backchase import (
     BackchaseStats,
@@ -98,7 +99,7 @@ class TestContainmentCacheParity:
         deps = workload.constraints
         universal = chase(workload.query, deps).query
         verdicts = RootVerdicts(universal, ChaseEngine(deps))
-        forms = minimal_subqueries(universal, deps, verdicts=verdicts)
+        forms = minimal_subqueries(verdicts)
         assert forms
         pairs = [(form, universal) for form in forms]
         pairs += [(universal, form) for form in forms]
@@ -144,7 +145,7 @@ class TestTheSearchKeepsItsOwnVerdicts:
         universal = optimized_workloads.result(name, "full").universal_plan
         verdicts = RootVerdicts(universal, ChaseEngine(wl.constraints))
         stats = BackchaseStats()
-        minimal_subqueries(universal, wl.constraints, stats=stats, verdicts=verdicts)
+        minimal_subqueries(verdicts, stats=stats)
         assert verdicts.hits == verdicts.misses == 0
         assert 0 < stats.cache_misses <= stats.candidates_explored
 
@@ -167,14 +168,16 @@ class TestTheSearchKeepsItsOwnVerdicts:
         for root in (roots[0], roots[1], roots[0]):
             # a fresh optimizer each time: it remembers each form's variants
             opt = Optimizer(
-                wl.constraints,
-                physical_names=wl.physical_names,
-                statistics=wl.statistics,
+                OptimizeContext(
+                    constraints=wl.constraints,
+                    physical_names=wl.physical_names,
+                    statistics=wl.statistics,
+                ),
                 verdict_store=store,
             )
             verdicts = RootVerdicts(root, ChaseEngine(wl.constraints), opt.context, store)
             stats = BackchaseStats()
-            plans = opt.minimal_plans(root, stats, verdicts)
+            plans = opt.minimal_plans(verdicts, stats)
             assert verdicts.misses > 0
             runs.append((stats.as_dict(), [p.canonical_key() for p in plans]))
         assert store.evictions == 2  # the bound really bit
@@ -240,10 +243,12 @@ class TestScalingShapes:
             query, deps, stats = scaling_workload(n_bindings, n_indexes)
             return {
                 strategy: Optimizer(
-                    deps,
-                    statistics=stats,
-                    strategy=strategy,
-                    max_backchase_nodes=100_000,
+                    OptimizeContext(
+                        constraints=deps,
+                        statistics=stats,
+                        strategy=strategy,
+                        max_backchase_nodes=100_000,
+                    )
                 ).optimize(query)
                 for strategy in ("full", "pruned")
             }
@@ -329,7 +334,12 @@ class TestTheFloorIsAdmissible:
         if isinstance(case, tuple):
             query, deps, stats = scaling_workload(*case)
             return query, Optimizer(
-                deps, statistics=stats, strategy="full", max_backchase_nodes=100_000
+                OptimizeContext(
+                    constraints=deps,
+                    statistics=stats,
+                    strategy="full",
+                    max_backchase_nodes=100_000,
+                )
             )
         db = Database.from_workload(case)
         try:
@@ -349,13 +359,16 @@ class TestTheFloorIsAdmissible:
         with recording(Optimizer, "minimal_plans") as searches:
             optimizer.optimize(query)
         (forms,) = searches
-        # read after the run: the costing pipeline's memo is filled
-        bounding_cost = optimizer._bounding_cost(ChaseEngine(optimizer.constraints))
+        universal = optimizer.universal_plan(query).query
+        # over the universal plan's own verdicts: a form the run's memo does
+        # not hold is priced, not looked up
+        bounding_cost = optimizer._bounding_cost(optimizer._root_verdicts(universal))
+        context = optimizer.context
 
         def floor(plan):
-            return plan_cost_floor(plan, optimizer.statistics, optimizer.cost_model)
+            return plan_cost_floor(plan, context.statistics, context.cost_model)
 
-        root = floor(optimizer.universal_plan(query).query)
+        root = floor(universal)
         bounded = 0
         for form in forms:
             cost = bounding_cost(form)
@@ -597,7 +610,7 @@ class TestStrategyPlumbing:
         with pytest.raises(BackchaseError, match="unknown backchase strategy"):
             minimal_subqueries(q(REDUNDANT), [], strategy="greedy")
         with pytest.raises(OptimizationError, match="unknown strategy"):
-            Optimizer([], strategy="greedy")
+            Optimizer(OptimizeContext(strategy="greedy"))
 
     def test_pruned_options_rejected_for_full(self):
         with pytest.raises(BackchaseError, match="strategy='pruned'"):
@@ -615,9 +628,11 @@ class TestStrategyPlumbing:
 
     def test_optimizer_reports_strategy(self, rabc):
         opt = Optimizer(
-            rabc.constraints,
-            physical_names=rabc.physical_names,
-            statistics=rabc.statistics,
+            OptimizeContext(
+                constraints=rabc.constraints,
+                physical_names=rabc.physical_names,
+                statistics=rabc.statistics,
+            )
         )
         result = opt.optimize(rabc.query)
         assert result.strategy == "pruned"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import SERVING_MIXES, recording, serve_mix
+from conftest import SERVING_MIXES, executed_cost, recording, serve_mix
 from repro import (
     Database,
     Instance,
@@ -12,6 +12,7 @@ from repro import (
     Row,
     Statistics,
     evaluate,
+    execute,
     parse_query,
 )
 from repro.lru import LRU
@@ -125,12 +126,18 @@ class TestSessionPaths:
         assert result.source == COLD
         assert result.results == evaluate(q, rs_instance_large)
 
-    def test_disabled_session_is_plain_executor(self, rs_instance_large):
-        sess = CachedSession(rs_instance_large, enabled=False)
+    def test_a_cold_miss_is_the_verbatim_execution(self, rs_instance_large):
+        """A miss runs the query as written, what ``execute`` runs on the
+        instance, and admits its answer: the repeat is an exact hit."""
+
+        sess = CachedSession(rs_instance_large)
         q = parse_query(JOIN)
-        assert sess.run(q).source == COLD
-        assert sess.run(q).source == COLD
-        assert len(sess.cache) == 0
+        cold = sess.run(q)
+        verbatim = execute(q, rs_instance_large)
+        assert cold.source == COLD
+        assert (cold.results, cold.plan_text) == (verbatim.results, verbatim.plan_text)
+        assert sess.run(q).source == EXACT
+        assert len(sess.cache) == 1
 
     def test_stats_counters_add_up(self, session):
         session.run(parse_query(JOIN))          # cold
@@ -707,32 +714,30 @@ class TestOptimizerContextOverlay:
     optimizer over a new context, the original left untouched."""
 
     def test_extra_constraints_overlay_does_not_mutate(self):
-        opt = Optimizer([], strategy="pruned")
+        opt = Optimizer(OptimizeContext(strategy="pruned"))
         dep = parse_constraint(
             "forall (r in R) -> exists (s in S) r.B = s.B", "ric"
         )
         q = parse_query("select struct(A = r.A) from R r")
-        overlaid = Optimizer(
-            context=opt.context.override(extra_constraints=(dep,))
-        )
+        overlaid = Optimizer(opt.context.override(extra_constraints=(dep,)))
         assert overlaid.optimize(q).best is not None
-        assert overlaid.constraints == (dep,)
-        assert opt.constraints == ()
-        assert opt.physical_names is None
+        assert overlaid.context.constraints == (dep,)
+        assert opt.context.constraints == ()
+        assert opt.context.physical_names is None
 
     def test_physical_override_is_per_optimizer(self):
-        opt = Optimizer([], physical_names=("R",))
+        opt = Optimizer(OptimizeContext(physical_names=("R",)))
         q = parse_query("select struct(A = r.A) from R r")
         filtered = Optimizer(
-            context=opt.context.override(physical_names=frozenset({"Z"}))
+            opt.context.override(physical_names=frozenset({"Z"}))
         ).optimize(q)
         assert not filtered.best.physical_only
         assert opt.optimize(q).best.physical_only
 
     def test_configuration_is_read_only(self):
-        opt = Optimizer([], strategy="full")
+        opt = Optimizer(OptimizeContext(strategy="full"))
         with pytest.raises(AttributeError):
-            opt.strategy = "pruned"
+            opt.context.strategy = "pruned"
 
 
 class TestContainmentCacheLRU:
@@ -781,17 +786,17 @@ class TestContainmentCacheLRU:
 @pytest.fixture(scope="module", params=sorted(SERVING_MIXES))
 def repeated(request, serving_mixes):
     """``(mix, cold round, warm rounds, warm stats)`` of one serving mix: the
-    mix once through a disabled session — every further round would be the
-    same executions again — and three times through a view-only one (the
-    hybrid tier has its own mixes in ``test_prop_hybrid.py``), on a façade
-    without base constraints: rewrites are purely view-driven."""
+    mix's queries each executed once verbatim — every further round would
+    be the same executions again — and the mix three times through a
+    view-only session (the hybrid tier has its own mixes in
+    ``test_prop_hybrid.py``), on a façade without base constraints:
+    rewrites are purely view-driven."""
 
     mix = serving_mixes[request.param]
+    cold = [execute(query, mix.instance) for query in mix.queries]
     db = Database(
         instance=mix.instance, statistics=Statistics.from_instance(mix.instance)
     )
-    with db.session(enabled=False) as cold_session:
-        (cold,) = serve_mix(cold_session, mix.queries, 1)
     with db.session(hybrid=False) as warm_session:
         warm = serve_mix(warm_session, mix.queries, 3)
     db.close()
@@ -802,7 +807,7 @@ class TestRepeatedMixes:
     def test_warm_answers_equal_cold_and_the_evaluator(self, repeated):
         mix, cold, warm, _ = repeated
         expected = [evaluate(q, mix.instance) for q in mix.queries]
-        assert [r.answer.results for r in cold] == expected
+        assert [run.results for run in cold] == expected
         for warm_round in warm:
             assert [r.answer.results for r in warm_round] == expected
 
@@ -823,18 +828,15 @@ class TestRepeatedMixes:
     def test_an_exact_hit_runs_no_plan_and_plans_nothing(self, repeated):
         """Why repeats are fast, and why the gain grows with every further
         repetition: an exact hit is a lookup — a repeated round executes
-        nothing and enters the optimizer not once, while a disabled session
+        nothing and enters the optimizer not once, while the cold arm
         executes every request it is sent."""
 
-        _, cold, warm, _ = repeated
+        _, _, warm, _ = repeated
         for served in (r for round_ in warm for r in round_):
             if served.answer.source == EXACT:
                 assert served.executions == [] and served.optimizations == 0
             else:
                 assert len(served.executions) == 1
-        assert all(
-            len(r.executions) == 1 and r.optimizations == 0 for r in cold
-        )
 
     def test_the_warm_arm_executes_less_than_the_cold_arm(self, repeated):
         """Why the warm arm wins end to end: its three rounds together run
@@ -844,5 +846,5 @@ class TestRepeatedMixes:
 
         _, cold, warm, _ = repeated
         assert sum(r.executed_cost for round_ in warm for r in round_) <= sum(
-            r.executed_cost for r in cold
+            executed_cost(run.counters) for run in cold
         )

@@ -99,16 +99,19 @@ class TestEquivalenceByUnfolding:
         """Every unrefined view-plan the optimizer emits is equivalent to
         the query by independent unfolding."""
 
+        from repro.api.context import OptimizeContext
         from repro.optimizer.optimizer import Optimizer
         from repro.query.paths import Lookup, NFLookup
 
         wl = rs_workload
         # full enumeration: the scan below wants the whole plan space
         opt = Optimizer(
-            wl.constraints,
-            physical_names=wl.physical_names,
-            statistics=wl.statistics,
-            strategy="full",
+            OptimizeContext(
+                constraints=wl.constraints,
+                physical_names=wl.physical_names,
+                statistics=wl.statistics,
+                strategy="full",
+            )
         )
         result = opt.optimize(wl.query)
         checked = 0

@@ -109,7 +109,7 @@ class TestARepeatedShape:
         assert computed(first) > 0
         query = parse_query(PROJDEPT_Q.format('"Initech"'))
         second = db.optimize(query)
-        alone = db.context.optimizer().optimize(query)
+        alone = Optimizer(db.context).optimize(query)
 
         assert computed(second) == 0 and computed(alone) > 0
         assert second.lookup_decisions["chased"] == 0
@@ -153,14 +153,15 @@ class TestARepeatedShape:
         with pytest.raises(BackchaseError, match="verdict store"):
             RootVerdicts(query, ChaseEngine([]), context, LRU())
         verdicts = RootVerdicts(query, ChaseEngine(context.constraints), context, LRU())
-        # a search runs under its verdicts' constraint set, so no other one
-        # may be passed beside them, nor another query
-        with pytest.raises(BackchaseError, match="another constraint set"):
-            minimal_subqueries(query, [], verdicts=verdicts)
-        with pytest.raises(BackchaseError, match="another query"):
-            minimal_subqueries(parse_query("select r.A from R r"), [dep], verdicts=verdicts)
-        assert minimal_subqueries(query, [dep], verdicts=verdicts) == [query]
-        assert minimal_subqueries(query, context=context, verdicts=verdicts) == [query]
+        # a search takes its root and its constraint set once: its verdicts
+        # carry both, so no constraint set is passed beside them, and a bare
+        # query comes with its own
+        with pytest.raises(BackchaseError, match="carry their constraint set"):
+            minimal_subqueries(verdicts, [dep])
+        with pytest.raises(BackchaseError, match="needs a constraint set"):
+            minimal_subqueries(query)
+        assert minimal_subqueries(verdicts) == [query]
+        assert minimal_subqueries(query, [dep]) == [query]
 
     def test_a_fresh_constant_prunes_no_condition_again(self):
         """The second ProjDept-Q request, with a fresh CustName, runs no
@@ -196,7 +197,7 @@ class TestARepeatedShape:
             del tested[:]
             second = db.optimize(query)
             assert tested.count(True) == 0 < from_pruning
-            alone = db.context.optimizer().optimize(query)
+            alone = Optimizer(db.context).optimize(query)
             assert tested.count(True) == from_pruning
 
         assert plan_texts(second) == plan_texts(alone)
@@ -230,7 +231,7 @@ class TestACatalogChange:
         db.refresh_statistics(larger.statistics)
         query = parse_query(PROJDEPT_Q.format('"Initech"'))
         later = db.optimize(query)
-        alone = db.context.optimizer().optimize(query)
+        alone = Optimizer(db.context).optimize(query)
 
         assert walk(alone) != walk(first)
         assert later.backchase_stats.candidates_replayed > 0
@@ -320,7 +321,7 @@ def test_every_later_request_is_a_store_less_optimize(name):
             seen.add(shape)
             continue
         later += 1
-        alone = db.context.optimizer().optimize(parse_query(req.text))
+        alone = Optimizer(db.context).optimize(parse_query(req.text))
         assert built(result) == 0, req.text
         assert calls == {
             "build_congruence": 1,
@@ -359,7 +360,7 @@ class TestTheRemovalGraph:
         first = db.optimize(self.NAMINGS[0])
         query = parse_query(self.NAMINGS[1])
         second = db.optimize(query)
-        alone = db.context.optimizer().optimize(query)
+        alone = Optimizer(db.context).optimize(query)
         info = db.metrics()["sources"]["verdict_store"]
         assert (info["hits"], info["misses"], info["size"]) == (1, 1, 1)
         assert computed(first) > 0
@@ -381,7 +382,7 @@ class TestTheRemovalGraph:
 
         db = Database.from_workload("rs")
         query = parse_query(self.NAMINGS[0])
-        optimizer = db.context.optimizer()
+        optimizer = Optimizer(db.context)
         first, second = optimizer.optimize(query), optimizer.optimize(query)
         assert second.backchase_stats.candidates_replayed == 0
         assert computed(second) == computed(first) > 0
@@ -469,7 +470,7 @@ class TestTheKey:
         db.apply_design(SimpleNamespace(chosen=[index]))
         query = parse_query(text.format(2))
         after = db.optimize(query)
-        assert plan_texts(after) == plan_texts(db.context.optimizer().optimize(query))
+        assert plan_texts(after) == plan_texts(Optimizer(db.context).optimize(query))
         assert any(len(plan.query.bindings) == 1 for plan in after.plans)
 
     def test_markers(self):
@@ -562,7 +563,12 @@ class TestPairVerdicts:
 
         workload = build_workload("rabc")
         kept = []
-        optimizer = Optimizer(workload.constraints, statistics=workload.statistics)
+        optimizer = Optimizer(
+            OptimizeContext(
+                constraints=workload.constraints,
+                statistics=workload.statistics,
+            )
+        )
         real = optimizer._root_verdicts
 
         def keeping(*args):
